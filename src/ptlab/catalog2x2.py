@@ -22,6 +22,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ConstraintError, ContractError, SingularCaseError
+from .numerics import needs_sign_flip
 
 SIGMA0 = np.eye(2, dtype=complex)
 SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -383,15 +384,7 @@ def cross_operators(case: CrossCase, p: Pt2Params) -> np.ndarray:
             [g * math.cos(d) * math.cosh(th), top],
             [top.conjugate(), -g * math.cos(d) * math.cosh(th)],
         ])
-    return _fix_sign(out)
-
-
-def _fix_sign(O: np.ndarray) -> np.ndarray:
-    for k in range(O.shape[0]):
-        entry = O[k, k].real
-        if abs(entry) > 1e-12:
-            return -O if entry < 0 else O
-    return O
+    return -out if needs_sign_flip(out) else out
 
 
 @dataclass(frozen=True)

@@ -554,7 +554,7 @@ def cmd_jordan(args) -> int:
     H = load_matrix(args.matrix)
     lam = _parse_complex(args.eigenvalue)
     try:
-        chain = jordan_chain(H, lam, tol, alpha=args.alpha)
+        chain = jordan_chain(H, lam, tol)
     except (ContractError, DimensionError) as exc:
         raise CliError(EXIT_DIMENSION, str(exc))
     vectors = chain.with_alpha(args.alpha)

@@ -30,12 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .involutions import InvolutionKind, InvolutionOperator, make_sip, verify_involution
+from .involutions import InvolutionKind, make_sip, operator_matrix, verify_involution
 from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_square_matrix,
     frobenius,
+    needs_sign_flip,
     nullspace_complex,
     rank_and_nullspace,
     vectorize,
@@ -58,18 +59,18 @@ class TransposeWitness:
     residual: float
 
 
-def witness_space(B, tol: ToleranceConfig = DEFAULT_TOL) -> list:
-    """Complex basis of all A with A B = transpose(B) A."""
+def witness_space(B, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+    """Complex basis of all A with A B = transpose(B) A, as a (k, n, n) stack.
+
+    In row-major coordinates vec(A B) = kron(1, transpose(B)) vec(A) and
+    vec(transpose(B) A) = kron(transpose(B), 1) vec(A); the basis is the SVD
+    nullspace of their difference.
+    """
     M = as_square_matrix(B, "B")
     n = M.shape[0]
-    columns = []
-    for i in range(n):
-        for j in range(n):
-            E = np.zeros((n, n), dtype=complex)
-            E[i, j] = 1.0
-            columns.append((E @ M - M.T @ E).ravel())
-    null = nullspace_complex(np.column_stack(columns), tol)
-    return [null[:, k].reshape(n, n) for k in range(null.shape[1])]
+    eye = np.eye(n)
+    null = nullspace_complex(np.kron(eye, M.T) - np.kron(M.T, eye), tol)
+    return null.T.reshape(-1, n, n)
 
 
 def _invertibility(A: np.ndarray) -> float:
@@ -106,12 +107,11 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
     basis = witness_space(M, tol)
     rng = np.random.default_rng(seed)
 
+    k, n = len(basis), M.shape[0]
+    draws = rng.normal(size=(max(budget - k, 16), 2, k))
+    randoms = ((draws[:, 0] + 1j * draws[:, 1]) @ basis.reshape(k, n * n)).reshape(-1, n, n)
     best, best_q = None, 0.0
-    candidates = list(basis)
-    for _ in range(max(budget - len(basis), 16)):
-        coeff = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-        candidates.append(sum(c * A for c, A in zip(coeff, basis)))
-    for A in candidates:
+    for A in np.concatenate([basis, randoms]):
         norm = frobenius(A)
         if norm <= 0:
             continue
@@ -158,12 +158,7 @@ class ConversionResult:
 
 
 def _sign_normalize_pair(Q: np.ndarray, A: np.ndarray):
-    for k in range(Q.shape[0]):
-        if abs(Q[k, k].real) > 1e-12:
-            if Q[k, k].real < 0:
-                return -Q, -A
-            break
-    return Q, A
+    return (-Q, -A) if needs_sign_flip(Q) else (Q, A)
 
 
 class _Direction(enum.Enum):
@@ -171,10 +166,9 @@ class _Direction(enum.Enum):
     PSEUDO_TO_PT = "pseudo_to_pt"
 
 
-def _convert(H, operator_matrix, direction: _Direction, tol, seed, budget) -> ConversionResult:
+def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult:
     M = as_square_matrix(H, "H")
     n = M.shape[0]
-    P = operator_matrix
     scale = max(frobenius(M), 1.0)
     eye = np.eye(n)
 
@@ -182,7 +176,7 @@ def _convert(H, operator_matrix, direction: _Direction, tol, seed, budget) -> Co
         def build_q(A):
             return A.conj() @ P
         def structure_gap(Q):
-            return Q - Q.conj().T
+            return Q - Q.conj().swapaxes(-1, -2)
         def intertwine(Q):
             return frobenius(Q @ M - M.conj().T @ Q)
         real_scalar_required = False
@@ -196,21 +190,16 @@ def _convert(H, operator_matrix, direction: _Direction, tol, seed, budget) -> Co
         real_scalar_required = True
 
     basis = witness_space(M, tol)
-    directions = []
-    for A in basis:
-        directions.append(A)
-        directions.append(1j * A)
-    q_dirs = [build_q(A) for A in directions]
-
-    cols = [vectorize(structure_gap(Qd)) for Qd in q_dirs]
-    _, coeff_basis = rank_and_nullspace(np.column_stack(cols), tol)
+    directions = np.stack([basis, 1j * basis], 1).reshape(-1, n, n)  # real span of the witnesses
+    q_dirs = build_q(directions)
+    _, coeff_basis = rank_and_nullspace(vectorize(structure_gap(q_dirs)).T, tol)
     fdim = coeff_basis.shape[1]
+    # the constrained family, one flattened element per coefficient direction
+    q_family = coeff_basis.T @ q_dirs.reshape(-1, n * n)
+    a_family = coeff_basis.T @ directions.reshape(-1, n * n)
 
     def q_and_a(z):
-        coords = coeff_basis @ z
-        Q = sum(c * Qd for c, Qd in zip(coords, q_dirs))
-        A = sum(c * D for c, D in zip(coords, directions))
-        return Q, A
+        return (z @ q_family).reshape(n, n), (z @ a_family).reshape(n, n)
 
     if fdim == 0:
         return ConversionResult(Q=None, hermitian=False, involutory=False,
@@ -221,19 +210,19 @@ def _convert(H, operator_matrix, direction: _Direction, tol, seed, budget) -> Co
     rng = np.random.default_rng(seed)
     candidates = []
     # canonical choice first: the identity, when it lies in the family
-    q_flat = np.column_stack([vectorize(q_and_a(np.eye(fdim)[:, k])[0]) for k in range(fdim)])
+    q_flat = vectorize(q_family.reshape(fdim, n, n)).T
     target = vectorize(np.eye(n, dtype=complex))
     z_id, *_ = np.linalg.lstsq(q_flat, target, rcond=None)
     if np.linalg.norm(q_flat @ z_id - target) <= 1e-10 * np.sqrt(n):
         candidates.append(z_id)
-    candidates += [np.eye(fdim)[:, k] for k in range(fdim)]
-    traces = np.array([np.trace(q_and_a(np.eye(fdim)[:, k])[0]).real for k in range(fdim)])
+    candidates += list(np.eye(fdim))
+    traces = np.trace(q_family.reshape(fdim, n, n), axis1=1, axis2=2).real
     if np.any(np.abs(traces) > 1e-14):
         _, tnull = rank_and_nullspace(traces.reshape(1, -1), tol)
-        candidates += [tnull[:, k] for k in range(tnull.shape[1])]
+        candidates += list(tnull.T)
         if tnull.shape[1]:
-            candidates += [tnull @ rng.normal(size=tnull.shape[1]) for _ in range(min(16, budget))]
-    candidates += [rng.normal(size=fdim) for _ in range(budget)]
+            candidates += list(rng.normal(size=(min(16, budget), tnull.shape[1])) @ tnull.T)
+    candidates += list(rng.normal(size=(budget, fdim)))
 
     intertwine_cut = max(tol.abs_tol * scale, 1e-10 * scale)
 
@@ -292,19 +281,13 @@ def _convert(H, operator_matrix, direction: _Direction, tol, seed, budget) -> Co
     )
 
 
-def _operator_matrix(O):
-    if isinstance(O, InvolutionOperator):
-        return O.matrix
-    return as_square_matrix(O, "operator")
-
-
 def pt_to_pseudo(P, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_SEED,
                  budget: int = DEFAULT_BUDGET) -> ConversionResult:
     """Hermitian (ideally involutory) Q with Q H = adj(H) Q, from a parity.
 
     Requires H to actually be symmetric under P.
     """
-    Pm = _operator_matrix(P)
+    Pm = operator_matrix(P)
     report = check_symmetry(SymmetryKind.PT, Pm, H, tol)
     if not report.holds:
         raise ContractError(f"H is not symmetric under the given parity (residual {report.residual:.3e})")
@@ -319,7 +302,7 @@ def pseudo_to_pt(Ptilde, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFA
     to a vanishing or negative multiple of the identity are reported
     degenerate (no real rescaling exists).
     """
-    Pm = _operator_matrix(Ptilde)
+    Pm = operator_matrix(Ptilde)
     report = check_symmetry(SymmetryKind.PSEUDO, Pm, H, tol)
     if not report.holds:
         raise ContractError(f"H is not pseudo-Hermitian under the given metric (residual {report.residual:.3e})")
@@ -339,14 +322,11 @@ def _unit_witnesses(basis, n, rng, budget):
     dim = 2 * len(basis)
     if dim == 0:
         return []
-    directions = []
-    for A in basis:
-        directions.append(A)
-        directions.append(1j * A)
+    directions = np.stack([basis, 1j * basis], 1).reshape(dim, n * n)
     eye = np.eye(n)
 
     def build(z):
-        return sum(c * D for c, D in zip(z, directions))
+        return (z @ directions).reshape(n, n)
 
     def residual(z):
         A = build(z)
@@ -393,7 +373,7 @@ def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DE
     returned when one exists; an empty constraint set within budget is a
     reported outcome.
     """
-    Pm = _operator_matrix(Pbar)
+    Pm = operator_matrix(Pbar)
     report = check_symmetry(SymmetryKind.GEN_PT, Pm, H, tol)
     if not report.holds:
         raise ContractError(f"H lacks the generalized symmetry for this core (residual {report.residual:.3e})")

@@ -29,9 +29,9 @@ from .numerics import (
     ToleranceConfig,
     antihermitian_basis,
     as_square_matrix,
-    devectorize,
     frobenius,
     rank_and_nullspace,
+    real_basis,
     real_matrix_of_map,
     vectorize,
 )
@@ -76,18 +76,19 @@ def count_matrix_family(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig =
         raise ContractError("need m + n >= 1")
     P0 = _diag_parity(m, n)
 
+    # each condition maps a (k, N, N) stack of matrices
     if kind is FamilyKind.PT:
         def condition(H):
             return P0 @ H - H.conj() @ P0
     elif kind is FamilyKind.PSEUDO:
         def condition(H):
-            return P0 @ H - H.conj().T @ P0
+            return P0 @ H - H.conj().swapaxes(-1, -2) @ P0
     elif kind is FamilyKind.HERMITIAN:
         def condition(H):
-            return H - H.conj().T
+            return H - H.conj().swapaxes(-1, -2)
     else:
         def condition(H):
-            return np.vstack([H - H.conj(), H - H.T])
+            return np.concatenate([H - H.conj(), H - H.swapaxes(-1, -2)], axis=-2)
 
     system = real_matrix_of_map(condition, N, N)
     _, null = rank_and_nullspace(system, tol)
@@ -109,22 +110,26 @@ def count_operator_orbit(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig 
         return 0
     P0 = _diag_parity(m, n)
     if kind is FamilyKind.PT:
-        generators = []
-        for i in range(N):
-            for j in range(N):
-                E = np.zeros((N, N), dtype=complex)
-                E[i, j] = 1.0
-                generators.append(E)
+        generators = np.eye(N * N, dtype=complex).reshape(N * N, N, N)
     else:
         generators = antihermitian_basis(N)
-    columns = [vectorize(X @ P0 - P0 @ X) for X in generators]
-    rank, _ = rank_and_nullspace(np.column_stack(columns), tol)
+    rank, _ = rank_and_nullspace(vectorize(generators @ P0 - P0 @ generators).T, tol)
     return rank
 
 
-def _charpoly_imag_coefficients(H: np.ndarray) -> np.ndarray:
-    coeffs = np.poly(H)  # leading 1 plus N trailing coefficients
-    return np.asarray(coeffs[1:]).imag.astype(float)
+def _charpoly_imag_coefficients(stack: np.ndarray) -> np.ndarray:
+    """Imaginary parts of the N trailing characteristic-polynomial
+    coefficients of each matrix in a (K, N, N) stack, shape (K, N).
+
+    The monic polynomial is built from the eigenvalues by the same root
+    convolution as np.poly, run on all K matrices at once.
+    """
+    roots = np.linalg.eigvals(stack)
+    coeffs = np.zeros(roots.shape[:-1] + (roots.shape[-1] + 1,), dtype=complex)
+    coeffs[..., 0] = 1.0
+    for k in range(roots.shape[-1]):
+        coeffs[..., 1:k + 2] -= roots[..., k:k + 1] * coeffs[..., :k + 1]
+    return coeffs[..., 1:].imag
 
 
 def _random_self_adjoint(N: int, rng) -> np.ndarray:
@@ -163,7 +168,7 @@ def count_real_charpoly_variety(N: int, base_point=None, tol: ToleranceConfig = 
 
     for base in bases:
         scale = max(frobenius(base), 1.0)
-        if np.max(np.abs(_charpoly_imag_coefficients(base))) > 1e-8 * scale ** N:
+        if np.max(np.abs(_charpoly_imag_coefficients(base[None]))) > 1e-8 * scale ** N:
             continue
         eigs = np.linalg.eigvals(base)
         gaps = np.abs(eigs[:, None] - eigs[None, :])
@@ -171,13 +176,9 @@ def count_real_charpoly_variety(N: int, base_point=None, tol: ToleranceConfig = 
         if N > 1 and gaps.min() < 1e-6 * scale:
             continue
         h = 1e-6 * scale
-        jac = np.empty((N, 2 * N * N))
-        for k in range(2 * N * N):
-            e = np.zeros(2 * N * N)
-            e[k] = h
-            step = devectorize(e, N, N)
-            jac[:, k] = (_charpoly_imag_coefficients(base + step)
-                         - _charpoly_imag_coefficients(base - step)) / (2.0 * h)
+        steps = h * real_basis(N, N)
+        imag = _charpoly_imag_coefficients(np.concatenate([base + steps, base - steps]))
+        jac = ((imag[:len(steps)] - imag[len(steps):]) / (2.0 * h)).T
         sing = np.linalg.svd(jac, compute_uv=False)
         rank = int(np.sum(sing > FD_RANK_CUTOFF * max(sing[0], 1e-300)))
         if rank == N:

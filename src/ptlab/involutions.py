@@ -64,6 +64,13 @@ class InvolutionOperator:
         return involution_operator(self.matrix, kind, tol)
 
 
+def operator_matrix(O) -> np.ndarray:
+    """The matrix of an InvolutionOperator, or O validated as a square matrix."""
+    if isinstance(O, InvolutionOperator):
+        return O.matrix
+    return as_square_matrix(O, "operator")
+
+
 def _signature_from_eigenvalues(O: np.ndarray, hermitian: bool) -> tuple:
     # Involutions are diagonalizable with eigenvalues +-1, so counting signs
     # of the real parts is robust: a miscount would need an O(1) perturbation.
@@ -214,27 +221,15 @@ def sip_similarity(n_total: int):
 
     Even sizes pair the diagonal parity of signature (k, k); odd sizes use
     (k+1, k) with an untouched middle direction.  Both q and q^{-1} are
-    returned; q equals exp(g pi/4) for the corresponding skew generator.
+    returned; q equals exp(g pi/4) = (1 + g) / sqrt(2) off the middle
+    direction, for the skew generator g of sip_similarity_generator.
     """
-    if n_total < 1:
-        raise DimensionError(f"need n_total >= 1, got {n_total}")
-    if n_total == 1:
-        one = np.eye(1, dtype=complex)
-        return one, one.copy()
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    if n_total % 2 == 0:
-        k = n_total // 2
-        S = np.fliplr(np.eye(k))
-        q = inv_sqrt2 * np.block([[np.eye(k), -S], [S, np.eye(k)]])
-        q_inv = inv_sqrt2 * np.block([[np.eye(k), S], [-S, np.eye(k)]])
-    else:
-        k = (n_total - 1) // 2
-        S = np.fliplr(np.eye(k))
-        z = np.zeros((k, 1))
-        mid = np.sqrt(2.0) * np.ones((1, 1))
-        q = inv_sqrt2 * np.block([[np.eye(k), z, -S], [z.T, mid, z.T], [S, z, np.eye(k)]])
-        q_inv = inv_sqrt2 * np.block([[np.eye(k), z, S], [z.T, mid, z.T], [-S, z, np.eye(k)]])
-    return q.astype(complex), q_inv.astype(complex)
+    q = inv_sqrt2 * sip_similarity_generator(n_total)
+    np.fill_diagonal(q, inv_sqrt2)
+    if n_total % 2:
+        q[n_total // 2, n_total // 2] = 1.0  # the untouched middle direction
+    return q, q.T.copy()  # q is real orthogonal
 
 
 def sip_similarity_generator(n_total: int) -> np.ndarray:

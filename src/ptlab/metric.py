@@ -17,6 +17,7 @@ from .numerics import (
     DEFAULT_TOL,
     MACHINE_EPS,
     ToleranceConfig,
+    _reality_cut,
     as_square_matrix,
     frobenius,
     hermitian_basis,
@@ -30,13 +31,14 @@ from .numerics import (
 class MetricSolution:
     """Real basis of Hermitian solutions plus a positive representative.
 
+    hermitian_basis is a (dimension, n, n) stack, one solution per entry.
     positive_status is one of "found", "absent", "indeterminate"; the last
     marks near-defective inputs where positivity sits inside the rank cutoff
     (the smallest metric eigenvalue collapses linearly in the distance to the
     exceptional point, so no verdict is certified there).
     """
 
-    hermitian_basis: list
+    hermitian_basis: np.ndarray
     positive_representative: np.ndarray | None
     dimension: int
     positive_status: str
@@ -86,20 +88,15 @@ def solve_metric_space(H, tol: ToleranceConfig = DEFAULT_TOL) -> MetricSolution:
     n = A.shape[0]
     scale = max(frobenius(A), 1.0)
     basis = hermitian_basis(n)
-    columns = [vectorize(B @ A - A.conj().T @ B) for B in basis]
-    system = np.column_stack(columns)
+    system = vectorize(basis @ A - A.conj().T @ basis).T
     _, coeffs = rank_and_nullspace(system, tol)
-    solutions = []
-    for k in range(coeffs.shape[1]):
-        W = sum(c * B for c, B in zip(coeffs[:, k], basis))
-        W = 0.5 * (W + W.conj().T)  # exact Hermitizing of roundoff
-        solutions.append(W)
+    W = (coeffs.T @ basis.reshape(n * n, -1)).reshape(-1, n, n)
+    solutions = 0.5 * (W + W.conj().swapaxes(-1, -2))  # exact Hermitizing of roundoff
 
     positive, status, note = None, "absent", None
     values, vectors = np.linalg.eig(A.conj().T)
     reality = np.max(np.abs(values.imag)) if values.size else 0.0
-    reality_cut = max(tol.abs_tol, tol.rel_tol * scale, 32.0 * np.sqrt(MACHINE_EPS) * scale)
-    if reality <= reality_cut:
+    if reality <= _reality_cut(tol, scale):
         cond = np.linalg.svd(vectors, compute_uv=False)
         if cond[-1] > 1e-8 * cond[0]:
             vecs = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)

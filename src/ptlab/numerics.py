@@ -47,6 +47,17 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
+def _reality_cut(tol: ToleranceConfig, scale: float) -> float:
+    """Largest |Im| of an eigenvalue still counted as real, at matrix norm scale."""
+    return max(tol.abs_tol, tol.rel_tol * scale, 4.0 * np.sqrt(MACHINE_EPS) * scale)
+
+
+def _cluster_cut(tol: ToleranceConfig, scale: float, n: int) -> float:
+    """Eigenvalue gap below which an n x n spectrum merges into one cluster;
+    a k-fold defective block smears its eigenvalues by about scale eps^(1/k)."""
+    return max(10.0 * tol.rel_tol * scale, 4.0 * MACHINE_EPS ** (1.0 / n) * scale)
+
+
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Validate and return M as a finite complex128 2-d array."""
     A = np.asarray(M, dtype=complex)
@@ -73,13 +84,13 @@ def frobenius(M) -> float:
 def vectorize(M) -> np.ndarray:
     """Complex matrix -> flat real vector, interleaved (Re, Im), row-major.
 
-    The round trip through devectorize is bit-exact.
+    The last two axes are flattened, so a (k, r, c) stack of matrices gives a
+    (k, 2 r c) array of vectors.  The round trip through devectorize is
+    bit-exact.
     """
-    A = np.asarray(M, dtype=complex).ravel()
-    out = np.empty(2 * A.size, dtype=float)
-    out[0::2] = A.real
-    out[1::2] = A.imag
-    return out
+    A = np.array(M, dtype=complex, order="C")  # a fresh copy: the view below aliases nothing
+    lead = A.shape[:-2] if A.ndim > 2 else ()
+    return A.reshape(lead + (-1,)).view(float)
 
 
 def devectorize(vec, rows: int, cols: int) -> np.ndarray:
@@ -161,42 +172,47 @@ def solve_or_raise(T, B=None):
     return np.linalg.solve(A, rhs)
 
 
+def needs_sign_flip(Q: np.ndarray) -> bool:
+    """Overall-sign convention for returned operators: True when the first
+    diagonal entry of Q with |Re| > 1e-12 is negative."""
+    for entry in np.diagonal(Q).real:
+        if abs(entry) > 1e-12:
+            return bool(entry < 0)
+    return False
+
+
+def real_basis(rows: int, cols: int) -> np.ndarray:
+    """(2 rows cols, rows, cols) stack devectorizing each real unit vector:
+    unit real entries and unit imaginary entries, in vectorize order."""
+    return np.eye(2 * rows * cols).view(complex).reshape(-1, rows, cols)
+
+
 def real_matrix_of_map(fn, rows: int, cols: int) -> np.ndarray:
     """Real matrix of a real-linear map on complex matrices.
 
-    fn maps a (rows, cols) complex matrix to a complex matrix of fixed shape;
-    the result acts on vectorize(...) coordinates.  Conjugations inside fn are
-    allowed since the matrix is assembled column by column over a real basis.
+    fn maps a (k, rows, cols) stack of complex matrices to a stack of complex
+    matrices of fixed shape; it is called once, on real_basis(rows, cols),
+    and the result acts on vectorize(...) coordinates.  Conjugations inside
+    fn are allowed since the basis is real.
     """
-    dim_in = 2 * rows * cols
-    columns = []
-    for k in range(dim_in):
-        e = np.zeros(dim_in)
-        e[k] = 1.0
-        columns.append(vectorize(fn(devectorize(e, rows, cols))))
-    return np.column_stack(columns)
+    return vectorize(fn(real_basis(rows, cols))).T
 
 
-def hermitian_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal (Frobenius) basis of n x n Hermitian matrices, n^2 elements."""
-    basis = []
-    for k in range(n):
-        E = np.zeros((n, n), dtype=complex)
-        E[k, k] = 1.0
-        basis.append(E)
+def hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal (Frobenius) basis of n x n Hermitian matrices as an
+    (n^2, n, n) stack: the diagonal units, then for each k < l the real and
+    the imaginary symmetric pair."""
+    rows, cols = np.triu_indices(n, 1)
+    real = n + 2 * np.arange(rows.size)
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for k in range(n):
-        for l in range(k + 1, n):
-            E = np.zeros((n, n), dtype=complex)
-            E[k, l] = inv_sqrt2
-            E[l, k] = inv_sqrt2
-            basis.append(E)
-            F = np.zeros((n, n), dtype=complex)
-            F[k, l] = 1j * inv_sqrt2
-            F[l, k] = -1j * inv_sqrt2
-            basis.append(F)
+    basis[real, rows, cols] = inv_sqrt2
+    basis[real, cols, rows] = inv_sqrt2
+    basis[real + 1, rows, cols] = 1j * inv_sqrt2
+    basis[real + 1, cols, rows] = -1j * inv_sqrt2
     return basis
 
 
-def antihermitian_basis(n: int) -> list[np.ndarray]:
-    return [1j * B for B in hermitian_basis(n)]
+def antihermitian_basis(n: int) -> np.ndarray:
+    return 1j * hermitian_basis(n)

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .involutions import InvolutionOperator
-from .numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig, as_square_matrix, frobenius
+from .involutions import operator_matrix
+from .numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig, _cluster_cut, _reality_cut, as_square_matrix, frobenius
 from .symmetry import SymmetryKind, check_symmetry
 from . import catalog2x2
 
@@ -134,7 +134,7 @@ def classify_spectrum(H, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -> S
     order = np.lexsort((values.imag, values.real))
     values = values[order]
 
-    cluster_cut = max(10.0 * tol.rel_tol * scale, 4.0 * MACHINE_EPS ** (1.0 / n) * scale)
+    cluster_cut = _cluster_cut(tol, scale, n)
     clusters = _cluster_single_linkage(values, cluster_cut)
     centers = [complex(np.mean(values[list(c)])) for c in clusters]
     radii = [max((abs(values[j] - ctr) for j in cluster), default=0.0) for cluster, ctr in zip(clusters, centers)]
@@ -145,7 +145,7 @@ def classify_spectrum(H, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -> S
             if abs(centers[a] - centers[b]) < 10.0 * cluster_cut:
                 ambiguous = True
 
-    reality_cut = max(tol.abs_tol, tol.rel_tol * scale, 4.0 * np.sqrt(MACHINE_EPS) * scale)
+    reality_cut = _reality_cut(tol, scale)
     segre = {}
     all_real, any_real, paired = True, False, True
     defective = False
@@ -210,10 +210,7 @@ def align_pt_phases(O, H, tol: ToleranceConfig = DEFAULT_TOL):
     eigenstates stop being eigenstates of the antilinear involution and the
     call is a contract error naming the first complex eigenvalue.
     """
-    if isinstance(O, InvolutionOperator):
-        P = O.matrix
-    else:
-        P = as_square_matrix(O, "operator")
+    P = operator_matrix(O)
     A = as_square_matrix(H, "H")
     report = check_symmetry(SymmetryKind.PT, P, A, tol)
     if not report.holds:
@@ -222,7 +219,7 @@ def align_pt_phases(O, H, tol: ToleranceConfig = DEFAULT_TOL):
     values, vectors = np.linalg.eig(A)
     order = np.lexsort((values.imag, values.real))
     values, vectors = values[order], vectors[:, order]
-    reality_cut = max(tol.abs_tol, tol.rel_tol * scale, 4.0 * np.sqrt(MACHINE_EPS) * scale)
+    reality_cut = _reality_cut(tol, scale)
     for lam in values:
         if abs(lam.imag) > reality_cut:
             raise ContractError(f"symmetry is broken: eigenvalue {lam} is complex")
@@ -252,7 +249,6 @@ class JordanChain:
 
     eigenvalue: complex
     vectors: list
-    alpha: complex = 0.0
 
     def with_alpha(self, alpha) -> list:
         out = [self.vectors[0]]
@@ -261,20 +257,20 @@ class JordanChain:
         return out
 
 
-def jordan_chain(H, lam, tol: ToleranceConfig = DEFAULT_TOL, alpha=0.0) -> JordanChain:
+def jordan_chain(H, lam, tol: ToleranceConfig = DEFAULT_TOL) -> JordanChain:
     """Chain (v0, v1, ...) with (H - lam) v0 = 0 and (H - lam) v_{k+1} = v_k.
 
     Needs geometric multiplicity one and algebraic multiplicity at least two
     at lam; a diagonalizable eigenvalue is a contract error.  Links are
-    minimum-norm least-squares solutions, so alpha = 0 is the canonical
-    representative.
+    minimum-norm least-squares solutions, so the stored chain is the
+    canonical alpha = 0 representative of JordanChain.with_alpha.
     """
     A = as_square_matrix(H, "H")
     n = A.shape[0]
     scale = max(frobenius(A), 1.0)
     report = classify_spectrum(A, tol)
     try:
-        sizes = report.block_sizes(lam, atol=max(10.0 * tol.rel_tol * scale, 4.0 * MACHINE_EPS ** (1.0 / n) * scale))
+        sizes = report.block_sizes(lam, atol=_cluster_cut(tol, scale, n))
     except KeyError:
         raise ContractError(f"{lam} is not an eigenvalue of H") from None
     if sizes == [1]:
@@ -282,8 +278,6 @@ def jordan_chain(H, lam, tol: ToleranceConfig = DEFAULT_TOL, alpha=0.0) -> Jorda
     if len(sizes) != 1:
         raise ContractError(f"eigenvalue {lam} has geometric multiplicity {len(sizes)}; chain extraction expects one block")
     depth = sizes[0]
-    if depth < 2:
-        raise ContractError(f"eigenvalue {lam} is diagonalizable")
     M = A - complex(lam) * np.eye(n)
     _, _, vh = np.linalg.svd(M)
     v0 = vh[-1].conj()
@@ -299,8 +293,7 @@ def jordan_chain(H, lam, tol: ToleranceConfig = DEFAULT_TOL, alpha=0.0) -> Jorda
         # strip the eigenvector component so alpha = 0 is well defined
         nxt = nxt - (v0.conj() @ nxt) / (v0.conj() @ v0) * v0
         vectors.append(nxt)
-    chain = JordanChain(eigenvalue=complex(lam), vectors=vectors, alpha=alpha)
-    return chain
+    return JordanChain(eigenvalue=complex(lam), vectors=vectors)
 
 
 def build_pt_jordan(m: int, n: int, lam: float):
@@ -378,12 +371,8 @@ def degeneration_scan(u: float, gamma: float, epsilons, family: str = "pt2") -> 
     norm_minus = np.empty_like(eps)
     for k, e_k in enumerate(eps):
         rho = abs(gamma) * np.sqrt(1.0 - e_k)
-        if family == "pt2":
-            params = catalog2x2.Pt2Params(e=0.0, gamma=gamma, rho=rho, delta=0.0, u=u, v=0.0)
-            fam = catalog2x2.pt2_family(params)
-        else:
-            params = catalog2x2.Pt2Params(e=0.0, gamma=gamma, rho=rho, delta=0.0, u=u, v=0.0)
-            fam = catalog2x2.pseudo2_family(params)
+        params = catalog2x2.Pt2Params(e=0.0, gamma=gamma, rho=rho, delta=0.0, u=u, v=0.0)
+        fam = catalog2x2.pt2_family(params) if family == "pt2" else catalog2x2.pseudo2_family(params)
         w_eigs = np.linalg.eigvalsh(fam.metric)
         omega_small[k] = w_eigs.min()
         omega_large[k] = w_eigs.max()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, IndeterminateStructureError
-from .involutions import InvolutionKind, InvolutionOperator, verify_involution
+from .involutions import InvolutionKind, InvolutionOperator, operator_matrix, verify_involution
 from .numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig, as_matrix, as_square_matrix, frobenius
 
 
@@ -41,14 +41,7 @@ class SymmetryReport:
     kind: SymmetryKind
     holds: bool
     residual: float
-    operator_ok: bool
     operator_residuals: dict
-
-
-def _operator_matrix(O) -> np.ndarray:
-    if isinstance(O, InvolutionOperator):
-        return O.matrix
-    return as_square_matrix(O, "operator")
 
 
 def check_symmetry(kind: SymmetryKind, O, H, tol: ToleranceConfig = DEFAULT_TOL) -> SymmetryReport:
@@ -58,7 +51,7 @@ def check_symmetry(kind: SymmetryKind, O, H, tol: ToleranceConfig = DEFAULT_TOL)
     a contract error (the identity would be meaningless), while a failing
     intertwining check is just reported.
     """
-    P = _operator_matrix(O)
+    P = operator_matrix(O)
     A = as_square_matrix(H, "H")
     if P.shape != A.shape:
         raise DimensionError(f"operator is {P.shape} but H is {A.shape}")
@@ -81,7 +74,6 @@ def check_symmetry(kind: SymmetryKind, O, H, tol: ToleranceConfig = DEFAULT_TOL)
         kind=kind,
         holds=bool(holds),
         residual=float(residual),
-        operator_ok=True,
         operator_residuals=op_check.residuals,
     )
 

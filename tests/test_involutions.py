@@ -13,6 +13,7 @@ from ptlab.involutions import (
     involution_operator,
     make_diagonal_parity,
     make_sip,
+    operator_matrix,
     sip_similarity,
     sip_similarity_generator,
     transport,
@@ -230,3 +231,20 @@ class TestSipSimilarity:
         q, _ = sip_similarity(n)
         g = sip_similarity_generator(n)
         np.testing.assert_allclose(q, matrix_exponential(g * np.pi / 4), atol=1e-12)
+
+
+class TestOperatorMatrix:
+    def test_unwraps_operator_and_validates_arrays(self):
+        op = make_sip(3)
+        assert operator_matrix(op) is op.matrix
+        assert np.array_equal(operator_matrix([[0, 1], [1, 0]]), np.array([[0, 1], [1, 0]], dtype=complex))
+        with pytest.raises(DimensionError):
+            operator_matrix(np.ones((2, 3)))
+
+
+def test_sip_similarity_inverse_is_an_independent_transpose():
+    for n in range(1, 8):
+        q, q_inv = sip_similarity(n)
+        assert np.array_equal(q_inv, q.T)
+        q_inv[0, 0] = 7.0
+        assert q[0, 0] != 7.0

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptlab.catalog2x2 import Pt2Params, pseudo2_family, pt2_family
 from ptlab.errors import DimensionError
@@ -11,7 +12,7 @@ from ptlab.metric import (
     transform_metric,
     weighted_inner_product,
 )
-from ptlab.spectra import jordan_block
+from ptlab.spectra import RealityClass, classify_spectrum, jordan_block
 
 SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -165,3 +166,46 @@ class TestSelfAdjointnessResidual:
 
     def test_wrong_metric_is_positive(self):
         assert self_adjointness_residual(SIGMA3, jordan_block(0.0, 2)) > 0.1
+
+
+def _similar_to_diagonal(eigenvalues, seed, stretch):
+    """V diag(eigenvalues) V^-1 with V = orthogonal diag(stretch) orthogonal."""
+    rng = np.random.default_rng(seed)
+    n = len(eigenvalues)
+    left, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    right, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    V = left @ np.diag(stretch) @ right
+    return V @ np.diag(eigenvalues) @ np.linalg.inv(V)
+
+
+@st.composite
+def _spectrum_and_frame(draw, complex_pair):
+    n = draw(st.integers(2, 6))
+    start = draw(st.floats(-2.0, 2.0))
+    gaps = draw(st.lists(st.floats(0.1, 1.0), min_size=n - 1, max_size=n - 1))
+    values = list(start + np.concatenate([[0.0], np.cumsum(gaps)]))
+    if complex_pair:
+        # the first two real values become one conjugate pair; every
+        # eigenvalue gap stays >= 0.1
+        centre, half_width = values[0], draw(st.floats(0.05, 1.0))
+        values[:2] = [centre + 1j * half_width, centre - 1j * half_width]
+    stretch = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return _similar_to_diagonal(np.array(values, dtype=complex), seed, stretch)
+
+
+class TestRealityAgreesWithMetric:
+    """Away from exceptional points the spectrum classifier and the metric
+    solver answer "is the spectrum real?" with the same cut."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_spectrum_and_frame(complex_pair=False))
+    def test_real_spectrum_gives_positive_metric(self, H):
+        assert classify_spectrum(H).reality_class is RealityClass.ALL_REAL_DIAGONALIZABLE
+        assert solve_metric_space(H).positive_status == "found"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_spectrum_and_frame(complex_pair=True))
+    def test_complex_pair_gives_neither(self, H):
+        assert classify_spectrum(H).reality_class is not RealityClass.ALL_REAL_DIAGONALIZABLE
+        assert solve_metric_space(H).positive_status != "found"

@@ -10,6 +10,7 @@ from ptlab.numerics import (
     devectorize,
     eigen_decompose,
     matrix_exponential,
+    needs_sign_flip,
     rank_and_nullspace,
     vectorize,
 )
@@ -164,3 +165,12 @@ class TestToleranceConfig:
     def test_rejects_negative(self):
         with pytest.raises(ContractError):
             ToleranceConfig(abs_tol=-1.0)
+
+
+class TestNeedsSignFlip:
+    def test_first_decisive_diagonal_entry_sets_the_sign(self):
+        assert needs_sign_flip(np.diag([-2.0, 1.0]))
+        assert not needs_sign_flip(np.diag([2.0, -1.0]))
+        # entries with |Re| <= 1e-12 are skipped, imaginary parts ignored
+        assert needs_sign_flip(np.diag([1e-13 + 5j, -1.0]))
+        assert not needs_sign_flip(np.zeros((3, 3)))
