@@ -67,6 +67,7 @@ from .spectra import (
     SpectrumReport,
     align_pt_phases,
     build_pt_jordan,
+    classify_spectra,
     classify_spectrum,
     degeneration_scan,
     jordan_block,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,6 +39,13 @@ def pauli_combination(coeffs, identity_coeff=0.0) -> np.ndarray:
     return out
 
 
+def _require_finite(params):
+    """ContractError naming the first field of a parameter record that is not finite."""
+    for f in fields(params):
+        if not math.isfinite(float(getattr(params, f.name))):
+            raise ContractError(f"parameter {f.name} must be finite")
+
+
 @dataclass(frozen=True)
 class Pt2Params:
     """Four matrix parameters, two metric constants, two chart angles."""
@@ -53,9 +60,7 @@ class Pt2Params:
     phi: float = 0.0
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if not math.isfinite(float(value)):
-                raise ContractError(f"parameter {name} must be finite")
+        _require_finite(self)
 
     def metric_reason(self) -> str | None:
         """None when the positive-metric constraints hold, else the violation."""
@@ -397,9 +402,7 @@ class GenPt2Params:
     alpha: float = 0.0
 
     def __post_init__(self):
-        for name, value in asdict(self).items():
-            if not math.isfinite(float(value)):
-                raise ContractError(f"parameter {name} must be finite")
+        _require_finite(self)
 
 
 def genpt2_operator(p: GenPt2Params) -> np.ndarray:

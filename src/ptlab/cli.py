@@ -16,6 +16,7 @@ violation (including an empty sweep grid), 5 count mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,7 +42,7 @@ from .involutions import (
 )
 from .metric import solve_metric_space
 from .numerics import ToleranceConfig, frobenius
-from .spectra import build_pt_jordan, classify_spectrum, degeneration_scan, jordan_chain
+from .spectra import build_pt_jordan, classify_spectra, classify_spectrum, degeneration_scan, jordan_chain
 from .symmetry import (
     DiagMetricSelfAdjointParams,
     DiagPhaseGenPtParams,
@@ -434,18 +435,18 @@ def cmd_sweep(args) -> int:
             operator = make_diagonal_parity(1, 1, InvolutionKind.HERMITIAN_INVOLUTION)
             kind = SymmetryKind.PSEUDO
             build = catalog2x2.pseudo2_hamiltonian
-        for e in axes["e"]:
-            for gamma in axes["gamma"]:
-                for rho in axes["rho"]:
-                    for delta in axes["delta"]:
-                        p = catalog2x2.Pt2Params(e=e, gamma=gamma, rho=rho, delta=delta)
-                        H = build(p)
-                        report = classify_spectrum(H, tol, symmetry=(kind, operator))
-                        ep, em = report.eigenvalues[-1], report.eigenvalues[0]
-                        lines.append(",".join(
-                            [_fmt17(x) for x in (e, gamma, rho, delta, ep.real, ep.imag, em.real, em.imag)]
-                            + [str(int(bool(report.unbroken)))]
-                        ))
+        points = [(e, gamma, rho, delta) for e in axes["e"] for gamma in axes["gamma"]
+                  for rho in axes["rho"] for delta in axes["delta"]]
+        stack = np.empty((len(points), 2, 2), dtype=complex)
+        for k, (e, gamma, rho, delta) in enumerate(points):
+            stack[k] = build(catalog2x2.Pt2Params(e=e, gamma=gamma, rho=rho, delta=delta))
+        reports = classify_spectra(stack, tol, symmetry=(kind, operator))
+        for point, report in zip(points, reports):
+            ep, em = report.eigenvalues[-1], report.eigenvalues[0]
+            lines.append(",".join(
+                [_fmt17(x) for x in point + (ep.real, ep.imag, em.real, em.imag)]
+                + [str(int(bool(report.unbroken)))]
+            ))
     elif args.family == "degeneration":
         fam = grid.get("family", "pt2")
         if fam not in ("pt2", "pseudo2"):
@@ -575,7 +576,9 @@ def cmd_jordan(args) -> int:
 
 # ---------------------------------------------------------------- wiring
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ptlab argument parser, built once per process (parse_args leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-abs", type=float, default=1e-10, help="absolute tolerance (default 1e-10)")
     common.add_argument("--tol-rel", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
@@ -625,8 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CliError as exc:

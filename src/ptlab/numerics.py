@@ -19,6 +19,7 @@ import scipy.linalg
 from .errors import ContractError, DimensionError, NumericalError
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
+_FOUR_SQRT_EPS = 4.0 * np.sqrt(MACHINE_EPS)
 
 
 @dataclass(frozen=True)
@@ -47,15 +48,17 @@ class ToleranceConfig:
 DEFAULT_TOL = ToleranceConfig()
 
 
-def _reality_cut(tol: ToleranceConfig, scale: float) -> float:
-    """Largest |Im| of an eigenvalue still counted as real, at matrix norm scale."""
-    return max(tol.abs_tol, tol.rel_tol * scale, 4.0 * np.sqrt(MACHINE_EPS) * scale)
+def _reality_cut(tol: ToleranceConfig, scale):
+    """Largest |Im| of an eigenvalue still counted as real, at matrix norm scale
+    (a float, or an array of scales giving an array of cuts)."""
+    return np.maximum(np.maximum(tol.abs_tol, tol.rel_tol * scale), _FOUR_SQRT_EPS * scale)
 
 
-def _cluster_cut(tol: ToleranceConfig, scale: float, n: int) -> float:
+def _cluster_cut(tol: ToleranceConfig, scale, n: int):
     """Eigenvalue gap below which an n x n spectrum merges into one cluster;
-    a k-fold defective block smears its eigenvalues by about scale eps^(1/k)."""
-    return max(10.0 * tol.rel_tol * scale, 4.0 * MACHINE_EPS ** (1.0 / n) * scale)
+    a k-fold defective block smears its eigenvalues by about scale eps^(1/k).
+    scale may be an array of scales, one per matrix of a stack."""
+    return np.maximum(10.0 * tol.rel_tol * scale, 4.0 * MACHINE_EPS ** (1.0 / n) * scale)
 
 
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -79,6 +82,15 @@ def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
 
 def frobenius(M) -> float:
     return float(np.linalg.norm(np.asarray(M)))
+
+
+def frobenius_norms(S) -> np.ndarray:
+    """Frobenius norms over the last two axes of an (..., r, c) stack; each is
+    bit-equal to frobenius of that matrix (the same real and imaginary dot
+    products)."""
+    F = np.asarray(S, dtype=complex)
+    F = F.reshape(F.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(F.real, F.real) + np.vecdot(F.imag, F.imag))
 
 
 def vectorize(M) -> np.ndarray:

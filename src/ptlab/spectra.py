@@ -5,7 +5,9 @@ extracts Segre characteristics (Jordan block sizes per eigenvalue) from the
 numerical rank staircase of powers.  Defective clusters smear computed
 eigenvalues by roughly ||H|| * eps^(1/k) for a k-fold block, so the cluster
 and rank cutoffs carry a dimension-power floor on top of the configured
-relative tolerance.
+relative tolerance.  classify_spectra does the same for a whole (K, n, n)
+stack, deciding well-separated spectra with array operations and sending
+only the rest through the cluster and staircase code.
 """
 
 from __future__ import annotations
@@ -17,8 +19,17 @@ import numpy as np
 
 from .errors import ContractError, DimensionError
 from .involutions import operator_matrix
-from .numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig, _cluster_cut, _reality_cut, as_square_matrix, frobenius
-from .symmetry import SymmetryKind, check_symmetry
+from .numerics import (
+    DEFAULT_TOL,
+    MACHINE_EPS,
+    ToleranceConfig,
+    _cluster_cut,
+    _reality_cut,
+    as_square_matrix,
+    frobenius,
+    frobenius_norms,
+)
+from .symmetry import SymmetryKind, _intertwining, check_symmetry
 from . import catalog2x2
 
 
@@ -121,19 +132,13 @@ def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, cluster_rad
     return None
 
 
-def classify_spectrum(H, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -> SpectrumReport:
-    """Eigenvalues, reality class, Segre characteristics, broken/unbroken.
+def _cluster_path(A: np.ndarray, values: np.ndarray, scale: float, tol: ToleranceConfig):
+    """Clusters, their Segre characteristics and their conjugate pairing for
+    one matrix whose sorted eigenvalues are already known.
 
-    symmetry, when given, is a (SymmetryKind, operator) pair; the unbroken
-    verdict is then "the symmetry holds and every eigenvalue is real".
+    Returns (segre, ambiguous, all_real, any_real, paired, defective).
     """
-    A = as_square_matrix(H, "H")
     n = A.shape[0]
-    scale = max(frobenius(A), 1.0)
-    values = np.linalg.eigvals(A)
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-
     cluster_cut = _cluster_cut(tol, scale, n)
     clusters = _cluster_single_linkage(values, cluster_cut)
     centers = [complex(np.mean(values[list(c)])) for c in clusters]
@@ -179,28 +184,99 @@ def classify_spectrum(H, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -> S
             paired = False
             break
         pool.pop(match)
+    return segre, ambiguous, all_real, any_real, paired, defective
 
-    if all_real:
-        reality = RealityClass.ALL_REAL_DEFECTIVE if defective else RealityClass.ALL_REAL_DIAGONALIZABLE
-    elif not any_real and paired:
-        reality = RealityClass.CONJUGATE_PAIRS
-    else:
-        reality = RealityClass.MIXED
 
-    unbroken = None
-    holds = None
+def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -> list:
+    """classify_spectrum for every matrix of a (K, n, n) stack, in one pass.
+
+    The stack is validated, its Frobenius scales and eigenvalues are computed
+    (one stacked eigvals, each row sorted by (Re, Im)), and the reality and
+    cluster cuts are taken once, as arrays.  A point whose eigenvalues are
+    all at least 10 cluster cuts apart, and whose smallest gap exceeds twice
+    the conjugate-pairing cut max(2 reality cut, cluster cut), is decided
+    right there: every eigenvalue is its own cluster with Segre [1], nothing
+    is ambiguous, and the reality class follows from the reality mask and
+    the (then unique) conjugate partners.  Every other point -- near an
+    exceptional point, a degenerate or defective spectrum, or a pairing cut
+    wider than the gaps -- goes through the cluster and rank-staircase code
+    with the eigenvalues already computed.  Both routes give the report
+    classify_spectrum gives for that matrix alone.
+
+    symmetry, when given, is a (SymmetryKind, operator) pair; the operator is
+    checked at most once per call (an InvolutionOperator once per kind and
+    tolerance) and the intertwining identity once per matrix.
+    """
+    S = np.asarray(stack, dtype=complex)
+    if S.ndim != 3:
+        raise DimensionError(f"H stack must be 3-dimensional (K, n, n), got ndim={S.ndim}")
+    if S.size == 0:
+        raise DimensionError("H must be non-empty")
+    if not np.isfinite(S).all():
+        raise ContractError("H contains NaN or Inf entries")
+    if S.shape[1] != S.shape[2]:
+        raise DimensionError(f"H must be square, got shape {S.shape[1:]}")
+    K, n = S.shape[:2]
+    scales = np.maximum(frobenius_norms(S), 1.0)
+    # a stable complex sort is the lexicographic (Re, Im) order of lexsort
+    values = np.sort(np.linalg.eigvals(S), axis=-1, kind="stable")
+
+    cluster_cut = _cluster_cut(tol, scales, n)
+    reality_cut = _reality_cut(tol, scales)
+    pair_cut = np.maximum(2 * reality_cut, cluster_cut)
+    # dist[k, 0, i, j] = |v_j - v_i| and dist[k, 1, i, j] = |v_j - conj(v_i)|, for j != i
+    diag = np.arange(n)
+    dist = np.abs(values[:, None, None, :] - np.stack((values, values.conj()), axis=1)[:, :, :, None])
+    dist[:, :, diag, diag] = np.inf
+    min_gap = dist[:, 0].min(axis=(1, 2))
+    simple = (min_gap >= 10.0 * cluster_cut) & (min_gap > 2.0 * pair_cut)
+    real = np.abs(values.imag) <= reality_cut[:, None]
+    # non-real eigenvalue j within the pairing cut of conj(eigenvalue i): on a
+    # simple point each eigenvalue has at most one such partner
+    partner = (dist[:, 1] <= pair_cut[:, None, None]) & ~real[:, None, :]
+    paired = (real | partner.any(axis=2)).all(axis=1)
+
+    holds = [None] * K
     if symmetry is not None:
         kind, operator = symmetry
-        holds = check_symmetry(kind, operator, A, tol).holds
-        unbroken = bool(holds and all_real)
-    return SpectrumReport(
-        eigenvalues=values,
-        reality_class=reality,
-        segre=segre,
-        unbroken=unbroken,
-        symmetry_holds=holds,
-        ambiguous=ambiguous,
-    )
+        holds = _intertwining(kind, operator, S, tol)[0].tolist()
+
+    reports = []
+    rows = zip(simple.tolist(), values.tolist(), real.tolist(), paired.tolist(), holds)
+    for k, (fast, row, row_real, point_paired, point_holds) in enumerate(rows):
+        if fast:
+            segre = {}
+            for lam, is_real in zip(row, row_real):
+                segre[complex(lam.real, 0.0) if is_real else lam] = [1]
+            all_real, any_real = all(row_real), any(row_real)
+            ambiguous, defective = False, False
+        else:
+            segre, ambiguous, all_real, any_real, point_paired, defective = _cluster_path(S[k], values[k], scales[k], tol)
+        if all_real:
+            reality = RealityClass.ALL_REAL_DEFECTIVE if defective else RealityClass.ALL_REAL_DIAGONALIZABLE
+        elif not any_real and point_paired:
+            reality = RealityClass.CONJUGATE_PAIRS
+        else:
+            reality = RealityClass.MIXED
+        reports.append(SpectrumReport(
+            eigenvalues=values[k],
+            reality_class=reality,
+            segre=segre,
+            unbroken=None if point_holds is None else point_holds and all_real,
+            symmetry_holds=point_holds,
+            ambiguous=ambiguous,
+        ))
+    return reports
+
+
+def classify_spectrum(H, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -> SpectrumReport:
+    """Eigenvalues, reality class, Segre characteristics, broken/unbroken.
+
+    symmetry, when given, is a (SymmetryKind, operator) pair; the unbroken
+    verdict is then "the symmetry holds and every eigenvalue is real".
+    """
+    A = as_square_matrix(H, "H")
+    return classify_spectra(A[None], tol, symmetry)[0]
 
 
 def align_pt_phases(O, H, tol: ToleranceConfig = DEFAULT_TOL):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, IndeterminateStructureError
-from .involutions import InvolutionKind, InvolutionOperator, operator_matrix, verify_involution
-from .numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig, as_matrix, as_square_matrix, frobenius
+from .involutions import InvolutionKind, InvolutionOperator, _verified, operator_matrix, verify_involution
+from .numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig, as_matrix, as_square_matrix, frobenius, frobenius_norms
 
 
 class SymmetryKind(enum.Enum):
@@ -44,18 +44,19 @@ class SymmetryReport:
     operator_residuals: dict
 
 
-def check_symmetry(kind: SymmetryKind, O, H, tol: ToleranceConfig = DEFAULT_TOL) -> SymmetryReport:
-    """Verdict and residual for the intertwining identity of `kind`.
+def _intertwining(kind: SymmetryKind, O, A: np.ndarray, tol: ToleranceConfig):
+    """(holds, gap norm, norm of A, operator check) of kind's intertwining
+    identity.
 
-    The operator is validated against the kind's family first; a mismatch is
-    a contract error (the identity would be meaningless), while a failing
-    intertwining check is just reported.
+    A is one n x n matrix or an (..., n, n) stack; holds and the two norms
+    then carry one entry per matrix.  The operator O is checked against the kind's
+    family once, whatever the size of the stack (and an InvolutionOperator
+    only once per kind and tolerance).
     """
     P = operator_matrix(O)
-    A = as_square_matrix(H, "H")
-    if P.shape != A.shape:
-        raise DimensionError(f"operator is {P.shape} but H is {A.shape}")
-    op_check = verify_involution(P, _REQUIRED_OPERATOR_KIND[kind], tol)
+    if P.shape != A.shape[-2:]:
+        raise DimensionError(f"operator is {P.shape} but H is {A.shape[-2:]}")
+    op_check = _verified(O, _REQUIRED_OPERATOR_KIND[kind], tol)
     if not op_check.ok:
         raise ContractError(
             f"{kind.value} needs a {_REQUIRED_OPERATOR_KIND[kind].value} operator; residuals {op_check.residuals}"
@@ -63,18 +64,28 @@ def check_symmetry(kind: SymmetryKind, O, H, tol: ToleranceConfig = DEFAULT_TOL)
     if kind is SymmetryKind.PT:
         gap = P @ A - A.conj() @ P
     elif kind is SymmetryKind.PSEUDO:
-        gap = P @ A - A.conj().T @ P
+        gap = P @ A - A.conj().swapaxes(-1, -2) @ P
     else:
         gap = P @ A.conj() - A @ P
-    scale = frobenius(A)
-    raw = frobenius(gap)
-    residual = raw / scale if scale > 0 else raw
-    holds = raw <= max(tol.abs_tol, tol.rel_tol * scale)
+    scale = frobenius_norms(A)
+    raw = frobenius_norms(gap)
+    return raw <= np.maximum(tol.abs_tol, tol.rel_tol * scale), raw, scale, op_check
+
+
+def check_symmetry(kind: SymmetryKind, O, H, tol: ToleranceConfig = DEFAULT_TOL) -> SymmetryReport:
+    """Verdict and residual for the intertwining identity of `kind`.
+
+    The operator is validated against the kind's family first; a mismatch is
+    a contract error (the identity would be meaningless), while a failing
+    intertwining check is just reported.
+    """
+    A = as_square_matrix(H, "H")
+    holds, raw, scale, op_check = _intertwining(kind, O, A, tol)
     return SymmetryReport(
         kind=kind,
         holds=bool(holds),
-        residual=float(residual),
-        operator_residuals=op_check.residuals,
+        residual=float(raw / scale if scale > 0 else raw),
+        operator_residuals=dict(op_check.residuals),
     )
 
 

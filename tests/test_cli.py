@@ -1,11 +1,14 @@
 """CLI: round trips, exit codes, determinism, document format."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
 
-from ptlab.cli import document_to_matrix, main, matrix_to_document
+from ptlab.cli import build_parser, document_to_matrix, main, matrix_to_document
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -210,6 +213,25 @@ class TestSweep:
         code, _, _ = run(capsys, "sweep", "--family", "pt2", "--grid", '{"gamma":{"start":0,"stop":1,"num":0}}')
         assert code == 4
 
+    @pytest.mark.parametrize("family, grid, message", [
+        ("pt2", '{"gamma":{"start":0,"stop":2,"num":3},"rho":NaN}', "error: parameter rho must be finite\n"),
+        ("pseudo2", '{"e":Infinity,"rho":NaN}', "error: parameter e must be finite\n"),
+    ])
+    def test_non_finite_grid_exits_3(self, capsys, family, grid, message):
+        code, out, err = run(capsys, "sweep", "--family", family, "--grid", grid)
+        assert (code, out, err) == (3, "", message)
+
+    @pytest.mark.parametrize("family, grid, golden", [
+        ("pt2", '{"gamma":{"start":0,"stop":2,"num":21},"rho":1}', "sweep_pt2_readme.csv"),
+        # |gamma| = rho exactly at four of the 49 points
+        ("pseudo2", '{"e":0.3,"gamma":{"start":-1.5,"stop":1.5,"num":7},"rho":{"start":0,"stop":1.5,"num":7},'
+                    '"delta":0.4}', "sweep_pseudo2_crossing.csv"),
+    ])
+    def test_golden_bytes(self, capsys, family, grid, golden):
+        code, out, _ = run(capsys, "sweep", "--family", family, "--grid", grid)
+        assert code == 0
+        assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
 
 class TestCount:
     def test_exit_zero_and_columns(self, capsys):
@@ -327,3 +349,33 @@ class TestOutputFile:
         code, out, _ = run(capsys, "count", "--max-dim", "2", "--out", str(target))
         assert code == 0 and out == ""
         assert json.loads(target.read_text(encoding="utf-8"))["all_match"] is True
+
+
+class TestInProcessRuns:
+    ARGVS = [
+        ["sweep", "--family", "pt2", "--grid", '{"gamma":{"start":0,"stop":2,"num":5},"rho":1}'],
+        ["count", "--max-dim", "3", "--format", "csv"],
+        ["sweep", "--family", "pseudo2", "--grid", '{"gamma":1,"rho":{"start":0,"stop":2,"num":4}}',
+         "--tol-rel", "1e-6"],
+        ["sweep", "--family", "pt2", "--grid", '{"rho":NaN}'],
+        ["count", "--max-dim", "9"],
+        ["sweep", "--family", "degeneration", "--grid", '{"gamma":2}'],
+    ]
+
+    def test_parser_built_once(self, capsys):
+        build_parser.cache_clear()
+        parser = build_parser()
+        help_text = parser.format_help()
+        run(capsys, *self.ARGVS[0])
+        assert build_parser() is parser
+        assert parser.format_help() == help_text
+
+    def test_consecutive_calls_match_separate_ones(self, capsys):
+        build_parser.cache_clear()
+        separate = []
+        for argv in self.ARGVS:
+            build_parser.cache_clear()
+            separate.append(run(capsys, *argv))
+        consecutive = [run(capsys, *argv) for argv in self.ARGVS + self.ARGVS[::-1]]
+        assert consecutive == separate + separate[::-1]
+        assert [code for code, _, _ in separate] == [0, 0, 0, 3, 2, 0]
