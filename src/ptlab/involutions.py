@@ -50,8 +50,6 @@ class InvolutionOperator:
     kind: InvolutionKind
     matrix: np.ndarray
     signature: tuple | None = None
-    # verify_involution results by (kind, tolerance); see _verified
-    _checks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_square_matrix(self.matrix, "operator").copy())
@@ -110,18 +108,6 @@ def verify_involution(O, kind: InvolutionKind, tol: ToleranceConfig = DEFAULT_TO
         residuals["trace"] = float(trace_gap)
         ok = trace_gap <= max(tol.abs_tol * scale, 1e-6)
     return InvolutionCheck(kind=kind, ok=bool(ok), residuals={k: float(v) for k, v in residuals.items()}, signature=signature)
-
-
-def _verified(O, kind: InvolutionKind, tol: ToleranceConfig) -> InvolutionCheck:
-    """verify_involution of an operator.  An InvolutionOperator is immutable
-    (frozen, with a read-only matrix), so it keeps each result and is checked
-    once per kind and tolerance; a bare matrix is checked every time."""
-    if not isinstance(O, InvolutionOperator):
-        return verify_involution(O, kind, tol)
-    check = O._checks.get((kind, tol))
-    if check is None:
-        check = O._checks[(kind, tol)] = verify_involution(O.matrix, kind, tol)
-    return check
 
 
 def involution_operator(matrix, kind: InvolutionKind, tol: ToleranceConfig = DEFAULT_TOL) -> InvolutionOperator:

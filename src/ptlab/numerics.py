@@ -50,32 +50,36 @@ DEFAULT_TOL = ToleranceConfig()
 
 def _reality_cut(tol: ToleranceConfig, scale):
     """Largest |Im| of an eigenvalue still counted as real, at matrix norm scale
-    (a float, or an array of scales giving an array of cuts)."""
-    return np.maximum(np.maximum(tol.abs_tol, tol.rel_tol * scale), _FOUR_SQRT_EPS * scale)
+    (a float, or an array of scales giving an array of cuts).  For scale >= 0,
+    max(a, b) * scale is bit-equal to max(a * scale, b * scale): rounding is
+    monotone."""
+    return np.maximum(tol.abs_tol, max(tol.rel_tol, _FOUR_SQRT_EPS) * scale)
 
 
 def _cluster_cut(tol: ToleranceConfig, scale, n: int):
     """Eigenvalue gap below which an n x n spectrum merges into one cluster;
     a k-fold defective block smears its eigenvalues by about scale eps^(1/k).
     scale may be an array of scales, one per matrix of a stack."""
-    return np.maximum(10.0 * tol.rel_tol * scale, 4.0 * MACHINE_EPS ** (1.0 / n) * scale)
+    return max(10.0 * tol.rel_tol, 4.0 * MACHINE_EPS ** (1.0 / n)) * scale
 
 
-def as_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Validate and return M as a finite complex128 2-d array."""
+def as_matrix(M, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
+    """Validate and return M as a finite complex128 2-d array, or with
+    stack=True as a (K, r, c) stack of such matrices."""
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2:
-        raise DimensionError(f"{name} must be 2-dimensional, got ndim={A.ndim}")
+    ndim = 3 if stack else 2
+    if A.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-dimensional, got ndim={A.ndim}")
     if A.size == 0:
         raise DimensionError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(A.real)) or not np.all(np.isfinite(A.imag)):
+    if not np.isfinite(A).all():
         raise ContractError(f"{name} contains NaN or Inf entries")
     return A
 
 
-def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
-    A = as_matrix(M, name)
-    if A.shape[0] != A.shape[1]:
+def as_square_matrix(M, name: str = "matrix", *, stack: bool = False) -> np.ndarray:
+    A = as_matrix(M, name, stack=stack)
+    if A.shape[-2] != A.shape[-1]:
         raise DimensionError(f"{name} must be square, got shape {A.shape}")
     return A
 

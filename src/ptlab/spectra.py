@@ -132,14 +132,12 @@ def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, cluster_rad
     return None
 
 
-def _cluster_path(A: np.ndarray, values: np.ndarray, scale: float, tol: ToleranceConfig):
+def _cluster_path(A: np.ndarray, values: np.ndarray, cluster_cut: float, reality_cut: float, tol: ToleranceConfig):
     """Clusters, their Segre characteristics and their conjugate pairing for
-    one matrix whose sorted eigenvalues are already known.
+    one matrix whose sorted eigenvalues and cuts are already known.
 
     Returns (segre, ambiguous, all_real, any_real, paired, defective).
     """
-    n = A.shape[0]
-    cluster_cut = _cluster_cut(tol, scale, n)
     clusters = _cluster_single_linkage(values, cluster_cut)
     centers = [complex(np.mean(values[list(c)])) for c in clusters]
     radii = [max((abs(values[j] - ctr) for j in cluster), default=0.0) for cluster, ctr in zip(clusters, centers)]
@@ -150,7 +148,6 @@ def _cluster_path(A: np.ndarray, values: np.ndarray, scale: float, tol: Toleranc
             if abs(centers[a] - centers[b]) < 10.0 * cluster_cut:
                 ambiguous = True
 
-    reality_cut = _reality_cut(tol, scale)
     segre = {}
     all_real, any_real, paired = True, False, True
     defective = False
@@ -204,42 +201,38 @@ def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -
     classify_spectrum gives for that matrix alone.
 
     symmetry, when given, is a (SymmetryKind, operator) pair; the operator is
-    checked at most once per call (an InvolutionOperator once per kind and
-    tolerance) and the intertwining identity once per matrix.
+    checked once per call and the intertwining identity once per matrix.
     """
-    S = np.asarray(stack, dtype=complex)
-    if S.ndim != 3:
-        raise DimensionError(f"H stack must be 3-dimensional (K, n, n), got ndim={S.ndim}")
-    if S.size == 0:
-        raise DimensionError("H must be non-empty")
-    if not np.isfinite(S).all():
-        raise ContractError("H contains NaN or Inf entries")
-    if S.shape[1] != S.shape[2]:
-        raise DimensionError(f"H must be square, got shape {S.shape[1:]}")
+    return _classify_stack(as_square_matrix(stack, "H", stack=True), tol, symmetry)
+
+
+def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> list:
+    """classify_spectra of a stack already validated by as_square_matrix."""
     K, n = S.shape[:2]
-    scales = np.maximum(frobenius_norms(S), 1.0)
+    norms = frobenius_norms(S)
+    scales = np.maximum(norms, 1.0)
     # a stable complex sort is the lexicographic (Re, Im) order of lexsort
     values = np.sort(np.linalg.eigvals(S), axis=-1, kind="stable")
 
     cluster_cut = _cluster_cut(tol, scales, n)
     reality_cut = _reality_cut(tol, scales)
     pair_cut = np.maximum(2 * reality_cut, cluster_cut)
-    # dist[k, 0, i, j] = |v_j - v_i| and dist[k, 1, i, j] = |v_j - conj(v_i)|, for j != i
-    diag = np.arange(n)
-    dist = np.abs(values[:, None, None, :] - np.stack((values, values.conj()), axis=1)[:, :, :, None])
-    dist[:, :, diag, diag] = np.inf
-    min_gap = dist[:, 0].min(axis=(1, 2))
+    # gap[k, i, j] = |v_j - v_i| and conj_gap[k, i, j] = |v_j - conj(v_i)|, infinite for j = i
+    dist = np.abs(values[:, None, :] - np.array((values, values.conj()))[:, :, :, None])
+    dist.reshape(-1, n * n)[:, :: n + 1] = np.inf
+    gap, conj_gap = dist
+    min_gap = gap.min(axis=(1, 2))
     simple = (min_gap >= 10.0 * cluster_cut) & (min_gap > 2.0 * pair_cut)
     real = np.abs(values.imag) <= reality_cut[:, None]
     # non-real eigenvalue j within the pairing cut of conj(eigenvalue i): on a
     # simple point each eigenvalue has at most one such partner
-    partner = (dist[:, 1] <= pair_cut[:, None, None]) & ~real[:, None, :]
+    partner = (conj_gap <= pair_cut[:, None, None]) & ~real[:, None, :]
     paired = (real | partner.any(axis=2)).all(axis=1)
 
     holds = [None] * K
     if symmetry is not None:
         kind, operator = symmetry
-        holds = _intertwining(kind, operator, S, tol)[0].tolist()
+        holds = _intertwining(kind, operator, S, norms, tol)[0].tolist()
 
     reports = []
     rows = zip(simple.tolist(), values.tolist(), real.tolist(), paired.tolist(), holds)
@@ -251,7 +244,8 @@ def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -
             all_real, any_real = all(row_real), any(row_real)
             ambiguous, defective = False, False
         else:
-            segre, ambiguous, all_real, any_real, point_paired, defective = _cluster_path(S[k], values[k], scales[k], tol)
+            segre, ambiguous, all_real, any_real, point_paired, defective = _cluster_path(
+                S[k], values[k], float(cluster_cut[k]), float(reality_cut[k]), tol)
         if all_real:
             reality = RealityClass.ALL_REAL_DEFECTIVE if defective else RealityClass.ALL_REAL_DIAGONALIZABLE
         elif not any_real and point_paired:
@@ -275,8 +269,7 @@ def classify_spectrum(H, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -> S
     symmetry, when given, is a (SymmetryKind, operator) pair; the unbroken
     verdict is then "the symmetry holds and every eigenvalue is real".
     """
-    A = as_square_matrix(H, "H")
-    return classify_spectra(A[None], tol, symmetry)[0]
+    return _classify_stack(as_square_matrix(H, "H")[None], tol, symmetry)[0]
 
 
 def align_pt_phases(O, H, tol: ToleranceConfig = DEFAULT_TOL):

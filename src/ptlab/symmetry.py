@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, IndeterminateStructureError
-from .involutions import InvolutionKind, InvolutionOperator, _verified, operator_matrix, verify_involution
+from .involutions import InvolutionKind, InvolutionOperator, operator_matrix, verify_involution
 from .numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig, as_matrix, as_square_matrix, frobenius, frobenius_norms
 
 
@@ -44,19 +44,18 @@ class SymmetryReport:
     operator_residuals: dict
 
 
-def _intertwining(kind: SymmetryKind, O, A: np.ndarray, tol: ToleranceConfig):
-    """(holds, gap norm, norm of A, operator check) of kind's intertwining
-    identity.
+def _intertwining(kind: SymmetryKind, O, A: np.ndarray, scale, tol: ToleranceConfig):
+    """(holds, gap norm, operator check) of kind's intertwining identity.
 
-    A is one n x n matrix or an (..., n, n) stack; holds and the two norms
-    then carry one entry per matrix.  The operator O is checked against the kind's
-    family once, whatever the size of the stack (and an InvolutionOperator
-    only once per kind and tolerance).
+    A is one n x n matrix or an (..., n, n) stack and scale its Frobenius
+    norm (one per matrix); holds and the gap norm then carry one entry per
+    matrix.  The operator O is checked against the kind's family once,
+    whatever the size of the stack.
     """
     P = operator_matrix(O)
     if P.shape != A.shape[-2:]:
         raise DimensionError(f"operator is {P.shape} but H is {A.shape[-2:]}")
-    op_check = _verified(O, _REQUIRED_OPERATOR_KIND[kind], tol)
+    op_check = verify_involution(P, _REQUIRED_OPERATOR_KIND[kind], tol)
     if not op_check.ok:
         raise ContractError(
             f"{kind.value} needs a {_REQUIRED_OPERATOR_KIND[kind].value} operator; residuals {op_check.residuals}"
@@ -67,9 +66,8 @@ def _intertwining(kind: SymmetryKind, O, A: np.ndarray, tol: ToleranceConfig):
         gap = P @ A - A.conj().swapaxes(-1, -2) @ P
     else:
         gap = P @ A.conj() - A @ P
-    scale = frobenius_norms(A)
     raw = frobenius_norms(gap)
-    return raw <= np.maximum(tol.abs_tol, tol.rel_tol * scale), raw, scale, op_check
+    return raw <= np.maximum(tol.abs_tol, tol.rel_tol * scale), raw, op_check
 
 
 def check_symmetry(kind: SymmetryKind, O, H, tol: ToleranceConfig = DEFAULT_TOL) -> SymmetryReport:
@@ -80,12 +78,13 @@ def check_symmetry(kind: SymmetryKind, O, H, tol: ToleranceConfig = DEFAULT_TOL)
     intertwining check is just reported.
     """
     A = as_square_matrix(H, "H")
-    holds, raw, scale, op_check = _intertwining(kind, O, A, tol)
+    scale = frobenius(A)
+    holds, raw, op_check = _intertwining(kind, O, A, scale, tol)
     return SymmetryReport(
         kind=kind,
         holds=bool(holds),
         residual=float(raw / scale if scale > 0 else raw),
-        operator_residuals=dict(op_check.residuals),
+        operator_residuals=op_check.residuals,
     )
 
 

@@ -7,8 +7,11 @@ from ptlab.errors import ContractError, DimensionError
 from ptlab.numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
+    as_square_matrix,
     devectorize,
     eigen_decompose,
+    frobenius,
+    frobenius_norms,
     matrix_exponential,
     needs_sign_flip,
     rank_and_nullspace,
@@ -174,3 +177,29 @@ class TestNeedsSignFlip:
         # entries with |Re| <= 1e-12 are skipped, imaginary parts ignored
         assert needs_sign_flip(np.diag([1e-13 + 5j, -1.0]))
         assert not needs_sign_flip(np.zeros((3, 3)))
+
+
+class TestStacks:
+    def test_frobenius_norms_bit_equal_to_frobenius(self):
+        rng = np.random.default_rng(5)
+        for shape in ((1, 1, 1), (7, 2, 2), (3, 4, 4), (2, 3, 5), (2, 3, 6, 6)):
+            S = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            S *= 10.0 ** rng.integers(-8, 8, size=shape[:-2] + (1, 1))
+            norms = frobenius_norms(S)
+            assert norms.shape == shape[:-2]
+            assert norms.ravel().tolist() == [frobenius(M) for M in S.reshape((-1,) + shape[-2:])]
+        assert frobenius_norms(np.eye(3)) == frobenius(np.eye(3))
+
+    def test_square_stack_validation(self):
+        S = as_square_matrix([np.eye(2), np.ones((2, 2))], "H", stack=True)
+        assert S.shape == (2, 2, 2) and S.dtype == complex
+        with pytest.raises(DimensionError, match="H must be 3-dimensional, got ndim=2"):
+            as_square_matrix(np.eye(2), "H", stack=True)
+        with pytest.raises(DimensionError, match="H must be 2-dimensional, got ndim=3"):
+            as_square_matrix(S, "H")
+        with pytest.raises(DimensionError, match="non-empty"):
+            as_square_matrix(np.zeros((0, 2, 2)), "H", stack=True)
+        with pytest.raises(DimensionError, match=r"H must be square, got shape \(2, 2, 3\)"):
+            as_square_matrix(np.zeros((2, 2, 3)), "H", stack=True)
+        with pytest.raises(ContractError, match="H contains NaN or Inf"):
+            as_square_matrix([np.eye(2), [[1.0, 1j * np.inf], [0.0, 1.0]]], "H", stack=True)

@@ -16,7 +16,7 @@ from ptlab.catalog2x2 import (
 )
 from ptlab.errors import ContractError, DimensionError
 from ptlab.involutions import InvolutionKind, InvolutionOperator, make_diagonal_parity
-from ptlab.numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig
+from ptlab.numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig, frobenius_norms
 from ptlab.spectra import (
     RealityClass,
     _cluster_single_linkage,
@@ -465,7 +465,8 @@ class TestClassifySpectra:
                                  SymmetryKind.GEN_PT: "genpt"}[kind], 4)
         symmetric = [_stack_member(rng, 4, "symmetric", (kind, operator)) for _ in range(4)]
         stack = np.array(symmetric + [_stack_member(rng, 4, "generic", None) for _ in range(4)])
-        holds, raw, scale, _ = _intertwining(kind, operator.matrix, stack, DEFAULT_TOL)
+        scale = frobenius_norms(stack)
+        holds, raw, _ = _intertwining(kind, operator.matrix, stack, scale, DEFAULT_TOL)
         for k, H in enumerate(stack):
             report = check_symmetry(kind, operator, H)
             assert (bool(holds[k]), float(raw[k] / scale[k])) == (report.holds, report.residual)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ptlab.errors import ContractError
-from ptlab.numerics import DEFAULT_TOL, ToleranceConfig
 from ptlab.involutions import InvolutionKind, InvolutionOperator, make_diagonal_parity, make_sip
 from ptlab.spectra import jordan_block
 from ptlab.symmetry import (
@@ -65,32 +64,6 @@ class TestCheckSymmetry:
 
     def test_zero_matrix_is_symmetric(self):
         assert check_symmetry(SymmetryKind.PT, SIGMA3, np.zeros((2, 2))).holds
-
-    def test_operator_object_checked_once_per_kind_and_tolerance(self, monkeypatch):
-        import ptlab.involutions as involutions
-        calls = []
-        verify = involutions.verify_involution
-        monkeypatch.setattr(involutions, "verify_involution",
-                            lambda *args: calls.append(args[1:]) or verify(*args))
-        H = np.array([[1.0, 1j], [1j, 2.0]])
-        parity = make_diagonal_parity(1, 1)
-        loose = ToleranceConfig(abs_tol=1e-6)
-        for tol in (DEFAULT_TOL, DEFAULT_TOL, loose, loose):
-            assert check_symmetry(SymmetryKind.PT, parity, H, tol).holds
-        check_symmetry(SymmetryKind.PSEUDO, parity, H)
-        assert calls == [(InvolutionKind.REAL_INVOLUTION, DEFAULT_TOL), (InvolutionKind.REAL_INVOLUTION, loose),
-                         (InvolutionKind.HERMITIAN_INVOLUTION, DEFAULT_TOL)]
-        # a bare matrix carries no memory of earlier checks
-        check_symmetry(SymmetryKind.PT, SIGMA3, H)
-        check_symmetry(SymmetryKind.PT, SIGMA3, H)
-        assert len(calls) == 5
-
-    def test_reports_own_their_operator_residuals(self):
-        parity = make_diagonal_parity(1, 1)
-        H = np.array([[1.0, 1j], [1j, 2.0]])
-        first = check_symmetry(SymmetryKind.PT, parity, H)
-        first.operator_residuals["square"] = 99.0
-        assert check_symmetry(SymmetryKind.PT, parity, H).operator_residuals["square"] == 0.0
 
 
 class TestPtBlock:
