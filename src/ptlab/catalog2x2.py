@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -32,11 +33,34 @@ PAULI = (SIGMA1, SIGMA2, SIGMA3)
 
 
 def pauli_combination(coeffs, identity_coeff=0.0) -> np.ndarray:
-    """identity_coeff * 1 + coeffs . (sigma1, sigma2, sigma3)."""
-    out = complex(identity_coeff) * SIGMA0.copy()
+    """identity_coeff * 1 + coeffs . (sigma1, sigma2, sigma3).
+
+    The coefficients may be arrays; they broadcast together and give a
+    (..., 2, 2) stack, each matrix the combination of its coefficients.
+    """
+    out = np.asarray(identity_coeff, dtype=complex)[..., None, None] * SIGMA0
     for c, s in zip(coeffs, PAULI):
-        out += complex(c) * s
+        out = out + np.asarray(c, dtype=complex)[..., None, None] * s
     return out
+
+
+def _grid_axes(e, gamma, rho, delta):
+    """The four axes as float arrays broadcasting over the e x gamma x rho x
+    delta grid, delta varying fastest."""
+    shapes = ((-1, 1, 1, 1), (1, -1, 1, 1), (1, 1, -1, 1), (1, 1, 1, -1))
+    return [np.asarray(a, dtype=float).reshape(shape) for a, shape in zip((e, gamma, rho, delta), shapes)]
+
+
+def _pointwise(fn, *axes):
+    """fn at every point of the subgrid spanned by some grid axes (given in
+    grid order), one Python call per point.
+
+    Products with complex numbers go through here: numpy's complex multiply
+    may fuse a multiply and an add, which rounds an underflowing product to
+    a zero of another sign than Python's scalar arithmetic does.
+    """
+    values = [fn(*point) for point in itertools.product(*(a.reshape(-1).tolist() for a in axes))]
+    return np.array(values).reshape(np.broadcast_shapes(*(a.shape for a in axes)))
 
 
 def _require_finite(params):
@@ -94,8 +118,18 @@ class Pt2Family:
     metric_reason: str | None
 
 
+def pt2_grid(e, gamma, rho, delta) -> np.ndarray:
+    """(K, 2, 2) stack of the PT-family matrix at every point of the grid
+    e x gamma x rho x delta, in loop order e -> gamma -> rho -> delta."""
+    e, gamma, rho, delta = _grid_axes(e, gamma, rho, delta)
+    coeffs = (_pointwise(lambda r: 1j * r, rho),
+              gamma * _pointwise(math.sin, delta),
+              gamma * _pointwise(math.cos, delta))
+    return pauli_combination(coeffs, e).reshape(-1, 2, 2)
+
+
 def pt2_hamiltonian(p: Pt2Params) -> np.ndarray:
-    return pauli_combination((1j * p.rho, p.gamma * math.sin(p.delta), p.gamma * math.cos(p.delta)), p.e)
+    return pt2_grid(p.e, p.gamma, p.rho, p.delta)[0]
 
 
 def pt2_metric(p: Pt2Params) -> np.ndarray:
@@ -244,11 +278,21 @@ def _frame_vectors(theta: float, phi: float):
     return nr, nth, nph
 
 
+def pseudo2_grid(e, gamma, rho, delta) -> np.ndarray:
+    """(K, 2, 2) stack of the pseudo-Hermitian-family matrix at every point of
+    the grid e x gamma x rho x delta, in loop order e -> gamma -> rho -> delta."""
+    e, gamma, rho, delta = _grid_axes(e, gamma, rho, delta)
+    out = np.empty((e.size, gamma.size, rho.size, delta.size, 2, 2), dtype=complex)
+    out[..., 0, 0] = e + gamma
+    up, down = _pointwise(lambda d: cmath.exp(1j * d), delta), _pointwise(lambda d: cmath.exp(-1j * d), delta)
+    out[..., 0, 1] = _pointwise(lambda r, z: r * z, rho, up)
+    out[..., 1, 0] = _pointwise(lambda r, z: -r * z, rho, down)
+    out[..., 1, 1] = e - gamma
+    return out.reshape(-1, 2, 2)
+
+
 def pseudo2_hamiltonian(p: Pt2Params) -> np.ndarray:
-    return np.array([
-        [p.e + p.gamma, p.rho * cmath.exp(1j * p.delta)],
-        [-p.rho * cmath.exp(-1j * p.delta), p.e - p.gamma],
-    ])
+    return pseudo2_grid(p.e, p.gamma, p.rho, p.delta)[0]
 
 
 def pseudo2_metric(p: Pt2Params) -> np.ndarray:

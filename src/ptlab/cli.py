@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -392,25 +393,58 @@ def cmd_construct(args) -> int:
 
 # ---------------------------------------------------------------- sweep
 
+_PT2_GRID_KEYS = ("e", "gamma", "rho", "delta")
+_DEGENERATION_GRID_KEYS = ("family", "u", "gamma", "epsilon")
+_AXIS_KEYS = ("start", "stop", "num", "scale")
+
+
+def _reject_unknown(keys, allowed, what):
+    unknown = set(keys) - set(allowed)
+    if unknown:
+        raise CliError(EXIT_PARSE, f"unknown {what} keys {sorted(unknown)}; expected {sorted(allowed)}")
+
+
 def _grid_axis(axis, name):
-    if isinstance(axis, (int, float)):
+    if isinstance(axis, (int, float)) and not isinstance(axis, bool):
         return np.array([float(axis)])
     if isinstance(axis, dict):
+        _reject_unknown(axis, _AXIS_KEYS, f"axis {name}")
         try:
-            start, stop, num = float(axis["start"]), float(axis["stop"]), int(axis["num"])
+            start, stop, num = float(axis["start"]), float(axis["stop"]), axis["num"]
         except (KeyError, TypeError, ValueError) as exc:
             raise CliError(EXIT_PARSE, f"axis {name} needs start/stop/num: {exc}")
+        if isinstance(num, bool) or not (isinstance(num, int) or isinstance(num, float) and num.is_integer()):
+            raise CliError(EXIT_PARSE, f"axis {name} num must be an integer, got {num!r}")
+        num = int(num)
         if num < 1:
             raise CliError(EXIT_CONSTRAINT, f"axis {name} is empty (num = {num})")
         scale = axis.get("scale", "linear")
+        # an endpoint at or near the float range gives non-finite values, which
+        # the caller reports by name; numpy's own warnings would only repeat it
         if scale == "linear":
-            return np.linspace(start, stop, num)
+            with np.errstate(all="ignore"):
+                return np.linspace(start, stop, num)
         if scale == "log":
             if start <= 0 or stop <= 0:
                 raise CliError(EXIT_CONSTRAINT, f"log axis {name} needs positive endpoints")
-            return np.geomspace(start, stop, num)
+            with np.errstate(all="ignore"):
+                return np.geomspace(start, stop, num)
         raise CliError(EXIT_PARSE, f"axis {name} scale must be linear or log")
     raise CliError(EXIT_PARSE, f"axis {name} must be a number or a range object")
+
+
+def _sweep_rows(axes, reports) -> list:
+    """CSV rows of a pt2/pseudo2 sweep: each axis value formatted once, each
+    row in one % pass (byte-equal to _fmt17 for every float)."""
+    prefixes = [""]
+    for axis in axes:
+        values = ["%.17g" % x for x in axis.tolist()]
+        prefixes = [f"{p}{v}," for p in prefixes for v in values]
+    values = np.array([r.eigenvalues for r in reports])
+    plus, minus = values[:, -1], values[:, 0]
+    columns = (prefixes, plus.real.tolist(), plus.imag.tolist(), minus.real.tolist(), minus.imag.tolist(),
+               [bool(r.unbroken) for r in reports])
+    return ["%s%.17g,%.17g,%.17g,%.17g,%d" % row for row in zip(*columns)]
 
 
 def cmd_sweep(args) -> int:
@@ -418,36 +452,32 @@ def cmd_sweep(args) -> int:
     grid = load_params(args.grid)
     lines = []
     if args.family in ("pt2", "pseudo2"):
-        axes = {name: _grid_axis(grid.get(name, 0.0), name) for name in ("e", "gamma", "rho", "delta")}
-        total = 1
-        for axis in axes.values():
-            total *= axis.size
-        if total == 0:
+        _reject_unknown(grid, _PT2_GRID_KEYS, "grid")
+        axes = [_grid_axis(grid.get(name, 0.0), name) for name in _PT2_GRID_KEYS]
+        if math.prod(axis.size for axis in axes) == 0:
             raise CliError(EXIT_CONSTRAINT, "sweep grid is empty")
+        finite = [np.isfinite(axis) for axis in axes]
+        if not all(f.all() for f in finite):
+            # the first point in loop order with a non-finite coordinate raises
+            # the same error a parameter record built there raises
+            point = np.unravel_index(np.argmin(functools.reduce(np.logical_and.outer, finite)),
+                                     [axis.size for axis in axes])
+            catalog2x2.Pt2Params(*(float(axis[i]) for axis, i in zip(axes, point)))
         header = ("e", "gamma", "rho", "delta",
                   "energy_plus_re", "energy_plus_im", "energy_minus_re", "energy_minus_im", "unbroken")
         lines.append(",".join(header))
         if args.family == "pt2":
             operator = make_diagonal_parity(1, 1)
             kind = SymmetryKind.PT
-            build = catalog2x2.pt2_hamiltonian
+            build = catalog2x2.pt2_grid
         else:
             operator = make_diagonal_parity(1, 1, InvolutionKind.HERMITIAN_INVOLUTION)
             kind = SymmetryKind.PSEUDO
-            build = catalog2x2.pseudo2_hamiltonian
-        points = [(e, gamma, rho, delta) for e in axes["e"] for gamma in axes["gamma"]
-                  for rho in axes["rho"] for delta in axes["delta"]]
-        stack = np.empty((len(points), 2, 2), dtype=complex)
-        for k, (e, gamma, rho, delta) in enumerate(points):
-            stack[k] = build(catalog2x2.Pt2Params(e=e, gamma=gamma, rho=rho, delta=delta))
-        reports = classify_spectra(stack, tol, symmetry=(kind, operator))
-        for point, report in zip(points, reports):
-            ep, em = report.eigenvalues[-1], report.eigenvalues[0]
-            lines.append(",".join(
-                [_fmt17(x) for x in point + (ep.real, ep.imag, em.real, em.imag)]
-                + [str(int(bool(report.unbroken)))]
-            ))
+            build = catalog2x2.pseudo2_grid
+        reports = classify_spectra(build(*axes), tol, symmetry=(kind, operator))
+        lines += _sweep_rows(axes, reports)
     elif args.family == "degeneration":
+        _reject_unknown(grid, _DEGENERATION_GRID_KEYS, "grid")
         fam = grid.get("family", "pt2")
         if fam not in ("pt2", "pseudo2"):
             raise CliError(EXIT_PARSE, f"degeneration family must be pt2 or pseudo2, got {fam!r}")

@@ -84,17 +84,53 @@ def as_square_matrix(M, name: str = "matrix", *, stack: bool = False) -> np.ndar
     return A
 
 
+def _rescaled_norm(a: np.ndarray) -> float:
+    """Frobenius norm of finite entries whose sum of squares overflows,
+    taken as s * ||a / s|| with s the largest |Re| or |Im| of an entry."""
+    s = max(float(np.abs(a.real).max()), float(np.abs(a.imag).max()))
+    norm = s * float(np.linalg.norm(a / s))
+    if norm == np.inf:
+        raise ContractError("Frobenius norm exceeds the float range")
+    return norm
+
+
 def frobenius(M) -> float:
-    return float(np.linalg.norm(np.asarray(M)))
+    """Frobenius norm; where the squares of entries beyond about 1e154
+    overflow, the norm is taken again on rescaled entries, and a norm beyond
+    the float range is a ContractError.
+
+    numpy still warns about the overflow it recovers from: suppressing that
+    (np.errstate) would double the cost of this hot call on small matrices.
+    """
+    A = np.asarray(M)
+    norm = float(np.linalg.norm(A))
+    if norm == np.inf and np.isfinite(A).all():
+        norm = _rescaled_norm(A)
+    return norm
 
 
+def _root_sum_squares(F: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.vecdot(F.real, F.real) + np.vecdot(F.imag, F.imag))
+
+
+@np.errstate(over="raise")
 def frobenius_norms(S) -> np.ndarray:
     """Frobenius norms over the last two axes of an (..., r, c) stack; each is
     bit-equal to frobenius of that matrix (the same real and imaginary dot
-    products)."""
+    products, and the same rescaling where they overflow, here without a
+    numpy warning)."""
     F = np.asarray(S, dtype=complex)
     F = F.reshape(F.shape[:-2] + (-1,))
-    return np.sqrt(np.vecdot(F.real, F.real) + np.vecdot(F.imag, F.imag))
+    try:
+        return _root_sum_squares(F)
+    except FloatingPointError:  # a sum of squares overflowed
+        pass
+    with np.errstate(over="ignore"):
+        norms = np.array(_root_sum_squares(F))
+    flat, rows = norms.reshape(-1), F.reshape(-1, F.shape[-1])
+    for k in np.flatnonzero((flat == np.inf) & np.isfinite(rows).all(axis=-1)):
+        flat[k] = _rescaled_norm(rows[k])
+    return norms
 
 
 def vectorize(M) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Closed-form 2x2 catalog against the generic machinery and frozen values."""
 
+import cmath
+import itertools
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ptlab import catalog2x2 as cat
 from ptlab.errors import ConstraintError, ContractError, SingularCaseError
@@ -36,6 +40,59 @@ class TestPauliBasis:
 
     def test_product_cycle(self):
         np.testing.assert_array_equal(cat.SIGMA1 @ cat.SIGMA2, 1j * cat.SIGMA3)
+
+
+def reference_pauli_combination(coeffs, identity_coeff=0.0):
+    out = complex(identity_coeff) * cat.SIGMA0.copy()
+    for c, s in zip(coeffs, cat.PAULI):
+        out += complex(c) * s
+    return out
+
+
+def reference_pt2_hamiltonian(e, gamma, rho, delta):
+    return reference_pauli_combination((1j * rho, gamma * math.sin(delta), gamma * math.cos(delta)), e)
+
+
+def reference_pseudo2_hamiltonian(e, gamma, rho, delta):
+    return np.array([
+        [e + gamma, rho * cmath.exp(1j * delta)],
+        [-rho * cmath.exp(-1j * delta), e - gamma],
+    ])
+
+
+# signed zeros, angles, and magnitudes from 1e-300 to 1e150 of either sign
+_AXIS_VALUE = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi, math.pi]),
+    st.floats(-7.0, 7.0),
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+              st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.999), st.integers(-300, 149)),
+)
+
+
+class TestStackedBuilders:
+    """pt2_grid / pseudo2_grid against the per-point formulas they replaced."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.lists(_AXIS_VALUE, min_size=1, max_size=7), min_size=4, max_size=4))
+    def test_grids_bit_equal_to_per_point_formulas(self, axes):
+        points = list(itertools.product(*axes))
+        for grid, reference, single in (
+            (cat.pt2_grid, reference_pt2_hamiltonian, cat.pt2_hamiltonian),
+            (cat.pseudo2_grid, reference_pseudo2_hamiltonian, cat.pseudo2_hamiltonian),
+        ):
+            stack = grid(*(np.array(axis) for axis in axes))
+            want = np.array([reference(*point) for point in points])
+            assert stack.shape == (len(points), 2, 2)
+            assert np.array_equal(stack.view(np.int64), want.view(np.int64))
+            for point in points[:3] + points[-3:]:
+                got = single(cat.Pt2Params(*point))
+                assert np.array_equal(got.view(np.int64), reference(*point).view(np.int64))
+
+    def test_scalar_pauli_combination_unchanged(self):
+        coeffs = (0.3 - 0.0j, -0.0, 2.5e-300)
+        got = cat.pauli_combination(coeffs, -0.0)
+        assert got.shape == (2, 2)
+        assert np.array_equal(got.view(np.int64), reference_pauli_combination(coeffs, -0.0).view(np.int64))
 
 
 class TestPt2Family:

@@ -216,10 +216,46 @@ class TestSweep:
     @pytest.mark.parametrize("family, grid, message", [
         ("pt2", '{"gamma":{"start":0,"stop":2,"num":3},"rho":NaN}', "error: parameter rho must be finite\n"),
         ("pseudo2", '{"e":Infinity,"rho":NaN}', "error: parameter e must be finite\n"),
+        # an infinite endpoint: numpy warns while it fills the axis, and only
+        # the error line may reach stderr
+        ("pt2", '{"gamma":{"start":0,"stop":Infinity,"num":3},"rho":NaN}', "error: parameter gamma must be finite\n"),
+        ("pt2", '{"e":{"start":0,"stop":1,"num":2},"delta":{"start":0,"stop":Infinity,"num":3},'
+                '"rho":{"start":1,"stop":Infinity,"num":2}}', "error: parameter rho must be finite\n"),
+        ("pt2", '{"rho":{"start":1e308,"stop":-1e308,"num":3}}', "error: parameter rho must be finite\n"),
     ])
     def test_non_finite_grid_exits_3(self, capsys, family, grid, message):
         code, out, err = run(capsys, "sweep", "--family", family, "--grid", grid)
         assert (code, out, err) == (3, "", message)
+
+    @pytest.mark.parametrize("family, grid, key", [
+        ("pt2", '{"gama":{"start":0,"stop":2,"num":3},"rho":1}', "gama"),
+        ("pseudo2", '{"gamma":1,"rho":1,"u":2}', "'u'"),
+        ("degeneration", '{"family":"pt2","rho":1}', "rho"),
+        ("pt2", '{"gamma":{"start":0,"stop":2,"num":3,"scal":"log"}}', "scal"),
+        ("pt2", '{"gamma":{"start":0,"stop":2,"num":2.9}}', "num"),
+        ("pt2", '{"gamma":{"start":0,"stop":2,"num":true}}', "num"),
+        ("pt2", '{"gamma":true}', "gamma"),
+        ("degeneration", '{"epsilon":false}', "epsilon"),
+    ])
+    def test_grid_typos_exit_2(self, capsys, family, grid, key):
+        code, out, err = run(capsys, "sweep", "--family", family, "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and key in err
+
+    def test_integral_float_num_is_an_integer(self, capsys):
+        grid = '{"gamma":{"start":0,"stop":2,"num":%s},"rho":1}'
+        assert run(capsys, "sweep", "--family", "pt2", "--grid", grid % "21.0") == \
+            run(capsys, "sweep", "--family", "pt2", "--grid", grid % "21")
+
+    @pytest.mark.parametrize("rho", ["1e150", "1e160"])
+    def test_huge_entries_break_the_symmetry(self, capsys, rho):
+        code, out, _ = run(capsys, "sweep", "--family", "pt2", "--grid", '{"rho":%s,"gamma":1}' % rho)
+        assert code == 0
+        assert out.splitlines()[1].endswith(",0")
+
+    def test_norm_beyond_the_float_range_exits_3(self, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "pt2", "--grid", '{"rho":1e308,"gamma":1e308}')
+        assert (code, out, err) == (3, "", "error: Frobenius norm exceeds the float range\n")
 
     @pytest.mark.parametrize("family, grid, golden", [
         ("pt2", '{"gamma":{"start":0,"stop":2,"num":21},"rho":1}', "sweep_pt2_readme.csv"),

@@ -203,3 +203,28 @@ class TestStacks:
             as_square_matrix(np.zeros((2, 2, 3)), "H", stack=True)
         with pytest.raises(ContractError, match="H contains NaN or Inf"):
             as_square_matrix([np.eye(2), [[1.0, 1j * np.inf], [0.0, 1.0]]], "H", stack=True)
+
+
+class TestNormOverflow:
+    """Entries beyond about 1e154 overflow a plain sum of squares."""
+
+    def test_large_entries_keep_a_finite_norm(self):
+        A = np.array([[0.0, 1e200], [-1e200, 0.0]])
+        S = np.array([A, np.eye(2), 1e-300 * A, 1j * A + 1e180])
+        norms = frobenius_norms(S)
+        assert norms[0] == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+        assert frobenius_norms(A) == norms[0]
+        # frobenius leaves numpy's overflow warning in place (see its docstring)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert norms.tolist() == [frobenius(M) for M in S]
+            assert frobenius(1j * A) == norms[0]
+
+    def test_norm_beyond_the_float_range_is_a_contract_error(self):
+        with pytest.raises(ContractError, match="float range"):
+            frobenius_norms(np.array([np.eye(2), np.full((2, 2), 1e308j)]))
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(ContractError, match="float range"):
+            frobenius(np.full((2, 2), 1e308))
+
+    def test_non_finite_entries_are_not_rescaled(self):
+        assert frobenius(np.array([np.inf, 1.0])) == np.inf
+        assert np.isnan(frobenius_norms(np.array([[[np.nan, 1.0]]])))

@@ -51,6 +51,13 @@ class TestClassifySpectrum:
         imag = np.sort(report.eigenvalues.imag)
         np.testing.assert_allclose(imag, [-np.sqrt(3), np.sqrt(3)], atol=1e-12)
 
+    def test_huge_entries_keep_their_verdict(self):
+        # the Frobenius scale of entries beyond 1e154 once overflowed, which
+        # made every reality cut infinite and every eigenvalue "real"
+        report = classify_spectrum(np.array([[0.0, 1e200], [-1e200, 0.0]]))
+        assert report.reality_class is RealityClass.CONJUGATE_PAIRS
+        np.testing.assert_allclose(np.sort(report.eigenvalues.imag), [-1e200, 1e200], rtol=1e-12)
+
     def test_jordan_block_segre(self):
         report = classify_spectrum(jordan_block(5.0, 3))
         assert report.reality_class is RealityClass.ALL_REAL_DEFECTIVE
