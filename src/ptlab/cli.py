@@ -175,6 +175,10 @@ def _seed(args) -> int:
 
 # ---------------------------------------------------------------- classify
 
+# Commands that load user matrices silence numpy's overflow warnings: the
+# norms they take recover from the overflow (numerics.frobenius), and the
+# warning line would only precede a correct result on stderr.
+@np.errstate(over="ignore")
 def cmd_classify(args) -> int:
     tol = _tolerances(args)
     H = load_matrix(args.matrix)
@@ -404,15 +408,27 @@ def _reject_unknown(keys, allowed, what):
         raise CliError(EXIT_PARSE, f"unknown {what} keys {sorted(unknown)}; expected {sorted(allowed)}")
 
 
+def _grid_number(value, what) -> float:
+    """A JSON number (not true/false, not a string) as a float; anything else
+    is a parse error naming what."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise CliError(EXIT_PARSE, f"{what} must be a number, got {value!r}")
+
+
 def _grid_axis(axis, name):
     if isinstance(axis, (int, float)) and not isinstance(axis, bool):
-        return np.array([float(axis)])
+        return np.array([_grid_number(axis, f"axis {name}")])
     if isinstance(axis, dict):
         _reject_unknown(axis, _AXIS_KEYS, f"axis {name}")
         try:
-            start, stop, num = float(axis["start"]), float(axis["stop"]), axis["num"]
-        except (KeyError, TypeError, ValueError) as exc:
+            start, stop, num = axis["start"], axis["stop"], axis["num"]
+        except KeyError as exc:
             raise CliError(EXIT_PARSE, f"axis {name} needs start/stop/num: {exc}")
+        start, stop = _grid_number(start, f"axis {name} start"), _grid_number(stop, f"axis {name} stop")
         if isinstance(num, bool) or not (isinstance(num, int) or isinstance(num, float) and num.is_integer()):
             raise CliError(EXIT_PARSE, f"axis {name} num must be an integer, got {num!r}")
         num = int(num)
@@ -481,8 +497,8 @@ def cmd_sweep(args) -> int:
         fam = grid.get("family", "pt2")
         if fam not in ("pt2", "pseudo2"):
             raise CliError(EXIT_PARSE, f"degeneration family must be pt2 or pseudo2, got {fam!r}")
-        u = float(grid.get("u", 1.0))
-        gamma = float(grid.get("gamma", 1.0))
+        u = _grid_number(grid.get("u", 1.0), "grid u")
+        gamma = _grid_number(grid.get("gamma", 1.0), "grid gamma")
         eps_axis = _grid_axis(grid.get("epsilon", {"start": 1e-2, "stop": 1e-6, "num": 9, "scale": "log"}), "epsilon")
         eps_axis = np.sort(eps_axis)[::-1]
         if eps_axis.size == 0:
@@ -537,6 +553,7 @@ def cmd_count(args) -> int:
 
 # ---------------------------------------------------------------- convert
 
+@np.errstate(over="ignore")
 def cmd_convert(args) -> int:
     tol = _tolerances(args)
     O = load_matrix(args.operator)
@@ -580,6 +597,7 @@ def _parse_complex(text: str) -> complex:
     raise CliError(EXIT_PARSE, f"expected 're' or 're,im', got {text!r}")
 
 
+@np.errstate(over="ignore")
 def cmd_jordan(args) -> int:
     tol = _tolerances(args)
     H = load_matrix(args.matrix)

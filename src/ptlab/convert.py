@@ -1,9 +1,11 @@
 """Transpose witnesses and conversions between the three symmetry pictures.
 
 Every square matrix B is similar to its transpose; an invertible A with
-A B inv(A) = transpose(B) is a transpose witness.  Witnesses are found from
-the nullspace of the linear map A -> A B - transpose(B) A, with a closed-form
-fallback assembled from a known Jordan similarity.
+A B inv(A) = transpose(B) is a transpose witness.  For a diagonalizable B
+with well-conditioned eigenvectors V of transpose(B) the witness is
+V transpose(V); otherwise witnesses are found from the nullspace of the
+linear map A -> A B - transpose(B) A, with a closed-form fallback assembled
+from a known Jordan similarity.
 
 The conversions ride on the witness space:
 
@@ -93,17 +95,50 @@ def transpose_from_jordan(F, block_sizes) -> np.ndarray:
     return Fm.T @ S @ Fm
 
 
+def _similarity_residual(A: np.ndarray, M: np.ndarray, scale: float) -> float:
+    return float(frobenius(A @ M @ np.linalg.inv(A) - M.T) / scale)
+
+
+def _eigenvector_witness(M: np.ndarray, tol: ToleranceConfig, scale: float) -> TransposeWitness | None:
+    """V transpose(V) over the unit eigenvectors V of transpose(M), normalized,
+    when it is well conditioned and certified; None otherwise."""
+    _, V = np.linalg.eig(M.T)
+    A = V @ V.T
+    norm = frobenius(A)
+    if norm == 0:
+        return None
+    A = A / norm
+    if _invertibility(A) <= 1e-3:
+        return None
+    residual = _similarity_residual(A, M, scale)
+    if residual > max(tol.abs_tol, 1e-10):
+        return None
+    return TransposeWitness(A=A, method=WitnessMethod.NULLSPACE_SEARCH, residual=residual)
+
+
 def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_SEED,
                      budget: int = DEFAULT_BUDGET, jordan_witness=None) -> TransposeWitness:
     """Invertible A with A B inv(A) = transpose(B).
 
-    The primary path hunts the witness nullspace for a well-conditioned
-    element; jordan_witness = (F, block_sizes), available for this package's
-    own constructions, switches on the closed-form fallback if the hunt comes
-    up empty (which would be a bug, and is raised as such otherwise).
+    The first candidate is A = V transpose(V), V the unit eigenvectors of
+    transpose(B): transpose(B) V = V D gives A B = V D transpose(V) =
+    transpose(B) A, so it lies in the witness space of every diagonalizable
+    B, and its method is reported as NULLSPACE_SEARCH.  It is returned
+    (normalized to unit Frobenius norm) when it passes the hunt's own
+    stopping rule, sigma_min / sigma_max > 1e-3, and its similarity residual
+    is within max(abs_tol, 1e-10).  Otherwise (defective or ill-conditioned
+    B) the search hunts the dense witness nullspace for a well-conditioned
+    element, as it would without the first candidate; jordan_witness =
+    (F, block_sizes), available for this package's own constructions,
+    switches on the closed-form fallback if the hunt comes up empty (which
+    would be a bug, and is raised as such otherwise).
     """
     M = as_square_matrix(B, "B")
     scale = max(frobenius(M), 1.0)
+    witness = _eigenvector_witness(M, tol, scale)
+    if witness is not None:
+        return witness
+
     basis = witness_space(M, tol)
     rng = np.random.default_rng(seed)
 
@@ -131,8 +166,7 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
                 "no invertible transpose witness found within budget; "
                 "a witness always exists, so this is a bug-level diagnostic"
             )
-    residual = frobenius(best @ M @ np.linalg.inv(best) - M.T) / scale
-    return TransposeWitness(A=best, method=method, residual=float(residual))
+    return TransposeWitness(A=best, method=method, residual=_similarity_residual(best, M, scale))
 
 
 @dataclass(frozen=True)

@@ -100,7 +100,8 @@ def frobenius(M) -> float:
     the float range is a ContractError.
 
     numpy still warns about the overflow it recovers from: suppressing that
-    (np.errstate) would double the cost of this hot call on small matrices.
+    here (np.errstate) would double the cost of this hot call on small
+    matrices, so the CLI commands that load user matrices silence it once.
     """
     A = np.asarray(M)
     norm = float(np.linalg.norm(A))

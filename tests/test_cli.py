@@ -236,6 +236,13 @@ class TestSweep:
         ("pt2", '{"gamma":{"start":0,"stop":2,"num":true}}', "num"),
         ("pt2", '{"gamma":true}', "gamma"),
         ("degeneration", '{"epsilon":false}', "epsilon"),
+        ("degeneration", '{"u":"abc"}', "grid u"),
+        ("degeneration", '{"u":[1,2]}', "grid u"),
+        ("degeneration", '{"u":true}', "grid u"),
+        ("degeneration", '{"gamma":true}', "grid gamma"),
+        ("pt2", '{"gamma":{"start":true,"stop":2,"num":2}}', "axis gamma start"),
+        ("pt2", '{"gamma":{"start":0,"stop":"2","num":2}}', "axis gamma stop"),
+        ("pseudo2", '{"rho":%d}' % 10 ** 400, "axis rho"),
     ])
     def test_grid_typos_exit_2(self, capsys, family, grid, key):
         code, out, err = run(capsys, "sweep", "--family", family, "--grid", grid)
@@ -357,6 +364,53 @@ class TestConvert:
                                  "--operator", P, "--matrix", H, "--seed", "11")
         assert code == code2 == 0
         assert out_env == out_flag
+
+
+REAL4 = [[-1, 1, 1, 1], [-1, 3, -1, -1], [-5, 1, 5, 2], [0, 0, 0, 3]]  # V diag(1, 2, 3, 4) inv(V), V unimodular
+MIXED6 = [[3, -4, 6, 4, 4, -4], [-6, 5, 6, 4, -2, -3], [4, -4, 7, 4, 4, -4],  # -1, 3, 1 +- 2i, -2 +- i
+          [-4, 4, -10, -5, -4, 3], [-12, 12, 0, 0, -9, 2], [-2, 2, 0, 0, -2, -1]]
+JORDAN2 = [[1.5, 1.0], [0.0, 1.5]]
+OVERFLOW = [[1.0, 1e160j], [1e160j, -1.0]]  # squares of its entries overflow in the Frobenius norm
+
+
+def readme_operands(tmp_path):
+    """H0.json and P0.json, built as the README builds them."""
+    paths = []
+    for family, params, key in (("pt2", '{"e":0,"gamma":2,"rho":1,"delta":0.3}', "hamiltonian"),
+                                ("parity", '{"m":1,"n":1}', "parity")):
+        full = tmp_path / f"{family}.json"
+        assert main(["construct", "--family", family, "--params", params, "--out", str(full)]) == 0
+        path = tmp_path / f"{key}0.json"
+        path.write_text(json.dumps(json.loads(full.read_text(encoding="utf-8"))["matrices"][key]), encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def golden_argv(name, tmp_path):
+    """Command line of the classify/convert run whose stdout is tests/golden/<name>."""
+    H0, P0 = readme_operands(tmp_path)
+    P = write_matrix(tmp_path, "p.json", np.diag([1.0, -1.0]))
+    return {
+        "classify_readme.json": ["classify", "--matrix", H0, "--operator", P0, "--kind", "pt"],
+        "classify_real4.json": ["classify", "--matrix", write_matrix(tmp_path, "real4.json", REAL4)],
+        "classify_mixed6.json": ["classify", "--matrix", write_matrix(tmp_path, "mixed6.json", MIXED6)],
+        "classify_jordan2.json": ["classify", "--matrix", write_matrix(tmp_path, "jordan2.json", JORDAN2)],
+        "classify_overflow.json": ["classify", "--matrix", write_matrix(tmp_path, "overflow.json", OVERFLOW),
+                                   "--operator", P, "--kind", "pt"],
+        "convert_readme.json": ["convert", "--direction", "pt-to-pseudo", "--operator", P0, "--matrix", H0],
+    }[name]
+
+
+class TestGoldenClassifyConvert:
+    """stdout captured before the eigenvector route of the metric and witness
+    solvers existed: the metric block and convert's Q must not move."""
+
+    @pytest.mark.parametrize("name", ["classify_readme.json", "classify_real4.json", "classify_mixed6.json",
+                                      "classify_jordan2.json", "classify_overflow.json", "convert_readme.json"])
+    def test_golden_bytes(self, tmp_path, capsys, name):
+        code, out, err = run(capsys, *golden_argv(name, tmp_path))
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 class TestJordan:

@@ -2,18 +2,26 @@
 
 The column-by-column assemblies below are the reference implementations the
 stacked code replaced: one basis matrix at a time, generator sums for the
-linear combinations.  The stacked code must reproduce them bit for bit.
+linear combinations.  The dense routes must reproduce them bit for bit
+(to 1e-15 where the witness hunt reaches its random combinations); the
+eigenvector routes of the metric and witness solvers must span the same
+space (metric) or give a certified witness.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ptlab import convert, metric
 from ptlab.convert import witness_space, transpose_matrix
 from ptlab.counting import _charpoly_imag_coefficients
 from ptlab.metric import solve_metric_space
 from ptlab.numerics import (
     DEFAULT_TOL,
     devectorize,
+    frobenius,
     hermitian_basis,
     nullspace_complex,
     rank_and_nullspace,
@@ -110,6 +118,47 @@ def sample_matrices(n):
     return generic, derogatory, real_spectrum
 
 
+def jordan_sample(n):
+    """One n-fold Jordan block in a random real frame: defective, so both
+    solvers take the dense route."""
+    rng = np.random.default_rng(200 + n)
+    F = rng.normal(size=(n, n))
+    J = 0.5 * np.eye(n) + np.eye(n, k=1)
+    return (F @ J @ np.linalg.inv(F)).astype(complex)
+
+
+@contextlib.contextmanager
+def recording_dense_calls():
+    """Yields the list of the dense solvers run, by name, in call order."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in ((metric, "_dense_metric_basis"), (convert, "witness_space")):
+            real = getattr(module, name)
+            mp.setattr(module, name, lambda *args, _real=real, _name=name: calls.append(_name) or _real(*args))
+        yield calls
+
+
+@pytest.fixture
+def dense_calls():
+    with recording_dense_calls() as calls:
+        yield calls
+
+
+def assert_same_orthonormal_span(basis, reference):
+    """basis is Frobenius-orthonormal and spans the space of reference."""
+    V, R = vectorize(basis).T, vectorize(reference).T
+    np.testing.assert_allclose(V.T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-12)
+    q, _ = np.linalg.qr(R)
+    np.testing.assert_allclose(V @ V.T, q @ q.T, rtol=0, atol=1e-10)
+
+
+def witness_quality(A, B):
+    """(similarity residual, sigma_min / sigma_max) of a transpose witness."""
+    s = np.linalg.svd(A, compute_uv=False)
+    residual = frobenius(A @ B @ np.linalg.inv(A) - B.T) / max(1.0, frobenius(B))
+    return residual, s[-1] / s[0]
+
+
 class TestVectorizeStacks:
     def test_stack_matches_per_matrix(self):
         rng = np.random.default_rng(5)
@@ -154,18 +203,100 @@ class TestAgainstColumnAssembly:
             assert np.array_equal(stacked, np.array(reference))
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_metric_basis(self, n):
-        for H in sample_matrices(n):
+    def test_metric_basis(self, n, dense_calls):
+        generic, derogatory, real_spectrum = sample_matrices(n)
+        for H, route in ((generic, []), (derogatory, []), (real_spectrum, []),
+                         (jordan_sample(n), ["_dense_metric_basis"])):
+            dense_calls.clear()
             stacked = solve_metric_space(H).hermitian_basis
-            reference = reference_metric_basis(H)
-            assert stacked.shape == (len(reference), n, n)
-            if reference:
-                assert np.array_equal(stacked, np.array(reference))
+            assert dense_calls == route
+            reference = np.array(reference_metric_basis(H)).reshape(-1, n, n)
+            assert stacked.shape == reference.shape
+            if route:
+                assert np.array_equal(stacked, reference)
+            elif len(reference):
+                assert_same_orthonormal_span(stacked, reference)
 
     @pytest.mark.parametrize("n", SIZES)
-    def test_transpose_witness(self, n):
-        for seed, B in enumerate(sample_matrices(n)):
-            assert np.array_equal(transpose_matrix(B, seed=seed).A, reference_transpose_witness(B, seed))
+    def test_transpose_witness(self, n, dense_calls):
+        for seed, B in enumerate(sample_matrices(n) + (jordan_sample(n),)):
+            dense_calls.clear()
+            A = transpose_matrix(B, seed=seed).A
+            if dense_calls and seed < 3:
+                assert np.array_equal(A, reference_transpose_witness(B, seed))
+            elif dense_calls:
+                # the Jordan sample's hunt reaches the random combinations, which
+                # the reference sums in another order (3e-17 apart at n = 7)
+                np.testing.assert_allclose(A, reference_transpose_witness(B, seed), rtol=0, atol=1e-15)
+            else:
+                residual, invertibility = witness_quality(A, B)
+                assert residual < 1e-10 and invertibility > 1e-3
+                assert np.array_equal(transpose_matrix(B, seed=seed + 1).A, A)
+            if seed == 0:  # the generic sample: simple spectrum, eigenvector witness
+                assert dense_calls == []
+            if seed == 3:  # the Jordan sample: the dense hunt
+                assert dense_calls == ["witness_space"]
+
+
+@st.composite
+def block_sums(draw):
+    """(H, blocks): a direct sum of simple real eigenvalues, conjugate pairs,
+    exactly repeated real eigenvalues and real Jordan blocks (n <= 12) in a
+    complex frame of condition number <= 10.  blocks lists (eigenvalue, size)
+    once per Jordan block; distinct blocks sit >= 0.6 apart."""
+    kinds = draw(st.lists(st.sampled_from(["real", "pair", "repeat", "jordan"]), min_size=1, max_size=6))
+    centres = draw(st.permutations(range(-6, 7)))
+    blocks, n = [], 0
+    for kind, centre in zip(kinds, centres):
+        c = centre + draw(st.floats(-0.2, 0.2))
+        if kind == "real":
+            new = [(complex(c), 1)]
+        elif kind == "pair":
+            b = draw(st.floats(0.3, 1.5))
+            new = [(complex(c, b), 1), (complex(c, -b), 1)]
+        elif kind == "repeat":
+            new = [(complex(c), 1)] * draw(st.integers(2, 3))
+        else:
+            new = [(complex(c), draw(st.integers(2, 3)))]
+        if n + sum(size for _, size in new) > 12:
+            break
+        blocks += new
+        n += sum(size for _, size in new)
+    D = np.zeros((n, n), dtype=complex)
+    pos = 0
+    for lam, size in blocks:
+        D[pos:pos + size, pos:pos + size] = lam * np.eye(size) + np.eye(size, k=1)
+        pos += size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    right, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    stretch = draw(st.lists(st.floats(1.0, 10.0), min_size=n, max_size=n))
+    V = left @ np.diag(stretch) @ right
+    return V @ D @ np.linalg.inv(V), blocks
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(block_sums())
+def test_route_decision_keeps_dimension_and_witness(case):
+    H, blocks = case
+    expected = sum(min(p, q) for lam, p in blocks for mu, q in blocks if lam == mu.conjugate())
+    with recording_dense_calls() as dense_calls:
+        solution = solve_metric_space(H)
+        witness = transpose_matrix(H)
+    assert solution.dimension == expected
+    if all(lam == blocks[0][0] and size == 1 for lam, size in blocks):
+        # H is lambda 1 up to rounding: the dense system holds only rounding
+        # noise, and its rank cut, relative to its own largest singular value,
+        # reads that noise as rank (n^2 expected, the dense reference gives 0)
+        assert dense_calls == []
+    else:
+        assert len(reference_metric_basis(H)) == expected
+    residual, invertibility = witness_quality(witness.A, H)
+    assert residual < 1e-9 and invertibility > 1e-8
+    if any(size > 1 for _, size in blocks):
+        assert dense_calls == ["_dense_metric_basis", "witness_space"]
+    elif len({lam for lam, _ in blocks}) == len(blocks):
+        assert dense_calls == []
 
 
 def test_stacked_charpoly_matches_np_poly():
