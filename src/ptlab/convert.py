@@ -14,14 +14,25 @@ The conversions ride on the witness space:
                   pseudo-Hermitian.
 * pseudo -> PT:   every witness A gives Q = conj(P) A with Q H = conj(H) Q;
                   a real involutory Q is a parity for H.
-* gen-PT -> pseudo: Q = core A intertwines adj(H) with H when A conj(A) = 1;
-                  candidates are filtered on that identity.
+* gen-PT -> pseudo: Q = core A intertwines adj(H) with H when A conj(A) = 1.
 
-Hermiticity/reality are real-linear constraints stacked onto the witness
-coefficients; the involution is hunted over candidates (family basis, then a
-traceless slice, then seeded random draws) and enforced by scalar rescaling
-whenever Q^2 is a positive multiple of the identity.  Searches are
-deterministic for a fixed seed.
+For the first two, Hermiticity/reality are real-linear constraints stacked
+onto the witness coefficients.  The involution is screened over candidates
+in two passes: the deterministic head (the identity when it lies in the
+family, the family basis, a traceless slice), then, only when the head has
+no hit, the seeded random tail.  Past the head's first three rows, which
+are taken one at a time, each pass runs one stack of coefficient rows
+through every cut as array operations.  The first hit is rescaled to
+Q^2 = 1 whenever Q^2 is a positive multiple of the identity.
+
+For gen-PT -> pseudo the unit witnesses (A conj(A) = 1) are computed, not
+searched, when H has a simple spectrum with well-conditioned eigenvectors:
+in eigen-coordinates the constraint fixes A up to one free phase, or shows
+that no unit witness exists (_closed_form_unit_witnesses).  Repeated,
+defective or ill-conditioned spectra, and equations whose miss rounding
+could explain, fall back to a seeded multi-start least-squares search, the
+only code here that imports scipy.optimize.
+Results are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -35,9 +46,12 @@ from .errors import ContractError, NumericalError
 from .involutions import InvolutionKind, make_sip, operator_matrix, verify_involution
 from .numerics import (
     DEFAULT_TOL,
+    MACHINE_EPS,
     ToleranceConfig,
+    _eigenvector_cuts,
     as_square_matrix,
     frobenius,
+    frobenius_norms,
     needs_sign_flip,
     nullspace_complex,
     rank_and_nullspace,
@@ -66,12 +80,13 @@ def witness_space(B, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 
     In row-major coordinates vec(A B) = kron(1, transpose(B)) vec(A) and
     vec(transpose(B) A) = kron(transpose(B), 1) vec(A); the basis is the SVD
-    nullspace of their difference.
+    nullspace of their difference, with the rank cut relative to ||B||_F
+    (for B = lambda 1 up to rounding the difference is rounding noise).
     """
     M = as_square_matrix(B, "B")
     n = M.shape[0]
     eye = np.eye(n)
-    null = nullspace_complex(np.kron(eye, M.T) - np.kron(M.T, eye), tol)
+    null = nullspace_complex(np.kron(eye, M.T) - np.kron(M.T, eye), tol, scale=frobenius(M))
     return null.T.reshape(-1, n, n)
 
 
@@ -211,17 +226,15 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
             return A.conj() @ P
         def structure_gap(Q):
             return Q - Q.conj().swapaxes(-1, -2)
-        def intertwine(Q):
-            return frobenius(Q @ M - M.conj().T @ Q)
-        real_scalar_required = False
+        def intertwine_gap(Q):
+            return Q @ M - M.conj().T @ Q
     else:
         def build_q(A):
             return P.conj() @ A
         def structure_gap(Q):
             return Q - Q.conj()
-        def intertwine(Q):
-            return frobenius(Q @ M - M.conj() @ Q)
-        real_scalar_required = True
+        def intertwine_gap(Q):
+            return Q @ M - M.conj() @ Q
 
     basis = witness_space(M, tol)
     directions = np.stack([basis, 1j * basis], 1).reshape(-1, n, n)  # real span of the witnesses
@@ -232,9 +245,6 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
     q_family = coeff_basis.T @ q_dirs.reshape(-1, n * n)
     a_family = coeff_basis.T @ directions.reshape(-1, n * n)
 
-    def q_and_a(z):
-        return (z @ q_family).reshape(n, n), (z @ a_family).reshape(n, n)
-
     if fdim == 0:
         return ConversionResult(Q=None, hermitian=False, involutory=False,
                                 target_kind_satisfied=False,
@@ -242,60 +252,104 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
                                 note="constrained family is empty")
 
     rng = np.random.default_rng(seed)
-    candidates = []
-    # canonical choice first: the identity, when it lies in the family
+    # the deterministic head: the identity when it lies in the family
+    # (canonical choice), the family basis, then a traceless slice
+    head = []
     q_flat = vectorize(q_family.reshape(fdim, n, n)).T
     target = vectorize(np.eye(n, dtype=complex))
     z_id, *_ = np.linalg.lstsq(q_flat, target, rcond=None)
     if np.linalg.norm(q_flat @ z_id - target) <= 1e-10 * np.sqrt(n):
-        candidates.append(z_id)
-    candidates += list(np.eye(fdim))
+        head.append(z_id[None])
+    head.append(np.eye(fdim))
     traces = np.trace(q_family.reshape(fdim, n, n), axis1=1, axis2=2).real
+    tnull = np.zeros((fdim, 0))
     if np.any(np.abs(traces) > 1e-14):
         _, tnull = rank_and_nullspace(traces.reshape(1, -1), tol)
-        candidates += list(tnull.T)
-        if tnull.shape[1]:
-            candidates += list(rng.normal(size=(min(16, budget), tnull.shape[1])) @ tnull.T)
-    candidates += list(rng.normal(size=(budget, fdim)))
-
+        head.append(tnull.T)
+    head = np.concatenate(head)
     intertwine_cut = max(tol.abs_tol * scale, 1e-10 * scale)
 
-    def hunt():
-        saw_degenerate = False
-        for z in candidates:
-            Q, A = q_and_a(z)
-            norm = frobenius(Q)
-            if norm <= 1e-13:
-                continue
-            Q, A = Q / norm, A / norm
-            c = complex(np.trace(Q @ Q)) / n
-            if frobenius(Q @ Q - c * eye) > 1e-9:
-                continue
-            if real_scalar_required and abs(c.imag) > 1e-10:
-                continue
-            if c.real <= 1e-12:
-                saw_degenerate = True
-                continue
-            root = np.sqrt(c.real)
-            Qn, An = Q / root, A / root
-            if intertwine(Qn) > intertwine_cut:
-                continue
-            return *_sign_normalize_pair(Qn, An), saw_degenerate
-        return None, None, saw_degenerate
+    def cut_one(z):
+        """(Q, A) of one coefficient row, scaled to Q^2 = 1, when Q meets
+        every cut (else None), and whether Q^2 is a vanishing multiple of the
+        identity."""
+        Q = (z @ q_family).reshape(n, n)
+        norm = frobenius(Q)
+        if norm <= 1e-13:
+            return None, False
+        Q = Q / norm
+        QQ = Q @ Q
+        c = complex(np.trace(QQ)) / n
+        if frobenius(QQ - c * eye) > 1e-9:
+            return None, False
+        if c.real <= 1e-12:
+            return None, True
+        root = np.sqrt(c.real)
+        Qn = Q / root
+        if frobenius(intertwine_gap(Qn)) > intertwine_cut:
+            return None, False
+        return (Qn, (z @ a_family).reshape(n, n) / norm / root), False
 
-    Qn, An, saw_degenerate = hunt()
+    def screen(Z):
+        """cut_one over the rows of Z: the first row that meets every cut (or
+        None), and whether some row squared to a vanishing multiple of the
+        identity.  Each cut is one array operation over the rows, on per-row
+        values bit-equal to those of cut_one."""
+        Q = (Z[:, None, :] @ q_family).reshape(-1, n, n)
+        norms = frobenius_norms(Q)
+        ok = norms > 1e-13
+        Q = Q / np.where(ok, norms, 1.0)[:, None, None]
+        QQ = Q @ Q
+        trace = np.trace(QQ, axis1=1, axis2=2)  # the summation order of np.trace(Q @ Q)
+        c_re, c_im = trace.real / n, trace.imag / n
+        ok &= frobenius_norms(QQ - (c_re + 1j * c_im)[:, None, None] * eye) <= 1e-9
+        vanishing = ok & (c_re <= 1e-12)
+        ok &= ~vanishing
+        if ok.any():
+            Qn = Q / np.sqrt(np.where(ok, c_re, 1.0))[:, None, None]
+            ok &= frobenius_norms(intertwine_gap(Qn)) <= intertwine_cut
+        hits = np.flatnonzero(ok)
+        return (int(hits[0]) if hits.size else None), bool(vanishing.any())
 
-    if Qn is None:
+    def first_hit(Z, singles):
+        """cut_one's result for the first row of Z that meets every cut (or
+        None), and whether some row squared to a vanishing multiple of the
+        identity; the first `singles` rows are taken one at a time, the rest
+        as one stack."""
+        saw_vanishing = False
+        for z in Z[:singles]:
+            hit, vanishing = cut_one(z)
+            if hit is not None:
+                return hit, saw_vanishing
+            saw_vanishing |= vanishing
+        if len(Z) <= singles:
+            return None, saw_vanishing
+        k, vanishing = screen(Z[singles:])
+        return (None if k is None else cut_one(Z[singles + k])[0]), saw_vanishing or vanishing
+
+    # a stack costs about as much as three rows that miss one at a time, so
+    # the head's first three rows (where the pt2, pseudo2 and pt_jordan
+    # conversions hit) go singly; the seeded tail, traceless combinations
+    # then any, is screened only when the head has no hit
+    hit, saw_degenerate = first_hit(head, 3)
+    if hit is None:
+        tail = [rng.normal(size=(min(16, budget), tnull.shape[1])) @ tnull.T] if tnull.shape[1] else []
+        hit, vanished = first_hit(np.concatenate(tail + [rng.normal(size=(budget, fdim))]), 0)
+        saw_degenerate |= vanished
+
+    if hit is None:
         return ConversionResult(Q=None, hermitian=False, involutory=False,
                                 target_kind_satisfied=False,
                                 residuals=(float("inf"), float("inf"), float("inf")),
                                 degenerate=saw_degenerate,
                                 note="no involutory element found in the constrained family within budget")
 
+    Qn, An = _sign_normalize_pair(*hit)
+
     herm_res = frobenius(Qn - Qn.conj().T)
     struct_res = frobenius(structure_gap(Qn))
     inv_res = frobenius(Qn @ Qn - eye)
-    int_res = intertwine(Qn) / scale
+    int_res = frobenius(intertwine_gap(Qn)) / scale
     if direction is _Direction.PSEUDO_TO_PT:
         target_kind = SymmetryKind.PT
         op_kind = InvolutionKind.REAL_INVOLUTION
@@ -343,13 +397,71 @@ def pseudo_to_pt(Ptilde, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFA
     return _convert(H, Pm, _Direction.PSEUDO_TO_PT, tol, seed, budget)
 
 
+def _closed_form_unit_witnesses(M: np.ndarray, tol: ToleranceConfig):
+    """Witnesses A with A conj(A) = 1 for a simple spectrum: [A] (the
+    solution up to its free phase), [] when none exists, or None when the
+    eigenvectors cannot decide it.
+
+    With transpose(M) = V diag(mu) inv(V), the witnesses are A = V L
+    transpose(V) over diagonal L, and with G = transpose(V) conj(V),
+    A conj(A) = 1 exactly when L G conj(L) = inv(transpose(G)) =: K.  The
+    diagonal fixes |l_i|^2 = K_ii / G_ii, and l_i conj(l_j) G_ij = K_ij fixes
+    the phase differences along a spanning tree of the largest |G_ij| (V has
+    unit columns, so |G_ij| is the cosine between two eigenvectors); every
+    other entry is then a check.  The eigenvalues must be apart by the gap
+    of numerics._eigenvector_cuts and the tree must not need a cosine inside
+    the rank cut; otherwise (repeated, defective or ill-conditioned spectra,
+    a disconnected |G_ij| pattern) the answer is None.
+
+    K inherits a relative rounding error of about eps kappa^2 (the condition
+    number of G), and so does A, which leaves A conj(A) - 1 a rounding
+    residual of about eps kappa^2 ||A||^2 even when a unit witness exists
+    (near an exceptional point ||A|| grows like kappa).  So the answer is []
+    only for a residual far above that; in between it is None.
+    """
+    n = M.shape[0]
+    norm = frobenius(M)
+    values, V = np.linalg.eig(M.T)
+    s = np.linalg.svd(V, compute_uv=False)
+    kappa = s[0] / s[-1] if s[-1] > 0 else np.inf
+    cuts = _eigenvector_cuts(tol, kappa, norm)
+    if cuts is None:
+        return None
+    pair_cut, gap_cut = cuts
+    closest = np.min(np.abs(values[:, None] - values[None, :]) + np.diag(np.full(n, np.inf)))
+    if closest <= pair_cut or closest < gap_cut:  # the first catches M = 0, where both cuts are 0
+        return None
+    G = V.T @ V.conj()
+    K = np.linalg.inv(G.T)
+    phase = np.zeros(n)
+    inside = np.zeros(n, dtype=bool)
+    inside[0] = True
+    cosine = np.abs(G)
+    for _ in range(n - 1):  # Prim's tree on the largest cosines
+        i, j = np.unravel_index(np.argmax(np.where(inside[:, None] & ~inside, cosine, -1.0)), (n, n))
+        if cosine[i, j] <= tol.rank_cutoff(kappa):
+            return None
+        phase[j] = phase[i] + np.angle(G[i, j]) - np.angle(K[i, j])
+        inside[j] = True
+    L = np.sqrt(K.diagonal().real / G.diagonal().real) * np.exp(1j * phase)
+    A = (V * L) @ V.T
+    if _similarity_residual(A, M, max(norm, 1.0)) > max(tol.abs_tol, 1e-10):
+        return None
+    unit_res = frobenius(A @ A.conj() - np.eye(n))
+    if unit_res <= 1e-9:
+        return [A]
+    if unit_res > 1e-9 + 1e3 * MACHINE_EPS * kappa ** 2 * max(1.0, frobenius(A)) ** 2:
+        return []
+    return None
+
+
 def _unit_witnesses(basis, n, rng, budget):
     """Witness-space elements with A conj(A) = 1, by damped least squares.
 
-    The constraint is quadratic in the witness coefficients, so candidates
-    come from seeded multi-start least-squares refinement of
-    A conj(A) - 1 = 0; the solution set carries a free phase (and sign),
-    handled downstream.
+    The fallback of _closed_form_unit_witnesses.  The constraint is quadratic
+    in the witness coefficients, so candidates come from seeded multi-start
+    least-squares refinement of A conj(A) - 1 = 0; the solution set carries a
+    free phase (and sign), handled downstream.
     """
     from scipy.optimize import least_squares
 
@@ -402,10 +514,19 @@ def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DE
     """Q = core * A over transpose witnesses restricted to A conj(A) = 1.
 
     Every such Q intertwines adj(H) with H; Hermiticity and involution are
-    then properties to report, not constraints of the search.  Candidates are
-    ranked so a Hermitian involutory Q (a full indefinite-metric operator) is
-    returned when one exists; an empty constraint set within budget is a
-    reported outcome.
+    then properties to report, not constraints of the search.  When H has a
+    simple spectrum whose eigenvectors are well conditioned (the eigenvalue
+    gap and condition gate of the metric solver, see numerics.
+    _eigenvector_cuts), the unit witnesses are one phase orbit A e^{it},
+    computed in closed form; when their defining equations miss by far more
+    than rounding the result says that none exists.  Otherwise (repeated,
+    defective or ill-conditioned spectra, or a miss rounding could explain,
+    as near an exceptional point) a seeded least-squares search with `budget`
+    fixing its number of starts looks for them, and an empty result says
+    none was found within budget.  The identity comes first when H is
+    symmetric.  The free phase of each candidate is spent on Hermiticity,
+    and candidates are ranked so a Hermitian involutory Q (a full
+    indefinite-metric operator) is returned when one exists.
     """
     Pm = operator_matrix(Pbar)
     report = check_symmetry(SymmetryKind.GEN_PT, Pm, H, tol)
@@ -415,20 +536,23 @@ def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DE
     n = M.shape[0]
     scale = max(frobenius(M), 1.0)
     eye = np.eye(n)
-    rng = np.random.default_rng(seed)
 
-    basis = witness_space(M, tol)
     candidates = []
     # the identity is a witness exactly when H is symmetric; cheap and common
     if frobenius(M - M.T) <= tol.abs_tol * scale:
         candidates.append(eye.astype(complex))
-    candidates.extend(_unit_witnesses(basis, n, rng, budget))
+    unit = _closed_form_unit_witnesses(M, tol)
+    searched = unit is None
+    if searched:
+        unit = _unit_witnesses(witness_space(M, tol), n, np.random.default_rng(seed), budget)
+    candidates.extend(unit)
 
     if not candidates:
         return ConversionResult(Q=None, hermitian=False, involutory=False,
                                 target_kind_satisfied=False,
                                 residuals=(float("inf"), float("inf"), float("inf")),
-                                note="no witness with A conj(A) = 1 found within budget")
+                                note="no witness with A conj(A) = 1 found within budget" if searched
+                                else "no witness with A conj(A) = 1 exists")
 
     best = None
     for idx, A in enumerate(candidates):

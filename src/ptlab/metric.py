@@ -17,6 +17,7 @@ from .numerics import (
     DEFAULT_TOL,
     MACHINE_EPS,
     ToleranceConfig,
+    _eigenvector_cuts,
     _reality_cut,
     as_square_matrix,
     frobenius,
@@ -84,11 +85,14 @@ def _residual_bound(tol: ToleranceConfig, scale: float, n: int) -> float:
 
 
 def _dense_metric_basis(A: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """SVD nullspace of W -> W A - adj(A) W on the n^2 Hermitian basis."""
+    """SVD nullspace of W -> W A - adj(A) W on the n^2 Hermitian basis, with
+    the rank cut relative to ||A||_F: for A = lambda 1 up to rounding the
+    system holds only rounding noise, which a cut relative to its own
+    largest singular value would read as rank."""
     n = A.shape[0]
     basis = hermitian_basis(n)
     system = vectorize(basis @ A - A.conj().T @ basis).T
-    _, coeffs = rank_and_nullspace(system, tol)
+    _, coeffs = rank_and_nullspace(system, tol, scale=frobenius(A))
     W = (coeffs.T @ basis.reshape(n * n, -1)).reshape(-1, n, n)
     return 0.5 * (W + W.conj().swapaxes(-1, -2))  # exact Hermitizing of roundoff
 
@@ -100,21 +104,17 @@ def _eigenvector_metric_basis(A, values, vectors, kappa, tol):
     W = U Z adj(U) solves W A = adj(A) W exactly when Z_ij (mu_i - conj(mu_j))
     = 0, so the Hermitian Z run over E_ii for each real mu_i and E_ij + E_ji,
     i (E_ij - E_ji) for each pair i < j with mu_i = conj(mu_j).  A distance
-    |mu_i - conj(mu_j)| counts as a pair up to the Bauer-Fike radius
-    kappa(U) eps ||A|| times the rank factor (pair_cut).  A non-pair at
-    distance d leaves the dense system a singular value of at least
-    d / kappa^2, above the dense route's rank cutoff once d exceeds
-    2 kappa pair_cut; gap_cut keeps a 4x margin on that, so both routes
-    count the same dimension.  U is well conditioned when pair_cut stays
-    inside the reality cut.
+    |mu_i - conj(mu_j)| counts as a pair up to pair_cut and as none from
+    gap_cut on (numerics._eigenvector_cuts), so both routes count the same
+    dimension; anything between is left to the dense route.
     """
     n = A.shape[0]
     norm = frobenius(A)
     scale = max(norm, 1.0)
-    pair_cut = tol.rank_cutoff(kappa * norm)
-    if not pair_cut <= _reality_cut(tol, scale):
+    cuts = _eigenvector_cuts(tol, kappa, norm)
+    if cuts is None:
         return None
-    gap_cut = 8.0 * kappa * pair_cut
+    pair_cut, gap_cut = cuts
     dist = np.abs(values[:, None] - values.conj()[None, :])
     if np.any((dist > pair_cut) & (dist < gap_cut)):
         return None

@@ -20,6 +20,11 @@ from .errors import ContractError, DimensionError, NumericalError
 
 MACHINE_EPS = float(np.finfo(np.float64).eps)
 _FOUR_SQRT_EPS = 4.0 * np.sqrt(MACHINE_EPS)
+# Below this Frobenius norm every square of an entry underflows (to a
+# subnormal or to zero); scaling such entries by a power of two is exact and
+# lifts them clear.
+_NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
+_TINY_NORM_SCALE = 2.0 ** 600
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,26 @@ def _reality_cut(tol: ToleranceConfig, scale):
     return np.maximum(tol.abs_tol, max(tol.rel_tol, _FOUR_SQRT_EPS) * scale)
 
 
+def _eigenvector_cuts(tol: ToleranceConfig, kappa: float, norm: float):
+    """(pair_cut, gap_cut) for eigenvalues taken from eigenvectors of
+    condition number kappa of a matrix of Frobenius norm `norm`, or None when
+    those eigenvectors are too ill-conditioned to decide coincidences.
+
+    Two computed eigenvalues closer than pair_cut, the Bauer-Fike radius
+    kappa eps norm times the rank factor, count as one.  A distance d beyond
+    that leaves the dense (Kronecker) system of an intertwining equation a
+    singular value of at least d / kappa^2, above the dense route's rank
+    cutoff once d exceeds 2 kappa pair_cut; gap_cut keeps a 4x margin on
+    that, so distances of at least gap_cut are apart for both routes.
+    The eigenvectors are well conditioned when pair_cut stays inside the
+    reality cut.
+    """
+    pair_cut = tol.rank_cutoff(kappa * norm)
+    if not pair_cut <= _reality_cut(tol, max(norm, 1.0)):
+        return None
+    return pair_cut, 8.0 * kappa * pair_cut
+
+
 def _cluster_cut(tol: ToleranceConfig, scale, n: int):
     """Eigenvalue gap below which an n x n spectrum merges into one cluster;
     a k-fold defective block smears its eigenvalues by about scale eps^(1/k).
@@ -84,6 +109,11 @@ def as_square_matrix(M, name: str = "matrix", *, stack: bool = False) -> np.ndar
     return A
 
 
+def _upscaled_norm(a: np.ndarray) -> float:
+    """Frobenius norm of entries whose sum of squares underflows."""
+    return float(np.linalg.norm(a * _TINY_NORM_SCALE)) / _TINY_NORM_SCALE
+
+
 def _rescaled_norm(a: np.ndarray) -> float:
     """Frobenius norm of finite entries whose sum of squares overflows,
     taken as s * ||a / s|| with s the largest |Re| or |Im| of an entry."""
@@ -96,7 +126,8 @@ def _rescaled_norm(a: np.ndarray) -> float:
 
 def frobenius(M) -> float:
     """Frobenius norm; where the squares of entries beyond about 1e154
-    overflow, the norm is taken again on rescaled entries, and a norm beyond
+    overflow, or those of a nonzero matrix of norm below about 1e-154
+    underflow, the norm is taken again on rescaled entries, and a norm beyond
     the float range is a ContractError.
 
     numpy still warns about the overflow it recovers from: suppressing that
@@ -107,6 +138,8 @@ def frobenius(M) -> float:
     norm = float(np.linalg.norm(A))
     if norm == np.inf and np.isfinite(A).all():
         norm = _rescaled_norm(A)
+    elif norm < _NORM_FLOOR and np.count_nonzero(A):
+        norm = _upscaled_norm(A)
     return norm
 
 
@@ -114,23 +147,26 @@ def _root_sum_squares(F: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(F.real, F.real) + np.vecdot(F.imag, F.imag))
 
 
-@np.errstate(over="raise")
+@np.errstate(over="raise", under="raise")
 def frobenius_norms(S) -> np.ndarray:
     """Frobenius norms over the last two axes of an (..., r, c) stack; each is
     bit-equal to frobenius of that matrix (the same real and imaginary dot
-    products, and the same rescaling where they overflow, here without a
-    numpy warning)."""
+    products, and the same rescaling where they overflow or underflow, here
+    without a numpy warning)."""
     F = np.asarray(S, dtype=complex)
     F = F.reshape(F.shape[:-2] + (-1,))
     try:
         return _root_sum_squares(F)
-    except FloatingPointError:  # a sum of squares overflowed
+    except FloatingPointError:  # a square overflowed or underflowed
         pass
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", under="ignore"):
         norms = np.array(_root_sum_squares(F))
-    flat, rows = norms.reshape(-1), F.reshape(-1, F.shape[-1])
-    for k in np.flatnonzero((flat == np.inf) & np.isfinite(rows).all(axis=-1)):
-        flat[k] = _rescaled_norm(rows[k])
+        rows = F.reshape(-1, F.shape[-1])
+        flat = norms.reshape(-1)
+        for k in np.flatnonzero((flat == np.inf) & np.isfinite(rows).all(axis=-1)):
+            flat[k] = _rescaled_norm(rows[k])
+        for k in np.flatnonzero((flat < _NORM_FLOOR) & rows.any(axis=-1)):
+            flat[k] = _upscaled_norm(rows[k])
     return norms
 
 
@@ -176,10 +212,13 @@ def eigen_decompose(M, tol: ToleranceConfig = DEFAULT_TOL):
     return values, vectors
 
 
-def rank_and_nullspace(L, tol: ToleranceConfig = DEFAULT_TOL):
+def rank_and_nullspace(L, tol: ToleranceConfig = DEFAULT_TOL, scale: float | None = None):
     """Numerical rank and an orthonormal nullspace basis of a real matrix.
 
     Returns (rank, basis) where basis has one column per nullspace direction.
+    The rank cut is relative to scale when given (the norm of the matrix the
+    system was built from, whose rounding sets its noise floor), else to the
+    largest singular value.
     """
     A = np.asarray(L, dtype=float)
     if A.ndim != 2:
@@ -190,19 +229,24 @@ def rank_and_nullspace(L, tol: ToleranceConfig = DEFAULT_TOL):
         cols = A.shape[1] if A.ndim == 2 else 0
         return 0, np.eye(cols)
     _, s, vt = np.linalg.svd(A, full_matrices=True)
-    cutoff = tol.rank_cutoff(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
+    rank = _numerical_rank(s, tol, scale)
     return rank, vt[rank:].T.copy()
 
 
-def nullspace_complex(L, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal nullspace basis (columns) of a complex matrix."""
+def _numerical_rank(s: np.ndarray, tol: ToleranceConfig, scale: float | None) -> int:
+    if not s.size:
+        return 0
+    return int(np.sum(s > tol.rank_cutoff(s[0] if scale is None else scale)))
+
+
+def nullspace_complex(L, tol: ToleranceConfig = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
+    """Orthonormal nullspace basis (columns) of a complex matrix; the rank
+    cut is taken as in rank_and_nullspace."""
     A = np.asarray(L, dtype=complex)
     if A.size == 0 or not np.any(A):
         return np.eye(A.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(A, full_matrices=True)
-    cutoff = tol.rank_cutoff(s[0]) if s.size else 0.0
-    rank = int(np.sum(s > cutoff))
+    rank = _numerical_rank(s, tol, scale)
     return vh[rank:].conj().T.copy()
 
 

@@ -1,9 +1,17 @@
 """Transpose witnesses and the three conversion directions."""
 
+import dataclasses
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import ptlab
 from ptlab import catalog2x2 as cat
+from ptlab import convert
 from ptlab.convert import (
     ConversionResult,
     WitnessMethod,
@@ -15,12 +23,138 @@ from ptlab.convert import (
     witness_space,
 )
 from ptlab.errors import ContractError
-from ptlab.involutions import InvolutionKind, InvolutionOperator, make_diagonal_parity, make_sip, verify_involution
+from ptlab.involutions import (InvolutionKind, InvolutionOperator, make_diagonal_parity, make_sip,
+                               operator_matrix, verify_involution)
+from ptlab.numerics import DEFAULT_TOL, frobenius, needs_sign_flip, rank_and_nullspace, vectorize
 from ptlab.spectra import build_pt_jordan, jordan_block
 from ptlab.symmetry import SymmetryKind, check_symmetry
 
 SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 PSEUDO_P0 = make_diagonal_parity(1, 1, InvolutionKind.HERMITIAN_INVOLUTION)
+SIGMA3_CORE = InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=SIGMA3)
+
+
+def reference_convert(H, P, to_pseudo, tol=DEFAULT_TOL, seed=42, budget=256):
+    """The candidate hunt the stacked screen replaced: one candidate at a
+    time, in order, through every cut."""
+    M = np.asarray(H, dtype=complex)
+    P = operator_matrix(P)
+    n = M.shape[0]
+    scale = max(frobenius(M), 1.0)
+    eye = np.eye(n)
+
+    if to_pseudo:
+        def build_q(A):
+            return A.conj() @ P
+        def structure_gap(Q):
+            return Q - Q.conj().swapaxes(-1, -2)
+        def intertwine(Q):
+            return frobenius(Q @ M - M.conj().T @ Q)
+        real_scalar_required = False
+    else:
+        def build_q(A):
+            return P.conj() @ A
+        def structure_gap(Q):
+            return Q - Q.conj()
+        def intertwine(Q):
+            return frobenius(Q @ M - M.conj() @ Q)
+        real_scalar_required = True
+
+    basis = convert.witness_space(M, tol)
+    directions = np.stack([basis, 1j * basis], 1).reshape(-1, n, n)
+    q_dirs = build_q(directions)
+    _, coeff_basis = rank_and_nullspace(vectorize(structure_gap(q_dirs)).T, tol)
+    fdim = coeff_basis.shape[1]
+    q_family = coeff_basis.T @ q_dirs.reshape(-1, n * n)
+    a_family = coeff_basis.T @ directions.reshape(-1, n * n)
+
+    def q_and_a(z):
+        return (z @ q_family).reshape(n, n), (z @ a_family).reshape(n, n)
+
+    if fdim == 0:
+        return ConversionResult(Q=None, hermitian=False, involutory=False,
+                                target_kind_satisfied=False,
+                                residuals=(float("inf"), float("inf"), float("inf")),
+                                note="constrained family is empty")
+
+    rng = np.random.default_rng(seed)
+    candidates = []
+    q_flat = vectorize(q_family.reshape(fdim, n, n)).T
+    target = vectorize(np.eye(n, dtype=complex))
+    z_id, *_ = np.linalg.lstsq(q_flat, target, rcond=None)
+    if np.linalg.norm(q_flat @ z_id - target) <= 1e-10 * np.sqrt(n):
+        candidates.append(z_id)
+    candidates += list(np.eye(fdim))
+    traces = np.trace(q_family.reshape(fdim, n, n), axis1=1, axis2=2).real
+    if np.any(np.abs(traces) > 1e-14):
+        _, tnull = rank_and_nullspace(traces.reshape(1, -1), tol)
+        candidates += list(tnull.T)
+        if tnull.shape[1]:
+            candidates += list(rng.normal(size=(min(16, budget), tnull.shape[1])) @ tnull.T)
+    candidates += list(rng.normal(size=(budget, fdim)))
+
+    intertwine_cut = max(tol.abs_tol * scale, 1e-10 * scale)
+
+    def hunt():
+        saw_degenerate = False
+        for z in candidates:
+            Q, A = q_and_a(z)
+            norm = frobenius(Q)
+            if norm <= 1e-13:
+                continue
+            Q, A = Q / norm, A / norm
+            c = complex(np.trace(Q @ Q)) / n
+            if frobenius(Q @ Q - c * eye) > 1e-9:
+                continue
+            if real_scalar_required and abs(c.imag) > 1e-10:
+                continue
+            if c.real <= 1e-12:
+                saw_degenerate = True
+                continue
+            root = np.sqrt(c.real)
+            Qn, An = Q / root, A / root
+            if intertwine(Qn) > intertwine_cut:
+                continue
+            return *((-Qn, -An) if needs_sign_flip(Qn) else (Qn, An)), saw_degenerate
+        return None, None, saw_degenerate
+
+    Qn, An, saw_degenerate = hunt()
+
+    if Qn is None:
+        return ConversionResult(Q=None, hermitian=False, involutory=False,
+                                target_kind_satisfied=False,
+                                residuals=(float("inf"), float("inf"), float("inf")),
+                                degenerate=saw_degenerate,
+                                note="no involutory element found in the constrained family within budget")
+
+    herm_res = frobenius(Qn - Qn.conj().T)
+    struct_res = frobenius(structure_gap(Qn))
+    inv_res = frobenius(Qn @ Qn - eye)
+    int_res = intertwine(Qn) / scale
+    target_kind = SymmetryKind.PSEUDO if to_pseudo else SymmetryKind.PT
+    op_kind = InvolutionKind.HERMITIAN_INVOLUTION if to_pseudo else InvolutionKind.REAL_INVOLUTION
+    qualifies = verify_involution(Qn, op_kind, tol).ok
+    target_ok = bool(qualifies and check_symmetry(target_kind, Qn, M, tol).holds)
+    return ConversionResult(
+        Q=Qn,
+        hermitian=bool(herm_res <= max(tol.abs_tol, 1e-9)),
+        involutory=bool(inv_res <= max(tol.abs_tol, 1e-8)),
+        target_kind_satisfied=target_ok,
+        residuals=(float(struct_res), float(inv_res), float(int_res)),
+        degenerate=False,
+        witness=An,
+    )
+
+
+def assert_bytes_equal(result, reference):
+    """Every field of two ConversionResults equal, arrays and floats bit for bit."""
+    for field in dataclasses.fields(ConversionResult):
+        got, want = getattr(result, field.name), getattr(reference, field.name)
+        if isinstance(want, (np.ndarray, tuple)) and got is not None:
+            got, want = np.asarray(got), np.asarray(want)
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), field.name
+        else:
+            assert got == want, field.name
 
 
 def witness_residual(A, B):
@@ -236,8 +370,289 @@ class TestGenPtToPseudo:
         core = find_gen_pt_operator(H)
         result = gen_pt_to_pseudo(core, H)
         assert result.Q is None
-        assert result.note is not None
+        assert result.note == "no witness with A conj(A) = 1 exists"
 
     def test_requires_source_symmetry(self):
         with pytest.raises(ContractError):
             gen_pt_to_pseudo(np.eye(2), np.diag([1j, 0.0]))
+
+
+def pt2_params(rng):
+    while True:
+        p = cat.Pt2Params(e=rng.normal(), gamma=2 * rng.normal(), rho=rng.normal(),
+                          delta=rng.uniform(-np.pi, np.pi))
+        if abs(p.gamma) >= 0.15 and abs(p.gamma ** 2 - p.rho ** 2) >= 1e-3:
+            return p
+
+
+def known_pt_matrix(rng, n):
+    """Simple real eigenvalues and conjugate pairs in a real frame, moved by
+    diag(1, .., 1, i, .., i) into a PT-symmetric matrix under the parity
+    diag(1_m, -1_(n-m)), m = n // 2."""
+    pairs = int(rng.integers(0, n // 2 + 1))
+    D = np.diag(rng.permutation(np.arange(n) - (n - 1) / 2.0) + rng.uniform(-0.25, 0.25, n))
+    for k in range(pairs):
+        b = rng.uniform(0.5, 1.5)
+        D[2 * k, 2 * k + 1], D[2 * k + 1, 2 * k] = b, -b
+        D[2 * k + 1, 2 * k + 1] = D[2 * k, 2 * k]
+    S = np.linalg.qr(rng.normal(size=(n, n)))[0] @ np.diag(rng.uniform(0.5, 2.0, n))
+    v = np.concatenate([np.ones(n // 2), 1j * np.ones(n - n // 2)])
+    return (S @ D @ np.linalg.inv(S)) * (v[:, None] / v[None, :])
+
+
+def screen_draws(kind, n, count, seed):
+    """(H, source operator, PT -> pseudo?) draws of the classes the
+    conversions meet: hits in the head and misses after both passes.  A
+    degenerate family and a hit in the seeded tail (which no natural draw
+    tried reaches) are built by hand below."""
+    rng = np.random.default_rng(seed)
+    m = n // 2
+    parity = make_diagonal_parity(m, n - m)
+    for _ in range(count):
+        if kind == "pt2":
+            yield cat.pt2_hamiltonian(pt2_params(rng)), SIGMA3, True
+        elif kind == "pt2_chart":
+            p = dataclasses.replace(pt2_params(rng), theta=rng.uniform(-np.pi, np.pi), phi=rng.uniform(-1.2, 1.2))
+            chart = cat.pt2_transformed(cat.Chart.ROTATION if rng.uniform() < 0.5 else cat.Chart.BOOST, p)
+            yield chart.hamiltonian, chart.parity, True
+        elif kind == "pseudo2":
+            yield cat.pseudo2_hamiltonian(pt2_params(rng)), PSEUDO_P0, False
+        elif kind == "pt_block":
+            H = ptlab.construct_pt_block(ptlab.PtBlockParams(
+                m=m, n=n - m, A=rng.normal(size=(m, m)), B=rng.normal(size=(m, n - m)),
+                C=rng.normal(size=(n - m, m)), D=rng.normal(size=(n - m, n - m))))
+            yield H, parity, True
+        elif kind == "known":
+            yield known_pt_matrix(rng, n), parity, True
+        elif kind == "pt_jordan":
+            yield build_pt_jordan(m, n - m, float(rng.uniform(-2.0, 2.0)))[0], parity, True
+
+
+SCREEN_CASES = ([("pt2", 2), ("pt2_chart", 2), ("pseudo2", 2)]
+                + [(kind, n) for kind in ("pt_block", "known", "pt_jordan") for n in range(2, 7)])
+
+
+class TestScreenAgainstScalarHunt:
+    """The stacked screen returns what the one-at-a-time hunt returned."""
+
+    @pytest.mark.parametrize("kind, n", SCREEN_CASES)
+    def test_byte_equal_results(self, kind, n):
+        for index, (H, P, to_pseudo) in enumerate(screen_draws(kind, n, 4, seed=1000 * n + len(kind))):
+            fn = pt_to_pseudo if to_pseudo else pseudo_to_pt
+            seed, budget = (42, 256) if index < 3 else (index, 48)
+            assert_bytes_equal(fn(P, H, seed=seed, budget=budget),
+                               reference_convert(H, P, to_pseudo, seed=seed, budget=budget))
+
+    def test_degenerate_family(self):
+        p = cat.Pt2Params(e=0.0, gamma=1.0, rho=2.0, delta=np.pi / 3)
+        H = cat.pseudo2_hamiltonian(p)
+        result = pseudo_to_pt(PSEUDO_P0, H)
+        assert result.degenerate
+        assert_bytes_equal(result, reference_convert(H, PSEUDO_P0, False))
+
+    def test_outcome_mix(self):
+        """The draws above reach both a hit in the deterministic head and a
+        miss after both passes."""
+        H, P, _ = next(screen_draws("pt2", 2, 1, seed=2002))
+        assert pt_to_pseudo(P, H).target_kind_satisfied
+        H, P, _ = next(screen_draws("known", 5, 1, seed=5005))
+        result = pt_to_pseudo(P, H)
+        assert result.Q is None and not result.degenerate
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hit_in_the_seeded_tail(self, seed, monkeypatch):
+        """A real family spanned by u = 0.6 sigma1 + i sigma2 and
+        v = 0.6 sigma3 + i sigma2: every element squares to a multiple of the
+        identity, negative for u and v but positive for some combinations,
+        so the head misses and a random combination hits."""
+        u = np.array([[0.0, 1.6], [-0.4, 0.0]], dtype=complex)
+        v = np.array([[0.6, 1.0], [-1.0, -0.6]], dtype=complex)
+        monkeypatch.setattr(convert, "witness_space", lambda M, tol: np.array([u, v]))
+        H = 0.5 * np.eye(2, dtype=complex)  # every matrix intertwines
+        result = pseudo_to_pt(np.eye(2), H, seed=seed)
+        assert result.target_kind_satisfied
+        assert_bytes_equal(result, reference_convert(H, np.eye(2), False, seed=seed))
+
+    def test_intertwining_cut(self, monkeypatch):
+        """A family spanned by sigma1 and sigma3, whose elements all square to
+        multiples of the identity, where only sigma1 commutes with
+        H = sigma1 / 2: head candidates before sigma1 fail the intertwining
+        cut alone."""
+        sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        monkeypatch.setattr(convert, "witness_space", lambda M, tol: np.array([sigma1, SIGMA3]))
+        H = 0.5 * sigma1
+        result = pseudo_to_pt(np.eye(2), H)
+        np.testing.assert_array_equal(result.Q, sigma1)
+        assert_bytes_equal(result, reference_convert(H, np.eye(2), False))
+
+    def test_hit_in_the_stacked_head(self, monkeypatch):
+        """The family spanned by 1 and sigma3 + 1/2, with H = sigma2 / 2:
+        the identity (row 0) does not commute past H, the family basis (rows
+        1 and 2) holds no involution, and the traceless slice (row 3,
+        sigma3 up to sign whatever basis the SVD picks) hits in the stacked
+        rest of the head."""
+        sigma2 = np.array([[0.0, -1j], [1j, 0.0]])
+        basis = np.array([np.eye(2), SIGMA3 + 0.5 * np.eye(2)], dtype=complex)
+        monkeypatch.setattr(convert, "witness_space", lambda M, tol: basis)
+        stacks = []
+        norms = convert.frobenius_norms
+        monkeypatch.setattr(convert, "frobenius_norms", lambda S: stacks.append(len(S)) or norms(S))
+        H = 0.5 * sigma2
+        result = pseudo_to_pt(np.eye(2), H)
+        np.testing.assert_allclose(np.abs(result.Q), np.eye(2), rtol=0, atol=1e-15)
+        assert stacks and max(stacks) == 1  # the rest of the head, not the tail
+        assert_bytes_equal(result, reference_convert(H, np.eye(2), False))
+
+    def test_vanishing_row_among_the_single_rows(self, monkeypatch):
+        """A family with the nilpotent E13 among the head's first three rows
+        and no other element squaring to a vanishing multiple of the identity
+        (traceless combinations of E13 and the trace -1 element included):
+        there is no hit, and `degenerate` comes from a row taken singly."""
+        nilpotent = np.zeros((3, 3))
+        nilpotent[0, 2] = 1.0
+        basis = np.array([[[1, 2, -2], [-2, 1, -1], [0, -2, 2]], nilpotent,
+                          [[0, 2, 1], [1, -1, 1], [-2, 0, 0]]], dtype=complex)
+        monkeypatch.setattr(convert, "witness_space", lambda M, tol: basis)
+        H = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        result = pseudo_to_pt(np.eye(3), H)
+        assert result.Q is None and result.degenerate
+        assert_bytes_equal(result, reference_convert(H, np.eye(3), False))
+
+    def test_single_element_family(self, monkeypatch):
+        """A one-element family whose element squares to a negative multiple
+        of the identity: the first row is the whole head, and every candidate
+        is degenerate."""
+        u = np.array([[0.0, 1.6], [-0.4, 0.0]], dtype=complex)
+        monkeypatch.setattr(convert, "witness_space", lambda M, tol: u[None])
+        H = 0.5 * np.eye(2, dtype=complex)
+        result = pseudo_to_pt(np.eye(2), H)
+        assert result.Q is None and result.degenerate
+        assert_bytes_equal(result, reference_convert(H, np.eye(2), False))
+
+
+def genpt_draws(kind, n, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        if kind == "genpt2":
+            K = cat.genpt2_operator(cat.GenPt2Params(theta=rng.uniform(-np.pi, np.pi), delta=rng.uniform(-np.pi, np.pi),
+                                                     phi=rng.uniform(-1.0, 1.0), alpha=rng.uniform(-np.pi, np.pi)))
+            A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            yield A + K @ A.conj() @ K.conj(), K  # K conj(H) = H K because K conj(K) = 1
+        elif kind == "genpt_diag":
+            phases = rng.uniform(-np.pi, np.pi, n)
+            H = ptlab.construct_gen_pt_diag(ptlab.DiagPhaseGenPtParams(phases=phases, r=rng.normal(size=(n, n))))
+            yield H, ptlab.gen_pt_diag_operator(phases)
+        elif kind == "pt2":
+            yield cat.pt2_hamiltonian(pt2_params(rng)), SIGMA3_CORE
+
+
+def near_exceptional_genpt2(rng, distance):
+    """A genpt2 matrix at distance `distance` (in a unit direction) from a
+    traceless exceptional point of unit norm, shifted by a real multiple of
+    the identity, and its core.  The traceless part of a generalized-PT 2x2
+    matrix has a real determinant, so the exceptional points sit on the
+    zero set of that quadratic form between a positive and a negative
+    value."""
+    K = cat.genpt2_operator(cat.GenPt2Params(theta=rng.uniform(-np.pi, np.pi), delta=rng.uniform(-np.pi, np.pi),
+                                             phi=rng.uniform(-1.0, 1.0), alpha=rng.uniform(-np.pi, np.pi)))
+
+    def traceless_draw():
+        A = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        X = A + K @ A.conj() @ K.conj()
+        return X - np.trace(X) / 2 * np.eye(2)
+
+    while True:
+        X, Y = traceless_draw(), traceless_draw()
+        dx, dy = np.linalg.det(X).real, np.linalg.det(Y).real
+        if dx * dy < 0:
+            break
+    b = np.linalg.det(X + Y).real - dx - dy  # det(X + t Y) = dx + b t + dy t^2
+    t = (-b + np.sqrt(b * b - 4 * dx * dy)) / (2 * dy)
+    E = (X + t * Y) / frobenius(X + t * Y)
+    return E + distance * Y / frobenius(Y) + rng.normal() * np.eye(2), K
+
+
+def searched(*args):
+    raise AssertionError("the least-squares search ran")
+
+
+class TestClosedFormUnitWitness:
+    """Closed-form unit witnesses against the least-squares search."""
+
+    @pytest.mark.parametrize("kind, n, count", [("genpt2", 2, 4), ("genpt_diag", 2, 4), ("genpt_diag", 3, 2), ("pt2", 2, 4)])
+    def test_agrees_with_least_squares(self, kind, n, count, monkeypatch):
+        for H, K in genpt_draws(kind, n, count, seed=77 + n):
+            with monkeypatch.context() as mp:
+                mp.setattr(convert, "_unit_witnesses", searched)
+                result = gen_pt_to_pseudo(K, H)
+            with monkeypatch.context() as mp:
+                mp.setattr(convert, "_closed_form_unit_witnesses", lambda M, tol: None)
+                oracle = gen_pt_to_pseudo(K, H)
+            assert (result.Q is None) == (oracle.Q is None)
+            assert (result.hermitian, result.involutory, result.target_kind_satisfied) == \
+                (oracle.hermitian, oracle.involutory, oracle.target_kind_satisfied)
+            if oracle.Q is None:
+                assert result.note == "no witness with A conj(A) = 1 exists"
+                assert oracle.note == "no witness with A conj(A) = 1 found within budget"
+                continue
+            assert min(np.abs(result.Q - oracle.Q).max(), np.abs(result.Q + oracle.Q).max()) < 1e-12
+            A = result.witness
+            assert np.abs(A @ A.conj() - np.eye(n)).max() < 1e-9
+            assert witness_residual(A, H) < 1e-9
+
+    @pytest.mark.parametrize("distance", [1e-6, 1e-7])
+    def test_near_exceptional_point_agrees_with_least_squares(self, distance, monkeypatch):
+        """Near an exceptional point (eigenvector condition number 1e3 to
+        1e4) the closed form's unit residual is mostly rounding: there it
+        must defer to the search, not report that no unit witness exists."""
+        rng = np.random.default_rng(int(round(-np.log10(distance))))
+        for _ in range(3):
+            H, K = near_exceptional_genpt2(rng, distance)
+            s = np.linalg.svd(np.linalg.eig(H.T)[1], compute_uv=False)
+            assert s[0] / s[-1] > 500
+            result = gen_pt_to_pseudo(K, H)
+            with monkeypatch.context() as mp:
+                mp.setattr(convert, "_closed_form_unit_witnesses", lambda M, tol: None)
+                oracle = gen_pt_to_pseudo(K, H)
+            assert oracle.Q is not None and result.Q is not None
+            assert (result.hermitian, result.involutory, result.target_kind_satisfied) == \
+                (oracle.hermitian, oracle.involutory, oracle.target_kind_satisfied)
+            A = result.witness
+            assert np.abs(A @ A.conj() - np.eye(2)).max() < 1e-9
+
+    def test_repeated_or_defective_spectra_fall_back_to_the_search(self, monkeypatch):
+        calls = []
+        real = convert._unit_witnesses
+        monkeypatch.setattr(convert, "_unit_witnesses", lambda *args: calls.append(len(args[0])) or real(*args))
+        rng = np.random.default_rng(29)
+        F = rng.normal(size=(3, 3))
+        jordan = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+        repeated = (F @ np.diag([1.0, 1.0, 2.0]) @ np.linalg.inv(F)).astype(complex)
+        for H, witness_dim in ((jordan, 2), (repeated, 5)):
+            n = H.shape[0]
+            assert convert._closed_form_unit_witnesses(H, DEFAULT_TOL) is None
+            calls.clear()
+            # a real H is generalized-PT under the identity core
+            result = gen_pt_to_pseudo(np.eye(n), H)
+            assert calls == [witness_dim]
+            A = result.witness
+            assert np.abs(A @ A.conj() - np.eye(n)).max() < 1e-9
+            np.testing.assert_array_equal(result.Q, A)
+
+    def test_simple_spectrum_conversions_leave_scipy_optimize_unimported(self):
+        code = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from ptlab import catalog2x2 as cat
+            from ptlab.convert import gen_pt_to_pseudo, pt_to_pseudo
+            K = cat.genpt2_operator(cat.GenPt2Params(theta=0.3, delta=-1.1, phi=0.4, alpha=0.9))
+            A = np.array([[0.3 + 1.0j, -1.2], [0.7, 0.5 - 0.4j]])
+            assert gen_pt_to_pseudo(K, A + K @ A.conj() @ K.conj()).Q is not None
+            H = cat.pt2_hamiltonian(cat.Pt2Params(e=0.2, gamma=1.7, rho=0.9, delta=0.8))
+            assert pt_to_pseudo(np.diag([1.0, -1.0]), H).target_kind_satisfied
+            assert "scipy.optimize" not in sys.modules, "scipy.optimize was imported"
+        """)
+        src = os.path.dirname(os.path.dirname(ptlab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr

@@ -228,3 +228,25 @@ class TestNormOverflow:
     def test_non_finite_entries_are_not_rescaled(self):
         assert frobenius(np.array([np.inf, 1.0])) == np.inf
         assert np.isnan(frobenius_norms(np.array([[[np.nan, 1.0]]])))
+
+
+class TestNormUnderflow:
+    """Entries below about 1e-154 underflow a plain sum of squares."""
+
+    def test_tiny_entries_keep_their_norm(self):
+        from ptlab.metric import solve_metric_space
+        rng = np.random.default_rng(31)
+        for n in (2, 3):
+            left, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            right, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            V = left @ np.diag(rng.uniform(1.0, 10.0, n)) @ right  # condition number <= 10
+            H = V @ (1e-300 * np.eye(n)) @ np.linalg.inv(V)
+            assert frobenius(H) == pytest.approx(1e-300 * np.linalg.norm(H * 1e300), rel=1e-14)
+            S = np.array([H, np.eye(n), np.zeros((n, n)), 1e-170 * (H * 1e300), 1e-315 * np.eye(n)])
+            assert frobenius_norms(S).tolist() == [frobenius(M) for M in S]
+            assert frobenius_norms(H) == frobenius(H)
+            assert solve_metric_space(H).dimension == n * n
+
+    def test_zero_stays_zero(self):
+        assert frobenius(np.zeros((2, 2))) == 0.0
+        assert frobenius_norms(np.zeros((3, 2, 2))).tolist() == [0.0] * 3

@@ -41,7 +41,7 @@ def reference_witness_space(B, tol=DEFAULT_TOL):
             E = np.zeros((n, n), dtype=complex)
             E[i, j] = 1.0
             columns.append((E @ B - B.T @ E).ravel())
-    null = nullspace_complex(np.column_stack(columns), tol)
+    null = nullspace_complex(np.column_stack(columns), tol, scale=frobenius(B))
     return [null[:, k].reshape(n, n) for k in range(null.shape[1])]
 
 
@@ -68,7 +68,7 @@ def reference_hermitian_basis(n):
 def reference_metric_basis(H, tol=DEFAULT_TOL):
     basis = reference_hermitian_basis(H.shape[0])
     system = np.column_stack([vectorize(B @ H - H.conj().T @ B) for B in basis])
-    _, coeffs = rank_and_nullspace(system, tol)
+    _, coeffs = rank_and_nullspace(system, tol, scale=frobenius(H))
     solutions = []
     for k in range(coeffs.shape[1]):
         W = sum(c * B for c, B in zip(coeffs[:, k], basis))
@@ -284,19 +284,33 @@ def test_route_decision_keeps_dimension_and_witness(case):
         solution = solve_metric_space(H)
         witness = transpose_matrix(H)
     assert solution.dimension == expected
-    if all(lam == blocks[0][0] and size == 1 for lam, size in blocks):
-        # H is lambda 1 up to rounding: the dense system holds only rounding
-        # noise, and its rank cut, relative to its own largest singular value,
-        # reads that noise as rank (n^2 expected, the dense reference gives 0)
-        assert dense_calls == []
-    else:
-        assert len(reference_metric_basis(H)) == expected
+    assert len(reference_metric_basis(H)) == expected
     residual, invertibility = witness_quality(witness.A, H)
     assert residual < 1e-9 and invertibility > 1e-8
     if any(size > 1 for _, size in blocks):
         assert dense_calls == ["_dense_metric_basis", "witness_space"]
     elif len({lam for lam, _ in blocks}) == len(blocks):
         assert dense_calls == []
+    elif all(lam == blocks[0][0] for lam, _ in blocks):
+        # H is lambda 1 up to rounding: the eigenvector routes answer it
+        assert dense_calls == []
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 3), st.floats(0.5, 2.0), st.integers(-3, 3), st.sampled_from([1.0, -1.0]),
+       st.integers(0, 2**32 - 1))
+def test_scalar_matrix_in_a_frame_keeps_full_dense_spaces(n, mantissa, exponent, sign, seed):
+    """H = lambda 1 in a frame of condition number <= 10 differs from
+    lambda 1 by rounding only: every matrix is a witness and every Hermitian
+    matrix a metric, on the dense routes as on the eigenvector route."""
+    rng = np.random.default_rng(seed)
+    left, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    right, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    V = left @ np.diag(rng.uniform(1.0, 10.0, n)) @ right
+    H = V @ (sign * mantissa * 10.0 ** exponent * np.eye(n)) @ np.linalg.inv(V)
+    assert len(witness_space(H)) == n * n
+    assert len(metric._dense_metric_basis(H, DEFAULT_TOL)) == n * n
+    assert solve_metric_space(H).dimension == n * n
 
 
 def test_stacked_charpoly_matches_np_poly():
