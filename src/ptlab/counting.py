@@ -2,10 +2,12 @@
 
 Each family size is a nullspace dimension of the real-linearized defining
 conditions; each operator-orbit size is the rank of a commutator map (group
-dimension minus stabilizer dimension).  The family of matrices with a real
+dimension minus stabilizer dimension).  Only singular values are computed:
+the counts need ranks, not bases.  The family of matrices with a real
 characteristic polynomial is a variety, not a linear space, so its dimension
-comes from the rank of a finite-difference derivative of the
-imaginary-coefficient map at a smooth base point.
+comes from the rank of the exact derivative of the imaginary-coefficient map
+at a smooth base point, read off the adjugate coefficients of Faddeev and
+LeVerrier.
 
 Expected closed forms, dimension N split as m + n where applicable:
 
@@ -19,19 +21,19 @@ Expected closed forms, dimension N split as m + n where applicable:
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, IndeterminateStructureError
+from .errors import ContractError, DimensionError, IndeterminateStructureError
 from .numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
     antihermitian_basis,
     as_square_matrix,
     frobenius,
-    rank_and_nullspace,
-    real_basis,
+    numerical_rank,
     real_matrix_of_map,
     vectorize,
 )
@@ -91,8 +93,7 @@ def count_matrix_family(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig =
             return np.concatenate([H - H.conj(), H - H.swapaxes(-1, -2)], axis=-2)
 
     system = real_matrix_of_map(condition, N, N)
-    _, null = rank_and_nullspace(system, tol)
-    return null.shape[1]
+    return system.shape[1] - numerical_rank(system, tol)
 
 
 def count_operator_orbit(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -113,23 +114,42 @@ def count_operator_orbit(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig 
         generators = np.eye(N * N, dtype=complex).reshape(N * N, N, N)
     else:
         generators = antihermitian_basis(N)
-    rank, _ = rank_and_nullspace(vectorize(generators @ P0 - P0 @ generators).T, tol)
-    return rank
+    return numerical_rank(vectorize(generators @ P0 - P0 @ generators).T, tol)
 
 
-def _charpoly_imag_coefficients(stack: np.ndarray) -> np.ndarray:
-    """Imaginary parts of the N trailing characteristic-polynomial
-    coefficients of each matrix in a (K, N, N) stack, shape (K, N).
-
-    The monic polynomial is built from the eigenvalues by the same root
-    convolution as np.poly, run on all K matrices at once.
-    """
-    roots = np.linalg.eigvals(stack)
+def _charpoly_coefficients(roots: np.ndarray) -> np.ndarray:
+    """Coefficients c_0 = 1, c_1, ..., c_N of the monic polynomial with the
+    given roots (last axis), by the same root convolution as np.poly, run on
+    a whole stack of root sets at once."""
     coeffs = np.zeros(roots.shape[:-1] + (roots.shape[-1] + 1,), dtype=complex)
     coeffs[..., 0] = 1.0
     for k in range(roots.shape[-1]):
         coeffs[..., 1:k + 2] -= roots[..., k:k + 1] * coeffs[..., :k + 1]
-    return coeffs[..., 1:].imag
+    return coeffs
+
+
+def _charpoly_imag_coefficients(stack: np.ndarray) -> np.ndarray:
+    """(K, N) imaginary parts of c_1..c_N for each matrix of a (K, N, N) stack."""
+    return _charpoly_coefficients(np.linalg.eigvals(stack))[..., 1:].imag
+
+
+def _imag_coefficient_jacobian(H: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Exact (N, 2 N^2) real Jacobian of H -> (Im c_1, ..., Im c_N) in
+    vectorize coordinates, where det(lambda - H) = sum_k c_k lambda^(N-k).
+
+    Jacobi's formula gives dc_k[E] = -tr(B_{k-1} E) with the adjugate
+    coefficients B_0 = 1, B_k = H B_{k-1} + c_k 1 (Faddeev-LeVerrier).  A
+    real direction E = e_ab contributes -Im (B_{k-1})_ba, an imaginary one
+    E = i e_ab contributes -Re (B_{k-1})_ba: together the entries of
+    -i conj(B_{k-1})^T.
+    """
+    N = H.shape[0]
+    B = np.empty((N, N, N), dtype=complex)
+    B[0] = np.eye(N)
+    for k in range(1, N):
+        B[k] = H @ B[k - 1]
+        B[k].flat[::N + 1] += coeffs[k]
+    return vectorize(-1j * B.conj().swapaxes(-1, -2))
 
 
 def _random_self_adjoint(N: int, rng) -> np.ndarray:
@@ -141,48 +161,36 @@ def _random_self_adjoint(N: int, rng) -> np.ndarray:
     return construct_self_adjoint_from_diag_metric(params)
 
 
-# Finite-difference Jacobians carry ~1e-10 relative noise, far above the
-# machine-epsilon rank cutoff; the nonzero singular values are O(1) at a
-# simple-spectrum base point, so one loose dedicated cutoff is safe.
-FD_RANK_CUTOFF = 1e-6
-
-
 def count_real_charpoly_variety(N: int, base_point=None, tol: ToleranceConfig = DEFAULT_TOL,
                                 seed: int = 20240601, attempts: int = 8) -> int:
     """Dimension of {H : characteristic polynomial real} near a base point.
 
-    Measured as 2 N^2 minus the rank of the central finite-difference
-    derivative of H -> Im(charpoly coefficients).  The base point must have a
-    real characteristic polynomial and simple spectrum; a rank-deficient
-    derivative triggers retries at fresh random self-adjoint base points and,
-    past the attempt budget, an indeterminate error.
+    Measured as 2 N^2 minus the rank of the exact derivative of
+    H -> Im(charpoly coefficients), built from the adjugate coefficients of
+    the base point.  The base point must have a real characteristic
+    polynomial and simple spectrum; a rank-deficient derivative triggers
+    retries at fresh random self-adjoint base points and, past the attempt
+    budget, an indeterminate error.
     """
     if N < 1:
         raise ContractError("need N >= 1")
     rng = np.random.default_rng(seed)
-    bases = []
-    if base_point is not None:
-        bases.append(as_square_matrix(base_point, "base_point"))
-    while len(bases) < attempts:
-        bases.append(_random_self_adjoint(N, rng))
-
-    for base in bases:
+    given = [] if base_point is None else [as_square_matrix(base_point, "base_point")]
+    if given and given[0].shape != (N, N):
+        raise DimensionError(f"base_point must be {N}x{N}, got shape {given[0].shape}")
+    fresh = (_random_self_adjoint(N, rng) for _ in range(attempts - len(given)))  # built only when reached
+    for base in itertools.chain(given, fresh):
         scale = max(frobenius(base), 1.0)
-        if np.max(np.abs(_charpoly_imag_coefficients(base[None]))) > 1e-8 * scale ** N:
-            continue
         eigs = np.linalg.eigvals(base)
+        coeffs = _charpoly_coefficients(eigs)
+        if np.max(np.abs(coeffs[1:].imag)) > 1e-8 * scale ** N:
+            continue
         gaps = np.abs(eigs[:, None] - eigs[None, :])
         gaps[np.eye(N, dtype=bool)] = np.inf
         if N > 1 and gaps.min() < 1e-6 * scale:
             continue
-        h = 1e-6 * scale
-        steps = h * real_basis(N, N)
-        imag = _charpoly_imag_coefficients(np.concatenate([base + steps, base - steps]))
-        jac = ((imag[:len(steps)] - imag[len(steps):]) / (2.0 * h)).T
-        sing = np.linalg.svd(jac, compute_uv=False)
-        rank = int(np.sum(sing > FD_RANK_CUTOFF * max(sing[0], 1e-300)))
-        if rank == N:
-            return 2 * N * N - rank
+        if numerical_rank(_imag_coefficient_jacobian(base, coeffs), tol) == N:
+            return 2 * N * N - N
     raise IndeterminateStructureError(
         f"derivative of the imaginary-coefficient map stayed rank-deficient over {attempts} base points"
     )
@@ -199,6 +207,13 @@ def _closed_form(kind: TableRow, m: int, n: int) -> int:
     return 2 * N * N - N
 
 
+def _report(kind: TableRow, m: int, n: int, matrix_dim: int, orbit_dim: int = 0, agree: bool = True) -> CountReport:
+    total = matrix_dim + orbit_dim
+    expected = _closed_form(kind, m, n)
+    return CountReport(kind=kind, m=m, n=n, measured_matrix_dim=matrix_dim, measured_operator_orbit_dim=orbit_dim,
+                       total=total, expected=expected, match=agree and total == expected)
+
+
 def table1_report(max_dim: int, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 20240601) -> list:
     """Measured vs expected parameter counts for dimensions 2..max_dim.
 
@@ -210,42 +225,19 @@ def table1_report(max_dim: int, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 
         raise ContractError("need max_dim >= 2")
     reports = []
     for dim in range(2, max_dim + 1):
-        rs = count_matrix_family(FamilyKind.REAL_SYMMETRIC, dim, 0, tol)
-        reports.append(CountReport(
-            kind=TableRow.REAL_SYMMETRIC, m=dim, n=0,
-            measured_matrix_dim=rs, measured_operator_orbit_dim=0,
-            total=rs, expected=_closed_form(TableRow.REAL_SYMMETRIC, dim, 0),
-            match=rs == _closed_form(TableRow.REAL_SYMMETRIC, dim, 0),
-        ))
-        hm = count_matrix_family(FamilyKind.HERMITIAN, dim, 0, tol)
-        reports.append(CountReport(
-            kind=TableRow.HERMITIAN, m=dim, n=0,
-            measured_matrix_dim=hm, measured_operator_orbit_dim=0,
-            total=hm, expected=_closed_form(TableRow.HERMITIAN, dim, 0),
-            match=hm == _closed_form(TableRow.HERMITIAN, dim, 0),
-        ))
+        reports.append(_report(TableRow.REAL_SYMMETRIC, dim, 0,
+                               count_matrix_family(FamilyKind.REAL_SYMMETRIC, dim, 0, tol)))
+        reports.append(_report(TableRow.HERMITIAN, dim, 0, count_matrix_family(FamilyKind.HERMITIAN, dim, 0, tol)))
         for n in range(0, dim // 2 + 1):
             m = dim - n
             pt_dim = count_matrix_family(FamilyKind.PT, m, n, tol)
             ps_dim = count_matrix_family(FamilyKind.PSEUDO, m, n, tol)
             pt_orbit = count_operator_orbit(FamilyKind.PT, m, n, tol)
             ps_orbit = count_operator_orbit(FamilyKind.PSEUDO, m, n, tol)
-            expected = _closed_form(TableRow.PT_OR_PSEUDO, m, n)
-            agree = pt_dim == ps_dim and pt_orbit == ps_orbit
-            total = pt_dim + pt_orbit
-            reports.append(CountReport(
-                kind=TableRow.PT_OR_PSEUDO, m=m, n=n,
-                measured_matrix_dim=pt_dim, measured_operator_orbit_dim=pt_orbit,
-                total=total, expected=expected,
-                match=agree and total == expected,
-            ))
-        sa = count_real_charpoly_variety(dim, tol=tol, seed=seed)
-        reports.append(CountReport(
-            kind=TableRow.SELF_ADJOINT_OR_GEN_PT, m=dim, n=0,
-            measured_matrix_dim=sa, measured_operator_orbit_dim=0,
-            total=sa, expected=_closed_form(TableRow.SELF_ADJOINT_OR_GEN_PT, dim, 0),
-            match=sa == _closed_form(TableRow.SELF_ADJOINT_OR_GEN_PT, dim, 0),
-        ))
+            reports.append(_report(TableRow.PT_OR_PSEUDO, m, n, pt_dim, pt_orbit,
+                                   agree=pt_dim == ps_dim and pt_orbit == ps_orbit))
+        reports.append(_report(TableRow.SELF_ADJOINT_OR_GEN_PT, dim, 0,
+                               count_real_charpoly_variety(dim, tol=tol, seed=seed)))
     return reports
 
 

@@ -212,6 +212,27 @@ def eigen_decompose(M, tol: ToleranceConfig = DEFAULT_TOL):
     return values, vectors
 
 
+def _finite_real_matrix(L, name: str) -> np.ndarray:
+    A = np.asarray(L, dtype=float)
+    if A.ndim != 2:
+        raise DimensionError(f"expected a 2-d real matrix, got ndim={A.ndim}")
+    if not np.all(np.isfinite(A)):
+        raise ContractError(f"{name} requires finite entries")
+    return A
+
+
+def numerical_rank(L, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Numerical rank of a real matrix, from its singular values alone.
+
+    The rank cut is relative to the largest singular value; the zero matrix
+    has rank 0.
+    """
+    A = _finite_real_matrix(L, "numerical_rank")
+    if A.size == 0 or not np.any(A):
+        return 0
+    return _numerical_rank(np.linalg.svd(A, compute_uv=False), tol, None)
+
+
 def rank_and_nullspace(L, tol: ToleranceConfig = DEFAULT_TOL, scale: float | None = None):
     """Numerical rank and an orthonormal nullspace basis of a real matrix.
 
@@ -220,20 +241,16 @@ def rank_and_nullspace(L, tol: ToleranceConfig = DEFAULT_TOL, scale: float | Non
     system was built from, whose rounding sets its noise floor), else to the
     largest singular value.
     """
-    A = np.asarray(L, dtype=float)
-    if A.ndim != 2:
-        raise DimensionError(f"expected a 2-d real matrix, got ndim={A.ndim}")
-    if not np.all(np.isfinite(A)):
-        raise ContractError("rank_and_nullspace requires finite entries")
+    A = _finite_real_matrix(L, "rank_and_nullspace")
     if A.size == 0 or not np.any(A):
-        cols = A.shape[1] if A.ndim == 2 else 0
-        return 0, np.eye(cols)
+        return 0, np.eye(A.shape[1])
     _, s, vt = np.linalg.svd(A, full_matrices=True)
     rank = _numerical_rank(s, tol, scale)
     return rank, vt[rank:].T.copy()
 
 
 def _numerical_rank(s: np.ndarray, tol: ToleranceConfig, scale: float | None) -> int:
+    """Count of the singular values s (descending) above the shared rank cut."""
     if not s.size:
         return 0
     return int(np.sum(s > tol.rank_cutoff(s[0] if scale is None else scale)))

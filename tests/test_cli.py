@@ -387,7 +387,7 @@ def readme_operands(tmp_path):
 
 
 def golden_argv(name, tmp_path):
-    """Command line of the classify/convert run whose stdout is tests/golden/<name>."""
+    """Command line of the classify/convert/count run whose stdout is tests/golden/<name>."""
     H0, P0 = readme_operands(tmp_path)
     P = write_matrix(tmp_path, "p.json", np.diag([1.0, -1.0]))
     return {
@@ -398,15 +398,20 @@ def golden_argv(name, tmp_path):
         "classify_overflow.json": ["classify", "--matrix", write_matrix(tmp_path, "overflow.json", OVERFLOW),
                                    "--operator", P, "--kind", "pt"],
         "convert_readme.json": ["convert", "--direction", "pt-to-pseudo", "--operator", P0, "--matrix", H0],
+        "count_max8.json": ["count", "--max-dim", "8"],
+        "count_max4.csv": ["count", "--max-dim", "4", "--format", "csv"],
     }[name]
 
 
 class TestGoldenClassifyConvert:
     """stdout captured before the eigenvector route of the metric and witness
-    solvers existed: the metric block and convert's Q must not move."""
+    solvers existed: the metric block and convert's Q must not move.  The
+    count tables were captured while the variety rank still came from a
+    finite-difference derivative."""
 
     @pytest.mark.parametrize("name", ["classify_readme.json", "classify_real4.json", "classify_mixed6.json",
-                                      "classify_jordan2.json", "classify_overflow.json", "convert_readme.json"])
+                                      "classify_jordan2.json", "classify_overflow.json", "convert_readme.json",
+                                      "count_max8.json", "count_max4.csv"])
     def test_golden_bytes(self, tmp_path, capsys, name):
         code, out, err = run(capsys, *golden_argv(name, tmp_path))
         assert (code, err) == (0, "")

@@ -14,6 +14,7 @@ from ptlab.numerics import (
     frobenius_norms,
     matrix_exponential,
     needs_sign_flip,
+    numerical_rank,
     rank_and_nullspace,
     vectorize,
 )
@@ -107,6 +108,20 @@ class TestRankAndNullspace:
             cols.append(vectorize(P @ H - H.conj() @ P))
         _, null = rank_and_nullspace(np.column_stack(cols))
         assert null.shape[1] == 4
+
+    def test_numerical_rank_matches_rank_and_nullspace(self):
+        rng = np.random.default_rng(13)
+        for k in range(6):
+            L = rng.normal(size=(9, k)) @ rng.normal(size=(k, 7))
+            assert numerical_rank(L) == rank_and_nullspace(L)[0] == k
+        assert numerical_rank(np.zeros((3, 4))) == 0
+        assert numerical_rank(np.zeros((0, 4))) == 0
+
+    def test_numerical_rank_contract(self):
+        with pytest.raises(DimensionError):
+            numerical_rank(np.ones(3))
+        with pytest.raises(ContractError):
+            numerical_rank(np.array([[1.0, np.inf]]))
 
 
 class TestMatrixExponential:
