@@ -65,6 +65,7 @@ from .spectra import (
     JordanChain,
     RealityClass,
     SpectrumReport,
+    SpectrumTable,
     align_pt_phases,
     build_pt_jordan,
     classify_spectra,

@@ -449,17 +449,17 @@ def _grid_axis(axis, name):
     raise CliError(EXIT_PARSE, f"axis {name} must be a number or a range object")
 
 
-def _sweep_rows(axes, reports) -> list:
-    """CSV rows of a pt2/pseudo2 sweep: each axis value formatted once, each
-    row in one % pass (byte-equal to _fmt17 for every float)."""
+def _sweep_rows(axes, table) -> list:
+    """CSV rows of a pt2/pseudo2 sweep, read from the eigenvalue and unbroken
+    columns of its SpectrumTable: each axis value formatted once, each row in
+    one % pass (byte-equal to _fmt17 for every float)."""
     prefixes = [""]
     for axis in axes:
         values = ["%.17g" % x for x in axis.tolist()]
         prefixes = [f"{p}{v}," for p in prefixes for v in values]
-    values = np.array([r.eigenvalues for r in reports])
-    plus, minus = values[:, -1], values[:, 0]
+    plus, minus = table.eigenvalues[:, -1], table.eigenvalues[:, 0]
     columns = (prefixes, plus.real.tolist(), plus.imag.tolist(), minus.real.tolist(), minus.imag.tolist(),
-               [bool(r.unbroken) for r in reports])
+               table.unbroken.tolist())
     return ["%s%.17g,%.17g,%.17g,%.17g,%d" % row for row in zip(*columns)]
 
 
@@ -490,8 +490,8 @@ def cmd_sweep(args) -> int:
             operator = make_diagonal_parity(1, 1, InvolutionKind.HERMITIAN_INVOLUTION)
             kind = SymmetryKind.PSEUDO
             build = catalog2x2.pseudo2_grid
-        reports = classify_spectra(build(*axes), tol, symmetry=(kind, operator))
-        lines += _sweep_rows(axes, reports)
+        table = classify_spectra(build(*axes), tol, symmetry=(kind, operator))
+        lines += _sweep_rows(axes, table)
     elif args.family == "degeneration":
         _reject_unknown(grid, _DEGENERATION_GRID_KEYS, "grid")
         fam = grid.get("family", "pt2")

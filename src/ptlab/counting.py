@@ -183,7 +183,8 @@ def count_real_charpoly_variety(N: int, base_point=None, tol: ToleranceConfig = 
         scale = max(frobenius(base), 1.0)
         eigs = np.linalg.eigvals(base)
         coeffs = _charpoly_coefficients(eigs)
-        if np.max(np.abs(coeffs[1:].imag)) > 1e-8 * scale ** N:
+        # c_k is a sum of k-fold eigenvalue products, so |c_k| <= C(N, k) scale^k
+        if (np.abs(coeffs[1:].imag) > 1e-8 * scale ** np.arange(1, N + 1)).any():
             continue
         gaps = np.abs(eigs[:, None] - eigs[None, :])
         gaps[np.eye(N, dtype=bool)] = np.inf

@@ -9,18 +9,34 @@ plus the machinery that transports them: real/unitary/arbitrary similarity,
 the anti-diagonal involutory permutation S_n, the closed-form similarity
 between S_n and a diagonal signature matrix, and coset elements of
 U(m+n) / (U(m) x U(n)) in closed form.
+
+An operator built by make_diagonal_parity, make_sip, involution_operator or
+transport records, on its .verification field, the check of its own kind
+that it passed: the residual of each defining identity, the Frobenius scale
+and, for the two involution kinds, the signature and the trace gap.  None of
+these depends on a tolerance, and the two exact constructions (diagonal
+parities and S_n) write them down rather than measure them.
+verify_involution, and through it every symmetry check, judges such an
+operator from its record: only the thresholds of the ToleranceConfig it is
+given are applied again, so the verdict and the residuals are those a full
+check of the matrix gives under that tolerance.  A bare matrix, an operator
+built directly as InvolutionOperator(kind, matrix), and a check of a kind
+other than the recorded one are checked in full, every time.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericalError
 from .numerics import (
     DEFAULT_TOL,
+    MACHINE_EPS,
     ToleranceConfig,
     as_matrix,
     as_square_matrix,
@@ -45,11 +61,44 @@ class InvolutionCheck:
     signature: tuple | None = None
 
 
+def _identity_threshold(tol: ToleranceConfig, n: int, scale: float) -> float:
+    return max(tol.abs_tol * scale, 16.0 * n * MACHINE_EPS * scale * scale)
+
+
+class VerificationRecord(NamedTuple):
+    """Tolerance-free measurements behind verify_involution for one kind.
+
+    residuals holds the defining identities' residuals; signature and
+    trace_gap are taken only when those identities hold (they are None for
+    antilinear cores, which have no trace identity).
+    """
+
+    kind: InvolutionKind
+    dim: int
+    scale: float
+    residuals: dict
+    signature: tuple | None = None
+    trace_gap: float | None = None
+
+    def check(self, tol: ToleranceConfig = DEFAULT_TOL) -> InvolutionCheck:
+        residuals = dict(self.residuals)
+        threshold = _identity_threshold(tol, self.dim, self.scale)
+        ok = all(r <= threshold for r in residuals.values())
+        signature = None
+        if ok and self.kind is not InvolutionKind.ANTILINEAR_CORE:
+            signature = self.signature
+            residuals["trace"] = self.trace_gap
+            ok = self.trace_gap <= max(tol.abs_tol * self.scale, 1e-6)
+        return InvolutionCheck(kind=self.kind, ok=bool(ok), residuals=residuals, signature=signature)
+
+
 @dataclass(frozen=True)
 class InvolutionOperator:
     kind: InvolutionKind
     matrix: np.ndarray
     signature: tuple | None = None
+    # set only by the constructors that verified the matrix (see the module docstring)
+    verification: VerificationRecord | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", as_square_matrix(self.matrix, "operator").copy())
@@ -79,43 +128,66 @@ def _signature_from_eigenvalues(O: np.ndarray, hermitian: bool) -> tuple:
     return (plus, O.shape[0] - plus)
 
 
+# The defining identities of each kind, as maps of (A, 1) that vanish on the family.
+_IDENTITIES = {
+    InvolutionKind.REAL_INVOLUTION: {"reality": lambda A, eye: A - A.conj(), "square": lambda A, eye: A @ A - eye},
+    InvolutionKind.HERMITIAN_INVOLUTION: {"hermiticity": lambda A, eye: A - A.conj().T,
+                                          "square": lambda A, eye: A @ A - eye},
+    InvolutionKind.ANTILINEAR_CORE: {"conjugate_product": lambda A, eye: A @ A.conj() - eye},
+}
+
+
+def _measure(A: np.ndarray, kind: InvolutionKind, tol: ToleranceConfig) -> VerificationRecord:
+    """The record of a full check of matrix A as the given kind; the signature
+    is taken only when the identities hold under tol."""
+    n = A.shape[0]
+    scale = max(1.0, frobenius(A))
+    eye = np.eye(n)
+    residuals = {name: frobenius(gap(A, eye)) for name, gap in _IDENTITIES[kind].items()}
+    threshold = _identity_threshold(tol, n, scale)
+    if kind is InvolutionKind.ANTILINEAR_CORE or not all(r <= threshold for r in residuals.values()):
+        return VerificationRecord(kind, n, scale, residuals)
+    signature = _signature_from_eigenvalues(A, kind is InvolutionKind.HERMITIAN_INVOLUTION)
+    trace_gap = float(abs(np.trace(A).real - (signature[0] - signature[1])))
+    return VerificationRecord(kind, n, scale, residuals, signature, trace_gap)
+
+
+def _recorded(op: InvolutionOperator, record: VerificationRecord) -> InvolutionOperator:
+    object.__setattr__(op, "verification", record)
+    return op
+
+
+def _exact(op: InvolutionOperator) -> InvolutionOperator:
+    """op with the record of a check its matrix passes exactly: for a
+    diagonal of +-1 or S_n, with the signature op carries, every identity
+    residual and the trace gap are 0 in floating point, and the Frobenius
+    norm is sqrt(dim)."""
+    spectrum = (None, None) if op.kind is InvolutionKind.ANTILINEAR_CORE else (op.signature, 0.0)
+    residuals = dict.fromkeys(_IDENTITIES[op.kind], 0.0)
+    return _recorded(op, VerificationRecord(op.kind, op.dim, max(1.0, math.sqrt(op.dim)), residuals, *spectrum))
+
+
 def verify_involution(O, kind: InvolutionKind, tol: ToleranceConfig = DEFAULT_TOL) -> InvolutionCheck:
     """Check exactly the defining identities of the given kind.
 
-    Failing checks are reported in the result, not raised.
+    O is a matrix or an InvolutionOperator; an operator that recorded a check
+    of this kind is judged from its record under tol's thresholds.  Failing
+    checks are reported in the result, not raised.
     """
-    A = as_square_matrix(O, "operator")
-    n = A.shape[0]
-    eye = np.eye(n)
-    scale = max(1.0, frobenius(A))
-    residuals = {}
-    if kind is InvolutionKind.REAL_INVOLUTION:
-        residuals["reality"] = frobenius(A - A.conj())
-        residuals["square"] = frobenius(A @ A - eye)
-    elif kind is InvolutionKind.HERMITIAN_INVOLUTION:
-        residuals["hermiticity"] = frobenius(A - A.conj().T)
-        residuals["square"] = frobenius(A @ A - eye)
-    elif kind is InvolutionKind.ANTILINEAR_CORE:
-        residuals["conjugate_product"] = frobenius(A @ A.conj() - eye)
-    else:  # pragma: no cover
-        raise ContractError(f"unknown involution kind {kind!r}")
-    threshold = max(tol.abs_tol * scale, 16.0 * n * np.finfo(float).eps * scale * scale)
-    ok = all(r <= threshold for r in residuals.values())
-    signature = None
-    if ok and kind is not InvolutionKind.ANTILINEAR_CORE:
-        signature = _signature_from_eigenvalues(A, kind is InvolutionKind.HERMITIAN_INVOLUTION)
-        trace_gap = abs(np.trace(A).real - (signature[0] - signature[1]))
-        residuals["trace"] = float(trace_gap)
-        ok = trace_gap <= max(tol.abs_tol * scale, 1e-6)
-    return InvolutionCheck(kind=kind, ok=bool(ok), residuals={k: float(v) for k, v in residuals.items()}, signature=signature)
+    record = O.verification if isinstance(O, InvolutionOperator) else None
+    if record is None or record.kind is not kind:
+        record = _measure(operator_matrix(O), kind, tol)
+    return record.check(tol)
 
 
 def involution_operator(matrix, kind: InvolutionKind, tol: ToleranceConfig = DEFAULT_TOL) -> InvolutionOperator:
     """Validated constructor; raises ContractError when the identities fail."""
-    check = verify_involution(matrix, kind, tol)
+    A = operator_matrix(matrix)
+    record = _measure(A, kind, tol)
+    check = record.check(tol)
     if not check.ok:
         raise ContractError(f"matrix does not satisfy the {kind.value} identities: residuals {check.residuals}")
-    return InvolutionOperator(kind=kind, matrix=np.asarray(matrix, dtype=complex), signature=check.signature)
+    return _recorded(InvolutionOperator(kind=kind, matrix=A, signature=check.signature), record)
 
 
 def make_diagonal_parity(m: int, n: int, kind: InvolutionKind = InvolutionKind.REAL_INVOLUTION) -> InvolutionOperator:
@@ -127,7 +199,7 @@ def make_diagonal_parity(m: int, n: int, kind: InvolutionKind = InvolutionKind.R
     if m < 0 or n < 0 or m + n < 1:
         raise DimensionError(f"need m, n >= 0 with m + n >= 1, got ({m}, {n})")
     diag = np.concatenate([np.ones(m), -np.ones(n)])
-    return InvolutionOperator(kind=kind, matrix=np.diag(diag).astype(complex), signature=(m, n))
+    return _exact(InvolutionOperator(kind=kind, matrix=np.diag(diag).astype(complex), signature=(m, n)))
 
 
 def make_sip(n: int, kind: InvolutionKind = InvolutionKind.HERMITIAN_INVOLUTION) -> InvolutionOperator:
@@ -136,7 +208,7 @@ def make_sip(n: int, kind: InvolutionKind = InvolutionKind.HERMITIAN_INVOLUTION)
         raise DimensionError(f"need n >= 1, got {n}")
     S = np.fliplr(np.eye(n)).astype(complex)
     plus = (n + 1) // 2
-    return InvolutionOperator(kind=kind, matrix=S, signature=(plus, n - plus))
+    return _exact(InvolutionOperator(kind=kind, matrix=S, signature=(plus, n - plus)))
 
 
 def transport(op: InvolutionOperator, T, tol: ToleranceConfig = DEFAULT_TOL) -> InvolutionOperator:
@@ -149,7 +221,7 @@ def transport(op: InvolutionOperator, T, tol: ToleranceConfig = DEFAULT_TOL) -> 
     A = as_square_matrix(T, "transformation")
     if A.shape[0] != op.dim:
         raise DimensionError(f"transformation is {A.shape[0]}x{A.shape[0]} but operator is {op.dim}x{op.dim}")
-    check = verify_involution(op.matrix, op.kind, tol)
+    check = verify_involution(op, op.kind, tol)
     if not check.ok:
         raise ContractError(f"input operator fails its own {op.kind.value} invariants: {check.residuals}")
     scale = max(1.0, frobenius(A))
@@ -163,10 +235,11 @@ def transport(op: InvolutionOperator, T, tol: ToleranceConfig = DEFAULT_TOL) -> 
         out = A @ op.matrix @ A.conj().T
     else:
         out = A @ op.matrix @ solve_or_raise(A).conj()
-    result = verify_involution(out, op.kind, tol)
+    record = _measure(out, op.kind, tol)
+    result = record.check(tol)
     if not result.ok:
         raise NumericalError(f"transported operator lost its {op.kind.value} invariants: residuals {result.residuals}")
-    return InvolutionOperator(kind=op.kind, matrix=out, signature=result.signature)
+    return _recorded(InvolutionOperator(kind=op.kind, matrix=out, signature=result.signature), record)
 
 
 @dataclass(frozen=True)

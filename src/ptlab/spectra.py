@@ -7,12 +7,16 @@ eigenvalues by roughly ||H|| * eps^(1/k) for a k-fold block, so the cluster
 and rank cutoffs carry a dimension-power floor on top of the configured
 relative tolerance.  classify_spectra does the same for a whole (K, n, n)
 stack, deciding well-separated spectra with array operations and sending
-only the rest through the cluster and staircase code.
+only the rest through the cluster and staircase code.  It returns a
+SpectrumTable, one array per verdict field, which builds a point's
+SpectrumReport only when that point is indexed; classify_spectrum is the
+first entry of the table of a stack of one.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,7 +188,52 @@ def _cluster_path(A: np.ndarray, values: np.ndarray, cluster_cut: float, reality
     return segre, ambiguous, all_real, any_real, paired, defective
 
 
-def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -> list:
+_REALITY_CLASSES = tuple(RealityClass)
+
+
+@dataclass(frozen=True, eq=False)
+class SpectrumTable(Sequence):
+    """Verdicts for a (K, n, n) stack, one column per field.
+
+    eigenvalues is the (K, n) array of sorted spectra and reality the index
+    of each point's class in RealityClass; unbroken and symmetry_holds are
+    boolean arrays, or None when no symmetry was given.  segre holds the
+    Segre dict of each point that went through the cluster path, by index;
+    real marks the eigenvalues that every other point keys as real, each
+    with Segre [1].  As a sequence, the table builds each point's
+    SpectrumReport on access.
+    """
+
+    eigenvalues: np.ndarray
+    reality: np.ndarray
+    unbroken: np.ndarray | None
+    symmetry_holds: np.ndarray | None
+    ambiguous: np.ndarray
+    segre: dict
+    real: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ambiguous)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]  # negative indices, and IndexError past either end
+        segre = self.segre.get(k)
+        if segre is None:
+            row = zip(self.eigenvalues[k].tolist(), self.real[k].tolist())
+            segre = {complex(lam.real, 0.0) if is_real else lam: [1] for lam, is_real in row}
+        return SpectrumReport(
+            eigenvalues=self.eigenvalues[k],
+            reality_class=_REALITY_CLASSES[self.reality.item(k)],
+            segre=segre,
+            unbroken=None if self.unbroken is None else self.unbroken.item(k),
+            symmetry_holds=None if self.symmetry_holds is None else self.symmetry_holds.item(k),
+            ambiguous=self.ambiguous.item(k),
+        )
+
+
+def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -> SpectrumTable:
     """classify_spectrum for every matrix of a (K, n, n) stack, in one pass.
 
     The stack is validated, its Frobenius scales and eigenvalues are computed
@@ -197,8 +246,11 @@ def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -
     the (then unique) conjugate partners.  Every other point -- near an
     exceptional point, a degenerate or defective spectrum, or a pairing cut
     wider than the gaps -- goes through the cluster and rank-staircase code
-    with the eigenvalues already computed.  Both routes give the report
-    classify_spectrum gives for that matrix alone.
+    with the eigenvalues already computed.
+
+    The verdicts come back as one SpectrumTable of columns; indexing or
+    iterating it gives, per matrix, the report classify_spectrum gives for
+    that matrix alone.
 
     symmetry, when given, is a (SymmetryKind, operator) pair; the operator is
     checked once per call and the intertwining identity once per matrix.
@@ -206,7 +258,7 @@ def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -
     return _classify_stack(as_square_matrix(stack, "H", stack=True), tol, symmetry)
 
 
-def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> list:
+def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTable:
     """classify_spectra of a stack already validated by as_square_matrix."""
     K, n = S.shape[:2]
     norms = frobenius_norms(S)
@@ -228,39 +280,24 @@ def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> list:
     # simple point each eigenvalue has at most one such partner
     partner = (conj_gap <= pair_cut[:, None, None]) & ~real[:, None, :]
     paired = (real | partner.any(axis=2)).all(axis=1)
+    all_real, any_real = real.all(axis=1), real.any(axis=1)
+    ambiguous, defective = np.zeros((2, K), dtype=bool)
 
-    holds = [None] * K
+    segre = {}
+    for k in (~simple).nonzero()[0].tolist():
+        segre[k], ambiguous[k], all_real[k], any_real[k], paired[k], defective[k] = _cluster_path(
+            S[k], values[k], float(cluster_cut[k]), float(reality_cut[k]), tol)
+    # codes in RealityClass order: conjugate pairs (paired with no real
+    # eigenvalue) or mixed, then all real (diagonalizable or defective)
+    reality = 3 - (paired > any_real)
+    np.copyto(reality, defective, where=all_real)
+
+    holds = unbroken = None
     if symmetry is not None:
         kind, operator = symmetry
-        holds = _intertwining(kind, operator, S, norms, tol)[0].tolist()
-
-    reports = []
-    rows = zip(simple.tolist(), values.tolist(), real.tolist(), paired.tolist(), holds)
-    for k, (fast, row, row_real, point_paired, point_holds) in enumerate(rows):
-        if fast:
-            segre = {}
-            for lam, is_real in zip(row, row_real):
-                segre[complex(lam.real, 0.0) if is_real else lam] = [1]
-            all_real, any_real = all(row_real), any(row_real)
-            ambiguous, defective = False, False
-        else:
-            segre, ambiguous, all_real, any_real, point_paired, defective = _cluster_path(
-                S[k], values[k], float(cluster_cut[k]), float(reality_cut[k]), tol)
-        if all_real:
-            reality = RealityClass.ALL_REAL_DEFECTIVE if defective else RealityClass.ALL_REAL_DIAGONALIZABLE
-        elif not any_real and point_paired:
-            reality = RealityClass.CONJUGATE_PAIRS
-        else:
-            reality = RealityClass.MIXED
-        reports.append(SpectrumReport(
-            eigenvalues=values[k],
-            reality_class=reality,
-            segre=segre,
-            unbroken=None if point_holds is None else point_holds and all_real,
-            symmetry_holds=point_holds,
-            ambiguous=ambiguous,
-        ))
-    return reports
+        holds = _intertwining(kind, operator, S, norms, tol)[0]
+        unbroken = holds & all_real
+    return SpectrumTable(values, reality, unbroken, holds, ambiguous, segre, real)
 
 
 def classify_spectrum(H, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -> SpectrumReport:

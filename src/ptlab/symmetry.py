@@ -50,12 +50,13 @@ def _intertwining(kind: SymmetryKind, O, A: np.ndarray, scale, tol: ToleranceCon
     A is one n x n matrix or an (..., n, n) stack and scale its Frobenius
     norm (one per matrix); holds and the gap norm then carry one entry per
     matrix.  The operator O is checked against the kind's family once,
-    whatever the size of the stack.
+    whatever the size of the stack, and from its record when it carries one
+    (see ptlab.involutions).
     """
     P = operator_matrix(O)
     if P.shape != A.shape[-2:]:
         raise DimensionError(f"operator is {P.shape} but H is {A.shape[-2:]}")
-    op_check = verify_involution(P, _REQUIRED_OPERATOR_KIND[kind], tol)
+    op_check = verify_involution(O, _REQUIRED_OPERATOR_KIND[kind], tol)
     if not op_check.ok:
         raise ContractError(
             f"{kind.value} needs a {_REQUIRED_OPERATOR_KIND[kind].value} operator; residuals {op_check.residuals}"

@@ -6,6 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from ptlab import spectra
 from ptlab.cli import build_parser, document_to_matrix, main, matrix_to_document
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -274,6 +275,19 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--family", family, "--grid", grid)
         assert code == 0
         assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("family", ["pt2", "pseudo2"])
+    def test_builds_no_spectrum_report(self, capsys, monkeypatch, family):
+        built = []
+        report = spectra.SpectrumReport
+        monkeypatch.setattr(spectra, "SpectrumReport", lambda *a, **k: built.append(1) or report(*a, **k))
+        # the five points with gamma = rho (0, 2/9, ..., 8/9) take the cluster path
+        code, out, _ = run(capsys, "sweep", "--family", family,
+                           "--grid", '{"gamma":{"start":0,"stop":2,"num":10},"rho":{"start":0,"stop":1,"num":10}}')
+        assert code == 0 and len(out.splitlines()) == 101
+        assert built == []
+        spectra.classify_spectrum(np.eye(2))
+        assert built == [1]
 
 
 class TestCount:

@@ -92,6 +92,18 @@ class TestCharpolyVariety:
         # identity has a maximally degenerate spectrum; retries must kick in
         assert count_real_charpoly_variety(3, base_point=np.eye(3)) == 15
 
+    def test_base_with_complex_charpoly_is_skipped(self, monkeypatch):
+        # Im c_1 = 1e-4 while the coefficients grow like 8^k: one absolute
+        # bound scale^N would let this base through; per coefficient it fails
+        real_base = np.diag(np.arange(1.0, 9.0)).astype(complex)
+        complex_base = real_base.copy()
+        complex_base[0, 0] += 1e-4j
+        built = _count_random_bases(monkeypatch)
+        assert count_real_charpoly_variety(8, base_point=real_base) == 120
+        assert built == []
+        assert count_real_charpoly_variety(8, base_point=complex_base) == 120
+        assert len(built) == 1
+
     def test_base_point_of_wrong_size_rejected(self):
         with pytest.raises(DimensionError):
             count_real_charpoly_variety(3, base_point=np.eye(2))

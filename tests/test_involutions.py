@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ptlab import involutions
 from ptlab.catalog2x2 import GenPt2Params, genpt2_operator
 from ptlab.errors import ContractError, DimensionError
 from ptlab.involutions import (
@@ -19,8 +20,9 @@ from ptlab.involutions import (
     transport,
     verify_involution,
 )
-from ptlab.numerics import matrix_exponential
-from ptlab.spectra import jordan_block
+from ptlab.numerics import DEFAULT_TOL, ToleranceConfig, matrix_exponential
+from ptlab.spectra import classify_spectrum, jordan_block
+from ptlab.symmetry import SymmetryKind, check_symmetry
 
 SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 
@@ -101,6 +103,97 @@ class TestVerifyInvolution:
     def test_validated_constructor_rejects(self):
         with pytest.raises(ContractError):
             involution_operator(np.array([[1.0, 1.0], [0.0, 1.0]]), InvolutionKind.REAL_INVOLUTION)
+
+
+REAL, HERMITIAN, CORE = InvolutionKind
+STRICT_TOL = ToleranceConfig(abs_tol=0.0, rel_tol=1e-15)
+SYMMETRY_OF = {REAL: SymmetryKind.PT, HERMITIAN: SymmetryKind.PSEUDO, CORE: SymmetryKind.GEN_PT}
+
+
+def _rotated_parity(theta=0.8, phi=1.1):
+    return np.array([[np.cos(theta), np.exp(-phi) * np.sin(theta)],
+                     [np.exp(phi) * np.sin(theta), -np.cos(theta)]], dtype=complex)
+
+
+RECORDED = {
+    "diagonal_parity": lambda: make_diagonal_parity(2, 1),
+    "diagonal_metric": lambda: make_diagonal_parity(1, 2, HERMITIAN),
+    "diagonal_core": lambda: make_diagonal_parity(1, 1, CORE),
+    "definite_parity": lambda: make_diagonal_parity(0, 3),
+    "sip": lambda: make_sip(3),
+    "sip_as_parity": lambda: make_sip(4, REAL),
+    "involution_operator": lambda: involution_operator(_rotated_parity(), REAL),
+    # identities off by about 1e-12: inside the default thresholds, outside the strict ones
+    "involution_operator_near": lambda: involution_operator(np.diag([1.0 + 1e-12, -1.0]), REAL),
+    "retagged": lambda: make_diagonal_parity(1, 1).retagged(HERMITIAN),
+    "retagged_core": lambda: make_sip(2).retagged(CORE),
+    "transported": lambda: transport(make_diagonal_parity(1, 1), np.array([[1.0, 0.3], [0.2, 1.1]])),
+}
+
+
+def _verdict(fn):
+    """(result fields) of fn(), or the type and message of the error it raises."""
+    try:
+        result = fn()
+    except ContractError as exc:
+        return type(exc), str(exc)
+    if hasattr(result, "operator_residuals"):
+        return result.holds, result.residual, result.operator_residuals
+    return result.ok, result.residuals, result.signature
+
+
+class TestRecordedVerification:
+    """Operators from the validating constructors carry the check they
+    passed; judged from that record they get the verdicts of a full check."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, STRICT_TOL], ids=["default", "strict"])
+    @pytest.mark.parametrize("name", RECORDED)
+    def test_same_verdicts_as_the_bare_matrix(self, name, tol):
+        op = RECORDED[name]()
+        assert op.verification is not None and op.verification.kind is op.kind
+        bare = np.array(op.matrix)
+        rng = np.random.default_rng(4)
+        H = rng.normal(size=bare.shape) + 1j * rng.normal(size=bare.shape)
+        for kind in InvolutionKind:  # the recorded kind, and the others through the full check
+            got = verify_involution(op, kind, tol)
+            want = verify_involution(bare, kind, tol)
+            assert (got.kind, got.ok, got.residuals, got.signature) == (want.kind, want.ok, want.residuals, want.signature)
+            assert _verdict(lambda: check_symmetry(SYMMETRY_OF[kind], op, H, tol)) == \
+                _verdict(lambda: check_symmetry(SYMMETRY_OF[kind], bare, H, tol))
+
+    def test_strict_tolerance_rejects_what_the_default_accepts(self):
+        op = RECORDED["involution_operator_near"]()
+        assert verify_involution(op, REAL).ok
+        strict = verify_involution(op, REAL, STRICT_TOL)
+        assert not strict.ok and strict.signature is None and "trace" not in strict.residuals
+
+    def test_accepts_an_operator_without_a_record(self):
+        op = InvolutionOperator(kind=REAL, matrix=SIGMA3)
+        assert op.verification is None
+        check = verify_involution(op, REAL)
+        assert check.ok and check.signature == (1, 1)
+        assert verify_involution(make_diagonal_parity(1, 1), REAL).ok
+
+    def test_hand_built_non_involution_is_rejected(self):
+        shear = InvolutionOperator(kind=REAL, matrix=np.array([[1.0, 1.0], [0.0, 1.0]]))
+        H = np.diag([1.0, 2.0]).astype(complex)
+        assert not verify_involution(shear, REAL).ok
+        with pytest.raises(ContractError, match="real_involution"):
+            check_symmetry(SymmetryKind.PT, shear, H)
+        with pytest.raises(ContractError, match="real_involution"):
+            classify_spectrum(H, symmetry=(SymmetryKind.PT, shear))
+
+    def test_recorded_operator_is_not_verified_again(self, monkeypatch):
+        calls = []
+        signature = involutions._signature_from_eigenvalues
+        monkeypatch.setattr(involutions, "_signature_from_eigenvalues",
+                            lambda *args: calls.append(1) or signature(*args))
+        op = make_diagonal_parity(1, 1)
+        H = np.array([[1.0, 0.5j], [0.5j, -1.0]])
+        report = classify_spectrum(H, symmetry=(SymmetryKind.PT, op))
+        assert report.symmetry_holds and calls == []
+        check_symmetry(SymmetryKind.PT, op.matrix, H)  # a bare matrix is checked in full
+        assert calls == [1]
 
 
 class TestTransport:

@@ -434,6 +434,11 @@ def _stacks(draw):
     return stack, tol, symmetry
 
 
+def _report_fields(report):
+    return (report.eigenvalues.tobytes(), report.reality_class, list(report.segre.items()),
+            report.unbroken, report.symmetry_holds, report.ambiguous)
+
+
 class TestClassifySpectra:
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
     @given(_stacks())
@@ -494,6 +499,36 @@ class TestClassifySpectra:
         bad = np.array([np.eye(2), np.full((2, 2), np.nan)])
         with pytest.raises(ContractError, match="NaN or Inf"):
             classify_spectra(bad)
+
+    def test_table_indexes_and_iterates_like_the_scalar_reports(self):
+        rng = np.random.default_rng(8)
+        symmetry = _symmetry("pt", 3)
+        stack = np.array([_stack_member(rng, 3, shape, symmetry) for shape in SHAPES if shape != "exceptional"])
+        table = classify_spectra(stack, symmetry=symmetry)
+        expected = [_report_fields(classify_spectrum(H, symmetry=symmetry)) for H in stack]
+        assert len(table) == len(stack) == 5
+        assert [_report_fields(r) for r in table] == expected
+        assert _report_fields(table[-1]) == expected[-1]
+        assert _report_fields(table[-5]) == expected[0]
+        assert _report_fields(table[-2]) == expected[3]  # a stored Segre dict, by negative index
+        assert [_report_fields(r) for r in table[1:4]] == expected[1:4]
+        for k in (5, -6):
+            with pytest.raises(IndexError):
+                table[k]
+        assert table.eigenvalues.shape == (5, 3)
+        assert table.unbroken.tolist() == [r[3] for r in expected]
+        assert table.symmetry_holds.tolist() == [r[4] for r in expected]
+        assert table.ambiguous.tolist() == [r[5] for r in expected]
+        # a Segre dict is stored only for the point that took the cluster path
+        # (this draw's Jordan matrix); the others build theirs on access
+        assert list(table.segre) == [3]
+
+    def test_table_without_symmetry_has_no_verdict_columns(self):
+        table = classify_spectra(np.array([jordan_block(1.0, 2), np.diag([1.0, 2.0])]))
+        assert table.unbroken is None and table.symmetry_holds is None
+        assert [r.unbroken for r in table] == [None, None]
+        assert [r.reality_class for r in table] == [RealityClass.ALL_REAL_DEFECTIVE,
+                                                    RealityClass.ALL_REAL_DIAGONALIZABLE]
 
     def test_only_points_near_exceptional_set_take_the_cluster_path(self, monkeypatch):
         calls = []
