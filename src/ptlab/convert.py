@@ -1,11 +1,13 @@
 """Transpose witnesses and conversions between the three symmetry pictures.
 
 Every square matrix B is similar to its transpose; an invertible A with
-A B inv(A) = transpose(B) is a transpose witness.  For a diagonalizable B
-with well-conditioned eigenvectors V of transpose(B) the witness is
-V transpose(V); otherwise witnesses are found from the nullspace of the
-linear map A -> A B - transpose(B) A, with a closed-form fallback assembled
-from a known Jordan similarity.
+A B inv(A) = transpose(B) is a transpose witness.  transpose_matrix first
+tries V transpose(V) over the eigenvectors V of transpose(B), and otherwise
+builds one on the eigenvalue clusters of transpose(B) (ptlab.intertwine)
+from a seeded combination of each cluster's small-system solutions, with a
+closed-form fallback assembled from a known Jordan similarity.  The
+conversions take the whole witness space from the SVD nullspace of the
+linear map A -> A B - transpose(B) A (witness_space).
 
 The conversions ride on the witness space:
 
@@ -43,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericalError
+from .intertwine import pair_solutions, solve_clustered
 from .involutions import InvolutionKind, make_sip, operator_matrix, verify_involution
 from .numerics import (
     DEFAULT_TOL,
@@ -114,74 +117,98 @@ def _similarity_residual(A: np.ndarray, M: np.ndarray, scale: float) -> float:
     return float(frobenius(A @ M @ np.linalg.inv(A) - M.T) / scale)
 
 
-def _eigenvector_witness(M: np.ndarray, tol: ToleranceConfig, scale: float) -> TransposeWitness | None:
-    """V transpose(V) over the unit eigenvectors V of transpose(M), normalized,
-    when it is well conditioned and certified; None otherwise."""
-    _, V = np.linalg.eig(M.T)
-    A = V @ V.T
-    norm = frobenius(A)
-    if norm == 0:
-        return None
-    A = A / norm
-    if _invertibility(A) <= 1e-3:
-        return None
-    residual = _similarity_residual(A, M, scale)
-    if residual > max(tol.abs_tol, 1e-10):
-        return None
-    return TransposeWitness(A=A, method=WitnessMethod.NULLSPACE_SEARCH, residual=residual)
+def _frame_elements(lone, clusters, lone_labels, cluster_labels):
+    """(elements, owners): the witness space of a cluster frame as a stack,
+    u u^T per lone eigenvector u and Ua Y transpose(Ua) per solution Y of a
+    cluster's small system, with the cluster of each element."""
+    elements = [lone.T[:, :, None] * lone.T[:, None, :]] + [Ua @ Y @ Ua.T for Ua, Y in clusters]
+    owners = [lone_labels] + [np.full(len(Y), a) for a, (_, Y) in zip(cluster_labels, clusters)]
+    return np.concatenate(elements), np.concatenate(owners)
 
 
 def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_SEED,
                      budget: int = DEFAULT_BUDGET, jordan_witness=None) -> TransposeWitness:
-    """Invertible A with A B inv(A) = transpose(B).
+    """Invertible A with A B inv(A) = transpose(B), normalized to unit
+    Frobenius norm.
 
     The first candidate is A = V transpose(V), V the unit eigenvectors of
     transpose(B): transpose(B) V = V D gives A B = V D transpose(V) =
-    transpose(B) A, so it lies in the witness space of every diagonalizable
-    B, and its method is reported as NULLSPACE_SEARCH.  It is returned
-    (normalized to unit Frobenius norm) when it passes the hunt's own
-    stopping rule, sigma_min / sigma_max > 1e-3, and its similarity residual
-    is within max(abs_tol, 1e-10).  Otherwise (defective or ill-conditioned
-    B) the search hunts the dense witness nullspace for a well-conditioned
-    element, as it would without the first candidate; jordan_witness =
-    (F, block_sizes), available for this package's own constructions,
-    switches on the closed-form fallback if the hunt comes up empty (which
-    would be a bug, and is raised as such otherwise).
+    transpose(B) A for every diagonalizable B.  When it misses the rule
+    below (as for a defective B), A = U Y transpose(U) on intertwine's
+    cluster frame transpose(B) = U M inv(U), over the Y with M Y =
+    Y transpose(M); clusters are apart, so Y is block diagonal.  The first
+    draw gives a lone eigenvalue the block 1 (U has unit columns) and each
+    larger cluster a seeded random combination of its small system's
+    solutions, of Frobenius norm sqrt(m) like the m x m identity.  Later
+    draws take seeded random elements of the frame's whole witness space,
+    isotropic in the Frobenius product.  Draws stop at the first A with
+    sigma_min / sigma_max > 1e-3 whose similarity residual is within
+    max(abs_tol, 1e-10); after `budget` draws the best one is returned if
+    it is above 1e-8.  A residual that misses the cut names the clusters
+    whose solutions leave the largest intertwining gaps, and the frame is
+    merged and solved again; the last frame is the full equation, one
+    cluster holding every eigenvalue.  When even that finds nothing above 1e-8,
+    jordan_witness = (F, block_sizes), available for this package's own
+    constructions, gives the closed form (which would be a bug, and is
+    raised as such otherwise).  The method is reported as NULLSPACE_SEARCH.
     """
     M = as_square_matrix(B, "B")
-    scale = max(frobenius(M), 1.0)
-    witness = _eigenvector_witness(M, tol, scale)
-    if witness is not None:
+    norm = frobenius(M)
+    scale = max(norm, 1.0)
+    cut = max(tol.abs_tol, 1e-10)
+    values, vectors = np.linalg.eig(M.T)
+    A = vectors @ vectors.T
+    A = A / frobenius(A)
+    if _invertibility(A) > 1e-3:
+        residual = _similarity_residual(A, M, scale)
+        if residual <= cut:
+            return TransposeWitness(A, WitnessMethod.NULLSPACE_SEARCH, residual)
+
+    def attempt(frame):
+        labels, _, U, single, blocks, final = frame
+        lone = U[:, single] if blocks else U
+        clusters = [(U[:, members], pair_solutions(Ma, Ma, False, tol, norm)) for members, Ma in blocks.values()]
+        rng = np.random.default_rng(seed)
+        best, best_q, space = None, 0.0, None
+        for draw in range(budget):
+            if draw == 0:  # lone eigenvalues weighted 1, each cluster a random element of norm sqrt(m)
+                A = lone @ lone.T
+                for Ua, Y in clusters:
+                    Ya = (([1, 1j] @ rng.normal(size=(2, len(Y)))) @ Y.reshape(len(Y), -1)).reshape(Y.shape[1:])
+                    A = A + np.sqrt(len(Ua.T)) / frobenius(Ya) * Ua @ Ya @ Ua.T
+            else:  # a random element of the whole space, isotropic in the Frobenius product
+                if space is None:
+                    elements, owners = _frame_elements(lone, clusters, labels[single], list(blocks))
+                    space = np.linalg.qr(elements.reshape(len(elements), -1).T)[0]
+                A = (space @ ([1, 1j] @ rng.normal(size=(2, space.shape[1])))).reshape(A.shape)
+            A = A / frobenius(A)
+            q = _invertibility(A)
+            if q <= max(best_q, 1e-8):
+                continue
+            residual = _similarity_residual(A, M, scale)
+            if residual > cut and not final:
+                if q <= 1e-3:  # inversion may explain the miss; draw again
+                    continue
+                elements, owners = _frame_elements(lone, clusters, labels[single], list(blocks))
+                gaps = frobenius_norms(elements @ M - M.T @ elements) / frobenius_norms(elements)
+                return None, set(owners[gaps >= 0.5 * gaps.max()].tolist())
+            best, best_q = TransposeWitness(A, WitnessMethod.NULLSPACE_SEARCH, residual), q
+            if best_q > 1e-3:
+                break
+        return (best, best_q), None if best_q > 1e-3 else set() if best_q > 1e-8 else set(labels.tolist())
+
+    sigma = np.linalg.svd(vectors, compute_uv=False)
+    witness, q = solve_clustered(M.T, values, vectors, sigma, norm, tol, attempt)
+    if q > 1e-8:
         return witness
-
-    basis = witness_space(M, tol)
-    rng = np.random.default_rng(seed)
-
-    k, n = len(basis), M.shape[0]
-    draws = rng.normal(size=(max(budget - k, 16), 2, k))
-    randoms = ((draws[:, 0] + 1j * draws[:, 1]) @ basis.reshape(k, n * n)).reshape(-1, n, n)
-    best, best_q = None, 0.0
-    for A in np.concatenate([basis, randoms]):
-        norm = frobenius(A)
-        if norm <= 0:
-            continue
-        q = _invertibility(A / norm)
-        if q > best_q:
-            best, best_q = A / norm, q
-        if best_q > 1e-3:
-            break
-    method = WitnessMethod.NULLSPACE_SEARCH
-    if best is None or best_q <= 1e-8:
-        if jordan_witness is not None:
-            F, sizes = jordan_witness
-            best = transpose_from_jordan(F, sizes)
-            method = WitnessMethod.JORDAN_RECIPE
-        else:
-            raise NumericalError(
-                "no invertible transpose witness found within budget; "
-                "a witness always exists, so this is a bug-level diagnostic"
-            )
-    return TransposeWitness(A=best, method=method, residual=_similarity_residual(best, M, scale))
+    if jordan_witness is None:
+        raise NumericalError(
+            "no invertible transpose witness found within budget; "
+            "a witness always exists, so this is a bug-level diagnostic"
+        )
+    F, sizes = jordan_witness
+    A = transpose_from_jordan(F, sizes)
+    return TransposeWitness(A=A, method=WitnessMethod.JORDAN_RECIPE, residual=_similarity_residual(A, M, scale))
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,224 @@
+"""Cluster-decoupled solutions of the intertwining equation X L = R X.
+
+Two equations of this shape have R built from L itself: the metric
+equation W H = adj(H) W (R = adj(L)) and the transpose witness A B =
+transpose(B) A (R = transpose(L)).  With R = U M inv(U), M block diagonal,
+X = U Z U* (U* = adj(U), resp. transpose(U)) solves X L = R X exactly when
+M Z = Z M*, because L = inv(U*) M* U*.  So the equation splits into one
+small equation M_a Z_ab = Z_ab M_b* per pair of diagonal blocks, and a pair
+has nonzero solutions only when the spectra of M_a and of M_b* meet
+(Bartels & Stewart, CACM 15, 1972; Golub & Van Loan, Matrix Computations,
+section 7.6).
+
+The blocks come from one eigendecomposition R = V diag(mu) inv(V).
+Eigenvalue mu_i gets the disc of radius tol.rank_cutoff(kappa_i ||R||_F),
+with kappa_i = ||x_i|| ||y_i|| / |y_i x_i| its condition number (x_i the
+eigenvector, y_i the matching row of inv(V)); a cluster is a connected
+component of overlapping discs.  The kappa_i are computed only when the
+discs of their common bound 1 / sigma_min(V) overlap.  A single
+eigenvalue keeps its eigenvector column; the members of a larger cluster
+get the leading columns of the complex Schur form of R reordered to put them
+first (LAPACK trsen), and M_a is the leading block of that form.
+
+solve_clustered drives a caller's attempt on this frame.  When the attempt
+reports clusters whose solutions fail its check, or the frame's columns are
+nearly dependent, those clusters are merged, with their nearest neighbour
+when only one is named, and the attempt runs again.  The last frame is one
+cluster holding all of R: the full equation in the identity frame, whose
+result is returned whatever the check says.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple
+
+import numpy as np
+from scipy.linalg.lapack import zgees, ztrsen
+
+from .errors import NumericalError
+from .numerics import ToleranceConfig, _reality_cut, hermitian_basis, nullspace_complex, rank_and_nullspace, vectorize
+
+
+def _components(adjacent: np.ndarray) -> np.ndarray:
+    """Label of each vertex of a reflexive symmetric boolean adjacency: the
+    smallest vertex of its connected component, by passing each vertex the
+    smallest label among its neighbours until none changes."""
+    labels = np.arange(adjacent.shape[0])
+    while True:
+        passed = np.where(adjacent, labels, labels.size).min(axis=1)
+        if np.array_equal(passed, labels):
+            return labels
+        labels = passed
+
+
+def eigen_clusters(values: np.ndarray, vectors: np.ndarray, sigma: np.ndarray, norm: float, tol: ToleranceConfig):
+    """(radii, labels): each eigenvalue's disc radius and its cluster, named
+    by the smallest index among the cluster's members; sigma holds the
+    singular values of vectors.  With unit eigenvectors x_i (as numpy's eig
+    returns them) and y_i the rows of inv(vectors), y_i x_i = 1 and kappa_i =
+    ||x_i|| ||y_i|| / |y_i x_i| is ||y_i||, at most ||inv(vectors)||_2 =
+    1 / sigma_min.  So every disc first gets the radius of that bound, and
+    when no two of these discs overlap every eigenvalue is alone with it;
+    only otherwise are the kappa_i computed.  Eigenvectors that do not
+    invert give infinite radii, so everything is one cluster."""
+    n = values.size
+    gaps = np.abs(values[:, None] - values)
+    bound = tol.rank_cutoff(norm) / sigma[-1] if sigma[-1] > 0 else np.inf
+    if np.count_nonzero(gaps <= 2 * bound) == n:
+        return np.full(n, bound), np.arange(n)
+    try:
+        left = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:
+        return np.full(n, np.inf), np.zeros(n, dtype=int)
+    with np.errstate(over="ignore"):  # an overflowing ||y_i|| is an infinite radius
+        radii = tol.rank_cutoff(norm) * np.sqrt(np.vecdot(left, left).real)
+    adjacent = gaps <= radii[:, None] + radii
+    return radii, np.zeros(n, dtype=int) if adjacent.all() else _components(adjacent)
+
+
+def cluster_discs(values: np.ndarray, radii: np.ndarray, labels: np.ndarray):
+    """(centres, spans): for each eigenvalue the disc of its cluster, with
+    the mean of the members as centre and the largest |mu_i - centre| + r_i
+    as radius; it holds every member's disc."""
+    n = values.size
+    centres = np.bincount(labels, values.real, n) + 1j * np.bincount(labels, values.imag, n)
+    centres /= np.maximum(np.bincount(labels, minlength=n), 1)
+    spans = np.zeros(n)
+    np.maximum.at(spans, labels, np.abs(values - centres[labels]) + radii)
+    return centres[labels], spans[labels]
+
+
+def _merged(values: np.ndarray, labels: np.ndarray, groups) -> np.ndarray:
+    """labels with the clusters of each group (and, for a group of one, its
+    nearest cluster) made one."""
+    labels = labels.copy()
+    for group in groups:
+        group = set(group)
+        if len(group) == 1:
+            inside = labels == next(iter(group))
+            gaps = np.abs(values[inside][:, None] - values[~inside][None, :])
+            group.add(labels[~inside][np.argmin(gaps) % gaps.shape[1]])
+        labels[np.isin(labels, list(group))] = min(group)
+    return labels
+
+
+class Frame(NamedTuple):
+    """One clustering of R = U M inv(U).  labels names each eigenvalue's
+    cluster and radii gives its disc radius; single marks the eigenvalues
+    alone in their cluster, whose U column is their eigenvector; blocks maps
+    each larger cluster to (members, M_a), its U columns sitting at its
+    members' indices; final marks the frame of one cluster."""
+
+    labels: np.ndarray
+    radii: np.ndarray
+    U: np.ndarray
+    single: np.ndarray
+    blocks: dict
+    final: bool
+
+
+def _schur_bases(values, vectors, labels, multi, schur):
+    """(U, blocks): the eigenvectors with each cluster in multi given the
+    leading columns and block of the Schur form reordered to the Schur
+    diagonal entries nearest its members (LAPACK trsen).  Leading columns of
+    a Schur form always span an invariant subspace.  The nearest entries
+    match the members one to one whenever the discs hold the computed copies
+    of each eigenvalue; where they do not, the copies of a defective
+    eigenvalue are split between clusters, and their nearly parallel
+    eigenvectors are dependent columns that _entangled merges."""
+    T, Q = schur
+    U, blocks = vectors.copy(), {}
+    owner = labels[np.argmin(np.abs(np.diag(T)[:, None] - values[None, :]), axis=1)]
+    for a in multi:
+        members = np.flatnonzero(labels == a)
+        ts, qs, *_ = ztrsen((owner == a).astype(np.int32), T, Q, job="N")  # complex reordering cannot fail
+        m = members.size
+        U[:, members] = qs[:, :m]
+        blocks[a] = (members, ts[:m, :m])
+    return U, blocks
+
+
+def _entangled(U: np.ndarray, s: np.ndarray, values: np.ndarray, labels: np.ndarray, norm: float,
+               tol: ToleranceConfig) -> list:
+    """Groups of clusters whose columns of U (singular values s) are nearly
+    dependent, or none when U is well conditioned, that is when
+    tol.rank_cutoff(cond(U) ||R||_F) stays within the reality cut (the gate
+    numerics._eigenvector_cuts puts on eigenvector routes).  It guards the
+    discs: should they miss the computed copies of a defective eigenvalue,
+    whose eigenvectors are nearly parallel, a metric attempt could not see
+    the elements it lacks.  The columns that weigh in the right singular
+    vectors below that cut are linked each to the one with the nearest
+    eigenvalue, and each linked group is one group."""
+    floor = tol.rank_cutoff(s[0] * norm) / _reality_cut(tol, max(norm, 1.0))
+    if s[-1] >= floor:
+        return []
+    _, s, vh = np.linalg.svd(U)
+    weight = np.linalg.norm(vh[s < floor], axis=0)
+    cols = np.flatnonzero(weight >= 0.1 * weight.max())
+    gaps = np.abs(values[cols][:, None] - values[cols][None, :]) + np.diag(np.full(cols.size, np.inf))
+    link = np.eye(cols.size, dtype=bool)
+    link[np.arange(cols.size), np.argmin(gaps, axis=1)] = True
+    part = _components(link | link.T)
+    return [set(labels[cols[part == p]].tolist()) for p in np.unique(part)]
+
+
+def solve_clustered(R, values, vectors, sigma, norm: float, tol: ToleranceConfig, attempt):
+    """Run attempt(frame) on the cluster frames of R = vectors diag(values)
+    inv(vectors) (sigma: the singular values of vectors) until it accepts
+    a frame.
+
+    attempt returns (result, verdict): None accepts the frame; an empty set
+    accepts it unless its columns of U are nearly dependent (_entangled);
+    a set of labels names the clusters whose solutions failed.  The
+    clusters of nearly dependent columns, else the named ones, are merged
+    and the attempt runs again.  The frame of one cluster is always
+    accepted.
+    """
+    radii, labels = eigen_clusters(values, vectors, sigma, norm, tol)
+    n, schur = values.size, None
+    while True:
+        counts = np.bincount(labels, minlength=n)
+        multi = np.flatnonzero(counts > 1)
+        U, blocks = vectors, {}
+        if multi.size and counts[0] == n:  # one cluster: the full equation, in the identity frame
+            U, blocks = np.eye(n, dtype=complex), {0: (np.arange(n), R)}
+        elif multi.size:
+            if schur is None:
+                T, _, _, Q, _, info = zgees(lambda z: None, R)  # the complex Schur form R = Q T adj(Q)
+                if info:  # pragma: no cover - LAPACK failure
+                    raise NumericalError(f"Schur decomposition did not converge (info {info})")
+                schur = T, Q
+            U, blocks = _schur_bases(values, vectors, labels, multi, schur)
+        frame = Frame(labels, radii, U, counts[labels] == 1, blocks, counts[0] == n)
+        result, verdict = attempt(frame)
+        if verdict is None or frame.final:
+            return result
+        s = sigma if U is vectors else np.linalg.svd(U, compute_uv=False)
+        groups = _entangled(U, s, values, labels, norm, tol) or ([verdict] if verdict else [])
+        if not groups:
+            return result
+        labels = _merged(values, labels, groups)
+
+
+def pair_solutions(Ma: np.ndarray, Mb: np.ndarray, adjoint: bool, tol: ToleranceConfig, scale: float):
+    """Complex basis, a (k, ma, mb) stack, of the Z with Ma Z = Z Mb*, where
+    Mb* is adj(Mb) or transpose(Mb); the rank cut is relative to scale.
+    In row-major coordinates vec(Ma Z) = kron(Ma, 1) vec(Z) and
+    vec(Z Mb*) = kron(1, transpose(Mb*)) vec(Z)."""
+    ma, mb = Ma.shape[0], Mb.shape[0]
+    right = Mb.conj() if adjoint else Mb
+    system = (Ma[:, None, :, None] * np.eye(mb)[None, :, None, :]
+              - np.eye(ma)[:, None, :, None] * right[None, :, None, :]).reshape(ma * mb, ma * mb)
+    return nullspace_complex(system, tol, scale=scale).T.reshape(-1, ma, mb)
+
+
+def hermitian_solutions(Ma: np.ndarray, tol: ToleranceConfig, scale: float) -> np.ndarray:
+    """Real basis, a (k, m, m) stack, of the Hermitian Z with Ma Z = Z adj(Ma):
+    the SVD nullspace of the 2m^2 x m^2 real system on the Hermitian basis,
+    with the rank cut relative to scale."""
+    m = Ma.shape[0]
+    basis = hermitian_basis(m)
+    system = vectorize(Ma @ basis - basis @ Ma.conj().T).T
+    _, coeffs = rank_and_nullspace(system, tol, scale=scale)
+    Z = (coeffs.T @ basis.reshape(m * m, -1)).reshape(-1, m, m)
+    return 0.5 * (Z + Z.conj().swapaxes(-1, -2))  # exact Hermitizing of roundoff

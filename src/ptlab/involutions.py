@@ -10,12 +10,13 @@ the anti-diagonal involutory permutation S_n, the closed-form similarity
 between S_n and a diagonal signature matrix, and coset elements of
 U(m+n) / (U(m) x U(n)) in closed form.
 
-An operator built by make_diagonal_parity, make_sip, involution_operator or
-transport records, on its .verification field, the check of its own kind
-that it passed: the residual of each defining identity, the Frobenius scale
-and, for the two involution kinds, the signature and the trace gap.  None of
-these depends on a tolerance, and the two exact constructions (diagonal
-parities and S_n) write them down rather than measure them.
+An operator built by make_diagonal_parity, make_sip, involution_operator,
+transport or symmetry.find_gen_pt_operator records, on its .verification
+field, the check of its own kind that it passed: the residual of each
+defining identity, the Frobenius scale and, for the two involution kinds,
+the signature and the trace gap.  None of these depends on a tolerance, and
+the exact constructions (diagonal parities and cores, and S_n) write them
+down rather than measure them.
 verify_involution, and through it every symmetry check, judges such an
 operator from its record: only the thresholds of the ToleranceConfig it is
 given are applied again, so the verdict and the residuals are those a full

@@ -3,7 +3,10 @@
 The Hermitian solutions W form a real linear space; when H is diagonalizable
 with an all-real spectrum the space contains positive-definite elements and H
 is self-adjoint in the weighted inner product <psi| W |phi>.  With indefinite
-W the same pairing is a finite-dimensional Krein (Pontrjagin) product.
+W the same pairing is a finite-dimensional Krein (Pontrjagin) product.  The
+space is solved cluster by cluster on the eigenvalue clusters of adj(H)
+(ptlab.intertwine), so a defective input costs the small systems of its
+clusters, not the dense 2n^2 x n^2 one.
 """
 
 from __future__ import annotations
@@ -17,16 +20,14 @@ from .numerics import (
     DEFAULT_TOL,
     MACHINE_EPS,
     ToleranceConfig,
-    _eigenvector_cuts,
     _reality_cut,
     as_square_matrix,
     frobenius,
     frobenius_norms,
-    hermitian_basis,
-    rank_and_nullspace,
     solve_or_raise,
     vectorize,
 )
+from .intertwine import cluster_discs, hermitian_solutions, pair_solutions, solve_clustered
 
 
 @dataclass(frozen=True)
@@ -84,82 +85,96 @@ def _residual_bound(tol: ToleranceConfig, scale: float, n: int) -> float:
     return max(tol.abs_tol * scale, 1e3 * n * MACHINE_EPS * scale)
 
 
-def _dense_metric_basis(A: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    """SVD nullspace of W -> W A - adj(A) W on the n^2 Hermitian basis, with
-    the rank cut relative to ||A||_F: for A = lambda 1 up to rounding the
-    system holds only rounding noise, which a cut relative to its own
-    largest singular value would read as rank."""
-    n = A.shape[0]
-    basis = hermitian_basis(n)
-    system = vectorize(basis @ A - A.conj().T @ basis).T
-    _, coeffs = rank_and_nullspace(system, tol, scale=frobenius(A))
-    W = (coeffs.T @ basis.reshape(n * n, -1)).reshape(-1, n, n)
-    return 0.5 * (W + W.conj().swapaxes(-1, -2))  # exact Hermitizing of roundoff
+def _metric_attempt(A, values, norm, tol):
+    """solve_clustered's attempt for W H = adj(H) W on the frame of adj(H) =
+    U M inv(U): W = U Z adj(U) over the Hermitian Z with M Z = Z adj(M).
 
-
-def _eigenvector_metric_basis(A, values, vectors, kappa, tol):
-    """Metric basis from adj(A) = U diag(mu) inv(U), or None when the
-    eigenvectors cannot decide it.
-
-    W = U Z adj(U) solves W A = adj(A) W exactly when Z_ij (mu_i - conj(mu_j))
-    = 0, so the Hermitian Z run over E_ii for each real mu_i and E_ij + E_ji,
-    i (E_ij - E_ji) for each pair i < j with mu_i = conj(mu_j).  A distance
-    |mu_i - conj(mu_j)| counts as a pair up to pair_cut and as none from
-    gap_cut on (numerics._eigenvector_cuts), so both routes count the same
-    dimension; anything between is left to the dense route.
+    Clusters a, b couple when the disc of a (intertwine.cluster_discs) meets
+    the conjugate of the disc of b (for two lone eigenvalues, |mu_i - conj(mu_j)| <= r_i + r_j), so
+    no exact pair mu_i = conj(mu_j) is missed.  Two lone eigenvalues take
+    the closed form: Z = E_ii for a self-paired mu_i, E_ij + E_ji and
+    i(E_ij - E_ji) for a pair i < j.  A pair with a larger cluster takes its
+    small system: the Hermitian one for a with itself, else the complex
+    Z_ab with M_a Z_ab = Z_ab adj(M_b), each giving Z_ab and i Z_ab at
+    (a, b) and their adjoints at (b, a).  The elements are made
+    Frobenius-orthonormal (one QR) and Hermitized; when one misses the
+    residual bound, the clusters of the elements that miss it are named.  The
+    frame of one cluster takes its Hermitian system alone, as the dense
+    solve of the whole equation.
     """
     n = A.shape[0]
-    norm = frobenius(A)
     scale = max(norm, 1.0)
-    cuts = _eigenvector_cuts(tol, kappa, norm)
-    if cuts is None:
-        return None
-    pair_cut, gap_cut = cuts
-    dist = np.abs(values[:, None] - values.conj()[None, :])
-    if np.any((dist > pair_cut) & (dist < gap_cut)):
-        return None
-    rows, cols = np.nonzero(np.triu(dist <= pair_cut))
-    if rows.size == 0:
-        return np.zeros((0, n, n), dtype=complex)
-    off = rows < cols
-    rows, cols = np.concatenate([rows, rows[off]]), np.concatenate([cols, cols[off]])
-    phase = np.concatenate([np.ones(off.size), np.full(np.count_nonzero(off), 1j)])
-    # X = phase u_i adj(u_j), W = X + adj(X)
-    X = phase[:, None, None] * vectors.T[rows, :, None] * vectors.T.conj()[cols, None, :]
-    W = X + X.conj().swapaxes(-1, -2)
-    q, _ = np.linalg.qr(vectorize(W).T)  # Frobenius-orthonormal, same real span
-    W = np.ascontiguousarray(q.T).view(complex).reshape(-1, n, n)
-    W = 0.5 * (W + W.conj().swapaxes(-1, -2))
-    if np.any(frobenius_norms(W @ A - A.conj().T @ W) > _residual_bound(tol, scale, n)):
-        return None
-    return W
+
+    def attempt(frame):
+        labels, radii, U, single, blocks, final = frame
+        if final and blocks:  # one cluster in the identity frame: the dense system, orthonormal already
+            return hermitian_solutions(blocks[0][1], tol, norm), set()
+        centres, spans = cluster_discs(values, radii, labels) if blocks else (values, radii)
+        near = np.abs(centres[:, None] - centres.conj()[None, :]) <= spans[:, None] + spans[None, :]
+        rows, cols = np.nonzero(near & single[:, None] & single[None, :] if blocks else near)
+        upper = rows <= cols
+        rows, cols = rows[upper], cols[upper]
+        off = rows < cols
+        rows, cols = np.concatenate([rows, rows[off]]), np.concatenate([cols, cols[off]])
+        phase = np.concatenate([np.ones(off.size), np.full(np.count_nonzero(off), 1j)])
+        pieces = [phase[:, None, None] * U.T[rows, :, None] * U.T.conj()[cols, None, :]]  # phase u_i adj(u_j)
+        owners = [(rows, cols)]
+        for a, (members, Ma) in blocks.items():
+            Ua = U[:, members]
+            for b in np.unique(labels[near[members[0]]]):
+                if b == a:  # X + adj(X) = Ua Z adj(Ua)
+                    X = 0.5 * Ua @ hermitian_solutions(Ma, tol, norm) @ Ua.conj().T
+                elif b not in blocks or b > a:  # two larger clusters meet once
+                    Z = pair_solutions(Ma, blocks[b][1] if b in blocks else values[[b], None], True, tol, norm)
+                    X = Ua @ np.concatenate([Z, 1j * Z]) @ U[:, labels == b].conj().T
+                else:
+                    continue
+                pieces.append(X)
+                owners.append((np.full(len(X), a), np.full(len(X), b)))
+        X = np.concatenate(pieces) if blocks else pieces[0]
+        W = X + X.conj().swapaxes(-1, -2)
+        if not len(W):
+            return W, set()
+        q, _ = np.linalg.qr(vectorize(W).T)  # Frobenius-orthonormal, same real span
+        Q = np.ascontiguousarray(q.T).view(complex).reshape(-1, n, n)
+        Q = 0.5 * (Q + Q.conj().swapaxes(-1, -2))
+        bound = _residual_bound(tol, scale, n)
+        if final or not np.any(frobenius_norms(Q @ A - A.conj().T @ Q) > bound):
+            return Q, set()
+        W = W / frobenius_norms(W)[:, None, None]
+        miss = frobenius_norms(W @ A - A.conj().T @ W) > bound
+        first, second = (np.concatenate(side) for side in zip(*owners))
+        return Q, set(first[miss].tolist()) | set(second[miss].tolist()) or set(labels.tolist())
+
+    return attempt
 
 
 def solve_metric_space(H, tol: ToleranceConfig = DEFAULT_TOL) -> MetricSolution:
     """All Hermitian solutions of W H = adj(H) W, with a positive one if any.
 
     The equation is real-linear on the n^2-dimensional real space of Hermitian
-    matrices.  When adj(H) = U diag(mu) inv(U) with a well-conditioned U and
-    every distance |mu_i - conj(mu_j)| is clearly a pair or clearly not one,
-    the basis is U Z adj(U) over the pairs (see _eigenvector_metric_basis):
-    one element per ordered pair mu_i = conj(mu_j), the sum of min(p, q) over
-    paired Jordan blocks of a diagonalizable H.  Defective, near-coincident
-    or ill-conditioned inputs, and any such basis that fails its residual
-    check, take the SVD nullspace of the dense 2n^2 x n^2 real system
-    instead.  Either way the basis is Frobenius-orthonormal; the two routes
-    span the same space with different elements.  The positive representative is the classic biorthogonal sum of
-    left-eigenvector dyads, which lands in the solution space exactly when
-    the spectrum is real and H is diagonalizable.
+    matrices.  It is solved on the cluster frame of adj(H) = U M inv(U)
+    (ptlab.intertwine, _metric_attempt): the basis is U Z adj(U) over the
+    Hermitian Z with M Z = Z adj(M), one closed-form element per ordered pair
+    of single eigenvalues mu_i = conj(mu_j) and the small system of each
+    pair of clusters that can couple, so its dimension is the sum of
+    min(p, q) over the Jordan blocks paired by lambda = conj(mu).  A basis
+    whose element misses the residual bound, or a frame whose columns are
+    nearly dependent, has its clusters merged and is solved again; the last
+    frame is the dense 2n^2 x n^2 system of one cluster, the only O(n^6)
+    case.  The basis is Frobenius-orthonormal.  The positive representative
+    is the classic biorthogonal sum of left-eigenvector dyads, which lands in
+    the solution space exactly when the spectrum is real and H is
+    diagonalizable.
     """
     A = as_square_matrix(H, "H")
     n = A.shape[0]
-    scale = max(frobenius(A), 1.0)
-    values, vectors = np.linalg.eig(A.conj().T)
+    norm = frobenius(A)
+    scale = max(norm, 1.0)
+    R = A.conj().T
+    values, vectors = np.linalg.eig(R)
     cond = np.linalg.svd(vectors, compute_uv=False)
-    kappa = cond[0] / cond[-1] if cond[-1] > 0 else np.inf
-    solutions = _eigenvector_metric_basis(A, values, vectors, kappa, tol)
-    if solutions is None:
-        solutions = _dense_metric_basis(A, tol)
+    solutions = solve_clustered(R, values, vectors, cond, norm, tol, _metric_attempt(A, values, norm, tol))
 
     positive, status, note = None, "absent", None
     reality = np.max(np.abs(values.imag)) if values.size else 0.0

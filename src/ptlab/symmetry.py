@@ -19,7 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, IndeterminateStructureError
-from .involutions import InvolutionKind, InvolutionOperator, operator_matrix, verify_involution
+from .involutions import (
+    InvolutionKind,
+    InvolutionOperator,
+    _exact,
+    _measure,
+    _recorded,
+    operator_matrix,
+    verify_involution,
+)
 from .numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig, as_matrix, as_square_matrix, frobenius, frobenius_norms
 
 
@@ -329,13 +337,15 @@ def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
     handled only via a small battery of exact candidates (identity and
     diagonal sign patterns, which cover this package's own Jordan
     constructions); anything beyond that raises
-    IndeterminateStructureError rather than guessing.
+    IndeterminateStructureError rather than guessing.  The core carries the
+    record of the check it passed (exact for the identity and the battery),
+    so symmetry checks with it do not verify it again.
     """
     A = as_square_matrix(H, "H")
     N = A.shape[0]
     scale = max(frobenius(A), 1.0)
     if frobenius(A - A.conj()) <= tol.abs_tol * scale:
-        return InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=np.eye(N, dtype=complex))
+        return _exact(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=np.eye(N, dtype=complex)))
 
     values, vectors = np.linalg.eig(A)
     tol_match = max(tol.rel_tol * scale, 64.0 * N * MACHINE_EPS * scale)
@@ -352,7 +362,7 @@ def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
     def _try_candidates():
         for cand in _candidate_batteries():
             if frobenius(cand @ A.conj() - A @ cand) <= tol.abs_tol * scale:
-                return InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=cand)
+                return _exact(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=cand))
         return None
 
     # Defectiveness shows up as an ill-conditioned eigenvector matrix; the
@@ -385,9 +395,10 @@ def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
         raise IndeterminateStructureError("realifying similarity is numerically singular")
     core = columns @ np.linalg.inv(columns.conj())
     intertwine = frobenius(core @ A.conj() - A @ core)
-    core_check = verify_involution(core, InvolutionKind.ANTILINEAR_CORE, tol)
+    record = _measure(core, InvolutionKind.ANTILINEAR_CORE, tol)
+    core_check = record.check(tol)
     if core_check.ok and intertwine <= max(tol.abs_tol, tol.rel_tol * scale):
-        return InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=core)
+        return _recorded(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=core), record)
     found = _try_candidates()
     if found is not None:
         return found

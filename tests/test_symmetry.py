@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from ptlab import involutions
 from ptlab.errors import ContractError
 from ptlab.involutions import InvolutionKind, InvolutionOperator, make_diagonal_parity, make_sip
+from ptlab.numerics import DEFAULT_TOL, ToleranceConfig
 from ptlab.spectra import jordan_block
 from ptlab.symmetry import (
     DiagMetricSelfAdjointParams,
@@ -274,6 +276,33 @@ class TestFindGenPtOperator:
         op = find_gen_pt_operator(H)
         assert op is not None
         assert check_symmetry(SymmetryKind.GEN_PT, op, H).holds
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, ToleranceConfig(abs_tol=0.0, rel_tol=1e-15)],
+                             ids=["default", "strict"])
+    def test_cores_carry_their_verification(self, monkeypatch, tol):
+        """The identity, a sign-battery core and a realified core come with
+        the record of their check: a later GEN_PT check measures nothing and
+        gives the verdict and residuals of a check of the bare matrix."""
+        from ptlab.spectra import build_pt_jordan
+        rng = np.random.default_rng(41)
+        base = np.array([[1.0, -2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 3.0]])
+        T = np.eye(3) + 0.3 * (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+        cases = {"identity": base, "battery": build_pt_jordan(2, 1, 0.5)[0],
+                 "realified": T @ base @ np.linalg.inv(T)}
+        measure = involutions._measure
+        for name, H in cases.items():
+            op = find_gen_pt_operator(H)
+            diagonal = np.array_equal(op.matrix, np.diag(np.diag(op.matrix)))
+            assert diagonal == (name != "realified")
+            calls = []
+            monkeypatch.setattr(involutions, "_measure", lambda *args: calls.append(1) or measure(*args))
+            recorded = check_symmetry(SymmetryKind.GEN_PT, op, H, tol)
+            assert calls == []
+            bare = check_symmetry(SymmetryKind.GEN_PT, np.array(op.matrix), H, tol)
+            assert calls == [1]
+            monkeypatch.undo()
+            assert (recorded.holds, recorded.residual, recorded.operator_residuals) == \
+                (bare.holds, bare.residual, bare.operator_residuals)
 
 
 class TestClosureProperties:
