@@ -241,155 +241,161 @@ def _real_block(params, key, shape):
 
 
 def _complex_block(params, key, shape):
-    raw = params.get(key)
-    if raw is None:
+    try:
+        arr = np.asarray(params[key], dtype=float)
+    except (KeyError, TypeError, ValueError):
         raise CliError(EXIT_PARSE, f"family needs complex array {key!r} of [re, im] pairs")
-    arr = np.asarray(raw, dtype=float)
     if arr.ndim != 3 or arr.shape[:2] != shape or arr.shape[2] != 2:
         raise CliError(EXIT_DIMENSION, f"block {key} must be {shape} of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _pt2_params(params) -> catalog2x2.Pt2Params:
-    allowed = {"e", "gamma", "rho", "delta", "u", "v", "theta", "phi"}
+def _float_params(params, cls, allowed):
+    """cls built from params, every one of them a float named in allowed."""
     unknown = set(params) - allowed
     if unknown:
         raise CliError(EXIT_PARSE, f"unknown parameters {sorted(unknown)}; expected {sorted(allowed)}")
     try:
-        return catalog2x2.Pt2Params(**{k: float(v) for k, v in params.items()})
+        return cls(**{k: float(v) for k, v in params.items()})
     except (TypeError, ValueError) as exc:
         raise CliError(EXIT_PARSE, f"bad family parameters: {exc}")
+
+
+def _fields(*schema):
+    """Reader of a family's parameters, in schema order: (name, int) and
+    (name, float) are scalars, (name, list) a nonempty list of reals, and
+    (name, float or complex, row, col) a real or complex block whose
+    dimensions are the named integers or list lengths."""
+    scalars = [(name, kind) for name, kind, *shape in schema if kind in (int, float) and not shape]
+    ints, reals = ([name for name, kind in scalars if kind is want] for want in (int, float))
+    need = " and ".join(filter(None, (ints and f"integer{'s' * (len(ints) > 1)} {', '.join(ints)}",
+                                      reals and f"real {', '.join(reals)}")))
+
+    def read(family, params):
+        try:
+            v = {name: kind(params[name]) for name, kind in scalars}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(EXIT_PARSE, f"{family} needs {need}: {exc}")
+        for name, kind, *shape in schema:
+            if kind is list:
+                try:
+                    v[name] = np.asarray(params.get(name, []), dtype=float)
+                except (TypeError, ValueError):
+                    v[name] = np.empty(0)
+                if v[name].size < 1:
+                    raise CliError(EXIT_PARSE, f"{family} needs a nonempty {name} list")
+            elif shape:
+                dims = tuple(v[d].size if isinstance(v[d], np.ndarray) else v[d] for d in shape)
+                v[name] = (_real_block if kind is float else _complex_block)(params, name, dims)
+        return v
+    return read
+
+
+def _catalog2x2(family_of):
+    """Reader of a 2x2 catalog family: its family record, and whether the
+    metric constants u, v were given."""
+    keys = {"e", "gamma", "rho", "delta", "u", "v", "theta", "phi"}
+    return lambda family, params: {"family": family_of(_float_params(params, catalog2x2.Pt2Params, keys)),
+                                   "metric": "u" in params or "v" in params}
+
+
+def _catalog_matrices(tol, v):
+    fam = v["family"]
+    if v["metric"] and fam.metric_reason is not None:
+        raise CliError(EXIT_CONSTRAINT, fam.metric_reason)
+    return {"hamiltonian": fam.hamiltonian, **({"metric": fam.metric} if v["metric"] else {})}
+
+
+def _diag_metric(tol, v):
+    p = DiagMetricSelfAdjointParams(**v)
+    return {"hamiltonian": construct_self_adjoint_from_diag_metric(p), "metric": p.metric}
+
+
+def _residual(name, X):
+    """Self-check: the Frobenius norm of X(matrices, values)."""
+    return lambda matrices, tol, v: {name: float(frobenius(X(matrices, v)))}
+
+
+def _self_adjoint(matrices, tol, v):
+    """Self-check: the self-adjointness residual of the built metric, when there is one."""
+    if "metric" not in matrices:
+        return {}
+    W, H = matrices["metric"], matrices["hamiltonian"]
+    return {"self_adjoint_residual": float(frobenius(W @ H - H.conj().T @ W))}
+
+
+def _symmetric(name, kind, operator):
+    """Self-check: the residual of kind's identity for the built hamiltonian
+    and operator(values), then _self_adjoint."""
+    def checks(matrices, tol, v):
+        residual = check_symmetry(kind, operator(v), matrices["hamiltonian"], tol).residual
+        return {name: residual, **_self_adjoint(matrices, tol, v)}
+    return checks
+
+
+_HERMITIAN = InvolutionKind.HERMITIAN_INVOLUTION
+
+# family -> (parameter reader, builder, self-checks).  The reader takes
+# (family, params) and returns a dict of values; the builder takes (tol,
+# values) and returns the named matrices; the self-checks take (matrices,
+# tol, values) and return the named residuals.
+_FAMILIES = {
+    "pt2": (_catalog2x2(catalog2x2.pt2_family), _catalog_matrices,
+            _symmetric("pt_residual", SymmetryKind.PT, lambda v: make_diagonal_parity(1, 1))),
+    "pseudo2": (_catalog2x2(catalog2x2.pseudo2_family), _catalog_matrices,
+                _symmetric("pseudo_residual", SymmetryKind.PSEUDO, lambda v: make_diagonal_parity(1, 1, _HERMITIAN))),
+    "genpt2": (lambda family, params: {"p": _float_params(params, catalog2x2.GenPt2Params,
+                                                          {"theta", "delta", "phi", "alpha"})},
+               lambda tol, v: {"core": catalog2x2.genpt2_operator(v["p"])},
+               _residual("conjugate_product_residual", lambda M, v: M["core"] @ M["core"].conj() - np.eye(2))),
+    "pt-jordan": (_fields(("m", int), ("n", int), ("lambda", float)),
+                  lambda tol, v: dict(zip(("hamiltonian", "similarity"), build_pt_jordan(v["m"], v["n"], v["lambda"]))),
+                  _symmetric("pt_residual", SymmetryKind.PT, lambda v: make_diagonal_parity(v["m"], v["n"]))),
+    "parity": (_fields(("m", int), ("n", int)),
+               lambda tol, v: {"parity": make_diagonal_parity(v["m"], v["n"]).matrix}, _self_adjoint),
+    "sip": (_fields(("n", int)), lambda tol, v: {"sip": make_sip(v["n"]).matrix}, _self_adjoint),
+    "sip-similarity": (_fields(("n", int)), lambda tol, v: dict(zip(("q", "q_inverse"), sip_similarity(v["n"]))),
+                       _residual("similarity_residual", lambda M, v: (
+                           M["q"] @ make_diagonal_parity((v["n"] + 1) // 2, v["n"] // 2).matrix @ M["q_inverse"]
+                           - make_sip(v["n"]).matrix))),
+    "grassmann": (_fields(("m", int), ("n", int), ("x", float), ("b", complex, "m", "n")),
+                  lambda tol, v: {"unitary": grassmann_coset_element(GrassmannCosetSpec(**v))},
+                  _residual("unitarity_residual",
+                            lambda M, v: M["unitary"] @ M["unitary"].conj().T - np.eye(v["m"] + v["n"]))),
+    "pt-block": (_fields(("m", int), ("n", int), ("A", float, "m", "m"), ("B", float, "m", "n"),
+                         ("C", float, "n", "m"), ("D", float, "n", "n")),
+                 lambda tol, v: {"hamiltonian": construct_pt_block(PtBlockParams(**v))},
+                 _symmetric("pt_residual", SymmetryKind.PT, lambda v: make_diagonal_parity(v["m"], v["n"]))),
+    "pseudo-block": (_fields(("m", int), ("n", int), ("A", complex, "m", "m"), ("B", complex, "m", "n"),
+                             ("D", complex, "n", "n")),
+                     lambda tol, v: {"hamiltonian": construct_pseudo_block(PseudoBlockParams(**v), tol)},
+                     _symmetric("pseudo_residual", SymmetryKind.PSEUDO,
+                                lambda v: make_diagonal_parity(v["m"], v["n"], _HERMITIAN))),
+    "rotated-hermitian": (_fields(("n", int), ("a", float, "n", "n"), ("b", float, "n", "n")),
+                          lambda tol, v: {"hamiltonian": construct_rotated_hermitian(RotatedHermitianParams(**v))},
+                          _symmetric("pseudo_residual", SymmetryKind.PSEUDO, lambda v: make_sip(v["n"]))),
+    "genpt-diag": (_fields(("phases", list), ("r", float, "phases", "phases")),
+                   lambda tol, v: {"hamiltonian": construct_gen_pt_diag(DiagPhaseGenPtParams(**v)),
+                                   "core": gen_pt_diag_operator(v["phases"])},
+                   _symmetric("genpt_residual", SymmetryKind.GEN_PT, lambda v: gen_pt_diag_operator(v["phases"]))),
+    "diag-metric": (_fields(("omegas", list), ("a", float, "omegas", "omegas"), ("b", float, "omegas", "omegas")),
+                    _diag_metric, _self_adjoint),
+}
 
 
 def cmd_construct(args) -> int:
     tol = _tolerances(args)
     params = load_params(args.params)
     family = args.family
-    matrices = {}
-    checks = {}
-
-    if family in ("pt2", "pseudo2"):
-        p = _pt2_params(params)
-        want_metric = "u" in params or "v" in params
-        if family == "pt2":
-            fam = catalog2x2.pt2_family(p)
-            parity = make_diagonal_parity(1, 1)
-            checks["pt_residual"] = check_symmetry(SymmetryKind.PT, parity, fam.hamiltonian, tol).residual
-        else:
-            fam = catalog2x2.pseudo2_family(p)
-            metric_op = make_diagonal_parity(1, 1, InvolutionKind.HERMITIAN_INVOLUTION)
-            checks["pseudo_residual"] = check_symmetry(SymmetryKind.PSEUDO, metric_op, fam.hamiltonian, tol).residual
-        matrices["hamiltonian"] = fam.hamiltonian
-        if want_metric:
-            if fam.metric_reason is not None:
-                raise CliError(EXIT_CONSTRAINT, fam.metric_reason)
-            matrices["metric"] = fam.metric
-            checks["self_adjoint_residual"] = float(
-                frobenius(fam.metric @ fam.hamiltonian - fam.hamiltonian.conj().T @ fam.metric)
-            )
-    elif family == "genpt2":
-        allowed = {"theta", "delta", "phi", "alpha"}
-        unknown = set(params) - allowed
-        if unknown:
-            raise CliError(EXIT_PARSE, f"unknown parameters {sorted(unknown)}; expected {sorted(allowed)}")
-        core = catalog2x2.genpt2_operator(catalog2x2.GenPt2Params(**{k: float(v) for k, v in params.items()}))
-        matrices["core"] = core
-        checks["conjugate_product_residual"] = float(frobenius(core @ core.conj() - np.eye(2)))
-    elif family == "pt-jordan":
-        try:
-            m, n, lam = int(params["m"]), int(params["n"]), float(params["lambda"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(EXIT_PARSE, f"pt-jordan needs integers m, n and real lambda: {exc}")
-        H, T = build_pt_jordan(m, n, lam)
-        matrices["hamiltonian"], matrices["similarity"] = H, T
-        parity = make_diagonal_parity(m, n)
-        checks["pt_residual"] = check_symmetry(SymmetryKind.PT, parity, H, tol).residual
-    elif family == "parity":
-        try:
-            m, n = int(params["m"]), int(params["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(EXIT_PARSE, f"parity needs integers m, n: {exc}")
-        matrices["parity"] = make_diagonal_parity(m, n).matrix
-    elif family == "sip":
-        try:
-            n = int(params["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(EXIT_PARSE, f"sip needs integer n: {exc}")
-        matrices["sip"] = make_sip(n).matrix
-    elif family == "sip-similarity":
-        try:
-            n = int(params["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(EXIT_PARSE, f"sip-similarity needs integer n: {exc}")
-        q, q_inv = sip_similarity(n)
-        matrices["q"], matrices["q_inverse"] = q, q_inv
-        parity = make_diagonal_parity((n + 1) // 2, n // 2)
-        checks["similarity_residual"] = float(frobenius(q @ parity.matrix @ q_inv - make_sip(n).matrix))
-    elif family == "grassmann":
-        try:
-            m, n, x = int(params["m"]), int(params["n"]), float(params["x"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(EXIT_PARSE, f"grassmann needs integers m, n and real x: {exc}")
-        b = _complex_block(params, "b", (m, n))
-        U = grassmann_coset_element(GrassmannCosetSpec(m=m, n=n, b=b, x=x))
-        matrices["unitary"] = U
-        checks["unitarity_residual"] = float(frobenius(U @ U.conj().T - np.eye(m + n)))
-    elif family == "pt-block":
-        try:
-            m, n = int(params["m"]), int(params["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(EXIT_PARSE, f"pt-block needs integers m, n: {exc}")
-        p = PtBlockParams(m=m, n=n, A=_real_block(params, "A", (m, m)), B=_real_block(params, "B", (m, n)),
-                          C=_real_block(params, "C", (n, m)), D=_real_block(params, "D", (n, n)))
-        H = construct_pt_block(p)
-        matrices["hamiltonian"] = H
-        checks["pt_residual"] = check_symmetry(SymmetryKind.PT, make_diagonal_parity(m, n), H, tol).residual
-    elif family == "pseudo-block":
-        try:
-            m, n = int(params["m"]), int(params["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(EXIT_PARSE, f"pseudo-block needs integers m, n: {exc}")
-        p = PseudoBlockParams(m=m, n=n, A=_complex_block(params, "A", (m, m)),
-                              B=_complex_block(params, "B", (m, n)), D=_complex_block(params, "D", (n, n)))
-        H = construct_pseudo_block(p, tol)
-        matrices["hamiltonian"] = H
-        op = make_diagonal_parity(m, n, InvolutionKind.HERMITIAN_INVOLUTION)
-        checks["pseudo_residual"] = check_symmetry(SymmetryKind.PSEUDO, op, H, tol).residual
-    elif family == "rotated-hermitian":
-        try:
-            n = int(params["n"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(EXIT_PARSE, f"rotated-hermitian needs integer n: {exc}")
-        p = RotatedHermitianParams(n=n, a=_real_block(params, "a", (n, n)), b=_real_block(params, "b", (n, n)))
-        H = construct_rotated_hermitian(p)
-        matrices["hamiltonian"] = H
-        S = make_sip(n)
-        checks["pseudo_residual"] = check_symmetry(SymmetryKind.PSEUDO, S, H, tol).residual
-    elif family == "genpt-diag":
-        phases = np.asarray(params.get("phases", []), dtype=float)
-        if phases.size < 1:
-            raise CliError(EXIT_PARSE, "genpt-diag needs a nonempty phases list")
-        p = DiagPhaseGenPtParams(phases=phases, r=_real_block(params, "r", (phases.size, phases.size)))
-        H = construct_gen_pt_diag(p)
-        core = gen_pt_diag_operator(phases)
-        matrices["hamiltonian"], matrices["core"] = H, core
-        checks["genpt_residual"] = check_symmetry(SymmetryKind.GEN_PT, core, H, tol).residual
-    elif family == "diag-metric":
-        omegas = np.asarray(params.get("omegas", []), dtype=float)
-        if omegas.size < 1:
-            raise CliError(EXIT_PARSE, "diag-metric needs a nonempty omegas list")
-        N = omegas.size
-        p = DiagMetricSelfAdjointParams(omegas=omegas, a=_real_block(params, "a", (N, N)), b=_real_block(params, "b", (N, N)))
-        H = construct_self_adjoint_from_diag_metric(p)
-        matrices["hamiltonian"], matrices["metric"] = H, p.metric
-        checks["self_adjoint_residual"] = float(frobenius(p.metric @ H - H.conj().T @ p.metric))
-    else:
+    if family not in _FAMILIES:
         raise CliError(EXIT_PARSE, f"unknown family {family!r}")
-
+    read, build, self_checks = _FAMILIES[family]
+    values = read(family, params)
+    matrices = build(tol, values)
     payload = {
         "family": family,
         "matrices": {name: matrix_to_document(M) for name, M in matrices.items()},
-        "self_check": checks,
+        "self_check": self_checks(matrices, tol, values),
     }
     emit(json.dumps(payload, indent=2), args.out)
     return EXIT_OK
@@ -645,10 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("construct", parents=[common], help="build a catalog or canonical-family matrix")
-    p.add_argument("--family", required=True,
-                   choices=("pt2", "pseudo2", "genpt2", "pt-jordan", "parity", "sip", "sip-similarity",
-                            "grassmann", "pt-block", "pseudo-block", "rotated-hermitian", "genpt-diag",
-                            "diag-metric"))
+    p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p.add_argument("--params", required=True, help="JSON object or @file")
     p.set_defaults(fn=cmd_construct)
 

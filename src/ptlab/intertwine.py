@@ -13,12 +13,15 @@ section 7.6).
 The blocks come from one eigendecomposition R = V diag(mu) inv(V).
 Eigenvalue mu_i gets the disc of radius tol.rank_cutoff(kappa_i ||R||_F),
 with kappa_i = ||x_i|| ||y_i|| / |y_i x_i| its condition number (x_i the
-eigenvector, y_i the matching row of inv(V)); a cluster is a connected
-component of overlapping discs.  The kappa_i are computed only when the
-discs of their common bound 1 / sigma_min(V) overlap.  A single
-eigenvalue keeps its eigenvector column; the members of a larger cluster
-get the leading columns of the complex Schur form of R reordered to put them
-first (LAPACK trsen), and M_a is the leading block of that form.
+eigenvector, y_i the matching row of inv(V)), capped at half the cluster
+cut numerics._cluster_cut; a cluster is a connected component of
+overlapping discs.  The same clusters decide Jordan structure and conjugate
+pairing in ptlab.spectra and ptlab.symmetry (conjugate_pairs).  The kappa_i
+are computed only when the discs of their common bound 1 / sigma_min(V)
+overlap.  A single eigenvalue keeps its eigenvector column; the members of
+a larger cluster get the leading columns of the complex Schur form of R
+reordered to put them first (LAPACK trsen), and M_a is the leading block of
+that form.
 
 solve_clustered drives a caller's attempt on this frame.  When the attempt
 reports clusters whose solutions fail its check, or the frame's columns are
@@ -36,7 +39,7 @@ import numpy as np
 from scipy.linalg.lapack import zgees, ztrsen
 
 from .errors import NumericalError
-from .numerics import ToleranceConfig, _reality_cut, hermitian_basis, nullspace_complex, rank_and_nullspace, vectorize
+from .numerics import ToleranceConfig, _cluster_cut, _reality_cut, hermitian_basis, nullspace_complex, rank_and_nullspace, vectorize
 
 
 def _components(adjacent: np.ndarray) -> np.ndarray:
@@ -59,19 +62,26 @@ def eigen_clusters(values: np.ndarray, vectors: np.ndarray, sigma: np.ndarray, n
     ||x_i|| ||y_i|| / |y_i x_i| is ||y_i||, at most ||inv(vectors)||_2 =
     1 / sigma_min.  So every disc first gets the radius of that bound, and
     when no two of these discs overlap every eigenvalue is alone with it;
-    only otherwise are the kappa_i computed.  Eigenvectors that do not
-    invert give infinite radii, so everything is one cluster."""
+    only otherwise are the kappa_i computed.
+
+    Every radius is capped at half of numerics._cluster_cut, about the
+    smear ||R|| eps^(1/n) of an n-fold defective eigenvalue: the parallel
+    eigenvectors of an exact Jordan block overflow their kappa_i (or do not
+    invert), and the cap keeps each cluster inside a cluster of single
+    linkage at that cut."""
     n = values.size
     gaps = np.abs(values[:, None] - values)
-    bound = tol.rank_cutoff(norm) / sigma[-1] if sigma[-1] > 0 else np.inf
+    cap = 0.5 * _cluster_cut(tol, max(norm, 1.0), n)
+    bound = min(tol.rank_cutoff(norm) / sigma[-1], cap) if sigma[-1] > 0 else cap
     if np.count_nonzero(gaps <= 2 * bound) == n:
         return np.full(n, bound), np.arange(n)
     try:
         left = np.linalg.inv(vectors)
-    except np.linalg.LinAlgError:
-        return np.full(n, np.inf), np.zeros(n, dtype=int)
-    with np.errstate(over="ignore"):  # an overflowing ||y_i|| is an infinite radius
-        radii = tol.rank_cutoff(norm) * np.sqrt(np.vecdot(left, left).real)
+    except np.linalg.LinAlgError:  # eigenvectors that do not invert: every radius takes the cap
+        radii = np.full(n, cap)
+    else:
+        with np.errstate(over="ignore"):  # an overflowing ||y_i|| takes the cap
+            radii = np.fmin(cap, tol.rank_cutoff(norm) * np.sqrt(np.vecdot(left, left).real))
     adjacent = gaps <= radii[:, None] + radii
     return radii, np.zeros(n, dtype=int) if adjacent.all() else _components(adjacent)
 
@@ -81,11 +91,51 @@ def cluster_discs(values: np.ndarray, radii: np.ndarray, labels: np.ndarray):
     the mean of the members as centre and the largest |mu_i - centre| + r_i
     as radius; it holds every member's disc."""
     n = values.size
+    if np.array_equal(labels, np.arange(n)):  # every eigenvalue alone
+        return values, radii
     centres = np.bincount(labels, values.real, n) + 1j * np.bincount(labels, values.imag, n)
     centres /= np.maximum(np.bincount(labels, minlength=n), 1)
     spans = np.zeros(n)
     np.maximum.at(spans, labels, np.abs(values - centres[labels]) + radii)
     return centres[labels], spans[labels]
+
+
+def conjugate_pairs(centres: np.ndarray, spans: np.ndarray, labels: np.ndarray, reality_cut: float):
+    """(real, pairs) for the clusters named by labels, with each eigenvalue's
+    cluster disc (centres, spans) from cluster_discs: real marks the
+    eigenvalues whose cluster centre lies within reality_cut of the real
+    axis, and pairs lists the matched clusters, as (a, b) with Im centre_a >
+    0, or is None when some non-real cluster has no partner.  The clusters
+    take partners greedily, smallest member first, among the later unmatched
+    clusters of their size: a non-real a the first non-real b whose centre
+    lies within max(2 reality_cut, span_a + span_b) of conj(centre_a), and
+    a real a the first real b nearer conj(centre_a) than either centre is to
+    its own conjugate (|centre_b - conj(centre_a)| < 2 min |Im|), its mirror
+    across the axis: lambda +- i eps with eps inside the reality cut."""
+    real = np.abs(centres.imag) <= reality_cut
+    c, s, r, sizes = centres.tolist(), spans.tolist(), real.tolist(), np.bincount(labels).tolist()
+    heads = [a for a, label in enumerate(labels.tolist()) if a == label]
+    # mirrors differ in real part by less than twice the largest |Im| of a real cluster
+    axis = sorted(c[a].real for a in heads if r[a])
+    width = 2 * max((abs(c[a].imag) for a in heads if r[a]), default=0.0)
+    mirrors = any(y - x < width for x, y in zip(axis, axis[1:]))
+    pool, floor, pairs = [a for a in heads if mirrors or not r[a]], 2 * float(reality_cut), []
+
+    def partners(a, b):
+        if sizes[b] != sizes[a] or r[b] != r[a]:
+            return False
+        gap = abs(c[b] - c[a].conjugate())
+        return gap < 2 * min(abs(c[a].imag), abs(c[b].imag)) if r[a] else gap <= max(floor, s[a] + s[b])
+
+    while pool:
+        a = pool.pop(0)
+        b = next((b for b in pool if partners(a, b)), None)
+        if b is not None:
+            pool.remove(b)
+            pairs.append((a, b) if c[a].imag > 0 else (b, a))
+        elif not r[a]:
+            return real, None
+    return real, pairs
 
 
 def _merged(values: np.ndarray, labels: np.ndarray, groups) -> np.ndarray:

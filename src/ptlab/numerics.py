@@ -82,8 +82,9 @@ def _eigenvector_cuts(tol: ToleranceConfig, kappa: float, norm: float):
 
 
 def _cluster_cut(tol: ToleranceConfig, scale, n: int):
-    """Eigenvalue gap below which an n x n spectrum merges into one cluster;
-    a k-fold defective block smears its eigenvalues by about scale eps^(1/k).
+    """Twice the largest eigenvalue disc radius of intertwine.eigen_clusters
+    for an n x n matrix, and the gap unit of the stacked spectrum screen; a
+    k-fold defective block smears its eigenvalues by about scale eps^(1/k).
     scale may be an array of scales, one per matrix of a stack."""
     return max(10.0 * tol.rel_tol, 4.0 * MACHINE_EPS ** (1.0 / n)) * scale
 

@@ -1,11 +1,18 @@
 """Spectrum classification, Jordan structure, and exceptional-point scans.
 
-classify_spectrum clusters eigenvalues, decides reality per cluster, and
-extracts Segre characteristics (Jordan block sizes per eigenvalue) from the
-numerical rank staircase of powers.  Defective clusters smear computed
-eigenvalues by roughly ||H|| * eps^(1/k) for a k-fold block, so the cluster
-and rank cutoffs carry a dimension-power floor on top of the configured
-relative tolerance.  classify_spectra does the same for a whole (K, n, n)
+classify_spectrum clusters eigenvalues, decides reality and conjugate
+pairing per cluster, and extracts Segre characteristics (Jordan block sizes
+per eigenvalue) from the numerical rank staircase of powers.  The clusters
+are those of intertwine.eigen_clusters: each eigenvalue gets a disc whose
+radius is its condition number times the rank cutoff of ||H||, and a
+cluster is a connected set of overlapping discs (Golub & Van Loan, Matrix
+Computations, section 7.2.2).  A k-fold defective block smears its computed
+eigenvalues by roughly ||H|| eps^(1/k), and its nearly parallel
+eigenvectors give it discs wide enough to hold the smear; the
+dimension-power cut ||H|| eps^(1/n) is left only as the cap on the radii
+and as the gap screen that decides well-separated spectra without
+eigenvectors (at sizes n < 10, for the default tolerances; beyond them no
+spectrum can pass it).  classify_spectra does the same for a whole (K, n, n)
 stack, deciding well-separated spectra with array operations and sending
 only the rest through the cluster and staircase code.  It returns a
 SpectrumTable, one array per verdict field, which builds a point's
@@ -22,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionError
+from .intertwine import cluster_discs, conjugate_pairs, eigen_clusters
 from .involutions import operator_matrix
 from .numerics import (
     DEFAULT_TOL,
@@ -30,6 +38,7 @@ from .numerics import (
     _cluster_cut,
     _reality_cut,
     as_square_matrix,
+    eigen_decompose,
     frobenius,
     frobenius_norms,
 )
@@ -54,10 +63,11 @@ class SpectrumReport:
     ambiguous: bool = False
 
     def block_sizes(self, eigenvalue, atol=1e-8):
-        for lam, sizes in self.segre.items():
-            if abs(lam - eigenvalue) <= atol:
-                return sizes
-        raise KeyError(f"no cluster near {eigenvalue}")
+        """Segre characteristic of the cluster nearest eigenvalue, if within atol."""
+        lam = min(self.segre, key=lambda key: abs(key - eigenvalue))
+        if abs(lam - eigenvalue) > atol:
+            raise KeyError(f"no cluster near {eigenvalue}")
+        return self.segre[lam]
 
 
 def jordan_block(lam, n: int) -> np.ndarray:
@@ -65,35 +75,6 @@ def jordan_block(lam, n: int) -> np.ndarray:
     if n < 1:
         raise DimensionError(f"need n >= 1, got {n}")
     return lam * np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), 1)
-
-
-def _cluster_single_linkage(values: np.ndarray, threshold: float):
-    """Indices grouped so that chains of gaps <= threshold merge."""
-    order = np.lexsort((values.imag, values.real))
-    clusters = []
-    for idx in order:
-        placed = False
-        for cluster in clusters:
-            if any(abs(values[idx] - values[j]) <= threshold for j in cluster):
-                cluster.append(idx)
-                placed = True
-                break
-        if not placed:
-            clusters.append([idx])
-    # chained merges: repeat until stable (tiny inputs, cost irrelevant)
-    merged = True
-    while merged:
-        merged = False
-        for a in range(len(clusters)):
-            for b in range(a + 1, len(clusters)):
-                if any(abs(values[i] - values[j]) <= threshold for i in clusters[a] for j in clusters[b]):
-                    clusters[a].extend(clusters[b])
-                    del clusters[b]
-                    merged = True
-                    break
-            if merged:
-                break
-    return clusters
 
 
 def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, cluster_radius: float, tol: ToleranceConfig):
@@ -104,19 +85,18 @@ def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, cluster_rad
     about k * delta * s^(k-1).
     """
     n = A.shape[0]
-    if multiplicity == 1:
-        return [1]
     M = A - lam * np.eye(n)
-    s_norm = max(float(np.linalg.norm(M, 2)), 1.0)
+    power, sings = M, [np.linalg.svd(M, compute_uv=False)]  # the singular values of M^k, k = 1, 2, ...
+    s_norm = max(float(sings[0][0]), 1.0)
     delta = max(cluster_radius, 4.0 * MACHINE_EPS * s_norm)
     for inflate in (1.0, 8.0, 64.0):
         nullities = [0]
-        power = np.eye(n, dtype=complex)
         for k in range(1, multiplicity + 1):
-            power = power @ M
-            sing = np.linalg.svd(power, compute_uv=False)
-            cutoff = max(tol.rank_cutoff(sing[0]) if sing.size else 0.0,
-                         inflate * 8.0 * k * delta * s_norm ** (k - 1))
+            if k > len(sings):
+                power = power @ M
+                sings.append(np.linalg.svd(power, compute_uv=False))
+            sing = sings[k - 1]
+            cutoff = max(tol.rank_cutoff(sing[0]), inflate * 8.0 * k * delta * s_norm ** (k - 1))
             rank = int(np.sum(sing > cutoff))
             nullities.append(n - rank)
             if nullities[-1] >= multiplicity:
@@ -125,67 +105,56 @@ def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, cluster_rad
             continue
         nullities[-1] = multiplicity  # the staircase saturates at the cluster size
         # blocks of size >= k appear nullities[k] - nullities[k-1] times
-        at_least = [nullities[k] - nullities[k - 1] for k in range(1, len(nullities))]
-        at_least = [max(c, 0) for c in at_least]
-        sizes = []
-        for k in range(len(at_least)):
-            exact = at_least[k] - (at_least[k + 1] if k + 1 < len(at_least) else 0)
-            sizes.extend([k + 1] * max(exact, 0))
+        at_least = [max(b - a, 0) for a, b in zip(nullities, nullities[1:])] + [0]
+        sizes = [k for k in range(1, len(at_least)) for _ in range(at_least[k - 1] - at_least[k])]
         if sum(sizes) == multiplicity:
-            return sorted(sizes)
+            return sizes
     return None
 
 
-def _cluster_path(A: np.ndarray, values: np.ndarray, cluster_cut: float, reality_cut: float, tol: ToleranceConfig):
+def _cluster_path(A: np.ndarray, values: np.ndarray, vectors: np.ndarray, norm: float, reality_cut: float,
+                  tol: ToleranceConfig):
     """Clusters, their Segre characteristics and their conjugate pairing for
-    one matrix whose sorted eigenvalues and cuts are already known.
+    one matrix of Frobenius norm `norm`, sorted eigenvalues `values` with
+    eigenvectors `vectors`, and reality cut `reality_cut`.  The clusters are
+    intertwine.eigen_clusters, and two real ones that conjugate_pairs
+    mirrors across the axis are one.  A lone eigenvalue has Segre [1], a
+    larger cluster the rank staircase at its centre; real clusters with one
+    projection on the real axis join their block lists.  The point is
+    ambiguous when two cluster discs come within 10x of touching, or a
+    staircase fails.
 
     Returns (segre, ambiguous, all_real, any_real, paired, defective).
     """
-    clusters = _cluster_single_linkage(values, cluster_cut)
-    centers = [complex(np.mean(values[list(c)])) for c in clusters]
-    radii = [max((abs(values[j] - ctr) for j in cluster), default=0.0) for cluster, ctr in zip(clusters, centers)]
+    n = values.size
+    radii, labels = eigen_clusters(values, vectors, np.linalg.svd(vectors, compute_uv=False), norm, tol)
+    centres, spans = cluster_discs(values, radii, labels)
+    real, pairs = conjugate_pairs(centres, spans, labels, reality_cut)
+    heads = np.flatnonzero(labels == np.arange(n))
+    c, s = centres[heads], spans[heads]
+    near = np.abs(c[:, None] - c) < 10.0 * (s[:, None] + s)
+    np.fill_diagonal(near, False)
+    ambiguous = bool(near.any())
+    for a, b in (pair for pair in pairs or () if real[pair[0]]):  # mirrors make one real cluster
+        labels[(labels == a) | (labels == b)] = min(a, b)
+        heads = heads[heads != max(a, b)]
 
-    ambiguous = False
-    for a in range(len(centers)):
-        for b in range(a + 1, len(centers)):
-            if abs(centers[a] - centers[b]) < 10.0 * cluster_cut:
+    # a lone eigenvalue keys its Segre entry, a larger cluster the mean of its members
+    keys = np.where(real[heads], values.real[heads], values[heads]).tolist()
+    segre, defective = {}, False
+    for key, head, size in zip(keys, heads.tolist(), np.bincount(labels)[heads].tolist()):
+        sizes = [1]
+        if size > 1:
+            members = values[labels == head]
+            centre = complex(np.mean(members))
+            key = complex(centre.real, 0.0) if real[head] else centre
+            sizes = _segre_staircase(A, key, size, float(np.abs(members - centre).max()), tol)
+            if sizes is None:
                 ambiguous = True
-
-    segre = {}
-    all_real, any_real, paired = True, False, True
-    defective = False
-    leftovers = []
-    for cluster, center, radius in zip(clusters, centers, radii):
-        mult = len(cluster)
-        is_real = abs(center.imag) <= reality_cut
-        key = complex(center.real, 0.0) if is_real else center
-        if is_real:
-            any_real = True
-        else:
-            all_real = False
-            leftovers.append((center, mult))
-        sizes = _segre_staircase(A, key, mult, radius, tol)
-        if sizes is None:
-            ambiguous = True
-            sizes = [1] * mult
-        if any(s > 1 for s in sizes):
-            defective = True
-        segre[key] = sizes
-    # conjugate pairing among the non-real clusters
-    pool = list(leftovers)
-    while pool:
-        center, mult = pool.pop(0)
-        match = None
-        for i, (other, omult) in enumerate(pool):
-            if abs(other - center.conjugate()) <= max(2 * reality_cut, cluster_cut) and omult == mult:
-                match = i
-                break
-        if match is None:
-            paired = False
-            break
-        pool.pop(match)
-    return segre, ambiguous, all_real, any_real, paired, defective
+                sizes = [1] * size
+            defective |= max(sizes) > 1
+        segre[key] = sorted(segre[key] + sizes) if key in segre else sizes
+    return segre, ambiguous, bool(real.all()), bool(real.any()), pairs is not None, defective
 
 
 _REALITY_CLASSES = tuple(RealityClass)
@@ -239,14 +208,22 @@ def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -
     The stack is validated, its Frobenius scales and eigenvalues are computed
     (one stacked eigvals, each row sorted by (Re, Im)), and the reality and
     cluster cuts are taken once, as arrays.  A point whose eigenvalues are
-    all at least 10 cluster cuts apart, and whose smallest gap exceeds twice
-    the conjugate-pairing cut max(2 reality cut, cluster cut), is decided
-    right there: every eigenvalue is its own cluster with Segre [1], nothing
-    is ambiguous, and the reality class follows from the reality mask and
-    the (then unique) conjugate partners.  Every other point -- near an
-    exceptional point, a degenerate or defective spectrum, or a pairing cut
-    wider than the gaps -- goes through the cluster and rank-staircase code
-    with the eigenvalues already computed.
+    all at least 10 cluster cuts apart, whose smallest gap exceeds twice the
+    conjugate-pairing cut max(2 reality cut, cluster cut), and whose
+    non-real eigenvalues lie within two reality cuts of a conjugate or
+    beyond the pairing cut from every one, is decided right there: no disc
+    of intertwine.eigen_clusters (at most half a cluster cut wide) can then
+    reach another, so every eigenvalue is its own cluster with Segre [1],
+    nothing is ambiguous, and the reality class follows from the reality
+    mask and the (then unique) conjugate partners.  Every other point --
+    near an exceptional point, a degenerate or defective spectrum, or a
+    pairing that the disc radii decide -- takes the cluster path: its
+    eigenvalues and eigenvectors from one eig stacked over all such points,
+    eigen_clusters for the clusters, and the rank staircase for the block
+    sizes of each cluster of more than one eigenvalue.  At sizes n where no
+    n eigenvalues within the matrix norm can lie 10 cluster cuts apart (n >=
+    10 at the default tolerances) the screen is skipped and every point
+    takes the cluster path.
 
     The verdicts come back as one SpectrumTable of columns; indexing or
     iterating it gives, per matrix, the report classify_spectrum gives for
@@ -263,30 +240,47 @@ def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTa
     K, n = S.shape[:2]
     norms = frobenius_norms(S)
     scales = np.maximum(norms, 1.0)
-    # a stable complex sort is the lexicographic (Re, Im) order of lexsort
-    values = np.sort(np.linalg.eigvals(S), axis=-1, kind="stable")
-
-    cluster_cut = _cluster_cut(tol, scales, n)
     reality_cut = _reality_cut(tol, scales)
-    pair_cut = np.maximum(2 * reality_cut, cluster_cut)
-    # gap[k, i, j] = |v_j - v_i| and conj_gap[k, i, j] = |v_j - conj(v_i)|, infinite for j = i
-    dist = np.abs(values[:, None, :] - np.array((values, values.conj()))[:, :, :, None])
-    dist.reshape(-1, n * n)[:, :: n + 1] = np.inf
-    gap, conj_gap = dist
-    min_gap = gap.min(axis=(1, 2))
-    simple = (min_gap >= 10.0 * cluster_cut) & (min_gap > 2.0 * pair_cut)
-    real = np.abs(values.imag) <= reality_cut[:, None]
-    # non-real eigenvalue j within the pairing cut of conj(eigenvalue i): on a
-    # simple point each eigenvalue has at most one such partner
-    partner = (conj_gap <= pair_cut[:, None, None]) & ~real[:, None, :]
-    paired = (real | partner.any(axis=2)).all(axis=1)
+    # n eigenvalues pairwise g apart inside |z| <= ||H||_2 <= scale have
+    # g <= 2 scale / (sqrt(n) - 1) (their discs of radius g/2 are disjoint
+    # inside the disc of radius scale + g/2), so once 10 cluster cuts exceed
+    # that bound the screen decides nothing and is skipped
+    if 10.0 * _cluster_cut(tol, 1.0, n) * (n ** 0.5 - 1.0) > 2.0:
+        values, real = np.empty((K, n), dtype=complex), np.zeros((K, n), dtype=bool)
+        simple, paired = np.zeros((2, K), dtype=bool)
+    else:
+        # a stable complex sort is the lexicographic (Re, Im) order of lexsort
+        values = np.sort(np.linalg.eigvals(S), axis=-1, kind="stable")
+        cluster_cut = _cluster_cut(tol, scales, n)
+        pair_cut = np.maximum(2 * reality_cut, cluster_cut)
+        # gap[k, i, j] = |v_j - v_i| and conj_gap[k, i, j] = |v_j - conj(v_i)|, infinite for j = i
+        dist = np.abs(values[:, None, :] - np.array((values, values.conj()))[:, :, :, None])
+        dist.reshape(-1, n * n)[:, :: n + 1] = np.inf
+        gap, conj_gap = dist
+        min_gap = gap.min(axis=(1, 2))
+        real = np.abs(values.imag) <= reality_cut[:, None]
+        # eigenvalue j within two reality cuts of conj(eigenvalue i): where the
+        # gaps exceed twice the pairing cut, a conjugate distance within that cut
+        # joins two non-real eigenvalues, and each has at most one partner.  The
+        # cluster discs decide a distance between two reality cuts and the
+        # pairing cut, so such a point takes the cluster path
+        partner = conj_gap <= 2 * reality_cut[:, None, None]
+        unsure = ((conj_gap <= pair_cut[:, None, None]) > partner).any(axis=(1, 2))
+        simple = (min_gap >= 10.0 * cluster_cut) & (min_gap > 2.0 * pair_cut) & ~unsure
+        paired = (real | partner.any(axis=2)).all(axis=1)
     all_real, any_real = real.all(axis=1), real.any(axis=1)
     ambiguous, defective = np.zeros((2, K), dtype=bool)
 
-    segre = {}
-    for k in (~simple).nonzero()[0].tolist():
+    # the points left take one stacked eig; its eigenvalues, sorted as above
+    # with the columns in their order, are their values
+    segre, rest = {}, (~simple).nonzero()[0]
+    if rest.size:
+        w, vectors = np.linalg.eig(S[rest])
+    for i, k in enumerate(rest.tolist()):
+        order = np.argsort(w[i], kind="stable")
+        values[k] = w[i, order]
         segre[k], ambiguous[k], all_real[k], any_real[k], paired[k], defective[k] = _cluster_path(
-            S[k], values[k], float(cluster_cut[k]), float(reality_cut[k]), tol)
+            S[k], values[k], vectors[i][:, order], float(norms[k]), float(reality_cut[k]), tol)
     # codes in RealityClass order: conjugate pairs (paired with no real
     # eigenvalue) or mixed, then all real (diagonalizable or defective)
     reality = 3 - (paired > any_real)
@@ -312,7 +306,8 @@ def classify_spectrum(H, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -> S
 def align_pt_phases(O, H, tol: ToleranceConfig = DEFAULT_TOL):
     """Eigenvectors rephased so that P conj(v) = v for each of them.
 
-    Requires an unbroken, simple spectrum; with a broken symmetry the
+    Requires an unbroken, simple spectrum (every eigenvalue alone in its
+    intertwine.eigen_clusters cluster); with a broken symmetry the
     eigenstates stop being eigenstates of the antilinear involution and the
     call is a contract error naming the first complex eigenvalue.
     """
@@ -321,30 +316,23 @@ def align_pt_phases(O, H, tol: ToleranceConfig = DEFAULT_TOL):
     report = check_symmetry(SymmetryKind.PT, P, A, tol)
     if not report.holds:
         raise ContractError(f"H is not symmetric under the given parity (residual {report.residual:.3e})")
-    scale = max(frobenius(A), 1.0)
-    values, vectors = np.linalg.eig(A)
-    order = np.lexsort((values.imag, values.real))
-    values, vectors = values[order], vectors[:, order]
-    reality_cut = _reality_cut(tol, scale)
-    for lam in values:
-        if abs(lam.imag) > reality_cut:
-            raise ContractError(f"symmetry is broken: eigenvalue {lam} is complex")
-    gaps = np.abs(values[:, None] - values[None, :]) + np.eye(values.size)
-    if gaps.min() <= max(10.0 * tol.rel_tol * scale, 64.0 * MACHINE_EPS * scale):
+    norm = frobenius(A)
+    values, vectors = eigen_decompose(A, tol)
+    broken = values[np.abs(values.imag) > _reality_cut(tol, max(norm, 1.0))]
+    if broken.size:
+        raise ContractError(f"symmetry is broken: eigenvalue {broken[0]} is complex")
+    labels = eigen_clusters(values, vectors, np.linalg.svd(vectors, compute_uv=False), norm, tol)[1]
+    if np.any(labels != np.arange(values.size)):
         raise ContractError("phase alignment needs a simple spectrum")
-    aligned = np.empty_like(vectors)
+    # rotating each vector by the half phase of its antilinear eigenvalue makes it a fixed point
+    lam_pt = np.vecdot(vectors, P @ vectors.conj(), axis=0) / np.vecdot(vectors, vectors, axis=0)
+    aligned = np.sqrt(lam_pt) * vectors
+    residual = np.linalg.norm(P @ aligned.conj() - aligned, axis=0)
     for k in range(values.size):
-        v = vectors[:, k]
-        image = P @ v.conj()
-        lam_pt = complex(v.conj() @ image) / complex(v.conj() @ v)
-        if abs(abs(lam_pt) - 1.0) > 1e-6:
-            raise ContractError(f"eigenvector {k} is not an eigenvector of the antilinear symmetry (|lambda| = {abs(lam_pt):.6f})")
-        # rotating by the half phase makes the vector a fixed point
-        w = np.sqrt(lam_pt) * v
-        residual = np.linalg.norm(P @ w.conj() - w)
-        if residual > max(tol.abs_tol, 1e-8) * max(1.0, np.linalg.norm(w)):
-            raise ContractError(f"phase alignment failed for eigenvector {k} (residual {residual:.3e})")
-        aligned[:, k] = w
+        if abs(abs(lam_pt[k]) - 1.0) > 1e-6:
+            raise ContractError(f"eigenvector {k} is not an eigenvector of the antilinear symmetry (|lambda| = {abs(lam_pt[k]):.6f})")
+        if residual[k] > max(tol.abs_tol, 1e-8) * max(1.0, np.linalg.norm(aligned[:, k])):
+            raise ContractError(f"phase alignment failed for eigenvector {k} (residual {residual[k]:.3e})")
     return values, aligned
 
 
@@ -367,9 +355,11 @@ def jordan_chain(H, lam, tol: ToleranceConfig = DEFAULT_TOL) -> JordanChain:
     """Chain (v0, v1, ...) with (H - lam) v0 = 0 and (H - lam) v_{k+1} = v_k.
 
     Needs geometric multiplicity one and algebraic multiplicity at least two
-    at lam; a diagonalizable eigenvalue is a contract error.  Links are
-    minimum-norm least-squares solutions, so the stored chain is the
-    canonical alpha = 0 representative of JordanChain.with_alpha.
+    at lam, whose block sizes are those of the classify_spectrum cluster
+    nearest lam (within one cluster cut); a diagonalizable eigenvalue is a
+    contract error.  Links are minimum-norm least-squares solutions, so the
+    stored chain is the canonical alpha = 0 representative of
+    JordanChain.with_alpha.
     """
     A = as_square_matrix(H, "H")
     n = A.shape[0]
@@ -471,10 +461,7 @@ def degeneration_scan(u: float, gamma: float, epsilons, family: str = "pt2") -> 
     if u * gamma <= 0:
         raise ContractError("need u * gamma > 0 for a positive metric family")
 
-    omega_small = np.empty_like(eps)
-    omega_large = np.empty_like(eps)
-    norm_plus = np.empty_like(eps)
-    norm_minus = np.empty_like(eps)
+    omega_small, omega_large, norm_plus, norm_minus = np.empty((4, eps.size))
     for k, e_k in enumerate(eps):
         rho = abs(gamma) * np.sqrt(1.0 - e_k)
         params = catalog2x2.Pt2Params(e=0.0, gamma=gamma, rho=rho, delta=0.0, u=u, v=0.0)

@@ -28,7 +28,8 @@ from .involutions import (
     operator_matrix,
     verify_involution,
 )
-from .numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig, as_matrix, as_square_matrix, frobenius, frobenius_norms
+from .intertwine import cluster_discs, conjugate_pairs, eigen_clusters
+from .numerics import DEFAULT_TOL, ToleranceConfig, _reality_cut, as_matrix, as_square_matrix, frobenius, frobenius_norms
 
 
 class SymmetryKind(enum.Enum):
@@ -297,43 +298,16 @@ def construct_self_adjoint_from_diag_metric(p: DiagMetricSelfAdjointParams) -> n
     return H
 
 
-def _pair_with_conjugates(values: np.ndarray, tol_match: float):
-    """Greedy pairing of a spectrum with its conjugate; smallest index wins ties.
-
-    Returns (real_indices, pair_list) or None when some eigenvalue has no
-    conjugate partner within tol_match.
-    """
-    order = np.arange(values.size)
-    unused = list(order)
-    reals, pairs = [], []
-    while unused:
-        k = unused.pop(0)
-        lam = values[k]
-        if abs(lam.imag) <= tol_match:
-            reals.append(k)
-            continue
-        best, best_dist = None, np.inf
-        for j in unused:
-            dist = abs(values[j] - lam.conjugate())
-            if dist < best_dist - 1e-30:
-                best, best_dist = j, dist
-        if best is None or best_dist > tol_match:
-            return None
-        unused.remove(best)
-        if lam.imag > 0:
-            pairs.append((k, best))
-        else:
-            pairs.append((best, k))
-    return reals, pairs
-
-
 def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
     """Antilinear core making H generalized-PT symmetric, if one is found.
 
     H similar to a real matrix is what the symmetry demands, so the search
     builds a similarity that realifies H from an eigendecomposition, pairing
     conjugate eigenvalues into real 2x2 rotation blocks.  Returns None when
-    the spectrum is not closed under conjugation.  Defective inputs are
+    the eigenvalue clusters (intertwine.eigen_clusters) do not pair under
+    conjugation (intertwine.conjugate_pairs, the pairing classify_spectrum
+    uses); a defective real cluster is one real unit, and two real clusters
+    that mirror each other across the axis are one pair.  Defective inputs are
     handled only via a small battery of exact candidates (identity and
     diagonal sign patterns, which cover this package's own Jordan
     constructions); anything beyond that raises
@@ -343,65 +317,49 @@ def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
     """
     A = as_square_matrix(H, "H")
     N = A.shape[0]
-    scale = max(frobenius(A), 1.0)
+    norm = frobenius(A)
+    scale = max(norm, 1.0)
     if frobenius(A - A.conj()) <= tol.abs_tol * scale:
         return _exact(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=np.eye(N, dtype=complex)))
 
     values, vectors = np.linalg.eig(A)
-    tol_match = max(tol.rel_tol * scale, 64.0 * N * MACHINE_EPS * scale)
-    pairing = _pair_with_conjugates(values, tol_match)
-    if pairing is None:
-        return None
-    reals, pairs = pairing
-
-    def _candidate_batteries():
-        yield np.eye(N, dtype=complex)
-        for m in range(N + 1):
-            yield np.diag(np.concatenate([np.ones(m), -np.ones(N - m)])).astype(complex)
-
-    def _try_candidates():
-        for cand in _candidate_batteries():
-            if frobenius(cand @ A.conj() - A @ cand) <= tol.abs_tol * scale:
-                return _exact(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=cand))
+    sigma = np.linalg.svd(vectors, compute_uv=False)
+    radii, labels = eigen_clusters(values, vectors, sigma, norm, tol)
+    real, pairs = conjugate_pairs(*cluster_discs(values, radii, labels), labels, _reality_cut(tol, scale))
+    if pairs is None:
         return None
 
     # Defectiveness shows up as an ill-conditioned eigenvector matrix; the
     # eigenvector route is then meaningless and only exact candidates remain.
-    sigma = np.linalg.svd(vectors, compute_uv=False)
-    if sigma[-1] <= 1e-7 * sigma[0]:
-        found = _try_candidates()
-        if found is not None:
-            return found
-        raise IndeterminateStructureError(
-            "spectrum is conjugation-closed but H appears defective; Jordan-level realification is not certified here"
-        )
-
-    # Columns: real eigenvalues keep their eigenvector; each conjugate pair
-    # (v, w) contributes V [[1, 1], [-i, i]]^{-1}, turning diag(lam, conj lam)
-    # into the real rotation-scale block.
-    columns = np.zeros((N, N), dtype=complex)
-    pos = 0
-    for k in reals:
-        columns[:, pos] = vectors[:, k]
-        pos += 1
-    half = 0.5
-    for k_plus, k_minus in pairs:
-        v, w = vectors[:, k_plus], vectors[:, k_minus]
-        columns[:, pos] = half * (v + w)
-        columns[:, pos + 1] = half * 1j * (v - w)
-        pos += 2
-    sig = np.linalg.svd(columns, compute_uv=False)
-    if sig[-1] <= 1e-10 * sig[0]:
-        raise IndeterminateStructureError("realifying similarity is numerically singular")
-    core = columns @ np.linalg.inv(columns.conj())
-    intertwine = frobenius(core @ A.conj() - A @ core)
-    record = _measure(core, InvolutionKind.ANTILINEAR_CORE, tol)
-    core_check = record.check(tol)
-    if core_check.ok and intertwine <= max(tol.abs_tol, tol.rel_tol * scale):
-        return _recorded(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=core), record)
-    found = _try_candidates()
-    if found is not None:
-        return found
-    raise IndeterminateStructureError(
-        f"constructed operator misses its invariants (intertwining {intertwine:.3e}, core {core_check.residuals})"
-    )
+    miss = "spectrum is conjugation-closed but H appears defective; Jordan-level realification is not certified here"
+    if sigma[-1] > 1e-7 * sigma[0]:
+        # Columns: real eigenvalues keep their eigenvector; each conjugate
+        # pair (v, w), mirrored real clusters included, contributes
+        # V [[1, 1], [-i, i]]^{-1}, turning diag(lam, conj lam) into the real
+        # rotation-scale block.  Paired clusters pair their members in index order.
+        columns = vectors[:, real]
+        if pairs:
+            members = {}
+            for k, label in enumerate(labels.tolist()):
+                members.setdefault(label, []).append(k)
+            v, w = ([k for pair in pairs for k in members[pair[side]]] for side in (0, 1))
+            lone = real.copy()
+            lone[v + w] = False  # mirrored real clusters join the pairs
+            v, w = vectors[:, v], vectors[:, w]
+            columns = np.hstack([vectors[:, lone], np.stack([0.5 * (v + w), 0.5 * 1j * (v - w)], axis=2).reshape(N, -1)])
+        sig = np.linalg.svd(columns, compute_uv=False)
+        if sig[-1] <= 1e-10 * sig[0]:
+            raise IndeterminateStructureError("realifying similarity is numerically singular")
+        core = columns @ np.linalg.inv(columns.conj())
+        intertwine = frobenius(core @ A.conj() - A @ core)
+        record = _measure(core, InvolutionKind.ANTILINEAR_CORE, tol)
+        core_check = record.check(tol)
+        if core_check.ok and intertwine <= max(tol.abs_tol, tol.rel_tol * scale):
+            return _recorded(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=core), record)
+        miss = f"constructed operator misses its invariants (intertwining {intertwine:.3e}, core {core_check.residuals})"
+    # the battery: the identity, then Diag(1_m, -1_(N-m)) for m = 0..N, all checked as one stack
+    signs = np.vstack([np.ones(N), np.where(np.arange(N) < np.arange(N + 1)[:, None], 1.0, -1.0)])
+    hits = np.flatnonzero(frobenius_norms(signs[:, :, None] * A.conj() - A * signs[:, None, :]) <= tol.abs_tol * scale)
+    if hits.size:  # the first exact core D, with D conj(A) = A D
+        return _exact(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=np.diag(signs[hits[0]]).astype(complex)))
+    raise IndeterminateStructureError(miss)

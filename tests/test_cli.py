@@ -137,6 +137,15 @@ class TestConstructRoundTrips:
         code, _, _ = run(capsys, "construct", "--family", "pt2", "--params", '{"bogus":1}')
         assert code == 2
 
+    @pytest.mark.parametrize("family, params", [
+        ("genpt2", '{"theta":"q"}'),
+        ("genpt-diag", '{"phases":["a"],"r":[[1.0]]}'),
+        ("grassmann", '{"m":1,"n":1,"x":0.1,"b":[[["a",1.0]]]}'),
+    ])
+    def test_non_numeric_parameters_exit_2(self, capsys, family, params):
+        code, _, err = run(capsys, "construct", "--family", family, "--params", params)
+        assert code == 2 and err.startswith("error: ")
+
     def test_genpt2_identity(self, capsys):
         code, out, _ = run(capsys, "construct", "--family", "genpt2",
                            "--params", '{"theta":0,"delta":0,"phi":0,"alpha":0}')

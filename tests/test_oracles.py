@@ -1,0 +1,170 @@
+"""Jordan structure and conjugate pairing beyond 2x2, against independent
+oracles: sympy's exact Jordan forms of integer matrices, direct sums of
+Jordan blocks built with a known Segre characteristic, and the agreement of
+classify_spectrum with solve_metric_space and find_gen_pt_operator."""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+
+from ptlab.metric import solve_metric_space
+from ptlab.spectra import RealityClass, classify_spectrum, jordan_block
+from ptlab.symmetry import find_gen_pt_operator
+
+
+def expected_class(blocks) -> RealityClass:
+    """Reality class of a spectrum given as (eigenvalue, size) per Jordan block."""
+    real = [lam.imag == 0 for lam, _ in blocks]
+    if all(real):
+        defective = any(size > 1 for _, size in blocks)
+        return RealityClass.ALL_REAL_DEFECTIVE if defective else RealityClass.ALL_REAL_DIAGONALIZABLE
+    closed = Counter((lam, size) for lam, size in blocks if lam.imag > 0) == Counter(
+        (lam.conjugate(), size) for lam, size in blocks if lam.imag < 0)
+    return RealityClass.CONJUGATE_PAIRS if closed and not any(real) else RealityClass.MIXED
+
+
+def segre_of(blocks) -> dict:
+    segre = {}
+    for lam, size in blocks:
+        segre.setdefault(lam, []).append(size)
+    return {lam: sorted(sizes) for lam, sizes in segre.items()}
+
+
+def assert_segre(report, blocks, atol):
+    """The report's Segre dict has one key within atol of each built
+    eigenvalue, with that eigenvalue's block sizes, and no other key."""
+    want = segre_of(blocks)
+    assert len(report.segre) == len(want), report.segre
+    for lam, sizes in want.items():
+        key = min(report.segre, key=lambda k: abs(k - lam))
+        assert abs(key - lam) <= atol and sorted(report.segre[key]) == sizes, (lam, report.segre)
+
+
+def paired_segre_keys(segre, atol):
+    """Pairs (lam, mu) of Segre keys with lam within atol of conj(mu)."""
+    return [(lam, mu) for lam in segre for mu in segre if abs(lam - np.conj(mu)) <= atol]
+
+
+# ---------------------------------------------------------------- sympy
+
+def _integer_jordan(rng):
+    """(J, blocks): an integer matrix of at most 8 rows in real Jordan form,
+    with Jordan blocks at distinct integers (sometimes two blocks at one) and
+    at most one rotation block a +- 2i."""
+    eigenvalues = rng.permutation(np.arange(-3, 4))
+    blocks, pieces = [], []
+    if rng.random() < 0.5:
+        a = int(eigenvalues[0])
+        pieces.append(np.array([[a, 2], [-2, a]]))
+        blocks += [(complex(a, 2), 1), (complex(a, -2), 1)]
+    for lam in eigenvalues[1:].tolist():
+        size = int(rng.integers(1, 4))
+        if sum(len(p) for p in pieces) + size > 8:
+            break
+        pieces.append(jordan_block(lam, size).real.astype(int))
+        blocks.append((complex(lam), size))
+        if rng.random() < 0.3 and sum(len(p) for p in pieces) < 8:
+            pieces.append(np.array([[lam]]))
+            blocks.append((complex(lam), 1))
+    n = sum(len(p) for p in pieces)
+    J, pos = np.zeros((n, n), dtype=int), 0
+    for piece in pieces:
+        J[pos:pos + len(piece), pos:pos + len(piece)] = piece
+        pos += len(piece)
+    return J, blocks
+
+
+def _sympy_segre(H) -> dict:
+    """Segre characteristic of the exact Jordan form sympy finds for H."""
+    _, J = sympy.Matrix(H.tolist()).jordan_form()
+    n, start, segre = J.shape[0], 0, {}
+    for k in range(n):
+        if k == n - 1 or J[k, k + 1] == 0:
+            lam = complex(sympy.N(J[k, k]))
+            segre.setdefault(lam, []).append(k + 1 - start)
+            start = k + 1
+    return {lam: sorted(sizes) for lam, sizes in segre.items()}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_segre_matches_sympy_jordan_form_of_unimodular_conjugates(seed):
+    rng = np.random.default_rng(seed)
+    J, blocks = _integer_jordan(rng)
+    n = len(J)
+    # unit triangular factors with entries in {-1, 0, 1}: U and inv(U) are integer
+    U = (np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n, dtype=int)) @ (
+        np.triu(rng.integers(-1, 2, (n, n)), 1) + np.eye(n, dtype=int))
+    U_inv = np.array(sympy.Matrix(U.tolist()).inv().tolist(), dtype=int)
+    H = U @ J @ U_inv
+    exact = _sympy_segre(H)
+    assert exact == segre_of(blocks)  # the oracle sees the structure that was built
+    report = classify_spectrum(H.astype(complex))
+    assert_segre(report, [(lam, size) for lam, sizes in exact.items() for size in sizes], 1e-6)
+    assert report.reality_class is expected_class(blocks)
+    assert not report.ambiguous
+
+
+# ---------------------------------------------------------------- direct sums
+
+# eigenvalues on a grid 1 apart; a non-real point comes as itself, as its
+# conjugate, or as both with the same blocks
+_POINTS = [complex(re, im) for re in range(-2, 3) for im in range(3)]
+
+
+@st.composite
+def direct_sums(draw):
+    """(H, blocks): H = V J inv(V), J a direct sum of Jordan blocks (one
+    per eigenvalue, of sizes 1-3) at most 24 rows wide, V a complex frame of
+    condition number at most 10, and blocks the (eigenvalue, size) list."""
+    points = draw(st.lists(st.sampled_from(_POINTS), min_size=1, max_size=12, unique=True))
+    blocks = []
+    for lam in points:
+        size = draw(st.integers(1, 3))
+        side = draw(st.sampled_from(["upper", "lower", "both"])) if lam.imag else "upper"
+        new = [(mu, size) for mu in {"upper": [lam], "lower": [lam.conjugate()], "both": [lam, lam.conjugate()]}[side]]
+        if len(blocks) and sum(size for _, size in blocks + new) > 24:
+            break
+        blocks += new
+    n = sum(size for _, size in blocks)
+    J, pos = np.zeros((n, n), dtype=complex), 0
+    for lam, size in blocks:
+        J[pos:pos + size, pos:pos + size] = jordan_block(lam, size)
+        pos += size
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    right, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    V = left @ np.diag(np.concatenate([[1.0, 10.0], rng.uniform(1.0, 10.0, n)])[:n]) @ right
+    return V @ J @ np.linalg.inv(V), blocks
+
+
+_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+
+
+@_SETTINGS
+@given(direct_sums())
+def test_segre_and_reality_class_of_direct_sums(case):
+    H, blocks = case
+    report = classify_spectrum(H)
+    assert_segre(report, blocks, 1e-6 * max(1.0, np.linalg.norm(H)))
+    assert report.reality_class is expected_class(blocks)
+
+
+@_SETTINGS
+@given(direct_sums())
+def test_metric_dimension_and_gen_pt_core_agree_with_the_segre_table(case):
+    """The metric space has dimension sum of min(p, q) over the blocks p at
+    lambda and q at mu of every pair of Segre keys with lambda = conj(mu);
+    on a simple spectrum a gen-PT core is found exactly when every Segre key
+    has a conjugate key."""
+    H, blocks = case
+    segre = classify_spectrum(H).segre
+    atol = 1e-6 * max(1.0, np.linalg.norm(H))
+    pairs = paired_segre_keys(segre, atol)
+    expected = sum(min(p, q) for lam, mu in pairs for p in segre[lam] for q in segre[mu])
+    assert solve_metric_space(H).dimension == expected
+    if all(sizes == [1] for sizes in segre.values()):
+        closed = {lam for lam, _ in pairs} == set(segre)
+        assert (find_gen_pt_operator(H) is not None) == closed

@@ -15,11 +15,11 @@ from ptlab.catalog2x2 import (
     pt2_jordan_chain,
 )
 from ptlab.errors import ContractError, DimensionError
+from ptlab.intertwine import eigen_clusters
 from ptlab.involutions import InvolutionKind, InvolutionOperator, make_diagonal_parity
 from ptlab.numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig, frobenius_norms
 from ptlab.spectra import (
     RealityClass,
-    _cluster_single_linkage,
     _segre_staircase,
     align_pt_phases,
     build_pt_jordan,
@@ -35,7 +35,34 @@ SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 PT_SYM = (SymmetryKind.PT, make_diagonal_parity(1, 1))
 
 
+def defective_n16(seed=0):
+    """J_2(1) + diag(3, ..., 16) in a frame of condition number 3."""
+    rng = np.random.default_rng(seed)
+    J = np.zeros((16, 16), dtype=complex)
+    J[:2, :2] = jordan_block(1.0, 2)
+    J[2:, 2:] = np.diag(np.arange(3.0, 17.0))
+    left, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+    right, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+    V = left @ np.diag(np.linspace(1.0, 3.0, 16)) @ right
+    return V @ J @ np.linalg.inv(V)
+
+
 class TestClassifySpectrum:
+    def test_separated_eigenvalues_stay_apart_beyond_n8(self):
+        # a cut of 4 eps^(1/n) ||H||_F once merged each of these spectra into one cluster
+        report = classify_spectrum(np.diag(np.arange(1.0, 11.0)))
+        assert report.segre == {complex(k): [1] for k in range(1, 11)}
+        assert report.reality_class is RealityClass.ALL_REAL_DIAGONALIZABLE and not report.ambiguous
+        M = np.random.default_rng(12).normal(size=(12, 12))
+        report = classify_spectrum(M + M.T)
+        assert list(report.segre.values()) == [[1]] * 12 and not report.ambiguous
+
+    def test_defective_eigenvalue_at_n16(self):
+        report = classify_spectrum(defective_n16())
+        assert report.block_sizes(1.0) == [2]
+        assert sorted(report.segre.values()) == [[1]] * 14 + [[2]]
+        assert report.reality_class is RealityClass.ALL_REAL_DEFECTIVE and not report.ambiguous
+
     def test_unbroken_catalog_point(self):
         H = pt2_family(Pt2Params(e=0.0, gamma=2.0, rho=1.0, delta=1.1)).hamiltonian
         report = classify_spectrum(H, symmetry=PT_SYM)
@@ -74,6 +101,19 @@ class TestClassifySpectrum:
         H = np.diag([1.0, 2j, -2j]).astype(complex)
         report = classify_spectrum(H)
         assert report.reality_class is RealityClass.MIXED
+
+    @pytest.mark.parametrize("H, segre", [
+        # 1 +- 1e-8 i: two lone clusters, both real, mirrored across the axis
+        ([[1.0, 1e-8], [-1e-8, 1.0]], {1.0: [1, 1]}),
+        (np.diag([1 + 1e-8j, 1 - 1e-8j, 5.0]), {1.0: [1, 1], 5.0: [1]}),
+        # two real eigenvalues on one side of the axis, with one projection
+        (np.diag([1 + 1e-9j, 1 + 3e-8j]), {1.0: [1, 1]}),
+    ])
+    def test_real_clusters_with_one_projection_keep_every_block(self, H, segre):
+        report = classify_spectrum(np.asarray(H, dtype=complex))
+        assert report.reality_class is RealityClass.ALL_REAL_DIAGONALIZABLE
+        assert {round(key.real, 12): sizes for key, sizes in report.segre.items()} == segre
+        assert sum(map(sum, report.segre.values())) == len(H)
 
     def test_unpaired_complex_is_mixed(self):
         report = classify_spectrum(np.diag([1j, 2j]))
@@ -149,6 +189,15 @@ class TestAlignPtPhases:
         with pytest.raises(ContractError):
             align_pt_phases(SIGMA3, np.diag([1j, 0.0]))
 
+    def test_simple_spectrum_means_lone_eigenvalue_discs(self):
+        # 1e-9 apart with orthogonal eigenvectors: two discs of radius ~1e-14
+        # (a fixed 1e-8 gap cut once refused this spectrum)
+        values, _ = align_pt_phases(SIGMA3, np.diag([1.0, 1.0 + 1e-9]))
+        np.testing.assert_array_equal(values, [1.0, 1.0 + 1e-9])
+        H, _ = build_pt_jordan(1, 1, 1.0)
+        with pytest.raises(ContractError, match="simple spectrum"):
+            align_pt_phases(make_diagonal_parity(1, 1), H)
+
 
 class TestJordanChain:
     def test_plain_jordan_block(self):
@@ -197,6 +246,12 @@ class TestJordanChain:
             assert abs(abs(lam0) - 1.0) < 1e-12
             np.testing.assert_allclose(P @ v0.conj(), lam0 * v0, atol=1e-12)
             np.testing.assert_allclose(P @ v1.conj(), lam0 * v1, atol=1e-12)
+
+    def test_chain_at_n16(self):
+        H = defective_n16()
+        v0, v1 = jordan_chain(H, 1.0).vectors
+        M = H - np.eye(16)
+        assert np.linalg.norm(M @ v0) < 1e-10 and np.linalg.norm(M @ v1 - v0) < 1e-8
 
     def test_simple_eigenvalue_rejected(self):
         with pytest.raises(ContractError):
@@ -271,55 +326,75 @@ class TestDegenerationScan:
 # ---------------------------------------------------------------- stacks
 
 def reference_classify_spectrum(H, tol=DEFAULT_TOL, symmetry=None):
-    """classify_spectrum as it was before classify_spectra existed: one
-    matrix, one eigvals call, the scalar cluster and staircase code for every
-    spectrum, and the intertwining residual of one matrix.  The operator is
-    assumed valid."""
+    """classify_spectrum without the gap screen: one matrix, the sorted
+    eigenvalues and eigenvectors of one eig call for every spectrum, the
+    clusters of intertwine.eigen_clusters, the scalar staircase for each
+    cluster of more than one eigenvalue, one Segre entry per real axis
+    projection of the real clusters, a plain greedy conjugate pairing of
+    the cluster discs, and the intertwining residual of one matrix.  The
+    operator is assumed valid."""
     A = np.asarray(H, dtype=complex)
-    n = A.shape[0]
-    scale = max(float(np.linalg.norm(A)), 1.0)
-    values = np.linalg.eigvals(A)
+    norm = float(np.linalg.norm(A))
+    scale = max(norm, 1.0)
+    values, vectors = np.linalg.eig(A)
     order = np.lexsort((values.imag, values.real))
-    values = values[order]
-
-    cluster_cut = max(10.0 * tol.rel_tol * scale, 4.0 * MACHINE_EPS ** (1.0 / n) * scale)
-    clusters = _cluster_single_linkage(values, cluster_cut)
-    centers = [complex(np.mean(values[list(c)])) for c in clusters]
-    radii = [max((abs(values[j] - ctr) for j in cluster), default=0.0) for cluster, ctr in zip(clusters, centers)]
+    values, vectors = values[order], vectors[:, order]
+    radii, labels = eigen_clusters(values, vectors, np.linalg.svd(vectors, compute_uv=False), norm, tol)
+    clusters = [np.flatnonzero(labels == a).tolist() for a in sorted(set(labels.tolist()))]
+    centers = [complex(np.mean(values[c])) for c in clusters]
+    spans = [max(abs(values[j] - ctr) + radii[j] for j in c) for c, ctr in zip(clusters, centers)]
 
     ambiguous = False
     for a in range(len(centers)):
         for b in range(a + 1, len(centers)):
-            if abs(centers[a] - centers[b]) < 10.0 * cluster_cut:
+            if abs(centers[a] - centers[b]) < 10.0 * (spans[a] + spans[b]):
                 ambiguous = True
 
     reality_cut = max(tol.abs_tol, tol.rel_tol * scale, 4.0 * np.sqrt(MACHINE_EPS) * scale)
+    # two real clusters of one size, each nearer the other's conjugate than
+    # its own, merge; greedily, smallest member first
+    taken = set()
+    for a in range(len(clusters)):
+        for b in range(a + 1, len(clusters)):
+            ca, cb = centers[a], centers[b]
+            if (a not in taken and b not in taken and max(abs(ca.imag), abs(cb.imag)) <= reality_cut
+                    and len(clusters[a]) == len(clusters[b])
+                    and abs(cb - ca.conjugate()) < 2 * min(abs(ca.imag), abs(cb.imag))):
+                taken.update((a, b))
+                clusters[a], clusters[b] = sorted(clusters[a] + clusters[b]), []
+                centers[a] = complex(np.mean(values[clusters[a]]))
+    keep = [k for k, cluster in enumerate(clusters) if cluster]
+    clusters, centers, spans = ([x[k] for k in keep] for x in (clusters, centers, spans))
     segre = {}
     all_real, any_real, paired = True, False, True
     defective = False
     leftovers = []
-    for cluster, center, radius in zip(clusters, centers, radii):
+    for cluster, center, span in zip(clusters, centers, spans):
         mult = len(cluster)
         is_real = abs(center.imag) <= reality_cut
+        if mult == 1:
+            center = complex(values[cluster[0]])
         key = complex(center.real, 0.0) if is_real else center
         if is_real:
             any_real = True
         else:
             all_real = False
-            leftovers.append((center, mult))
-        sizes = _segre_staircase(A, key, mult, radius, tol)
+            leftovers.append((center, mult, span))
+        sizes = [1]
+        if mult > 1:
+            sizes = _segre_staircase(A, key, mult, max(abs(values[j] - center) for j in cluster), tol)
         if sizes is None:
             ambiguous = True
             sizes = [1] * mult
         if any(s > 1 for s in sizes):
             defective = True
-        segre[key] = sizes
+        segre[key] = sorted(segre.get(key, []) + sizes)
     pool = list(leftovers)
     while pool:
-        center, mult = pool.pop(0)
+        center, mult, span = pool.pop(0)
         match = None
-        for i, (other, omult) in enumerate(pool):
-            if abs(other - center.conjugate()) <= max(2 * reality_cut, cluster_cut) and omult == mult:
+        for i, (other, omult, ospan) in enumerate(pool):
+            if abs(other - center.conjugate()) <= max(2 * reality_cut, span + ospan) and omult == mult:
                 match = i
                 break
         if match is None:
@@ -519,9 +594,21 @@ class TestClassifySpectra:
         assert table.unbroken.tolist() == [r[3] for r in expected]
         assert table.symmetry_holds.tolist() == [r[4] for r in expected]
         assert table.ambiguous.tolist() == [r[5] for r in expected]
-        # a Segre dict is stored only for the point that took the cluster path
-        # (this draw's Jordan matrix); the others build theirs on access
-        assert list(table.segre) == [3]
+        # a Segre dict is stored only for the points that took the cluster
+        # path (this draw's Jordan matrix, and its near-degenerate one, whose
+        # conjugate distance of 1e-6 lies between two reality cuts and the
+        # pairing cut); the others build theirs on access
+        assert list(table.segre) == [3, 4]
+
+    def test_no_screen_at_sizes_no_spectrum_can_pass(self, monkeypatch):
+        # ten eigenvalues 10 cluster cuts (40 eps^(1/10) ||H||_F) apart do not
+        # fit in the disc |z| <= ||H||_F, so no eigvals is spent on a screen
+        monkeypatch.setattr(np.linalg, "eigvals", lambda *args: pytest.fail("screened"))
+        stack = np.array([np.diag(np.arange(1.0, 11.0)), jordan_block(2.0, 10)])
+        table = classify_spectra(stack)
+        assert list(table.segre) == [0, 1]
+        assert table[0].segre == {complex(k): [1] for k in range(1, 11)}
+        assert table[1].segre == {2.0: [10]}
 
     def test_table_without_symmetry_has_no_verdict_columns(self):
         table = classify_spectra(np.array([jordan_block(1.0, 2), np.diag([1.0, 2.0])]))

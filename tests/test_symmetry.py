@@ -270,6 +270,17 @@ class TestFindGenPtOperator:
         assert op is not None
         assert check_symmetry(SymmetryKind.GEN_PT, op, H).holds
 
+    @pytest.mark.parametrize("eps", [2e-8, 5e-9])
+    def test_pair_inside_the_reality_cut_is_realified_as_a_pair(self, eps):
+        # 1 +- i eps counts as real, yet its two eigenvectors are complex:
+        # only the rotation block of the pair realifies them
+        rng = np.random.default_rng(17)
+        V = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        H = V @ np.diag([1 + 1j * eps, 1 - 1j * eps]) @ np.linalg.inv(V)
+        op = find_gen_pt_operator(H)
+        assert op is not None
+        assert check_symmetry(SymmetryKind.GEN_PT, op, H).holds
+
     def test_own_jordan_construction_is_covered(self):
         from ptlab.spectra import build_pt_jordan
         H, _ = build_pt_jordan(2, 1, 0.5)
