@@ -7,7 +7,9 @@ builds one on the eigenvalue clusters of transpose(B) (ptlab.intertwine)
 from a seeded combination of each cluster's small-system solutions, with a
 closed-form fallback assembled from a known Jordan similarity.  The
 conversions take the whole witness space from the SVD nullspace of the
-linear map A -> A B - transpose(B) A (witness_space).
+linear map A -> A B - transpose(B) A (witness_space).  They judge the
+caller's operator from its verification record when it carries one, and
+measure each Q they return or weigh once, for its verdicts and residuals.
 
 The conversions ride on the witness space:
 
@@ -22,10 +24,11 @@ For the first two, Hermiticity/reality are real-linear constraints stacked
 onto the witness coefficients.  The involution is screened over candidates
 in two passes: the deterministic head (the identity when it lies in the
 family, the family basis, a traceless slice), then, only when the head has
-no hit, the seeded random tail.  Past the head's first three rows, which
-are taken one at a time, each pass runs one stack of coefficient rows
-through every cut as array operations.  The first hit is rescaled to
-Q^2 = 1 whenever Q^2 is a positive multiple of the identity.
+no hit, the seeded random tail.  The traceless slice and the seeded tail
+are built only when the rows before them miss.  Past the head's first three
+rows, taken one at a time, each pass screens one stack of coefficient rows
+with array operations.  The first hit is rescaled to Q^2 = 1 whenever Q^2 is
+a positive multiple of the identity.
 
 For gen-PT -> pseudo the unit witnesses (A conj(A) = 1) are computed, not
 searched, when H has a simple spectrum with well-conditioned eigenvectors:
@@ -46,7 +49,7 @@ import numpy as np
 
 from .errors import ContractError, NumericalError
 from .intertwine import pair_solutions, solve_clustered
-from .involutions import InvolutionKind, make_sip, operator_matrix, verify_involution
+from .involutions import InvolutionKind, InvolutionOperator, _measure, _recorded, make_sip, operator_matrix
 from .numerics import (
     DEFAULT_TOL,
     MACHINE_EPS,
@@ -88,8 +91,9 @@ def witness_space(B, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """
     M = as_square_matrix(B, "B")
     n = M.shape[0]
-    eye = np.eye(n)
-    null = nullspace_complex(np.kron(eye, M.T) - np.kron(M.T, eye), tol, scale=frobenius(M))
+    eye, T = np.eye(n), M.T  # the products of np.kron, broadcast without its per-call set-up
+    system = eye[:, None, :, None] * T[None, :, None, :] - T[:, None, :, None] * eye[None, :, None, :]
+    null = nullspace_complex(system.reshape(n * n, n * n), tol, scale=frobenius(M))
     return null.T.reshape(-1, n, n)
 
 
@@ -237,6 +241,12 @@ def _sign_normalize_pair(Q: np.ndarray, A: np.ndarray):
     return (-Q, -A) if needs_sign_flip(Q) else (Q, A)
 
 
+def _qualifies(Q: np.ndarray, record, target_kind: SymmetryKind, M: np.ndarray, tol) -> bool:
+    """Q's family check, then the target symmetry check, both from Q's one record."""
+    ok = record.check(tol).ok
+    return ok and check_symmetry(target_kind, _recorded(InvolutionOperator(record.kind, Q), record), M, tol).holds
+
+
 class _Direction(enum.Enum):
     PT_TO_PSEUDO = "pt_to_pseudo"
     PSEUDO_TO_PT = "pseudo_to_pt"
@@ -249,6 +259,7 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
     eye = np.eye(n)
 
     if direction is _Direction.PT_TO_PSEUDO:
+        target_kind, op_kind, structure = SymmetryKind.PSEUDO, InvolutionKind.HERMITIAN_INVOLUTION, "hermiticity"
         def build_q(A):
             return A.conj() @ P
         def structure_gap(Q):
@@ -256,6 +267,7 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
         def intertwine_gap(Q):
             return Q @ M - M.conj().T @ Q
     else:
+        target_kind, op_kind, structure = SymmetryKind.PT, InvolutionKind.REAL_INVOLUTION, "reality"
         def build_q(A):
             return P.conj() @ A
         def structure_gap(Q):
@@ -278,22 +290,14 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
                                 residuals=(float("inf"), float("inf"), float("inf")),
                                 note="constrained family is empty")
 
-    rng = np.random.default_rng(seed)
     # the deterministic head: the identity when it lies in the family
     # (canonical choice), the family basis, then a traceless slice
-    head = []
+    head = np.eye(fdim)
     q_flat = vectorize(q_family.reshape(fdim, n, n)).T
     target = vectorize(np.eye(n, dtype=complex))
     z_id, *_ = np.linalg.lstsq(q_flat, target, rcond=None)
     if np.linalg.norm(q_flat @ z_id - target) <= 1e-10 * np.sqrt(n):
-        head.append(z_id[None])
-    head.append(np.eye(fdim))
-    traces = np.trace(q_family.reshape(fdim, n, n), axis1=1, axis2=2).real
-    tnull = np.zeros((fdim, 0))
-    if np.any(np.abs(traces) > 1e-14):
-        _, tnull = rank_and_nullspace(traces.reshape(1, -1), tol)
-        head.append(tnull.T)
-    head = np.concatenate(head)
+        head = np.concatenate([z_id[None], head])
     intertwine_cut = max(tol.abs_tol * scale, 1e-10 * scale)
 
     def cut_one(z):
@@ -356,10 +360,18 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
 
     # a stack costs about as much as three rows that miss one at a time, so
     # the head's first three rows (where the pt2, pseudo2 and pt_jordan
-    # conversions hit) go singly; the seeded tail, traceless combinations
-    # then any, is screened only when the head has no hit
+    # conversions hit) go singly; the traceless slice is built only when the
+    # rows before it miss, the seeded tail only when the whole head misses
     hit, saw_degenerate = first_hit(head, 3)
     if hit is None:
+        traces = np.trace(q_family.reshape(fdim, n, n), axis1=1, axis2=2).real
+        tnull = np.zeros((fdim, 0))
+        if np.any(np.abs(traces) > 1e-14):
+            _, tnull = rank_and_nullspace(traces.reshape(1, -1), tol)
+        hit, vanished = first_hit(np.concatenate([head[3:], tnull.T]), max(0, 3 - len(head)))
+        saw_degenerate |= vanished
+    if hit is None:
+        rng = np.random.default_rng(seed)
         tail = [rng.normal(size=(min(16, budget), tnull.shape[1])) @ tnull.T] if tnull.shape[1] else []
         hit, vanished = first_hit(np.concatenate(tail + [rng.normal(size=(budget, fdim))]), 0)
         saw_degenerate |= vanished
@@ -372,24 +384,15 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
                                 note="no involutory element found in the constrained family within budget")
 
     Qn, An = _sign_normalize_pair(*hit)
-
-    herm_res = frobenius(Qn - Qn.conj().T)
-    struct_res = frobenius(structure_gap(Qn))
-    inv_res = frobenius(Qn @ Qn - eye)
+    record = _measure(Qn, op_kind, tol)  # the one measurement of Qn
+    struct_res, inv_res = record.residuals[structure], record.residuals["square"]
+    herm_res = struct_res if op_kind is InvolutionKind.HERMITIAN_INVOLUTION else frobenius(Qn - Qn.conj().T)
     int_res = frobenius(intertwine_gap(Qn)) / scale
-    if direction is _Direction.PSEUDO_TO_PT:
-        target_kind = SymmetryKind.PT
-        op_kind = InvolutionKind.REAL_INVOLUTION
-    else:
-        target_kind = SymmetryKind.PSEUDO
-        op_kind = InvolutionKind.HERMITIAN_INVOLUTION
-    qualifies = verify_involution(Qn, op_kind, tol).ok
-    target_ok = bool(qualifies and check_symmetry(target_kind, Qn, M, tol).holds)
     return ConversionResult(
         Q=Qn,
         hermitian=bool(herm_res <= max(tol.abs_tol, 1e-9)),
         involutory=bool(inv_res <= max(tol.abs_tol, 1e-8)),
-        target_kind_satisfied=target_ok,
+        target_kind_satisfied=_qualifies(Qn, record, target_kind, M, tol),
         residuals=(float(struct_res), float(inv_res), float(int_res)),
         degenerate=False,
         witness=An,
@@ -402,11 +405,10 @@ def pt_to_pseudo(P, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_S
 
     Requires H to actually be symmetric under P.
     """
-    Pm = operator_matrix(P)
-    report = check_symmetry(SymmetryKind.PT, Pm, H, tol)
+    report = check_symmetry(SymmetryKind.PT, P, H, tol)  # judged from P's record when it has one
     if not report.holds:
         raise ContractError(f"H is not symmetric under the given parity (residual {report.residual:.3e})")
-    return _convert(H, Pm, _Direction.PT_TO_PSEUDO, tol, seed, budget)
+    return _convert(H, operator_matrix(P), _Direction.PT_TO_PSEUDO, tol, seed, budget)
 
 
 def pseudo_to_pt(Ptilde, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_SEED,
@@ -417,11 +419,10 @@ def pseudo_to_pt(Ptilde, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFA
     to a vanishing or negative multiple of the identity are reported
     degenerate (no real rescaling exists).
     """
-    Pm = operator_matrix(Ptilde)
-    report = check_symmetry(SymmetryKind.PSEUDO, Pm, H, tol)
+    report = check_symmetry(SymmetryKind.PSEUDO, Ptilde, H, tol)  # judged from Ptilde's record when it has one
     if not report.holds:
         raise ContractError(f"H is not pseudo-Hermitian under the given metric (residual {report.residual:.3e})")
-    return _convert(H, Pm, _Direction.PSEUDO_TO_PT, tol, seed, budget)
+    return _convert(H, operator_matrix(Ptilde), _Direction.PSEUDO_TO_PT, tol, seed, budget)
 
 
 def _closed_form_unit_witnesses(M: np.ndarray, tol: ToleranceConfig):
@@ -555,19 +556,18 @@ def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DE
     and candidates are ranked so a Hermitian involutory Q (a full
     indefinite-metric operator) is returned when one exists.
     """
-    Pm = operator_matrix(Pbar)
-    report = check_symmetry(SymmetryKind.GEN_PT, Pm, H, tol)
+    report = check_symmetry(SymmetryKind.GEN_PT, Pbar, H, tol)  # judged from Pbar's record when it has one
     if not report.holds:
         raise ContractError(f"H lacks the generalized symmetry for this core (residual {report.residual:.3e})")
+    Pm = operator_matrix(Pbar)
     M = as_square_matrix(H, "H")
     n = M.shape[0]
     scale = max(frobenius(M), 1.0)
-    eye = np.eye(n)
 
     candidates = []
     # the identity is a witness exactly when H is symmetric; cheap and common
     if frobenius(M - M.T) <= tol.abs_tol * scale:
-        candidates.append(eye.astype(complex))
+        candidates.append(np.eye(n, dtype=complex))
     unit = _closed_form_unit_witnesses(M, tol)
     searched = unit is None
     if searched:
@@ -589,16 +589,12 @@ def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DE
         chosen = None
         for phase in (w, 1.0 + 0.0j):
             Qp, Ap = _sign_normalize_pair(phase * Q, phase * A)
-            herm = frobenius(Qp - Qp.conj().T)
-            inv = frobenius(Qp @ Qp - eye)
+            record = _measure(Qp, InvolutionKind.HERMITIAN_INVOLUTION, tol)  # the one measurement of Qp
+            herm, inv = record.residuals["hermiticity"], record.residuals["square"]
             inter = frobenius(Qp @ M.conj().T - M @ Qp) / scale
             is_herm = herm <= max(tol.abs_tol, 1e-9)
             is_inv = inv <= max(tol.abs_tol, 1e-8)
-            target_ok = bool(
-                is_herm and is_inv
-                and verify_involution(Qp, InvolutionKind.HERMITIAN_INVOLUTION, tol).ok
-                and check_symmetry(SymmetryKind.PSEUDO, Qp, M, tol).holds
-            )
+            target_ok = bool(is_herm and is_inv and _qualifies(Qp, record, SymmetryKind.PSEUDO, M, tol))
             key = (target_ok, is_herm, is_inv, -(herm + inv + inter))
             entry = (key, Qp, Ap, (float(herm), float(inv), float(inter)), is_herm, is_inv, target_ok)
             if chosen is None or key > chosen[0]:

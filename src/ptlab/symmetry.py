@@ -298,6 +298,25 @@ def construct_self_adjoint_from_diag_metric(p: DiagMetricSelfAdjointParams) -> n
     return H
 
 
+def _realifying_columns(vectors: np.ndarray, real: np.ndarray, pairs, labels: np.ndarray) -> np.ndarray:
+    """Columns V Pi B of a similarity that makes the eigendecomposition real:
+    real eigenvalues keep their eigenvector, and each conjugate pair (v, w),
+    mirrored real clusters included, takes [v w] [[1, i], [1, -i]] / 2, which
+    turns diag(lam, conj lam) into the real rotation-scale block (paired
+    clusters pair their members in index order).  Those blocks are unitaries
+    over sqrt(2), so cond(columns) <= sqrt(2) cond(V)."""
+    if not pairs:
+        return vectors[:, real]
+    members = {}
+    for k, label in enumerate(labels.tolist()):
+        members.setdefault(label, []).append(k)
+    v, w = ([k for pair in pairs for k in members[pair[side]]] for side in (0, 1))
+    lone = real.copy()
+    lone[v + w] = False  # mirrored real clusters join the pairs
+    v, w = vectors[:, v], vectors[:, w]
+    return np.hstack([vectors[:, lone], np.stack([0.5 * (v + w), 0.5 * 1j * (v - w)], axis=2).reshape(vectors.shape[0], -1)])
+
+
 def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
     """Antilinear core making H generalized-PT symmetric, if one is found.
 
@@ -333,23 +352,7 @@ def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
     # eigenvector route is then meaningless and only exact candidates remain.
     miss = "spectrum is conjugation-closed but H appears defective; Jordan-level realification is not certified here"
     if sigma[-1] > 1e-7 * sigma[0]:
-        # Columns: real eigenvalues keep their eigenvector; each conjugate
-        # pair (v, w), mirrored real clusters included, contributes
-        # V [[1, 1], [-i, i]]^{-1}, turning diag(lam, conj lam) into the real
-        # rotation-scale block.  Paired clusters pair their members in index order.
-        columns = vectors[:, real]
-        if pairs:
-            members = {}
-            for k, label in enumerate(labels.tolist()):
-                members.setdefault(label, []).append(k)
-            v, w = ([k for pair in pairs for k in members[pair[side]]] for side in (0, 1))
-            lone = real.copy()
-            lone[v + w] = False  # mirrored real clusters join the pairs
-            v, w = vectors[:, v], vectors[:, w]
-            columns = np.hstack([vectors[:, lone], np.stack([0.5 * (v + w), 0.5 * 1j * (v - w)], axis=2).reshape(N, -1)])
-        sig = np.linalg.svd(columns, compute_uv=False)
-        if sig[-1] <= 1e-10 * sig[0]:
-            raise IndeterminateStructureError("realifying similarity is numerically singular")
+        columns = _realifying_columns(vectors, real, pairs, labels)  # cond < sqrt(2) 1e7: safe to invert
         core = columns @ np.linalg.inv(columns.conj())
         intertwine = frobenius(core @ A.conj() - A @ core)
         record = _measure(core, InvolutionKind.ANTILINEAR_CORE, tol)

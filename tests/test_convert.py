@@ -11,7 +11,7 @@ import pytest
 
 import ptlab
 from ptlab import catalog2x2 as cat
-from ptlab import convert
+from ptlab import convert, involutions
 from ptlab.convert import (
     ConversionResult,
     WitnessMethod,
@@ -25,7 +25,7 @@ from ptlab.convert import (
 from ptlab.errors import ContractError
 from ptlab.involutions import (InvolutionKind, InvolutionOperator, make_diagonal_parity, make_sip,
                                operator_matrix, verify_involution)
-from ptlab.numerics import DEFAULT_TOL, frobenius, needs_sign_flip, rank_and_nullspace, vectorize
+from ptlab.numerics import DEFAULT_TOL, frobenius, needs_sign_flip, nullspace_complex, rank_and_nullspace, vectorize
 from ptlab.spectra import build_pt_jordan, jordan_block
 from ptlab.symmetry import SymmetryKind, check_symmetry
 
@@ -157,6 +157,14 @@ def assert_bytes_equal(result, reference):
             assert got == want, field.name
 
 
+def kron_witness_space(B, tol=DEFAULT_TOL):
+    """witness_space with its system built by two np.kron calls."""
+    M = np.asarray(B, dtype=complex)
+    n = M.shape[0]
+    eye = np.eye(n)
+    return nullspace_complex(np.kron(eye, M.T) - np.kron(M.T, eye), tol, scale=frobenius(M)).T.reshape(-1, n, n)
+
+
 def witness_residual(A, B):
     return np.linalg.norm(A @ B @ np.linalg.inv(A) - B.T) / max(1.0, np.linalg.norm(B))
 
@@ -217,6 +225,24 @@ class TestTransposeWitness:
     def test_jordan_recipe_validates_sizes(self):
         with pytest.raises(ContractError):
             transpose_from_jordan(np.eye(3), [2, 2])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_witness_space_bytes_match_the_kron_system(n):
+    rng = np.random.default_rng(900 + n)
+    X = rng.normal(size=(n, n))
+    inputs = {"random": X + 1j * rng.normal(size=(n, n)), "real_symmetric": X + X.T, "scalar": 1.3 * np.eye(n),
+              "derogatory": np.diag(np.concatenate([np.full(n - n // 2, 0.5), np.full(n // 2, -2.0)]))}
+    if n >= 2:
+        inputs["pt_jordan"] = build_pt_jordan(n // 2, n - n // 2, 0.7)[0]
+        blocks = np.zeros((n, n), dtype=complex)  # two Jordan blocks of one eigenvalue, moved off the frame
+        blocks[:n - n // 2, :n - n // 2] = jordan_block(0.5, n - n // 2)
+        blocks[n - n // 2:, n - n // 2:] = jordan_block(0.5, n // 2)
+        T = np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        inputs["derogatory"] = T @ blocks @ np.linalg.inv(T)
+    for name, B in inputs.items():
+        got, want = witness_space(B), kron_witness_space(B)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
 
 
 class TestPtToPseudo:
@@ -426,10 +452,21 @@ def screen_draws(kind, n, count, seed):
             yield known_pt_matrix(rng, n), parity, True
         elif kind == "pt_jordan":
             yield build_pt_jordan(m, n - m, float(rng.uniform(-2.0, 2.0)))[0], parity, True
+        elif kind == "pseudo_block":
+            X, Y = (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)) for k in (m, n - m))
+            H = ptlab.construct_pseudo_block(ptlab.PseudoBlockParams(
+                m=m, n=n - m, A=X + X.conj().T, B=rng.normal(size=(m, n - m)) + 1j * rng.normal(size=(m, n - m)),
+                D=Y + Y.conj().T))
+            yield H, make_diagonal_parity(m, n - m, InvolutionKind.HERMITIAN_INVOLUTION), False
+        elif kind == "rotated_hermitian":
+            H = ptlab.construct_rotated_hermitian(ptlab.RotatedHermitianParams(
+                n=n, a=rng.normal(size=(n, n)), b=rng.normal(size=(n, n))))
+            yield H, make_sip(n), False
 
 
 SCREEN_CASES = ([("pt2", 2), ("pt2_chart", 2), ("pseudo2", 2)]
-                + [(kind, n) for kind in ("pt_block", "known", "pt_jordan") for n in range(2, 7)])
+                + [(kind, n) for kind in ("pt_block", "known", "pt_jordan") for n in range(2, 7)]
+                + [(kind, n) for kind in ("pseudo_block", "rotated_hermitian") for n in range(3, 7)])
 
 
 class TestScreenAgainstScalarHunt:
@@ -451,13 +488,16 @@ class TestScreenAgainstScalarHunt:
         assert_bytes_equal(result, reference_convert(H, PSEUDO_P0, False))
 
     def test_outcome_mix(self):
-        """The draws above reach both a hit in the deterministic head and a
-        miss after both passes."""
+        """The draws above reach a hit in the deterministic head, a miss
+        after both passes and an empty constrained family."""
         H, P, _ = next(screen_draws("pt2", 2, 1, seed=2002))
         assert pt_to_pseudo(P, H).target_kind_satisfied
         H, P, _ = next(screen_draws("known", 5, 1, seed=5005))
         result = pt_to_pseudo(P, H)
         assert result.Q is None and not result.degenerate
+        for kind in ("pseudo_block", "rotated_hermitian"):
+            H, P, _ = next(screen_draws(kind, 4, 1, seed=4004))
+            assert pseudo_to_pt(P, H).note == "constrained family is empty"
 
     @pytest.mark.parametrize("seed", range(3))
     def test_hit_in_the_seeded_tail(self, seed, monkeypatch):
@@ -503,6 +543,23 @@ class TestScreenAgainstScalarHunt:
         assert stacks and max(stacks) == 1  # the rest of the head, not the tail
         assert_bytes_equal(result, reference_convert(H, np.eye(2), False))
 
+    def test_traceless_row_among_the_single_rows(self, monkeypatch):
+        """A two-element family without the identity, spanned by
+        sigma1 + 1/2 and sigma3 + 1/2, with H = (sigma1 - sigma3) / 2: the
+        basis rows miss, and the traceless row, built only then, is the
+        head's third row and is taken singly, as pt2 conversions hit."""
+        sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        basis = np.array([sigma1 + 0.5 * np.eye(2), SIGMA3 + 0.5 * np.eye(2)])
+        monkeypatch.setattr(convert, "witness_space", lambda M, tol: basis)
+        stacks = []
+        norms = convert.frobenius_norms
+        monkeypatch.setattr(convert, "frobenius_norms", lambda S: stacks.append(len(S)) or norms(S))
+        H = 0.5 * (sigma1 - SIGMA3)
+        result = pseudo_to_pt(np.eye(2), H)
+        np.testing.assert_allclose(result.Q, (SIGMA3 - sigma1) / np.sqrt(2), rtol=0, atol=1e-15)
+        assert stacks == []
+        assert_bytes_equal(result, reference_convert(H, np.eye(2), False))
+
     def test_vanishing_row_among_the_single_rows(self, monkeypatch):
         """A family with the nilpotent E13 among the head's first three rows
         and no other element squaring to a vanishing multiple of the identity
@@ -528,6 +585,63 @@ class TestScreenAgainstScalarHunt:
         result = pseudo_to_pt(np.eye(2), H)
         assert result.Q is None and result.degenerate
         assert_bytes_equal(result, reference_convert(H, np.eye(2), False))
+
+
+def spy_on_measure(monkeypatch):
+    """The matrices involutions._measure is called on, in call order."""
+    measured = []
+    measure = involutions._measure
+
+    def spy(A, kind, tol):
+        measured.append(A)
+        return measure(A, kind, tol)
+
+    monkeypatch.setattr(involutions, "_measure", spy)
+    monkeypatch.setattr(convert, "_measure", spy)
+    return measured
+
+
+class TestMeasureOnce:
+    """A conversion judges a source operator that carries a record from that
+    record, and measures the Q it returns, or each Q it weighs, once."""
+
+    @pytest.mark.parametrize("kind, n, hits", [("pt2", 2, True), ("pseudo2", 2, True), ("pt_jordan", 3, True),
+                                               ("pt_block", 4, False), ("pseudo_block", 4, False),
+                                               ("rotated_hermitian", 3, False)])
+    def test_pt_and_pseudo_sources(self, kind, n, hits, monkeypatch):
+        measured = spy_on_measure(monkeypatch)
+        for H, P, to_pseudo in screen_draws(kind, n, 2, seed=7000 + n):
+            convert_fn = pt_to_pseudo if to_pseudo else pseudo_to_pt
+            op = make_diagonal_parity(1, 1) if kind == "pt2" else P
+            assert op.verification is not None
+            measured.clear()
+            result = convert_fn(op, H)
+            assert (result.Q is not None) == hits
+            assert len(measured) == hits and all(A is result.Q for A in measured)
+            bare = np.array(op.matrix)
+            measured.clear()
+            convert_fn(bare, H)
+            assert len(measured) == 1 + hits
+            np.testing.assert_array_equal(measured[0], bare)
+
+    @pytest.mark.parametrize("kind, n", [("genpt2", 2), ("genpt_diag", 2), ("pt2", 2)])
+    def test_gen_pt_source(self, kind, n, monkeypatch):
+        draws = [(H, involutions.involution_operator(operator_matrix(K), InvolutionKind.ANTILINEAR_CORE))
+                 for H, K in genpt_draws(kind, n, 3, seed=8000 + n)]
+        pairs = []
+        normalize = convert._sign_normalize_pair
+        monkeypatch.setattr(convert, "_sign_normalize_pair", lambda Q, A: pairs.append(1) or normalize(Q, A))
+        measured = spy_on_measure(monkeypatch)
+        found = 0
+        for H, core in draws:
+            pairs.clear()
+            measured.clear()
+            result = gen_pt_to_pseudo(core, H)
+            assert len(measured) == len(pairs)  # one measure per (candidate, phase), none of the core
+            assert len({id(A) for A in measured}) == len(measured)
+            assert (result.Q is None) == (not measured)
+            found += any(A is result.Q for A in measured)
+        assert found
 
 
 def genpt_draws(kind, n, count, seed):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ptlab import involutions
+from ptlab import involutions, symmetry
 from ptlab.errors import ContractError
 from ptlab.involutions import InvolutionKind, InvolutionOperator, make_diagonal_parity, make_sip
 from ptlab.numerics import DEFAULT_TOL, ToleranceConfig
@@ -314,6 +315,41 @@ class TestFindGenPtOperator:
             monkeypatch.undo()
             assert (recorded.holds, recorded.residual, recorded.operator_residuals) == \
                 (bare.holds, bare.residual, bare.operator_residuals)
+
+
+def realifiable_matrix(seed, n, pairs, b_scale):
+    """A non-real matrix similar to a real one: distinct real eigenvalues and
+    conjugate pairs c +- i b (b down to b_scale) in a real frame of singular
+    values in [0.5, 2], moved by Diag(1, .., 1, i, .., i)."""
+    rng = np.random.default_rng(seed)
+    D = np.diag(rng.permutation(np.arange(n) - (n - 1) / 2.0) + rng.uniform(-0.25, 0.25, n))
+    for k in range(pairs):
+        D[2 * k, 2 * k + 1] = b_scale * rng.uniform(1.0, 3.0)
+        D[2 * k + 1, 2 * k] = -D[2 * k, 2 * k + 1]
+        D[2 * k + 1, 2 * k + 1] = D[2 * k, 2 * k]
+    S = np.linalg.qr(rng.normal(size=(n, n)))[0] @ np.diag(rng.uniform(0.5, 2.0, n)) @ np.linalg.qr(rng.normal(size=(n, n)))[0]
+    v = np.concatenate([np.ones(n // 2), 1j * np.ones(n - n // 2)])
+    return (S @ D @ np.linalg.inv(S)) * (v[:, None] / v[None, :])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 10), pair_share=st.floats(0.0, 1.0),
+       b_scale=st.sampled_from([0.5, 1e-3, 1e-9]))
+def test_realifying_columns_are_within_sqrt2_of_the_eigenvectors(seed, n, pair_share, b_scale):
+    """cond(columns) <= sqrt(2) cond(V): the columns are V times a permutation
+    and a block diagonal of 1s and unitary / sqrt(2) blocks, so past the
+    1e-7 gate on V they are far from singular."""
+    H = realifiable_matrix(seed, n, int(pair_share * (n // 2)), b_scale)
+    calls = []
+    build = symmetry._realifying_columns
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(symmetry, "_realifying_columns", lambda V, *rest: calls.append((V, build(V, *rest))) or calls[-1][1])
+        core = find_gen_pt_operator(H)
+    assert core is not None and len(calls) == 1
+    V, columns = calls[0]
+    s_v, s_c = (np.linalg.svd(X, compute_uv=False) for X in (V, columns))
+    assert s_c[0] / s_c[-1] <= np.sqrt(2) * (s_v[0] / s_v[-1]) * (1 + 1e-9)
+    assert s_c[-1] > 1e-10 * s_c[0]
 
 
 class TestClosureProperties:
