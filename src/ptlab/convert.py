@@ -23,12 +23,15 @@ The conversions ride on the witness space:
 For the first two, Hermiticity/reality are real-linear constraints stacked
 onto the witness coefficients.  The involution is screened over candidates
 in two passes: the deterministic head (the identity when it lies in the
-family, the family basis, a traceless slice), then, only when the head has
-no hit, the seeded random tail.  The traceless slice and the seeded tail
-are built only when the rows before them miss.  Past the head's first three
-rows, taken one at a time, each pass screens one stack of coefficient rows
-with array operations.  The first hit is rescaled to Q^2 = 1 whenever Q^2 is
-a positive multiple of the identity.
+family, the family basis, a traceless slice), then the seeded random tail.
+The traceless slice is built only when the rows before it miss, the tail
+only when the head misses and a random real combination of the family or of
+the slice, each of more than one element, can square to a multiple of the
+identity (_may_hold_scaled_involutions).  Otherwise no tail row could hit
+or be degenerate, so skipping it leaves every output as it was.  Past the
+head's first three rows, taken one at a time, each pass screens one stack
+of coefficient rows with array operations.  The first hit is rescaled to
+Q^2 = 1 whenever Q^2 is a positive multiple of the identity.
 
 For gen-PT -> pseudo the unit witnesses (A conj(A) = 1) are computed, not
 searched, when H has a simple spectrum with well-conditioned eigenvectors:
@@ -252,6 +255,33 @@ class _Direction(enum.Enum):
     PSEUDO_TO_PT = "pseudo_to_pt"
 
 
+# a product of unit elements this far (Frobenius) from a multiple of the
+# identity rules out random hits: 1e6 times the screen's 1e-9 square cut
+_PRODUCT_MISS_MARGIN = 1e-3
+
+
+def _may_hold_scaled_involutions(F: np.ndarray, n: int) -> bool:
+    """Whether a random real combination Q of the rows of F (flattened n x n
+    elements) can square to a multiple of the identity.
+
+    Q^2 - tr(Q^2)/n 1 is a quadratic form in the coefficients, and its
+    coefficients are the traceless parts of F_i F_j + F_j F_i.  Unless all of
+    them vanish, the combinations with Q^2 a multiple of 1 lie on a proper
+    algebraic subset, which Gaussian rows miss.  So the answer is False only
+    when a product of the unit-normalized elements misses a multiple of 1 by
+    more than the margin; nearer the noise floor it is True.
+    """
+    F = F.reshape(-1, n, n)
+    F = F / frobenius_norms(F)[:, None, None]
+    eye = np.eye(n)
+    for i in range(len(F)):
+        S = F[i] @ F[i:] + F[i:] @ F[i]
+        miss = S - (np.trace(S, axis1=1, axis2=2) / n)[:, None, None] * eye
+        if frobenius_norms(miss).max() > _PRODUCT_MISS_MARGIN:
+            return False
+    return True
+
+
 def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult:
     M = as_square_matrix(H, "H")
     n = M.shape[0]
@@ -362,6 +392,8 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
     # the head's first three rows (where the pt2, pseudo2 and pt_jordan
     # conversions hit) go singly; the traceless slice is built only when the
     # rows before it miss, the seeded tail only when the whole head misses
+    # and a random combination of the family or of the slice can square to a
+    # multiple of 1 (a one-element one has only multiples of its head row)
     hit, saw_degenerate = first_hit(head, 3)
     if hit is None:
         traces = np.trace(q_family.reshape(fdim, n, n), axis1=1, axis2=2).real
@@ -370,7 +402,8 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
             _, tnull = rank_and_nullspace(traces.reshape(1, -1), tol)
         hit, vanished = first_hit(np.concatenate([head[3:], tnull.T]), max(0, 3 - len(head)))
         saw_degenerate |= vanished
-    if hit is None:
+    if hit is None and (fdim > 1 and _may_hold_scaled_involutions(q_family, n)
+                        or tnull.shape[1] > 1 and _may_hold_scaled_involutions(tnull.T @ q_family, n)):
         rng = np.random.default_rng(seed)
         tail = [rng.normal(size=(min(16, budget), tnull.shape[1])) @ tnull.T] if tnull.shape[1] else []
         hit, vanished = first_hit(np.concatenate(tail + [rng.normal(size=(budget, fdim))]), 0)

@@ -8,6 +8,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ptlab
 from ptlab import catalog2x2 as cat
@@ -428,9 +429,12 @@ def known_pt_matrix(rng, n):
 
 def screen_draws(kind, n, count, seed):
     """(H, source operator, PT -> pseudo?) draws of the classes the
-    conversions meet: hits in the head and misses after both passes.  A
-    degenerate family and a hit in the seeded tail (which no natural draw
-    tried reaches) are built by hand below."""
+    conversions meet: hits in the head, empty families, and misses in the
+    head whose family and traceless slice each hold a product of two elements
+    that is no multiple of the identity, so no random combination can square
+    to one and the seeded tail is skipped.  A degenerate family and a hit in
+    the seeded tail (which no natural draw tried reaches) are built by hand
+    below."""
     rng = np.random.default_rng(seed)
     m = n // 2
     parity = make_diagonal_parity(m, n - m)
@@ -469,16 +473,36 @@ SCREEN_CASES = ([("pt2", 2), ("pt2_chart", 2), ("pseudo2", 2)]
                 + [(kind, n) for kind in ("pseudo_block", "rotated_hermitian") for n in range(3, 7)])
 
 
+def spy_on_tail(monkeypatch):
+    """The seeds of the generators convert._convert builds for its seeded
+    tail, in call order."""
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def spy(seed=None):
+        if sys._getframe(1).f_code is convert._convert.__code__:
+            seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", spy)
+    return seeds
+
+
 class TestScreenAgainstScalarHunt:
     """The stacked screen returns what the one-at-a-time hunt returned."""
 
     @pytest.mark.parametrize("kind, n", SCREEN_CASES)
-    def test_byte_equal_results(self, kind, n):
+    def test_byte_equal_results(self, kind, n, monkeypatch):
+        """Byte-equal to the hunt, which screens the whole tail, though no
+        draw builds the seeded generator (pt_block and known draws at
+        n >= 3 and pt_jordan at n >= 5 miss the head: the gate skips it)."""
+        tails = spy_on_tail(monkeypatch)
         for index, (H, P, to_pseudo) in enumerate(screen_draws(kind, n, 4, seed=1000 * n + len(kind))):
             fn = pt_to_pseudo if to_pseudo else pseudo_to_pt
             seed, budget = (42, 256) if index < 3 else (index, 48)
-            assert_bytes_equal(fn(P, H, seed=seed, budget=budget),
-                               reference_convert(H, P, to_pseudo, seed=seed, budget=budget))
+            result = fn(P, H, seed=seed, budget=budget)
+            assert tails == []
+            assert_bytes_equal(result, reference_convert(H, P, to_pseudo, seed=seed, budget=budget))
 
     def test_degenerate_family(self):
         p = cat.Pt2Params(e=0.0, gamma=1.0, rho=2.0, delta=np.pi / 3)
@@ -488,8 +512,10 @@ class TestScreenAgainstScalarHunt:
         assert_bytes_equal(result, reference_convert(H, PSEUDO_P0, False))
 
     def test_outcome_mix(self):
-        """The draws above reach a hit in the deterministic head, a miss
-        after both passes and an empty constrained family."""
+        """The draws above reach a hit in the deterministic head, a miss in
+        the head that skips the tail (no random combination of the family can
+        square to a multiple of 1, so the tail could not hit or flag a row),
+        and an empty constrained family."""
         H, P, _ = next(screen_draws("pt2", 2, 1, seed=2002))
         assert pt_to_pseudo(P, H).target_kind_satisfied
         H, P, _ = next(screen_draws("known", 5, 1, seed=5005))
@@ -509,8 +535,9 @@ class TestScreenAgainstScalarHunt:
         v = np.array([[0.6, 1.0], [-1.0, -0.6]], dtype=complex)
         monkeypatch.setattr(convert, "witness_space", lambda M, tol: np.array([u, v]))
         H = 0.5 * np.eye(2, dtype=complex)  # every matrix intertwines
+        tails = spy_on_tail(monkeypatch)
         result = pseudo_to_pt(np.eye(2), H, seed=seed)
-        assert result.target_kind_satisfied
+        assert result.target_kind_satisfied and tails == [seed]
         assert_bytes_equal(result, reference_convert(H, np.eye(2), False, seed=seed))
 
     def test_intertwining_cut(self, monkeypatch):
@@ -577,14 +604,56 @@ class TestScreenAgainstScalarHunt:
 
     def test_single_element_family(self, monkeypatch):
         """A one-element family whose element squares to a negative multiple
-        of the identity: the first row is the whole head, and every candidate
-        is degenerate."""
+        of the identity: the first row is the whole head, every candidate is
+        degenerate, and the tail, whose rows are multiples of that row, is
+        not built."""
         u = np.array([[0.0, 1.6], [-0.4, 0.0]], dtype=complex)
         monkeypatch.setattr(convert, "witness_space", lambda M, tol: u[None])
         H = 0.5 * np.eye(2, dtype=complex)
+        tails = spy_on_tail(monkeypatch)
         result = pseudo_to_pt(np.eye(2), H)
-        assert result.Q is None and result.degenerate
+        assert result.Q is None and result.degenerate and tails == []
         assert_bytes_equal(result, reference_convert(H, np.eye(2), False))
+
+
+def _clifford_generators():
+    """Pairwise anticommuting generators, real and Hermitian, at n = 2 and 4:
+    every real combination of them squares to a multiple of the identity."""
+    s1, s3 = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    s2, J, one = np.array([[0.0, -1j], [1j, 0.0]]), np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2)
+    return {(True, 2): [s1, s3, J],
+            (True, 4): [np.kron(s1, one), np.kron(s3, one), np.kron(J, s1), np.kron(J, s3), np.kron(J, J)],
+            (False, 2): [s1, s2, s3],
+            (False, 4): [np.kron(s1, one), np.kron(s2, one), np.kron(s3, s1), np.kron(s3, s2), np.kron(s3, s3)]}
+
+
+CLIFFORD = _clifford_generators()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.booleans(), st.sampled_from([2, 4]), st.integers(1, 3), st.sampled_from(["none", "extra", "perturbed"]),
+       st.sampled_from([1e-5, 5e-4, 2e-3, 1e-1]), st.booleans(), st.integers(0, 2 ** 16), st.integers(0, 40))
+def test_clifford_families_byte_equal_with_the_full_tail(real, n, k, change, eps, scalar_h, seed, budget):
+    """Families spanned by mixed Clifford generators (real for pseudo -> PT,
+    Hermitian for PT -> pseudo, with the identity as the source operator),
+    some with a random extra element or one element moved by eps around
+    the gate's margin: the gated tail gives what the full tail gives."""
+    rng = np.random.default_rng(seed)
+    gens = np.array(CLIFFORD[real, n])[rng.permutation(len(CLIFFORD[real, n]))[:k]]
+    basis = np.einsum("ij,jab->iab", np.linalg.qr(rng.normal(size=(k, k)))[0], gens).astype(complex)
+    R = rng.normal(size=(n, n)) + (0 if real else 1j) * rng.normal(size=(n, n))
+    R = R if real else R + R.conj().T
+    if change == "extra":
+        basis = np.insert(basis, int(rng.integers(0, k + 1)), R / frobenius(R), axis=0)
+    elif change == "perturbed":
+        basis[0] += eps * R / frobenius(R)
+    # every matrix intertwines with a multiple of 1, only diagonal ones with a simple real diagonal
+    H = (0.5 * np.eye(n) if scalar_h else np.diag(rng.permutation(n) + rng.uniform(0.1, 0.4, n))).astype(complex)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(convert, "witness_space", lambda M, tol: basis)
+        fn = pseudo_to_pt if real else pt_to_pseudo
+        assert_bytes_equal(fn(np.eye(n), H, seed=seed, budget=budget),
+                           reference_convert(H, np.eye(n), not real, seed=seed, budget=budget))
 
 
 def spy_on_measure(monkeypatch):
