@@ -566,9 +566,10 @@ def cmd_convert(args) -> int:
     H = load_matrix(args.matrix)
     if O.shape != H.shape:
         raise CliError(EXIT_DIMENSION, f"operator is {O.shape} but matrix is {H.shape}")
+    seed = _seed(args)  # read for every direction, so a malformed PTLAB_SEED fails alike
     fn = {"pt-to-pseudo": pt_to_pseudo, "pseudo-to-pt": pseudo_to_pt, "genpt-to-pseudo": gen_pt_to_pseudo}[args.direction]
     try:
-        result = fn(O, H, tol, seed=_seed(args))
+        result = fn(O, H, tol, seed=seed) if fn is gen_pt_to_pseudo else fn(O, H, tol)
     except (ContractError, DimensionError) as exc:
         raise CliError(EXIT_DIMENSION, str(exc))
     payload = {

@@ -21,17 +21,20 @@ The conversions ride on the witness space:
 * gen-PT -> pseudo: Q = core A intertwines adj(H) with H when A conj(A) = 1.
 
 For the first two, Hermiticity/reality are real-linear constraints stacked
-onto the witness coefficients.  The involution is screened over candidates
-in two passes: the deterministic head (the identity when it lies in the
-family, the family basis, a traceless slice), then the seeded random tail.
-The traceless slice is built only when the rows before it miss, the tail
-only when the head misses and a random real combination of the family or of
-the slice, each of more than one element, can square to a multiple of the
-identity (_may_hold_scaled_involutions).  Otherwise no tail row could hit
-or be degenerate, so skipping it leaves every output as it was.  Past the
-head's first three rows, taken one at a time, each pass screens one stack
-of coefficient rows with array operations.  The first hit is rescaled to
-Q^2 = 1 whenever Q^2 is a positive multiple of the identity.
+onto the witness coefficients.  The involution is screened over candidate
+rows, all deterministic: the head (the identity when it lies in the family,
+the family basis, a traceless slice), then at most two closed-form rows, the
+top eigenvectors of C_ij = Re tr(F_i F_j) / n on the traceless slice and on
+the whole family.  When every F_i F_j + F_j F_i is 2 C_ij 1 (a Clifford
+family), Q(z)^2 = (z^T C z) 1, so an involution exists exactly when C has a
+positive eigenvalue, and its top eigenvector is one; on any other family the
+combinations squaring to a multiple of 1 lie on a proper algebraic subset.
+The traceless slice is built only when the rows before it miss, the
+closed-form rows only when the whole head misses.  The head's first three
+rows and the closed-form rows are taken one at a time, the rest of the head
+as one stack of coefficient rows screened with array operations.  The first
+hit is rescaled to Q^2 = 1 whenever Q^2 is a positive multiple of the
+identity.
 
 For gen-PT -> pseudo the unit witnesses (A conj(A) = 1) are computed, not
 searched, when H has a simple spectrum with well-conditioned eigenvectors:
@@ -226,8 +229,9 @@ class ConversionResult:
     Hermiticity of Q for the pseudo-targets and reality for the parity
     target; intertwining is the target identity scaled by ||H||.  A missing
     valid Q is a reported outcome (flags False), never an exception.
-    degenerate marks searches that only met candidates squaring to a
-    vanishing multiple of the identity, which no rescaling can repair.
+    degenerate marks misses where some candidate squared to a multiple
+    c 1 with c <= 1e-12, vanishing or negative, which no real rescaling
+    turns into the identity.
     """
 
     Q: np.ndarray | None
@@ -255,34 +259,7 @@ class _Direction(enum.Enum):
     PSEUDO_TO_PT = "pseudo_to_pt"
 
 
-# a product of unit elements this far (Frobenius) from a multiple of the
-# identity rules out random hits: 1e6 times the screen's 1e-9 square cut
-_PRODUCT_MISS_MARGIN = 1e-3
-
-
-def _may_hold_scaled_involutions(F: np.ndarray, n: int) -> bool:
-    """Whether a random real combination Q of the rows of F (flattened n x n
-    elements) can square to a multiple of the identity.
-
-    Q^2 - tr(Q^2)/n 1 is a quadratic form in the coefficients, and its
-    coefficients are the traceless parts of F_i F_j + F_j F_i.  Unless all of
-    them vanish, the combinations with Q^2 a multiple of 1 lie on a proper
-    algebraic subset, which Gaussian rows miss.  So the answer is False only
-    when a product of the unit-normalized elements misses a multiple of 1 by
-    more than the margin; nearer the noise floor it is True.
-    """
-    F = F.reshape(-1, n, n)
-    F = F / frobenius_norms(F)[:, None, None]
-    eye = np.eye(n)
-    for i in range(len(F)):
-        S = F[i] @ F[i:] + F[i:] @ F[i]
-        miss = S - (np.trace(S, axis1=1, axis2=2) / n)[:, None, None] * eye
-        if frobenius_norms(miss).max() > _PRODUCT_MISS_MARGIN:
-            return False
-    return True
-
-
-def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult:
+def _convert(H, P, direction: _Direction, tol) -> ConversionResult:
     M = as_square_matrix(H, "H")
     n = M.shape[0]
     scale = max(frobenius(M), 1.0)
@@ -332,8 +309,8 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
 
     def cut_one(z):
         """(Q, A) of one coefficient row, scaled to Q^2 = 1, when Q meets
-        every cut (else None), and whether Q^2 is a vanishing multiple of the
-        identity."""
+        every cut (else None), and whether Q^2 is a multiple c 1 of the
+        identity with c <= 1e-12 (vanishing or negative)."""
         Q = (z @ q_family).reshape(n, n)
         norm = frobenius(Q)
         if norm <= 1e-13:
@@ -353,8 +330,8 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
 
     def screen(Z):
         """cut_one over the rows of Z: the first row that meets every cut (or
-        None), and whether some row squared to a vanishing multiple of the
-        identity.  Each cut is one array operation over the rows, on per-row
+        None), and whether some row squared to a multiple c 1 of the identity
+        with c <= 1e-12.  Each cut is one array operation over the rows, on per-row
         values bit-equal to those of cut_one."""
         Q = (Z[:, None, :] @ q_family).reshape(-1, n, n)
         norms = frobenius_norms(Q)
@@ -374,9 +351,9 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
 
     def first_hit(Z, singles):
         """cut_one's result for the first row of Z that meets every cut (or
-        None), and whether some row squared to a vanishing multiple of the
-        identity; the first `singles` rows are taken one at a time, the rest
-        as one stack."""
+        None), and whether some row squared to a multiple c 1 of the identity
+        with c <= 1e-12; the first `singles` rows are taken one at a time, the
+        rest as one stack."""
         saw_vanishing = False
         for z in Z[:singles]:
             hit, vanishing = cut_one(z)
@@ -391,9 +368,9 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
     # a stack costs about as much as three rows that miss one at a time, so
     # the head's first three rows (where the pt2, pseudo2 and pt_jordan
     # conversions hit) go singly; the traceless slice is built only when the
-    # rows before it miss, the seeded tail only when the whole head misses
-    # and a random combination of the family or of the slice can square to a
-    # multiple of 1 (a one-element one has only multiples of its head row)
+    # rows before it miss, the closed-form rows only when the whole head
+    # misses, and only for a slice or family of more than one element (a
+    # one-element one has only multiples of its head row)
     hit, saw_degenerate = first_hit(head, 3)
     if hit is None:
         traces = np.trace(q_family.reshape(fdim, n, n), axis1=1, axis2=2).real
@@ -402,11 +379,12 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
             _, tnull = rank_and_nullspace(traces.reshape(1, -1), tol)
         hit, vanished = first_hit(np.concatenate([head[3:], tnull.T]), max(0, 3 - len(head)))
         saw_degenerate |= vanished
-    if hit is None and (fdim > 1 and _may_hold_scaled_involutions(q_family, n)
-                        or tnull.shape[1] > 1 and _may_hold_scaled_involutions(tnull.T @ q_family, n)):
-        rng = np.random.default_rng(seed)
-        tail = [rng.normal(size=(min(16, budget), tnull.shape[1])) @ tnull.T] if tnull.shape[1] else []
-        hit, vanished = first_hit(np.concatenate(tail + [rng.normal(size=(budget, fdim))]), 0)
+    if hit is None and fdim > 1:
+        # C_ij = Re tr(F_i F_j) / n: on a Clifford family Q(z)^2 = (z^T C z) 1,
+        # so the top eigenvector of C hits whenever any row does
+        C = (q_family @ q_family.reshape(fdim, n, n).swapaxes(1, 2).reshape(fdim, n * n).T).real / n
+        rows = [tnull @ np.linalg.eigh(tnull.T @ C @ tnull)[1][:, -1]] if tnull.shape[1] > 1 else []
+        hit, vanished = first_hit(np.array(rows + [np.linalg.eigh(C)[1][:, -1]]), 2)
         saw_degenerate |= vanished
 
     if hit is None:
@@ -432,8 +410,7 @@ def _convert(H, P, direction: _Direction, tol, seed, budget) -> ConversionResult
     )
 
 
-def pt_to_pseudo(P, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                 budget: int = DEFAULT_BUDGET) -> ConversionResult:
+def pt_to_pseudo(P, H, tol: ToleranceConfig = DEFAULT_TOL) -> ConversionResult:
     """Hermitian (ideally involutory) Q with Q H = adj(H) Q, from a parity.
 
     Requires H to actually be symmetric under P.
@@ -441,11 +418,10 @@ def pt_to_pseudo(P, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_S
     report = check_symmetry(SymmetryKind.PT, P, H, tol)  # judged from P's record when it has one
     if not report.holds:
         raise ContractError(f"H is not symmetric under the given parity (residual {report.residual:.3e})")
-    return _convert(H, operator_matrix(P), _Direction.PT_TO_PSEUDO, tol, seed, budget)
+    return _convert(H, operator_matrix(P), _Direction.PT_TO_PSEUDO, tol)
 
 
-def pseudo_to_pt(Ptilde, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                 budget: int = DEFAULT_BUDGET) -> ConversionResult:
+def pseudo_to_pt(Ptilde, H, tol: ToleranceConfig = DEFAULT_TOL) -> ConversionResult:
     """Real involutory Q with Q H = conj(H) Q, from a Hermitian involution.
 
     On success Q is a valid parity for H.  Families whose candidates square
@@ -455,7 +431,7 @@ def pseudo_to_pt(Ptilde, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFA
     report = check_symmetry(SymmetryKind.PSEUDO, Ptilde, H, tol)  # judged from Ptilde's record when it has one
     if not report.holds:
         raise ContractError(f"H is not pseudo-Hermitian under the given metric (residual {report.residual:.3e})")
-    return _convert(H, operator_matrix(Ptilde), _Direction.PSEUDO_TO_PT, tol, seed, budget)
+    return _convert(H, operator_matrix(Ptilde), _Direction.PSEUDO_TO_PT, tol)
 
 
 def _closed_form_unit_witnesses(M: np.ndarray, tol: ToleranceConfig):
