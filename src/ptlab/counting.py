@@ -3,7 +3,12 @@
 Each family size is a nullspace dimension of the real-linearized defining
 conditions; each operator-orbit size is the rank of a commutator map (group
 dimension minus stabilizer dimension).  Only singular values are computed:
-the counts need ranks, not bases.  The family of matrices with a real
+the counts need ranks, not bases.  At a diagonal base operator diag(p), each
+of these maps sends a matrix supported on an entry pair {(a, b), (b, a)} to
+one supported on the same pair, acting there as on the 2 x 2 principal block
+with base diag(p_a, p_b) (a diagonal entry: the 1 x 1 block p_a).  So the real
+system is block diagonal up to a permutation; it is ranked on blocks of at
+most 8 x 4, every split at once.  The family of matrices with a real
 characteristic polynomial is a variety, not a linear space, so its dimension
 comes from the rank of the exact derivative of the imaginary-coefficient map
 at a smooth base point, read off the adjugate coefficients of Faddeev and
@@ -27,16 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DimensionError, IndeterminateStructureError
-from .numerics import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    antihermitian_basis,
-    as_square_matrix,
-    frobenius,
-    numerical_rank,
-    real_matrix_of_map,
-    vectorize,
-)
+from .numerics import DEFAULT_TOL, ToleranceConfig, as_square_matrix, frobenius, numerical_rank, vectorize
 from .symmetry import DiagMetricSelfAdjointParams, construct_self_adjoint_from_diag_metric
 
 
@@ -66,34 +62,78 @@ class CountReport:
     match: bool
 
 
-def _diag_parity(m: int, n: int) -> np.ndarray:
-    return np.diag(np.concatenate([np.ones(m), -np.ones(n)])).astype(complex)
+def _diag_parities(N: int, ns) -> np.ndarray:
+    """(len(ns), N, N) stack of the parities diag(1_m, -1_n), m = N - n."""
+    if N < 1:
+        raise ContractError("need m + n >= 1")
+    signs = np.where(np.arange(N) < N - np.asarray(ns)[:, None], 1.0, -1.0)
+    return (signs[:, :, None] * np.eye(N)).astype(complex)
+
+
+# The maps see a base operator diag(p) as c = p[..., :, None] and r = p[..., None, :]
+# (diag(p) H = c * H, H diag(p) = H * r).  A family is the kernel of its condition, an
+# orbit the image of X -> X P0 - P0 X on gl(N, R) (for a parity) or u(N) (a metric).
+_CONDITIONS = {
+    FamilyKind.PT: lambda c, r, H: c * H - H.conj() * r,
+    FamilyKind.PSEUDO: lambda c, r, H: c * H - H.conj().swapaxes(-1, -2) * r,
+    FamilyKind.HERMITIAN: lambda c, r, H: H - H.conj().swapaxes(-1, -2),
+    FamilyKind.REAL_SYMMETRIC: lambda c, r, H: np.concatenate([H - H.conj(), H - H.swapaxes(-1, -2)], axis=-2),
+}
+# (pair, diagonal) bases, on the entries (0, 1), (1, 0) of a 2 x 2 block and on a 1 x 1 block
+_REAL_UNITS = (np.array([[[0, 1], [0, 0]], [[0, 1j], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [1j, 0]]]),
+               np.array([[[1]], [[1j]]]))
+_LIE_ALGEBRAS = {
+    FamilyKind.PT: (_REAL_UNITS[0][[0, 2]], _REAL_UNITS[1][:1]),
+    FamilyKind.PSEUDO: (np.array([[[0, 1j], [1j, 0]], [[0, -1], [1, 0]]]) / np.sqrt(2.0), _REAL_UNITS[1][1:]),
+}
+_SUPPORTS = (~np.eye(2, dtype=bool), np.ones((1, 1), dtype=bool))
+
+
+def _pair_blocks(P0s: np.ndarray) -> tuple:
+    """Diagonals of the (S, N(N-1)/2, 2) blocks diag(p_a, p_b), a < b, and the (S, N, 1)
+    blocks p_a of a (S, N, N) stack of diagonal base operators diag(p)."""
+    N = P0s.shape[-1]
+    if np.any(P0s[:, ~np.eye(N, dtype=bool)]):
+        raise ContractError("pair blocks need a diagonal base operator")
+    p = np.diagonal(P0s, axis1=-2, axis2=-1)
+    a, b = np.triu_indices(N, 1)
+    return np.stack([p[:, a], p[:, b]], axis=-1), p[..., None]
+
+
+def _singular_values(image, blocks, bases) -> np.ndarray:
+    """(S, columns) singular values of the real system of X -> image(P0, X) over the
+    (pair, diagonal) bases at each base operator: those of its blocks, read on the
+    entries each block supports (in every block-sized slab of a stacked output)."""
+    sigma = []
+    for p, basis, support in zip(blocks, bases, _SUPPORTS):
+        images = image(p[..., None, :, None], p[..., None, None, :], np.broadcast_to(basis, p.shape[:-1] + basis.shape))
+        entries = images[..., np.tile(support, (images.shape[-2] // len(support), 1))]
+        real = np.concatenate([entries.real, entries.imag], axis=-1).swapaxes(-1, -2)
+        sigma.append(np.linalg.svd(real, compute_uv=False).reshape(len(p), -1))
+    return np.concatenate(sigma, axis=1)
+
+
+def _rank(sigma: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
+    return np.sum(sigma > tol.rank_cutoff(sigma.max(axis=1, keepdims=True)), axis=1)
+
+
+def _family_dims(kind: FamilyKind, blocks, tol: ToleranceConfig) -> np.ndarray:
+    sigma = _singular_values(_CONDITIONS[kind], blocks, _REAL_UNITS)
+    return sigma.shape[1] - _rank(sigma, tol)  # no block is wide: one singular value per column
+
+
+def _commutator(c, r, X):
+    return X * r - c * X
+
+
+def _orbit_dims(kind: FamilyKind, blocks, tol: ToleranceConfig) -> np.ndarray:
+    return _rank(_singular_values(_commutator, blocks, _LIE_ALGEBRAS[kind]), tol)
 
 
 def count_matrix_family(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Nullspace dimension of the family's defining linear conditions over
     the 2 N^2 real coordinates of a complex N x N matrix."""
-    N = m + n
-    if N < 1:
-        raise ContractError("need m + n >= 1")
-    P0 = _diag_parity(m, n)
-
-    # each condition maps a (k, N, N) stack of matrices
-    if kind is FamilyKind.PT:
-        def condition(H):
-            return P0 @ H - H.conj() @ P0
-    elif kind is FamilyKind.PSEUDO:
-        def condition(H):
-            return P0 @ H - H.conj().swapaxes(-1, -2) @ P0
-    elif kind is FamilyKind.HERMITIAN:
-        def condition(H):
-            return H - H.conj().swapaxes(-1, -2)
-    else:
-        def condition(H):
-            return np.concatenate([H - H.conj(), H - H.swapaxes(-1, -2)], axis=-2)
-
-    system = real_matrix_of_map(condition, N, N)
-    return system.shape[1] - numerical_rank(system, tol)
+    return int(_family_dims(kind, _pair_blocks(_diag_parities(m + n, [n])), tol)[0])
 
 
 def count_operator_orbit(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -104,17 +144,8 @@ def count_operator_orbit(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig 
     unitaries); both equal the rank of X -> [X, P0] over the group's Lie
     algebra and come out 2 m n.
     """
-    N = m + n
-    if N < 1:
-        raise ContractError("need m + n >= 1")
-    if kind not in (FamilyKind.PT, FamilyKind.PSEUDO):
-        return 0
-    P0 = _diag_parity(m, n)
-    if kind is FamilyKind.PT:
-        generators = np.eye(N * N, dtype=complex).reshape(N * N, N, N)
-    else:
-        generators = antihermitian_basis(N)
-    return numerical_rank(vectorize(generators @ P0 - P0 @ generators).T, tol)
+    blocks = _pair_blocks(_diag_parities(m + n, [n]))
+    return int(_orbit_dims(kind, blocks, tol)[0]) if kind in _LIE_ALGEBRAS else 0
 
 
 def _charpoly_coefficients(roots: np.ndarray) -> np.ndarray:
@@ -126,11 +157,6 @@ def _charpoly_coefficients(roots: np.ndarray) -> np.ndarray:
     for k in range(roots.shape[-1]):
         coeffs[..., 1:k + 2] -= roots[..., k:k + 1] * coeffs[..., :k + 1]
     return coeffs
-
-
-def _charpoly_imag_coefficients(stack: np.ndarray) -> np.ndarray:
-    """(K, N) imaginary parts of c_1..c_N for each matrix of a (K, N, N) stack."""
-    return _charpoly_coefficients(np.linalg.eigvals(stack))[..., 1:].imag
 
 
 def _imag_coefficient_jacobian(H: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -226,16 +252,14 @@ def table1_report(max_dim: int, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 
         raise ContractError("need max_dim >= 2")
     reports = []
     for dim in range(2, max_dim + 1):
-        reports.append(_report(TableRow.REAL_SYMMETRIC, dim, 0,
-                               count_matrix_family(FamilyKind.REAL_SYMMETRIC, dim, 0, tol)))
-        reports.append(_report(TableRow.HERMITIAN, dim, 0, count_matrix_family(FamilyKind.HERMITIAN, dim, 0, tol)))
-        for n in range(0, dim // 2 + 1):
-            m = dim - n
-            pt_dim = count_matrix_family(FamilyKind.PT, m, n, tol)
-            ps_dim = count_matrix_family(FamilyKind.PSEUDO, m, n, tol)
-            pt_orbit = count_operator_orbit(FamilyKind.PT, m, n, tol)
-            ps_orbit = count_operator_orbit(FamilyKind.PSEUDO, m, n, tol)
-            reports.append(_report(TableRow.PT_OR_PSEUDO, m, n, pt_dim, pt_orbit,
+        blocks = _pair_blocks(_diag_parities(dim, range(dim // 2 + 1)))
+        for kind in (FamilyKind.REAL_SYMMETRIC, FamilyKind.HERMITIAN):  # these ignore the base operator
+            size = _family_dims(kind, [q[:1] for q in blocks], tol)[0]
+            reports.append(_report(TableRow[kind.name], dim, 0, int(size)))
+        pt_dims, ps_dims = (_family_dims(kind, blocks, tol).tolist() for kind in (FamilyKind.PT, FamilyKind.PSEUDO))
+        pt_orbits, ps_orbits = (_orbit_dims(kind, blocks, tol).tolist() for kind in (FamilyKind.PT, FamilyKind.PSEUDO))
+        for n, (pt_dim, ps_dim, pt_orbit, ps_orbit) in enumerate(zip(pt_dims, ps_dims, pt_orbits, ps_orbits)):
+            reports.append(_report(TableRow.PT_OR_PSEUDO, dim - n, n, pt_dim, pt_orbit,
                                    agree=pt_dim == ps_dim and pt_orbit == ps_orbit))
         reports.append(_report(TableRow.SELF_ADJOINT_OR_GEN_PT, dim, 0,
                                count_real_charpoly_variety(dim, tol=tol, seed=seed)))

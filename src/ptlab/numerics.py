@@ -296,23 +296,6 @@ def needs_sign_flip(Q: np.ndarray) -> bool:
     return False
 
 
-def real_basis(rows: int, cols: int) -> np.ndarray:
-    """(2 rows cols, rows, cols) stack devectorizing each real unit vector:
-    unit real entries and unit imaginary entries, in vectorize order."""
-    return np.eye(2 * rows * cols).view(complex).reshape(-1, rows, cols)
-
-
-def real_matrix_of_map(fn, rows: int, cols: int) -> np.ndarray:
-    """Real matrix of a real-linear map on complex matrices.
-
-    fn maps a (k, rows, cols) stack of complex matrices to a stack of complex
-    matrices of fixed shape; it is called once, on real_basis(rows, cols),
-    and the result acts on vectorize(...) coordinates.  Conjugations inside
-    fn are allowed since the basis is real.
-    """
-    return vectorize(fn(real_basis(rows, cols))).T
-
-
 def hermitian_basis(n: int) -> np.ndarray:
     """Orthonormal (Frobenius) basis of n x n Hermitian matrices as an
     (n^2, n, n) stack: the diagonal units, then for each k < l the real and
@@ -327,7 +310,3 @@ def hermitian_basis(n: int) -> np.ndarray:
     basis[real + 1, rows, cols] = 1j * inv_sqrt2
     basis[real + 1, cols, rows] = -1j * inv_sqrt2
     return basis
-
-
-def antihermitian_basis(n: int) -> np.ndarray:
-    return 1j * hermitian_basis(n)

@@ -287,14 +287,11 @@ def construct_self_adjoint_from_diag_metric(p: DiagMetricSelfAdjointParams) -> n
     omegas equal reduces to a plain Hermitian matrix.
     """
     w = p.omegas
-    N = w.size
-    H = np.zeros((N, N), dtype=complex)
-    for i in range(N):
-        H[i, i] = p.a[i, i]
-        for j in range(i + 1, N):
-            z = p.a[i, j] + 1j * p.b[i, j]
-            H[i, j] = 2.0 * w[j] / (w[i] + w[j]) * z
-            H[j, i] = 2.0 * w[i] / (w[i] + w[j]) * z.conj()
+    i, j = np.nonzero(~np.tri(w.size, dtype=bool))  # the strict upper triangle, row by row
+    z = p.a[i, j] + 1j * p.b[i, j]
+    H = np.diag(p.a.diagonal()).astype(complex)  # triangles by index: adding triu and tril turns -0.0 into +0.0
+    H[i, j] = 2.0 * w[j] / (w[i] + w[j]) * z
+    H[j, i] = 2.0 * w[i] / (w[i] + w[j]) * z.conj()
     return H
 
 

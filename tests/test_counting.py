@@ -1,6 +1,11 @@
-"""Parameter counts: nullspace dimensions, orbit ranks, variety dimension."""
+"""Parameter counts: nullspace dimensions, orbit ranks, variety dimension.
+
+The dense route the pair blocks replaced (the real matrix of each map over
+all 2 N^2 real coordinates, and its full SVD) is kept here as their oracle.
+"""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -16,13 +21,136 @@ from ptlab.counting import (
     table1_report,
     table_columns,
     _charpoly_coefficients,
-    _charpoly_imag_coefficients,
     _imag_coefficient_jacobian,
     _random_self_adjoint,
 )
-from ptlab.errors import DimensionError
-from ptlab.numerics import DEFAULT_TOL, frobenius, real_basis
+from ptlab.errors import ContractError, DimensionError
+from ptlab.numerics import DEFAULT_TOL, devectorize, frobenius, hermitian_basis, numerical_rank, vectorize
 from ptlab.symmetry import DiagMetricSelfAdjointParams, construct_self_adjoint_from_diag_metric
+
+
+def real_basis(rows, cols):
+    """(2 rows cols, rows, cols) stack devectorizing each real unit vector:
+    unit real entries and unit imaginary entries, in vectorize order."""
+    return np.eye(2 * rows * cols).view(complex).reshape(-1, rows, cols)
+
+
+def real_matrix_of_map(fn, rows, cols):
+    """Real matrix, on vectorize coordinates, of a real-linear map fn of
+    (k, rows, cols) stacks of complex matrices, called once on real_basis."""
+    return vectorize(fn(real_basis(rows, cols))).T
+
+
+def reference_real_matrix_of_map(fn, rows, cols):
+    columns = []
+    for k in range(2 * rows * cols):
+        e = np.zeros(2 * rows * cols)
+        e[k] = 1.0
+        columns.append(vectorize(fn(devectorize(e, rows, cols))))
+    return np.column_stack(columns)
+
+
+def antihermitian_basis(n):
+    return 1j * hermitian_basis(n)
+
+
+DENSE_CONDITIONS = {
+    FamilyKind.PT: lambda P0, H: P0 @ H - H.conj() @ P0,
+    FamilyKind.PSEUDO: lambda P0, H: P0 @ H - H.conj().swapaxes(-1, -2) @ P0,
+    FamilyKind.HERMITIAN: lambda P0, H: H - H.conj().swapaxes(-1, -2),
+    FamilyKind.REAL_SYMMETRIC: lambda P0, H: np.concatenate([H - H.conj(), H - H.swapaxes(-1, -2)], axis=-2),
+}
+
+
+def dense_family_system(kind, P0):
+    N = P0.shape[0]
+    return real_matrix_of_map(lambda H: DENSE_CONDITIONS[kind](P0, H), N, N)
+
+
+def dense_orbit_system(kind, P0):
+    """Columns: X P0 - P0 X over the units of gl(N, R) or the u(N) basis."""
+    N = P0.shape[0]
+    generators = np.eye(N * N, dtype=complex).reshape(N * N, N, N) if kind is FamilyKind.PT else antihermitian_basis(N)
+    return vectorize(generators @ P0 - P0 @ generators).T
+
+
+def pair_block_ranks_against_dense(P0s):
+    """Yield (dense system function, kind, index, pair-block rank, dense
+    system) for the four families and both orbits at each base operator of
+    a stack of diagonal ones, after checking that the sorted singular values
+    of the blocks are those of the dense system within 1e-12 sigma_max."""
+    blocks = counting._pair_blocks(P0s)
+    systems = [(dense_family_system, kind, counting._CONDITIONS[kind], counting._REAL_UNITS) for kind in FamilyKind]
+    systems += [(dense_orbit_system, kind, counting._commutator, counting._LIE_ALGEBRAS[kind])
+                for kind in (FamilyKind.PT, FamilyKind.PSEUDO)]
+    for dense_system, kind, image, bases in systems:
+        sigma = counting._singular_values(image, blocks, bases)
+        ranks = counting._rank(sigma, DEFAULT_TOL)
+        for index, P0 in enumerate(P0s):
+            dense = dense_system(kind, P0)
+            expected = np.linalg.svd(dense, compute_uv=False)
+            assert sigma[index].shape == expected.shape
+            np.testing.assert_allclose(np.sort(sigma[index]), np.sort(expected), rtol=0, atol=1e-12 * expected[0])
+            yield dense_system, kind, index, ranks[index], dense
+
+
+class TestDenseOracle:
+    def test_real_basis_devectorizes_unit_vectors(self):
+        basis = real_basis(2, 3)
+        assert basis.shape == (12, 2, 3)
+        for k, E in enumerate(basis):
+            assert np.array_equal(E, devectorize(np.eye(12)[k], 2, 3))
+
+    def test_real_matrix_of_map_matches_column_assembly(self):
+        P = np.diag([1.0, 1.0, -1.0]).astype(complex)
+        def fn(H):
+            return P @ H - H.conj().swapaxes(-1, -2) @ P
+        assert np.array_equal(real_matrix_of_map(fn, 3, 3), reference_real_matrix_of_map(fn, 3, 3))
+
+    @pytest.mark.parametrize("N", range(1, 7))
+    def test_pair_blocks_match_dense_systems(self, N):
+        """Every split (m, n) of N at once, n = 0 (definite) to N, for the four
+        families and both orbits: the blocks' singular values are the dense
+        system's within 1e-12 sigma_max, and the counts are the dense counts."""
+        P0s = counting._diag_parities(N, range(N + 1))
+        for dense_system, kind, n, rank, dense in pair_block_ranks_against_dense(P0s):
+            dense_rank = numerical_rank(dense)
+            assert rank == dense_rank
+            if dense_system is dense_family_system:
+                assert count_matrix_family(kind, N - n, n) == dense.shape[1] - dense_rank
+            else:
+                assert count_operator_orbit(kind, N - n, n) == dense_rank
+
+    def test_general_diagonal_bases_match_dense_systems(self):
+        """The block argument needs only a diagonal base operator: random
+        complex diagonals, one scaled by 1e-15, each ranked under the cut of
+        its own largest singular value."""
+        p = np.random.default_rng(7).normal(size=(3, 4, 2)).view(complex)[..., 0]
+        p[2] *= 1e-15
+        for *_, rank, dense in pair_block_ranks_against_dense(p[:, :, None] * np.eye(4)):
+            assert rank == numerical_rank(dense)
+
+    def test_non_diagonal_base_operator_is_rejected(self):
+        P0 = counting._diag_parities(3, [1])
+        P0[0, 0, 2] = 1e-300  # exact guard: any nonzero entry off the diagonal
+        with pytest.raises(ContractError):
+            counting._pair_blocks(P0)
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_empty_split_is_rejected(self, kind):
+        for count in (count_matrix_family, count_operator_orbit):
+            with pytest.raises(ContractError):
+                count(kind, 0, 0)
+
+    def test_no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(r.match for r in table1_report(8))
+            for N in range(1, 7):
+                for n in range(N + 1):
+                    for kind in FamilyKind:
+                        count_matrix_family(kind, N - n, n)
+                        count_operator_orbit(kind, N - n, n)
 
 
 class TestMatrixFamily:
@@ -136,6 +264,11 @@ class TestTableReport:
         assert splits == {(2, 0), (1, 1), (3, 0), (2, 1), (4, 0), (3, 1), (2, 2)}
 
 
+def _charpoly_imag_coefficients(stack):
+    """(K, N) imaginary parts of c_1..c_N for each matrix of a (K, N, N) stack."""
+    return _charpoly_coefficients(np.linalg.eigvals(stack))[..., 1:].imag
+
+
 def _central_difference_jacobian(H):
     """The finite-difference Jacobian of H -> Im(charpoly coefficients) that
     the count used before the exact derivative, kept here as a reference."""
@@ -223,6 +356,24 @@ class TestWorkCount:
         assert all(r.match for r in table1_report(8))
         assert calls == []
         assert len(built) == 7
+
+    def test_table_svds_are_pair_blocks(self, monkeypatch):
+        """Apart from the seven N x 2 N^2 charpoly Jacobians, table1_report
+        takes singular values of nothing larger than 8 x 4, and each dimension
+        costs the same number of SVD calls whatever its number of splits."""
+        shapes = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+        calls = []
+        for max_dim in range(2, 9):
+            shapes.clear()
+            assert all(r.match for r in table1_report(max_dim))
+            calls.append(len(shapes))
+        jacobians = [s for s in shapes if len(s) == 2]
+        assert jacobians == [(N, 2 * N * N) for N in range(2, 9)]
+        assert all(s[-2] <= 8 and s[-1] <= 4 for s in shapes if len(s) > 2)
+        per_dimension = np.diff([0] + calls)
+        assert np.all(per_dimension == per_dimension[0])  # 2 splits at N = 2, 5 at N = 8
 
     @pytest.mark.parametrize("seed", [0, 1, 20240601])
     def test_random_stream_unchanged(self, monkeypatch, seed):

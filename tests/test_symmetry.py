@@ -192,6 +192,20 @@ class TestGenPtDiag:
             assert np.linalg.norm(core @ H.conj() - H @ core) < 1e-12
 
 
+def reference_self_adjoint_from_diag_metric(p):
+    """The entry-by-entry loop the vectorized constructor replaced."""
+    w = p.omegas
+    N = w.size
+    H = np.zeros((N, N), dtype=complex)
+    for i in range(N):
+        H[i, i] = p.a[i, i]
+        for j in range(i + 1, N):
+            z = p.a[i, j] + 1j * p.b[i, j]
+            H[i, j] = 2.0 * w[j] / (w[i] + w[j]) * z
+            H[j, i] = 2.0 * w[i] / (w[i] + w[j]) * z.conj()
+    return H
+
+
 class TestDiagMetricSelfAdjoint:
     def test_equal_weights_is_hermitian(self):
         rng = np.random.default_rng(19)
@@ -221,6 +235,22 @@ class TestDiagMetricSelfAdjoint:
             H = construct_self_adjoint_from_diag_metric(p)
             W = p.metric
             assert np.linalg.norm(W @ H - H.conj().T @ W) < 1e-13
+
+    @pytest.mark.parametrize("signed_zeros", [False, True])
+    def test_bit_equal_to_entry_loop(self, signed_zeros):
+        """Signbits included: with a and b drawn from {+-0.0, +-1.5} every
+        entry's real and imaginary zeros keep the loop's sign."""
+        rng = np.random.default_rng(31)
+        for N in range(1, 9):
+            for _ in range(20):
+                if signed_zeros:
+                    a, b = rng.choice([0.0, -0.0, 1.5, -1.5], size=(2, N, N))
+                else:
+                    a, b = rng.normal(size=(2, N, N))
+                p = DiagMetricSelfAdjointParams(omegas=rng.uniform(0.5, 2.0, N), a=a, b=b)
+                H = construct_self_adjoint_from_diag_metric(p)
+                expected = reference_self_adjoint_from_diag_metric(p)
+                assert np.array_equal(H.view(np.uint64), expected.view(np.uint64))
 
     def test_mirror_phase_property(self):
         rng = np.random.default_rng(29)
