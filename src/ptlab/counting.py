@@ -8,7 +8,11 @@ of these maps sends a matrix supported on an entry pair {(a, b), (b, a)} to
 one supported on the same pair, acting there as on the 2 x 2 principal block
 with base diag(p_a, p_b) (a diagonal entry: the 1 x 1 block p_a).  So the real
 system is block diagonal up to a permutation; it is ranked on blocks of at
-most 8 x 4, every split at once.  The family of matrices with a real
+most 8 x 4.  A stack of base operators (every split of every dimension of the
+table) holds few distinct blocks (at a parity: (1, 1), (1, -1), (-1, -1), 1
+and -1), so each distinct block is factored once per map, and each operator
+counts its blocks' singular values above the cut set by the largest among the
+blocks it holds.  The family of matrices with a real
 characteristic polynomial is a variety, not a linear space, so its dimension
 comes from the rank of the exact derivative of the imaginary-coefficient map
 at a smooth base point, read off the adjugate coefficients of Faddeev and
@@ -62,12 +66,15 @@ class CountReport:
     match: bool
 
 
-def _diag_parities(N: int, ns) -> np.ndarray:
-    """(len(ns), N, N) stack of the parities diag(1_m, -1_n), m = N - n."""
-    if N < 1:
+def _diag_parities(N, ns) -> np.ndarray:
+    """(S, M, M) stack of the parities diag(1_m, -1_n), m = N - n, one per split n of
+    ns (N one size, or one per split), each zero-padded to the largest size M."""
+    sizes, ns = np.broadcast_arrays(N, ns)
+    if np.any(sizes < 1):
         raise ContractError("need m + n >= 1")
-    signs = np.where(np.arange(N) < N - np.asarray(ns)[:, None], 1.0, -1.0)
-    return (signs[:, :, None] * np.eye(N)).astype(complex)
+    axis = np.arange(sizes.max())
+    signs = np.where(axis < (sizes - ns)[:, None], 1.0, np.where(axis < sizes[:, None], -1.0, 0.0))
+    return (signs[:, :, None] * np.eye(len(axis))).astype(complex)
 
 
 # The maps see a base operator diag(p) as c = p[..., :, None] and r = p[..., None, :]
@@ -89,37 +96,57 @@ _LIE_ALGEBRAS = {
 _SUPPORTS = (~np.eye(2, dtype=bool), np.ones((1, 1), dtype=bool))
 
 
-def _pair_blocks(P0s: np.ndarray) -> tuple:
-    """Diagonals of the (S, N(N-1)/2, 2) blocks diag(p_a, p_b), a < b, and the (S, N, 1)
-    blocks p_a of a (S, N, N) stack of diagonal base operators diag(p)."""
-    N = P0s.shape[-1]
-    if np.any(P0s[:, ~np.eye(N, dtype=bool)]):
+def _distinct(rows: np.ndarray, member: np.ndarray, S: int) -> tuple:
+    """The distinct rows of a (K, w) array, equal when their bytes are, and the (S, U)
+    number of times each occurs among the rows of each of S members."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], np.bincount(member * len(first) + inverse, minlength=S * len(first)).reshape(S, -1)
+
+
+def _pair_blocks(P0s: np.ndarray, sizes=None) -> tuple:
+    """((distinct pair diagonals (p_a, p_b), a < b, their (S, U) counts), (distinct
+    entries p_a, their counts)) over a (S, M, M) stack of diagonal base operators
+    diag(p), member s holding its first sizes[s] entries (default: all M)."""
+    S, M = P0s.shape[0], P0s.shape[-1]
+    if np.any(P0s[:, ~np.eye(M, dtype=bool)]):
         raise ContractError("pair blocks need a diagonal base operator")
     p = np.diagonal(P0s, axis1=-2, axis2=-1)
-    a, b = np.triu_indices(N, 1)
-    return np.stack([p[:, a], p[:, b]], axis=-1), p[..., None]
+    sizes = np.broadcast_to(M if sizes is None else sizes, S)[:, None]
+    a, b = np.triu_indices(M, 1)
+    pair_member, pair = np.nonzero(b < sizes)
+    entry_member, entry = np.nonzero(np.arange(M) < sizes)
+    return (_distinct(np.stack([p[pair_member, a[pair]], p[pair_member, b[pair]]], axis=-1), pair_member, S),
+            _distinct(p[entry_member, entry, None], entry_member, S))
 
 
-def _singular_values(image, blocks, bases) -> np.ndarray:
-    """(S, columns) singular values of the real system of X -> image(P0, X) over the
-    (pair, diagonal) bases at each base operator: those of its blocks, read on the
-    entries each block supports (in every block-sized slab of a stacked output)."""
-    sigma = []
-    for p, basis, support in zip(blocks, bases, _SUPPORTS):
-        images = image(p[..., None, :, None], p[..., None, None, :], np.broadcast_to(basis, p.shape[:-1] + basis.shape))
-        entries = images[..., np.tile(support, (images.shape[-2] // len(support), 1))]
-        real = np.concatenate([entries.real, entries.imag], axis=-1).swapaxes(-1, -2)
-        sigma.append(np.linalg.svd(real, compute_uv=False).reshape(len(p), -1))
-    return np.concatenate(sigma, axis=1)
+def _singular_values(image, rows: np.ndarray, basis: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """(U, len(basis)) singular values of the real system of X -> image(diag(p), X) over
+    the basis at each row p, read on the entries the block supports (in every
+    block-sized slab of a stacked output).  No block is wide: one value per column."""
+    images = image(rows[:, None, :, None], rows[:, None, None, :], np.broadcast_to(basis, rows.shape[:1] + basis.shape))
+    entries = images[..., np.tile(support, (images.shape[-2] // len(support), 1))]
+    real = np.concatenate([entries.real, entries.imag], axis=-1).swapaxes(-1, -2)
+    return np.linalg.svd(real, compute_uv=False)
 
 
-def _rank(sigma: np.ndarray, tol: ToleranceConfig) -> np.ndarray:
-    return np.sum(sigma > tol.rank_cutoff(sigma.max(axis=1, keepdims=True)), axis=1)
+def _ranks(image, blocks, bases, tol: ToleranceConfig) -> tuple:
+    """(rank, columns) per member of the real system of X -> image(P0, X) over the
+    (pair, diagonal) bases: each distinct block is factored once, and each member
+    counts its blocks' singular values above the cut of the largest among them."""
+    counts = [c for _, c in blocks]
+    sigma = [_singular_values(image, rows, basis, support) for (rows, _), basis, support in zip(blocks, bases, _SUPPORTS)]
+    sigma_max = np.maximum(*(np.max((c > 0) * s.max(axis=1), axis=1, initial=0.0) for c, s in zip(counts, sigma)))
+    cut = tol.rank_cutoff(sigma_max)[:, None, None]
+    rank = sum(np.sum(c * np.sum(s > cut, axis=-1), axis=1) for c, s in zip(counts, sigma))
+    columns = sum(c.sum(axis=1) * s.shape[1] for c, s in zip(counts, sigma))
+    return rank, columns
 
 
 def _family_dims(kind: FamilyKind, blocks, tol: ToleranceConfig) -> np.ndarray:
-    sigma = _singular_values(_CONDITIONS[kind], blocks, _REAL_UNITS)
-    return sigma.shape[1] - _rank(sigma, tol)  # no block is wide: one singular value per column
+    rank, columns = _ranks(_CONDITIONS[kind], blocks, _REAL_UNITS, tol)
+    return columns - rank
 
 
 def _commutator(c, r, X):
@@ -127,7 +154,7 @@ def _commutator(c, r, X):
 
 
 def _orbit_dims(kind: FamilyKind, blocks, tol: ToleranceConfig) -> np.ndarray:
-    return _rank(_singular_values(_commutator, blocks, _LIE_ALGEBRAS[kind]), tol)
+    return _ranks(_commutator, blocks, _LIE_ALGEBRAS[kind], tol)[0]
 
 
 def count_matrix_family(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -246,38 +273,39 @@ def table1_report(max_dim: int, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 
 
     The merged family row is computed twice (parity route and metric route)
     and reported once; a disagreement between the two routes clears the match
-    flag.  All (m, n) splits of each dimension are covered.
+    flag.  All (m, n) splits of each dimension are covered, and all are ranked
+    together: each distinct block is factored once per map for the whole table.
     """
     if max_dim < 2:
         raise ContractError("need max_dim >= 2")
+    splits = [(dim, n) for dim in range(2, max_dim + 1) for n in range(dim // 2 + 1)]
+    dims, ns = np.array(splits).T
+    blocks = _pair_blocks(_diag_parities(dims, ns), dims)
+    family = {kind: _family_dims(kind, blocks, tol).tolist() for kind in FamilyKind}
+    orbit = {kind: _orbit_dims(kind, blocks, tol).tolist() for kind in _LIE_ALGEBRAS}
     reports = []
-    for dim in range(2, max_dim + 1):
-        blocks = _pair_blocks(_diag_parities(dim, range(dim // 2 + 1)))
-        for kind in (FamilyKind.REAL_SYMMETRIC, FamilyKind.HERMITIAN):  # these ignore the base operator
-            size = _family_dims(kind, [q[:1] for q in blocks], tol)[0]
-            reports.append(_report(TableRow[kind.name], dim, 0, int(size)))
-        pt_dims, ps_dims = (_family_dims(kind, blocks, tol).tolist() for kind in (FamilyKind.PT, FamilyKind.PSEUDO))
-        pt_orbits, ps_orbits = (_orbit_dims(kind, blocks, tol).tolist() for kind in (FamilyKind.PT, FamilyKind.PSEUDO))
-        for n, (pt_dim, ps_dim, pt_orbit, ps_orbit) in enumerate(zip(pt_dims, ps_dims, pt_orbits, ps_orbits)):
-            reports.append(_report(TableRow.PT_OR_PSEUDO, dim - n, n, pt_dim, pt_orbit,
-                                   agree=pt_dim == ps_dim and pt_orbit == ps_orbit))
-        reports.append(_report(TableRow.SELF_ADJOINT_OR_GEN_PT, dim, 0,
-                               count_real_charpoly_variety(dim, tol=tol, seed=seed)))
+    for s, (dim, n) in enumerate(splits):
+        if n == 0:  # these ignore the base operator: once per dimension
+            reports += [_report(TableRow[kind.name], dim, 0, family[kind][s])
+                        for kind in (FamilyKind.REAL_SYMMETRIC, FamilyKind.HERMITIAN)]
+        pt_dim, ps_dim = family[FamilyKind.PT][s], family[FamilyKind.PSEUDO][s]
+        pt_orbit, ps_orbit = orbit[FamilyKind.PT][s], orbit[FamilyKind.PSEUDO][s]
+        reports.append(_report(TableRow.PT_OR_PSEUDO, dim - n, n, pt_dim, pt_orbit,
+                               agree=pt_dim == ps_dim and pt_orbit == ps_orbit))
+        if n == dim // 2:
+            reports.append(_report(TableRow.SELF_ADJOINT_OR_GEN_PT, dim, 0,
+                                   count_real_charpoly_variety(dim, tol=tol, seed=seed)))
     return reports
 
 
 def table_columns(reports) -> dict:
     """Per-dimension best-split totals in table row order
     (real symmetric, Hermitian, PT-or-pseudo, self-adjoint-or-generalized)."""
-    dims = sorted({r.m + r.n for r in reports})
-    columns = {}
-    for dim in dims:
-        row = []
-        for kind in (TableRow.REAL_SYMMETRIC, TableRow.HERMITIAN, TableRow.PT_OR_PSEUDO, TableRow.SELF_ADJOINT_OR_GEN_PT):
-            entries = [r for r in reports if r.kind is kind and r.m + r.n == dim]
-            row.append(max(r.total for r in entries))
-        columns[dim] = tuple(row)
-    return columns
+    best = {}
+    for r in reports:
+        key = (r.m + r.n, r.kind)
+        best[key] = max(best.get(key, r.total), r.total)
+    return {dim: tuple(best[dim, kind] for kind in TableRow) for dim in sorted({dim for dim, _ in best})}
 
 
 CSV_COLUMNS = ("kind", "m", "n", "matrix_dim", "orbit_dim", "total", "expected", "match")

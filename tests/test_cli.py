@@ -1,5 +1,6 @@
 """CLI: round trips, exit codes, determinism, document format."""
 
+import hashlib
 import json
 import pathlib
 
@@ -461,6 +462,20 @@ class TestGoldenClassifyConvert:
         assert (code, err) == (0, "")
         assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
+
+
+COUNT_HASHES = json.loads((GOLDEN / "count_stdout.sha256.json").read_text(encoding="utf-8"))
+
+
+class TestCountStdoutHashes:
+    """sha256 of count's stdout for every --max-dim and both formats, captured
+    before the rank table was shared across dimensions and splits."""
+
+    @pytest.mark.parametrize("command", sorted(COUNT_HASHES))
+    def test_stdout_sha256(self, capsys, command):
+        code, out, err = run(capsys, *command.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == COUNT_HASHES[command]
 
 class TestJordan:
     def test_chain_extraction(self, tmp_path, capsys):

@@ -77,20 +77,23 @@ def dense_orbit_system(kind, P0):
 def pair_block_ranks_against_dense(P0s):
     """Yield (dense system function, kind, index, pair-block rank, dense
     system) for the four families and both orbits at each base operator of
-    a stack of diagonal ones, after checking that the sorted singular values
-    of the blocks are those of the dense system within 1e-12 sigma_max."""
+    a stack of diagonal ones, after checking that the singular values of the
+    blocks it holds (each distinct block as often as it holds it), sorted,
+    are those of the dense system within 1e-12 sigma_max."""
     blocks = counting._pair_blocks(P0s)
     systems = [(dense_family_system, kind, counting._CONDITIONS[kind], counting._REAL_UNITS) for kind in FamilyKind]
     systems += [(dense_orbit_system, kind, counting._commutator, counting._LIE_ALGEBRAS[kind])
                 for kind in (FamilyKind.PT, FamilyKind.PSEUDO)]
     for dense_system, kind, image, bases in systems:
-        sigma = counting._singular_values(image, blocks, bases)
-        ranks = counting._rank(sigma, DEFAULT_TOL)
+        sigma = [counting._singular_values(image, rows, basis, support)
+                 for (rows, _), basis, support in zip(blocks, bases, counting._SUPPORTS)]
+        ranks, columns = counting._ranks(image, blocks, bases, DEFAULT_TOL)
         for index, P0 in enumerate(P0s):
             dense = dense_system(kind, P0)
             expected = np.linalg.svd(dense, compute_uv=False)
-            assert sigma[index].shape == expected.shape
-            np.testing.assert_allclose(np.sort(sigma[index]), np.sort(expected), rtol=0, atol=1e-12 * expected[0])
+            held = np.concatenate([np.repeat(s, counts[index], axis=0).ravel() for (_, counts), s in zip(blocks, sigma)])
+            assert held.shape == expected.shape == (columns[index],)
+            np.testing.assert_allclose(np.sort(held), np.sort(expected), rtol=0, atol=1e-12 * expected[0])
             yield dense_system, kind, index, ranks[index], dense
 
 
@@ -122,11 +125,18 @@ class TestDenseOracle:
                 assert count_operator_orbit(kind, N - n, n) == dense_rank
 
     def test_general_diagonal_bases_match_dense_systems(self):
-        """The block argument needs only a diagonal base operator: random
-        complex diagonals, one scaled by 1e-15, each ranked under the cut of
-        its own largest singular value."""
-        p = np.random.default_rng(7).normal(size=(3, 4, 2)).view(complex)[..., 0]
-        p[2] *= 1e-15
+        """The block argument needs only a diagonal base operator.  Random
+        complex diagonals that share entries, so that the stack factors their
+        common blocks once: member 1 shares the block (p_0, p_1) with member 0,
+        member 2 is member 1 scaled by 1e-15, and member 3 holds blocks of
+        members 0 and 2 both.  Each is ranked under the cut of the largest
+        singular value among the blocks it holds, as the dense system is."""
+        p = np.random.default_rng(7).normal(size=(4, 4, 2)).view(complex)[..., 0]
+        p[1, :2] = p[0, :2]
+        p[2] = 1e-15 * p[1]
+        p[3] = np.concatenate([p[0, :2], p[2, 2:]])
+        blocks = counting._pair_blocks(p[:, :, None] * np.eye(4))
+        assert [len(rows) for rows, _ in blocks] == [6 + 5 + 6 + 4, 4 + 2 + 4 + 0]  # shared blocks once
         for *_, rank, dense in pair_block_ranks_against_dense(p[:, :, None] * np.eye(4)):
             assert rank == numerical_rank(dense)
 
@@ -258,6 +268,20 @@ class TestTableReport:
             if r.kind is not TableRow.PT_OR_PSEUDO:
                 assert r.measured_operator_orbit_dim == 0
 
+    def test_splits_match_one_split_counts(self):
+        """The table ranks every split of every dimension in one stack; each
+        split counts as it does alone, the definite n = 0 included (it holds
+        no (-1, -1) block, which must not set its cut)."""
+        reports = table1_report(8)
+        assert {r.n for r in reports if r.kind is TableRow.PT_OR_PSEUDO} == set(range(5))
+        for r in reports:
+            if r.kind is TableRow.PT_OR_PSEUDO:
+                for kind in (FamilyKind.PT, FamilyKind.PSEUDO):
+                    assert r.measured_matrix_dim == count_matrix_family(kind, r.m, r.n)
+                    assert r.measured_operator_orbit_dim == count_operator_orbit(kind, r.m, r.n)
+            elif r.kind is not TableRow.SELF_ADJOINT_OR_GEN_PT:
+                assert r.measured_matrix_dim == count_matrix_family(FamilyKind[r.kind.name], r.m, r.n)
+
     def test_partitions_covered(self):
         reports = table1_report(4)
         splits = {(r.m, r.n) for r in reports if r.kind is TableRow.PT_OR_PSEUDO}
@@ -359,21 +383,33 @@ class TestWorkCount:
 
     def test_table_svds_are_pair_blocks(self, monkeypatch):
         """Apart from the seven N x 2 N^2 charpoly Jacobians, table1_report
-        takes singular values of nothing larger than 8 x 4, and each dimension
-        costs the same number of SVD calls whatever its number of splits."""
-        shapes = []
+        takes singular values of nothing larger than 8 x 4, and only of the
+        distinct blocks of its parities: the pair diagonals (1, 1), (1, -1) and,
+        from N = 4 on, (-1, -1), and the entries 1 and -1.  That is one stacked
+        SVD per map and block size, 12 whatever max_dim."""
+        shapes, factored = [], []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+        singular_values = counting._singular_values
+        monkeypatch.setattr(counting, "_singular_values",
+                            lambda image, rows, *a: factored.append(rows) or singular_values(image, rows, *a))
         calls = []
         for max_dim in range(2, 9):
             shapes.clear()
+            factored.clear()
             assert all(r.match for r in table1_report(max_dim))
-            calls.append(len(shapes))
+            stacked = [s for s in shapes if len(s) > 2]
+            calls.append(len(stacked))
+            assert [s[0] for s in stacked] == [len(rows) for rows in factored]
+            pairs = {(1.0, 1.0), (1.0, -1.0)} | ({(-1.0, -1.0)} if max_dim >= 4 else set())
+            for pair_rows, entry_rows in zip(factored[0::2], factored[1::2]):
+                assert not pair_rows.imag.any() and not entry_rows.imag.any()
+                assert sorted(map(tuple, pair_rows.real.tolist())) == sorted(pairs)
+                assert sorted(entry_rows.real.ravel().tolist()) == [-1.0, 1.0]
+        assert calls == [12] * 7
         jacobians = [s for s in shapes if len(s) == 2]
         assert jacobians == [(N, 2 * N * N) for N in range(2, 9)]
         assert all(s[-2] <= 8 and s[-1] <= 4 for s in shapes if len(s) > 2)
-        per_dimension = np.diff([0] + calls)
-        assert np.all(per_dimension == per_dimension[0])  # 2 splits at N = 2, 5 at N = 8
 
     @pytest.mark.parametrize("seed", [0, 1, 20240601])
     def test_random_stream_unchanged(self, monkeypatch, seed):
