@@ -528,7 +528,7 @@ def cmd_count(args) -> int:
     tol = _tolerances(args)
     if not (2 <= args.max_dim <= 8):
         raise CliError(EXIT_PARSE, f"--max-dim must lie in [2, 8], got {args.max_dim}")
-    reports = table1_report(args.max_dim, tol, seed=_seed(args))
+    reports = table1_report(args.max_dim, tol)
     columns = table_columns(reports)
     failures = [r for r in reports if not r.match]
     if args.format == "csv":

@@ -13,10 +13,14 @@ table) holds few distinct blocks (at a parity: (1, 1), (1, -1), (-1, -1), 1
 and -1), so each distinct block is factored once per map, and each operator
 counts its blocks' singular values above the cut set by the largest among the
 blocks it holds.  The family of matrices with a real
-characteristic polynomial is a variety, not a linear space, so its dimension
-comes from the rank of the exact derivative of the imaginary-coefficient map
-at a smooth base point, read off the adjugate coefficients of Faddeev and
-LeVerrier.
+characteristic polynomial is a variety, not a linear space: its dimension is
+2 N^2 minus the rank of the exact derivative of the imaginary-coefficient map
+(from the adjugate coefficients of Faddeev and LeVerrier) where that rank is
+N, the implicit-function condition.  The base point is diag(d) at the N
+Chebyshev nodes cos(pi (k + 1/2) / N): real and distinct, so the polynomial
+is real, and only the N imaginary diagonal directions move it, through a
+block of determinant +- the Vandermonde of d.  The table ranks these blocks
+of all its dimensions in one stacked SVD.
 
 Expected closed forms, dimension N split as m + n where applicable:
 
@@ -30,14 +34,12 @@ Expected closed forms, dimension N split as m + n where applicable:
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, IndeterminateStructureError
-from .numerics import DEFAULT_TOL, ToleranceConfig, as_square_matrix, frobenius, numerical_rank, vectorize
-from .symmetry import DiagMetricSelfAdjointParams, construct_self_adjoint_from_diag_metric
+from .numerics import DEFAULT_TOL, ToleranceConfig, as_square_matrix, frobenius, vectorize
 
 
 class FamilyKind(enum.Enum):
@@ -205,49 +207,49 @@ def _imag_coefficient_jacobian(H: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return vectorize(-1j * B.conj().swapaxes(-1, -2))
 
 
-def _random_self_adjoint(N: int, rng) -> np.ndarray:
-    params = DiagMetricSelfAdjointParams(
-        omegas=rng.uniform(0.5, 2.0, size=N),
-        a=rng.normal(size=(N, N)),
-        b=rng.normal(size=(N, N)),
-    )
-    return construct_self_adjoint_from_diag_metric(params)
+def _variety_dims(jacobians, tol: ToleranceConfig) -> np.ndarray:
+    """2 N^2 minus the rank of each (N, w) derivative of the imaginary-coefficient
+    map in a list, ranked in one zero-padded stacked SVD under their own cuts.
+    Below rank N (a derogatory base point) the dimension is undecided."""
+    sizes = np.array([len(J) for J in jacobians])
+    stack = np.zeros((len(jacobians), sizes.max(), max(J.shape[1] for J in jacobians)))
+    for s, J in enumerate(jacobians):
+        stack[s, :J.shape[0], :J.shape[1]] = J
+    sigma = np.linalg.svd(stack, compute_uv=False)
+    rank = np.sum(sigma > tol.rank_cutoff(sigma[:, :1]), axis=1)
+    if np.any(rank < sizes):
+        raise IndeterminateStructureError("derivative of the imaginary-coefficient map is rank-deficient")
+    return 2 * sizes * sizes - rank
 
 
-def count_real_charpoly_variety(N: int, base_point=None, tol: ToleranceConfig = DEFAULT_TOL,
-                                seed: int = 20240601, attempts: int = 8) -> int:
-    """Dimension of {H : characteristic polynomial real} near a base point.
+def _chebyshev_variety_dims(sizes, tol: ToleranceConfig) -> np.ndarray:
+    """Variety dimension for each size N at diag(d), d the N Chebyshev nodes, from
+    the derivative's imaginary diagonal columns (its only nonzero ones there)."""
+    nodes = [np.cos(np.pi * (np.arange(N) + 0.5) / N) for N in sizes]
+    return _variety_dims([_imag_coefficient_jacobian(np.diag(d), _charpoly_coefficients(d))[:, 1::2][:, ::len(d) + 1]
+                          for d in nodes], tol)
 
-    Measured as 2 N^2 minus the rank of the exact derivative of
-    H -> Im(charpoly coefficients), built from the adjugate coefficients of
-    the base point.  The base point must have a real characteristic
-    polynomial and simple spectrum; a rank-deficient derivative triggers
-    retries at fresh random self-adjoint base points and, past the attempt
-    budget, an indeterminate error.
+
+def count_real_charpoly_variety(N: int, base_point=None, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+    """Dimension of {H : characteristic polynomial real} near a base point,
+    by default diag of the N Chebyshev nodes: 2 N^2 minus the rank of the exact
+    derivative of H -> Im(charpoly coefficients) there.  A given base point
+    must have a real characteristic polynomial (else a ContractError); below
+    rank N the dimension is an IndeterminateStructureError.
     """
     if N < 1:
         raise ContractError("need N >= 1")
-    rng = np.random.default_rng(seed)
-    given = [] if base_point is None else [as_square_matrix(base_point, "base_point")]
-    if given and given[0].shape != (N, N):
-        raise DimensionError(f"base_point must be {N}x{N}, got shape {given[0].shape}")
-    fresh = (_random_self_adjoint(N, rng) for _ in range(attempts - len(given)))  # built only when reached
-    for base in itertools.chain(given, fresh):
-        scale = max(frobenius(base), 1.0)
-        eigs = np.linalg.eigvals(base)
-        coeffs = _charpoly_coefficients(eigs)
-        # c_k is a sum of k-fold eigenvalue products, so |c_k| <= C(N, k) scale^k
-        if (np.abs(coeffs[1:].imag) > 1e-8 * scale ** np.arange(1, N + 1)).any():
-            continue
-        gaps = np.abs(eigs[:, None] - eigs[None, :])
-        gaps[np.eye(N, dtype=bool)] = np.inf
-        if N > 1 and gaps.min() < 1e-6 * scale:
-            continue
-        if numerical_rank(_imag_coefficient_jacobian(base, coeffs), tol) == N:
-            return 2 * N * N - N
-    raise IndeterminateStructureError(
-        f"derivative of the imaginary-coefficient map stayed rank-deficient over {attempts} base points"
-    )
+    if base_point is None:
+        return int(_chebyshev_variety_dims([N], tol)[0])
+    base = as_square_matrix(base_point, "base_point")
+    if base.shape != (N, N):
+        raise DimensionError(f"base_point must be {N}x{N}, got shape {base.shape}")
+    scale = max(frobenius(base), 1.0)
+    coeffs = _charpoly_coefficients(np.linalg.eigvals(base))
+    # c_k is a sum of k-fold eigenvalue products, so |c_k| <= C(N, k) scale^k
+    if (np.abs(coeffs[1:].imag) > 1e-8 * scale ** np.arange(1, N + 1)).any():
+        raise ContractError("base_point must have a real characteristic polynomial")
+    return int(_variety_dims([_imag_coefficient_jacobian(base, coeffs)], tol)[0])
 
 
 def _closed_form(kind: TableRow, m: int, n: int) -> int:
@@ -268,13 +270,15 @@ def _report(kind: TableRow, m: int, n: int, matrix_dim: int, orbit_dim: int = 0,
                        total=total, expected=expected, match=agree and total == expected)
 
 
-def table1_report(max_dim: int, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 20240601) -> list:
+def table1_report(max_dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     """Measured vs expected parameter counts for dimensions 2..max_dim.
 
     The merged family row is computed twice (parity route and metric route)
     and reported once; a disagreement between the two routes clears the match
     flag.  All (m, n) splits of each dimension are covered, and all are ranked
     together: each distinct block is factored once per map for the whole table.
+    The variety row of every dimension is ranked at its Chebyshev diagonal base,
+    all in one more stacked SVD.
     """
     if max_dim < 2:
         raise ContractError("need max_dim >= 2")
@@ -283,6 +287,7 @@ def table1_report(max_dim: int, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 
     blocks = _pair_blocks(_diag_parities(dims, ns), dims)
     family = {kind: _family_dims(kind, blocks, tol).tolist() for kind in FamilyKind}
     orbit = {kind: _orbit_dims(kind, blocks, tol).tolist() for kind in _LIE_ALGEBRAS}
+    variety = _chebyshev_variety_dims(range(2, max_dim + 1), tol).tolist()
     reports = []
     for s, (dim, n) in enumerate(splits):
         if n == 0:  # these ignore the base operator: once per dimension
@@ -293,8 +298,7 @@ def table1_report(max_dim: int, tol: ToleranceConfig = DEFAULT_TOL, seed: int = 
         reports.append(_report(TableRow.PT_OR_PSEUDO, dim - n, n, pt_dim, pt_orbit,
                                agree=pt_dim == ps_dim and pt_orbit == ps_orbit))
         if n == dim // 2:
-            reports.append(_report(TableRow.SELF_ADJOINT_OR_GEN_PT, dim, 0,
-                                   count_real_charpoly_variety(dim, tol=tol, seed=seed)))
+            reports.append(_report(TableRow.SELF_ADJOINT_OR_GEN_PT, dim, 0, variety[dim - 2]))
     return reports
 
 

@@ -14,7 +14,6 @@ class; check_symmetry reports the intertwining residual for any pair.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,24 +287,12 @@ def construct_self_adjoint_from_diag_metric(p: DiagMetricSelfAdjointParams) -> n
     omegas equal reduces to a plain Hermitian matrix.
     """
     w = p.omegas
-    i, j, upper, lower = _strict_upper_triangle(w.size)
-    z = p.a.take(upper) + 1j * p.b.take(upper)
-    wi, wj = w[i], w[j]
+    i, j = np.nonzero(~np.tri(w.size, dtype=bool))  # the strict upper triangle, row by row
+    z = p.a[i, j] + 1j * p.b[i, j]
     H = np.diag(p.a.diagonal()).astype(complex)  # triangles by index: adding triu and tril turns -0.0 into +0.0
-    flat = H.reshape(-1)
-    flat[upper] = 2.0 * wj / (wi + wj) * z
-    flat[lower] = 2.0 * wi / (wi + wj) * z.conj()
+    H[i, j] = 2.0 * w[j] / (w[i] + w[j]) * z
+    H[j, i] = 2.0 * w[i] / (w[i] + w[j]) * z.conj()
     return H
-
-
-@functools.lru_cache(maxsize=64)
-def _strict_upper_triangle(N: int) -> tuple:
-    """Read-only rows i and columns j of the strict upper triangle of an N x N
-    matrix, row by row, and the flat indices of (i, j) and of its mirror (j, i)."""
-    i, j = np.nonzero(~np.tri(N, dtype=bool))
-    indices = np.stack([i, j, i * N + j, j * N + i])
-    indices.flags.writeable = False
-    return indices
 
 
 def _realifying_columns(vectors: np.ndarray, real: np.ndarray, pairs, labels: np.ndarray) -> np.ndarray:

@@ -330,10 +330,21 @@ class TestCount:
         real = table1_report(2)
         broken = [dataclasses.replace(r, total=r.total + 1, match=False)
                   if r.kind is TableRow.HERMITIAN else r for r in real]
-        monkeypatch.setattr(cli_mod, "table1_report", lambda max_dim, tol, seed: broken)
+        monkeypatch.setattr(cli_mod, "table1_report", lambda max_dim, tol: broken)
         code, _, err = run(capsys, "count", "--max-dim", "2")
         assert code == 5
         assert "mismatch" in err and "hermitian" in err
+
+    def test_output_is_seed_free(self, capsys, monkeypatch):
+        """count reads neither --seed (still accepted by the shared parser) nor
+        PTLAB_SEED, so a malformed PTLAB_SEED is no error either."""
+        code, expected, _ = run(capsys, "count", "--max-dim", "8")
+        assert code == 0
+        for seed in ("1", "2"):
+            assert run(capsys, "count", "--max-dim", "8", "--seed", seed)[:2] == (0, expected)
+        for env in ("7", "x"):
+            monkeypatch.setenv("PTLAB_SEED", env)
+            assert run(capsys, "count", "--max-dim", "8")[:2] == (0, expected)
 
 
 class TestConvert:

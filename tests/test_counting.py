@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from ptlab import counting
 from ptlab.counting import (
@@ -22,9 +23,8 @@ from ptlab.counting import (
     table_columns,
     _charpoly_coefficients,
     _imag_coefficient_jacobian,
-    _random_self_adjoint,
 )
-from ptlab.errors import ContractError, DimensionError
+from ptlab.errors import ContractError, DimensionError, IndeterminateStructureError
 from ptlab.numerics import DEFAULT_TOL, devectorize, frobenius, hermitian_basis, numerical_rank, vectorize
 from ptlab.symmetry import DiagMetricSelfAdjointParams, construct_self_adjoint_from_diag_metric
 
@@ -226,21 +226,21 @@ class TestCharpolyVariety:
                 base = construct_self_adjoint_from_diag_metric(p)
                 assert count_real_charpoly_variety(N, base_point=base) == 2 * N * N - N
 
-    def test_degenerate_base_is_retried(self):
-        # identity has a maximally degenerate spectrum; retries must kick in
-        assert count_real_charpoly_variety(3, base_point=np.eye(3)) == 15
+    def test_derogatory_base_is_indeterminate(self):
+        # a repeated eigenvalue in two Jordan blocks drops the derivative to rank N - 1
+        for base in (np.eye(3), np.diag([1.0, 1.0, 2.0])):
+            with pytest.raises(IndeterminateStructureError):
+                count_real_charpoly_variety(3, base_point=base)
 
-    def test_base_with_complex_charpoly_is_skipped(self, monkeypatch):
+    def test_base_with_complex_charpoly_is_rejected(self):
         # Im c_1 = 1e-4 while the coefficients grow like 8^k: one absolute
         # bound scale^N would let this base through; per coefficient it fails
         real_base = np.diag(np.arange(1.0, 9.0)).astype(complex)
         complex_base = real_base.copy()
         complex_base[0, 0] += 1e-4j
-        built = _count_random_bases(monkeypatch)
         assert count_real_charpoly_variety(8, base_point=real_base) == 120
-        assert built == []
-        assert count_real_charpoly_variety(8, base_point=complex_base) == 120
-        assert len(built) == 1
+        with pytest.raises(ContractError):
+            count_real_charpoly_variety(8, base_point=complex_base)
 
     def test_base_point_of_wrong_size_rejected(self):
         with pytest.raises(DimensionError):
@@ -286,6 +286,18 @@ class TestTableReport:
         reports = table1_report(4)
         splits = {(r.m, r.n) for r in reports if r.kind is TableRow.PT_OR_PSEUDO}
         assert splits == {(2, 0), (1, 1), (3, 0), (2, 1), (4, 0), (3, 1), (2, 2)}
+
+
+def _random_self_adjoint(N, rng):
+    """A random base point with a real characteristic polynomial: self-adjoint
+    under a random positive diagonal metric."""
+    params = DiagMetricSelfAdjointParams(omegas=rng.uniform(0.5, 2.0, size=N),
+                                         a=rng.normal(size=(N, N)), b=rng.normal(size=(N, N)))
+    return construct_self_adjoint_from_diag_metric(params)
+
+
+def _chebyshev_base(N):
+    return np.diag(np.cos(np.pi * (np.arange(N) + 0.5) / N)).astype(complex)
 
 
 def _charpoly_imag_coefficients(stack):
@@ -339,54 +351,139 @@ class TestExactJacobian:
             assert np.all(np.linalg.norm(fd - exact, axis=1) <= 1e-8 * rows)
 
 
-def _count_random_bases(monkeypatch):
-    """Record every random base point the counting module builds."""
-    built = []
-
-    def recording(N, rng):
-        built.append(_random_self_adjoint(N, rng))
-        return built[-1]
-
-    monkeypatch.setattr(counting, "_random_self_adjoint", recording)
-    return built
-
-
 class TestSharedCutoffMargin:
-    """The variety rank uses the shared machine-epsilon rank cutoff.  The
-    exact Jacobian's sigma_min / sigma_max falls about 10x per N (7.8e-6 at
-    worst over these bases at N = 8), so both the count and a 1e6 margin over
-    the cutoff must hold at the first base point of every seed."""
+    """The variety rank uses the shared machine-epsilon rank cutoff, so the
+    smallest singular value of the exact Jacobian must clear it by 1e6."""
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_margin_at_chebyshev_base(self, N):
+        """The default base diag(d): only the imaginary diagonal columns of the
+        Jacobian are nonzero, and sigma_min / sigma_max falls about 2x per N."""
+        jacobian = _exact_jacobian(_chebyshev_base(N))
+        imag_diagonal = 2 * (N + 1) * np.arange(N) + 1
+        assert not np.delete(jacobian, imag_diagonal, axis=1).any()
+        sing = np.linalg.svd(jacobian, compute_uv=False)
+        assert sing[-1] > 1e6 * DEFAULT_TOL.rank_cutoff(sing[0])
+        assert count_real_charpoly_variety(N) == 2 * N * N - N
 
     @pytest.mark.parametrize("N", range(2, 9))
-    def test_first_base_succeeds_at_100_seeds(self, monkeypatch, N):
-        built = _count_random_bases(monkeypatch)
+    def test_first_base_succeeds_at_100_seeds(self, N):
+        """Random self-adjoint base points, one per seed, given as base_point:
+        sigma_min / sigma_max falls about 10x per N (7.8e-6 at worst over
+        these bases at N = 8), and each base counts with the 1e6 margin."""
         for seed in range(100):
-            built.clear()
-            assert count_real_charpoly_variety(N, seed=seed) == 2 * N * N - N
-            assert len(built) == 1, f"seed {seed} needed {len(built) - 1} retries"
-            sing = np.linalg.svd(_exact_jacobian(built[0]), compute_uv=False)
+            base = _random_self_adjoint(N, np.random.default_rng(seed))
+            assert count_real_charpoly_variety(N, base_point=base) == 2 * N * N - N
+            sing = np.linalg.svd(_exact_jacobian(base), compute_uv=False)
             assert sing[-1] > 1e6 * DEFAULT_TOL.rank_cutoff(sing[0])
+
+
+@st.composite
+def _jordan_in_complex_frame(draw, block_sizes):
+    """T J T^-1 for J one Jordan block J_b(lambda_0), b drawn from block_sizes,
+    plus diag(lambda_1, ...), the lambdas distinct integers, and a complex
+    frame T = U diag(s) V with U, V unitary and s in [1, 10]: cond(T) <= 10."""
+    b = draw(st.sampled_from(block_sizes))
+    N = draw(st.integers(b, 6))
+    eigs = draw(st.lists(st.integers(-5, 5), min_size=N - b + 1, max_size=N - b + 1, unique=True))
+    J = np.diag(eigs[:1] * b + eigs[1:]) + np.diag([1.0] * (b - 1) + [0.0] * (N - b), 1)
+    s = np.array(draw(st.lists(st.floats(1.0, 10.0), min_size=N, max_size=N)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    U, V = np.linalg.qr(rng.normal(size=(2, N, N)) + 1j * rng.normal(size=(2, N, N)))[0]
+    T = U * s @ V
+    return T @ J @ np.linalg.inv(T)
+
+
+@st.composite
+def _integer_jordan_bases(draw, derogatory=False):
+    """P J P^-1, exact in floats, for an integer Jordan matrix J of size N <= 4
+    (blocks of any sizes, eigenvalues in -2..2, so derogatory ones too; with
+    derogatory, the first two blocks share an eigenvalue) and a unimodular
+    integer P, a product of elementary matrices 1 +- e_ij."""
+    N = draw(st.integers(2, 4))
+    cuts = sorted(draw(st.sets(st.integers(1, N - 1), min_size=int(derogatory))))
+    sizes = np.diff([0, *cuts, N])
+    eigs = draw(st.lists(st.integers(-2, 2), min_size=len(sizes), max_size=len(sizes)))
+    if derogatory:
+        eigs[1] = eigs[0]
+    chain = np.ones(N - 1, dtype=int)
+    chain[np.array(cuts, dtype=int) - 1] = 0
+    J = np.diag(np.repeat(eigs, sizes)) + np.diag(chain, 1)
+    P, P_inv = np.eye(N, dtype=int), np.eye(N, dtype=int)
+    for i, shift, c in draw(st.lists(st.tuples(st.integers(0, N - 1), st.integers(1, N - 1), st.sampled_from([-1, 1])),
+                                     max_size=3)):
+        E = np.eye(N, dtype=int)
+        E[i, (i + shift) % N] = c
+        P, P_inv = P @ E, (2 * np.eye(N, dtype=int) - E) @ P_inv
+    return P @ J @ P_inv
+
+
+def _minimal_polynomial_degree(H):
+    """Exact degree of the minimal polynomial of an integer matrix: the rank of
+    its powers 1, H, ..., H^N as vectors."""
+    M = sympy.Matrix(H.tolist())
+    return sympy.Matrix.hstack(*[(M ** k).reshape(M.rows ** 2, 1) for k in range(M.rows + 1)]).rank()
+
+
+class TestBasePointContract:
+    """A given base point counts 2 N^2 - N where the derivative has rank N and
+    is indeterminate below: the rank is the degree of the minimal polynomial."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(_jordan_in_complex_frame(block_sizes=(1,)))
+    def test_diagonalizable_in_complex_frame(self, H):
+        N = len(H)
+        assert count_real_charpoly_variety(N, base_point=H) == 2 * N * N - N
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(_jordan_in_complex_frame(block_sizes=(2, 3)))
+    def test_one_jordan_block_in_complex_frame(self, H):
+        N = len(H)
+        assert count_real_charpoly_variety(N, base_point=H) == 2 * N * N - N
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(_integer_jordan_bases())
+    def test_rank_is_minimal_polynomial_degree(self, H):
+        N, degree = len(H), _minimal_polynomial_degree(H)
+        assert numerical_rank(_exact_jacobian(H.astype(complex))) == degree
+        if degree == N:
+            assert count_real_charpoly_variety(N, base_point=H) == 2 * N * N - N
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(_integer_jordan_bases(derogatory=True))
+    def test_derogatory_base_is_indeterminate(self, H):
+        assert _minimal_polynomial_degree(H) < len(H)
+        with pytest.raises(IndeterminateStructureError):
+            count_real_charpoly_variety(len(H), base_point=H)
 
 
 class TestWorkCount:
     def test_table_builds_no_nullspace_and_one_base_per_dimension(self, monkeypatch):
-        calls = []
+        """No rank_and_nullspace, no random generator: one Chebyshev diagonal
+        base per dimension."""
+        calls, generators, bases = [], [], []
         for module in [m for name, m in sys.modules.items() if name.startswith("ptlab")]:
             original = getattr(module, "rank_and_nullspace", None)
             if original is not None:
                 monkeypatch.setattr(module, "rank_and_nullspace",
                                     lambda *a, _f=original, **k: calls.append(1) or _f(*a, **k))
-        built = _count_random_bases(monkeypatch)
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: generators.append(1) or default_rng(*a, **k))
+        jacobian = counting._imag_coefficient_jacobian
+        monkeypatch.setattr(counting, "_imag_coefficient_jacobian",
+                            lambda H, coeffs: bases.append(H) or jacobian(H, coeffs))
         assert all(r.match for r in table1_report(8))
-        assert calls == []
-        assert len(built) == 7
+        assert calls == [] and generators == []
+        assert len(bases) == 7
+        for N, H in enumerate(bases, start=2):
+            np.testing.assert_array_equal(H, _chebyshev_base(N))
 
     def test_table_svds_are_pair_blocks(self, monkeypatch):
-        """Apart from the seven N x 2 N^2 charpoly Jacobians, table1_report
-        takes singular values of nothing larger than 8 x 4, and only of the
-        distinct blocks of its parities: the pair diagonals (1, 1), (1, -1) and,
-        from N = 4 on, (-1, -1), and the entries 1 and -1.  That is one stacked
-        SVD per map and block size, 12 whatever max_dim."""
+        """table1_report takes singular values of the distinct blocks of its
+        parities only, none larger than 8 x 4: the pair diagonals (1, 1), (1, -1)
+        and, from N = 4 on, (-1, -1), and the entries 1 and -1, one stacked SVD
+        per map and block size, 12 whatever max_dim.  The variety rows add one
+        stacked SVD of the zero-padded N x N Jacobian blocks, N = 2..max_dim."""
         shapes, factored = [], []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
@@ -398,22 +495,15 @@ class TestWorkCount:
             shapes.clear()
             factored.clear()
             assert all(r.match for r in table1_report(max_dim))
-            stacked = [s for s in shapes if len(s) > 2]
-            calls.append(len(stacked))
-            assert [s[0] for s in stacked] == [len(rows) for rows in factored]
+            assert all(len(s) > 2 for s in shapes)
+            calls.append(len(shapes))
+            assert shapes[-1] == (max_dim - 1, max_dim, max_dim)
+            blocks = shapes[:-1]
+            assert [s[0] for s in blocks] == [len(rows) for rows in factored]
+            assert all(s[-2] <= 8 and s[-1] <= 4 for s in blocks)
             pairs = {(1.0, 1.0), (1.0, -1.0)} | ({(-1.0, -1.0)} if max_dim >= 4 else set())
             for pair_rows, entry_rows in zip(factored[0::2], factored[1::2]):
                 assert not pair_rows.imag.any() and not entry_rows.imag.any()
                 assert sorted(map(tuple, pair_rows.real.tolist())) == sorted(pairs)
                 assert sorted(entry_rows.real.ravel().tolist()) == [-1.0, 1.0]
-        assert calls == [12] * 7
-        jacobians = [s for s in shapes if len(s) == 2]
-        assert jacobians == [(N, 2 * N * N) for N in range(2, 9)]
-        assert all(s[-2] <= 8 and s[-1] <= 4 for s in shapes if len(s) > 2)
-
-    @pytest.mark.parametrize("seed", [0, 1, 20240601])
-    def test_random_stream_unchanged(self, monkeypatch, seed):
-        built = _count_random_bases(monkeypatch)
-        assert count_real_charpoly_variety(3, base_point=np.eye(3), seed=seed) == 15
-        expected = _random_self_adjoint(3, np.random.default_rng(seed))
-        assert len(built) == 1 and np.array_equal(built[0], expected)
+        assert calls == [12 + 1] * 7
