@@ -524,6 +524,11 @@ def cmd_sweep(args) -> int:
 
 # ---------------------------------------------------------------- count
 
+_JSON_BOOL = {False: "false", True: "true"}
+# One report as json.dumps(payload, indent=2) lays it out in "rows": its keys are the CSV columns.
+_COUNT_ROW = "    {\n%s\n    }" % ",\n".join(f'      "{key}": %s' for key in CSV_COLUMNS)
+
+
 def cmd_count(args) -> int:
     tol = _tolerances(args)
     if not (2 <= args.max_dim <= 8):
@@ -537,18 +542,13 @@ def cmd_count(args) -> int:
             lines.append(",".join(str(int(x)) if isinstance(x, (bool, np.bool_)) else str(x) for x in row))
         emit("\n".join(lines) + "\n", args.out)
     else:
-        payload = {
-            "max_dim": args.max_dim,
-            "rows": [
-                {"kind": r.kind.value, "m": r.m, "n": r.n,
-                 "matrix_dim": r.measured_matrix_dim, "orbit_dim": r.measured_operator_orbit_dim,
-                 "total": r.total, "expected": r.expected, "match": r.match}
-                for r in reports
-            ],
-            "columns": {str(dim): list(vals) for dim, vals in columns.items()},
-            "all_match": not failures,
-        }
-        emit(json.dumps(payload, indent=2), args.out)
+        # tests/golden/count_stdout.sha256.json pins this layout: json.dumps(payload, indent=2), byte for byte
+        rows = ",\n".join(_COUNT_ROW % ('"%s"' % kind, *values, _JSON_BOOL[match])
+                          for kind, *values, match in report_rows(reports))
+        cols = ",\n".join('    "%d": [\n      %s\n    ]' % (dim, ",\n      ".join(map(str, vals)))
+                          for dim, vals in columns.items())
+        emit('{\n  "max_dim": %d,\n  "rows": [\n%s\n  ],\n  "columns": {\n%s\n  },\n  "all_match": %s\n}'
+             % (args.max_dim, rows, cols, _JSON_BOOL[not failures]), args.out)
     if failures:
         for r in failures:
             print(f"mismatch: {r.kind.value} (m={r.m}, n={r.n}) total {r.total} != expected {r.expected}",

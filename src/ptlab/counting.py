@@ -10,17 +10,19 @@ with base diag(p_a, p_b) (a diagonal entry: the 1 x 1 block p_a).  So the real
 system is block diagonal up to a permutation; it is ranked on blocks of at
 most 8 x 4.  A stack of base operators (every split of every dimension of the
 table) holds few distinct blocks (at a parity: (1, 1), (1, -1), (-1, -1), 1
-and -1), so each distinct block is factored once per map, and each operator
-counts its blocks' singular values above the cut set by the largest among the
-blocks it holds.  The family of matrices with a real
+and -1), so the real systems of all six maps (four family conditions, two orbit
+commutators) on the distinct blocks are factored in one stacked SVD, and each
+operator counts, per map, its blocks' singular values above the cut set by the
+largest among the blocks it holds.  The family of matrices with a real
 characteristic polynomial is a variety, not a linear space: its dimension is
 2 N^2 minus the rank of the exact derivative of the imaginary-coefficient map
 (from the adjugate coefficients of Faddeev and LeVerrier) where that rank is
 N, the implicit-function condition.  The base point is diag(d) at the N
 Chebyshev nodes cos(pi (k + 1/2) / N): real and distinct, so the polynomial
 is real, and only the N imaginary diagonal directions move it, through a
-block of determinant +- the Vandermonde of d.  The table ranks these blocks
-of all its dimensions in one stacked SVD.
+block of determinant +- the Vandermonde of d.  The table builds these blocks
+for all its dimensions in one adjugate pass on zero-padded diagonals and ranks
+them in one more stacked SVD.
 
 Expected closed forms, dimension N split as m + n where applicable:
 
@@ -123,46 +125,52 @@ def _pair_blocks(P0s: np.ndarray, sizes=None) -> tuple:
             _distinct(p[entry_member, entry, None], entry_member, S))
 
 
-def _singular_values(image, rows: np.ndarray, basis: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """(U, len(basis)) singular values of the real system of X -> image(diag(p), X) over
-    the basis at each row p, read on the entries the block supports (in every
-    block-sized slab of a stacked output).  No block is wide: one value per column."""
-    images = image(rows[:, None, :, None], rows[:, None, None, :], np.broadcast_to(basis, rows.shape[:1] + basis.shape))
-    entries = images[..., np.tile(support, (images.shape[-2] // len(support), 1))]
-    real = np.concatenate([entries.real, entries.imag], axis=-1).swapaxes(-1, -2)
-    return np.linalg.svd(real, compute_uv=False)
-
-
-def _ranks(image, blocks, bases, tol: ToleranceConfig) -> tuple:
-    """(rank, columns) per member of the real system of X -> image(P0, X) over the
-    (pair, diagonal) bases: each distinct block is factored once, and each member
-    counts its blocks' singular values above the cut of the largest among them."""
-    counts = [c for _, c in blocks]
-    sigma = [_singular_values(image, rows, basis, support) for (rows, _), basis, support in zip(blocks, bases, _SUPPORTS)]
-    sigma_max = np.maximum(*(np.max((c > 0) * s.max(axis=1), axis=1, initial=0.0) for c, s in zip(counts, sigma)))
-    cut = tol.rank_cutoff(sigma_max)[:, None, None]
-    rank = sum(np.sum(c * np.sum(s > cut, axis=-1), axis=1) for c, s in zip(counts, sigma))
-    columns = sum(c.sum(axis=1) * s.shape[1] for c, s in zip(counts, sigma))
-    return rank, columns
-
-
-def _family_dims(kind: FamilyKind, blocks, tol: ToleranceConfig) -> np.ndarray:
-    rank, columns = _ranks(_CONDITIONS[kind], blocks, _REAL_UNITS, tol)
-    return columns - rank
-
-
 def _commutator(c, r, X):
     return X * r - c * X
 
 
-def _orbit_dims(kind: FamilyKind, blocks, tol: ToleranceConfig) -> np.ndarray:
-    return _ranks(_commutator, blocks, _LIE_ALGEBRAS[kind], tol)[0]
+# The six maps in kernel order: the four family conditions, then the two orbit commutators.
+_MAPS = tuple((_CONDITIONS[kind], _REAL_UNITS) for kind in FamilyKind) + tuple(
+    (_commutator, _LIE_ALGEBRAS[kind]) for kind in _LIE_ALGEBRAS)
+
+
+def _block_singular_values(blocks) -> np.ndarray:
+    """(6, U, 4) singular values of the real system of X -> image(diag(p), X) over the
+    block's basis, for each map of _MAPS on each of the U distinct pair, then diagonal,
+    blocks p of _pair_blocks: its supported entries (in every block-sized slab of a
+    stacked output), real parts then imaginary parts, zero-padded to 8 x 4 and factored
+    in one stacked SVD.  No block is wide: the padding adds exact zeros."""
+    stack = np.zeros((len(_MAPS), sum(len(p) for p, _ in blocks), 8, 4))
+    start = 0
+    for kind, ((p, _), support) in enumerate(zip(blocks, _SUPPORTS)):
+        c, r, stop = p[:, None, :, None], p[:, None, None, :], start + len(p)
+        for m, (image, bases) in enumerate(_MAPS):
+            images = image(c, r, bases[kind])  # (U, basis, rows, cols), or without U if image ignores the base
+            entries = images[..., np.tile(support, (images.shape[-2] // len(support), 1))].swapaxes(-1, -2)
+            k, w = entries.shape[-2:]
+            stack[m, start:stop, :k, :w] = entries.real
+            stack[m, start:stop, k:2 * k, :w] = entries.imag
+        start = stop
+    return np.linalg.svd(stack, compute_uv=False)
+
+
+def _map_dims(blocks, tol: ToleranceConfig) -> np.ndarray:
+    """(6, S) dimensions, in _MAPS order, at each of the S members of a _pair_blocks
+    stack: the nullspace of each family condition, then the rank of each orbit
+    commutator.  Each distinct block is factored once, and each member counts, per
+    map, its blocks' singular values above the cut of the largest among them."""
+    counts = np.concatenate([c for _, c in blocks], axis=1)
+    sigma = _block_singular_values(blocks)
+    cut = tol.rank_cutoff(np.max((counts > 0) * sigma[:, None, :, 0], axis=-1))
+    rank = np.sum(counts * np.sum(sigma[:, None] > cut[..., None, None], axis=-1), axis=-1)
+    columns = sum(c.sum(axis=1) * len(basis) for (_, c), basis in zip(blocks, _REAL_UNITS))  # 2 N^2
+    return np.concatenate([columns - rank[:len(FamilyKind)], rank[len(FamilyKind):]])
 
 
 def count_matrix_family(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Nullspace dimension of the family's defining linear conditions over
     the 2 N^2 real coordinates of a complex N x N matrix."""
-    return int(_family_dims(kind, _pair_blocks(_diag_parities(m + n, [n])), tol)[0])
+    return int(_map_dims(_pair_blocks(_diag_parities(m + n, [n])), tol)[list(FamilyKind).index(kind), 0])
 
 
 def count_operator_orbit(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -173,8 +181,8 @@ def count_operator_orbit(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig 
     unitaries); both equal the rank of X -> [X, P0] over the group's Lie
     algebra and come out 2 m n.
     """
-    blocks = _pair_blocks(_diag_parities(m + n, [n]))
-    return int(_orbit_dims(kind, blocks, tol)[0]) if kind in _LIE_ALGEBRAS else 0
+    dims = _map_dims(_pair_blocks(_diag_parities(m + n, [n])), tol)[len(FamilyKind):, 0]
+    return int(dict(zip(_LIE_ALGEBRAS, dims)).get(kind, 0))
 
 
 def _charpoly_coefficients(roots: np.ndarray) -> np.ndarray:
@@ -189,8 +197,9 @@ def _charpoly_coefficients(roots: np.ndarray) -> np.ndarray:
 
 
 def _imag_coefficient_jacobian(H: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Exact (N, 2 N^2) real Jacobian of H -> (Im c_1, ..., Im c_N) in
-    vectorize coordinates, where det(lambda - H) = sum_k c_k lambda^(N-k).
+    """Exact (..., N, 2 N^2) real Jacobian of H -> (Im c_1, ..., Im c_N) in
+    vectorize coordinates, where det(lambda - H) = sum_k c_k lambda^(N-k), for
+    each matrix of a (..., N, N) stack and its (..., N + 1) coefficients.
 
     Jacobi's formula gives dc_k[E] = -tr(B_{k-1} E) with the adjugate
     coefficients B_0 = 1, B_k = H B_{k-1} + c_k 1 (Faddeev-LeVerrier).  A
@@ -198,24 +207,21 @@ def _imag_coefficient_jacobian(H: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     E = i e_ab contributes -Re (B_{k-1})_ba: together the entries of
     -i conj(B_{k-1})^T.
     """
-    N = H.shape[0]
-    B = np.empty((N, N, N), dtype=complex)
-    B[0] = np.eye(N)
+    N = H.shape[-1]
+    B = np.zeros(H.shape[:-2] + (N, N, N), dtype=complex)
+    flat = B.reshape(H.shape[:-2] + (N, N * N))  # a view: its diagonal entries step N + 1
+    flat[..., 0, ::N + 1] = 1.0
     for k in range(1, N):
-        B[k] = H @ B[k - 1]
-        B[k].flat[::N + 1] += coeffs[k]
+        B[..., k, :, :] = H @ B[..., k - 1, :, :]
+        flat[..., k, ::N + 1] += coeffs[..., k, None]
     return vectorize(-1j * B.conj().swapaxes(-1, -2))
 
 
-def _variety_dims(jacobians, tol: ToleranceConfig) -> np.ndarray:
-    """2 N^2 minus the rank of each (N, w) derivative of the imaginary-coefficient
-    map in a list, ranked in one zero-padded stacked SVD under their own cuts.
-    Below rank N (a derogatory base point) the dimension is undecided."""
-    sizes = np.array([len(J) for J in jacobians])
-    stack = np.zeros((len(jacobians), sizes.max(), max(J.shape[1] for J in jacobians)))
-    for s, J in enumerate(jacobians):
-        stack[s, :J.shape[0], :J.shape[1]] = J
-    sigma = np.linalg.svd(stack, compute_uv=False)
+def _variety_dims(jacobians: np.ndarray, sizes, tol: ToleranceConfig) -> np.ndarray:
+    """2 N^2 minus the rank of each derivative of the imaginary-coefficient map in a
+    zero-padded (S, M, w) stack, N the array sizes[s], ranked in one stacked SVD under their
+    own cuts.  Below rank N (a derogatory base point) the dimension is undecided."""
+    sigma = np.linalg.svd(jacobians, compute_uv=False)
     rank = np.sum(sigma > tol.rank_cutoff(sigma[:, :1]), axis=1)
     if np.any(rank < sizes):
         raise IndeterminateStructureError("derivative of the imaginary-coefficient map is rank-deficient")
@@ -224,10 +230,15 @@ def _variety_dims(jacobians, tol: ToleranceConfig) -> np.ndarray:
 
 def _chebyshev_variety_dims(sizes, tol: ToleranceConfig) -> np.ndarray:
     """Variety dimension for each size N at diag(d), d the N Chebyshev nodes, from
-    the derivative's imaginary diagonal columns (its only nonzero ones there)."""
-    nodes = [np.cos(np.pi * (np.arange(N) + 0.5) / N) for N in sizes]
-    return _variety_dims([_imag_coefficient_jacobian(np.diag(d), _charpoly_coefficients(d))[:, 1::2][:, ::len(d) + 1]
-                          for d in nodes], tol)
+    the derivative's imaginary diagonal columns (its only nonzero ones there), in one
+    adjugate pass on diagonals zero-padded to the largest size M: a padded base is
+    block diagonal, so its rows k < N and columns a < N are those of size N."""
+    sizes = np.asarray(sizes)[:, None]
+    M = int(sizes.max())
+    inside = np.arange(M) < sizes
+    d = np.where(inside, np.cos(np.pi * (np.arange(M) + 0.5) / sizes), 0.0)
+    jacobians = _imag_coefficient_jacobian(d[:, :, None] * np.eye(M), _charpoly_coefficients(d))
+    return _variety_dims(jacobians[..., 1::2][..., ::M + 1] * (inside[:, :, None] & inside[:, None, :]), sizes[:, 0], tol)
 
 
 def count_real_charpoly_variety(N: int, base_point=None, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -249,7 +260,7 @@ def count_real_charpoly_variety(N: int, base_point=None, tol: ToleranceConfig = 
     # c_k is a sum of k-fold eigenvalue products, so |c_k| <= C(N, k) scale^k
     if (np.abs(coeffs[1:].imag) > 1e-8 * scale ** np.arange(1, N + 1)).any():
         raise ContractError("base_point must have a real characteristic polynomial")
-    return int(_variety_dims([_imag_coefficient_jacobian(base, coeffs)], tol)[0])
+    return int(_variety_dims(_imag_coefficient_jacobian(base, coeffs)[None], np.array([N]), tol)[0])
 
 
 def _closed_form(kind: TableRow, m: int, n: int) -> int:
@@ -276,17 +287,17 @@ def table1_report(max_dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     The merged family row is computed twice (parity route and metric route)
     and reported once; a disagreement between the two routes clears the match
     flag.  All (m, n) splits of each dimension are covered, and all are ranked
-    together: each distinct block is factored once per map for the whole table.
-    The variety row of every dimension is ranked at its Chebyshev diagonal base,
-    all in one more stacked SVD.
+    together: the six maps on the distinct blocks of the whole table take one
+    stacked SVD.  The variety row of every dimension is ranked at its Chebyshev
+    diagonal base, all in one adjugate pass and one more stacked SVD.
     """
     if max_dim < 2:
         raise ContractError("need max_dim >= 2")
     splits = [(dim, n) for dim in range(2, max_dim + 1) for n in range(dim // 2 + 1)]
     dims, ns = np.array(splits).T
     blocks = _pair_blocks(_diag_parities(dims, ns), dims)
-    family = {kind: _family_dims(kind, blocks, tol).tolist() for kind in FamilyKind}
-    orbit = {kind: _orbit_dims(kind, blocks, tol).tolist() for kind in _LIE_ALGEBRAS}
+    dims = _map_dims(blocks, tol).tolist()
+    family, orbit = dict(zip(FamilyKind, dims)), dict(zip(_LIE_ALGEBRAS, dims[len(FamilyKind):]))
     variety = _chebyshev_variety_dims(range(2, max_dim + 1), tol).tolist()
     reports = []
     for s, (dim, n) in enumerate(splits):

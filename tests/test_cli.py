@@ -300,6 +300,20 @@ class TestSweep:
         assert built == [1]
 
 
+def count_payload(max_dim, reports):
+    """The count payload that cmd_count once passed to json.dumps(payload, indent=2):
+    the reference for its fixed-layout writer."""
+    from ptlab.counting import table_columns
+    return {
+        "max_dim": max_dim,
+        "rows": [{"kind": r.kind.value, "m": r.m, "n": r.n,
+                  "matrix_dim": r.measured_matrix_dim, "orbit_dim": r.measured_operator_orbit_dim,
+                  "total": r.total, "expected": r.expected, "match": r.match} for r in reports],
+        "columns": {str(dim): list(vals) for dim, vals in table_columns(reports).items()},
+        "all_match": all(r.match for r in reports),
+    }
+
+
 class TestCount:
     def test_exit_zero_and_columns(self, capsys):
         code, out, _ = run(capsys, "count", "--max-dim", "3")
@@ -331,9 +345,25 @@ class TestCount:
         broken = [dataclasses.replace(r, total=r.total + 1, match=False)
                   if r.kind is TableRow.HERMITIAN else r for r in real]
         monkeypatch.setattr(cli_mod, "table1_report", lambda max_dim, tol: broken)
-        code, _, err = run(capsys, "count", "--max-dim", "2")
+        code, out, err = run(capsys, "count", "--max-dim", "2")
         assert code == 5
         assert "mismatch" in err and "hermitian" in err
+        payload = count_payload(2, broken)
+        assert payload["all_match"] is False and not all(row["match"] for row in payload["rows"])
+        assert out == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("max_dim", range(2, 9))
+    def test_json_writer_is_json_dumps(self, capsys, max_dim):
+        from ptlab.counting import table1_report
+        code, out, _ = run(capsys, "count", "--max-dim", str(max_dim))
+        assert code == 0
+        assert out == json.dumps(count_payload(max_dim, table1_report(max_dim)), indent=2) + "\n"
+
+    def test_out_file_has_no_trailing_newline(self, tmp_path, capsys):
+        from ptlab.counting import table1_report
+        target = tmp_path / "table.json"
+        assert run(capsys, "count", "--max-dim", "4", "--out", str(target)) == (0, "", "")
+        assert target.read_bytes() == json.dumps(count_payload(4, table1_report(4)), indent=2).encode("utf-8")
 
     def test_output_is_seed_free(self, capsys, monkeypatch):
         """count reads neither --seed (still accepted by the shared parser) nor

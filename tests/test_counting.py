@@ -77,24 +77,30 @@ def dense_orbit_system(kind, P0):
 def pair_block_ranks_against_dense(P0s):
     """Yield (dense system function, kind, index, pair-block rank, dense
     system) for the four families and both orbits at each base operator of
-    a stack of diagonal ones, after checking that the singular values of the
-    blocks it holds (each distinct block as often as it holds it), sorted,
-    are those of the dense system within 1e-12 sigma_max."""
+    a stack of diagonal ones, after checking that the kernel's singular values
+    of the blocks it holds (each distinct block as often as it holds it, each
+    read on its map's columns, the zero padding beyond them), sorted, are
+    those of the dense system within 1e-12 sigma_max."""
     blocks = counting._pair_blocks(P0s)
-    systems = [(dense_family_system, kind, counting._CONDITIONS[kind], counting._REAL_UNITS) for kind in FamilyKind]
-    systems += [(dense_orbit_system, kind, counting._commutator, counting._LIE_ALGEBRAS[kind])
-                for kind in (FamilyKind.PT, FamilyKind.PSEUDO)]
-    for dense_system, kind, image, bases in systems:
-        sigma = [counting._singular_values(image, rows, basis, support)
-                 for (rows, _), basis, support in zip(blocks, bases, counting._SUPPORTS)]
-        ranks, columns = counting._ranks(image, blocks, bases, DEFAULT_TOL)
+    sigma = counting._block_singular_values(blocks)
+    dims = counting._map_dims(blocks, DEFAULT_TOL)
+    systems = [(dense_family_system, kind) for kind in FamilyKind]
+    systems += [(dense_orbit_system, kind) for kind in (FamilyKind.PT, FamilyKind.PSEUDO)]
+    assert sigma.shape == (len(systems), sum(len(rows) for rows, _ in blocks), 4)
+    for m, (dense_system, kind) in enumerate(systems):
+        per_block_kind = np.split(sigma[m], [len(blocks[0][0])])
+        widths = [len(basis) for basis in counting._MAPS[m][1]]
+        for s, width in zip(per_block_kind, widths):
+            assert not s[:, width:].any()
         for index, P0 in enumerate(P0s):
             dense = dense_system(kind, P0)
             expected = np.linalg.svd(dense, compute_uv=False)
-            held = np.concatenate([np.repeat(s, counts[index], axis=0).ravel() for (_, counts), s in zip(blocks, sigma)])
-            assert held.shape == expected.shape == (columns[index],)
+            held = np.concatenate([np.repeat(s[:, :width], counts[index], axis=0).ravel()
+                                   for (_, counts), s, width in zip(blocks, per_block_kind, widths)])
+            assert held.shape == expected.shape == (dense.shape[1],)
             np.testing.assert_allclose(np.sort(held), np.sort(expected), rtol=0, atol=1e-12 * expected[0])
-            yield dense_system, kind, index, ranks[index], dense
+            rank = dims[m, index] if dense_system is dense_orbit_system else dense.shape[1] - dims[m, index]
+            yield dense_system, kind, index, rank, dense
 
 
 class TestDenseOracle:
@@ -225,6 +231,24 @@ class TestCharpolyVariety:
                                                 a=rng.normal(size=(N, N)), b=rng.normal(size=(N, N)))
                 base = construct_self_adjoint_from_diag_metric(p)
                 assert count_real_charpoly_variety(N, base_point=base) == 2 * N * N - N
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_default_base_agrees_with_chebyshev_base_point(self, N):
+        """The default count (the zero-padded stacked adjugate pass, as in the
+        table) equals the count at the same base given as base_point; a repeated
+        node makes that base derogatory, an imaginary shift its polynomial complex."""
+        count = count_real_charpoly_variety(N)
+        assert count == count_real_charpoly_variety(N, base_point=_chebyshev_base(N)) == 2 * N * N - N
+        if N >= 2:
+            assert [r.total for r in table1_report(N) if r.kind is TableRow.SELF_ADJOINT_OR_GEN_PT][-1] == count
+            repeated = _chebyshev_base(N)
+            repeated[1, 1] = repeated[0, 0]
+            with pytest.raises(IndeterminateStructureError):
+                count_real_charpoly_variety(N, base_point=repeated)
+        shifted = _chebyshev_base(N)
+        shifted[0, 0] += 1e-3j
+        with pytest.raises(ContractError):
+            count_real_charpoly_variety(N, base_point=shifted)
 
     def test_derogatory_base_is_indeterminate(self):
         # a repeated eigenvalue in two Jordan blocks drops the derivative to rank N - 1
@@ -459,8 +483,8 @@ class TestBasePointContract:
 
 class TestWorkCount:
     def test_table_builds_no_nullspace_and_one_base_per_dimension(self, monkeypatch):
-        """No rank_and_nullspace, no random generator: one Chebyshev diagonal
-        base per dimension."""
+        """No rank_and_nullspace, no random generator: one adjugate pass on the
+        Chebyshev diagonal bases of every dimension, zero-padded to max_dim."""
         calls, generators, bases = [], [], []
         for module in [m for name, m in sys.modules.items() if name.startswith("ptlab")]:
             original = getattr(module, "rank_and_nullspace", None)
@@ -472,38 +496,36 @@ class TestWorkCount:
         jacobian = counting._imag_coefficient_jacobian
         monkeypatch.setattr(counting, "_imag_coefficient_jacobian",
                             lambda H, coeffs: bases.append(H) or jacobian(H, coeffs))
-        assert all(r.match for r in table1_report(8))
-        assert calls == [] and generators == []
-        assert len(bases) == 7
-        for N, H in enumerate(bases, start=2):
-            np.testing.assert_array_equal(H, _chebyshev_base(N))
+        for max_dim in range(2, 9):
+            bases.clear()
+            assert all(r.match for r in table1_report(max_dim))
+            assert calls == [] and generators == []
+            assert len(bases) == 1 and bases[0].shape == (max_dim - 1, max_dim, max_dim)
+            for N, H in enumerate(bases[0], start=2):
+                expected = np.zeros((max_dim, max_dim), dtype=complex)
+                expected[:N, :N] = _chebyshev_base(N)
+                np.testing.assert_array_equal(H, expected)
 
     def test_table_svds_are_pair_blocks(self, monkeypatch):
-        """table1_report takes singular values of the distinct blocks of its
-        parities only, none larger than 8 x 4: the pair diagonals (1, 1), (1, -1)
-        and, from N = 4 on, (-1, -1), and the entries 1 and -1, one stacked SVD
-        per map and block size, 12 whatever max_dim.  The variety rows add one
-        stacked SVD of the zero-padded N x N Jacobian blocks, N = 2..max_dim."""
+        """table1_report takes two stacked SVDs whatever max_dim.  One factors the
+        real systems of the six maps on the distinct blocks of its parities only,
+        zero-padded to 8 x 4: the pair diagonals (1, 1), (1, -1) and, from N = 4
+        on, (-1, -1), then the entries 1 and -1.  The other factors the
+        zero-padded N x N Jacobian blocks of the variety rows, N = 2..max_dim."""
         shapes, factored = [], []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
-        singular_values = counting._singular_values
-        monkeypatch.setattr(counting, "_singular_values",
-                            lambda image, rows, *a: factored.append(rows) or singular_values(image, rows, *a))
-        calls = []
+        singular_values = counting._block_singular_values
+        monkeypatch.setattr(counting, "_block_singular_values",
+                            lambda blocks: factored.append(blocks) or singular_values(blocks))
         for max_dim in range(2, 9):
             shapes.clear()
             factored.clear()
             assert all(r.match for r in table1_report(max_dim))
-            assert all(len(s) > 2 for s in shapes)
-            calls.append(len(shapes))
-            assert shapes[-1] == (max_dim - 1, max_dim, max_dim)
-            blocks = shapes[:-1]
-            assert [s[0] for s in blocks] == [len(rows) for rows in factored]
-            assert all(s[-2] <= 8 and s[-1] <= 4 for s in blocks)
+            assert len(shapes) == 2 and len(factored) == 1
+            (pair_rows, _), (entry_rows, _) = factored[0]
             pairs = {(1.0, 1.0), (1.0, -1.0)} | ({(-1.0, -1.0)} if max_dim >= 4 else set())
-            for pair_rows, entry_rows in zip(factored[0::2], factored[1::2]):
-                assert not pair_rows.imag.any() and not entry_rows.imag.any()
-                assert sorted(map(tuple, pair_rows.real.tolist())) == sorted(pairs)
-                assert sorted(entry_rows.real.ravel().tolist()) == [-1.0, 1.0]
-        assert calls == [12 + 1] * 7
+            assert not pair_rows.imag.any() and not entry_rows.imag.any()
+            assert sorted(map(tuple, pair_rows.real.tolist())) == sorted(pairs)
+            assert sorted(entry_rows.real.ravel().tolist()) == [-1.0, 1.0]
+            assert sorted(shapes) == sorted([(6, len(pairs) + 2, 8, 4), (max_dim - 1, max_dim, max_dim)])
