@@ -527,6 +527,8 @@ def cmd_sweep(args) -> int:
 _JSON_BOOL = {False: "false", True: "true"}
 # One report as json.dumps(payload, indent=2) lays it out in "rows": its keys are the CSV columns.
 _COUNT_ROW = "    {\n%s\n    }" % ",\n".join(f'      "{key}": %s' for key in CSV_COLUMNS)
+# One report as a CSV line: the kind, then integers (the match flag as 0 or 1).
+_COUNT_CSV_ROW = ",".join(["%s"] + ["%d"] * (len(CSV_COLUMNS) - 1))
 
 
 def cmd_count(args) -> int:
@@ -534,19 +536,16 @@ def cmd_count(args) -> int:
     if not (2 <= args.max_dim <= 8):
         raise CliError(EXIT_PARSE, f"--max-dim must lie in [2, 8], got {args.max_dim}")
     reports = table1_report(args.max_dim, tol)
-    columns = table_columns(reports)
     failures = [r for r in reports if not r.match]
     if args.format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        for row in report_rows(reports):
-            lines.append(",".join(str(int(x)) if isinstance(x, (bool, np.bool_)) else str(x) for x in row))
-        emit("\n".join(lines) + "\n", args.out)
+        emit("\n".join([",".join(CSV_COLUMNS), *(_COUNT_CSV_ROW % row for row in report_rows(reports))]) + "\n",
+             args.out)
     else:
         # tests/golden/count_stdout.sha256.json pins this layout: json.dumps(payload, indent=2), byte for byte
-        rows = ",\n".join(_COUNT_ROW % ('"%s"' % kind, *values, _JSON_BOOL[match])
-                          for kind, *values, match in report_rows(reports))
+        rows = ",\n".join([_COUNT_ROW % ('"%s"' % kind, *values, _JSON_BOOL[match])
+                           for kind, *values, match in report_rows(reports)])
         cols = ",\n".join('    "%d": [\n      %s\n    ]' % (dim, ",\n      ".join(map(str, vals)))
-                          for dim, vals in columns.items())
+                          for dim, vals in table_columns(reports).items())
         emit('{\n  "max_dim": %d,\n  "rows": [\n%s\n  ],\n  "columns": {\n%s\n  },\n  "all_match": %s\n}'
              % (args.max_dim, rows, cols, _JSON_BOOL[not failures]), args.out)
     if failures:

@@ -8,21 +8,24 @@ of these maps sends a matrix supported on an entry pair {(a, b), (b, a)} to
 one supported on the same pair, acting there as on the 2 x 2 principal block
 with base diag(p_a, p_b) (a diagonal entry: the 1 x 1 block p_a).  So the real
 system is block diagonal up to a permutation; it is ranked on blocks of at
-most 8 x 4.  A stack of base operators (every split of every dimension of the
-table) holds few distinct blocks (at a parity: (1, 1), (1, -1), (-1, -1), 1
-and -1), so the real systems of all six maps (four family conditions, two orbit
-commutators) on the distinct blocks are factored in one stacked SVD, and each
-operator counts, per map, its blocks' singular values above the cut set by the
-largest among the blocks it holds.  The family of matrices with a real
-characteristic polynomial is a variety, not a linear space: its dimension is
-2 N^2 minus the rank of the exact derivative of the imaginary-coefficient map
-(from the adjugate coefficients of Faddeev and LeVerrier) where that rank is
-N, the implicit-function condition.  The base point is diag(d) at the N
-Chebyshev nodes cos(pi (k + 1/2) / N): real and distinct, so the polynomial
-is real, and only the N imaginary diagonal directions move it, through a
-block of determinant +- the Vandermonde of d.  The table builds these blocks
-for all its dimensions in one adjugate pass on zero-padded diagonals and ranks
-them in one more stacked SVD.
+most 8 x 4.  Every base operator here is a parity diag(1_m, -1_n), whose blocks
+are five, with multiplicities in closed form: C(m, 2) pairs (1, 1), m n pairs
+(1, -1), C(n, 2) pairs (-1, -1), m entries 1 and n entries -1.  The real
+systems of all six maps (four family conditions, two orbit commutators) on the
+blocks that some split of the table holds are factored in one stacked SVD, and
+each split counts, per map, its blocks' singular values, times their
+multiplicities, above the cut set by the largest among the blocks it holds.
+The family of matrices with a real characteristic polynomial is a variety, not
+a linear space: its dimension is 2 N^2 minus the rank of the exact derivative
+of the imaginary-coefficient map (from the adjugate coefficients of Faddeev
+and LeVerrier) where that rank is N, the implicit-function condition.  The
+rank cut follows the larger of sigma_max and max(||H||_F, 1)^(N-1), the size
+of the last adjugate coefficient and so of its rounding.  The base point is
+diag(d) at the N Chebyshev nodes cos(pi (k + 1/2) / N): real and distinct, so
+the polynomial is real, and only the N imaginary diagonal directions move it,
+through a block of determinant +- the Vandermonde of d.  The table builds these
+blocks for all its dimensions in one adjugate pass on zero-padded diagonals and
+ranks them in one more stacked SVD.
 
 Expected closed forms, dimension N split as m + n where applicable:
 
@@ -70,17 +73,6 @@ class CountReport:
     match: bool
 
 
-def _diag_parities(N, ns) -> np.ndarray:
-    """(S, M, M) stack of the parities diag(1_m, -1_n), m = N - n, one per split n of
-    ns (N one size, or one per split), each zero-padded to the largest size M."""
-    sizes, ns = np.broadcast_arrays(N, ns)
-    if np.any(sizes < 1):
-        raise ContractError("need m + n >= 1")
-    axis = np.arange(sizes.max())
-    signs = np.where(axis < (sizes - ns)[:, None], 1.0, np.where(axis < sizes[:, None], -1.0, 0.0))
-    return (signs[:, :, None] * np.eye(len(axis))).astype(complex)
-
-
 # The maps see a base operator diag(p) as c = p[..., :, None] and r = p[..., None, :]
 # (diag(p) H = c * H, H diag(p) = H * r).  A family is the kernel of its condition, an
 # orbit the image of X -> X P0 - P0 X on gl(N, R) (for a parity) or u(N) (a metric).
@@ -100,29 +92,23 @@ _LIE_ALGEBRAS = {
 _SUPPORTS = (~np.eye(2, dtype=bool), np.ones((1, 1), dtype=bool))
 
 
-def _distinct(rows: np.ndarray, member: np.ndarray, S: int) -> tuple:
-    """The distinct rows of a (K, w) array, equal when their bytes are, and the (S, U)
-    number of times each occurs among the rows of each of S members."""
-    rows = np.ascontiguousarray(rows)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], np.bincount(member * len(first) + inverse, minlength=S * len(first)).reshape(S, -1)
+# The distinct blocks of a parity diag(1_m, -1_n): pair diagonals (p_a, p_b), a < b, then entries p_a.
+_PARITY_PAIRS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+_PARITY_ENTRIES = np.array([[1.0], [-1.0]])
 
 
-def _pair_blocks(P0s: np.ndarray, sizes=None) -> tuple:
-    """((distinct pair diagonals (p_a, p_b), a < b, their (S, U) counts), (distinct
-    entries p_a, their counts)) over a (S, M, M) stack of diagonal base operators
-    diag(p), member s holding its first sizes[s] entries (default: all M)."""
-    S, M = P0s.shape[0], P0s.shape[-1]
-    if np.any(P0s[:, ~np.eye(M, dtype=bool)]):
-        raise ContractError("pair blocks need a diagonal base operator")
-    p = np.diagonal(P0s, axis1=-2, axis2=-1)
-    sizes = np.broadcast_to(M if sizes is None else sizes, S)[:, None]
-    a, b = np.triu_indices(M, 1)
-    pair_member, pair = np.nonzero(b < sizes)
-    entry_member, entry = np.nonzero(np.arange(M) < sizes)
-    return (_distinct(np.stack([p[pair_member, a[pair]], p[pair_member, b[pair]]], axis=-1), pair_member, S),
-            _distinct(p[entry_member, entry, None], entry_member, S))
+def _parity_blocks(ms, ns) -> tuple:
+    """((pair diagonals, their (S, U) counts), (entries, their (S, V) counts)) of the
+    parities diag(1_m, -1_n), one member per (m, n) of ms, ns: C(m, 2) pairs (1, 1),
+    m n pairs (1, -1) and C(n, 2) pairs (-1, -1); m entries 1 and n entries -1.  Only
+    the blocks some member holds are kept."""
+    m, n = np.broadcast_arrays(ms, ns)
+    counts = np.array([m * (m - 1) // 2, m * n, n * (n - 1) // 2, m, n]).reshape(5, -1).T
+    if counts.min() < 0 or (m + n < 1).any():  # C(m, 2) >= 0 for every integer m
+        raise ContractError("need m, n >= 0 and m + n >= 1")
+    held = counts.any(axis=0)
+    return ((_PARITY_PAIRS[held[:3]], counts[:, :3][:, held[:3]]),
+            (_PARITY_ENTRIES[held[3:]], counts[:, 3:][:, held[3:]]))
 
 
 def _commutator(c, r, X):
@@ -137,9 +123,10 @@ _MAPS = tuple((_CONDITIONS[kind], _REAL_UNITS) for kind in FamilyKind) + tuple(
 def _block_singular_values(blocks) -> np.ndarray:
     """(6, U, 4) singular values of the real system of X -> image(diag(p), X) over the
     block's basis, for each map of _MAPS on each of the U distinct pair, then diagonal,
-    blocks p of _pair_blocks: its supported entries (in every block-sized slab of a
-    stacked output), real parts then imaginary parts, zero-padded to 8 x 4 and factored
-    in one stacked SVD.  No block is wide: the padding adds exact zeros."""
+    blocks p of a block set as _parity_blocks returns it: its supported entries (in
+    every block-sized slab of a stacked output), real parts then imaginary parts,
+    zero-padded to 8 x 4 and factored in one stacked SVD.  No block is wide: the
+    padding adds exact zeros."""
     stack = np.zeros((len(_MAPS), sum(len(p) for p, _ in blocks), 8, 4))
     start = 0
     for kind, ((p, _), support) in enumerate(zip(blocks, _SUPPORTS)):
@@ -155,10 +142,11 @@ def _block_singular_values(blocks) -> np.ndarray:
 
 
 def _map_dims(blocks, tol: ToleranceConfig) -> np.ndarray:
-    """(6, S) dimensions, in _MAPS order, at each of the S members of a _pair_blocks
-    stack: the nullspace of each family condition, then the rank of each orbit
-    commutator.  Each distinct block is factored once, and each member counts, per
-    map, its blocks' singular values above the cut of the largest among them."""
+    """(6, S) dimensions, in _MAPS order, at each of the S members of a block set as
+    _parity_blocks returns it: the nullspace of each family condition, then the rank
+    of each orbit commutator.  Each distinct block is factored once, and each member
+    counts, per map, its blocks' singular values above the cut of the largest among
+    them."""
     counts = np.concatenate([c for _, c in blocks], axis=1)
     sigma = _block_singular_values(blocks)
     cut = tol.rank_cutoff(np.max((counts > 0) * sigma[:, None, :, 0], axis=-1))
@@ -170,7 +158,7 @@ def _map_dims(blocks, tol: ToleranceConfig) -> np.ndarray:
 def count_matrix_family(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     """Nullspace dimension of the family's defining linear conditions over
     the 2 N^2 real coordinates of a complex N x N matrix."""
-    return int(_map_dims(_pair_blocks(_diag_parities(m + n, [n])), tol)[list(FamilyKind).index(kind), 0])
+    return int(_map_dims(_parity_blocks(m, n), tol)[list(FamilyKind).index(kind), 0])
 
 
 def count_operator_orbit(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -181,7 +169,7 @@ def count_operator_orbit(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig 
     unitaries); both equal the rank of X -> [X, P0] over the group's Lie
     algebra and come out 2 m n.
     """
-    dims = _map_dims(_pair_blocks(_diag_parities(m + n, [n])), tol)[len(FamilyKind):, 0]
+    dims = _map_dims(_parity_blocks(m, n), tol)[len(FamilyKind):, 0]
     return int(dict(zip(_LIE_ALGEBRAS, dims)).get(kind, 0))
 
 
@@ -217,12 +205,15 @@ def _imag_coefficient_jacobian(H: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return vectorize(-1j * B.conj().swapaxes(-1, -2))
 
 
-def _variety_dims(jacobians: np.ndarray, sizes, tol: ToleranceConfig) -> np.ndarray:
+def _variety_dims(jacobians: np.ndarray, sizes, scales, tol: ToleranceConfig) -> np.ndarray:
     """2 N^2 minus the rank of each derivative of the imaginary-coefficient map in a
     zero-padded (S, M, w) stack, N the array sizes[s], ranked in one stacked SVD under their
-    own cuts.  Below rank N (a derogatory base point) the dimension is undecided."""
+    own cuts.  A cut follows the larger of sigma_max and scales[s] = max(||H||_F, 1)^(N-1),
+    the size of the entries of B_{N-1} and so of their rounding: a skewed frame can make
+    sigma_max much smaller.  Below rank N (a derogatory base point) the dimension is
+    undecided."""
     sigma = np.linalg.svd(jacobians, compute_uv=False)
-    rank = np.sum(sigma > tol.rank_cutoff(sigma[:, :1]), axis=1)
+    rank = np.sum(sigma > tol.rank_cutoff(np.maximum(sigma[:, :1], scales[:, None])), axis=1)
     if np.any(rank < sizes):
         raise IndeterminateStructureError("derivative of the imaginary-coefficient map is rank-deficient")
     return 2 * sizes * sizes - rank
@@ -238,7 +229,9 @@ def _chebyshev_variety_dims(sizes, tol: ToleranceConfig) -> np.ndarray:
     inside = np.arange(M) < sizes
     d = np.where(inside, np.cos(np.pi * (np.arange(M) + 0.5) / sizes), 0.0)
     jacobians = _imag_coefficient_jacobian(d[:, :, None] * np.eye(M), _charpoly_coefficients(d))
-    return _variety_dims(jacobians[..., 1::2][..., ::M + 1] * (inside[:, :, None] & inside[:, None, :]), sizes[:, 0], tol)
+    scales = np.maximum(np.linalg.norm(d, axis=1), 1.0) ** (sizes[:, 0] - 1)
+    return _variety_dims(jacobians[..., 1::2][..., ::M + 1] * (inside[:, :, None] & inside[:, None, :]), sizes[:, 0],
+                         scales, tol)
 
 
 def count_real_charpoly_variety(N: int, base_point=None, tol: ToleranceConfig = DEFAULT_TOL) -> int:
@@ -260,25 +253,8 @@ def count_real_charpoly_variety(N: int, base_point=None, tol: ToleranceConfig = 
     # c_k is a sum of k-fold eigenvalue products, so |c_k| <= C(N, k) scale^k
     if (np.abs(coeffs[1:].imag) > 1e-8 * scale ** np.arange(1, N + 1)).any():
         raise ContractError("base_point must have a real characteristic polynomial")
-    return int(_variety_dims(_imag_coefficient_jacobian(base, coeffs)[None], np.array([N]), tol)[0])
-
-
-def _closed_form(kind: TableRow, m: int, n: int) -> int:
-    N = m + n
-    if kind is TableRow.REAL_SYMMETRIC:
-        return N * (N + 1) // 2
-    if kind is TableRow.HERMITIAN:
-        return N * N
-    if kind is TableRow.PT_OR_PSEUDO:
-        return N * N + 2 * m * n
-    return 2 * N * N - N
-
-
-def _report(kind: TableRow, m: int, n: int, matrix_dim: int, orbit_dim: int = 0, agree: bool = True) -> CountReport:
-    total = matrix_dim + orbit_dim
-    expected = _closed_form(kind, m, n)
-    return CountReport(kind=kind, m=m, n=n, measured_matrix_dim=matrix_dim, measured_operator_orbit_dim=orbit_dim,
-                       total=total, expected=expected, match=agree and total == expected)
+    return int(_variety_dims(_imag_coefficient_jacobian(base, coeffs)[None], np.array([N]),
+                             np.array([scale ** (N - 1)]), tol)[0])
 
 
 def table1_report(max_dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:
@@ -287,30 +263,33 @@ def table1_report(max_dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     The merged family row is computed twice (parity route and metric route)
     and reported once; a disagreement between the two routes clears the match
     flag.  All (m, n) splits of each dimension are covered, and all are ranked
-    together: the six maps on the distinct blocks of the whole table take one
-    stacked SVD.  The variety row of every dimension is ranked at its Chebyshev
-    diagonal base, all in one adjugate pass and one more stacked SVD.
+    together: the six maps on the five parity blocks take one stacked SVD.  The
+    variety row of every dimension is ranked at its Chebyshev diagonal base, all
+    in one adjugate pass and one more stacked SVD.
     """
     if max_dim < 2:
         raise ContractError("need max_dim >= 2")
-    splits = [(dim, n) for dim in range(2, max_dim + 1) for n in range(dim // 2 + 1)]
-    dims, ns = np.array(splits).T
-    blocks = _pair_blocks(_diag_parities(dims, ns), dims)
-    dims = _map_dims(blocks, tol).tolist()
-    family, orbit = dict(zip(FamilyKind, dims)), dict(zip(_LIE_ALGEBRAS, dims[len(FamilyKind):]))
+    dims, ms, ns = zip(*[(dim, dim - n, n) for dim in range(2, max_dim + 1) for n in range(dim // 2 + 1)])
+    maps = _map_dims(_parity_blocks(ms, ns), tol).tolist()  # _MAPS order: PT, pseudo, Hermitian, symmetric, 2 orbits
     variety = _chebyshev_variety_dims(range(2, max_dim + 1), tol).tolist()
     reports = []
-    for s, (dim, n) in enumerate(splits):
+    for N, m, n, pt, pseudo, hermitian, symmetric, pt_orbit, pseudo_orbit in zip(dims, ms, ns, *maps):
         if n == 0:  # these ignore the base operator: once per dimension
-            reports += [_report(TableRow[kind.name], dim, 0, family[kind][s])
-                        for kind in (FamilyKind.REAL_SYMMETRIC, FamilyKind.HERMITIAN)]
-        pt_dim, ps_dim = family[FamilyKind.PT][s], family[FamilyKind.PSEUDO][s]
-        pt_orbit, ps_orbit = orbit[FamilyKind.PT][s], orbit[FamilyKind.PSEUDO][s]
-        reports.append(_report(TableRow.PT_OR_PSEUDO, dim - n, n, pt_dim, pt_orbit,
-                               agree=pt_dim == ps_dim and pt_orbit == ps_orbit))
-        if n == dim // 2:
-            reports.append(_report(TableRow.SELF_ADJOINT_OR_GEN_PT, dim, 0, variety[dim - 2]))
+            expected = N * (N + 1) // 2
+            reports += [CountReport(TableRow.REAL_SYMMETRIC, N, 0, symmetric, 0, symmetric, expected,
+                                    symmetric == expected),
+                        CountReport(TableRow.HERMITIAN, N, 0, hermitian, 0, hermitian, N * N, hermitian == N * N)]
+        total, expected = pt + pt_orbit, N * N + 2 * m * n
+        reports.append(CountReport(TableRow.PT_OR_PSEUDO, m, n, pt, pt_orbit, total, expected,
+                                   pt == pseudo and pt_orbit == pseudo_orbit and total == expected))
+        if n == N // 2:
+            measured, expected = variety[N - 2], 2 * N * N - N
+            reports.append(CountReport(TableRow.SELF_ADJOINT_OR_GEN_PT, N, 0, measured, 0, measured, expected,
+                                       measured == expected))
     return reports
+
+
+_TABLE_ROWS = tuple(TableRow)
 
 
 def table_columns(reports) -> dict:
@@ -318,9 +297,10 @@ def table_columns(reports) -> dict:
     (real symmetric, Hermitian, PT-or-pseudo, self-adjoint-or-generalized)."""
     best = {}
     for r in reports:
-        key = (r.m + r.n, r.kind)
-        best[key] = max(best.get(key, r.total), r.total)
-    return {dim: tuple(best[dim, kind] for kind in TableRow) for dim in sorted({dim for dim, _ in best})}
+        totals = best.setdefault(r.m + r.n, {})
+        row = _TABLE_ROWS.index(r.kind)  # found by identity: an enum member hashes in Python code
+        totals[row] = max(totals.get(row, r.total), r.total)
+    return {dim: tuple(best[dim][row] for row in range(len(_TABLE_ROWS))) for dim in sorted(best)}
 
 
 CSV_COLUMNS = ("kind", "m", "n", "matrix_dim", "orbit_dim", "total", "expected", "match")

@@ -1,6 +1,8 @@
 """CLI: round trips, exit codes, determinism, document format."""
 
+import csv
 import hashlib
+import io
 import json
 import pathlib
 
@@ -314,6 +316,17 @@ def count_payload(max_dim, reports):
     }
 
 
+def count_csv(reports):
+    """count --format csv as the csv module writes it, the match flag as 0 or 1:
+    the reference for cmd_count's fixed-layout CSV writer."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["kind", "m", "n", "matrix_dim", "orbit_dim", "total", "expected", "match"])
+    writer.writerows([r.kind.value, r.m, r.n, r.measured_matrix_dim, r.measured_operator_orbit_dim,
+                      r.total, r.expected, int(r.match)] for r in reports)
+    return out.getvalue()
+
+
 class TestCount:
     def test_exit_zero_and_columns(self, capsys):
         code, out, _ = run(capsys, "count", "--max-dim", "3")
@@ -351,6 +364,8 @@ class TestCount:
         payload = count_payload(2, broken)
         assert payload["all_match"] is False and not all(row["match"] for row in payload["rows"])
         assert out == json.dumps(payload, indent=2) + "\n"
+        code, out, _ = run(capsys, "count", "--max-dim", "2", "--format", "csv")
+        assert code == 5 and out == count_csv(broken) and ",0\n" in out
 
     @pytest.mark.parametrize("max_dim", range(2, 9))
     def test_json_writer_is_json_dumps(self, capsys, max_dim):
@@ -358,6 +373,13 @@ class TestCount:
         code, out, _ = run(capsys, "count", "--max-dim", str(max_dim))
         assert code == 0
         assert out == json.dumps(count_payload(max_dim, table1_report(max_dim)), indent=2) + "\n"
+
+    @pytest.mark.parametrize("max_dim", range(2, 9))
+    def test_csv_writer_is_csv_module(self, capsys, max_dim):
+        from ptlab.counting import table1_report
+        code, out, _ = run(capsys, "count", "--max-dim", str(max_dim), "--format", "csv")
+        assert code == 0
+        assert out == count_csv(table1_report(max_dim))
 
     def test_out_file_has_no_trailing_newline(self, tmp_path, capsys):
         from ptlab.counting import table1_report

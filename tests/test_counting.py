@@ -1,7 +1,9 @@
 """Parameter counts: nullspace dimensions, orbit ranks, variety dimension.
 
 The dense route the pair blocks replaced (the real matrix of each map over
-all 2 N^2 real coordinates, and its full SVD) is kept here as their oracle.
+all 2 N^2 real coordinates, and its full SVD) is kept here as their oracle,
+and so is the search for the distinct blocks of any stack of diagonal base
+operators that the closed-form parity blocks replaced.
 """
 
 import sys
@@ -74,14 +76,56 @@ def dense_orbit_system(kind, P0):
     return vectorize(generators @ P0 - P0 @ generators).T
 
 
-def pair_block_ranks_against_dense(P0s):
+def diag_parities(N, ns) -> np.ndarray:
+    """(S, M, M) stack of the parities diag(1_m, -1_n), m = N - n, one per split n of
+    ns (N one size, or one per split), each zero-padded to the largest size M."""
+    sizes, ns = np.broadcast_arrays(N, ns)
+    axis = np.arange(sizes.max())
+    signs = np.where(axis < (sizes - ns)[:, None], 1.0, np.where(axis < sizes[:, None], -1.0, 0.0))
+    return (signs[:, :, None] * np.eye(len(axis))).astype(complex)
+
+
+def distinct(rows: np.ndarray, member: np.ndarray, S: int) -> tuple:
+    """The distinct rows of a (K, w) array, equal when their bytes are, and the (S, U)
+    number of times each occurs among the rows of each of S members."""
+    rows = np.ascontiguousarray(rows)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], np.bincount(member * len(first) + inverse, minlength=S * len(first)).reshape(S, -1)
+
+
+def pair_blocks(P0s: np.ndarray, sizes=None) -> tuple:
+    """The block set counting._map_dims takes, for any stack of diagonal base operators:
+    ((distinct pair diagonals (p_a, p_b), a < b, their (S, U) counts), (distinct
+    entries p_a, their counts)) over a (S, M, M) stack of diag(p), member s holding
+    its first sizes[s] entries (default: all M)."""
+    S, M = P0s.shape[0], P0s.shape[-1]
+    if np.any(P0s[:, ~np.eye(M, dtype=bool)]):
+        raise ContractError("pair blocks need a diagonal base operator")
+    p = np.diagonal(P0s, axis1=-2, axis2=-1)
+    sizes = np.broadcast_to(M if sizes is None else sizes, S)[:, None]
+    a, b = np.triu_indices(M, 1)
+    pair_member, pair = np.nonzero(b < sizes)
+    entry_member, entry = np.nonzero(np.arange(M) < sizes)
+    return (distinct(np.stack([p[pair_member, a[pair]], p[pair_member, b[pair]]], axis=-1), pair_member, S),
+            distinct(p[entry_member, entry, None], entry_member, S))
+
+
+def block_table(blocks) -> dict:
+    """{block as a tuple: its column of counts} of a block set, in no order (a real
+    and a complex block of equal values compare and hash equal)."""
+    return {tuple(row.tolist()): counts.tolist() for rows, c in blocks for row, counts in zip(rows, c.T)}
+
+
+def pair_block_ranks_against_dense(P0s, blocks=None):
     """Yield (dense system function, kind, index, pair-block rank, dense
     system) for the four families and both orbits at each base operator of
     a stack of diagonal ones, after checking that the kernel's singular values
     of the blocks it holds (each distinct block as often as it holds it, each
     read on its map's columns, the zero padding beyond them), sorted, are
-    those of the dense system within 1e-12 sigma_max."""
-    blocks = counting._pair_blocks(P0s)
+    those of the dense system within 1e-12 sigma_max.  The blocks default to
+    the oracle's search over P0s."""
+    blocks = pair_blocks(P0s) if blocks is None else blocks
     sigma = counting._block_singular_values(blocks)
     dims = counting._map_dims(blocks, DEFAULT_TOL)
     systems = [(dense_family_system, kind) for kind in FamilyKind]
@@ -119,10 +163,12 @@ class TestDenseOracle:
     @pytest.mark.parametrize("N", range(1, 7))
     def test_pair_blocks_match_dense_systems(self, N):
         """Every split (m, n) of N at once, n = 0 (definite) to N, for the four
-        families and both orbits: the blocks' singular values are the dense
-        system's within 1e-12 sigma_max, and the counts are the dense counts."""
-        P0s = counting._diag_parities(N, range(N + 1))
-        for dense_system, kind, n, rank, dense in pair_block_ranks_against_dense(P0s):
+        families and both orbits: the closed-form parity blocks' singular values
+        are the dense system's within 1e-12 sigma_max, and the counts are the
+        dense counts."""
+        ns = np.arange(N + 1)
+        blocks = counting._parity_blocks(N - ns, ns)
+        for dense_system, kind, n, rank, dense in pair_block_ranks_against_dense(diag_parities(N, ns), blocks):
             dense_rank = numerical_rank(dense)
             assert rank == dense_rank
             if dense_system is dense_family_system:
@@ -141,22 +187,36 @@ class TestDenseOracle:
         p[1, :2] = p[0, :2]
         p[2] = 1e-15 * p[1]
         p[3] = np.concatenate([p[0, :2], p[2, 2:]])
-        blocks = counting._pair_blocks(p[:, :, None] * np.eye(4))
+        blocks = pair_blocks(p[:, :, None] * np.eye(4))
         assert [len(rows) for rows, _ in blocks] == [6 + 5 + 6 + 4, 4 + 2 + 4 + 0]  # shared blocks once
         for *_, rank, dense in pair_block_ranks_against_dense(p[:, :, None] * np.eye(4)):
             assert rank == numerical_rank(dense)
 
     def test_non_diagonal_base_operator_is_rejected(self):
-        P0 = counting._diag_parities(3, [1])
+        """The oracle's search must not read blocks off a base it does not cover."""
+        P0 = diag_parities(3, [1])
         P0[0, 0, 2] = 1e-300  # exact guard: any nonzero entry off the diagonal
         with pytest.raises(ContractError):
-            counting._pair_blocks(P0)
+            pair_blocks(P0)
+
+    @pytest.mark.parametrize("N", range(1, 9))
+    def test_parity_blocks_are_the_distinct_blocks(self, N):
+        """The closed-form multiplicities are the oracle's distinct blocks and
+        counts at every split (m, n) of N, alone and with the splits of all
+        dimensions up to N stacked as the table stacks them: no block nobody
+        holds, so (-1, -1) only where some n >= 2."""
+        for n in range(N + 1):
+            assert block_table(counting._parity_blocks(N - n, n)) == block_table(pair_blocks(diag_parities(N, [n])))
+        dims, ns = np.array([(dim, n) for dim in range(1, N + 1) for n in range(dim + 1)]).T
+        assert block_table(counting._parity_blocks(dims - ns, ns)) == block_table(
+            pair_blocks(diag_parities(dims, ns), dims))
 
     @pytest.mark.parametrize("kind", list(FamilyKind))
     def test_empty_split_is_rejected(self, kind):
         for count in (count_matrix_family, count_operator_orbit):
-            with pytest.raises(ContractError):
-                count(kind, 0, 0)
+            for m, n in ((0, 0), (-1, 2), (2, -1)):
+                with pytest.raises(ContractError):
+                    count(kind, m, n)
 
     def test_no_warnings(self):
         with warnings.catch_warnings():
@@ -375,6 +435,12 @@ class TestExactJacobian:
             assert np.all(np.linalg.norm(fd - exact, axis=1) <= 1e-8 * rows)
 
 
+def _variety_cut(H, sing):
+    """The variety rank cut at base H, sing the Jacobian's singular values: the
+    shared rank cutoff of max(sigma_max, max(||H||_F, 1)^(N-1))."""
+    return DEFAULT_TOL.rank_cutoff(max(sing[0], max(frobenius(H), 1.0) ** (len(H) - 1)))
+
+
 class TestSharedCutoffMargin:
     """The variety rank uses the shared machine-epsilon rank cutoff, so the
     smallest singular value of the exact Jacobian must clear it by 1e6."""
@@ -382,24 +448,66 @@ class TestSharedCutoffMargin:
     @pytest.mark.parametrize("N", range(1, 9))
     def test_margin_at_chebyshev_base(self, N):
         """The default base diag(d): only the imaginary diagonal columns of the
-        Jacobian are nonzero, and sigma_min / sigma_max falls about 2x per N."""
-        jacobian = _exact_jacobian(_chebyshev_base(N))
+        Jacobian are nonzero, and sigma_min / sigma_max falls about 2x per N.
+        The margin holds against the variety cut, which ||H||_F^(N-1) sets from
+        N = 4 on (128 against sigma_max 5.5 at N = 8)."""
+        base = _chebyshev_base(N)
+        jacobian = _exact_jacobian(base)
         imag_diagonal = 2 * (N + 1) * np.arange(N) + 1
         assert not np.delete(jacobian, imag_diagonal, axis=1).any()
         sing = np.linalg.svd(jacobian, compute_uv=False)
-        assert sing[-1] > 1e6 * DEFAULT_TOL.rank_cutoff(sing[0])
+        assert sing[-1] > 1e6 * _variety_cut(base, sing)
         assert count_real_charpoly_variety(N) == 2 * N * N - N
 
     @pytest.mark.parametrize("N", range(2, 9))
     def test_first_base_succeeds_at_100_seeds(self, N):
         """Random self-adjoint base points, one per seed, given as base_point:
         sigma_min / sigma_max falls about 10x per N (7.8e-6 at worst over
-        these bases at N = 8), and each base counts with the 1e6 margin."""
+        these bases at N = 8), and each base counts with the 1e6 margin over
+        the cut of sigma_max.  The variety cut, which ||H||_F^(N-1) sets here,
+        leaves less: 2.3e5 at worst at N = 8."""
         for seed in range(100):
             base = _random_self_adjoint(N, np.random.default_rng(seed))
             assert count_real_charpoly_variety(N, base_point=base) == 2 * N * N - N
             sing = np.linalg.svd(_exact_jacobian(base), compute_uv=False)
             assert sing[-1] > 1e6 * DEFAULT_TOL.rank_cutoff(sing[0])
+            assert sing[-1] > 1e5 * _variety_cut(base, sing)
+
+
+def _skewed_frame_pair(rng):
+    """(T diag(lam) T^-1, T diag(lam') T^-1) for N in 2..6 distinct integers lam
+    in -9..9, lam' = lam with lam_1 repeated as lam_0 (a derogatory base), and a
+    complex frame T = U diag(s) V with U, V unitary and s in [1, 10]."""
+    N = int(rng.integers(2, 7))
+    lam = rng.choice(np.arange(-9.0, 10.0), size=N, replace=False)
+    repeated = lam.copy()
+    repeated[1] = lam[0]
+    U, V = np.linalg.qr(rng.normal(size=(2, N, N)) + 1j * rng.normal(size=(2, N, N)))[0]
+    T = U * rng.uniform(1.0, 10.0, N) @ V
+    T_inv = np.linalg.inv(T)
+    return T * lam @ T_inv, T * repeated @ T_inv
+
+
+class TestSkewedDerogatoryBases:
+    def test_cut_follows_the_adjugate_scale(self):
+        """A skewed frame makes sigma_max of the Jacobian much smaller than the
+        ||H||^(N-1) rounding in B_{N-1}: under a cut from sigma_max alone, 4
+        derogatory bases of these 500 counted 2 N^2 - N (sigma_N up to 5.4x
+        that cut).  Under the variety cut every derogatory base is indeterminate,
+        its sigma_N below 0.1x the cut (0.012x at most), and every
+        non-derogatory twin counts, its sigma_N above 1e3x the cut (1.9e4x at
+        least)."""
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            H, derogatory = _skewed_frame_pair(rng)
+            N = len(H)
+            assert count_real_charpoly_variety(N, base_point=H) == 2 * N * N - N
+            with pytest.raises(IndeterminateStructureError):
+                count_real_charpoly_variety(N, base_point=derogatory)
+            sing = np.linalg.svd(_exact_jacobian(H), compute_uv=False)
+            assert sing[N - 1] > 1e3 * _variety_cut(H, sing)
+            sing = np.linalg.svd(_exact_jacobian(derogatory), compute_uv=False)
+            assert sing[N - 1] < 0.1 * _variety_cut(derogatory, sing)
 
 
 @st.composite
@@ -529,3 +637,27 @@ class TestWorkCount:
             assert sorted(map(tuple, pair_rows.real.tolist())) == sorted(pairs)
             assert sorted(entry_rows.real.ravel().tolist()) == [-1.0, 1.0]
             assert sorted(shapes) == sorted([(6, len(pairs) + 2, 8, 4), (max_dim - 1, max_dim, max_dim)])
+
+    def test_table_reads_parity_blocks_in_closed_form(self, monkeypatch):
+        """No block search and no parity stack: table1_report calls no np.unique
+        and no np.diagonal, and its one np.eye lifts the Chebyshev diagonals (the
+        old route built an (S, M, M) stack of parities from another).  One
+        _parity_blocks call takes the (m, n) of every split, and the SVD kernel
+        factors exactly what it returns."""
+        called, parities, factored = {"unique": [], "diagonal": [], "eye": []}, [], []
+        for name, calls in called.items():
+            monkeypatch.setattr(np, name, lambda *a, _f=getattr(np, name), _c=calls, **k: _c.append(a) or _f(*a, **k))
+        parity_blocks = counting._parity_blocks
+        monkeypatch.setattr(counting, "_parity_blocks",
+                            lambda ms, ns: parities.append(((ms, ns), parity_blocks(ms, ns))) or parities[-1][1])
+        singular_values = counting._block_singular_values
+        monkeypatch.setattr(counting, "_block_singular_values",
+                            lambda blocks: factored.append(blocks) or singular_values(blocks))
+        for max_dim in range(2, 9):
+            for calls in (*called.values(), parities, factored):
+                calls.clear()
+            assert all(r.match for r in table1_report(max_dim))
+            assert called == {"unique": [], "diagonal": [], "eye": [(max_dim,)]}
+            splits = [(dim - n, n) for dim in range(2, max_dim + 1) for n in range(dim // 2 + 1)]
+            assert len(parities) == 1 and list(zip(*parities[0][0])) == splits
+            assert len(factored) == 1 and factored[0] is parities[0][1]
