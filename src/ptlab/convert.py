@@ -6,10 +6,13 @@ tries V transpose(V) over the eigenvectors V of transpose(B), and otherwise
 builds one on the eigenvalue clusters of transpose(B) (ptlab.intertwine)
 from a seeded combination of each cluster's small-system solutions, with a
 closed-form fallback assembled from a known Jordan similarity.  The
-conversions take the whole witness space from the SVD nullspace of the
-linear map A -> A B - transpose(B) A (witness_space).  They judge the
-caller's operator from its verification record when it carries one, and
-measure each Q they return or weigh once, for its verdicts and residuals.
+eigenpairs of transpose(B) = conj(adj(B)) are the conjugates of those in
+the shared eigen record of adj(B) (numerics._eigenpairs), which
+solve_metric_space reads too; conjugation is exact.  The conversions take
+the whole witness space from the SVD nullspace of the linear map
+A -> A B - transpose(B) A (witness_space).  They judge the caller's
+operator from its verification record when it carries one, and measure
+each Q they return or weigh once, for its verdicts and residuals.
 
 The conversions ride on the witness space:
 
@@ -60,6 +63,7 @@ from .numerics import (
     DEFAULT_TOL,
     MACHINE_EPS,
     ToleranceConfig,
+    _eigenpairs,
     _eigenvector_cuts,
     as_square_matrix,
     frobenius,
@@ -103,6 +107,14 @@ def witness_space(B, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return null.T.reshape(-1, n, n)
 
 
+def _transpose_eigenpairs(M: np.ndarray):
+    """(values, vectors, sigma) of transpose(M) = conj(adj(M)): the conjugates
+    of the eigenpairs in adj(M)'s shared record (conjugation is exact), and
+    the singular values of its vectors, which conjugation keeps."""
+    record = _eigenpairs(M, adjoint=True)
+    return record.values.conj(), record.vectors.conj(), record.sigma
+
+
 def _invertibility(A: np.ndarray) -> float:
     s = np.linalg.svd(A, compute_uv=False)
     return float(s[-1] / s[0]) if s[0] > 0 else 0.0
@@ -142,11 +154,13 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
     Frobenius norm.
 
     The first candidate is A = V transpose(V), V the unit eigenvectors of
-    transpose(B): transpose(B) V = V D gives A B = V D transpose(V) =
-    transpose(B) A for every diagonalizable B.  When it misses the rule
-    below (as for a defective B), A = U Y transpose(U) on intertwine's
-    cluster frame transpose(B) = U M inv(U), over the Y with M Y =
-    Y transpose(M); clusters are apart, so Y is block diagonal.  The first
+    transpose(B), the conjugates of those in adj(B)'s shared eigen record
+    (numerics._eigenpairs): transpose(B) V = V D gives
+    A B = V D transpose(V) = transpose(B) A for every diagonalizable B.
+    When it misses the rule below (as for a defective B), A = U Y
+    transpose(U) on intertwine's cluster frame transpose(B) = U M inv(U),
+    over the Y with M Y = Y transpose(M); clusters are apart, so Y is block
+    diagonal.  The first
     draw gives a lone eigenvalue the block 1 (U has unit columns) and each
     larger cluster a seeded random combination of its small system's
     solutions, of Frobenius norm sqrt(m) like the m x m identity.  Later
@@ -166,7 +180,7 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
     norm = frobenius(M)
     scale = max(norm, 1.0)
     cut = max(tol.abs_tol, 1e-10)
-    values, vectors = np.linalg.eig(M.T)
+    values, vectors, sigma = _transpose_eigenpairs(M)
     A = vectors @ vectors.T
     A = A / frobenius(A)
     if _invertibility(A) > 1e-3:
@@ -207,7 +221,6 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
                 break
         return (best, best_q), None if best_q > 1e-3 else set() if best_q > 1e-8 else set(labels.tolist())
 
-    sigma = np.linalg.svd(vectors, compute_uv=False)
     witness, q = solve_clustered(M.T, values, vectors, sigma, norm, tol, attempt)
     if q > 1e-8:
         return witness
@@ -458,8 +471,7 @@ def _closed_form_unit_witnesses(M: np.ndarray, tol: ToleranceConfig):
     """
     n = M.shape[0]
     norm = frobenius(M)
-    values, V = np.linalg.eig(M.T)
-    s = np.linalg.svd(V, compute_uv=False)
+    values, V, s = _transpose_eigenpairs(M)
     kappa = s[0] / s[-1] if s[-1] > 0 else np.inf
     cuts = _eigenvector_cuts(tol, kappa, norm)
     if cuts is None:

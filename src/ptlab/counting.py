@@ -118,22 +118,26 @@ def _commutator(c, r, X):
 # The six maps in kernel order: the four family conditions, then the two orbit commutators.
 _MAPS = tuple((_CONDITIONS[kind], _REAL_UNITS) for kind in FamilyKind) + tuple(
     (_commutator, _LIE_ALGEBRAS[kind]) for kind in _LIE_ALGEBRAS)
+# Per map and block kind, the block's supported entries in every block-sized slab of the
+# map's output (the real-symmetric condition stacks two slabs); the output shape depends
+# on the block kind only, so a unit base gives it.
+_MASKS = tuple(tuple(np.tile(support, (image(1.0, 1.0, basis).shape[-2] // len(support), 1))
+                     for basis, support in zip(bases, _SUPPORTS)) for image, bases in _MAPS)
 
 
 def _block_singular_values(blocks) -> np.ndarray:
     """(6, U, 4) singular values of the real system of X -> image(diag(p), X) over the
     block's basis, for each map of _MAPS on each of the U distinct pair, then diagonal,
-    blocks p of a block set as _parity_blocks returns it: its supported entries (in
-    every block-sized slab of a stacked output), real parts then imaginary parts,
-    zero-padded to 8 x 4 and factored in one stacked SVD.  No block is wide: the
-    padding adds exact zeros."""
+    blocks p of a block set as _parity_blocks returns it: its supported entries
+    (_MASKS), real parts then imaginary parts, zero-padded to 8 x 4 and factored in
+    one stacked SVD.  No block is wide: the padding adds exact zeros."""
     stack = np.zeros((len(_MAPS), sum(len(p) for p, _ in blocks), 8, 4))
     start = 0
-    for kind, ((p, _), support) in enumerate(zip(blocks, _SUPPORTS)):
+    for kind, (p, _) in enumerate(blocks):
         c, r, stop = p[:, None, :, None], p[:, None, None, :], start + len(p)
         for m, (image, bases) in enumerate(_MAPS):
             images = image(c, r, bases[kind])  # (U, basis, rows, cols), or without U if image ignores the base
-            entries = images[..., np.tile(support, (images.shape[-2] // len(support), 1))].swapaxes(-1, -2)
+            entries = images[..., _MASKS[m][kind]].swapaxes(-1, -2)
             k, w = entries.shape[-2:]
             stack[m, start:stop, :k, :w] = entries.real
             stack[m, start:stop, k:2 * k, :w] = entries.imag

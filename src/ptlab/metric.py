@@ -20,6 +20,7 @@ from .numerics import (
     DEFAULT_TOL,
     MACHINE_EPS,
     ToleranceConfig,
+    _eigenpairs,
     _reality_cut,
     as_square_matrix,
     frobenius,
@@ -154,15 +155,17 @@ def solve_metric_space(H, tol: ToleranceConfig = DEFAULT_TOL) -> MetricSolution:
 
     The equation is real-linear on the n^2-dimensional real space of Hermitian
     matrices.  It is solved on the cluster frame of adj(H) = U M inv(U)
-    (ptlab.intertwine, _metric_attempt): the basis is U Z adj(U) over the
-    Hermitian Z with M Z = Z adj(M), one closed-form element per ordered pair
-    of single eigenvalues mu_i = conj(mu_j) and the small system of each
-    pair of clusters that can couple, so its dimension is the sum of
-    min(p, q) over the Jordan blocks paired by lambda = conj(mu).  A basis
-    whose element misses the residual bound, or a frame whose columns are
-    nearly dependent, has its clusters merged and is solved again; the last
-    frame is the dense 2n^2 x n^2 system of one cluster, the only O(n^6)
-    case.  The basis is Frobenius-orthonormal.  The positive representative
+    (ptlab.intertwine, _metric_attempt), from the eigenpairs of adj(H) in
+    H's shared eigen record (numerics._eigenpairs, the adjoint side, whose
+    conjugates are the eigenpairs transpose_matrix uses): the basis is
+    U Z adj(U) over the Hermitian Z with M Z = Z adj(M), one closed-form
+    element per ordered pair of single eigenvalues mu_i = conj(mu_j) and the
+    small system of each pair of clusters that can couple, so its dimension
+    is the sum of min(p, q) over the Jordan blocks paired by
+    lambda = conj(mu).  A basis whose element misses the residual bound, or
+    a frame whose columns are nearly dependent, has its clusters merged and
+    is solved again; the last frame is the dense 2n^2 x n^2 system of one
+    cluster, the only O(n^6) case.  The basis is Frobenius-orthonormal.  The positive representative
     is the classic biorthogonal sum of left-eigenvector dyads, which lands in
     the solution space exactly when the spectrum is real and H is
     diagonalizable.
@@ -172,8 +175,8 @@ def solve_metric_space(H, tol: ToleranceConfig = DEFAULT_TOL) -> MetricSolution:
     norm = frobenius(A)
     scale = max(norm, 1.0)
     R = A.conj().T
-    values, vectors = np.linalg.eig(R)
-    cond = np.linalg.svd(vectors, compute_uv=False)
+    record = _eigenpairs(A, adjoint=True)
+    values, vectors, cond = record.values, record.vectors, record.sigma
     solutions = solve_clustered(R, values, vectors, cond, norm, tol, _metric_attempt(A, values, norm, tol))
 
     positive, status, note = None, "absent", None

@@ -6,12 +6,22 @@ nullspace decisions with one audited cutoff, the matrix exponential, and the
 real vectorization that turns complex matrices into flat real vectors for
 parameter counting and linear constraint solves.
 
+The eigenpairs of a single matrix H, or of adj(H), come from one shared
+record per matrix and side (_eigenpairs): one LAPACK eig, memoized on the
+matrix's bytes in a small LRU, with read-only values and vectors and the
+singular values of the vectors taken on first use.  classify_spectrum,
+find_gen_pt_operator and eigen_decompose read the H side, solve_metric_space
+the adjoint side, and the transpose witnesses its conjugate (transpose(H) =
+conj(adj(H)), and conjugation is exact), so one matrix taken through every
+analysis costs two eigendecompositions.
+
 All matrices in scope are small (desk scale, <= 64x64); no sparse paths.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -190,21 +200,55 @@ def devectorize(vec, rows: int, cols: int) -> np.ndarray:
     return (v[0::2] + 1j * v[1::2]).reshape(rows, cols)
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class _Eigenpairs:
+    """Eigenvalues and unit right eigenvectors (columns) of one matrix in
+    LAPACK's order, both read-only; sigma, the singular values of vectors,
+    is computed on first use and shared by every reader."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        return _read_only(np.linalg.svd(self.vectors, compute_uv=False))
+
+
+@lru_cache(maxsize=8)
+def _eig_record(data: bytes, n: int, adjoint: bool) -> _Eigenpairs:
+    A = np.frombuffer(data, dtype=complex).reshape(n, n)
+    try:
+        values, vectors = np.linalg.eig(A.conj().T if adjoint else A)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
+    return _Eigenpairs(_read_only(values), _read_only(vectors))
+
+
+def _eigenpairs(A: np.ndarray, adjoint: bool = False) -> _Eigenpairs:
+    """The shared eigen record of a matrix validated by as_square_matrix, or
+    with adjoint=True of adj(A): one np.linalg.eig per matrix and side while
+    it stays among the last few asked for.  The record is keyed on A's
+    bytes, so a matrix changed in place gets a fresh one."""
+    return _eig_record(A.tobytes(), A.shape[0], adjoint)
+
+
 def eigen_decompose(M, tol: ToleranceConfig = DEFAULT_TOL):
     """Eigenvalues and right eigenvectors, sorted lexicographically by (Re, Im).
 
     Returns (eigenvalues, vectors) with vectors[:, k] the unit eigenvector for
-    eigenvalues[k].  The ordering is deterministic so downstream golden-file
-    tests stay stable.
+    eigenvalues[k], taken from M's shared eigen record (_eigenpairs).  The
+    ordering is deterministic so downstream golden-file tests stay stable.
     """
     A = as_square_matrix(M)
-    try:
-        values, vectors = np.linalg.eig(A)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    order = np.lexsort((values.imag, values.real))
-    values = values[order]
-    vectors = vectors[:, order]
+    record = _eigenpairs(A)
+    order = np.lexsort((record.values.imag, record.values.real))
+    values = record.values[order]
+    vectors = record.vectors[:, order]
     scale = frobenius(A)
     residual = np.linalg.norm(A @ vectors - vectors * values[np.newaxis, :], axis=0)
     bound = max(tol.rel_tol * max(scale, 1.0), 64.0 * MACHINE_EPS)

@@ -36,6 +36,7 @@ from .numerics import (
     MACHINE_EPS,
     ToleranceConfig,
     _cluster_cut,
+    _eigenpairs,
     _reality_cut,
     as_square_matrix,
     eigen_decompose,
@@ -112,13 +113,13 @@ def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, cluster_rad
     return None
 
 
-def _cluster_path(A: np.ndarray, values: np.ndarray, vectors: np.ndarray, norm: float, reality_cut: float,
-                  tol: ToleranceConfig):
+def _cluster_path(A: np.ndarray, values: np.ndarray, vectors: np.ndarray, sigma: np.ndarray, norm: float,
+                  reality_cut: float, tol: ToleranceConfig):
     """Clusters, their Segre characteristics and their conjugate pairing for
     one matrix of Frobenius norm `norm`, sorted eigenvalues `values` with
-    eigenvectors `vectors`, and reality cut `reality_cut`.  The clusters are
-    intertwine.eigen_clusters, and two real ones that conjugate_pairs
-    mirrors across the axis are one.  A lone eigenvalue has Segre [1], a
+    eigenvectors `vectors` (of singular values `sigma`), and reality cut
+    `reality_cut`.  The clusters are intertwine.eigen_clusters, and two real
+    ones that conjugate_pairs mirrors across the axis are one.  A lone eigenvalue has Segre [1], a
     larger cluster the rank staircase at its centre; real clusters with one
     projection on the real axis join their block lists.  The point is
     ambiguous when two cluster discs come within 10x of touching, or a
@@ -127,7 +128,7 @@ def _cluster_path(A: np.ndarray, values: np.ndarray, vectors: np.ndarray, norm: 
     Returns (segre, ambiguous, all_real, any_real, paired, defective).
     """
     n = values.size
-    radii, labels = eigen_clusters(values, vectors, np.linalg.svd(vectors, compute_uv=False), norm, tol)
+    radii, labels = eigen_clusters(values, vectors, sigma, norm, tol)
     centres, spans = cluster_discs(values, radii, labels)
     real, pairs = conjugate_pairs(centres, spans, labels, reality_cut)
     heads = np.flatnonzero(labels == np.arange(n))
@@ -220,7 +221,11 @@ def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -
     pairing that the disc radii decide -- takes the cluster path: its
     eigenvalues and eigenvectors from one eig stacked over all such points,
     eigen_clusters for the clusters, and the rank staircase for the block
-    sizes of each cluster of more than one eigenvalue.  At sizes n where no
+    sizes of each cluster of more than one eigenvalue.  A stack of one
+    matrix (classify_spectrum) reads the matrix's shared eigen record
+    (numerics._eigenpairs) instead, for the screen and the cluster path
+    alike; its eig values are bit-equal to those of eigvals, and
+    find_gen_pt_operator reads the same record.  At sizes n where no
     n eigenvalues within the matrix norm can lie 10 cluster cuts apart (n >=
     10 at the default tolerances) the screen is skipped and every point
     takes the cluster path.
@@ -238,6 +243,9 @@ def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -
 def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTable:
     """classify_spectra of a stack already validated by as_square_matrix."""
     K, n = S.shape[:2]
+    # a lone matrix reads its shared eigen record, for the screen and the
+    # cluster path alike: its eig values are bit-equal to eigvals
+    lone = _eigenpairs(S[0]) if K == 1 else None
     norms = frobenius_norms(S)
     scales = np.maximum(norms, 1.0)
     reality_cut = _reality_cut(tol, scales)
@@ -250,7 +258,7 @@ def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTa
         simple, paired = np.zeros((2, K), dtype=bool)
     else:
         # a stable complex sort is the lexicographic (Re, Im) order of lexsort
-        values = np.sort(np.linalg.eigvals(S), axis=-1, kind="stable")
+        values = np.sort(lone.values[None] if lone else np.linalg.eigvals(S), axis=-1, kind="stable")
         cluster_cut = _cluster_cut(tol, scales, n)
         pair_cut = np.maximum(2 * reality_cut, cluster_cut)
         # gap[k, i, j] = |v_j - v_i| and conj_gap[k, i, j] = |v_j - conj(v_i)|, infinite for j = i
@@ -271,16 +279,20 @@ def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTa
     all_real, any_real = real.all(axis=1), real.any(axis=1)
     ambiguous, defective = np.zeros((2, K), dtype=bool)
 
-    # the points left take one stacked eig; its eigenvalues, sorted as above
-    # with the columns in their order, are their values
+    # the points left take one stacked eig and one stacked SVD of its vectors
+    # (a lone matrix its record); its eigenvalues, sorted as above with the
+    # columns in their order, are their values
     segre, rest = {}, (~simple).nonzero()[0]
-    if rest.size:
+    if rest.size and lone:
+        w, vectors, sigma = lone.values[None], lone.vectors[None], lone.sigma[None]
+    elif rest.size:
         w, vectors = np.linalg.eig(S[rest])
+        sigma = np.linalg.svd(vectors, compute_uv=False)
     for i, k in enumerate(rest.tolist()):
         order = np.argsort(w[i], kind="stable")
         values[k] = w[i, order]
         segre[k], ambiguous[k], all_real[k], any_real[k], paired[k], defective[k] = _cluster_path(
-            S[k], values[k], vectors[i][:, order], float(norms[k]), float(reality_cut[k]), tol)
+            S[k], values[k], vectors[i][:, order], sigma[i], float(norms[k]), float(reality_cut[k]), tol)
     # codes in RealityClass order: conjugate pairs (paired with no real
     # eigenvalue) or mixed, then all real (diagonalizable or defective)
     reality = 3 - (paired > any_real)

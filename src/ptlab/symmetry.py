@@ -29,7 +29,7 @@ from .involutions import (
     verify_involution,
 )
 from .intertwine import cluster_discs, conjugate_pairs, eigen_clusters
-from .numerics import DEFAULT_TOL, ToleranceConfig, _reality_cut, as_matrix, as_square_matrix, frobenius, frobenius_norms
+from .numerics import DEFAULT_TOL, ToleranceConfig, _eigenpairs, _reality_cut, as_matrix, as_square_matrix, frobenius, frobenius_norms
 
 
 class SymmetryKind(enum.Enum):
@@ -338,8 +338,8 @@ def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
     if frobenius(A - A.conj()) <= tol.abs_tol * scale:
         return _exact(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=np.eye(N, dtype=complex)))
 
-    values, vectors = np.linalg.eig(A)
-    sigma = np.linalg.svd(vectors, compute_uv=False)
+    record = _eigenpairs(A)
+    values, vectors, sigma = record.values, record.vectors, record.sigma
     radii, labels = eigen_clusters(values, vectors, sigma, norm, tol)
     real, pairs = conjugate_pairs(*cluster_discs(values, radii, labels), labels, _reality_cut(tol, scale))
     if pairs is None:

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+import ptlab
+from ptlab import numerics
 from ptlab.errors import ContractError, DimensionError
+from ptlab.involutions import make_diagonal_parity
 from ptlab.numerics import (
     DEFAULT_TOL,
     ToleranceConfig,
@@ -67,6 +70,96 @@ class TestEigenDecompose:
     def test_non_finite_rejected(self):
         with pytest.raises(ContractError):
             eigen_decompose(np.array([[np.nan, 0], [0, 1]]))
+
+
+def known_pt8(seed=5):
+    """8 x 8 PT-symmetric matrix under diag(1_4, -1_4), with simple real
+    eigenvalues -2.5 .. 2.5 and the conjugate pairs -3.5 +- 0.8 i and
+    3.5 +- 1.2 i in a real frame of condition number <= 4."""
+    rng = np.random.default_rng(seed)
+    D = np.diag([-3.5, -3.5, -2.5, -0.5, 0.5, 2.5, 3.5, 3.5])
+    D[0, 1], D[1, 0], D[6, 7], D[7, 6] = 0.8, -0.8, 1.2, -1.2
+    S = np.linalg.qr(rng.normal(size=(8, 8)))[0] @ np.diag(rng.uniform(0.5, 2.0, 8))
+    v = np.concatenate([np.ones(4), 1j * np.ones(4)])
+    return (S @ D @ np.linalg.inv(S)) * (v[:, None] / v[None, :]), make_diagonal_parity(4, 4)
+
+
+def analyses(H, P):
+    """Every analysis of one matrix, by name, each returning arrays to compare bit for bit."""
+    def spectrum():
+        report = ptlab.classify_spectrum(H)
+        return [report.eigenvalues, np.array(list(report.segre)), np.array(report.reality_class.value)]
+
+    def metric():
+        solution = ptlab.solve_metric_space(H)
+        return [solution.hermitian_basis, solution.positive_representative]
+
+    return {
+        "symmetry": lambda: [np.array(ptlab.check_symmetry(ptlab.SymmetryKind.PT, P, H).residual)],
+        "spectrum": spectrum,
+        "metric": metric,
+        "witness": lambda: [ptlab.transpose_matrix(H).A],
+        "core": lambda: [ptlab.find_gen_pt_operator(H).matrix],
+        "pseudo": lambda: [ptlab.pt_to_pseudo(P, H).Q],
+        "eigen_decompose": lambda: list(ptlab.eigen_decompose(H)),
+    }
+
+
+class TestEigenRecord:
+    """One eigendecomposition per matrix and side, shared by every analysis."""
+
+    def test_one_matrix_through_every_analysis_costs_two_eigs(self, monkeypatch):
+        H, P = known_pt8()
+        eig, eigvals = np.linalg.eig, np.linalg.eigvals
+        eigs, values_of = [], []
+        monkeypatch.setattr(np.linalg, "eig", lambda a: eigs.append(np.array(a)) or eig(a))
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: values_of.append(np.array(a)) or eigvals(a))
+        numerics._eig_record.cache_clear()
+        for name, run in analyses(H, P).items():
+            if name != "eigen_decompose":
+                run()
+        assert len(eigs) == 2
+        assert {(a == H).all() for a in eigs} == {True, False}  # H and adj(H)
+        assert any((a == H.conj().T).all() for a in eigs)
+        sides = (H, H.conj().T, H.T)
+        assert not any(a.shape == H.shape and any((a == M).all() for M in sides) for a in values_of)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_outputs_do_not_depend_on_the_memo(self, reverse):
+        H, P = known_pt8()
+        runs = list(analyses(H, P).items())
+        if reverse:
+            runs.reverse()
+        cold = {}
+        for name, run in runs:
+            numerics._eig_record.cache_clear()
+            cold[name] = run()
+        numerics._eig_record.cache_clear()
+        for name, run in runs:
+            warm = run()
+            assert len(warm) == len(cold[name])
+            for a, b in zip(warm, cold[name]):
+                assert (a is None and b is None) or np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+
+    def test_record_arrays_are_read_only(self):
+        H, _ = known_pt8()
+        for adjoint in (False, True):
+            record = numerics._eigenpairs(H, adjoint)
+            for array in (record.values, record.vectors, record.sigma):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[0] = 0.0
+
+    def test_matrix_changed_in_place_gets_a_fresh_record(self):
+        H, _ = known_pt8()
+        before = ptlab.classify_spectrum(H).eigenvalues
+        record = numerics._eigenpairs(H)
+        H += np.eye(8)
+        after = ptlab.classify_spectrum(H).eigenvalues
+        assert numerics._eigenpairs(H) is not record
+        assert np.array_equal(after, np.sort(np.linalg.eigvals(H)))
+        gaps = np.abs(after[:, None] - (before + 1.0)[None, :])
+        assert gaps.min(axis=0).max() < 1e-12 and gaps.min(axis=1).max() < 1e-12
 
 
 class TestRankAndNullspace:
