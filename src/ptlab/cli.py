@@ -92,9 +92,10 @@ def document_to_matrix(doc) -> np.ndarray:
     if not isinstance(doc, dict):
         raise CliError(EXIT_PARSE, "matrix document must be a JSON object")
     try:
-        rows, cols, data = int(doc["rows"]), int(doc["cols"]), doc["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows, cols, data = doc["rows"], doc["cols"], doc["data"]
+    except KeyError as exc:
         raise CliError(EXIT_PARSE, f"matrix document needs integer rows/cols and data: {exc}")
+    rows, cols = _json_integer(rows, "matrix document rows"), _json_integer(cols, "matrix document cols")
     if not isinstance(data, list) or len(data) != rows:
         raise CliError(EXIT_PARSE, f"data must hold {rows} rows")
     out = np.empty((rows, cols), dtype=complex)
@@ -109,6 +110,13 @@ def document_to_matrix(doc) -> np.ndarray:
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise CliError(EXIT_PARSE, "matrix document contains non-finite entries")
     return out
+
+
+def _json_integer(value, what) -> int:
+    """A JSON integer or integral float as an int; else a parse error naming what."""
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise CliError(EXIT_PARSE, f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -435,9 +443,7 @@ def _grid_axis(axis, name):
         except KeyError as exc:
             raise CliError(EXIT_PARSE, f"axis {name} needs start/stop/num: {exc}")
         start, stop = _grid_number(start, f"axis {name} start"), _grid_number(stop, f"axis {name} stop")
-        if isinstance(num, bool) or not (isinstance(num, int) or isinstance(num, float) and num.is_integer()):
-            raise CliError(EXIT_PARSE, f"axis {name} num must be an integer, got {num!r}")
-        num = int(num)
+        num = _json_integer(num, f"axis {name} num")
         if num < 1:
             raise CliError(EXIT_CONSTRAINT, f"axis {name} is empty (num = {num})")
         scale = axis.get("scale", "linear")

@@ -9,10 +9,10 @@ closed-form fallback assembled from a known Jordan similarity.  The
 eigenpairs of transpose(B) = conj(adj(B)) are the conjugates of those in
 the shared eigen record of adj(B) (numerics._eigenpairs), which
 solve_metric_space reads too; conjugation is exact.  The conversions take
-the whole witness space from the SVD nullspace of the linear map
-A -> A B - transpose(B) A (witness_space).  They judge the caller's
-operator from its verification record when it carries one, and measure
-each Q they return or weigh once, for its verdicts and residuals.
+the whole witness space from witness_space, on the same cluster frame
+(_frame_space).  They judge the caller's operator from its verification
+record when it carries one, and measure each Q they return or weigh once,
+for its verdicts and residuals.
 
 The conversions ride on the witness space:
 
@@ -55,10 +55,12 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zgeqrf, zungqr
 
 from .errors import ContractError, NumericalError
 from .intertwine import pair_solutions, solve_clustered
 from .involutions import InvolutionKind, InvolutionOperator, _measure, _recorded, make_sip, operator_matrix
+from .metric import _residual_bound
 from .numerics import (
     DEFAULT_TOL,
     MACHINE_EPS,
@@ -69,7 +71,6 @@ from .numerics import (
     frobenius,
     frobenius_norms,
     needs_sign_flip,
-    nullspace_complex,
     rank_and_nullspace,
     vectorize,
 )
@@ -92,19 +93,23 @@ class TransposeWitness:
 
 
 def witness_space(B, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Complex basis of all A with A B = transpose(B) A, as a (k, n, n) stack.
-
-    In row-major coordinates vec(A B) = kron(1, transpose(B)) vec(A) and
-    vec(transpose(B) A) = kron(transpose(B), 1) vec(A); the basis is the SVD
-    nullspace of their difference, with the rank cut relative to ||B||_F
-    (for B = lambda 1 up to rounding the difference is rounding noise).
+    """Frobenius-orthonormal complex basis of all A with A B = transpose(B) A,
+    a (k, n, n) stack, on transpose_matrix's cluster frame (_frame_space).
+    When a basis element misses the metric solver's residual bound, the
+    clusters of the elements that miss it (else every cluster) are merged;
+    the one-cluster frame solves the whole equation, rank cut at ||B||_F.
     """
     M = as_square_matrix(B, "B")
-    n = M.shape[0]
-    eye, T = np.eye(n), M.T  # the products of np.kron, broadcast without its per-call set-up
-    system = eye[:, None, :, None] * T[None, :, None, :] - T[:, None, :, None] * eye[None, :, None, :]
-    null = nullspace_complex(system.reshape(n * n, n * n), tol, scale=frobenius(M))
-    return null.T.reshape(-1, n, n)
+    norm = frobenius(M)
+    bound = _residual_bound(tol, max(norm, 1.0), M.shape[0])
+
+    def attempt(frame):
+        _, space, elements, owners = _frame_space(frame, tol, norm)
+        if frame.final or not np.any(_witness_gaps(space, M) > bound):
+            return space, set()
+        return space, set(owners[_witness_gaps(elements, M) > bound].tolist()) or set(frame.labels.tolist())
+
+    return solve_clustered(M.T, *_transpose_eigenpairs(M), norm, tol, attempt)
 
 
 def _transpose_eigenpairs(M: np.ndarray):
@@ -139,17 +144,34 @@ def _similarity_residual(A: np.ndarray, M: np.ndarray, scale: float) -> float:
     return float(frobenius(A @ M @ np.linalg.inv(A) - M.T) / scale)
 
 
-def _frame_elements(lone, clusters, lone_labels, cluster_labels):
-    """(elements, owners): the witness space of a cluster frame as a stack,
-    u u^T per lone eigenvector u and Ua Y transpose(Ua) per solution Y of a
-    cluster's small system, with the cluster of each element."""
-    elements = [lone.T[:, :, None] * lone.T[:, None, :]] + [Ua @ Y @ Ua.T for Ua, Y in clusters]
-    owners = [lone_labels] + [np.full(len(Y), a) for a, (_, Y) in zip(cluster_labels, clusters)]
-    return np.concatenate(elements), np.concatenate(owners)
+def _frame_space(frame, tol: ToleranceConfig, norm: float):
+    """(clusters, space, elements, owners) of a cluster frame of transpose(B) =
+    U T inv(U): (Ua, Y) per larger cluster, its columns of U and the solutions
+    Y of T_a Y = Y transpose(T_a); the elements u transpose(u) per lone
+    eigenvector u and Ua Y transpose(Ua) per Y (clusters are apart, so Y is
+    block diagonal), with the cluster of each; and their span made
+    Frobenius-orthonormal by one QR (the one cluster's Y are already)."""
+    labels, _, U, single, blocks, final = frame
+    clusters = [(U[:, members], pair_solutions(Ma, Ma, False, tol, norm)) for members, Ma in blocks.values()]
+    if final and blocks:  # one cluster in the identity frame: its solutions as they stand
+        Y = clusters[0][1]
+        return clusters, Y, Y, np.zeros(len(Y), dtype=int)
+    lone = U[:, single]
+    elements = np.concatenate([lone.T[:, :, None] * lone.T[:, None, :]] + [Ua @ Y @ Ua.T for Ua, Y in clusters])
+    owners = np.concatenate([labels[single]] + [np.full(len(Y), a) for a, (_, Y) in zip(blocks, clusters)])
+    # LAPACK directly: at n <= 6 the set-up of np.linalg.qr costs more than the factorization
+    qr, tau, *_ = zgeqrf(elements.reshape(len(elements), -1).T)
+    q, *_ = zungqr(qr, tau, overwrite_a=True)
+    return clusters, q.T.reshape(elements.shape), elements, owners
+
+
+def _witness_gaps(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """||A M - transpose(M) A||_F / ||A||_F over a (k, n, n) stack."""
+    return frobenius_norms(A @ M - M.T @ A) / frobenius_norms(A)
 
 
 def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                     budget: int = DEFAULT_BUDGET, jordan_witness=None) -> TransposeWitness:
+                     jordan_witness=None) -> TransposeWitness:
     """Invertible A with A B inv(A) = transpose(B), normalized to unit
     Frobenius norm.
 
@@ -159,22 +181,20 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
     A B = V D transpose(V) = transpose(B) A for every diagonalizable B.
     When it misses the rule below (as for a defective B), A = U Y
     transpose(U) on intertwine's cluster frame transpose(B) = U M inv(U),
-    over the Y with M Y = Y transpose(M); clusters are apart, so Y is block
-    diagonal.  The first
-    draw gives a lone eigenvalue the block 1 (U has unit columns) and each
-    larger cluster a seeded random combination of its small system's
-    solutions, of Frobenius norm sqrt(m) like the m x m identity.  Later
-    draws take seeded random elements of the frame's whole witness space,
-    isotropic in the Frobenius product.  Draws stop at the first A with
-    sigma_min / sigma_max > 1e-3 whose similarity residual is within
-    max(abs_tol, 1e-10); after `budget` draws the best one is returned if
-    it is above 1e-8.  A residual that misses the cut names the clusters
-    whose solutions leave the largest intertwining gaps, and the frame is
-    merged and solved again; the last frame is the full equation, one
-    cluster holding every eigenvalue.  When even that finds nothing above 1e-8,
-    jordan_witness = (F, block_sizes), available for this package's own
-    constructions, gives the closed form (which would be a bug, and is
-    raised as such otherwise).  The method is reported as NULLSPACE_SEARCH.
+    over the Y with M Y = Y transpose(M) (_frame_space).  The first draw
+    gives a lone eigenvalue the block 1 (U has unit columns) and each larger
+    cluster a seeded random combination of its small system's solutions, of
+    Frobenius norm sqrt(m) like the m x m identity.  Later draws take seeded
+    random elements of the frame's witness space, isotropic in the Frobenius
+    product.  Draws stop at the first A with sigma_min / sigma_max > 1e-3
+    whose similarity residual is within max(abs_tol, 1e-10); after
+    DEFAULT_BUDGET draws the best one is returned if it is above 1e-8.  A
+    residual that misses the cut names the clusters whose elements leave the
+    largest intertwining gaps, and the frame is merged and solved again; the
+    last frame is the full equation, one cluster holding every eigenvalue.
+    When even that finds nothing above 1e-8, jordan_witness = (F,
+    block_sizes), available for this package's own constructions, gives the
+    closed form (which would be a bug, and is raised as such otherwise).  The method is reported as NULLSPACE_SEARCH.
     """
     M = as_square_matrix(B, "B")
     norm = frobenius(M)
@@ -189,37 +209,32 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
             return TransposeWitness(A, WitnessMethod.NULLSPACE_SEARCH, residual)
 
     def attempt(frame):
-        labels, _, U, single, blocks, final = frame
-        lone = U[:, single] if blocks else U
-        clusters = [(U[:, members], pair_solutions(Ma, Ma, False, tol, norm)) for members, Ma in blocks.values()]
+        clusters, space, elements, owners = _frame_space(frame, tol, norm)
+        lone = frame.U[:, frame.single]
         rng = np.random.default_rng(seed)
-        best, best_q, space = None, 0.0, None
-        for draw in range(budget):
+        best, best_q = None, 0.0
+        for draw in range(DEFAULT_BUDGET):
             if draw == 0:  # lone eigenvalues weighted 1, each cluster a random element of norm sqrt(m)
                 A = lone @ lone.T
                 for Ua, Y in clusters:
                     Ya = (([1, 1j] @ rng.normal(size=(2, len(Y)))) @ Y.reshape(len(Y), -1)).reshape(Y.shape[1:])
                     A = A + np.sqrt(len(Ua.T)) / frobenius(Ya) * Ua @ Ya @ Ua.T
             else:  # a random element of the whole space, isotropic in the Frobenius product
-                if space is None:
-                    elements, owners = _frame_elements(lone, clusters, labels[single], list(blocks))
-                    space = np.linalg.qr(elements.reshape(len(elements), -1).T)[0]
-                A = (space @ ([1, 1j] @ rng.normal(size=(2, space.shape[1])))).reshape(A.shape)
+                A = np.tensordot([1, 1j] @ rng.normal(size=(2, len(space))), space, 1)
             A = A / frobenius(A)
             q = _invertibility(A)
             if q <= max(best_q, 1e-8):
                 continue
             residual = _similarity_residual(A, M, scale)
-            if residual > cut and not final:
+            if residual > cut and not frame.final:
                 if q <= 1e-3:  # inversion may explain the miss; draw again
                     continue
-                elements, owners = _frame_elements(lone, clusters, labels[single], list(blocks))
-                gaps = frobenius_norms(elements @ M - M.T @ elements) / frobenius_norms(elements)
+                gaps = _witness_gaps(elements, M)
                 return None, set(owners[gaps >= 0.5 * gaps.max()].tolist())
             best, best_q = TransposeWitness(A, WitnessMethod.NULLSPACE_SEARCH, residual), q
             if best_q > 1e-3:
                 break
-        return (best, best_q), None if best_q > 1e-3 else set() if best_q > 1e-8 else set(labels.tolist())
+        return (best, best_q), None if best_q > 1e-3 else set() if best_q > 1e-8 else set(frame.labels.tolist())
 
     witness, q = solve_clustered(M.T, values, vectors, sigma, norm, tol, attempt)
     if q > 1e-8:
@@ -504,7 +519,7 @@ def _closed_form_unit_witnesses(M: np.ndarray, tol: ToleranceConfig):
     return None
 
 
-def _unit_witnesses(basis, n, rng, budget):
+def _unit_witnesses(basis, n, rng):
     """Witness-space elements with A conj(A) = 1, by damped least squares.
 
     The fallback of _closed_form_unit_witnesses.  The constraint is quadratic
@@ -528,7 +543,7 @@ def _unit_witnesses(basis, n, rng, budget):
         return vectorize(A @ A.conj() - eye)
 
     found = []
-    starts = max(budget // 16, 8)
+    starts = DEFAULT_BUDGET // 16
     for trial in range(starts):
         z0 = rng.normal(size=dim)
         try:
@@ -558,8 +573,7 @@ def _best_hermitian_phase(Q: np.ndarray) -> complex:
     return np.exp(-1j * np.angle(t) / 2.0)
 
 
-def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                     budget: int = DEFAULT_BUDGET) -> ConversionResult:
+def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> ConversionResult:
     """Q = core * A over transpose witnesses restricted to A conj(A) = 1.
 
     Every such Q intertwines adj(H) with H; Hermiticity and involution are
@@ -570,8 +584,8 @@ def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DE
     computed in closed form; when their defining equations miss by far more
     than rounding the result says that none exists.  Otherwise (repeated,
     defective or ill-conditioned spectra, or a miss rounding could explain,
-    as near an exceptional point) a seeded least-squares search with `budget`
-    fixing its number of starts looks for them, and an empty result says
+    as near an exceptional point) a seeded least-squares search with
+    DEFAULT_BUDGET // 16 starts looks for them, and an empty result says
     none was found within budget.  The identity comes first when H is
     symmetric.  The free phase of each candidate is spent on Hermiticity,
     and candidates are ranked so a Hermitian involutory Q (a full
@@ -592,7 +606,7 @@ def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DE
     unit = _closed_form_unit_witnesses(M, tol)
     searched = unit is None
     if searched:
-        unit = _unit_witnesses(witness_space(M, tol), n, np.random.default_rng(seed), budget)
+        unit = _unit_witnesses(witness_space(M, tol), n, np.random.default_rng(seed))
     candidates.extend(unit)
 
     if not candidates:

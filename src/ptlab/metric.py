@@ -157,7 +157,7 @@ def solve_metric_space(H, tol: ToleranceConfig = DEFAULT_TOL) -> MetricSolution:
     matrices.  It is solved on the cluster frame of adj(H) = U M inv(U)
     (ptlab.intertwine, _metric_attempt), from the eigenpairs of adj(H) in
     H's shared eigen record (numerics._eigenpairs, the adjoint side, whose
-    conjugates are the eigenpairs transpose_matrix uses): the basis is
+    conjugates are the eigenpairs of the transpose witnesses): the basis is
     U Z adj(U) over the Hermitian Z with M Z = Z adj(M), one closed-form
     element per ordered pair of single eigenvalues mu_i = conj(mu_j) and the
     small system of each pair of clusters that can couple, so its dimension

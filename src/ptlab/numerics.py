@@ -77,13 +77,13 @@ def _eigenvector_cuts(tol: ToleranceConfig, kappa: float, norm: float):
     those eigenvectors are too ill-conditioned to decide coincidences.
 
     Two computed eigenvalues closer than pair_cut, the Bauer-Fike radius
-    kappa eps norm times the rank factor, count as one.  A distance d beyond
-    that leaves the dense (Kronecker) system of an intertwining equation a
-    singular value of at least d / kappa^2, above the dense route's rank
-    cutoff once d exceeds 2 kappa pair_cut; gap_cut keeps a 4x margin on
-    that, so distances of at least gap_cut are apart for both routes.
-    The eigenvectors are well conditioned when pair_cut stays inside the
-    reality cut.
+    kappa eps norm times the rank factor, count as one.  Eigenvalues gap_cut
+    apart are distinct for both solvers of an intertwining equation: alone
+    in their clusters (intertwine.eigen_clusters radii are at most pair_cut),
+    and, d apart, they leave the whole equation's Kronecker system a singular
+    value of at least d / kappa^2, above its rank cutoff once d exceeds
+    2 kappa pair_cut, which gap_cut clears 4x.  The eigenvectors are well
+    conditioned when pair_cut stays inside the reality cut.
     """
     pair_cut = tol.rank_cutoff(kappa * norm)
     if not pair_cut <= _reality_cut(tol, max(norm, 1.0)):
@@ -289,7 +289,7 @@ def rank_and_nullspace(L, tol: ToleranceConfig = DEFAULT_TOL, scale: float | Non
     A = _finite_real_matrix(L, "rank_and_nullspace")
     if A.size == 0 or not np.any(A):
         return 0, np.eye(A.shape[1])
-    _, s, vt = np.linalg.svd(A, full_matrices=True)
+    _, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])  # vt square either way; U unread
     rank = _numerical_rank(s, tol, scale)
     return rank, vt[rank:].T.copy()
 
@@ -307,7 +307,7 @@ def nullspace_complex(L, tol: ToleranceConfig = DEFAULT_TOL, scale: float | None
     A = np.asarray(L, dtype=complex)
     if A.size == 0 or not np.any(A):
         return np.eye(A.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])  # vh square either way; U unread
     rank = _numerical_rank(s, tol, scale)
     return vh[rank:].conj().T.copy()
 

@@ -78,6 +78,19 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--matrix", str(bad))
         assert code == 2 and "malformed" in err
 
+    @pytest.mark.parametrize("rows, cols", [("1", 1), (1, 1.5), (1, True)], ids=["string", "fraction", "boolean"])
+    def test_non_integer_size_exits_2(self, tmp_path, capsys, rows, cols):
+        doc = tmp_path / "h.json"
+        doc.write_text(json.dumps({"rows": rows, "cols": cols, "data": [[[1, 0]]]}), encoding="utf-8")
+        code, out, err = run(capsys, "classify", "--matrix", str(doc))
+        assert (code, out) == (2, "") and "must be an integer" in err
+
+    def test_integral_float_size_is_read_as_an_integer(self, tmp_path, capsys):
+        doc = tmp_path / "h.json"
+        doc.write_text(json.dumps({"rows": 1.0, "cols": 1, "data": [[[1, 0]]]}), encoding="utf-8")
+        code, out, _ = run(capsys, "classify", "--matrix", str(doc))
+        assert code == 0 and json.loads(out)["spectrum"]["eigenvalues"] == [[1.0, 0.0]]
+
     def test_dimension_mismatch_exits_3(self, tmp_path, capsys):
         H = write_matrix(tmp_path, "h.json", np.eye(3))
         P = write_matrix(tmp_path, "p.json", np.eye(2))
@@ -513,9 +526,11 @@ def golden_argv(name, tmp_path):
 
 class TestGoldenClassifyConvert:
     """stdout captured before the eigenvector route of the metric and witness
-    solvers existed: the metric block and convert's Q must not move.  The
-    count tables were captured while the variety rank still came from a
-    finite-difference derivative."""
+    solvers existed: the metric block must not move.  convert's Q was
+    recaptured when witness_space moved onto the cluster frame; it is the
+    same certified Hermitian involution to within 1e-15 entrywise, with
+    smaller residuals.  The count tables were captured while the variety rank
+    still came from a finite-difference derivative."""
 
     @pytest.mark.parametrize("name", ["classify_readme.json", "classify_real4.json", "classify_mixed6.json",
                                       "classify_jordan2.json", "classify_overflow.json", "convert_readme.json",

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import ptlab
 from ptlab import catalog2x2 as cat
-from ptlab import convert, involutions
+from ptlab import convert, involutions, metric
 from ptlab.convert import (
     ConversionResult,
     WitnessMethod,
@@ -163,7 +163,9 @@ def assert_bytes_equal(result, reference):
 
 
 def kron_witness_space(B, tol=DEFAULT_TOL):
-    """witness_space with its system built by two np.kron calls."""
+    """The oracle for witness_space: the SVD nullspace of the whole equation's
+    n^2 x n^2 system, built by two np.kron calls, with the rank cut relative
+    to ||B||_F."""
     M = np.asarray(B, dtype=complex)
     n = M.shape[0]
     eye = np.eye(n)
@@ -232,8 +234,23 @@ class TestTransposeWitness:
             transpose_from_jordan(np.eye(3), [2, 2])
 
 
+def assert_witness_basis(basis, reference, B):
+    """basis has the dimension and the span of the Kronecker oracle's
+    (orthonormal) reference, is Frobenius-orthonormal, and every element
+    meets the residual bound of the cluster solvers."""
+    V, R = basis.reshape(len(basis), -1).T, reference.reshape(len(reference), -1).T
+    assert V.shape == R.shape
+    np.testing.assert_allclose(V.conj().T @ V, np.eye(V.shape[1]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(V @ V.conj().T, R @ R.conj().T, rtol=0, atol=1e-10)
+    bound = metric._residual_bound(DEFAULT_TOL, max(frobenius(B), 1.0), B.shape[0])
+    assert max(frobenius(A @ B - B.T @ A) for A in basis) <= bound
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_witness_space_bytes_match_the_kron_system(n):
+    """witness_space against the Kronecker system of the whole equation, as
+    an oracle: the same dimension and span, an orthonormal basis and certified
+    elements, on simple, symmetric, scalar, derogatory and Jordan inputs."""
     rng = np.random.default_rng(900 + n)
     X = rng.normal(size=(n, n))
     inputs = {"random": X + 1j * rng.normal(size=(n, n)), "real_symmetric": X + X.T, "scalar": 1.3 * np.eye(n),
@@ -246,8 +263,32 @@ def test_witness_space_bytes_match_the_kron_system(n):
         T = np.eye(n) + 0.3 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         inputs["derogatory"] = T @ blocks @ np.linalg.inv(T)
     for name, B in inputs.items():
-        got, want = witness_space(B), kron_witness_space(B)
-        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+        assert_witness_basis(witness_space(B), kron_witness_space(B), np.asarray(B, dtype=complex))
+
+
+def test_witness_space_merges_a_cluster_whose_solutions_miss(monkeypatch):
+    """J_2(0.5) + diag(2, -1) in a complex frame, with the Jordan cluster's
+    first small-system solve pushed off its equation (E_11 added to one
+    solution): that element misses the residual bound, its cluster is named
+    and merged with its nearest neighbour, and the merged frame gives the
+    oracle's space."""
+    rng = np.random.default_rng(31)
+    T = np.eye(4) + 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    B = T @ (np.diag([0.5, 0.5, 2.0, -1.0]) + np.diag([1.0, 0.0, 0.0], k=1)) @ np.linalg.inv(T)
+    sizes = []
+    solve = convert.pair_solutions
+
+    def spoiled(Ma, Mb, adjoint, tol, scale):
+        Y = solve(Ma, Mb, adjoint, tol, scale)
+        sizes.append(len(Ma))
+        if len(sizes) == 1:
+            Y[0, -1, -1] += 1.0
+        return Y
+
+    monkeypatch.setattr(convert, "pair_solutions", spoiled)
+    basis = witness_space(B)
+    assert sizes == [2, 3]
+    assert_witness_basis(basis, kron_witness_space(B), B)
 
 
 class TestPtToPseudo:
@@ -427,11 +468,11 @@ def pt2_params(rng):
             return p
 
 
-def known_pt_matrix(rng, n):
-    """Simple real eigenvalues and conjugate pairs in a real frame, moved by
-    diag(1, .., 1, i, .., i) into a PT-symmetric matrix under the parity
-    diag(1_m, -1_(n-m)), m = n // 2."""
-    pairs = int(rng.integers(0, n // 2 + 1))
+def known_pt_matrix(rng, n, pairs=None):
+    """Simple real eigenvalues and conjugate pairs (by default a random number
+    of them) in a real frame, moved by diag(1, .., 1, i, .., i) into a
+    PT-symmetric matrix under the parity diag(1_m, -1_(n-m)), m = n // 2."""
+    pairs = int(rng.integers(0, n // 2 + 1)) if pairs is None else pairs
     D = np.diag(rng.permutation(np.arange(n) - (n - 1) / 2.0) + rng.uniform(-0.25, 0.25, n))
     for k in range(pairs):
         b = rng.uniform(0.5, 1.5)
@@ -485,6 +526,39 @@ def screen_draws(kind, n, count, seed):
 SCREEN_CASES = ([("pt2", 2), ("pt2_chart", 2), ("pseudo2", 2)]
                 + [(kind, n) for kind in ("pt_block", "known", "pt_jordan") for n in range(2, 7)]
                 + [(kind, n) for kind in ("pseudo_block", "rotated_hermitian") for n in range(3, 7)])
+
+
+PARITY_CASES = ([("pt2", 2), ("pseudo2", 2)]
+                + [(kind, n) for kind in ("pt_block", "pseudo_block", "rotated_hermitian", "known", "pt_jordan")
+                   for n in range(2, 7)]
+                + [("known", 8)])
+
+
+@pytest.mark.parametrize("kind, n", PARITY_CASES)
+def test_conversions_agree_with_the_kron_witness_space(kind, n, monkeypatch):
+    """pt_to_pseudo and pseudo_to_pt reach the same verdicts and note on
+    witness_space's cluster-frame basis as on the Kronecker oracle's basis."""
+    def outcome(result):
+        return (result.target_kind_satisfied, result.hermitian, result.involutory, result.degenerate, result.note)
+
+    for H, P, to_pseudo in screen_draws(kind, n, 4, seed=3000 + 10 * n + len(kind)):
+        fn = pt_to_pseudo if to_pseudo else pseudo_to_pt
+        result = fn(P, H)
+        with monkeypatch.context() as mp:
+            mp.setattr(convert, "witness_space", kron_witness_space)
+            assert outcome(result) == outcome(fn(P, H))
+
+
+def test_mixed_spectrum_conversion_builds_no_kronecker_system(monkeypatch):
+    """pt_to_pseudo at n = 24 on simple real eigenvalues and conjugate pairs
+    hands no SVD a system with n^2 columns: a cost guard without timings."""
+    n = 24
+    H = known_pt_matrix(np.random.default_rng(2424), n, pairs=n // 4)
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda A, *args, **kw: shapes.append(np.shape(A)) or svd(A, *args, **kw))
+    pt_to_pseudo(make_diagonal_parity(n // 2, n - n // 2), H)
+    assert shapes and max(shape[-1] for shape in shapes) < n * n
 
 
 def spy_on_generators(monkeypatch):

@@ -2,10 +2,10 @@
 
 The column-by-column assemblies below are the reference implementations the
 stacked code replaced: one basis matrix at a time, generator sums for the
-linear combinations.  witness_space must reproduce its reference bit for
-bit; the cluster-decoupled metric solver must span the space of the dense
-reference with a Frobenius-orthonormal basis, and transpose_matrix must
-give a certified witness, without building a dense Kronecker system.
+linear combinations.  The cluster-decoupled witness and metric solvers
+must span the space of their dense reference with a Frobenius-orthonormal
+basis, and transpose_matrix must give a certified witness, without building
+a dense Kronecker system.
 """
 
 import contextlib
@@ -107,10 +107,24 @@ def jordan_sample(n):
     return (F @ J @ np.linalg.inv(F)).astype(complex)
 
 
+def framed_samples(n):
+    """J_m(0.5) + J_(n-m)(0.5), m = n - n // 2 (two blocks of one eigenvalue,
+    defective from n = 3), and -1.3 times the identity, each in a random
+    complex frame of condition number <= 10."""
+    rng = np.random.default_rng(300 + n)
+    left, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    right, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    V = left @ np.diag(rng.uniform(1.0, 10.0, n)) @ right
+    m = n - n // 2
+    blocks = 0.5 * np.eye(n) + np.diag(np.arange(1, n) != m, k=1)  # J_m(0.5) + J_(n-m)(0.5)
+    return V @ blocks @ np.linalg.inv(V), V @ (-1.3 * np.eye(n)) @ np.linalg.inv(V)
+
+
 @contextlib.contextmanager
 def recording_dense_calls():
-    """Yields the list of the dense solvers run (witness_space), by name, in
-    call order."""
+    """Yields the list of witness_space calls, by name, in call order: the
+    metric solver and transpose_matrix solve their own cluster frames and
+    must not build the conversions' whole witness space."""
     calls = []
     with pytest.MonkeyPatch.context() as mp:
         real = convert.witness_space
@@ -177,11 +191,16 @@ class TestAgainstColumnAssembly:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_witness_space(self, n):
-        for B in sample_matrices(n):
-            stacked = witness_space(B)
-            reference = reference_witness_space(B)
-            assert stacked.shape == (len(reference), n, n)
-            assert np.array_equal(stacked, np.array(reference))
+        """The cluster solver's basis against the dense reference: the same
+        dimension and span, Frobenius-orthonormal, every element within the
+        residual bound."""
+        for B in sample_matrices(n) + (jordan_sample(n),) + framed_samples(n):
+            basis, reference = witness_space(B), np.array(reference_witness_space(B)).reshape(-1, n, n)
+            assert basis.shape == reference.shape
+            # a complex-orthonormal basis and its i-multiples: a real-orthonormal basis of the same real span
+            assert_same_orthonormal_span(np.concatenate([basis, 1j * basis]), np.concatenate([reference, 1j * reference]))
+            bound = metric._residual_bound(DEFAULT_TOL, max(frobenius(B), 1.0), n)
+            assert max(frobenius(A @ B - B.T @ A) for A in basis) <= bound
 
     @pytest.mark.parametrize("n", SIZES)
     def test_metric_basis(self, n, dense_calls):
