@@ -8,7 +8,10 @@ from a seeded combination of each cluster's small-system solutions, with a
 closed-form fallback assembled from a known Jordan similarity.  The
 eigenpairs of transpose(B) = conj(adj(B)) are the conjugates of those in
 the shared eigen record of adj(B) (numerics._eigenpairs), which
-solve_metric_space reads too; conjugation is exact.  The conversions take
+solve_metric_space reads too; conjugation is exact.  So are the cluster
+frames: both witness solvers read the conjugates of the frames of adj(B)
+kept on that record (intertwine.cluster_frames), built once for all three
+solvers.  The conversions take
 the whole witness space from witness_space, on the same cluster frame
 (_frame_space).  They judge the caller's operator from its verification
 record when it carries one, and measure each Q they return or weigh once,
@@ -109,7 +112,7 @@ def witness_space(B, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
             return space, set()
         return space, set(owners[_witness_gaps(elements, M) > bound].tolist()) or set(frame.labels.tolist())
 
-    return solve_clustered(M.T, *_transpose_eigenpairs(M), norm, tol, attempt)
+    return solve_clustered(_eigenpairs(M, adjoint=True), norm, tol, attempt, conjugate=True)
 
 
 def _transpose_eigenpairs(M: np.ndarray):
@@ -200,7 +203,8 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
     norm = frobenius(M)
     scale = max(norm, 1.0)
     cut = max(tol.abs_tol, 1e-10)
-    values, vectors, sigma = _transpose_eigenpairs(M)
+    record = _eigenpairs(M, adjoint=True)
+    vectors = record.vectors.conj()
     A = vectors @ vectors.T
     A = A / frobenius(A)
     if _invertibility(A) > 1e-3:
@@ -236,7 +240,7 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
                 break
         return (best, best_q), None if best_q > 1e-3 else set() if best_q > 1e-8 else set(frame.labels.tolist())
 
-    witness, q = solve_clustered(M.T, values, vectors, sigma, norm, tol, attempt)
+    witness, q = solve_clustered(record, norm, tol, attempt, conjugate=True)
     if q > 1e-8:
         return witness
     if jordan_witness is None:

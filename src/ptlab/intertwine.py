@@ -29,6 +29,16 @@ nearly dependent, those clusters are merged, with their nearest neighbour
 when only one is named, and the attempt runs again.  The last frame is one
 cluster holding all of R: the full equation in the identity frame, whose
 result is returned whatever the check says.
+
+Clusters and frames live on the shared eigen record of their matrix
+(numerics._eigenpairs), once per matrix norm and tolerance.  On the H side,
+spectrum_clusters keeps the clusters of the spectrum sorted by (Re, Im),
+with their conjugate pairing, for ptlab.spectra and ptlab.symmetry.  On the
+adjoint side, R = adj(H), the metric solver and both witness solvers share
+one clustering, one Schur form and one frame per label set; the witnesses
+read the conjugated frames, as transpose(H) = conj(adj(H)) and conjugation
+is exact.  A merge adds the frame of its own labels and leaves the others
+as they were.
 """
 
 from __future__ import annotations
@@ -39,7 +49,8 @@ import numpy as np
 from scipy.linalg.lapack import zgees, ztrsen
 
 from .errors import NumericalError
-from .numerics import ToleranceConfig, _cluster_cut, _reality_cut, hermitian_basis, nullspace_complex, rank_and_nullspace, vectorize
+from .numerics import (ToleranceConfig, _cluster_cut, _Eigenpairs, _read_only, _reality_cut, hermitian_basis,
+                       nullspace_complex, rank_and_nullspace, vectorize)
 
 
 def _components(adjacent: np.ndarray) -> np.ndarray:
@@ -138,6 +149,45 @@ def conjugate_pairs(centres: np.ndarray, spans: np.ndarray, labels: np.ndarray, 
     return real, pairs
 
 
+class Clusters(NamedTuple):
+    """The clusters of one spectrum sorted by (Re, Im), all arrays read-only:
+    values and vectors in that order, each eigenvalue's disc radius and
+    cluster label (eigen_clusters), the disc of its cluster (cluster_discs),
+    and real and pairs of conjugate_pairs at the reality cut of the matrix
+    norm, pairs as a tuple."""
+
+    values: np.ndarray
+    vectors: np.ndarray
+    radii: np.ndarray
+    labels: np.ndarray
+    centres: np.ndarray
+    spans: np.ndarray
+    real: np.ndarray
+    pairs: tuple | None
+
+
+def sorted_clusters(values: np.ndarray, vectors: np.ndarray, sigma: np.ndarray, norm: float,
+                    tol: ToleranceConfig) -> Clusters:
+    """Clusters of the eigenpairs (values, vectors; sigma the singular values
+    of vectors) of a matrix of Frobenius norm `norm`, sorted by (Re, Im)."""
+    order = np.argsort(values, kind="stable")  # a stable complex sort is the lexicographic (Re, Im) order
+    values, vectors = values[order], vectors[:, order]
+    radii, labels = eigen_clusters(values, vectors, sigma, norm, tol)
+    centres, spans = cluster_discs(values, radii, labels)
+    real, pairs = conjugate_pairs(centres, spans, labels, _reality_cut(tol, max(norm, 1.0)))
+    arrays = (_read_only(a) for a in (values, vectors, radii, labels, centres, spans, real))
+    return Clusters(*arrays, None if pairs is None else tuple(pairs))
+
+
+def spectrum_clusters(record: _Eigenpairs, norm: float, tol: ToleranceConfig) -> Clusters:
+    """sorted_clusters of a shared eigen record (numerics._eigenpairs) of a
+    matrix of Frobenius norm `norm`, computed once and kept in its memo."""
+    key = ("spectrum", norm, tol)
+    if key not in record.memo:
+        record.memo[key] = sorted_clusters(record.values, record.vectors, record.sigma, norm, tol)
+    return record.memo[key]
+
+
 def _merged(values: np.ndarray, labels: np.ndarray, groups) -> np.ndarray:
     """labels with the clusters of each group (and, for a group of one, its
     nearest cluster) made one."""
@@ -212,42 +262,101 @@ def _entangled(U: np.ndarray, s: np.ndarray, values: np.ndarray, labels: np.ndar
     return [set(labels[cols[part == p]].tolist()) for p in np.unique(part)]
 
 
-def solve_clustered(R, values, vectors, sigma, norm: float, tol: ToleranceConfig, attempt):
-    """Run attempt(frame) on the cluster frames of R = vectors diag(values)
-    inv(vectors) (sigma: the singular values of vectors) until it accepts
-    a frame.
+def _shared(labels, radii, U, single, blocks, final) -> Frame:
+    """The Frame of these fields with every array made read-only, as the
+    frames kept on a record are shared by its solvers."""
+    for array in (a for block in blocks.values() for a in block):
+        _read_only(array)
+    return Frame(_read_only(labels), _read_only(radii), _read_only(U), _read_only(single), blocks, final)
 
-    attempt returns (result, verdict): None accepts the frame; an empty set
-    accepts it unless its columns of U are nearly dependent (_entangled);
-    a set of labels names the clusters whose solutions failed.  The
-    clusters of nearly dependent columns, else the named ones, are merged
-    and the attempt runs again.  The frame of one cluster is always
-    accepted.
-    """
-    radii, labels = eigen_clusters(values, vectors, sigma, norm, tol)
-    n, schur = values.size, None
-    while True:
+
+class _Frames:
+    """The cluster frames of the matrix R of one shared eigen record, at one
+    norm and tolerance: the clusters of eigen_clusters, the complex Schur
+    form of R (taken when a frame first needs it), and per label set the
+    frame and the groups of _entangled.  Frames of conj(R) are the
+    conjugates of those of R: conj(R) = conj(U) conj(M) inv(conj(U)).  It
+    keeps the record's arrays, not the record, whose memo holds it: no
+    reference cycle outlives the record's eviction."""
+
+    def __init__(self, record: _Eigenpairs, norm: float, tol: ToleranceConfig):
+        self.R, self.values, self.vectors, self.sigma = record.matrix, record.values, record.vectors, record.sigma
+        self.norm, self.tol = norm, tol
+        radii, labels = eigen_clusters(self.values, self.vectors, self.sigma, norm, tol)
+        self.radii, self.labels = _read_only(radii), _read_only(labels)
+        self.schur, self.frames, self.groups = None, {}, {}
+
+    def frame(self, labels: np.ndarray, conjugate: bool) -> Frame:
+        key = labels.tobytes(), conjugate
+        if key not in self.frames:
+            if conjugate:
+                labels, radii, U, single, blocks, final = self.frame(labels, False)
+                blocks = {a: (members, Ma.conj()) for a, (members, Ma) in blocks.items()}
+                self.frames[key] = _shared(labels, radii, U.conj(), single, blocks, final)
+            else:
+                self.frames[key] = self._build(labels)
+        return self.frames[key]
+
+    def _build(self, labels: np.ndarray) -> Frame:
+        values, vectors, R = self.values, self.vectors, self.R
+        n = values.size
         counts = np.bincount(labels, minlength=n)
         multi = np.flatnonzero(counts > 1)
         U, blocks = vectors, {}
         if multi.size and counts[0] == n:  # one cluster: the full equation, in the identity frame
             U, blocks = np.eye(n, dtype=complex), {0: (np.arange(n), R)}
         elif multi.size:
-            if schur is None:
+            if self.schur is None:
                 T, _, _, Q, _, info = zgees(lambda z: None, R)  # the complex Schur form R = Q T adj(Q)
                 if info:  # pragma: no cover - LAPACK failure
                     raise NumericalError(f"Schur decomposition did not converge (info {info})")
-                schur = T, Q
-            U, blocks = _schur_bases(values, vectors, labels, multi, schur)
-        frame = Frame(labels, radii, U, counts[labels] == 1, blocks, counts[0] == n)
+                self.schur = T, Q
+            U, blocks = _schur_bases(values, vectors, labels, multi, self.schur)
+        return _shared(labels, self.radii, U, counts[labels] == 1, blocks, counts[0] == n)
+
+    def entangled(self, labels: np.ndarray) -> list:
+        key = labels.tobytes()
+        if key not in self.groups:
+            U = self.frame(labels, False).U
+            s = self.sigma if U is self.vectors else np.linalg.svd(U, compute_uv=False)
+            self.groups[key] = _entangled(U, s, self.values, labels, self.norm, self.tol)
+        return self.groups[key]
+
+
+def cluster_frames(record: _Eigenpairs, norm: float, tol: ToleranceConfig) -> _Frames:
+    """The _Frames of a shared eigen record (numerics._eigenpairs) of a matrix
+    of Frobenius norm `norm`, made once and kept in its memo."""
+    key = ("frames", norm, tol)
+    if key not in record.memo:
+        record.memo[key] = _Frames(record, norm, tol)
+    return record.memo[key]
+
+
+def solve_clustered(record: _Eigenpairs, norm: float, tol: ToleranceConfig, attempt, conjugate: bool = False):
+    """Run attempt(frame) on the cluster frames of the matrix R of a shared
+    eigen record (R = vectors diag(values) inv(vectors)), or with
+    conjugate=True of conj(R), until it accepts a frame; norm is the
+    Frobenius norm of R.
+
+    attempt returns (result, verdict): None accepts the frame; an empty set
+    accepts it unless its columns of U are nearly dependent (_entangled);
+    a set of labels names the clusters whose solutions failed.  The
+    clusters of nearly dependent columns, else the named ones, are merged
+    and the attempt runs again.  The frame of one cluster is always
+    accepted.  The frames are those of cluster_frames, shared by every
+    solver of the record.
+    """
+    frames = cluster_frames(record, norm, tol)
+    labels = frames.labels
+    while True:
+        frame = frames.frame(labels, conjugate)
         result, verdict = attempt(frame)
         if verdict is None or frame.final:
             return result
-        s = sigma if U is vectors else np.linalg.svd(U, compute_uv=False)
-        groups = _entangled(U, s, values, labels, norm, tol) or ([verdict] if verdict else [])
+        groups = frames.entangled(labels) or ([verdict] if verdict else [])
         if not groups:
             return result
-        labels = _merged(values, labels, groups)
+        labels = _merged(record.values, labels, groups)
 
 
 def pair_solutions(Ma: np.ndarray, Mb: np.ndarray, adjoint: bool, tol: ToleranceConfig, scale: float):

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import DimensionError
 from .numerics import (
@@ -136,7 +137,10 @@ def _metric_attempt(A, values, norm, tol):
         W = X + X.conj().swapaxes(-1, -2)
         if not len(W):
             return W, set()
-        q, _ = np.linalg.qr(vectorize(W).T)  # Frobenius-orthonormal, same real span
+        # Frobenius-orthonormal, same real span; LAPACK directly, as the set-up
+        # of np.linalg.qr costs as much as the factorization at these sizes
+        qr, tau, *_ = dgeqrf(vectorize(W).T)
+        q, *_ = dorgqr(qr[:, :tau.size], tau, overwrite_a=True)
         Q = np.ascontiguousarray(q.T).view(complex).reshape(-1, n, n)
         Q = 0.5 * (Q + Q.conj().swapaxes(-1, -2))
         bound = _residual_bound(tol, scale, n)
@@ -157,7 +161,9 @@ def solve_metric_space(H, tol: ToleranceConfig = DEFAULT_TOL) -> MetricSolution:
     matrices.  It is solved on the cluster frame of adj(H) = U M inv(U)
     (ptlab.intertwine, _metric_attempt), from the eigenpairs of adj(H) in
     H's shared eigen record (numerics._eigenpairs, the adjoint side, whose
-    conjugates are the eigenpairs of the transpose witnesses): the basis is
+    conjugates are the eigenpairs of the transpose witnesses) and the
+    clusters, Schur form and frames kept on it, which the witness solvers
+    read conjugated: the basis is
     U Z adj(U) over the Hermitian Z with M Z = Z adj(M), one closed-form
     element per ordered pair of single eigenvalues mu_i = conj(mu_j) and the
     small system of each pair of clusters that can couple, so its dimension
@@ -174,10 +180,9 @@ def solve_metric_space(H, tol: ToleranceConfig = DEFAULT_TOL) -> MetricSolution:
     n = A.shape[0]
     norm = frobenius(A)
     scale = max(norm, 1.0)
-    R = A.conj().T
     record = _eigenpairs(A, adjoint=True)
     values, vectors, cond = record.values, record.vectors, record.sigma
-    solutions = solve_clustered(R, values, vectors, cond, norm, tol, _metric_attempt(A, values, norm, tol))
+    solutions = solve_clustered(record, norm, tol, _metric_attempt(A, values, norm, tol))
 
     positive, status, note = None, "absent", None
     reality = np.max(np.abs(values.imag)) if values.size else 0.0

@@ -13,14 +13,19 @@ singular values of the vectors taken on first use.  classify_spectrum,
 find_gen_pt_operator and eigen_decompose read the H side, solve_metric_space
 the adjoint side, and the transpose witnesses its conjugate (transpose(H) =
 conj(adj(H)), and conjugation is exact), so one matrix taken through every
-analysis costs two eigendecompositions.
+analysis costs two eigendecompositions.  What ptlab.intertwine derives from
+a record lives on it too (_Eigenpairs.memo): the clusters of the sorted H
+spectrum, read by classify_spectrum, find_gen_pt_operator and
+align_pt_phases, and the clusters, Schur form and cluster frames of adj(H),
+read by the metric and both witness solvers.  So each side is clustered
+once, and adj(H) takes one Schur decomposition.
 
 All matrices in scope are small (desk scale, <= 64x64); no sparse paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -208,11 +213,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _Eigenpairs:
     """Eigenvalues and unit right eigenvectors (columns) of one matrix in
-    LAPACK's order, both read-only; sigma, the singular values of vectors,
-    is computed on first use and shared by every reader."""
+    LAPACK's order, both read-only, with the matrix itself; sigma, the
+    singular values of vectors, is computed on first use and shared by every
+    reader, and memo keeps what other modules derive from the eigenpairs
+    (ptlab.intertwine's clusters and frames), under keys of their own."""
 
+    matrix: np.ndarray
     values: np.ndarray
     vectors: np.ndarray
+    memo: dict = field(default_factory=dict)
 
     @cached_property
     def sigma(self) -> np.ndarray:
@@ -222,11 +231,12 @@ class _Eigenpairs:
 @lru_cache(maxsize=8)
 def _eig_record(data: bytes, n: int, adjoint: bool) -> _Eigenpairs:
     A = np.frombuffer(data, dtype=complex).reshape(n, n)
+    R = _read_only(A.conj().T) if adjoint else A
     try:
-        values, vectors = np.linalg.eig(A.conj().T if adjoint else A)
+        values, vectors = np.linalg.eig(R)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    return _Eigenpairs(_read_only(values), _read_only(vectors))
+    return _Eigenpairs(R, _read_only(values), _read_only(vectors))
 
 
 def _eigenpairs(A: np.ndarray, adjoint: bool = False) -> _Eigenpairs:
@@ -343,7 +353,14 @@ def needs_sign_flip(Q: np.ndarray) -> bool:
 def hermitian_basis(n: int) -> np.ndarray:
     """Orthonormal (Frobenius) basis of n x n Hermitian matrices as an
     (n^2, n, n) stack: the diagonal units, then for each k < l the real and
-    the imaginary symmetric pair."""
+    the imaginary symmetric pair; read-only.  The n^4 entries of a basis up
+    to n = 16 (1 MiB) are built once while it stays among the last few
+    asked for; larger ones, asked for by the dense one-cluster solves whose
+    n^6 cost dwarfs them, are built on each call and not kept."""
+    return _kept_hermitian_basis(n) if n <= 16 else _hermitian_basis(n)
+
+
+def _hermitian_basis(n: int) -> np.ndarray:
     rows, cols = np.triu_indices(n, 1)
     real = n + 2 * np.arange(rows.size)
     basis = np.zeros((n * n, n, n), dtype=complex)
@@ -353,4 +370,7 @@ def hermitian_basis(n: int) -> np.ndarray:
     basis[real, cols, rows] = inv_sqrt2
     basis[real + 1, rows, cols] = 1j * inv_sqrt2
     basis[real + 1, cols, rows] = -1j * inv_sqrt2
-    return basis
+    return _read_only(basis)
+
+
+_kept_hermitian_basis = lru_cache(maxsize=8)(_hermitian_basis)

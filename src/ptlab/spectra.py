@@ -17,7 +17,11 @@ stack, deciding well-separated spectra with array operations and sending
 only the rest through the cluster and staircase code.  It returns a
 SpectrumTable, one array per verdict field, which builds a point's
 SpectrumReport only when that point is indexed; classify_spectrum is the
-first entry of the table of a stack of one.
+first entry of the table of a stack of one.  A lone matrix takes its
+eigenpairs, and on the cluster path its clusters and conjugate pairs, from
+its shared eigen record (numerics._eigenpairs, intertwine.spectrum_clusters),
+which find_gen_pt_operator and align_pt_phases read too: each spectrum is
+clustered once.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .intertwine import cluster_discs, conjugate_pairs, eigen_clusters
+from .intertwine import Clusters, sorted_clusters, spectrum_clusters
 from .involutions import operator_matrix
 from .numerics import (
     DEFAULT_TOL,
@@ -113,29 +117,25 @@ def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, cluster_rad
     return None
 
 
-def _cluster_path(A: np.ndarray, values: np.ndarray, vectors: np.ndarray, sigma: np.ndarray, norm: float,
-                  reality_cut: float, tol: ToleranceConfig):
-    """Clusters, their Segre characteristics and their conjugate pairing for
-    one matrix of Frobenius norm `norm`, sorted eigenvalues `values` with
-    eigenvectors `vectors` (of singular values `sigma`), and reality cut
-    `reality_cut`.  The clusters are intertwine.eigen_clusters, and two real
-    ones that conjugate_pairs mirrors across the axis are one.  A lone eigenvalue has Segre [1], a
-    larger cluster the rank staircase at its centre; real clusters with one
-    projection on the real axis join their block lists.  The point is
-    ambiguous when two cluster discs come within 10x of touching, or a
-    staircase fails.
+def _cluster_path(A: np.ndarray, clusters: Clusters, tol: ToleranceConfig):
+    """Segre characteristics and conjugate pairing for one matrix from its
+    clusters (intertwine.sorted_clusters), where two real clusters that
+    conjugate_pairs mirrors across the axis are one.  A lone eigenvalue has
+    Segre [1], a larger cluster the rank staircase at its centre; real
+    clusters with one projection on the real axis join their block lists.
+    The point is ambiguous when two cluster discs come within 10x of
+    touching, or a staircase fails.
 
     Returns (segre, ambiguous, all_real, any_real, paired, defective).
     """
+    values, _, _, labels, centres, spans, real, pairs = clusters
     n = values.size
-    radii, labels = eigen_clusters(values, vectors, sigma, norm, tol)
-    centres, spans = cluster_discs(values, radii, labels)
-    real, pairs = conjugate_pairs(centres, spans, labels, reality_cut)
     heads = np.flatnonzero(labels == np.arange(n))
     c, s = centres[heads], spans[heads]
     near = np.abs(c[:, None] - c) < 10.0 * (s[:, None] + s)
     np.fill_diagonal(near, False)
     ambiguous = bool(near.any())
+    labels = labels.copy()  # the clusters are shared; the mirror merges below are this report's
     for a, b in (pair for pair in pairs or () if real[pair[0]]):  # mirrors make one real cluster
         labels[(labels == a) | (labels == b)] = min(a, b)
         heads = heads[heads != max(a, b)]
@@ -224,8 +224,9 @@ def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -
     sizes of each cluster of more than one eigenvalue.  A stack of one
     matrix (classify_spectrum) reads the matrix's shared eigen record
     (numerics._eigenpairs) instead, for the screen and the cluster path
-    alike; its eig values are bit-equal to those of eigvals, and
-    find_gen_pt_operator reads the same record.  At sizes n where no
+    alike, and the clusters kept on it (intertwine.spectrum_clusters); its
+    eig values are bit-equal to those of eigvals, and
+    find_gen_pt_operator reads the same record and clusters.  At sizes n where no
     n eigenvalues within the matrix norm can lie 10 cluster cuts apart (n >=
     10 at the default tolerances) the screen is skipped and every point
     takes the cluster path.
@@ -248,7 +249,6 @@ def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTa
     lone = _eigenpairs(S[0]) if K == 1 else None
     norms = frobenius_norms(S)
     scales = np.maximum(norms, 1.0)
-    reality_cut = _reality_cut(tol, scales)
     # n eigenvalues pairwise g apart inside |z| <= ||H||_2 <= scale have
     # g <= 2 scale / (sqrt(n) - 1) (their discs of radius g/2 are disjoint
     # inside the disc of radius scale + g/2), so once 10 cluster cuts exceed
@@ -259,7 +259,7 @@ def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTa
     else:
         # a stable complex sort is the lexicographic (Re, Im) order of lexsort
         values = np.sort(lone.values[None] if lone else np.linalg.eigvals(S), axis=-1, kind="stable")
-        cluster_cut = _cluster_cut(tol, scales, n)
+        cluster_cut, reality_cut = _cluster_cut(tol, scales, n), _reality_cut(tol, scales)
         pair_cut = np.maximum(2 * reality_cut, cluster_cut)
         # gap[k, i, j] = |v_j - v_i| and conj_gap[k, i, j] = |v_j - conj(v_i)|, infinite for j = i
         dist = np.abs(values[:, None, :] - np.array((values, values.conj()))[:, :, :, None])
@@ -279,20 +279,18 @@ def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTa
     all_real, any_real = real.all(axis=1), real.any(axis=1)
     ambiguous, defective = np.zeros((2, K), dtype=bool)
 
-    # the points left take one stacked eig and one stacked SVD of its vectors
-    # (a lone matrix its record); its eigenvalues, sorted as above with the
-    # columns in their order, are their values
+    # the points left take one stacked eig and one stacked SVD of its vectors,
+    # a lone matrix the clusters kept on its record; their eigenvalues,
+    # sorted as above with the columns in their order, are their values
     segre, rest = {}, (~simple).nonzero()[0]
-    if rest.size and lone:
-        w, vectors, sigma = lone.values[None], lone.vectors[None], lone.sigma[None]
-    elif rest.size:
+    if rest.size and not lone:
         w, vectors = np.linalg.eig(S[rest])
         sigma = np.linalg.svd(vectors, compute_uv=False)
     for i, k in enumerate(rest.tolist()):
-        order = np.argsort(w[i], kind="stable")
-        values[k] = w[i, order]
-        segre[k], ambiguous[k], all_real[k], any_real[k], paired[k], defective[k] = _cluster_path(
-            S[k], values[k], vectors[i][:, order], sigma[i], float(norms[k]), float(reality_cut[k]), tol)
+        norm = float(norms[k])
+        clusters = spectrum_clusters(lone, norm, tol) if lone else sorted_clusters(w[i], vectors[i], sigma[i], norm, tol)
+        values[k] = clusters.values
+        segre[k], ambiguous[k], all_real[k], any_real[k], paired[k], defective[k] = _cluster_path(S[k], clusters, tol)
     # codes in RealityClass order: conjugate pairs (paired with no real
     # eigenvalue) or mixed, then all real (diagonalizable or defective)
     reality = 3 - (paired > any_real)
@@ -319,7 +317,8 @@ def align_pt_phases(O, H, tol: ToleranceConfig = DEFAULT_TOL):
     """Eigenvectors rephased so that P conj(v) = v for each of them.
 
     Requires an unbroken, simple spectrum (every eigenvalue alone in its
-    intertwine.eigen_clusters cluster); with a broken symmetry the
+    cluster, read from H's shared record as intertwine.spectrum_clusters);
+    with a broken symmetry the
     eigenstates stop being eigenstates of the antilinear involution and the
     call is a contract error naming the first complex eigenvalue.
     """
@@ -333,7 +332,7 @@ def align_pt_phases(O, H, tol: ToleranceConfig = DEFAULT_TOL):
     broken = values[np.abs(values.imag) > _reality_cut(tol, max(norm, 1.0))]
     if broken.size:
         raise ContractError(f"symmetry is broken: eigenvalue {broken[0]} is complex")
-    labels = eigen_clusters(values, vectors, np.linalg.svd(vectors, compute_uv=False), norm, tol)[1]
+    labels = spectrum_clusters(_eigenpairs(A), norm, tol).labels
     if np.any(labels != np.arange(values.size)):
         raise ContractError("phase alignment needs a simple spectrum")
     # rotating each vector by the half phase of its antilinear eigenvalue makes it a fixed point

@@ -9,6 +9,9 @@ intertwines it the right way:
 
 Constructors build the canonical block/diagonal-frame representative for each
 class; check_symmetry reports the intertwining residual for any pair.
+find_gen_pt_operator pairs the eigenvalue clusters of H that classify_spectrum
+reads, kept on H's shared eigen record (intertwine.spectrum_clusters), so it
+clusters nothing of its own.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from .involutions import (
     operator_matrix,
     verify_involution,
 )
-from .intertwine import cluster_discs, conjugate_pairs, eigen_clusters
-from .numerics import DEFAULT_TOL, ToleranceConfig, _eigenpairs, _reality_cut, as_matrix, as_square_matrix, frobenius, frobenius_norms
+from .intertwine import spectrum_clusters
+from .numerics import DEFAULT_TOL, ToleranceConfig, _eigenpairs, as_matrix, as_square_matrix, frobenius, frobenius_norms
 
 
 class SymmetryKind(enum.Enum):
@@ -320,13 +323,14 @@ def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
     H similar to a real matrix is what the symmetry demands, so the search
     builds a similarity that realifies H from an eigendecomposition, pairing
     conjugate eigenvalues into real 2x2 rotation blocks.  Returns None when
-    the eigenvalue clusters (intertwine.eigen_clusters) do not pair under
-    conjugation (intertwine.conjugate_pairs, the pairing classify_spectrum
-    uses); a defective real cluster is one real unit, and two real clusters
-    that mirror each other across the axis are one pair.  Defective inputs are
-    handled only via a small battery of exact candidates (identity and
-    diagonal sign patterns, which cover this package's own Jordan
-    constructions); anything beyond that raises
+    the eigenvalue clusters do not pair under conjugation: the clusters and
+    pairs are those classify_spectrum reads, kept on H's shared eigen record
+    (intertwine.spectrum_clusters), with the eigenvectors in the (Re, Im)
+    order of the sorted spectrum.  A defective real cluster is one real
+    unit, and two real clusters that mirror each other across the axis are
+    one pair.  Defective inputs are handled only via a small battery of
+    exact candidates (identity and diagonal sign patterns, which cover this
+    package's own Jordan constructions); anything beyond that raises
     IndeterminateStructureError rather than guessing.  The core carries the
     record of the check it passed (exact for the identity and the battery),
     so symmetry checks with it do not verify it again.
@@ -339,17 +343,16 @@ def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
         return _exact(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=np.eye(N, dtype=complex)))
 
     record = _eigenpairs(A)
-    values, vectors, sigma = record.values, record.vectors, record.sigma
-    radii, labels = eigen_clusters(values, vectors, sigma, norm, tol)
-    real, pairs = conjugate_pairs(*cluster_discs(values, radii, labels), labels, _reality_cut(tol, scale))
-    if pairs is None:
+    clusters = spectrum_clusters(record, norm, tol)
+    if clusters.pairs is None:
         return None
+    sigma = record.sigma
 
     # Defectiveness shows up as an ill-conditioned eigenvector matrix; the
     # eigenvector route is then meaningless and only exact candidates remain.
     miss = "spectrum is conjugation-closed but H appears defective; Jordan-level realification is not certified here"
     if sigma[-1] > 1e-7 * sigma[0]:
-        columns = _realifying_columns(vectors, real, pairs, labels)  # cond < sqrt(2) 1e7: safe to invert
+        columns = _realifying_columns(clusters.vectors, clusters.real, clusters.pairs, clusters.labels)  # cond < sqrt(2) 1e7: safe to invert
         core = columns @ np.linalg.inv(columns.conj())
         intertwine = frobenius(core @ A.conj() - A @ core)
         record = _measure(core, InvolutionKind.ANTILINEAR_CORE, tol)

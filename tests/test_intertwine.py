@@ -5,9 +5,13 @@ import sys
 
 import numpy as np
 
-from ptlab import intertwine
-from ptlab.convert import transpose_matrix
+from ptlab import convert, intertwine, numerics
+from ptlab.convert import transpose_matrix, witness_space
+from ptlab.errors import IndeterminateStructureError
 from ptlab.metric import solve_metric_space
+from ptlab.numerics import DEFAULT_TOL, frobenius
+from ptlab.spectra import classify_spectrum
+from ptlab.symmetry import find_gen_pt_operator
 
 
 def test_import_loads_neither_sparse_nor_optimize():
@@ -40,25 +44,102 @@ def test_defective_copies_outside_their_discs_are_merged(monkeypatch):
     """Should the discs miss the computed copies of a defective eigenvalue
     (here: radii shrunk a millionfold, so every eigenvalue is alone), the
     frame's nearly dependent eigenvector columns merge them, and the solvers
-    still work on two 3-clusters and count 3 + 3 metric elements."""
+    still work on two 3-clusters and count 3 + 3 metric elements.  The
+    metric solver builds the merged frame; the transpose witness then solves
+    on the conjugate of that frame, read from the shared record, and builds
+    no frame bases of its own."""
     eigen_clusters = intertwine.eigen_clusters
     monkeypatch.setattr(intertwine, "eigen_clusters",
                         lambda values, *args: (1e-6 * eigen_clusters(values, *args)[0], np.arange(values.size)))
     schur_bases = intertwine._schur_bases
-    sizes = []
+    built, solved = [], []
 
     def recorded(values, vectors, labels, multi, schur):
-        sizes.append(np.bincount(labels)[multi].tolist())
+        built.append(np.bincount(labels)[multi].tolist())
         return schur_bases(values, vectors, labels, multi, schur)
 
+    frame_space = convert._frame_space
     monkeypatch.setattr(intertwine, "_schur_bases", recorded)
+    monkeypatch.setattr(convert, "_frame_space", lambda frame, *args: solved.append(frame) or frame_space(frame, *args))
     for seed in range(3):
         H = two_jordan_blocks(seed)
-        sizes.clear()
+        built.clear()
+        solved.clear()
         assert solve_metric_space(H).dimension == 6
-        assert sizes[-1] == [3, 3]
-        sizes.clear()
+        assert built == [[3, 3]]
         witness = transpose_matrix(H)
-        assert sizes[-1] == [3, 3]
+        assert built == [[3, 3]]
+        frame = solved[-1]
+        assert np.bincount(frame.labels)[list(frame.blocks)].tolist() == [3, 3]
+        frames = intertwine.cluster_frames(numerics._eigenpairs(H, adjoint=True), frobenius(H), DEFAULT_TOL)
+        assert frame is frames.frame(frame.labels, True)
+        assert np.array_equal(frame.U, frames.frame(frame.labels, False).U.conj())
         s = np.linalg.svd(witness.A, compute_uv=False)
         assert witness.residual < 1e-10 and s[-1] > 1e-8 * s[0]
+
+
+def test_one_clustering_per_side_and_one_schur_form(monkeypatch):
+    """One matrix through classify_spectrum, solve_metric_space,
+    transpose_matrix, witness_space and find_gen_pt_operator, in either
+    order: each side's spectrum is clustered once (H's sorted by (Re, Im),
+    adj(H)'s in LAPACK order), conjugate pairs are found once, and adj(H)
+    takes one Schur form, as every solver reads what the shared eigen
+    records keep.  The Jordan input takes every path: the cluster path of
+    classify_spectrum and the Schur frames of both witness solvers."""
+    calls = {name: [] for name in ("eigen_clusters", "conjugate_pairs", "zgees")}
+    for name, log in calls.items():
+        original = getattr(intertwine, name)
+        monkeypatch.setattr(intertwine, name, lambda *args, _run=original, _log=log: _log.append(args) or _run(*args))
+    analyses = [classify_spectrum, solve_metric_space, transpose_matrix, witness_space, find_gen_pt_operator]
+    for H in (two_jordan_blocks(1) + np.diag(np.arange(6.0)), two_jordan_blocks(0)):
+        for order in (analyses, analyses[::-1]):
+            numerics._eig_record.cache_clear()
+            for log in calls.values():
+                log.clear()
+            for analysis in order:
+                try:
+                    analysis(H)
+                except IndeterminateStructureError:
+                    pass
+            sides = {"H": np.sort(numerics._eigenpairs(H).values, kind="stable"),
+                     "adjoint": numerics._eigenpairs(H, adjoint=True).values}
+            clustered = [name for args in calls["eigen_clusters"] for name, values in sides.items()
+                         if np.array_equal(args[0], values)]
+            assert len(clustered) == len(calls["eigen_clusters"]) == len(set(clustered)) <= 2
+            assert len(calls["conjugate_pairs"]) <= 1 and len(calls["zgees"]) <= 1
+    assert sorted(clustered) == ["H", "adjoint"] and len(calls["zgees"]) == 1  # the Jordan input
+
+
+def test_transpose_witness_merges_the_clusters_of_a_missed_draw(monkeypatch):
+    """J_2(0.5) + diag(2, -1) in a complex frame, with the Jordan cluster's
+    first small-system solve pushed off its equation (E_11 added to one
+    solution): the first draw misses the similarity cut, the cluster of the
+    largest intertwining gaps is named and merged with its nearest
+    neighbour, and the witness comes from the merged 3-cluster frame.  The
+    shared record keeps its first clustering and frame as they were."""
+    rng = np.random.default_rng(31)
+    T = np.eye(4) + 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    B = T @ (np.diag([0.5, 0.5, 2.0, -1.0]) + np.diag([1.0, 0.0, 0.0], k=1)) @ np.linalg.inv(T)
+    frames = intertwine.cluster_frames(numerics._eigenpairs(B, adjoint=True), frobenius(B), DEFAULT_TOL)
+    first = frames.frame(frames.labels, True)
+    U, labels = first.U.copy(), first.labels.copy()
+    sizes, solved = [], []
+    solve, frame_space = convert.pair_solutions, convert._frame_space
+
+    def spoiled(Ma, Mb, adjoint, tol, scale):
+        Y = solve(Ma, Mb, adjoint, tol, scale)
+        sizes.append(len(Ma))
+        if len(sizes) == 1:
+            Y[0, -1, -1] += 1.0
+        return Y
+
+    monkeypatch.setattr(convert, "pair_solutions", spoiled)
+    monkeypatch.setattr(convert, "_frame_space", lambda frame, *args: solved.append(frame) or frame_space(frame, *args))
+    witness = transpose_matrix(B)
+    assert sizes == [2, 3]
+    assert [np.bincount(frame.labels)[list(frame.blocks)].tolist() for frame in solved] == [[2], [3]]
+    assert solved[0] is first and not solved[1].final
+    s = np.linalg.svd(witness.A, compute_uv=False)
+    assert witness.residual < 1e-10 and s[-1] > 1e-3 * s[0]
+    assert np.array_equal(frames.labels, labels) and frames.frame(frames.labels, True) is first
+    assert np.array_equal(first.labels, labels) and np.array_equal(first.U, U)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import ptlab
-from ptlab import numerics
-from ptlab.errors import ContractError, DimensionError
+from ptlab import intertwine, numerics
+from ptlab.convert import witness_space
+from ptlab.errors import ContractError, DimensionError, IndeterminateStructureError
 from ptlab.involutions import make_diagonal_parity
 from ptlab.numerics import (
     DEFAULT_TOL,
@@ -72,12 +73,15 @@ class TestEigenDecompose:
             eigen_decompose(np.array([[np.nan, 0], [0, 1]]))
 
 
-def known_pt8(seed=5):
+def known_pt8(seed=5, jordan=False):
     """8 x 8 PT-symmetric matrix under diag(1_4, -1_4), with simple real
     eigenvalues -2.5 .. 2.5 and the conjugate pairs -3.5 +- 0.8 i and
-    3.5 +- 1.2 i in a real frame of condition number <= 4."""
+    3.5 +- 1.2 i in a real frame of condition number <= 4; with jordan=True
+    the eigenvalues -0.5 .. 2.5 become one Jordan block of size 3 at 0.5."""
     rng = np.random.default_rng(seed)
     D = np.diag([-3.5, -3.5, -2.5, -0.5, 0.5, 2.5, 3.5, 3.5])
+    if jordan:
+        D[3:6, 3:6] = 0.5 * np.eye(3) + np.eye(3, k=1)
     D[0, 1], D[1, 0], D[6, 7], D[7, 6] = 0.8, -0.8, 1.2, -1.2
     S = np.linalg.qr(rng.normal(size=(8, 8)))[0] @ np.diag(rng.uniform(0.5, 2.0, 8))
     v = np.concatenate([np.ones(4), 1j * np.ones(4)])
@@ -94,12 +98,19 @@ def analyses(H, P):
         solution = ptlab.solve_metric_space(H)
         return [solution.hermitian_basis, solution.positive_representative]
 
+    def core():
+        try:
+            return [ptlab.find_gen_pt_operator(H).matrix]
+        except IndeterminateStructureError as exc:
+            return [np.array(str(exc))]
+
     return {
         "symmetry": lambda: [np.array(ptlab.check_symmetry(ptlab.SymmetryKind.PT, P, H).residual)],
         "spectrum": spectrum,
         "metric": metric,
         "witness": lambda: [ptlab.transpose_matrix(H).A],
-        "core": lambda: [ptlab.find_gen_pt_operator(H).matrix],
+        "witness_space": lambda: [witness_space(H)],
+        "core": core,
         "pseudo": lambda: [ptlab.pt_to_pseudo(P, H).Q],
         "eigen_decompose": lambda: list(ptlab.eigen_decompose(H)),
     }
@@ -126,20 +137,25 @@ class TestEigenRecord:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_outputs_do_not_depend_on_the_memo(self, reverse):
-        H, P = known_pt8()
-        runs = list(analyses(H, P).items())
-        if reverse:
-            runs.reverse()
-        cold = {}
-        for name, run in runs:
+        """Each analysis alone on a cold record, then all in turn on one
+        record: the second pass reads the eigenpairs, clusters and frames
+        the analyses before it kept (for the Jordan input, a Schur form and
+        the frame of a 3-cluster), and gives the same bytes."""
+        for jordan in (False, True):
+            H, P = known_pt8(jordan=jordan)
+            runs = list(analyses(H, P).items())
+            if reverse:
+                runs.reverse()
+            cold = {}
+            for name, run in runs:
+                numerics._eig_record.cache_clear()
+                cold[name] = run()
             numerics._eig_record.cache_clear()
-            cold[name] = run()
-        numerics._eig_record.cache_clear()
-        for name, run in runs:
-            warm = run()
-            assert len(warm) == len(cold[name])
-            for a, b in zip(warm, cold[name]):
-                assert (a is None and b is None) or np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+            for name, run in runs:
+                warm = run()
+                assert len(warm) == len(cold[name])
+                for a, b in zip(warm, cold[name]):
+                    assert (a is None and b is None) or np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
 
     def test_record_arrays_are_read_only(self):
         H, _ = known_pt8()
@@ -149,6 +165,30 @@ class TestEigenRecord:
                 assert not array.flags.writeable
                 with pytest.raises(ValueError):
                     array[0] = 0.0
+
+    def test_clusters_frames_and_hermitian_basis_are_read_only(self):
+        """What the records keep is shared by every analysis, so no reader
+        can write to it: the sorted clusters of H, every frame of adj(H) and
+        of its conjugate (a Schur frame of the Jordan input among them), and
+        the Hermitian basis, which is built once per size up to 16 and on
+        each call beyond."""
+        H, _ = known_pt8(jordan=True)
+        ptlab.solve_metric_space(H)
+        ptlab.transpose_matrix(H)
+        norm = frobenius(H)
+        clusters = intertwine.spectrum_clusters(numerics._eigenpairs(H), norm, DEFAULT_TOL)
+        frames = intertwine.cluster_frames(numerics._eigenpairs(H, adjoint=True), norm, DEFAULT_TOL)
+        assert len(frames.frames) == 2 and all(frame.blocks for frame in frames.frames.values())
+        arrays = [a for a in clusters if isinstance(a, np.ndarray)] + [frames.labels, frames.radii]
+        for frame in frames.frames.values():
+            arrays += [a for a in frame if isinstance(a, np.ndarray)]
+            arrays += [a for block in frame.blocks.values() for a in block]
+        assert numerics.hermitian_basis(16) is numerics.hermitian_basis(16)
+        assert numerics.hermitian_basis(17) is not numerics.hermitian_basis(17)
+        for array in arrays + [numerics.hermitian_basis(3), numerics.hermitian_basis(17)]:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0
 
     def test_matrix_changed_in_place_gets_a_fresh_record(self):
         H, _ = known_pt8()
