@@ -8,14 +8,13 @@ from a seeded combination of each cluster's small-system solutions, with a
 closed-form fallback assembled from a known Jordan similarity.  The
 eigenpairs of transpose(B) = conj(adj(B)) are the conjugates of those in
 the shared eigen record of adj(B) (numerics._eigenpairs), which
-solve_metric_space reads too; conjugation is exact.  So are the cluster
-frames: both witness solvers read the conjugates of the frames of adj(B)
-kept on that record (intertwine.cluster_frames), built once for all three
-solvers.  The conversions take
-the whole witness space from witness_space, on the same cluster frame
-(_frame_space).  They judge the caller's operator from its verification
-record when it carries one, and measure each Q they return or weigh once,
-for its verdicts and residuals.
+solve_metric_space reads too; conjugation is exact.  Both witness solvers
+conjugate the cluster frame of adj(B) kept on that record
+(intertwine.cluster_frame), built once for all three solvers.  The
+conversions take the whole witness space from witness_space, on the same
+cluster frame (_frame_space).  They judge the caller's operator from its
+verification record when it carries one, and measure each Q they return or
+weigh once, for its verdicts and residuals.
 
 The conversions ride on the witness space:
 
@@ -43,8 +42,10 @@ hit is rescaled to Q^2 = 1 whenever Q^2 is a positive multiple of the
 identity.
 
 For gen-PT -> pseudo the unit witnesses (A conj(A) = 1) are computed, not
-searched, when H has a simple spectrum with well-conditioned eigenvectors:
-in eigen-coordinates the constraint fixes A up to one free phase, or shows
+searched, when H has a simple spectrum with well-conditioned eigenvectors,
+read from the cluster frame of adj(H): every eigenvalue alone in its
+cluster, and eigenvectors that pass the frame's conditioning gate.  In
+eigen-coordinates the constraint then fixes A up to one free phase, or shows
 that no unit witness exists (_closed_form_unit_witnesses).  Repeated,
 defective or ill-conditioned spectra, and equations whose miss rounding
 could explain, fall back to a seeded multi-start least-squares search, the
@@ -61,7 +62,7 @@ import numpy as np
 from scipy.linalg.lapack import zgeqrf, zungqr
 
 from .errors import ContractError, NumericalError
-from .intertwine import pair_solutions, solve_clustered
+from .intertwine import _conditioning_floor, cluster_frame, pair_solutions, solve_clustered
 from .involutions import InvolutionKind, InvolutionOperator, _measure, _recorded, make_sip, operator_matrix
 from .metric import _residual_bound
 from .numerics import (
@@ -69,7 +70,6 @@ from .numerics import (
     MACHINE_EPS,
     ToleranceConfig,
     _eigenpairs,
-    _eigenvector_cuts,
     as_square_matrix,
     frobenius,
     frobenius_norms,
@@ -112,15 +112,7 @@ def witness_space(B, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
             return space, set()
         return space, set(owners[_witness_gaps(elements, M) > bound].tolist()) or set(frame.labels.tolist())
 
-    return solve_clustered(_eigenpairs(M, adjoint=True), norm, tol, attempt, conjugate=True)
-
-
-def _transpose_eigenpairs(M: np.ndarray):
-    """(values, vectors, sigma) of transpose(M) = conj(adj(M)): the conjugates
-    of the eigenpairs in adj(M)'s shared record (conjugation is exact), and
-    the singular values of its vectors, which conjugation keeps."""
-    record = _eigenpairs(M, adjoint=True)
-    return record.values.conj(), record.vectors.conj(), record.sigma
+    return solve_clustered(_eigenpairs(M, adjoint=True), norm, tol, attempt)
 
 
 def _invertibility(A: np.ndarray) -> float:
@@ -148,14 +140,18 @@ def _similarity_residual(A: np.ndarray, M: np.ndarray, scale: float) -> float:
 
 
 def _frame_space(frame, tol: ToleranceConfig, norm: float):
-    """(clusters, space, elements, owners) of a cluster frame of transpose(B) =
-    U T inv(U): (Ua, Y) per larger cluster, its columns of U and the solutions
-    Y of T_a Y = Y transpose(T_a); the elements u transpose(u) per lone
-    eigenvector u and Ua Y transpose(Ua) per Y (clusters are apart, so Y is
-    block diagonal), with the cluster of each; and their span made
-    Frobenius-orthonormal by one QR (the one cluster's Y are already)."""
+    """(clusters, space, elements, owners) on a cluster frame adj(B) =
+    U M inv(U), read as the frame transpose(B) = conj(U) T inv(conj(U)),
+    T = conj(M) (conjugation is exact): (Ua, Y) per larger cluster, its
+    columns of conj(U) and the solutions Y of T_a Y = Y transpose(T_a); the
+    elements u transpose(u) per lone eigenvector u of transpose(B) and
+    Ua Y transpose(Ua) per Y (clusters are apart, so Y is block diagonal),
+    with the cluster of each; and their span made Frobenius-orthonormal by
+    one QR (the one cluster's Y are already)."""
     labels, _, U, single, blocks, final = frame
-    clusters = [(U[:, members], pair_solutions(Ma, Ma, False, tol, norm)) for members, Ma in blocks.values()]
+    U = U.conj()
+    clusters = [(U[:, members], pair_solutions(Ma.conj(), Ma.conj(), False, tol, norm))
+                for members, Ma in blocks.values()]
     if final and blocks:  # one cluster in the identity frame: its solutions as they stand
         Y = clusters[0][1]
         return clusters, Y, Y, np.zeros(len(Y), dtype=int)
@@ -183,11 +179,12 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
     (numerics._eigenpairs): transpose(B) V = V D gives
     A B = V D transpose(V) = transpose(B) A for every diagonalizable B.
     When it misses the rule below (as for a defective B), A = U Y
-    transpose(U) on intertwine's cluster frame transpose(B) = U M inv(U),
-    over the Y with M Y = Y transpose(M) (_frame_space).  The first draw
-    gives a lone eigenvalue the block 1 (U has unit columns) and each larger
-    cluster a seeded random combination of its small system's solutions, of
-    Frobenius norm sqrt(m) like the m x m identity.  Later draws take seeded
+    transpose(U) on the cluster frame of adj(B) (intertwine.cluster_frame),
+    conjugated: transpose(B) = U M inv(U), over the Y with M Y =
+    Y transpose(M) (_frame_space).  The first draw gives a lone eigenvalue
+    the block 1 (U has unit columns) and each larger cluster a seeded random
+    combination of its small system's solutions, of Frobenius norm sqrt(m)
+    like the m x m identity.  Later draws take seeded
     random elements of the frame's witness space, isotropic in the Frobenius
     product.  Draws stop at the first A with sigma_min / sigma_max > 1e-3
     whose similarity residual is within max(abs_tol, 1e-10); after
@@ -214,7 +211,7 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
 
     def attempt(frame):
         clusters, space, elements, owners = _frame_space(frame, tol, norm)
-        lone = frame.U[:, frame.single]
+        lone = frame.U[:, frame.single].conj()
         rng = np.random.default_rng(seed)
         best, best_q = None, 0.0
         for draw in range(DEFAULT_BUDGET):
@@ -240,7 +237,7 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
                 break
         return (best, best_q), None if best_q > 1e-3 else set() if best_q > 1e-8 else set(frame.labels.tolist())
 
-    witness, q = solve_clustered(record, norm, tol, attempt, conjugate=True)
+    witness, q = solve_clustered(record, norm, tol, attempt)
     if q > 1e-8:
         return witness
     if jordan_witness is None:
@@ -477,10 +474,14 @@ def _closed_form_unit_witnesses(M: np.ndarray, tol: ToleranceConfig):
     diagonal fixes |l_i|^2 = K_ii / G_ii, and l_i conj(l_j) G_ij = K_ij fixes
     the phase differences along a spanning tree of the largest |G_ij| (V has
     unit columns, so |G_ij| is the cosine between two eigenvectors); every
-    other entry is then a check.  The eigenvalues must be apart by the gap
-    of numerics._eigenvector_cuts and the tree must not need a cosine inside
-    the rank cut; otherwise (repeated, defective or ill-conditioned spectra,
-    a disconnected |G_ij| pattern) the answer is None.
+    other entry is then a check.  The spectrum is simple when every
+    eigenvalue is alone in the cluster frame of adj(M)
+    (intertwine.cluster_frame), the frame witness_space solves on, and V,
+    the conjugates of that frame's eigenvectors, must pass the frame's
+    conditioning gate (intertwine._conditioning_floor); the tree must not
+    need a cosine inside the rank cut.  Otherwise (repeated, defective or
+    ill-conditioned spectra, a disconnected |G_ij| pattern) the answer is
+    None.
 
     K inherits a relative rounding error of about eps kappa^2 (the condition
     number of G), and so does A, which leaves A conj(A) - 1 a rounding
@@ -490,15 +491,12 @@ def _closed_form_unit_witnesses(M: np.ndarray, tol: ToleranceConfig):
     """
     n = M.shape[0]
     norm = frobenius(M)
-    values, V, s = _transpose_eigenpairs(M)
-    kappa = s[0] / s[-1] if s[-1] > 0 else np.inf
-    cuts = _eigenvector_cuts(tol, kappa, norm)
-    if cuts is None:
+    record = _eigenpairs(M, adjoint=True)
+    s = record.sigma
+    if not cluster_frame(record, norm, tol).single.all() or s[-1] < _conditioning_floor(s, norm, tol):
         return None
-    pair_cut, gap_cut = cuts
-    closest = np.min(np.abs(values[:, None] - values[None, :]) + np.diag(np.full(n, np.inf)))
-    if closest <= pair_cut or closest < gap_cut:  # the first catches M = 0, where both cuts are 0
-        return None
+    kappa = s[0] / s[-1]
+    V = record.vectors.conj()
     G = V.T @ V.conj()
     K = np.linalg.inv(G.T)
     phase = np.zeros(n)
@@ -582,18 +580,19 @@ def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DE
 
     Every such Q intertwines adj(H) with H; Hermiticity and involution are
     then properties to report, not constraints of the search.  When H has a
-    simple spectrum whose eigenvectors are well conditioned (the eigenvalue
-    gap and condition gate of the metric solver, see numerics.
-    _eigenvector_cuts), the unit witnesses are one phase orbit A e^{it},
-    computed in closed form; when their defining equations miss by far more
-    than rounding the result says that none exists.  Otherwise (repeated,
-    defective or ill-conditioned spectra, or a miss rounding could explain,
-    as near an exceptional point) a seeded least-squares search with
-    DEFAULT_BUDGET // 16 starts looks for them, and an empty result says
-    none was found within budget.  The identity comes first when H is
-    symmetric.  The free phase of each candidate is spent on Hermiticity,
-    and candidates are ranked so a Hermitian involutory Q (a full
-    indefinite-metric operator) is returned when one exists.
+    simple spectrum whose eigenvectors are well conditioned (every
+    eigenvalue alone in the cluster frame of adj(H) that witness_space
+    solves on, and the frame's conditioning gate), the unit witnesses are
+    one phase orbit A e^{it}, computed in closed form; when their defining
+    equations miss by far more than rounding the result says that none
+    exists.  Otherwise (repeated, defective or ill-conditioned spectra, or
+    a miss rounding could explain, as near an exceptional point) a seeded
+    least-squares search with DEFAULT_BUDGET // 16 starts looks for them,
+    and an empty result says none was found within budget.  The identity
+    comes first when H is symmetric.  The free phase of each candidate is
+    spent on Hermiticity, and candidates are ranked so a Hermitian
+    involutory Q (a full indefinite-metric operator) is returned when one
+    exists.
     """
     report = check_symmetry(SymmetryKind.GEN_PT, Pbar, H, tol)  # judged from Pbar's record when it has one
     if not report.holds:

@@ -34,11 +34,12 @@ Clusters and frames live on the shared eigen record of their matrix
 (numerics._eigenpairs), once per matrix norm and tolerance.  On the H side,
 spectrum_clusters keeps the clusters of the spectrum sorted by (Re, Im),
 with their conjugate pairing, for ptlab.spectra and ptlab.symmetry.  On the
-adjoint side, R = adj(H), the metric solver and both witness solvers share
-one clustering, one Schur form and one frame per label set; the witnesses
-read the conjugated frames, as transpose(H) = conj(adj(H)) and conjugation
-is exact.  A merge adds the frame of its own labels and leaves the others
-as they were.
+adjoint side, R = adj(H), cluster_frame keeps the frame of the first
+clustering and the Schur form of R, read by the metric solver and both
+witness solvers; the witness solvers conjugate the frame themselves, as
+transpose(H) = conj(adj(H)) and conjugation is exact.  A merge builds the
+frame of its own labels, from the kept Schur form, for the solve that
+asked for it, and does not keep it.
 """
 
 from __future__ import annotations
@@ -238,18 +239,26 @@ def _schur_bases(values, vectors, labels, multi, schur):
     return U, blocks
 
 
-def _entangled(U: np.ndarray, s: np.ndarray, values: np.ndarray, labels: np.ndarray, norm: float,
-               tol: ToleranceConfig) -> list:
-    """Groups of clusters whose columns of U (singular values s) are nearly
-    dependent, or none when U is well conditioned, that is when
-    tol.rank_cutoff(cond(U) ||R||_F) stays within the reality cut (the gate
-    numerics._eigenvector_cuts puts on eigenvector routes).  It guards the
-    discs: should they miss the computed copies of a defective eigenvalue,
-    whose eigenvectors are nearly parallel, a metric attempt could not see
-    the elements it lacks.  The columns that weigh in the right singular
-    vectors below that cut are linked each to the one with the nearest
-    eigenvalue, and each linked group is one group."""
-    floor = tol.rank_cutoff(s[0] * norm) / _reality_cut(tol, max(norm, 1.0))
+def _conditioning_floor(s: np.ndarray, norm: float, tol: ToleranceConfig) -> float:
+    """Smallest s[-1] with which columns of singular values s (descending)
+    count as well conditioned for a matrix R of Frobenius norm `norm`:
+    tol.rank_cutoff(cond ||R||_F) must stay within the reality cut."""
+    return tol.rank_cutoff(s[0] * norm) / _reality_cut(tol, max(norm, 1.0))
+
+
+def _entangled(record: _Eigenpairs, frame: Frame, norm: float, tol: ToleranceConfig) -> list:
+    """Groups of clusters whose columns of the frame's U are nearly
+    dependent, or none when U is well conditioned (_conditioning_floor, the
+    gate the closed-form unit witnesses of ptlab.convert also put on the
+    eigenvectors).  It guards the discs: should they miss the computed
+    copies of a defective eigenvalue, whose eigenvectors are nearly
+    parallel, a metric attempt could not see the elements it lacks.  The
+    columns that weigh in the right singular vectors below that floor are
+    linked each to the one with the nearest eigenvalue, and each linked
+    group is one group."""
+    U, values = frame.U, record.values
+    s = record.sigma if U is record.vectors else np.linalg.svd(U, compute_uv=False)
+    floor = _conditioning_floor(s, norm, tol)
     if s[-1] >= floor:
         return []
     _, s, vh = np.linalg.svd(U)
@@ -259,104 +268,67 @@ def _entangled(U: np.ndarray, s: np.ndarray, values: np.ndarray, labels: np.ndar
     link = np.eye(cols.size, dtype=bool)
     link[np.arange(cols.size), np.argmin(gaps, axis=1)] = True
     part = _components(link | link.T)
-    return [set(labels[cols[part == p]].tolist()) for p in np.unique(part)]
+    return [set(frame.labels[cols[part == p]].tolist()) for p in np.unique(part)]
 
 
-def _shared(labels, radii, U, single, blocks, final) -> Frame:
-    """The Frame of these fields with every array made read-only, as the
-    frames kept on a record are shared by its solvers."""
-    for array in (a for block in blocks.values() for a in block):
-        _read_only(array)
-    return Frame(_read_only(labels), _read_only(radii), _read_only(U), _read_only(single), blocks, final)
+def _frame(record: _Eigenpairs, radii: np.ndarray, labels: np.ndarray) -> Frame:
+    """The Frame of one clustering of the record's matrix R; the Schur form
+    of R is taken once and kept read-only in the record's memo, for every
+    clustering that needs it."""
+    n = labels.size
+    counts = np.bincount(labels, minlength=n)
+    multi = np.flatnonzero(counts > 1)
+    U, blocks = record.vectors, {}
+    if multi.size and counts[0] == n:  # one cluster: the full equation, in the identity frame
+        U, blocks = np.eye(n, dtype=complex), {0: (np.arange(n), record.matrix)}
+    elif multi.size:
+        if "schur" not in record.memo:  # the complex Schur form R = Q T adj(Q), once per record
+            T, _, _, Q, _, info = zgees(lambda z: None, record.matrix)
+            if info:  # pragma: no cover - LAPACK failure
+                raise NumericalError(f"Schur decomposition did not converge (info {info})")
+            record.memo["schur"] = _read_only(T), _read_only(Q)
+        U, blocks = _schur_bases(record.values, record.vectors, labels, multi, record.memo["schur"])
+    return Frame(labels, radii, U, counts[labels] == 1, blocks, counts[0] == n)
 
 
-class _Frames:
-    """The cluster frames of the matrix R of one shared eigen record, at one
-    norm and tolerance: the clusters of eigen_clusters, the complex Schur
-    form of R (taken when a frame first needs it), and per label set the
-    frame and the groups of _entangled.  Frames of conj(R) are the
-    conjugates of those of R: conj(R) = conj(U) conj(M) inv(conj(U)).  It
-    keeps the record's arrays, not the record, whose memo holds it: no
-    reference cycle outlives the record's eviction."""
-
-    def __init__(self, record: _Eigenpairs, norm: float, tol: ToleranceConfig):
-        self.R, self.values, self.vectors, self.sigma = record.matrix, record.values, record.vectors, record.sigma
-        self.norm, self.tol = norm, tol
-        radii, labels = eigen_clusters(self.values, self.vectors, self.sigma, norm, tol)
-        self.radii, self.labels = _read_only(radii), _read_only(labels)
-        self.schur, self.frames, self.groups = None, {}, {}
-
-    def frame(self, labels: np.ndarray, conjugate: bool) -> Frame:
-        key = labels.tobytes(), conjugate
-        if key not in self.frames:
-            if conjugate:
-                labels, radii, U, single, blocks, final = self.frame(labels, False)
-                blocks = {a: (members, Ma.conj()) for a, (members, Ma) in blocks.items()}
-                self.frames[key] = _shared(labels, radii, U.conj(), single, blocks, final)
-            else:
-                self.frames[key] = self._build(labels)
-        return self.frames[key]
-
-    def _build(self, labels: np.ndarray) -> Frame:
-        values, vectors, R = self.values, self.vectors, self.R
-        n = values.size
-        counts = np.bincount(labels, minlength=n)
-        multi = np.flatnonzero(counts > 1)
-        U, blocks = vectors, {}
-        if multi.size and counts[0] == n:  # one cluster: the full equation, in the identity frame
-            U, blocks = np.eye(n, dtype=complex), {0: (np.arange(n), R)}
-        elif multi.size:
-            if self.schur is None:
-                T, _, _, Q, _, info = zgees(lambda z: None, R)  # the complex Schur form R = Q T adj(Q)
-                if info:  # pragma: no cover - LAPACK failure
-                    raise NumericalError(f"Schur decomposition did not converge (info {info})")
-                self.schur = T, Q
-            U, blocks = _schur_bases(values, vectors, labels, multi, self.schur)
-        return _shared(labels, self.radii, U, counts[labels] == 1, blocks, counts[0] == n)
-
-    def entangled(self, labels: np.ndarray) -> list:
-        key = labels.tobytes()
-        if key not in self.groups:
-            U = self.frame(labels, False).U
-            s = self.sigma if U is self.vectors else np.linalg.svd(U, compute_uv=False)
-            self.groups[key] = _entangled(U, s, self.values, labels, self.norm, self.tol)
-        return self.groups[key]
-
-
-def cluster_frames(record: _Eigenpairs, norm: float, tol: ToleranceConfig) -> _Frames:
-    """The _Frames of a shared eigen record (numerics._eigenpairs) of a matrix
-    of Frobenius norm `norm`, made once and kept in its memo."""
-    key = ("frames", norm, tol)
+def cluster_frame(record: _Eigenpairs, norm: float, tol: ToleranceConfig) -> Frame:
+    """The Frame of the clusters of eigen_clusters of a shared eigen record
+    (numerics._eigenpairs) of a matrix of Frobenius norm `norm`, built once
+    and kept read-only in its memo: the metric solver and both witness
+    solvers start from it, and the closed-form unit witnesses of
+    ptlab.convert read it."""
+    key = ("frame", norm, tol)
     if key not in record.memo:
-        record.memo[key] = _Frames(record, norm, tol)
+        radii, labels = eigen_clusters(record.values, record.vectors, record.sigma, norm, tol)
+        frame = _frame(record, _read_only(radii), _read_only(labels))
+        for array in [a for block in frame.blocks.values() for a in block] + [frame.U, frame.single]:
+            _read_only(array)
+        record.memo[key] = frame
     return record.memo[key]
 
 
-def solve_clustered(record: _Eigenpairs, norm: float, tol: ToleranceConfig, attempt, conjugate: bool = False):
+def solve_clustered(record: _Eigenpairs, norm: float, tol: ToleranceConfig, attempt):
     """Run attempt(frame) on the cluster frames of the matrix R of a shared
-    eigen record (R = vectors diag(values) inv(vectors)), or with
-    conjugate=True of conj(R), until it accepts a frame; norm is the
-    Frobenius norm of R.
+    eigen record (R = vectors diag(values) inv(vectors)) until it accepts a
+    frame; norm is the Frobenius norm of R.
 
     attempt returns (result, verdict): None accepts the frame; an empty set
     accepts it unless its columns of U are nearly dependent (_entangled);
     a set of labels names the clusters whose solutions failed.  The
     clusters of nearly dependent columns, else the named ones, are merged
     and the attempt runs again.  The frame of one cluster is always
-    accepted.  The frames are those of cluster_frames, shared by every
-    solver of the record.
+    accepted.  The first frame is cluster_frame, shared by every solver of
+    the record; a merged frame is built for this solve alone.
     """
-    frames = cluster_frames(record, norm, tol)
-    labels = frames.labels
+    frame = cluster_frame(record, norm, tol)
     while True:
-        frame = frames.frame(labels, conjugate)
         result, verdict = attempt(frame)
         if verdict is None or frame.final:
             return result
-        groups = frames.entangled(labels) or ([verdict] if verdict else [])
+        groups = _entangled(record, frame, norm, tol) or ([verdict] if verdict else [])
         if not groups:
             return result
-        labels = _merged(record.values, labels, groups)
+        frame = _frame(record, frame.radii, _merged(record.values, frame.labels, groups))
 
 
 def pair_solutions(Ma: np.ndarray, Mb: np.ndarray, adjoint: bool, tol: ToleranceConfig, scale: float):

@@ -162,8 +162,8 @@ def solve_metric_space(H, tol: ToleranceConfig = DEFAULT_TOL) -> MetricSolution:
     (ptlab.intertwine, _metric_attempt), from the eigenpairs of adj(H) in
     H's shared eigen record (numerics._eigenpairs, the adjoint side, whose
     conjugates are the eigenpairs of the transpose witnesses) and the
-    clusters, Schur form and frames kept on it, which the witness solvers
-    read conjugated: the basis is
+    cluster frame kept on it (intertwine.cluster_frame), which the witness
+    solvers conjugate: the basis is
     U Z adj(U) over the Hermitian Z with M Z = Z adj(M), one closed-form
     element per ordered pair of single eigenvalues mu_i = conj(mu_j) and the
     small system of each pair of clusters that can couple, so its dimension

@@ -16,9 +16,10 @@ conj(adj(H)), and conjugation is exact), so one matrix taken through every
 analysis costs two eigendecompositions.  What ptlab.intertwine derives from
 a record lives on it too (_Eigenpairs.memo): the clusters of the sorted H
 spectrum, read by classify_spectrum, find_gen_pt_operator and
-align_pt_phases, and the clusters, Schur form and cluster frames of adj(H),
-read by the metric and both witness solvers.  So each side is clustered
-once, and adj(H) takes one Schur decomposition.
+align_pt_phases, and the first cluster frame and the Schur form of adj(H),
+read by the metric solver, both witness solvers (conjugated) and the
+closed-form unit witnesses.  So each side is clustered once, and adj(H)
+takes one Schur decomposition.
 
 All matrices in scope are small (desk scale, <= 64x64); no sparse paths.
 """
@@ -74,26 +75,6 @@ def _reality_cut(tol: ToleranceConfig, scale):
     max(a, b) * scale is bit-equal to max(a * scale, b * scale): rounding is
     monotone."""
     return np.maximum(tol.abs_tol, max(tol.rel_tol, _FOUR_SQRT_EPS) * scale)
-
-
-def _eigenvector_cuts(tol: ToleranceConfig, kappa: float, norm: float):
-    """(pair_cut, gap_cut) for eigenvalues taken from eigenvectors of
-    condition number kappa of a matrix of Frobenius norm `norm`, or None when
-    those eigenvectors are too ill-conditioned to decide coincidences.
-
-    Two computed eigenvalues closer than pair_cut, the Bauer-Fike radius
-    kappa eps norm times the rank factor, count as one.  Eigenvalues gap_cut
-    apart are distinct for both solvers of an intertwining equation: alone
-    in their clusters (intertwine.eigen_clusters radii are at most pair_cut),
-    and, d apart, they leave the whole equation's Kronecker system a singular
-    value of at least d / kappa^2, above its rank cutoff once d exceeds
-    2 kappa pair_cut, which gap_cut clears 4x.  The eigenvectors are well
-    conditioned when pair_cut stays inside the reality cut.
-    """
-    pair_cut = tol.rank_cutoff(kappa * norm)
-    if not pair_cut <= _reality_cut(tol, max(norm, 1.0)):
-        return None
-    return pair_cut, 8.0 * kappa * pair_cut
 
 
 def _cluster_cut(tol: ToleranceConfig, scale, n: int):
@@ -216,7 +197,8 @@ class _Eigenpairs:
     LAPACK's order, both read-only, with the matrix itself; sigma, the
     singular values of vectors, is computed on first use and shared by every
     reader, and memo keeps what other modules derive from the eigenpairs
-    (ptlab.intertwine's clusters and frames), under keys of their own."""
+    (ptlab.intertwine's clusters, frame and Schur form), under keys of
+    their own."""
 
     matrix: np.ndarray
     values: np.ndarray

@@ -871,6 +871,20 @@ def near_exceptional_genpt2(rng, distance):
     return E + distance * Y / frobenius(Y) + rng.normal() * np.eye(2), K
 
 
+def near_coincident(rng, n, gap, real):
+    """T diag(mu) inv(T) with mu_1 = mu_0 + gap, T a complex frame of
+    condition number 10; real: mu real but for one conjugate pair at n >= 4,
+    so the matrix is similar to a real one."""
+    values = rng.uniform(-50, 50, n) + (0j if real else 1j * rng.uniform(-50, 50, n))
+    if real and n >= 4:
+        values[2:4] = rng.uniform(-50, 50) + np.array([1j, -1j]) * rng.uniform(5, 15)
+    values[1] = values[0] + gap * (1 if real else np.exp(1j * rng.uniform(0, 2 * np.pi)))
+    left, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    right, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    T = left @ np.diag(np.r_[1.0, 10.0, rng.uniform(1.0, 10.0, n - 2)]) @ right
+    return T @ np.diag(values) @ np.linalg.inv(T)
+
+
 def searched(*args):
     raise AssertionError("the least-squares search ran")
 
@@ -918,6 +932,24 @@ class TestClosedFormUnitWitness:
                 (oracle.hermitian, oracle.involutory, oracle.target_kind_satisfied)
             A = result.witness
             assert np.abs(A @ A.conj() - np.eye(2)).max() < 1e-9
+
+    def test_near_coincident_simple_spectra_are_decided_in_closed_form(self):
+        """Two eigenvalues 1e-10 to 1e-7 apart, each alone in its cluster of
+        the frame witness_space solves on, get a closed-form answer (the two
+        smallest gaps fell to the search under a gap of 512 eps kappa^2
+        ||H||), and it agrees with the search over witness_space on whether
+        a unit witness exists."""
+        rng = np.random.default_rng(5)
+        draws = [(2, True), (3, False), (4, True), (5, False)]
+        for (n, real), gap in zip(draws, np.geomspace(1e-10, 1e-7, len(draws))):
+            H = near_coincident(rng, n, gap, real)
+            unit = convert._closed_form_unit_witnesses(H, DEFAULT_TOL)
+            assert unit is not None
+            found = convert._unit_witnesses(witness_space(H), n, np.random.default_rng(convert.DEFAULT_SEED))
+            assert bool(unit) == bool(found)
+            for A in unit:
+                assert np.abs(A @ A.conj() - np.eye(n)).max() < 1e-9
+                assert witness_residual(A, H) < 1e-9
 
     def test_repeated_or_defective_spectra_fall_back_to_the_search(self, monkeypatch):
         calls = []

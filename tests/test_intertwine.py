@@ -1,7 +1,9 @@
 """The cluster-decoupled solver of X L = R X behind the metric and witness solvers."""
 
+import gc
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 
@@ -44,10 +46,9 @@ def test_defective_copies_outside_their_discs_are_merged(monkeypatch):
     """Should the discs miss the computed copies of a defective eigenvalue
     (here: radii shrunk a millionfold, so every eigenvalue is alone), the
     frame's nearly dependent eigenvector columns merge them, and the solvers
-    still work on two 3-clusters and count 3 + 3 metric elements.  The
-    metric solver builds the merged frame; the transpose witness then solves
-    on the conjugate of that frame, read from the shared record, and builds
-    no frame bases of its own."""
+    still work on two 3-clusters and count 3 + 3 metric elements.  Each
+    solver builds the merged frame for its own solve, and the record keeps
+    only its first frame, where every eigenvalue is alone."""
     eigen_clusters = intertwine.eigen_clusters
     monkeypatch.setattr(intertwine, "eigen_clusters",
                         lambda values, *args: (1e-6 * eigen_clusters(values, *args)[0], np.arange(values.size)))
@@ -68,29 +69,30 @@ def test_defective_copies_outside_their_discs_are_merged(monkeypatch):
         assert solve_metric_space(H).dimension == 6
         assert built == [[3, 3]]
         witness = transpose_matrix(H)
-        assert built == [[3, 3]]
+        assert built == [[3, 3], [3, 3]]
         frame = solved[-1]
         assert np.bincount(frame.labels)[list(frame.blocks)].tolist() == [3, 3]
-        frames = intertwine.cluster_frames(numerics._eigenpairs(H, adjoint=True), frobenius(H), DEFAULT_TOL)
-        assert frame is frames.frame(frame.labels, True)
-        assert np.array_equal(frame.U, frames.frame(frame.labels, False).U.conj())
+        first = intertwine.cluster_frame(numerics._eigenpairs(H, adjoint=True), frobenius(H), DEFAULT_TOL)
+        assert first.single.all() and not first.blocks
         s = np.linalg.svd(witness.A, compute_uv=False)
         assert witness.residual < 1e-10 and s[-1] > 1e-8 * s[0]
 
 
 def test_one_clustering_per_side_and_one_schur_form(monkeypatch):
     """One matrix through classify_spectrum, solve_metric_space,
-    transpose_matrix, witness_space and find_gen_pt_operator, in either
-    order: each side's spectrum is clustered once (H's sorted by (Re, Im),
-    adj(H)'s in LAPACK order), conjugate pairs are found once, and adj(H)
-    takes one Schur form, as every solver reads what the shared eigen
-    records keep.  The Jordan input takes every path: the cluster path of
-    classify_spectrum and the Schur frames of both witness solvers."""
+    transpose_matrix, witness_space, find_gen_pt_operator and the
+    closed-form unit witnesses, in either order: each side's spectrum is
+    clustered once (H's sorted by (Re, Im), adj(H)'s in LAPACK order),
+    conjugate pairs are found once, and adj(H) takes one Schur form, as
+    every solver reads what the shared eigen records keep.  The Jordan
+    input takes every path: the cluster path of classify_spectrum and the
+    Schur frames of both witness solvers."""
     calls = {name: [] for name in ("eigen_clusters", "conjugate_pairs", "zgees")}
     for name, log in calls.items():
         original = getattr(intertwine, name)
         monkeypatch.setattr(intertwine, name, lambda *args, _run=original, _log=log: _log.append(args) or _run(*args))
-    analyses = [classify_spectrum, solve_metric_space, transpose_matrix, witness_space, find_gen_pt_operator]
+    analyses = [classify_spectrum, solve_metric_space, transpose_matrix, witness_space, find_gen_pt_operator,
+                lambda H: convert._closed_form_unit_witnesses(H, DEFAULT_TOL)]
     for H in (two_jordan_blocks(1) + np.diag(np.arange(6.0)), two_jordan_blocks(0)):
         for order in (analyses, analyses[::-1]):
             numerics._eig_record.cache_clear()
@@ -116,12 +118,12 @@ def test_transpose_witness_merges_the_clusters_of_a_missed_draw(monkeypatch):
     solution): the first draw misses the similarity cut, the cluster of the
     largest intertwining gaps is named and merged with its nearest
     neighbour, and the witness comes from the merged 3-cluster frame.  The
-    shared record keeps its first clustering and frame as they were."""
+    shared record keeps its first frame as it was."""
     rng = np.random.default_rng(31)
     T = np.eye(4) + 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
     B = T @ (np.diag([0.5, 0.5, 2.0, -1.0]) + np.diag([1.0, 0.0, 0.0], k=1)) @ np.linalg.inv(T)
-    frames = intertwine.cluster_frames(numerics._eigenpairs(B, adjoint=True), frobenius(B), DEFAULT_TOL)
-    first = frames.frame(frames.labels, True)
+    record = numerics._eigenpairs(B, adjoint=True)
+    first = intertwine.cluster_frame(record, frobenius(B), DEFAULT_TOL)
     U, labels = first.U.copy(), first.labels.copy()
     sizes, solved = [], []
     solve, frame_space = convert.pair_solutions, convert._frame_space
@@ -141,5 +143,33 @@ def test_transpose_witness_merges_the_clusters_of_a_missed_draw(monkeypatch):
     assert solved[0] is first and not solved[1].final
     s = np.linalg.svd(witness.A, compute_uv=False)
     assert witness.residual < 1e-10 and s[-1] > 1e-3 * s[0]
-    assert np.array_equal(frames.labels, labels) and frames.frame(frames.labels, True) is first
+    assert intertwine.cluster_frame(record, frobenius(B), DEFAULT_TOL) is first
     assert np.array_equal(first.labels, labels) and np.array_equal(first.U, U)
+
+
+def test_evicted_records_are_freed_by_reference_counting():
+    """What the shared eigen records keep (clusters, frame, Schur form)
+    refers to their arrays, never to a record: with the garbage collector
+    off, a matrix's two records die as soon as the record cache lets them
+    go, after classify, the metric solver, the transpose witness and a
+    forced merge have all run on them."""
+    H = two_jordan_blocks(0)
+    classify_spectrum(H)
+    solve_metric_space(H)
+    transpose_matrix(H)
+    merged = []
+
+    def attempt(frame):  # name the first cluster until it is merged with its neighbour
+        merged.append(frame.labels.copy())
+        return None, None if len(merged) > 1 else {0}
+
+    intertwine.solve_clustered(numerics._eigenpairs(H, adjoint=True), frobenius(H), DEFAULT_TOL, attempt)
+    assert len(merged) == 2 and np.count_nonzero(merged[1] == 0) > np.count_nonzero(merged[0] == 0)
+    gc.disable()
+    try:
+        records = [weakref.ref(numerics._eigenpairs(H, adjoint)) for adjoint in (False, True)]
+        assert all(record() is not None and record().memo for record in records)
+        numerics._eig_record.cache_clear()
+        assert all(record() is None for record in records)
+    finally:
+        gc.enable()

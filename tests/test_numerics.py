@@ -168,21 +168,20 @@ class TestEigenRecord:
 
     def test_clusters_frames_and_hermitian_basis_are_read_only(self):
         """What the records keep is shared by every analysis, so no reader
-        can write to it: the sorted clusters of H, every frame of adj(H) and
-        of its conjugate (a Schur frame of the Jordan input among them), and
-        the Hermitian basis, which is built once per size up to 16 and on
-        each call beyond."""
+        can write to it: the sorted clusters of H, the frame of adj(H) (a
+        Schur frame for the Jordan input) with its blocks, the Schur form
+        (T, Q) of adj(H), and the Hermitian basis, which is built once per
+        size up to 16 and on each call beyond."""
         H, _ = known_pt8(jordan=True)
         ptlab.solve_metric_space(H)
         ptlab.transpose_matrix(H)
         norm = frobenius(H)
         clusters = intertwine.spectrum_clusters(numerics._eigenpairs(H), norm, DEFAULT_TOL)
-        frames = intertwine.cluster_frames(numerics._eigenpairs(H, adjoint=True), norm, DEFAULT_TOL)
-        assert len(frames.frames) == 2 and all(frame.blocks for frame in frames.frames.values())
-        arrays = [a for a in clusters if isinstance(a, np.ndarray)] + [frames.labels, frames.radii]
-        for frame in frames.frames.values():
-            arrays += [a for a in frame if isinstance(a, np.ndarray)]
-            arrays += [a for block in frame.blocks.values() for a in block]
+        record = numerics._eigenpairs(H, adjoint=True)
+        frame = intertwine.cluster_frame(record, norm, DEFAULT_TOL)
+        assert frame.blocks and len(record.memo["schur"]) == 2
+        arrays = [a for a in clusters if isinstance(a, np.ndarray)] + [a for a in frame if isinstance(a, np.ndarray)]
+        arrays += [a for block in frame.blocks.values() for a in block] + list(record.memo["schur"])
         assert numerics.hermitian_basis(16) is numerics.hermitian_basis(16)
         assert numerics.hermitian_basis(17) is not numerics.hermitian_basis(17)
         for array in arrays + [numerics.hermitian_basis(3), numerics.hermitian_basis(17)]:
