@@ -96,6 +96,8 @@ def document_to_matrix(doc) -> np.ndarray:
     except KeyError as exc:
         raise CliError(EXIT_PARSE, f"matrix document needs integer rows/cols and data: {exc}")
     rows, cols = _json_integer(rows, "matrix document rows"), _json_integer(cols, "matrix document cols")
+    if rows < 0 or cols < 0:
+        raise CliError(EXIT_PARSE, f"matrix document rows/cols must be nonnegative, got {rows} x {cols}")
     if not isinstance(data, list) or len(data) != rows:
         raise CliError(EXIT_PARSE, f"data must hold {rows} rows")
     out = np.empty((rows, cols), dtype=complex)
@@ -106,7 +108,7 @@ def document_to_matrix(doc) -> np.ndarray:
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise CliError(EXIT_PARSE, f"entry ({i},{j}) must be an [re, im] pair")
             re, im = pair
-            out[i, j] = complex(float(re), float(im))
+            out[i, j] = complex(_json_number(re, f"entry ({i},{j}) re"), _json_number(im, f"entry ({i},{j}) im"))
     if not np.all(np.isfinite(out.real)) or not np.all(np.isfinite(out.imag)):
         raise CliError(EXIT_PARSE, "matrix document contains non-finite entries")
     return out
@@ -117,6 +119,17 @@ def _json_integer(value, what) -> int:
     if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
         raise CliError(EXIT_PARSE, f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _json_number(value, what) -> float:
+    """A JSON number (not true/false, not a string) as a float; anything else
+    is a parse error naming what."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise CliError(EXIT_PARSE, f"{what} must be a number, got {value!r}")
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -422,27 +435,16 @@ def _reject_unknown(keys, allowed, what):
         raise CliError(EXIT_PARSE, f"unknown {what} keys {sorted(unknown)}; expected {sorted(allowed)}")
 
 
-def _grid_number(value, what) -> float:
-    """A JSON number (not true/false, not a string) as a float; anything else
-    is a parse error naming what."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise CliError(EXIT_PARSE, f"{what} must be a number, got {value!r}")
-
-
 def _grid_axis(axis, name):
     if isinstance(axis, (int, float)) and not isinstance(axis, bool):
-        return np.array([_grid_number(axis, f"axis {name}")])
+        return np.array([_json_number(axis, f"axis {name}")])
     if isinstance(axis, dict):
         _reject_unknown(axis, _AXIS_KEYS, f"axis {name}")
         try:
             start, stop, num = axis["start"], axis["stop"], axis["num"]
         except KeyError as exc:
             raise CliError(EXIT_PARSE, f"axis {name} needs start/stop/num: {exc}")
-        start, stop = _grid_number(start, f"axis {name} start"), _grid_number(stop, f"axis {name} stop")
+        start, stop = _json_number(start, f"axis {name} start"), _json_number(stop, f"axis {name} stop")
         num = _json_integer(num, f"axis {name} num")
         if num < 1:
             raise CliError(EXIT_CONSTRAINT, f"axis {name} is empty (num = {num})")
@@ -509,8 +511,8 @@ def cmd_sweep(args) -> int:
         fam = grid.get("family", "pt2")
         if fam not in ("pt2", "pseudo2"):
             raise CliError(EXIT_PARSE, f"degeneration family must be pt2 or pseudo2, got {fam!r}")
-        u = _grid_number(grid.get("u", 1.0), "grid u")
-        gamma = _grid_number(grid.get("gamma", 1.0), "grid gamma")
+        u = _json_number(grid.get("u", 1.0), "grid u")
+        gamma = _json_number(grid.get("gamma", 1.0), "grid gamma")
         eps_axis = _grid_axis(grid.get("epsilon", {"start": 1e-2, "stop": 1e-6, "num": 9, "scale": "log"}), "epsilon")
         eps_axis = np.sort(eps_axis)[::-1]
         if eps_axis.size == 0:

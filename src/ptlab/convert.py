@@ -49,7 +49,9 @@ eigen-coordinates the constraint then fixes A up to one free phase, or shows
 that no unit witness exists (_closed_form_unit_witnesses).  Repeated,
 defective or ill-conditioned spectra, and equations whose miss rounding
 could explain, fall back to a seeded multi-start least-squares search, the
-only code here that imports scipy.optimize.
+only code here that imports scipy.optimize, on its first call.  The QR of
+the witness solutions comes from scipy.linalg, imported on first use too
+(numerics._scipy_linalg); nothing here loads scipy at import.
 Results are deterministic for a fixed seed.
 """
 
@@ -59,7 +61,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgeqrf, zungqr
 
 from .errors import ContractError, NumericalError
 from .intertwine import _conditioning_floor, cluster_frame, pair_solutions, solve_clustered
@@ -70,6 +71,7 @@ from .numerics import (
     MACHINE_EPS,
     ToleranceConfig,
     _eigenpairs,
+    _scipy_linalg,
     as_square_matrix,
     frobenius,
     frobenius_norms,
@@ -159,8 +161,9 @@ def _frame_space(frame, tol: ToleranceConfig, norm: float):
     elements = np.concatenate([lone.T[:, :, None] * lone.T[:, None, :]] + [Ua @ Y @ Ua.T for Ua, Y in clusters])
     owners = np.concatenate([labels[single]] + [np.full(len(Y), a) for a, (_, Y) in zip(blocks, clusters)])
     # LAPACK directly: at n <= 6 the set-up of np.linalg.qr costs more than the factorization
-    qr, tau, *_ = zgeqrf(elements.reshape(len(elements), -1).T)
-    q, *_ = zungqr(qr, tau, overwrite_a=True)
+    lapack = _scipy_linalg().lapack
+    qr, tau, *_ = lapack.zgeqrf(elements.reshape(len(elements), -1).T)
+    q, *_ = lapack.zungqr(qr, tau, overwrite_a=True)
     return clusters, q.T.reshape(elements.shape), elements, owners
 
 

@@ -39,7 +39,9 @@ clustering and the Schur form of R, read by the metric solver and both
 witness solvers; the witness solvers conjugate the frame themselves, as
 transpose(H) = conj(adj(H)) and conjugation is exact.  A merge builds the
 frame of its own labels, from the kept Schur form, for the solve that
-asked for it, and does not keep it.
+asked for it, and does not keep it.  The LAPACK Schur routines (zgees,
+ztrsen) come from scipy.linalg, imported on first use
+(numerics._scipy_linalg).
 """
 
 from __future__ import annotations
@@ -47,11 +49,10 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import zgees, ztrsen
 
 from .errors import NumericalError
-from .numerics import (ToleranceConfig, _cluster_cut, _Eigenpairs, _read_only, _reality_cut, hermitian_basis,
-                       nullspace_complex, rank_and_nullspace, vectorize)
+from .numerics import (ToleranceConfig, _cluster_cut, _Eigenpairs, _read_only, _reality_cut, _scipy_linalg,
+                       hermitian_basis, nullspace_complex, rank_and_nullspace, vectorize)
 
 
 def _components(adjacent: np.ndarray) -> np.ndarray:
@@ -228,11 +229,12 @@ def _schur_bases(values, vectors, labels, multi, schur):
     eigenvalue are split between clusters, and their nearly parallel
     eigenvectors are dependent columns that _entangled merges."""
     T, Q = schur
+    lapack = _scipy_linalg().lapack
     U, blocks = vectors.copy(), {}
     owner = labels[np.argmin(np.abs(np.diag(T)[:, None] - values[None, :]), axis=1)]
     for a in multi:
         members = np.flatnonzero(labels == a)
-        ts, qs, *_ = ztrsen((owner == a).astype(np.int32), T, Q, job="N")  # complex reordering cannot fail
+        ts, qs, *_ = lapack.ztrsen((owner == a).astype(np.int32), T, Q, job="N")  # complex reordering cannot fail
         m = members.size
         U[:, members] = qs[:, :m]
         blocks[a] = (members, ts[:m, :m])
@@ -283,7 +285,7 @@ def _frame(record: _Eigenpairs, radii: np.ndarray, labels: np.ndarray) -> Frame:
         U, blocks = np.eye(n, dtype=complex), {0: (np.arange(n), record.matrix)}
     elif multi.size:
         if "schur" not in record.memo:  # the complex Schur form R = Q T adj(Q), once per record
-            T, _, _, Q, _, info = zgees(lambda z: None, record.matrix)
+            T, _, _, Q, _, info = _scipy_linalg().lapack.zgees(lambda z: None, record.matrix)
             if info:  # pragma: no cover - LAPACK failure
                 raise NumericalError(f"Schur decomposition did not converge (info {info})")
             record.memo["schur"] = _read_only(T), _read_only(Q)

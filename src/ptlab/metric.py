@@ -6,7 +6,9 @@ is self-adjoint in the weighted inner product <psi| W |phi>.  With indefinite
 W the same pairing is a finite-dimensional Krein (Pontrjagin) product.  The
 space is solved cluster by cluster on the eigenvalue clusters of adj(H)
 (ptlab.intertwine), so a defective input costs the small systems of its
-clusters, not the dense 2n^2 x n^2 one.
+clusters, not the dense 2n^2 x n^2 one.  The QR of each attempt's
+solutions comes from scipy.linalg's LAPACK, imported on first use
+(numerics._scipy_linalg).
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgeqrf, dorgqr
 
 from .errors import DimensionError
 from .numerics import (
@@ -23,6 +24,7 @@ from .numerics import (
     ToleranceConfig,
     _eigenpairs,
     _reality_cut,
+    _scipy_linalg,
     as_square_matrix,
     frobenius,
     frobenius_norms,
@@ -139,8 +141,9 @@ def _metric_attempt(A, values, norm, tol):
             return W, set()
         # Frobenius-orthonormal, same real span; LAPACK directly, as the set-up
         # of np.linalg.qr costs as much as the factorization at these sizes
-        qr, tau, *_ = dgeqrf(vectorize(W).T)
-        q, *_ = dorgqr(qr[:, :tau.size], tau, overwrite_a=True)
+        lapack = _scipy_linalg().lapack
+        qr, tau, *_ = lapack.dgeqrf(vectorize(W).T)
+        q, *_ = lapack.dorgqr(qr[:, :tau.size], tau, overwrite_a=True)
         Q = np.ascontiguousarray(q.T).view(complex).reshape(-1, n, n)
         Q = 0.5 * (Q + Q.conj().swapaxes(-1, -2))
         bound = _residual_bound(tol, scale, n)

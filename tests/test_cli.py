@@ -85,6 +85,23 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "--matrix", str(doc))
         assert (code, out) == (2, "") and "must be an integer" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"rows": 0, "cols": -1, "data": []}, "must be nonnegative"),
+        ({"rows": 1, "cols": 1, "data": [[[None, 0]]]}, "entry (0,0) re must be a number"),
+        ({"rows": 1, "cols": 1, "data": [[[0, {}]]]}, "entry (0,0) im must be a number"),
+        ({"rows": 1, "cols": 1, "data": [[[True, 0]]]}, "entry (0,0) re must be a number"),
+        ({"rows": 1, "cols": 1, "data": [[["1", 0]]]}, "entry (0,0) re must be a number"),
+    ], ids=["negative-size", "null-entry", "object-entry", "boolean-entry", "string-entry"])
+    def test_malformed_document_exits_2_in_every_command(self, tmp_path, capsys, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        good = write_matrix(tmp_path, "good.json", np.eye(1))
+        for argv in (["classify", "--matrix", str(bad)],
+                     ["convert", "--direction", "pt-to-pseudo", "--operator", good, "--matrix", str(bad)],
+                     ["jordan", "--matrix", str(bad), "--eigenvalue", "1"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "") and message in err, argv
+
     def test_integral_float_size_is_read_as_an_integer(self, tmp_path, capsys):
         doc = tmp_path / "h.json"
         doc.write_text(json.dumps({"rows": 1.0, "cols": 1, "data": [[[1, 0]]]}), encoding="utf-8")

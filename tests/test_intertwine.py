@@ -1,6 +1,7 @@
 """The cluster-decoupled solver of X L = R X behind the metric and witness solvers."""
 
 import gc
+import json
 import subprocess
 import sys
 import weakref
@@ -21,6 +22,46 @@ def test_import_loads_neither_sparse_nor_optimize():
             "print(sorted(m for m in sys.modules if m.startswith(('scipy.sparse', 'scipy.optimize'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+GUARD = """
+import contextlib, io, json, sys
+import numpy as np
+from ptlab.cli import main, matrix_to_document
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import ptlab.cli": scipy_modules()}
+path = sys.argv[1]
+with open(path, "w", encoding="utf-8") as fh:
+    json.dump(matrix_to_document(np.array([[0.0, 1j], [0.0, 0.0]])), fh)
+for argv in (["sweep", "--family", "pt2", "--grid", '{"gamma": {"start": 0, "stop": 2, "num": 5}, "rho": 1}'],
+             ["sweep", "--family", "pseudo2", "--grid", '{"gamma": 1, "rho": {"start": 0, "stop": 2, "num": 4}}'],
+             ["sweep", "--family", "degeneration", "--grid", '{"gamma": 2}'],
+             ["count", "--max-dim", "8"], ["count", "--max-dim", "8", "--format", "csv"],
+             ["construct", "--family", "pt2", "--params", '{"gamma": 1.5, "rho": 0.4, "delta": 0.3, "u": 1}'],
+             ["construct", "--family", "pt-jordan", "--params", '{"m": 2, "n": 1, "lambda": 3}'],
+             ["jordan", "--matrix", path, "--eigenvalue", "0"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+    loaded[" ".join(argv)] = scipy_modules()
+from ptlab.metric import solve_metric_space
+solve_metric_space(np.array([[1.0, 0.5], [0.0, 2.0]]))
+print(json.dumps({"numpy alone": loaded, "metric loads scipy.linalg": "scipy.linalg" in sys.modules}))
+"""
+
+
+def test_numpy_alone_runs_sweep_count_construct_and_jordan(tmp_path):
+    """Importing ptlab.cli and running sweep, count, construct and jordan
+    load no scipy module; scipy.linalg comes with the first routine that
+    needs it, here the QR of a metric solve on a simple 2x2 spectrum (one
+    cluster per eigenvalue: a single Jordan block would solve without it)."""
+    out = subprocess.run([sys.executable, "-c", GUARD, str(tmp_path / "jordan.json")],
+                         capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout)
+    assert report["numpy alone"] == {step: [] for step in report["numpy alone"]}
+    assert len(report["numpy alone"]) == 9 and report["metric loads scipy.linalg"]
 
 
 def test_components_close_chains():
@@ -88,9 +129,11 @@ def test_one_clustering_per_side_and_one_schur_form(monkeypatch):
     input takes every path: the cluster path of classify_spectrum and the
     Schur frames of both witness solvers."""
     calls = {name: [] for name in ("eigen_clusters", "conjugate_pairs", "zgees")}
+    lapack = numerics._scipy_linalg().lapack  # the Schur routine, read from the module on each use
     for name, log in calls.items():
-        original = getattr(intertwine, name)
-        monkeypatch.setattr(intertwine, name, lambda *args, _run=original, _log=log: _log.append(args) or _run(*args))
+        owner = lapack if name == "zgees" else intertwine
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _run=original, _log=log: _log.append(args) or _run(*args))
     analyses = [classify_spectrum, solve_metric_space, transpose_matrix, witness_space, find_gen_pt_operator,
                 lambda H: convert._closed_form_unit_witnesses(H, DEFAULT_TOL)]
     for H in (two_jordan_blocks(1) + np.diag(np.arange(6.0)), two_jordan_blocks(0)):
