@@ -585,11 +585,9 @@ def cmd_convert(args) -> int:
         "hermitian": result.hermitian,
         "involutory": result.involutory,
         "target_kind_satisfied": result.target_kind_satisfied,
-        "residuals": {
-            "structure": result.residuals[0],
-            "involution": result.residuals[1],
-            "intertwining": result.residuals[2],
-        },
+        # a miss's residuals are inf, which strict JSON (RFC 8259) cannot hold: null
+        "residuals": dict(zip(("structure", "involution", "intertwining"),
+                              (r if np.isfinite(r) else None for r in result.residuals))),
         "degenerate": result.degenerate,
         "note": result.note,
     }

@@ -41,6 +41,24 @@ as one stack of coefficient rows screened with array operations.  The first
 hit is rescaled to Q^2 = 1 whenever Q^2 is a positive multiple of the
 identity.
 
+PT -> pseudo decides its family in eigen-coordinates first, whenever H has
+a simple spectrum with well-conditioned eigenvectors and an exact conjugate
+pairing (_closed_form_involution): Q^2 = 1 then fixes each eigenvector's
+coefficient up to sign, or one phase per pair of blocks whose eigenvectors
+are orthogonal, and every other entry is a check.  So it has three
+outcomes, in this order:
+
+1. "no Hermitian involution exists in the constrained family": the check
+   misses by far more than rounding, or than the eigenvector sensitivity of
+   near-coincident eigenvalues could explain; no witness space is built.
+2. A certified Q: the screen's first hit, as above; where the screen
+   misses, the closed-form candidate when it certifies.
+3. "no involutory element found in the constrained family within budget":
+   clustered, defective, ill-conditioned or near-coincident spectra, which
+   the closed form cannot decide, when the screen misses too.
+
+pseudo -> PT always takes the screen.
+
 For gen-PT -> pseudo the unit witnesses (A conj(A) = 1) are computed, not
 searched, when H has a simple spectrum with well-conditioned eigenvectors,
 read from the cluster frame of adj(H): every eigenvalue alone in its
@@ -63,7 +81,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .intertwine import _conditioning_floor, cluster_frame, pair_solutions, solve_clustered
+from .intertwine import _conditioning_floor, cluster_frame, conjugate_pairs, pair_solutions, solve_clustered
 from .involutions import InvolutionKind, InvolutionOperator, _measure, _recorded, make_sip, operator_matrix
 from .metric import _residual_bound
 from .numerics import (
@@ -71,6 +89,7 @@ from .numerics import (
     MACHINE_EPS,
     ToleranceConfig,
     _eigenpairs,
+    _reality_cut,
     _scipy_linalg,
     as_square_matrix,
     frobenius,
@@ -260,10 +279,15 @@ class ConversionResult:
     residuals = (structure, involution, intertwining): structure is
     Hermiticity of Q for the pseudo-targets and reality for the parity
     target; intertwining is the target identity scaled by ||H||.  A missing
-    valid Q is a reported outcome (flags False), never an exception.
-    degenerate marks misses where some candidate squared to a multiple
-    c 1 with c <= 1e-12, vanishing or negative, which no real rescaling
-    turns into the identity.
+    valid Q is a reported outcome (Q None, flags False, residuals inf),
+    never an exception, and note says which: "constrained family is empty",
+    "no Hermitian involution exists in the constrained family" (PT ->
+    pseudo, proven on a simple spectrum), "no witness with A conj(A) = 1
+    exists" (gen-PT -> pseudo, likewise), or a "... found ... within budget"
+    note where the search gave up without a proof.  A returned Q has note
+    None.  degenerate marks misses where some candidate squared to a
+    multiple c 1 with c <= 1e-12, vanishing or negative, which no real
+    rescaling turns into the identity.
     """
 
     Q: np.ndarray | None
@@ -274,6 +298,11 @@ class ConversionResult:
     degenerate: bool = False
     witness: np.ndarray | None = None
     note: str | None = None
+
+
+def _missed(note: str, degenerate: bool = False) -> ConversionResult:
+    return ConversionResult(Q=None, hermitian=False, involutory=False, target_kind_satisfied=False,
+                            residuals=(float("inf"), float("inf"), float("inf")), degenerate=degenerate, note=note)
 
 
 def _sign_normalize_pair(Q: np.ndarray, A: np.ndarray):
@@ -294,7 +323,8 @@ class _Direction(enum.Enum):
 def _convert(H, P, direction: _Direction, tol) -> ConversionResult:
     M = as_square_matrix(H, "H")
     n = M.shape[0]
-    scale = max(frobenius(M), 1.0)
+    norm = frobenius(M)
+    scale = max(norm, 1.0)
     eye = np.eye(n)
 
     if direction is _Direction.PT_TO_PSEUDO:
@@ -314,6 +344,28 @@ def _convert(H, P, direction: _Direction, tol) -> ConversionResult:
         def intertwine_gap(Q):
             return Q @ M - M.conj() @ Q
 
+    # on a simple spectrum the PT -> pseudo family is decided before any screen
+    closed = _closed_form_involution(M, norm, tol) if direction is _Direction.PT_TO_PSEUDO else None
+    if closed == []:
+        return _missed("no Hermitian involution exists in the constrained family")
+
+    def certified(Q, A):
+        """The result for a hit (Q, A), sign-normalized and measured once."""
+        Qn, An = _sign_normalize_pair(Q, A)
+        record = _measure(Qn, op_kind, tol)  # the one measurement of Qn
+        struct_res, inv_res = record.residuals[structure], record.residuals["square"]
+        herm_res = struct_res if op_kind is InvolutionKind.HERMITIAN_INVOLUTION else frobenius(Qn - Qn.conj().T)
+        int_res = frobenius(intertwine_gap(Qn)) / scale
+        return ConversionResult(
+            Q=Qn,
+            hermitian=bool(herm_res <= max(tol.abs_tol, 1e-9)),
+            involutory=bool(inv_res <= max(tol.abs_tol, 1e-8)),
+            target_kind_satisfied=_qualifies(Qn, record, target_kind, M, tol),
+            residuals=(float(struct_res), float(inv_res), float(int_res)),
+            degenerate=False,
+            witness=An,
+        )
+
     basis = witness_space(M, tol)
     directions = np.stack([basis, 1j * basis], 1).reshape(-1, n, n)  # real span of the witnesses
     q_dirs = build_q(directions)
@@ -324,10 +376,7 @@ def _convert(H, P, direction: _Direction, tol) -> ConversionResult:
     a_family = coeff_basis.T @ directions.reshape(-1, n * n)
 
     if fdim == 0:
-        return ConversionResult(Q=None, hermitian=False, involutory=False,
-                                target_kind_satisfied=False,
-                                residuals=(float("inf"), float("inf"), float("inf")),
-                                note="constrained family is empty")
+        return _missed("constrained family is empty")
 
     # the deterministic head: the identity when it lies in the family
     # (canonical choice), the family basis, then a traceless slice
@@ -419,33 +468,28 @@ def _convert(H, P, direction: _Direction, tol) -> ConversionResult:
         hit, vanished = first_hit(np.array(rows + [np.linalg.eigh(C)[1][:, -1]]), 2)
         saw_degenerate |= vanished
 
-    if hit is None:
-        return ConversionResult(Q=None, hermitian=False, involutory=False,
-                                target_kind_satisfied=False,
-                                residuals=(float("inf"), float("inf"), float("inf")),
-                                degenerate=saw_degenerate,
-                                note="no involutory element found in the constrained family within budget")
-
-    Qn, An = _sign_normalize_pair(*hit)
-    record = _measure(Qn, op_kind, tol)  # the one measurement of Qn
-    struct_res, inv_res = record.residuals[structure], record.residuals["square"]
-    herm_res = struct_res if op_kind is InvolutionKind.HERMITIAN_INVOLUTION else frobenius(Qn - Qn.conj().T)
-    int_res = frobenius(intertwine_gap(Qn)) / scale
-    return ConversionResult(
-        Q=Qn,
-        hermitian=bool(herm_res <= max(tol.abs_tol, 1e-9)),
-        involutory=bool(inv_res <= max(tol.abs_tol, 1e-8)),
-        target_kind_satisfied=_qualifies(Qn, record, target_kind, M, tol),
-        residuals=(float(struct_res), float(inv_res), float(int_res)),
-        degenerate=False,
-        witness=An,
-    )
+    if hit is not None:
+        return certified(*hit)
+    if closed:  # the screen missed a closed-form candidate: Q = conj(A) P
+        result = certified(closed[0], (closed[0] @ np.linalg.inv(P)).conj())
+        if result.target_kind_satisfied:
+            return result
+    return _missed("no involutory element found in the constrained family within budget", saw_degenerate)
 
 
 def pt_to_pseudo(P, H, tol: ToleranceConfig = DEFAULT_TOL) -> ConversionResult:
     """Hermitian (ideally involutory) Q with Q H = adj(H) Q, from a parity.
 
-    Requires H to actually be symmetric under P.
+    Requires H to actually be symmetric under P.  Decided in this order:
+    on a simple spectrum with well-conditioned eigenvectors and an exact
+    conjugate pairing, the closed form first (_closed_form_involution),
+    which may prove that no Hermitian involution exists (note "no Hermitian
+    involution exists in the constrained family"); otherwise the screen of
+    the witness family, whose first hit is returned; where the screen
+    misses, the closed form's candidate when it certifies.  Clustered,
+    defective, ill-conditioned or near-coincident spectra the closed form
+    cannot decide end in "no involutory element found in the constrained
+    family within budget" when the screen misses.
     """
     report = check_symmetry(SymmetryKind.PT, P, H, tol)  # judged from P's record when it has one
     if not report.holds:
@@ -466,6 +510,129 @@ def pseudo_to_pt(Ptilde, H, tol: ToleranceConfig = DEFAULT_TOL) -> ConversionRes
     return _convert(H, operator_matrix(Ptilde), _Direction.PSEUDO_TO_PT, tol)
 
 
+def _simple_spectrum(M: np.ndarray, norm: float, tol: ToleranceConfig):
+    """The shared eigen record of adj(M), M of Frobenius norm `norm`, when M
+    has a simple spectrum with well-conditioned eigenvectors: every
+    eigenvalue alone in the record's cluster frame (intertwine.cluster_frame,
+    the frame witness_space solves on) and eigenvectors that pass the
+    frame's conditioning gate (intertwine._conditioning_floor).  Else None."""
+    record = _eigenpairs(M, adjoint=True)
+    s = record.sigma
+    if not cluster_frame(record, norm, tol).single.all() or s[-1] < _conditioning_floor(s, norm, tol):
+        return None
+    return record
+
+
+def _spanning_phases(weight: np.ndarray, X: np.ndarray, Y: np.ndarray, cut: float):
+    """(phase, tree) for the phase differences of l_i conj(l_j) X_ij = Y_ij.
+
+    Prim's tree grows from vertex 0 on the largest weight[i, j] (i in the
+    tree, j not; ties to the smallest i, then j), and each edge it takes sets
+    phase[j] = phase[i] + angle(X_ij) - angle(Y_ij).  When no edge into the
+    tree weighs more than cut, the first vertex left out starts a new tree at
+    phase 0; tree names each vertex's tree by that first vertex.  Each tree
+    keeps one free phase, and the entries off its edges are the caller's
+    checks.
+    """
+    m = weight.shape[0]
+    w, ax, ay = weight.tolist(), np.angle(X).tolist(), np.angle(Y).tolist()
+    phase, tree = [0.0] * m, [0] * m
+    best, parent = list(w[0]), [0] * m  # the heaviest edge into each vertex left out
+    outside = list(range(1, m))
+    while outside:
+        j = max(outside, key=lambda k: (best[k], -parent[k]))
+        if best[j] > cut:
+            i = parent[j]
+            phase[j] = phase[i] + ax[i][j] - ay[i][j]
+            tree[j] = tree[i]
+        else:  # no edge into the tree above cut: the first vertex left out starts a new one
+            j = outside[0]
+            tree[j] = j
+        outside.remove(j)
+        row = w[j]
+        for k in outside:
+            if row[k] > best[k] or (row[k] == best[k] and j < parent[k]):
+                best[k], parent[k] = row[k], j
+    return np.array(phase), np.array(tree)
+
+
+def _closed_form_involution(M: np.ndarray, norm: float, tol: ToleranceConfig):
+    """Hermitian involutions Q with Q M = adj(M) Q for a simple spectrum, M
+    of Frobenius norm `norm`: [Q] (a candidate the caller certifies), []
+    when none exists, or None when the spectrum cannot decide it.
+
+    With adj(M) = U diag(mu) inv(U), U the unit eigenvectors of the shared
+    record, the Q with Q M = adj(M) Q are Q = U C adj(U) over the C with
+    diag(mu) C = C diag(conj(mu)).  On a simple spectrum with an exact
+    conjugate pairing p (mu_p(i) = conj(mu_i); p(i) = i for a real mu_i)
+    those are C = diag(e) Pi_p, C[i, p(i)] = e_i, and Q is Hermitian exactly
+    when e_p(i) = conj(e_i).  With G = adj(U) U, K = inv(G) and X_ik =
+    G[p(i), p(k)], Q^2 = 1 then reads e_i conj(e_k) X_ik = K_ik.  The
+    diagonal fixes |e_i|^2 = K_ii / X_ii, and the entry (p(i), p(k)) gives
+    the phase difference of (i, k) again, conjugated; each pair takes the
+    larger of the two |X|, and _spanning_phases walks the tree (as for the
+    unit witnesses, on another equation).  The weights are p-invariant, so p
+    maps trees onto trees, and Hermiticity spends each tree's free phase: a
+    tree that p maps onto itself is fixed up to sign at its first vertex, a
+    pair of trees that p swaps keeps one free phase (as for sigma1 + sigma1
+    on diag(a, conj a, b, conj b)), set to 0.  Every entry of C G C - K is
+    then a check, on rho_ik = |(C G C - K)_ik| / (|e_i| |e_k|) <= 2, with C
+    made Hermitian.
+
+    Were there a Hermitian involution, the candidate would be it times a
+    unit factor constant on each tree, so rho would be rounding inside a
+    tree and at most 2 cut across two trees (whose |X_ik| <= cut).  U
+    carries the error delta = eps (n + ||M||_F kappa / gap), where two
+    eigenvalues gap apart can mix their eigenvectors (kappa = cond(U)), G
+    the same, K the relative error delta / sigma_min(U)^2, and a tree edge
+    (|X| > cut) turns that into a phase error at most 1 / cut times larger.
+    So the answer is [] only when some rho_ik exceeds 1e3 delta (1 + 1 /
+    sigma_min^2)(1 + n / cut), plus 2 cut across trees; a pair that
+    rounding could mix raises that bound and is left undecided, never
+    "none", and a bound of 2 or more decides nothing.  The gate is
+    _simple_spectrum's, and conjugate_pairs must pair every non-real
+    eigenvalue of the frame's discs and mirror no real ones; repeated,
+    defective, ill-conditioned or unpaired spectra give None.
+    """
+    n = M.shape[0]
+    record = _simple_spectrum(M, norm, tol)
+    if record is None:
+        return None
+    frame = cluster_frame(record, norm, tol)  # every eigenvalue alone: its disc is its cluster's
+    real, pairs = conjugate_pairs(record.values, frame.radii, frame.labels, _reality_cut(tol, max(norm, 1.0)))
+    s, values = record.sigma, record.values
+    gap = np.sort(np.abs(values[:, None] - values), axis=None)[n] if n > 1 else np.inf  # past the n zeros
+    cut = 1e-2
+    rounding = 1e3 * MACHINE_EPS * (n + norm * s[0] / s[-1] / gap) * (1.0 + s[-1] ** -2) * (1.0 + n / cut)
+    if pairs is None or any(real[a] for a, _ in pairs) or rounding >= 2.0:
+        return None
+    p = list(range(n))
+    for a, b in pairs:
+        p[a], p[b] = b, a
+    q = np.array(p)
+    U = record.vectors
+    G = U.conj().T @ U
+    K = np.linalg.inv(G)
+    cosine = np.abs(G)
+    cosine = np.maximum(cosine, cosine.T)  # symmetric, so the weights below are p-invariant too
+    swapped, X = cosine[q[:, None], q], G[q[:, None], q]
+    own = swapped >= cosine  # entry (i, k) itself, else (p(i), p(k)) conjugated
+    phase, tree = _spanning_phases(np.maximum(swapped, cosine), np.where(own, X, G.conj()),
+                                   np.where(own, K, K[q[:, None], q].conj()), cut)
+    offset = {}
+    for i, (a, b) in enumerate(zip(tree.tolist(), tree[q].tolist())):  # e_p(i) = conj(e_i) at each tree's first i
+        if a not in offset:
+            t = phase[i] + phase[p[i]]
+            offset[a], offset[b] = (-t / 2, -t / 2) if a == b else (0.0, -t)
+    modulus = np.sqrt(K.diagonal().real / X.diagonal().real)
+    e = modulus * np.exp(1j * (phase + [offset[a] for a in tree.tolist()]))
+    e = 0.5 * (e + e[q].conj())  # C = diag(e) Pi_p made Hermitian
+    rho = np.abs(e[:, None] * X * e.conj() - K) / np.outer(modulus, modulus)
+    if np.any(rho > rounding + 2 * cut * (tree[:, None] != tree)):
+        return []
+    return [(U * e) @ U[:, q].conj().T]
+
+
 def _closed_form_unit_witnesses(M: np.ndarray, tol: ToleranceConfig):
     """Witnesses A with A conj(A) = 1 for a simple spectrum: [A] (the
     solution up to its free phase), [] when none exists, or None when the
@@ -475,14 +642,13 @@ def _closed_form_unit_witnesses(M: np.ndarray, tol: ToleranceConfig):
     transpose(V) over diagonal L, and with G = transpose(V) conj(V),
     A conj(A) = 1 exactly when L G conj(L) = inv(transpose(G)) =: K.  The
     diagonal fixes |l_i|^2 = K_ii / G_ii, and l_i conj(l_j) G_ij = K_ij fixes
-    the phase differences along a spanning tree of the largest |G_ij| (V has
-    unit columns, so |G_ij| is the cosine between two eigenvectors); every
-    other entry is then a check.  The spectrum is simple when every
-    eigenvalue is alone in the cluster frame of adj(M)
-    (intertwine.cluster_frame), the frame witness_space solves on, and V,
-    the conjugates of that frame's eigenvectors, must pass the frame's
-    conditioning gate (intertwine._conditioning_floor); the tree must not
-    need a cosine inside the rank cut.  Otherwise (repeated, defective or
+    the phase differences along a spanning tree of the largest |G_ij|
+    (_spanning_phases; V has unit columns, so |G_ij| is the cosine between
+    two eigenvectors); every other entry is then a check.  The gate is
+    _simple_spectrum's: every eigenvalue alone in the cluster frame of
+    adj(M), and V, the conjugates of that frame's eigenvectors, past its
+    conditioning gate; the tree must not need a cosine inside the rank cut,
+    so it is one tree.  Otherwise (repeated, defective or
     ill-conditioned spectra, a disconnected |G_ij| pattern) the answer is
     None.
 
@@ -494,24 +660,17 @@ def _closed_form_unit_witnesses(M: np.ndarray, tol: ToleranceConfig):
     """
     n = M.shape[0]
     norm = frobenius(M)
-    record = _eigenpairs(M, adjoint=True)
-    s = record.sigma
-    if not cluster_frame(record, norm, tol).single.all() or s[-1] < _conditioning_floor(s, norm, tol):
+    record = _simple_spectrum(M, norm, tol)
+    if record is None:
         return None
+    s = record.sigma
     kappa = s[0] / s[-1]
     V = record.vectors.conj()
     G = V.T @ V.conj()
     K = np.linalg.inv(G.T)
-    phase = np.zeros(n)
-    inside = np.zeros(n, dtype=bool)
-    inside[0] = True
-    cosine = np.abs(G)
-    for _ in range(n - 1):  # Prim's tree on the largest cosines
-        i, j = np.unravel_index(np.argmax(np.where(inside[:, None] & ~inside, cosine, -1.0)), (n, n))
-        if cosine[i, j] <= tol.rank_cutoff(kappa):
-            return None
-        phase[j] = phase[i] + np.angle(G[i, j]) - np.angle(K[i, j])
-        inside[j] = True
+    phase, tree = _spanning_phases(np.abs(G), G, K, tol.rank_cutoff(kappa))
+    if tree.any():  # the tree needs a cosine inside the rank cut
+        return None
     L = np.sqrt(K.diagonal().real / G.diagonal().real) * np.exp(1j * phase)
     A = (V * L) @ V.T
     if _similarity_residual(A, M, max(norm, 1.0)) > max(tol.abs_tol, 1e-10):
@@ -616,11 +775,8 @@ def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DE
     candidates.extend(unit)
 
     if not candidates:
-        return ConversionResult(Q=None, hermitian=False, involutory=False,
-                                target_kind_satisfied=False,
-                                residuals=(float("inf"), float("inf"), float("inf")),
-                                note="no witness with A conj(A) = 1 found within budget" if searched
-                                else "no witness with A conj(A) = 1 exists")
+        return _missed("no witness with A conj(A) = 1 found within budget" if searched
+                       else "no witness with A conj(A) = 1 exists")
 
     best = None
     for idx, A in enumerate(candidates):

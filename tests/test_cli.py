@@ -441,6 +441,21 @@ class TestConvert:
         Q = document_to_matrix(payload["Q"])
         np.testing.assert_allclose(Q, np.diag([1.0, -1.0]), atol=1e-9)
 
+    def test_miss_prints_strict_json(self, tmp_path, capsys):
+        """A miss's residuals are null, not Infinity, so RFC 8259 parsers read
+        its stdout."""
+        H = write_matrix(tmp_path, "h.json", REAL4)
+        P = write_matrix(tmp_path, "p.json", np.eye(4))
+        code, out, _ = run(capsys, "convert", "--direction", "pt-to-pseudo", "--operator", P, "--matrix", H)
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["Q"] is None and payload["note"] == "no Hermitian involution exists in the constrained family"
+        assert payload["residuals"] == {"structure": None, "involution": None, "intertwining": None}
+
     def test_source_kind_failure_exits_3(self, tmp_path, capsys):
         H = write_matrix(tmp_path, "h.json", np.diag([1j, 0.0]))
         P = write_matrix(tmp_path, "p.json", np.diag([1.0, -1.0]))

@@ -26,10 +26,12 @@ from ptlab.convert import (
 from ptlab.errors import ContractError
 from ptlab.involutions import (InvolutionKind, InvolutionOperator, make_diagonal_parity, make_sip,
                                operator_matrix, verify_involution)
-from ptlab.numerics import DEFAULT_TOL, frobenius, needs_sign_flip, nullspace_complex, rank_and_nullspace, vectorize
+from ptlab.numerics import (DEFAULT_TOL, frobenius, matrix_exponential, needs_sign_flip, nullspace_complex,
+                            rank_and_nullspace, vectorize)
 from ptlab.spectra import build_pt_jordan, jordan_block
 from ptlab.symmetry import SymmetryKind, check_symmetry
 
+NONE_EXISTS = "no Hermitian involution exists in the constrained family"
 SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 PSEUDO_P0 = make_diagonal_parity(1, 1, InvolutionKind.HERMITIAN_INVOLUTION)
 SIGMA3_CORE = InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=SIGMA3)
@@ -345,6 +347,107 @@ class TestPtToPseudo:
         np.testing.assert_array_equal(first.Q, second.Q)
 
 
+def no_witness_space(M, tol):
+    raise AssertionError("witness_space ran")
+
+
+def pt2_direct_sum(rng, gap, broken):
+    """O (H1 + H2) transpose(O), O real orthogonal, H1 and H2 pt2 matrices
+    with gamma^2 - rho^2 of one sign (|.| >= 0.1) whose spectra come gap
+    apart: one real eigenvalue of each for an unbroken pair, the two
+    conjugate pairs for a broken one.  Returns (H, parity O (sigma3 +
+    sigma3) transpose(O), Hermitian involution O (Pt1 + Pt2)
+    transpose(O)), Pt_k the catalog's Hermitian involution of H_k."""
+    def params(**fixed):
+        while True:
+            p = cat.Pt2Params(e=rng.normal(), gamma=2 * rng.normal(), rho=rng.normal(),
+                              delta=rng.uniform(-np.pi, np.pi))
+            p = dataclasses.replace(p, **fixed)
+            if abs(p.gamma ** 2 - p.rho ** 2) >= 0.1 and (p.rho ** 2 > p.gamma ** 2) == broken:
+                return p
+
+    p1 = params()
+    if broken:  # the same imaginary parts, real parts gap apart
+        p2 = params(e=p1.e + gap, gamma=p1.gamma, rho=p1.rho)
+    else:
+        p2 = params()
+        p2 = dataclasses.replace(p2, e=p1.e + np.sqrt(p1.gamma ** 2 - p1.rho ** 2) + gap
+                                 - np.sqrt(p2.gamma ** 2 - p2.rho ** 2))
+
+    def framed(A, B):
+        return O @ np.block([[A, np.zeros((2, 2))], [np.zeros((2, 2)), B]]) @ O.T
+
+    O = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    pseudo = [cat.cross_operators(cat.CrossCase.PSEUDO_FOR_PT_BASE, p) for p in (p1, p2)]
+    return framed(cat.pt2_hamiltonian(p1), cat.pt2_hamiltonian(p2)), framed(SIGMA3, SIGMA3), framed(*pseudo)
+
+
+class TestClosedFormInvolution:
+    """PT -> pseudo on a simple spectrum decides the family in eigen-coordinates
+    before the screen: a proven miss says so, and an involution the screen
+    misses is built in closed form."""
+
+    def test_simple_real_spectrum_has_none(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        S = rng.normal(size=(3, 3))
+        H = (S @ np.diag([-1.0, 0.5, 2.0]) @ np.linalg.inv(S)).astype(complex)  # real: PT-symmetric under 1
+        assert reference_convert(H, np.eye(3), True).Q is None
+        monkeypatch.setattr(convert, "witness_space", no_witness_space)
+        result = pt_to_pseudo(np.eye(3), H)
+        assert result.Q is None and not result.degenerate and result.note == NONE_EXISTS
+
+    def test_sigma1_direct_sum_converts(self):
+        """diag(0.3 +- 0.7i, -1 +- 0.2i) under sigma1 + sigma1, which is a
+        Hermitian involution for it as well: the screen misses it, and each
+        pair of the closed form keeps a free phase, set to 0."""
+        sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]])
+        P = np.kron(np.eye(2), sigma1)
+        H = np.diag([0.3 + 0.7j, 0.3 - 0.7j, -1.0 + 0.2j, -1.0 - 0.2j])
+        assert reference_convert(H, P, True).Q is None
+        result = pt_to_pseudo(P, H)
+        assert result.target_kind_satisfied and result.hermitian and result.involutory and result.note is None
+        np.testing.assert_allclose(result.Q, P, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(result.witness.conj() @ P, result.Q, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("broken", [False, True])
+    def test_near_coincident_direct_sums_never_say_none(self, broken):
+        """Direct sums in real orthogonal frames hold a Hermitian involution
+        by construction; with eigenvalues of the two blocks 1e-10 to 1e-6
+        apart, whose eigenvectors rounding can mix, the answer is that
+        involution or "not found", never "none exists"."""
+        rng = np.random.default_rng(7 + broken)
+        for gap in np.geomspace(1e-10, 1e-6, 5):
+            for _ in range(3):
+                H, P, Q = pt2_direct_sum(rng, gap, broken)
+                assert np.abs(Q @ Q - np.eye(4)).max() < 1e-12 and np.abs(Q - Q.conj().T).max() < 1e-12
+                assert np.abs(Q @ H - H.conj().T @ Q).max() < 1e-12
+                result = pt_to_pseudo(P, H)
+                assert result.note != NONE_EXISTS
+                assert result.Q is None or result.target_kind_satisfied
+
+    def test_near_coincident_pseudo_orthogonal_frames_never_say_none(self):
+        """S diag(lam) inv(S) with S real and E-orthogonal (S^T E S = E, E =
+        diag(1, -1, 1, -1)) is real, so PT-symmetric under 1, and E is a
+        Hermitian involution for it.  Its eigenvectors are not orthogonal,
+        so when two eigenvalues are 1e-10 to 1e-6 apart, rounding mixes
+        eigenvectors inside one tree of the closed form: the eigenvector
+        sensitivity eps ||H|| kappa / gap must keep the answer from "none
+        exists" (without it 11 of these 20 draws said so)."""
+        E = np.diag([1.0, -1.0, 1.0, -1.0])
+        rng = np.random.default_rng(5)
+        for gap in np.geomspace(1e-10, 1e-6, 5):
+            for _ in range(4):
+                W = rng.normal(size=(4, 4))
+                S = matrix_exponential(0.4 * E @ (W - W.T)).real
+                values = rng.permutation(4) + rng.uniform(-0.2, 0.2, 4)
+                values[1] = values[0] + gap
+                H = (S @ np.diag(values) @ np.linalg.inv(S)).astype(complex)
+                assert np.abs(E @ H @ E - H.conj().T).max() < 1e-12
+                result = pt_to_pseudo(np.eye(4), H)
+                assert result.note != NONE_EXISTS
+                assert result.Q is None or result.target_kind_satisfied
+
+
 class TestPseudoToPt:
     def test_base_catalog_operator_recovered(self):
         p = cat.Pt2Params(e=0.1, gamma=2.0, rho=1.0, delta=0.8)
@@ -589,10 +692,20 @@ class TestScreenAgainstScalarHunt:
     @pytest.mark.parametrize("kind, n", SCREEN_CASES)
     def test_byte_equal_results(self, kind, n):
         """Byte-equal to the hunt (pt_block and known draws at n >= 3 and
-        pt_jordan at n >= 5 miss the head and reach the closed-form rows)."""
+        pt_jordan at n >= 5 miss the head and reach the closed-form rows),
+        but where PT -> pseudo decides a simple spectrum the hunt misses:
+        a proven miss differs in its note alone, and a closed-form
+        involution (known draws whose eigenvector blocks are orthogonal) is
+        certified."""
         for H, P, to_pseudo in screen_draws(kind, n, 4, seed=1000 * n + len(kind)):
             fn = pt_to_pseudo if to_pseudo else pseudo_to_pt
-            assert_bytes_equal(fn(P, H), reference_convert(H, P, to_pseudo))
+            result, reference = fn(P, H), reference_convert(H, P, to_pseudo)
+            if reference.Q is None and result.note == NONE_EXISTS:
+                result = dataclasses.replace(result, note=reference.note)
+            elif reference.Q is None and result.Q is not None:
+                assert to_pseudo and result.target_kind_satisfied and result.note is None
+                continue
+            assert_bytes_equal(result, reference)
 
     def test_degenerate_family(self):
         p = cat.Pt2Params(e=0.0, gamma=1.0, rho=2.0, delta=np.pi / 3)
@@ -602,15 +715,22 @@ class TestScreenAgainstScalarHunt:
         assert_bytes_equal(result, reference_convert(H, PSEUDO_P0, False))
 
     def test_outcome_mix(self):
-        """The draws above reach a hit in the head, a miss in the head and in
-        the closed-form rows (no combination of the family squares to a
-        multiple of 1, so no row could hit or flag one), and an empty
-        constrained family."""
+        """The draws above reach a hit in the head; a miss in the head and in
+        the closed-form rows on a defective spectrum, which PT -> pseudo
+        cannot decide in closed form; on simple spectra a proven miss, and
+        a Hermitian involution the screen misses (a known draw, whose
+        eigenvector blocks are orthogonal) built in closed form; and an
+        empty constrained family."""
         H, P, _ = next(screen_draws("pt2", 2, 1, seed=2002))
         assert pt_to_pseudo(P, H).target_kind_satisfied
-        H, P, _ = next(screen_draws("known", 5, 1, seed=5005))
+        H, P, _ = next(screen_draws("pt_jordan", 5, 1, seed=5005))
         result = pt_to_pseudo(P, H)
         assert result.Q is None and not result.degenerate
+        assert result.note == "no involutory element found in the constrained family within budget"
+        H, P, _ = next(screen_draws("pt_block", 4, 1, seed=4004))
+        assert pt_to_pseudo(P, H).note == NONE_EXISTS
+        H, P, _ = next(screen_draws("known", 5, 1, seed=5005))
+        assert reference_convert(H, P, True).Q is None and pt_to_pseudo(P, H).target_kind_satisfied
         for kind in ("pseudo_block", "rotated_hermitian"):
             H, P, _ = next(screen_draws(kind, 4, 1, seed=4004))
             assert pseudo_to_pt(P, H).note == "constrained family is empty"
@@ -765,6 +885,8 @@ def test_clifford_families_byte_equal_with_the_scalar_hunt(real, n, k, change, e
     H = (0.5 * np.eye(n) if scalar_h else np.diag(rng.permutation(n) + rng.uniform(0.1, 0.4, n))).astype(complex)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(convert, "witness_space", lambda M, tol: basis)
+        # the closed form reads H's own eigenvectors, not the family given here
+        mp.setattr(convert, "_closed_form_involution", lambda M, norm, tol: None)
         fn = pseudo_to_pt if real else pt_to_pseudo
         result = fn(np.eye(n), H)
         assert_bytes_equal(result, reference_convert(H, np.eye(n), not real))

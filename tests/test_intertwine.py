@@ -190,6 +190,41 @@ def test_transpose_witness_merges_the_clusters_of_a_missed_draw(monkeypatch):
     assert np.array_equal(first.labels, labels) and np.array_equal(first.U, U)
 
 
+def test_transpose_witness_merges_after_a_missed_residual(monkeypatch):
+    """The same input, with the first similarity residual of a draw on the
+    first frame reported as a miss while the solutions stay exact: the
+    clusters whose elements leave at least half the largest intertwining
+    gap are named and merged, and the merged, non-final frame gives a
+    witness within the cut with sigma_min / sigma_max > 1e-3.  The record
+    keeps its first frame as it was."""
+    rng = np.random.default_rng(31)
+    T = np.eye(4) + 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    B = T @ (np.diag([0.5, 0.5, 2.0, -1.0]) + np.diag([1.0, 0.0, 0.0], k=1)) @ np.linalg.inv(T)
+    record = numerics._eigenpairs(B, adjoint=True)
+    first = intertwine.cluster_frame(record, frobenius(B), DEFAULT_TOL)
+    U, labels = first.U.copy(), first.labels.copy()
+    solved, residuals = [], []
+    residual, frame_space = convert._similarity_residual, convert._frame_space
+
+    def spoiled(A, M, scale):
+        value = residual(A, M, scale)
+        if len(solved) == 1:  # a draw on the first frame
+            residuals.append(value)
+            return 1.0 if len(residuals) == 1 else value
+        return value
+
+    monkeypatch.setattr(convert, "_similarity_residual", spoiled)
+    monkeypatch.setattr(convert, "_frame_space", lambda frame, *args: solved.append(frame) or frame_space(frame, *args))
+    witness = transpose_matrix(B)
+    assert len(residuals) == 1 and residuals[0] <= 1e-10  # the draw met the cut; the miss was forced
+    assert len(solved) == 2 and solved[0] is first and not solved[1].final
+    assert len(np.unique(solved[1].labels)) < len(np.unique(first.labels))
+    s = np.linalg.svd(witness.A, compute_uv=False)
+    assert witness.residual <= 1e-10 and s[-1] > 1e-3 * s[0]
+    assert intertwine.cluster_frame(record, frobenius(B), DEFAULT_TOL) is first
+    assert np.array_equal(first.labels, labels) and np.array_equal(first.U, U)
+
+
 def test_evicted_records_are_freed_by_reference_counting():
     """What the shared eigen records keep (clusters, frame, Schur form)
     refers to their arrays, never to a record: with the garbage collector
