@@ -179,7 +179,11 @@ def _complex_pair(z) -> list:
 
 
 def _tolerances(args) -> ToleranceConfig:
-    return ToleranceConfig(abs_tol=args.tol_abs, rel_tol=args.tol_rel)
+    try:
+        return ToleranceConfig(abs_tol=args.tol_abs, rel_tol=args.tol_rel)
+    except ContractError as exc:  # the message starts with the field's name
+        flag = "--tol-abs" if str(exc).startswith("abs_tol") else "--tol-rel"
+        raise CliError(EXIT_PARSE, f"{flag}: {exc}")
 
 
 def _seed(args) -> int:
@@ -600,13 +604,13 @@ def cmd_convert(args) -> int:
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            z = complex(*map(float, parts))
+            if np.isfinite(z):
+                return z
     except ValueError:
         pass
-    raise CliError(EXIT_PARSE, f"expected 're' or 're,im', got {text!r}")
+    raise CliError(EXIT_PARSE, f"--eigenvalue expects finite 're' or 're,im', got {text!r}")
 
 
 @np.errstate(over="ignore")
@@ -614,6 +618,8 @@ def cmd_jordan(args) -> int:
     tol = _tolerances(args)
     H = load_matrix(args.matrix)
     lam = _parse_complex(args.eigenvalue)
+    if not np.isfinite(args.alpha):
+        raise CliError(EXIT_PARSE, f"--alpha must be finite, got {args.alpha!r}")
     try:
         chain = jordan_chain(H, lam, tol)
     except (ContractError, DimensionError) as exc:

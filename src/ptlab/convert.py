@@ -27,19 +27,17 @@ The conversions ride on the witness space:
 
 For the first two, Hermiticity/reality are real-linear constraints stacked
 onto the witness coefficients.  The involution is screened over candidate
-rows, all deterministic: the head (the identity when it lies in the family,
-the family basis, a traceless slice), then at most two closed-form rows, the
-top eigenvectors of C_ij = Re tr(F_i F_j) / n on the traceless slice and on
-the whole family.  When every F_i F_j + F_j F_i is 2 C_ij 1 (a Clifford
-family), Q(z)^2 = (z^T C z) 1, so an involution exists exactly when C has a
-positive eigenvalue, and its top eigenvector is one; on any other family the
-combinations squaring to a multiple of 1 lie on a proper algebraic subset.
-The traceless slice is built only when the rows before it miss, the
-closed-form rows only when the whole head misses.  The head's first three
-rows and the closed-form rows are taken one at a time, the rest of the head
-as one stack of coefficient rows screened with array operations.  The first
-hit is rescaled to Q^2 = 1 whenever Q^2 is a positive multiple of the
-identity.
+rows, all deterministic, in one loop over a lazy sequence: the identity when
+it lies in the family, the family basis, a traceless slice, then at most two
+closed-form rows, the top eigenvectors of C_ij = Re tr(F_i F_j) / n on the
+traceless slice and on the whole family.  When every F_i F_j + F_j F_i is
+2 C_ij 1 (a Clifford family), Q(z)^2 = (z^T C z) 1, so an involution exists
+exactly when C has a positive eigenvalue, and its top eigenvector is one; on
+any other family the combinations squaring to a multiple of 1 lie on a
+proper algebraic subset.  Each row is built only once every row before it
+has missed, and each goes through the cuts once.  The first row whose Q^2
+is a positive multiple of the identity, rescaled to Q^2 = 1, and whose Q
+intertwines is the hit.
 
 PT -> pseudo decides its family in eigen-coordinates first, whenever H has
 a simple spectrum with well-conditioned eigenvectors and an exact conjugate
@@ -315,20 +313,20 @@ def _qualifies(Q: np.ndarray, record, target_kind: SymmetryKind, M: np.ndarray, 
     return ok and check_symmetry(target_kind, _recorded(InvolutionOperator(record.kind, Q), record), M, tol).holds
 
 
-class _Direction(enum.Enum):
-    PT_TO_PSEUDO = "pt_to_pseudo"
-    PSEUDO_TO_PT = "pseudo_to_pt"
+def _verdicts(herm_res: float, inv_res: float, tol: ToleranceConfig):
+    """(hermitian, involutory): the two verdict cuts of every conversion's Q."""
+    return herm_res <= max(tol.abs_tol, 1e-9), inv_res <= max(tol.abs_tol, 1e-8)
 
 
-def _convert(H, P, direction: _Direction, tol) -> ConversionResult:
+def _convert(H, P, target_kind: SymmetryKind, tol) -> ConversionResult:
     M = as_square_matrix(H, "H")
     n = M.shape[0]
     norm = frobenius(M)
     scale = max(norm, 1.0)
     eye = np.eye(n)
 
-    if direction is _Direction.PT_TO_PSEUDO:
-        target_kind, op_kind, structure = SymmetryKind.PSEUDO, InvolutionKind.HERMITIAN_INVOLUTION, "hermiticity"
+    if target_kind is SymmetryKind.PSEUDO:
+        op_kind, structure = InvolutionKind.HERMITIAN_INVOLUTION, "hermiticity"
         def build_q(A):
             return A.conj() @ P
         def structure_gap(Q):
@@ -336,7 +334,7 @@ def _convert(H, P, direction: _Direction, tol) -> ConversionResult:
         def intertwine_gap(Q):
             return Q @ M - M.conj().T @ Q
     else:
-        target_kind, op_kind, structure = SymmetryKind.PT, InvolutionKind.REAL_INVOLUTION, "reality"
+        op_kind, structure = InvolutionKind.REAL_INVOLUTION, "reality"
         def build_q(A):
             return P.conj() @ A
         def structure_gap(Q):
@@ -345,7 +343,7 @@ def _convert(H, P, direction: _Direction, tol) -> ConversionResult:
             return Q @ M - M.conj() @ Q
 
     # on a simple spectrum the PT -> pseudo family is decided before any screen
-    closed = _closed_form_involution(M, norm, tol) if direction is _Direction.PT_TO_PSEUDO else None
+    closed = _closed_form_involution(M, norm, tol) if target_kind is SymmetryKind.PSEUDO else None
     if closed == []:
         return _missed("no Hermitian involution exists in the constrained family")
 
@@ -355,13 +353,13 @@ def _convert(H, P, direction: _Direction, tol) -> ConversionResult:
         record = _measure(Qn, op_kind, tol)  # the one measurement of Qn
         struct_res, inv_res = record.residuals[structure], record.residuals["square"]
         herm_res = struct_res if op_kind is InvolutionKind.HERMITIAN_INVOLUTION else frobenius(Qn - Qn.conj().T)
-        int_res = frobenius(intertwine_gap(Qn)) / scale
+        hermitian, involutory = _verdicts(herm_res, inv_res, tol)
         return ConversionResult(
             Q=Qn,
-            hermitian=bool(herm_res <= max(tol.abs_tol, 1e-9)),
-            involutory=bool(inv_res <= max(tol.abs_tol, 1e-8)),
+            hermitian=bool(hermitian),
+            involutory=bool(involutory),
             target_kind_satisfied=_qualifies(Qn, record, target_kind, M, tol),
-            residuals=(float(struct_res), float(inv_res), float(int_res)),
+            residuals=(float(struct_res), float(inv_res), float(frobenius(intertwine_gap(Qn)) / scale)),
             degenerate=False,
             witness=An,
         )
@@ -378,98 +376,53 @@ def _convert(H, P, direction: _Direction, tol) -> ConversionResult:
     if fdim == 0:
         return _missed("constrained family is empty")
 
-    # the deterministic head: the identity when it lies in the family
-    # (canonical choice), the family basis, then a traceless slice
-    head = np.eye(fdim)
-    q_flat = vectorize(q_family.reshape(fdim, n, n)).T
-    target = vectorize(np.eye(n, dtype=complex))
-    z_id, *_ = np.linalg.lstsq(q_flat, target, rcond=None)
-    if np.linalg.norm(q_flat @ z_id - target) <= 1e-10 * np.sqrt(n):
-        head = np.concatenate([z_id[None], head])
-    intertwine_cut = max(tol.abs_tol * scale, 1e-10 * scale)
-
-    def cut_one(z):
-        """(Q, A) of one coefficient row, scaled to Q^2 = 1, when Q meets
-        every cut (else None), and whether Q^2 is a multiple c 1 of the
-        identity with c <= 1e-12 (vanishing or negative)."""
-        Q = (z @ q_family).reshape(n, n)
-        norm = frobenius(Q)
-        if norm <= 1e-13:
-            return None, False
-        Q = Q / norm
-        QQ = Q @ Q
-        c = complex(np.trace(QQ)) / n
-        if frobenius(QQ - c * eye) > 1e-9:
-            return None, False
-        if c.real <= 1e-12:
-            return None, True
-        root = np.sqrt(c.real)
-        Qn = Q / root
-        if frobenius(intertwine_gap(Qn)) > intertwine_cut:
-            return None, False
-        return (Qn, (z @ a_family).reshape(n, n) / norm / root), False
-
-    def screen(Z):
-        """cut_one over the rows of Z: the first row that meets every cut (or
-        None), and whether some row squared to a multiple c 1 of the identity
-        with c <= 1e-12.  Each cut is one array operation over the rows, on per-row
-        values bit-equal to those of cut_one."""
-        Q = (Z[:, None, :] @ q_family).reshape(-1, n, n)
-        norms = frobenius_norms(Q)
-        ok = norms > 1e-13
-        Q = Q / np.where(ok, norms, 1.0)[:, None, None]
-        QQ = Q @ Q
-        trace = np.trace(QQ, axis1=1, axis2=2)  # the summation order of np.trace(Q @ Q)
-        c_re, c_im = trace.real / n, trace.imag / n
-        ok &= frobenius_norms(QQ - (c_re + 1j * c_im)[:, None, None] * eye) <= 1e-9
-        vanishing = ok & (c_re <= 1e-12)
-        ok &= ~vanishing
-        if ok.any():
-            Qn = Q / np.sqrt(np.where(ok, c_re, 1.0))[:, None, None]
-            ok &= frobenius_norms(intertwine_gap(Qn)) <= intertwine_cut
-        hits = np.flatnonzero(ok)
-        return (int(hits[0]) if hits.size else None), bool(vanishing.any())
-
-    def first_hit(Z, singles):
-        """cut_one's result for the first row of Z that meets every cut (or
-        None), and whether some row squared to a multiple c 1 of the identity
-        with c <= 1e-12; the first `singles` rows are taken one at a time, the
-        rest as one stack."""
-        saw_vanishing = False
-        for z in Z[:singles]:
-            hit, vanishing = cut_one(z)
-            if hit is not None:
-                return hit, saw_vanishing
-            saw_vanishing |= vanishing
-        if len(Z) <= singles:
-            return None, saw_vanishing
-        k, vanishing = screen(Z[singles:])
-        return (None if k is None else cut_one(Z[singles + k])[0]), saw_vanishing or vanishing
-
-    # a stack costs about as much as three rows that miss one at a time, so
-    # the head's first three rows (where the pt2, pseudo2 and pt_jordan
-    # conversions hit) go singly; the traceless slice is built only when the
-    # rows before it miss, the closed-form rows only when the whole head
-    # misses, and only for a slice or family of more than one element (a
-    # one-element one has only multiples of its head row)
-    hit, saw_degenerate = first_hit(head, 3)
-    if hit is None:
+    def rows():
+        """The coefficient rows, in order, each built only once every row
+        before it has missed: the identity when it lies in the family
+        (canonical choice), the family basis, the traceless slice, then,
+        for a family of more than one element (a one-element one has only
+        multiples of its basis row), the closed-form rows."""
+        q_flat = vectorize(q_family.reshape(fdim, n, n)).T
+        target = vectorize(np.eye(n, dtype=complex))
+        z_id, *_ = np.linalg.lstsq(q_flat, target, rcond=None)
+        if np.linalg.norm(q_flat @ z_id - target) <= 1e-10 * np.sqrt(n):
+            yield z_id
+        yield from np.eye(fdim)
         traces = np.trace(q_family.reshape(fdim, n, n), axis1=1, axis2=2).real
         tnull = np.zeros((fdim, 0))
         if np.any(np.abs(traces) > 1e-14):
             _, tnull = rank_and_nullspace(traces.reshape(1, -1), tol)
-        hit, vanished = first_hit(np.concatenate([head[3:], tnull.T]), max(0, 3 - len(head)))
-        saw_degenerate |= vanished
-    if hit is None and fdim > 1:
-        # C_ij = Re tr(F_i F_j) / n: on a Clifford family Q(z)^2 = (z^T C z) 1,
-        # so the top eigenvector of C hits whenever any row does
-        C = (q_family @ q_family.reshape(fdim, n, n).swapaxes(1, 2).reshape(fdim, n * n).T).real / n
-        rows = [tnull @ np.linalg.eigh(tnull.T @ C @ tnull)[1][:, -1]] if tnull.shape[1] > 1 else []
-        hit, vanished = first_hit(np.array(rows + [np.linalg.eigh(C)[1][:, -1]]), 2)
-        saw_degenerate |= vanished
+        yield from tnull.T
+        if fdim > 1:
+            # C_ij = Re tr(F_i F_j) / n: on a Clifford family Q(z)^2 = (z^T C z) 1,
+            # so the top eigenvector of C hits whenever any row does
+            C = (q_family @ q_family.reshape(fdim, n, n).swapaxes(1, 2).reshape(fdim, n * n).T).real / n
+            if tnull.shape[1] > 1:
+                yield tnull @ np.linalg.eigh(tnull.T @ C @ tnull)[1][:, -1]
+            yield np.linalg.eigh(C)[1][:, -1]
 
-    if hit is not None:
-        return certified(*hit)
+    # the first row whose Q, scaled to Q^2 = 1, meets every cut is the hit;
+    # a Q^2 = c 1 with c <= 1e-12 (vanishing or negative) marks the miss degenerate
+    intertwine_cut = max(tol.abs_tol * scale, 1e-10 * scale)
+    saw_degenerate = False
+    for z in rows():
+        Q = (z @ q_family).reshape(n, n)
+        size = frobenius(Q)
+        if size <= 1e-13:
+            continue
+        Q = Q / size
+        QQ = Q @ Q
+        c = complex(np.trace(QQ)) / n
+        if frobenius(QQ - c * eye) > 1e-9:
+            continue
+        if c.real <= 1e-12:
+            saw_degenerate = True
+            continue
+        root = np.sqrt(c.real)
+        Q = Q / root
+        if frobenius(intertwine_gap(Q)) <= intertwine_cut:
+            return certified(Q, (z @ a_family).reshape(n, n) / size / root)
+
     if closed:  # the screen missed a closed-form candidate: Q = conj(A) P
         result = certified(closed[0], (closed[0] @ np.linalg.inv(P)).conj())
         if result.target_kind_satisfied:
@@ -494,7 +447,7 @@ def pt_to_pseudo(P, H, tol: ToleranceConfig = DEFAULT_TOL) -> ConversionResult:
     report = check_symmetry(SymmetryKind.PT, P, H, tol)  # judged from P's record when it has one
     if not report.holds:
         raise ContractError(f"H is not symmetric under the given parity (residual {report.residual:.3e})")
-    return _convert(H, operator_matrix(P), _Direction.PT_TO_PSEUDO, tol)
+    return _convert(H, operator_matrix(P), SymmetryKind.PSEUDO, tol)
 
 
 def pseudo_to_pt(Ptilde, H, tol: ToleranceConfig = DEFAULT_TOL) -> ConversionResult:
@@ -507,7 +460,7 @@ def pseudo_to_pt(Ptilde, H, tol: ToleranceConfig = DEFAULT_TOL) -> ConversionRes
     report = check_symmetry(SymmetryKind.PSEUDO, Ptilde, H, tol)  # judged from Ptilde's record when it has one
     if not report.holds:
         raise ContractError(f"H is not pseudo-Hermitian under the given metric (residual {report.residual:.3e})")
-    return _convert(H, operator_matrix(Ptilde), _Direction.PSEUDO_TO_PT, tol)
+    return _convert(H, operator_matrix(Ptilde), SymmetryKind.PT, tol)
 
 
 def _simple_spectrum(M: np.ndarray, norm: float, tol: ToleranceConfig):
@@ -789,8 +742,7 @@ def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DE
             record = _measure(Qp, InvolutionKind.HERMITIAN_INVOLUTION, tol)  # the one measurement of Qp
             herm, inv = record.residuals["hermiticity"], record.residuals["square"]
             inter = frobenius(Qp @ M.conj().T - M @ Qp) / scale
-            is_herm = herm <= max(tol.abs_tol, 1e-9)
-            is_inv = inv <= max(tol.abs_tol, 1e-8)
+            is_herm, is_inv = _verdicts(herm, inv, tol)
             target_ok = bool(is_herm and is_inv and _qualifies(Qp, record, SymmetryKind.PSEUDO, M, tol))
             key = (target_ok, is_herm, is_inv, -(herm + inv + inter))
             entry = (key, Qp, Ap, (float(herm), float(inv), float(inter)), is_herm, is_inv, target_ok)

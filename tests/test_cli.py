@@ -102,6 +102,23 @@ class TestClassify:
             code, out, err = run(capsys, *argv)
             assert (code, out) == (2, "") and message in err, argv
 
+    @pytest.mark.parametrize("flags, flag", [
+        (["--eigenvalue", "nan"], "--eigenvalue"),
+        (["--eigenvalue", "1,nan"], "--eigenvalue"),
+        (["--eigenvalue", "1", "--alpha", "nan"], "--alpha"),
+        (["--eigenvalue", "1", "--alpha", "inf"], "--alpha"),
+        (["--eigenvalue", "1", "--tol-abs", "nan"], "--tol-abs"),
+        (["--eigenvalue", "1", "--tol-abs=-1e-10"], "--tol-abs"),
+        (["--eigenvalue", "1", "--tol-rel", "inf"], "--tol-rel"),
+    ], ids=["nan-eigenvalue", "nan-imaginary-part", "nan-alpha", "inf-alpha", "nan-tol-abs", "negative-tol-abs",
+            "inf-tol-rel"])
+    def test_non_finite_flag_exits_2_naming_the_flag(self, tmp_path, capsys, flags, flag):
+        """Checked on the J2 document [[1, 1], [0, 1]], where every flag but
+        the bad one gives a chain."""
+        H = write_matrix(tmp_path, "h.json", [[1.0, 1.0], [0.0, 1.0]])
+        code, out, err = run(capsys, "jordan", "--matrix", H, *flags)
+        assert (code, out) == (2, "") and err.startswith(f"error: {flag}")
+
     def test_integral_float_size_is_read_as_an_integer(self, tmp_path, capsys):
         doc = tmp_path / "h.json"
         doc.write_text(json.dumps({"rows": 1.0, "cols": 1, "data": [[[1, 0]]]}), encoding="utf-8")

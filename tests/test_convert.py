@@ -1,7 +1,10 @@
 """Transpose witnesses and the three conversion directions."""
 
 import dataclasses
+import hashlib
+import json
 import os
+import pathlib
 import subprocess
 import sys
 import textwrap
@@ -35,6 +38,7 @@ NONE_EXISTS = "no Hermitian involution exists in the constrained family"
 SIGMA3 = np.diag([1.0, -1.0]).astype(complex)
 PSEUDO_P0 = make_diagonal_parity(1, 1, InvolutionKind.HERMITIAN_INVOLUTION)
 SIGMA3_CORE = InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=SIGMA3)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def reference_convert(H, P, to_pseudo, tol=DEFAULT_TOL):
@@ -590,7 +594,9 @@ def screen_draws(kind, n, count, seed):
     """(H, source operator, PT -> pseudo?) draws of the classes the
     conversions meet: hits in the head, empty families, and misses in the
     head whose family and traceless slice each hold a product of two elements
-    that is no multiple of the identity, where the closed-form rows miss too.
+    that is no multiple of the identity, where the closed-form rows miss too;
+    derogatory real matrices (J2 blocks at one eigenvalue, P = 1) give the
+    long families of those misses.
     A degenerate family and a hit in the closed-form rows (which no natural
     draw tried reaches) are built by hand below."""
     rng = np.random.default_rng(seed)
@@ -624,11 +630,16 @@ def screen_draws(kind, n, count, seed):
             H = ptlab.construct_rotated_hermitian(ptlab.RotatedHermitianParams(
                 n=n, a=rng.normal(size=(n, n)), b=rng.normal(size=(n, n))))
             yield H, make_sip(n), False
+        elif kind == "derogatory":  # J2 blocks (and a J1 at odd n) at one real eigenvalue, in a real frame
+            D = rng.uniform(-2.0, 2.0) * np.eye(n) + np.diag(np.arange(n - 1) % 2 == 0, 1)
+            S = np.linalg.qr(rng.normal(size=(n, n)))[0] @ np.diag(rng.uniform(0.5, 2.0, n))
+            yield S @ D @ np.linalg.inv(S), make_diagonal_parity(n, 0), True
 
 
 SCREEN_CASES = ([("pt2", 2), ("pt2_chart", 2), ("pseudo2", 2)]
                 + [(kind, n) for kind in ("pt_block", "known", "pt_jordan") for n in range(2, 7)]
-                + [(kind, n) for kind in ("pseudo_block", "rotated_hermitian") for n in range(3, 7)])
+                + [(kind, n) for kind in ("pseudo_block", "rotated_hermitian") for n in range(3, 7)]
+                + [("derogatory", n) for n in range(4, 9)])
 
 
 PARITY_CASES = ([("pt2", 2), ("pseudo2", 2)]
@@ -664,6 +675,46 @@ def test_mixed_spectrum_conversion_builds_no_kronecker_system(monkeypatch):
     assert shapes and max(shape[-1] for shape in shapes) < n * n
 
 
+# the kinds whose gen-PT unit witnesses come in closed form; the others go to
+# the least-squares search, 0.1-1.5 s a call
+CLOSED_FORM_GENPT_KINDS = ("pt2", "pt2_chart", "pt_block")
+
+
+def conversion_hashes():
+    """{"kind/n": [sha256, ...]} over two SCREEN_CASES draws per case: the
+    conversion from each draw's source operator, then, on the
+    CLOSED_FORM_GENPT_KINDS, gen_pt_to_pseudo with the parity as the core.
+    Each hash covers every field of the ConversionResult, arrays by dtype,
+    shape and bytes, the rest by repr.  Recapture tests/golden/
+    convert_hashes.json with json.dumps(conversion_hashes(), indent=2) + "\\n"."""
+    def digest(result):
+        h = hashlib.sha256()
+        for field in dataclasses.fields(ConversionResult):
+            value = getattr(result, field.name)
+            if isinstance(value, (np.ndarray, tuple)):
+                value = np.asarray(value)
+                h.update(f"{field.name}:{value.dtype.str}{value.shape}:".encode() + value.tobytes())
+            else:
+                h.update(f"{field.name}:{value!r}".encode())
+        return h.hexdigest()
+
+    hashes = {}
+    for kind, n in SCREEN_CASES:
+        row = hashes[f"{kind}/{n}"] = []
+        for H, P, to_pseudo in screen_draws(kind, n, 2, seed=6000 + 10 * n + len(kind)):
+            row.append(digest((pt_to_pseudo if to_pseudo else pseudo_to_pt)(P, H)))
+            if kind in CLOSED_FORM_GENPT_KINDS:
+                row.append(digest(gen_pt_to_pseudo(InvolutionOperator(InvolutionKind.ANTILINEAR_CORE,
+                                                                      operator_matrix(P)), H)))
+    return hashes
+
+
+def test_conversions_match_the_golden_hashes():
+    """Every field of every conversion in conversion_hashes is byte-equal to
+    the capture in tests/golden/convert_hashes.json."""
+    assert conversion_hashes() == json.loads((GOLDEN / "convert_hashes.json").read_text(encoding="utf-8"))
+
+
 def spy_on_generators(monkeypatch):
     """The seeds of the random generators that ptlab code builds, in call
     order."""
@@ -680,8 +731,8 @@ def spy_on_generators(monkeypatch):
 
 
 class TestScreenAgainstScalarHunt:
-    """The stacked screen returns what the one-at-a-time hunt returned, and
-    no conversion builds a random generator."""
+    """The screen returns what the reference hunt returns, and no conversion
+    builds a random generator."""
 
     @pytest.fixture(autouse=True)
     def no_generators(self, monkeypatch):
@@ -776,29 +827,35 @@ class TestScreenAgainstScalarHunt:
         np.testing.assert_array_equal(result.Q, sigma1)
         assert_bytes_equal(result, reference_convert(H, np.eye(2), False))
 
-    def test_hit_in_the_stacked_head(self, monkeypatch):
+    def test_hit_in_the_traceless_slice(self, monkeypatch):
         """The family spanned by 1 and sigma3 + 1/2, with H = sigma2 / 2:
         the identity (row 0) does not commute past H, the family basis (rows
         1 and 2) holds no involution, and the traceless slice (row 3,
-        sigma3 up to sign whatever basis the SVD picks) hits in the stacked
-        rest of the head."""
+        sigma3 up to sign whatever basis the SVD picks) hits.  The slice is
+        built (a second rank_and_nullspace call) only after those rows miss:
+        with H = sigma3 / 2 the identity hits and it is not built."""
         sigma2 = np.array([[0.0, -1j], [1j, 0.0]])
         basis = np.array([np.eye(2), SIGMA3 + 0.5 * np.eye(2)], dtype=complex)
         monkeypatch.setattr(convert, "witness_space", lambda M, tol: basis)
-        stacks = []
-        norms = convert.frobenius_norms
-        monkeypatch.setattr(convert, "frobenius_norms", lambda S: stacks.append(len(S)) or norms(S))
+        systems = []
+        rank_and_nullspace = convert.rank_and_nullspace
+        monkeypatch.setattr(convert, "rank_and_nullspace",
+                            lambda A, tol: systems.append(A.shape) or rank_and_nullspace(A, tol))
+        np.testing.assert_allclose(pseudo_to_pt(np.eye(2), 0.5 * SIGMA3).Q, np.eye(2), rtol=0, atol=1e-15)
+        assert len(systems) == 1
+        systems.clear()
         H = 0.5 * sigma2
         result = pseudo_to_pt(np.eye(2), H)
         np.testing.assert_allclose(np.abs(result.Q), np.eye(2), rtol=0, atol=1e-15)
-        assert stacks and max(stacks) == 1  # the rest of the head, not the tail
+        assert systems[1:] == [(1, 2)]  # the trace row of the two-element family
         assert_bytes_equal(result, reference_convert(H, np.eye(2), False))
 
     def test_traceless_row_among_the_single_rows(self, monkeypatch):
         """A two-element family without the identity, spanned by
         sigma1 + 1/2 and sigma3 + 1/2, with H = (sigma1 - sigma3) / 2: the
         basis rows miss, and the traceless row, built only then, is the
-        head's third row and is taken singly, as pt2 conversions hit."""
+        third row and hits, as pt2 conversions do; no stack of rows is
+        measured."""
         sigma1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
         basis = np.array([sigma1 + 0.5 * np.eye(2), SIGMA3 + 0.5 * np.eye(2)])
         monkeypatch.setattr(convert, "witness_space", lambda M, tol: basis)
@@ -812,10 +869,10 @@ class TestScreenAgainstScalarHunt:
         assert_bytes_equal(result, reference_convert(H, np.eye(2), False))
 
     def test_vanishing_row_among_the_single_rows(self, monkeypatch):
-        """A family with the nilpotent E13 among the head's first three rows
-        and no other element squaring to a vanishing multiple of the identity
-        (traceless combinations of E13 and the trace -1 element included):
-        there is no hit, and `degenerate` comes from a row taken singly."""
+        """A family with the nilpotent E13 among its basis rows and no other
+        element squaring to a vanishing multiple of the identity (traceless
+        combinations of E13 and the trace -1 element included): there is no
+        hit, and `degenerate` comes from that basis row."""
         nilpotent = np.zeros((3, 3))
         nilpotent[0, 2] = 1.0
         basis = np.array([[[1, 2, -2], [-2, 1, -1], [0, -2, 2]], nilpotent,
