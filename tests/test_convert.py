@@ -680,24 +680,31 @@ def test_mixed_spectrum_conversion_builds_no_kronecker_system(monkeypatch):
 CLOSED_FORM_GENPT_KINDS = ("pt2", "pt2_chart", "pt_block")
 
 
+def digest(result):
+    """sha256 over every field of a result dataclass that its repr shows, or
+    over a bare value (an array, None, an exception): arrays and tuples by
+    dtype, shape and bytes, the rest by repr."""
+    h = hashlib.sha256()
+    if dataclasses.is_dataclass(result):
+        items = [(field.name, getattr(result, field.name)) for field in dataclasses.fields(result) if field.repr]
+    else:
+        items = [("value", result)]
+    for name, value in items:
+        if isinstance(value, (np.ndarray, tuple)):
+            value = np.asarray(value)
+            h.update(f"{name}:{value.dtype.str}{value.shape}:".encode() + value.tobytes())
+        else:
+            h.update(f"{name}:{value!r}".encode())
+    return h.hexdigest()
+
+
 def conversion_hashes():
     """{"kind/n": [sha256, ...]} over two SCREEN_CASES draws per case: the
     conversion from each draw's source operator, then, on the
     CLOSED_FORM_GENPT_KINDS, gen_pt_to_pseudo with the parity as the core.
-    Each hash covers every field of the ConversionResult, arrays by dtype,
-    shape and bytes, the rest by repr.  Recapture tests/golden/
-    convert_hashes.json with json.dumps(conversion_hashes(), indent=2) + "\\n"."""
-    def digest(result):
-        h = hashlib.sha256()
-        for field in dataclasses.fields(ConversionResult):
-            value = getattr(result, field.name)
-            if isinstance(value, (np.ndarray, tuple)):
-                value = np.asarray(value)
-                h.update(f"{field.name}:{value.dtype.str}{value.shape}:".encode() + value.tobytes())
-            else:
-                h.update(f"{field.name}:{value!r}".encode())
-        return h.hexdigest()
-
+    Each hash covers every field of the ConversionResult (digest).  Recapture
+    tests/golden/convert_hashes.json with
+    json.dumps(conversion_hashes(), indent=2) + "\\n"."""
     hashes = {}
     for kind, n in SCREEN_CASES:
         row = hashes[f"{kind}/{n}"] = []
@@ -713,6 +720,57 @@ def test_conversions_match_the_golden_hashes():
     """Every field of every conversion in conversion_hashes is byte-equal to
     the capture in tests/golden/convert_hashes.json."""
     assert conversion_hashes() == json.loads((GOLDEN / "convert_hashes.json").read_text(encoding="utf-8"))
+
+
+def random_draws(count_per_n=20, seed=2100):
+    """count_per_n matrices at each n = 1..8, cycling through four recipes:
+    a real Gaussian matrix, a complex Gaussian one, a real one in a complex
+    frame (similar to a real matrix, so it has a gen-PT core), and a
+    Hermitian one."""
+    rng = np.random.default_rng(seed)
+    for n in range(1, 9):
+        for k in range(count_per_n):
+            R, X = rng.normal(size=(n, n)), rng.normal(size=(n, n))
+            if k % 4 == 0:
+                yield R.astype(complex)
+            elif k % 4 == 1:
+                yield R + 1j * X
+            elif k % 4 == 2:
+                S = np.eye(n) + 0.4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+                yield S @ R @ np.linalg.inv(S)
+            else:
+                yield 0.5 * (R + 1j * X + (R + 1j * X).conj().T)
+
+
+def library_hashes():
+    """{"kind/n" or "random/n": [[sha256] * 5, ...]}: per draw, one digest each of
+    classify_spectrum, solve_metric_space, transpose_matrix,
+    find_gen_pt_operator (its kind and matrix, None, or the exception it
+    raises) and witness_space, over two SCREEN_CASES draws per case and the
+    160 random_draws.  Recapture tests/golden/library_hashes.json with
+    json.dumps(library_hashes(), indent=2) + "\\n"."""
+    def outputs(H):
+        def guarded(fn):
+            try:
+                return fn(H)
+            except ptlab.PtlabError as exc:
+                return exc
+        return [digest(guarded(fn)) for fn in (ptlab.classify_spectrum, ptlab.solve_metric_space,
+                                               ptlab.transpose_matrix, ptlab.find_gen_pt_operator, witness_space)]
+
+    hashes = {}
+    for kind, n in SCREEN_CASES:
+        hashes[f"{kind}/{n}"] = [outputs(H) for H, _, _ in screen_draws(kind, n, 2, seed=9000 + 10 * n + len(kind))]
+    for H in random_draws():
+        hashes.setdefault(f"random/{H.shape[0]}", []).append(outputs(H))
+    return hashes
+
+
+def test_library_outputs_match_the_golden_hashes():
+    """The spectrum report, metric solution, transpose witness, gen-PT core
+    and witness-space basis of every draw in library_hashes are byte-equal
+    to the capture in tests/golden/library_hashes.json."""
+    assert library_hashes() == json.loads((GOLDEN / "library_hashes.json").read_text(encoding="utf-8"))
 
 
 def spy_on_generators(monkeypatch):
