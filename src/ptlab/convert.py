@@ -49,8 +49,11 @@ outcomes, in this order:
 1. "no Hermitian involution exists in the constrained family": the check
    misses by far more than rounding, or than the eigenvector sensitivity of
    near-coincident eigenvalues could explain; no witness space is built.
-2. A certified Q: the screen's first hit, as above; where the screen
-   misses, the closed-form candidate when it certifies.
+2. A certified Q.  When the phase walk joins every eigenvector into one
+   tree, the Hermitian involution is unique up to sign, and the
+   closed-form candidate is returned when it certifies, with no witness
+   space or screen built.  Otherwise the screen's first hit, as above;
+   where the screen misses, the closed-form candidate when it certifies.
 3. "no involutory element found in the constrained family within budget":
    clustered, defective, ill-conditioned or near-coincident spectra, which
    the closed form cannot decide, when the screen misses too.
@@ -343,7 +346,7 @@ def _convert(H, P, target_kind: SymmetryKind, tol) -> ConversionResult:
             return Q @ M - M.conj() @ Q
 
     # on a simple spectrum the PT -> pseudo family is decided before any screen
-    closed = _closed_form_involution(M, norm, tol) if target_kind is SymmetryKind.PSEUDO else None
+    closed, one_tree = _closed_form_involution(M, norm, tol) if target_kind is SymmetryKind.PSEUDO else (None, False)
     if closed == []:
         return _missed("no Hermitian involution exists in the constrained family")
 
@@ -363,6 +366,15 @@ def _convert(H, P, target_kind: SymmetryKind, tol) -> ConversionResult:
             degenerate=False,
             witness=An,
         )
+
+    def closed_form():
+        """The closed-form candidate Q = conj(A) P when it certifies, else None."""
+        result = certified(closed[0], (closed[0] @ np.linalg.inv(P)).conj())
+        return result if result.target_kind_satisfied else None
+
+    # on one tree the Hermitian involution is unique up to sign: no screen
+    if one_tree and (result := closed_form()) is not None:
+        return result
 
     basis = witness_space(M, tol)
     directions = np.stack([basis, 1j * basis], 1).reshape(-1, n, n)  # real span of the witnesses
@@ -423,10 +435,8 @@ def _convert(H, P, target_kind: SymmetryKind, tol) -> ConversionResult:
         if frobenius(intertwine_gap(Q)) <= intertwine_cut:
             return certified(Q, (z @ a_family).reshape(n, n) / size / root)
 
-    if closed:  # the screen missed a closed-form candidate: Q = conj(A) P
-        result = certified(closed[0], (closed[0] @ np.linalg.inv(P)).conj())
-        if result.target_kind_satisfied:
-            return result
+    if closed and not one_tree and (result := closed_form()) is not None:  # the screen missed it
+        return result
     return _missed("no involutory element found in the constrained family within budget", saw_degenerate)
 
 
@@ -437,12 +447,14 @@ def pt_to_pseudo(P, H, tol: ToleranceConfig = DEFAULT_TOL) -> ConversionResult:
     on a simple spectrum with well-conditioned eigenvectors and an exact
     conjugate pairing, the closed form first (_closed_form_involution),
     which may prove that no Hermitian involution exists (note "no Hermitian
-    involution exists in the constrained family"); otherwise the screen of
-    the witness family, whose first hit is returned; where the screen
-    misses, the closed form's candidate when it certifies.  Clustered,
-    defective, ill-conditioned or near-coincident spectra the closed form
-    cannot decide end in "no involutory element found in the constrained
-    family within budget" when the screen misses.
+    involution exists in the constrained family").  When its phase walk
+    joins every eigenvector into one tree, that involution is unique up to
+    sign, and the closed-form Q is returned when it certifies; otherwise
+    the screen of the witness family, whose first hit is returned; where
+    the screen misses, the closed form's candidate when it certifies.
+    Clustered, defective, ill-conditioned or near-coincident spectra the
+    closed form cannot decide end in "no involutory element found in the
+    constrained family within budget" when the screen misses.
     """
     report = check_symmetry(SymmetryKind.PT, P, H, tol)  # judged from P's record when it has one
     if not report.holds:
@@ -511,8 +523,11 @@ def _spanning_phases(weight: np.ndarray, X: np.ndarray, Y: np.ndarray, cut: floa
 
 def _closed_form_involution(M: np.ndarray, norm: float, tol: ToleranceConfig):
     """Hermitian involutions Q with Q M = adj(M) Q for a simple spectrum, M
-    of Frobenius norm `norm`: [Q] (a candidate the caller certifies), []
-    when none exists, or None when the spectrum cannot decide it.
+    of Frobenius norm `norm`: ([Q], one_tree) (a candidate the caller
+    certifies), ([], False) when none exists, or (None, False) when the
+    spectrum cannot decide it.  one_tree says the phase walk joined every
+    eigenvector into one tree, so that Q is the only Hermitian involution up
+    to sign.
 
     With adj(M) = U diag(mu) inv(U), U the unit eigenvectors of the shared
     record, the Q with Q M = adj(M) Q are Q = U C adj(U) over the C with
@@ -550,7 +565,7 @@ def _closed_form_involution(M: np.ndarray, norm: float, tol: ToleranceConfig):
     n = M.shape[0]
     record = _simple_spectrum(M, norm, tol)
     if record is None:
-        return None
+        return None, False
     frame = cluster_frame(record, norm, tol)  # every eigenvalue alone: its disc is its cluster's
     real, pairs = conjugate_pairs(record.values, frame.radii, frame.labels, _reality_cut(tol, max(norm, 1.0)))
     s, values = record.sigma, record.values
@@ -558,7 +573,7 @@ def _closed_form_involution(M: np.ndarray, norm: float, tol: ToleranceConfig):
     cut = 1e-2
     rounding = 1e3 * MACHINE_EPS * (n + norm * s[0] / s[-1] / gap) * (1.0 + s[-1] ** -2) * (1.0 + n / cut)
     if pairs is None or any(real[a] for a, _ in pairs) or rounding >= 2.0:
-        return None
+        return None, False
     p = list(range(n))
     for a, b in pairs:
         p[a], p[b] = b, a
@@ -582,8 +597,8 @@ def _closed_form_involution(M: np.ndarray, norm: float, tol: ToleranceConfig):
     e = 0.5 * (e + e[q].conj())  # C = diag(e) Pi_p made Hermitian
     rho = np.abs(e[:, None] * X * e.conj() - K) / np.outer(modulus, modulus)
     if np.any(rho > rounding + 2 * cut * (tree[:, None] != tree)):
-        return []
-    return [(U * e) @ U[:, q].conj().T]
+        return [], False
+    return [(U * e) @ U[:, q].conj().T], not tree.any()
 
 
 def _closed_form_unit_witnesses(M: np.ndarray, tol: ToleranceConfig):

@@ -578,7 +578,10 @@ class TestGoldenClassifyConvert:
     solvers existed: the metric block must not move.  convert's Q was
     recaptured when witness_space moved onto the cluster frame; it is the
     same certified Hermitian involution to within 1e-15 entrywise, with
-    smaller residuals.  The count tables were captured while the variety rank
+    smaller residuals.  It was recaptured again when PT -> pseudo began to
+    return the closed-form involution on one tree without the screen: Q
+    moved by 1 ulp, its signed zeros became 0.0, and the structure residual
+    went to 0.0.  The count tables were captured while the variety rank
     still came from a finite-difference derivative."""
 
     @pytest.mark.parametrize("name", ["classify_readme.json", "classify_real4.json", "classify_mixed6.json",

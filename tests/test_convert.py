@@ -802,19 +802,62 @@ class TestScreenAgainstScalarHunt:
     def test_byte_equal_results(self, kind, n):
         """Byte-equal to the hunt (pt_block and known draws at n >= 3 and
         pt_jordan at n >= 5 miss the head and reach the closed-form rows),
-        but where PT -> pseudo decides a simple spectrum the hunt misses:
-        a proven miss differs in its note alone, and a closed-form
-        involution (known draws whose eigenvector blocks are orthogonal) is
-        certified."""
+        but where PT -> pseudo decides a simple spectrum in closed form: a
+        proven miss the hunt misses too differs in its note alone; a
+        closed-form involution the hunt misses (known draws whose
+        eigenvector blocks are orthogonal) is certified; and on one tree,
+        where the involution is unique up to sign and the screen is
+        skipped, the hunt's hit is the same Q to rounding, with every
+        verdict field equal."""
+        verdicts = ("hermitian", "involutory", "target_kind_satisfied", "degenerate", "note")
         for H, P, to_pseudo in screen_draws(kind, n, 4, seed=1000 * n + len(kind)):
             fn = pt_to_pseudo if to_pseudo else pseudo_to_pt
             result, reference = fn(P, H), reference_convert(H, P, to_pseudo)
+            closed, one_tree = convert._closed_form_involution(np.asarray(H, dtype=complex), frobenius(H),
+                                                               DEFAULT_TOL) if to_pseudo else (None, False)
             if reference.Q is None and result.note == NONE_EXISTS:
                 result = dataclasses.replace(result, note=reference.note)
             elif reference.Q is None and result.Q is not None:
                 assert to_pseudo and result.target_kind_satisfied and result.note is None
                 continue
+            elif one_tree and result.target_kind_satisfied:
+                assert all(getattr(result, f) == getattr(reference, f) for f in verdicts) and result.note is None
+                np.testing.assert_allclose(result.Q, reference.Q, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(result.witness, reference.witness, rtol=0, atol=1e-12)
+                continue
             assert_bytes_equal(result, reference)
+
+    def test_one_tree_hit_builds_no_witness_space(self, monkeypatch):
+        """A pt2 PT -> pseudo hit is the closed form's unique involution: no
+        witness space or nullspace is computed.  A pt_jordan draw at n = 5,
+        a defective spectrum, still takes the screen.  A cost guard without
+        timings."""
+        calls = []
+
+        def spy(name):
+            fn = getattr(convert, name)
+            return lambda *args: calls.append(name) or fn(*args)
+
+        for name in ("witness_space", "rank_and_nullspace"):
+            monkeypatch.setattr(convert, name, spy(name))
+        for H, P, _ in screen_draws("pt2", 2, 4, seed=2026):
+            assert pt_to_pseudo(P, H).target_kind_satisfied
+        assert calls == []
+        H, P, _ = next(screen_draws("pt_jordan", 5, 1, seed=5005))
+        assert pt_to_pseudo(P, H).Q is None
+        assert calls.count("witness_space") == 1
+
+    def test_identity_row_comes_first(self):
+        """PT -> pseudo on H = 1/2 with P = 1: a repeated eigenvalue, so the
+        closed form cannot decide it and the screen runs.  Every matrix
+        intertwines, the family of Hermitian matrices holds many
+        involutions, and the identity, screened before the family basis, is
+        the one returned (a family basis row first would return an
+        involution a distance 1 from it)."""
+        H = 0.5 * np.eye(2, dtype=complex)
+        result = pt_to_pseudo(np.eye(2), H)
+        np.testing.assert_array_equal(result.Q, np.eye(2))
+        assert result.target_kind_satisfied
 
     def test_degenerate_family(self):
         p = cat.Pt2Params(e=0.0, gamma=1.0, rho=2.0, delta=np.pi / 3)
@@ -1001,7 +1044,7 @@ def test_clifford_families_byte_equal_with_the_scalar_hunt(real, n, k, change, e
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(convert, "witness_space", lambda M, tol: basis)
         # the closed form reads H's own eigenvectors, not the family given here
-        mp.setattr(convert, "_closed_form_involution", lambda M, norm, tol: None)
+        mp.setattr(convert, "_closed_form_involution", lambda M, norm, tol: (None, False))
         fn = pseudo_to_pt if real else pt_to_pseudo
         result = fn(np.eye(n), H)
         assert_bytes_equal(result, reference_convert(H, np.eye(n), not real))
