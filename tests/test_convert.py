@@ -743,11 +743,11 @@ def random_draws(count_per_n=20, seed=2100):
 
 
 def library_hashes():
-    """{"kind/n" or "random/n": [[sha256] * 5, ...]}: per draw, one digest each of
-    classify_spectrum, solve_metric_space, transpose_matrix,
-    find_gen_pt_operator (its kind and matrix, None, or the exception it
-    raises) and witness_space, over two SCREEN_CASES draws per case and the
-    160 random_draws.  Recapture tests/golden/library_hashes.json with
+    """{"kind/n" or "random/n": [[sha256] * 5, ...]}: per draw, the digest
+    of classify_spectrum, solve_metric_space, transpose_matrix,
+    find_gen_pt_operator and witness_space (or of the PtlabError one
+    raises), over two SCREEN_CASES draws per case and the 160 random_draws.
+    Recapture tests/golden/library_hashes.json with
     json.dumps(library_hashes(), indent=2) + "\\n"."""
     def outputs(H):
         def guarded(fn):
@@ -813,8 +813,8 @@ class TestScreenAgainstScalarHunt:
         for H, P, to_pseudo in screen_draws(kind, n, 4, seed=1000 * n + len(kind)):
             fn = pt_to_pseudo if to_pseudo else pseudo_to_pt
             result, reference = fn(P, H), reference_convert(H, P, to_pseudo)
-            closed, one_tree = convert._closed_form_involution(np.asarray(H, dtype=complex), frobenius(H),
-                                                               DEFAULT_TOL) if to_pseudo else (None, False)
+            _, one_tree = convert._closed_form_involution(np.asarray(H, dtype=complex), frobenius(H),
+                                                          DEFAULT_TOL) if to_pseudo else (None, False)
             if reference.Q is None and result.note == NONE_EXISTS:
                 result = dataclasses.replace(result, note=reference.note)
             elif reference.Q is None and result.Q is not None:
