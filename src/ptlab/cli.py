@@ -5,9 +5,9 @@ Matrices travel as JSON documents
     {"rows": R, "cols": C, "data": [[[re, im], ...], ...]}
 
 with [re, im] float pairs, row-major, UTF-8.  CSV floats are printed with 17
-significant digits so outputs are byte-stable golden files.  A fixed seed
-(flag --seed, env PTLAB_SEED, default 42) makes every randomized search
-reproducible.
+significant digits so outputs are byte-stable golden files.  No command
+draws random numbers: --seed is accepted and ignored, and PTLAB_SEED is not
+read.
 
 Exit codes: 0 ok, 2 parse error, 3 dimension/kind mismatch, 4 constraint
 violation (including an empty sweep grid), 5 count mismatch.
@@ -19,7 +19,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -184,18 +183,6 @@ def _tolerances(args) -> ToleranceConfig:
     except ContractError as exc:  # the message starts with the field's name
         flag = "--tol-abs" if str(exc).startswith("abs_tol") else "--tol-rel"
         raise CliError(EXIT_PARSE, f"{flag}: {exc}")
-
-
-def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PTLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(EXIT_PARSE, f"PTLAB_SEED must be an integer, got {env!r}")
-    return 42
 
 
 # ---------------------------------------------------------------- classify
@@ -577,10 +564,9 @@ def cmd_convert(args) -> int:
     H = load_matrix(args.matrix)
     if O.shape != H.shape:
         raise CliError(EXIT_DIMENSION, f"operator is {O.shape} but matrix is {H.shape}")
-    seed = _seed(args)  # read for every direction, so a malformed PTLAB_SEED fails alike
     fn = {"pt-to-pseudo": pt_to_pseudo, "pseudo-to-pt": pseudo_to_pt, "genpt-to-pseudo": gen_pt_to_pseudo}[args.direction]
     try:
-        result = fn(O, H, tol, seed=seed) if fn is gen_pt_to_pseudo else fn(O, H, tol)
+        result = fn(O, H, tol)
     except (ContractError, DimensionError) as exc:
         raise CliError(EXIT_DIMENSION, str(exc))
     payload = {
@@ -648,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol-abs", type=float, default=1e-10, help="absolute tolerance (default 1e-10)")
     common.add_argument("--tol-rel", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
-    common.add_argument("--seed", type=int, default=None, help="seed for randomized searches (default: PTLAB_SEED or 42)")
+    common.add_argument("--seed", type=int, default=None, help="accepted and ignored: no command draws random numbers")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="output format where supported")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
 

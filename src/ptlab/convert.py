@@ -23,12 +23,14 @@ The conversions ride on the witness space:
                   pseudo-Hermitian.
 * pseudo -> PT:   every witness A gives Q = conj(P) A with Q H = conj(H) Q;
                   a real involutory Q is a parity for H.
-* gen-PT -> pseudo: Q = core A intertwines adj(H) with H when A conj(A) = 1.
+* gen-PT -> pseudo: K conj(H) = H K and K conj(K) = 1 give
+                  conj(K) H = conj(H) conj(K), so conj(K) stands where
+                  PT -> pseudo takes P: Q = conj(A K) with Q H = adj(H) Q.
 
-For the first two, Hermiticity/reality are real-linear constraints stacked
-onto the witness coefficients.  The involution is screened over candidate
-rows, all deterministic, in one loop over a lazy sequence: the identity when
-it lies in the family, the family basis, a traceless slice, then at most two
+Hermiticity/reality are real-linear constraints stacked onto the witness
+coefficients.  The involution is screened over candidate rows, all
+deterministic, in one loop over a lazy sequence: the identity when it lies
+in the family, the family basis, a traceless slice, then at most two
 closed-form rows, the top eigenvectors of C_ij = Re tr(F_i F_j) / n on the
 traceless slice and on the whole family.  When every F_i F_j + F_j F_i is
 2 C_ij 1 (a Clifford family), Q(z)^2 = (z^T C z) 1, so an involution exists
@@ -39,9 +41,10 @@ has missed, and each goes through the cuts once.  The first row whose Q^2
 is a positive multiple of the identity, rescaled to Q^2 = 1, and whose Q
 intertwines is the hit.
 
-PT -> pseudo decides its family in eigen-coordinates first, whenever H has
-a simple spectrum with well-conditioned eigenvectors and an exact conjugate
-pairing (_closed_form_involution): Q^2 = 1 then fixes each eigenvector's
+PT -> pseudo (and so gen-PT -> pseudo) decides its family in
+eigen-coordinates first, whenever H has a simple spectrum with
+well-conditioned eigenvectors and an exact conjugate pairing
+(_closed_form_involution): Q^2 = 1 then fixes each eigenvector's
 coefficient up to sign, or one phase per pair of blocks whose eigenvectors
 are orthogonal, and every other entry is a check.  So it has three
 outcomes, in this order:
@@ -58,20 +61,10 @@ outcomes, in this order:
    clustered, defective, ill-conditioned or near-coincident spectra, which
    the closed form cannot decide, when the screen misses too.
 
-pseudo -> PT always takes the screen.
-
-For gen-PT -> pseudo the unit witnesses (A conj(A) = 1) are computed, not
-searched, when H has a simple spectrum with well-conditioned eigenvectors,
-read from the cluster frame of adj(H): every eigenvalue alone in its
-cluster, and eigenvectors that pass the frame's conditioning gate.  In
-eigen-coordinates the constraint then fixes A up to one free phase, or shows
-that no unit witness exists (_closed_form_unit_witnesses).  Repeated,
-defective or ill-conditioned spectra, and equations whose miss rounding
-could explain, fall back to a seeded multi-start least-squares search, the
-only code here that imports scipy.optimize, on its first call.  The QR of
-the witness solutions comes from scipy.linalg, imported on first use too
-(numerics._scipy_linalg); nothing here loads scipy at import.
-Results are deterministic for a fixed seed.
+pseudo -> PT always takes the screen.  No conversion draws random numbers.
+The QR of the witness solutions comes from scipy.linalg, imported on first
+use (numerics._scipy_linalg); nothing here loads scipy at import.
+transpose_matrix's draws are deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -282,13 +275,15 @@ class ConversionResult:
     target; intertwining is the target identity scaled by ||H||.  A missing
     valid Q is a reported outcome (Q None, flags False, residuals inf),
     never an exception, and note says which: "constrained family is empty",
-    "no Hermitian involution exists in the constrained family" (PT ->
-    pseudo, proven on a simple spectrum), "no witness with A conj(A) = 1
-    exists" (gen-PT -> pseudo, likewise), or a "... found ... within budget"
-    note where the search gave up without a proof.  A returned Q has note
-    None.  degenerate marks misses where some candidate squared to a
-    multiple c 1 with c <= 1e-12, vanishing or negative, which no real
-    rescaling turns into the identity.
+    "no Hermitian involution exists in the constrained family" (PT -> pseudo
+    and gen-PT -> pseudo, proven on a simple spectrum), or "no involutory
+    element found in the constrained family within budget" where the screen
+    missed without a proof.  A returned Q has note None, and witness is the
+    transpose witness A it was built from: Q = conj(A) P, conj(P) A or
+    conj(A K) for a parity P, a Hermitian involution P or a core K.
+    degenerate marks misses where some candidate squared to a multiple c 1
+    with c <= 1e-12, vanishing or negative, which no real rescaling turns
+    into the identity.
     """
 
     Q: np.ndarray | None
@@ -304,21 +299,6 @@ class ConversionResult:
 def _missed(note: str, degenerate: bool = False) -> ConversionResult:
     return ConversionResult(Q=None, hermitian=False, involutory=False, target_kind_satisfied=False,
                             residuals=(float("inf"), float("inf"), float("inf")), degenerate=degenerate, note=note)
-
-
-def _sign_normalize_pair(Q: np.ndarray, A: np.ndarray):
-    return (-Q, -A) if needs_sign_flip(Q) else (Q, A)
-
-
-def _qualifies(Q: np.ndarray, record, target_kind: SymmetryKind, M: np.ndarray, tol) -> bool:
-    """Q's family check, then the target symmetry check, both from Q's one record."""
-    ok = record.check(tol).ok
-    return ok and check_symmetry(target_kind, _recorded(InvolutionOperator(record.kind, Q), record), M, tol).holds
-
-
-def _verdicts(herm_res: float, inv_res: float, tol: ToleranceConfig):
-    """(hermitian, involutory): the two verdict cuts of every conversion's Q."""
-    return herm_res <= max(tol.abs_tol, 1e-9), inv_res <= max(tol.abs_tol, 1e-8)
 
 
 def _convert(H, P, target_kind: SymmetryKind, tol) -> ConversionResult:
@@ -351,20 +331,23 @@ def _convert(H, P, target_kind: SymmetryKind, tol) -> ConversionResult:
         return _missed("no Hermitian involution exists in the constrained family")
 
     def certified(Q, A):
-        """The result for a hit (Q, A), sign-normalized and measured once."""
-        Qn, An = _sign_normalize_pair(Q, A)
-        record = _measure(Qn, op_kind, tol)  # the one measurement of Qn
+        """The result for a hit (Q, A), sign-normalized and measured once: Q's
+        family check and then the target symmetry check read that record."""
+        if needs_sign_flip(Q):
+            Q, A = -Q, -A
+        record = _measure(Q, op_kind, tol)  # the one measurement of Q
         struct_res, inv_res = record.residuals[structure], record.residuals["square"]
-        herm_res = struct_res if op_kind is InvolutionKind.HERMITIAN_INVOLUTION else frobenius(Qn - Qn.conj().T)
-        hermitian, involutory = _verdicts(herm_res, inv_res, tol)
+        herm_res = struct_res if op_kind is InvolutionKind.HERMITIAN_INVOLUTION else frobenius(Q - Q.conj().T)
+        target_ok = record.check(tol).ok and check_symmetry(
+            target_kind, _recorded(InvolutionOperator(op_kind, Q), record), M, tol).holds
         return ConversionResult(
-            Q=Qn,
-            hermitian=bool(hermitian),
-            involutory=bool(involutory),
-            target_kind_satisfied=_qualifies(Qn, record, target_kind, M, tol),
-            residuals=(float(struct_res), float(inv_res), float(frobenius(intertwine_gap(Qn)) / scale)),
+            Q=Q,
+            hermitian=bool(herm_res <= max(tol.abs_tol, 1e-9)),
+            involutory=bool(inv_res <= max(tol.abs_tol, 1e-8)),
+            target_kind_satisfied=target_ok,
+            residuals=(float(struct_res), float(inv_res), float(frobenius(intertwine_gap(Q)) / scale)),
             degenerate=False,
-            witness=An,
+            witness=A,
         )
 
     def closed_form():
@@ -475,21 +458,8 @@ def pseudo_to_pt(Ptilde, H, tol: ToleranceConfig = DEFAULT_TOL) -> ConversionRes
     return _convert(H, operator_matrix(Ptilde), SymmetryKind.PT, tol)
 
 
-def _simple_spectrum(M: np.ndarray, norm: float, tol: ToleranceConfig):
-    """The shared eigen record of adj(M), M of Frobenius norm `norm`, when M
-    has a simple spectrum with well-conditioned eigenvectors: every
-    eigenvalue alone in the record's cluster frame (intertwine.cluster_frame,
-    the frame witness_space solves on) and eigenvectors that pass the
-    frame's conditioning gate (intertwine._conditioning_floor).  Else None."""
-    record = _eigenpairs(M, adjoint=True)
-    s = record.sigma
-    if not cluster_frame(record, norm, tol).single.all() or s[-1] < _conditioning_floor(s, norm, tol):
-        return None
-    return record
-
-
 def _spanning_phases(weight: np.ndarray, X: np.ndarray, Y: np.ndarray, cut: float):
-    """(phase, tree) for the phase differences of l_i conj(l_j) X_ij = Y_ij.
+    """(phase, tree) for the phase differences of e_i conj(e_j) X_ij = Y_ij.
 
     Prim's tree grows from vertex 0 on the largest weight[i, j] (i in the
     tree, j not; ties to the smallest i, then j), and each edge it takes sets
@@ -538,14 +508,13 @@ def _closed_form_involution(M: np.ndarray, norm: float, tol: ToleranceConfig):
     G[p(i), p(k)], Q^2 = 1 then reads e_i conj(e_k) X_ik = K_ik.  The
     diagonal fixes |e_i|^2 = K_ii / X_ii, and the entry (p(i), p(k)) gives
     the phase difference of (i, k) again, conjugated; each pair takes the
-    larger of the two |X|, and _spanning_phases walks the tree (as for the
-    unit witnesses, on another equation).  The weights are p-invariant, so p
-    maps trees onto trees, and Hermiticity spends each tree's free phase: a
-    tree that p maps onto itself is fixed up to sign at its first vertex, a
-    pair of trees that p swaps keeps one free phase (as for sigma1 + sigma1
-    on diag(a, conj a, b, conj b)), set to 0.  Every entry of C G C - K is
-    then a check, on rho_ik = |(C G C - K)_ik| / (|e_i| |e_k|) <= 2, with C
-    made Hermitian.
+    larger of the two |X|, and _spanning_phases walks the tree.  The weights
+    are p-invariant, so p maps trees onto trees, and Hermiticity spends each
+    tree's free phase: a tree that p maps onto itself is fixed up to sign at
+    its first vertex, a pair of trees that p swaps keeps one free phase (as
+    for sigma1 + sigma1 on diag(a, conj a, b, conj b)), set to 0.  Every
+    entry of C G C - K is then a check, on rho_ik = |(C G C - K)_ik| /
+    (|e_i| |e_k|) <= 2, with C made Hermitian.
 
     Were there a Hermitian involution, the candidate would be it times a
     unit factor constant on each tree, so rho would be rounding inside a
@@ -557,23 +526,27 @@ def _closed_form_involution(M: np.ndarray, norm: float, tol: ToleranceConfig):
     So the answer is [] only when some rho_ik exceeds 1e3 delta (1 + 1 /
     sigma_min^2)(1 + n / cut), plus 2 cut across trees; a pair that
     rounding could mix raises that bound and is left undecided, never
-    "none", and a bound of 2 or more decides nothing.  The gate is
-    _simple_spectrum's, and conjugate_pairs must pair every non-real
-    eigenvalue of the frame's discs and mirror no real ones; repeated,
-    defective, ill-conditioned or unpaired spectra give None.
+    "none"; a bound of 2 or more never gives [] (rho <= 2), and the
+    candidate goes to the caller to certify.  The gate: every eigenvalue
+    alone in the cluster frame of adj(M) (intertwine.cluster_frame, the
+    frame witness_space solves on), U past that frame's conditioning gate
+    (intertwine._conditioning_floor), and conjugate_pairs must pair every
+    non-real eigenvalue of the frame's discs and mirror no real ones;
+    repeated, defective, ill-conditioned or unpaired spectra give None.
     """
     n = M.shape[0]
-    record = _simple_spectrum(M, norm, tol)
-    if record is None:
-        return None, False
-    frame = cluster_frame(record, norm, tol)  # every eigenvalue alone: its disc is its cluster's
-    real, pairs = conjugate_pairs(record.values, frame.radii, frame.labels, _reality_cut(tol, max(norm, 1.0)))
+    record = _eigenpairs(M, adjoint=True)
+    frame = cluster_frame(record, norm, tol)
     s, values = record.sigma, record.values
+    if not frame.single.all() or s[-1] < _conditioning_floor(s, norm, tol):
+        return None, False
+    # every eigenvalue alone: its disc is its cluster's
+    real, pairs = conjugate_pairs(values, frame.radii, frame.labels, _reality_cut(tol, max(norm, 1.0)))
+    if pairs is None or any(real[a] for a, _ in pairs):
+        return None, False
     gap = np.sort(np.abs(values[:, None] - values), axis=None)[n] if n > 1 else np.inf  # past the n zeros
     cut = 1e-2
     rounding = 1e3 * MACHINE_EPS * (n + norm * s[0] / s[-1] / gap) * (1.0 + s[-1] ** -2) * (1.0 + n / cut)
-    if pairs is None or any(real[a] for a, _ in pairs) or rounding >= 2.0:
-        return None, False
     p = list(range(n))
     for a, b in pairs:
         p[a], p[b] = b, a
@@ -601,181 +574,18 @@ def _closed_form_involution(M: np.ndarray, norm: float, tol: ToleranceConfig):
     return [(U * e) @ U[:, q].conj().T], not tree.any()
 
 
-def _closed_form_unit_witnesses(M: np.ndarray, tol: ToleranceConfig):
-    """Witnesses A with A conj(A) = 1 for a simple spectrum: [A] (the
-    solution up to its free phase), [] when none exists, or None when the
-    eigenvectors cannot decide it.
+def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL) -> ConversionResult:
+    """Hermitian (ideally involutory) Q with Q H = adj(H) Q, from a
+    generalized-PT core K.
 
-    With transpose(M) = V diag(mu) inv(V), the witnesses are A = V L
-    transpose(V) over diagonal L, and with G = transpose(V) conj(V),
-    A conj(A) = 1 exactly when L G conj(L) = inv(transpose(G)) =: K.  The
-    diagonal fixes |l_i|^2 = K_ii / G_ii, and l_i conj(l_j) G_ij = K_ij fixes
-    the phase differences along a spanning tree of the largest |G_ij|
-    (_spanning_phases; V has unit columns, so |G_ij| is the cosine between
-    two eigenvectors); every other entry is then a check.  The gate is
-    _simple_spectrum's: every eigenvalue alone in the cluster frame of
-    adj(M), and V, the conjugates of that frame's eigenvectors, past its
-    conditioning gate; the tree must not need a cosine inside the rank cut,
-    so it is one tree.  Otherwise (repeated, defective or
-    ill-conditioned spectra, a disconnected |G_ij| pattern) the answer is
-    None.
-
-    K inherits a relative rounding error of about eps kappa^2 (the condition
-    number of G), and so does A, which leaves A conj(A) - 1 a rounding
-    residual of about eps kappa^2 ||A||^2 even when a unit witness exists
-    (near an exceptional point ||A|| grows like kappa).  So the answer is []
-    only for a residual far above that; in between it is None.
-    """
-    n = M.shape[0]
-    norm = frobenius(M)
-    record = _simple_spectrum(M, norm, tol)
-    if record is None:
-        return None
-    s = record.sigma
-    kappa = s[0] / s[-1]
-    V = record.vectors.conj()
-    G = V.T @ V.conj()
-    K = np.linalg.inv(G.T)
-    phase, tree = _spanning_phases(np.abs(G), G, K, tol.rank_cutoff(kappa))
-    if tree.any():  # the tree needs a cosine inside the rank cut
-        return None
-    L = np.sqrt(K.diagonal().real / G.diagonal().real) * np.exp(1j * phase)
-    A = (V * L) @ V.T
-    if _similarity_residual(A, M, max(norm, 1.0)) > max(tol.abs_tol, 1e-10):
-        return None
-    unit_res = frobenius(A @ A.conj() - np.eye(n))
-    if unit_res <= 1e-9:
-        return [A]
-    if unit_res > 1e-9 + 1e3 * MACHINE_EPS * kappa ** 2 * max(1.0, frobenius(A)) ** 2:
-        return []
-    return None
-
-
-def _unit_witnesses(basis, n, rng):
-    """Witness-space elements with A conj(A) = 1, by damped least squares.
-
-    The fallback of _closed_form_unit_witnesses.  The constraint is quadratic
-    in the witness coefficients, so candidates come from seeded multi-start
-    least-squares refinement of A conj(A) - 1 = 0; the solution set carries a
-    free phase (and sign), handled downstream.
-    """
-    from scipy.optimize import least_squares
-
-    dim = 2 * len(basis)
-    if dim == 0:
-        return []
-    directions = np.stack([basis, 1j * basis], 1).reshape(dim, n * n)
-    eye = np.eye(n)
-
-    def build(z):
-        return (z @ directions).reshape(n, n)
-
-    def residual(z):
-        A = build(z)
-        return vectorize(A @ A.conj() - eye)
-
-    found = []
-    starts = DEFAULT_BUDGET // 16
-    for trial in range(starts):
-        z0 = rng.normal(size=dim)
-        try:
-            sol = least_squares(residual, z0, xtol=3e-16, ftol=3e-16, gtol=3e-16, max_nfev=400)
-        except Exception:  # pragma: no cover - optimizer hiccup
-            continue
-        if sol.cost > 1e-22:
-            continue
-        A = build(sol.x)
-        if frobenius(A @ A.conj() - eye) > 1e-9:
-            continue
-        if all(frobenius(A - B) > 1e-6 and frobenius(A + B) > 1e-6 for B in found):
-            found.append(A)
-        if len(found) >= 12:
-            break
-    return found
-
-
-def _best_hermitian_phase(Q: np.ndarray) -> complex:
-    """Phase w (|w| = 1) minimizing || w Q - adj(w Q) ||_F.
-
-    Expanding the norm shows the optimum aligns w^2 with tr(Q^2).
-    """
-    t = complex(np.trace(Q @ Q))
-    if abs(t) < 1e-30:
-        return 1.0 + 0.0j
-    return np.exp(-1j * np.angle(t) / 2.0)
-
-
-def gen_pt_to_pseudo(Pbar, H, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_SEED) -> ConversionResult:
-    """Q = core * A over transpose witnesses restricted to A conj(A) = 1.
-
-    Every such Q intertwines adj(H) with H; Hermiticity and involution are
-    then properties to report, not constraints of the search.  When H has a
-    simple spectrum whose eigenvectors are well conditioned (every
-    eigenvalue alone in the cluster frame of adj(H) that witness_space
-    solves on, and the frame's conditioning gate), the unit witnesses are
-    one phase orbit A e^{it}, computed in closed form; when their defining
-    equations miss by far more than rounding the result says that none
-    exists.  Otherwise (repeated, defective or ill-conditioned spectra, or
-    a miss rounding could explain, as near an exceptional point) a seeded
-    least-squares search with DEFAULT_BUDGET // 16 starts looks for them,
-    and an empty result says none was found within budget.  The identity
-    comes first when H is symmetric.  The free phase of each candidate is
-    spent on Hermiticity, and candidates are ranked so a Hermitian
-    involutory Q (a full indefinite-metric operator) is returned when one
-    exists.
+    Requires H to actually carry the generalized symmetry for K.  From
+    K conj(H) = H K and K conj(K) = 1 follows conj(K) H = conj(H) conj(K),
+    so conj(K) stands where pt_to_pseudo takes a parity: the family
+    Q = conj(A K) over every transpose witness A holds every Q with
+    Q H = adj(H) Q, and it is decided as pt_to_pseudo decides its family,
+    with the same outcomes and notes.  witness is that A.
     """
     report = check_symmetry(SymmetryKind.GEN_PT, Pbar, H, tol)  # judged from Pbar's record when it has one
     if not report.holds:
         raise ContractError(f"H lacks the generalized symmetry for this core (residual {report.residual:.3e})")
-    Pm = operator_matrix(Pbar)
-    M = as_square_matrix(H, "H")
-    n = M.shape[0]
-    scale = max(frobenius(M), 1.0)
-
-    candidates = []
-    # the identity is a witness exactly when H is symmetric; cheap and common
-    if frobenius(M - M.T) <= tol.abs_tol * scale:
-        candidates.append(np.eye(n, dtype=complex))
-    unit = _closed_form_unit_witnesses(M, tol)
-    searched = unit is None
-    if searched:
-        unit = _unit_witnesses(witness_space(M, tol), n, np.random.default_rng(seed))
-    candidates.extend(unit)
-
-    if not candidates:
-        return _missed("no witness with A conj(A) = 1 found within budget" if searched
-                       else "no witness with A conj(A) = 1 exists")
-
-    best = None
-    for idx, A in enumerate(candidates):
-        Q = Pm @ A
-        # the free phase of A rotates Q; spend it on Hermiticity
-        w = _best_hermitian_phase(Q)
-        chosen = None
-        for phase in (w, 1.0 + 0.0j):
-            Qp, Ap = _sign_normalize_pair(phase * Q, phase * A)
-            record = _measure(Qp, InvolutionKind.HERMITIAN_INVOLUTION, tol)  # the one measurement of Qp
-            herm, inv = record.residuals["hermiticity"], record.residuals["square"]
-            inter = frobenius(Qp @ M.conj().T - M @ Qp) / scale
-            is_herm, is_inv = _verdicts(herm, inv, tol)
-            target_ok = bool(is_herm and is_inv and _qualifies(Qp, record, SymmetryKind.PSEUDO, M, tol))
-            key = (target_ok, is_herm, is_inv, -(herm + inv + inter))
-            entry = (key, Qp, Ap, (float(herm), float(inv), float(inter)), is_herm, is_inv, target_ok)
-            if chosen is None or key > chosen[0]:
-                chosen = entry
-        if idx == 0 and chosen[0][0]:
-            # the canonical (earliest) candidate fully qualifies; keep it
-            best = chosen
-            break
-        if best is None or chosen[0] > best[0]:
-            best = chosen
-
-    _, Qp, Ap, residuals, is_herm, is_inv, target_ok = best
-    return ConversionResult(
-        Q=Qp,
-        hermitian=is_herm,
-        involutory=is_inv,
-        target_kind_satisfied=target_ok,
-        residuals=residuals,
-        witness=Ap,
-    )
+    return _convert(H, operator_matrix(Pbar).conj(), SymmetryKind.PSEUDO, tol)

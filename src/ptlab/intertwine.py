@@ -251,7 +251,7 @@ def _conditioning_floor(s: np.ndarray, norm: float, tol: ToleranceConfig) -> flo
 def _entangled(record: _Eigenpairs, frame: Frame, norm: float, tol: ToleranceConfig) -> list:
     """Groups of clusters whose columns of the frame's U are nearly
     dependent, or none when U is well conditioned (_conditioning_floor, the
-    gate the closed-form unit witnesses of ptlab.convert also put on the
+    gate the closed form of ptlab.convert also puts on the
     eigenvectors).  It guards the discs: should they miss the computed
     copies of a defective eigenvalue, whose eigenvectors are nearly
     parallel, a metric attempt could not see the elements it lacks.  The
@@ -297,8 +297,8 @@ def cluster_frame(record: _Eigenpairs, norm: float, tol: ToleranceConfig) -> Fra
     """The Frame of the clusters of eigen_clusters of a shared eigen record
     (numerics._eigenpairs) of a matrix of Frobenius norm `norm`, built once
     and kept read-only in its memo: the metric solver and both witness
-    solvers start from it, and the closed-form unit witnesses of
-    ptlab.convert read it."""
+    solvers start from it, and the closed form of ptlab.convert reads
+    it."""
     key = ("frame", norm, tol)
     if key not in record.memo:
         radii, labels = eigen_clusters(record.values, record.vectors, record.sigma, norm, tol)

@@ -18,7 +18,7 @@ a record lives on it too (_Eigenpairs.memo): the clusters of the sorted H
 spectrum, read by classify_spectrum, find_gen_pt_operator and
 align_pt_phases, and the first cluster frame and the Schur form of adj(H),
 read by the metric solver, both witness solvers (conjugated) and the
-closed-form unit witnesses.  So each side is clustered once, and adj(H)
+closed form of the conversions.  So each side is clustered once, and adj(H)
 takes one Schur decomposition.
 
 scipy.linalg is imported on first use, through _scipy_linalg, by the few

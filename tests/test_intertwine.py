@@ -121,8 +121,8 @@ def test_defective_copies_outside_their_discs_are_merged(monkeypatch):
 
 def test_one_clustering_per_side_and_one_schur_form(monkeypatch):
     """One matrix through classify_spectrum, solve_metric_space,
-    transpose_matrix, witness_space, find_gen_pt_operator and the
-    closed-form unit witnesses, in either order: each side's spectrum is
+    transpose_matrix, witness_space, find_gen_pt_operator and PT -> pseudo's
+    closed form, in either order: each side's spectrum is
     clustered once (H's sorted by (Re, Im), adj(H)'s in LAPACK order),
     conjugate pairs are found once, and adj(H) takes one Schur form, as
     every solver reads what the shared eigen records keep.  The Jordan
@@ -135,7 +135,7 @@ def test_one_clustering_per_side_and_one_schur_form(monkeypatch):
         original = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, _run=original, _log=log: _log.append(args) or _run(*args))
     analyses = [classify_spectrum, solve_metric_space, transpose_matrix, witness_space, find_gen_pt_operator,
-                lambda H: convert._closed_form_unit_witnesses(H, DEFAULT_TOL)]
+                lambda H: convert._closed_form_involution(H, frobenius(H), DEFAULT_TOL)]
     for H in (two_jordan_blocks(1) + np.diag(np.arange(6.0)), two_jordan_blocks(0)):
         for order in (analyses, analyses[::-1]):
             numerics._eig_record.cache_clear()
