@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -51,16 +50,17 @@ def _grid_axes(e, gamma, rho, delta):
     return [np.asarray(a, dtype=float).reshape(shape) for a, shape in zip((e, gamma, rho, delta), shapes)]
 
 
-def _pointwise(fn, *axes):
+def _pointwise(fn, *axes, nout=1, dtype=complex):
     """fn at every point of the subgrid spanned by some grid axes (given in
-    grid order), one Python call per point.
+    grid order), one Python call per point, as a dtype array; an fn with nout
+    results gives a tuple of nout such arrays.
 
     Products with complex numbers go through here: numpy's complex multiply
     may fuse a multiply and an add, which rounds an underflowing product to
     a zero of another sign than Python's scalar arithmetic does.
     """
-    values = [fn(*point) for point in itertools.product(*(a.reshape(-1).tolist() for a in axes))]
-    return np.array(values).reshape(np.broadcast_shapes(*(a.shape for a in axes)))
+    values = np.frompyfunc(fn, len(axes), nout)(*axes)
+    return values.astype(dtype) if nout == 1 else tuple(v.astype(dtype) for v in values)
 
 
 def _require_finite(params):
@@ -87,7 +87,17 @@ class Pt2Params:
         _require_finite(self)
 
     def metric_reason(self) -> str | None:
-        """None when the positive-metric constraints hold, else the violation."""
+        """None when the positive-metric constraints hold, else the violation.
+
+        The constraint v^2 < gamma^2 - rho^2 is taken on the squares, so it
+        is a ContractError when one of them is past the float range
+        (|v|, |gamma| or |rho| beyond about 1.3e154); the closed forms of
+        the families, which square the same parameters, need them finite too.
+        """
+        for name in ("v", "gamma", "rho"):
+            x = float(getattr(self, name))
+            if not math.isfinite(x * x):
+                raise ContractError(f"parameter {name} = {x:g} is too large: its square overflows")
         if self.u * self.gamma <= 0:
             return f"u*gamma > 0 violated (u*gamma = {self.u * self.gamma:g})"
         if self.v ** 2 >= self.gamma ** 2 - self.rho ** 2:
@@ -122,10 +132,8 @@ def pt2_grid(e, gamma, rho, delta) -> np.ndarray:
     """(K, 2, 2) stack of the PT-family matrix at every point of the grid
     e x gamma x rho x delta, in loop order e -> gamma -> rho -> delta."""
     e, gamma, rho, delta = _grid_axes(e, gamma, rho, delta)
-    coeffs = (_pointwise(lambda r: 1j * r, rho),
-              gamma * _pointwise(math.sin, delta),
-              gamma * _pointwise(math.cos, delta))
-    return pauli_combination(coeffs, e).reshape(-1, 2, 2)
+    sin, cos = _pointwise(lambda d: (math.sin(d), math.cos(d)), delta, nout=2, dtype=float)
+    return pauli_combination((_pointwise(lambda r: 1j * r, rho), gamma * sin, gamma * cos), e).reshape(-1, 2, 2)
 
 
 def pt2_hamiltonian(p: Pt2Params) -> np.ndarray:
@@ -151,6 +159,7 @@ def pt2_family(p: Pt2Params, normalization=(1.0, 1.0)) -> Pt2Family:
     The four metric fields are None, with metric_reason set, whenever the
     positivity constraints fail.
     """
+    reason = p.metric_reason()
     g, r, d = p.gamma, p.rho, p.delta
     root = cmath.sqrt(complex(g * g - r * r))
     e_plus, e_minus = p.e + root, p.e - root
@@ -159,7 +168,6 @@ def pt2_family(p: Pt2Params, normalization=(1.0, 1.0)) -> Pt2Family:
     vec_plus = n_plus * np.array([phase - 1j * r + root, phase + 1j * r - root])
     vec_minus = n_minus * np.array([phase - 1j * r - root, phase + 1j * r + root])
 
-    reason = p.metric_reason()
     metric = omega_plus = omega_minus = norm_plus = norm_minus = None
     if reason is None:
         metric = pt2_metric(p)
@@ -284,9 +292,8 @@ def pseudo2_grid(e, gamma, rho, delta) -> np.ndarray:
     e, gamma, rho, delta = _grid_axes(e, gamma, rho, delta)
     out = np.empty((e.size, gamma.size, rho.size, delta.size, 2, 2), dtype=complex)
     out[..., 0, 0] = e + gamma
-    up, down = _pointwise(lambda d: cmath.exp(1j * d), delta), _pointwise(lambda d: cmath.exp(-1j * d), delta)
-    out[..., 0, 1] = _pointwise(lambda r, z: r * z, rho, up)
-    out[..., 1, 0] = _pointwise(lambda r, z: -r * z, rho, down)
+    out[..., 0, 1], out[..., 1, 0] = _pointwise(lambda r, d: (r * cmath.exp(1j * d), -r * cmath.exp(-1j * d)),
+                                                rho, delta, nout=2)
     out[..., 1, 1] = e - gamma
     return out.reshape(-1, 2, 2)
 
@@ -310,13 +317,13 @@ def pseudo2_family(p: Pt2Params, normalization=(1.0, 1.0)) -> Pseudo2Family:
     the transported matrix/metric are given in the spherical frame
     (n, n_theta, n_phi) exactly as closed forms.
     """
+    reason = p.metric_reason()
     e, g, r, d = p.e, p.gamma, p.rho, p.delta
     root = cmath.sqrt(complex(g * g - r * r))
     n_plus, n_minus = normalization
     vec_plus = n_plus * np.array([g + root, -r * cmath.exp(-1j * d)])
     vec_minus = n_minus * np.array([g - root, -r * cmath.exp(-1j * d)])
 
-    reason = p.metric_reason()
     metric = omega_plus = omega_minus = norm_plus = norm_minus = rotated_metric = None
     if reason is None:
         metric = pseudo2_metric(p)

@@ -9,8 +9,10 @@ significant digits so outputs are byte-stable golden files.  No command
 draws random numbers: --seed is accepted and ignored, and PTLAB_SEED is not
 read.
 
-Exit codes: 0 ok, 2 parse error, 3 dimension/kind mismatch, 4 constraint
-violation (including an empty sweep grid), 5 count mismatch.
+Exit codes: 0 ok, 2 parse error, 3 dimension/kind mismatch (including a
+sweep grid point whose matrix entries overflow), 4 constraint violation
+(including an empty sweep grid, and a degeneration gamma whose square
+overflows), 5 count mismatch.
 """
 
 from __future__ import annotations
@@ -418,6 +420,12 @@ def cmd_construct(args) -> int:
 _PT2_GRID_KEYS = ("e", "gamma", "rho", "delta")
 _DEGENERATION_GRID_KEYS = ("family", "u", "gamma", "epsilon")
 _AXIS_KEYS = ("start", "stop", "num", "scale")
+# the symmetry and stack builder of each 2x2 family, its diagonal operator built once per process
+_SWEEP_FAMILIES = {
+    "pt2": (SymmetryKind.PT, make_diagonal_parity(1, 1), catalog2x2.pt2_grid),
+    "pseudo2": (SymmetryKind.PSEUDO, make_diagonal_parity(1, 1, InvolutionKind.HERMITIAN_INVOLUTION),
+                catalog2x2.pseudo2_grid),
+}
 
 
 def _reject_unknown(keys, allowed, what):
@@ -475,27 +483,32 @@ def cmd_sweep(args) -> int:
     if args.family in ("pt2", "pseudo2"):
         _reject_unknown(grid, _PT2_GRID_KEYS, "grid")
         axes = [_grid_axis(grid.get(name, 0.0), name) for name in _PT2_GRID_KEYS]
-        if math.prod(axis.size for axis in axes) == 0:
+        sizes = [axis.size for axis in axes]
+        if math.prod(sizes) == 0:
             raise CliError(EXIT_CONSTRAINT, "sweep grid is empty")
-        finite = [np.isfinite(axis) for axis in axes]
-        if not all(f.all() for f in finite):
+        if not np.isfinite(np.concatenate(axes)).all():
             # the first point in loop order with a non-finite coordinate raises
             # the same error a parameter record built there raises
-            point = np.unravel_index(np.argmin(functools.reduce(np.logical_and.outer, finite)),
-                                     [axis.size for axis in axes])
+            finite = [np.isfinite(axis) for axis in axes]
+            point = np.unravel_index(np.argmin(functools.reduce(np.logical_and.outer, finite)), sizes)
             catalog2x2.Pt2Params(*(float(axis[i]) for axis, i in zip(axes, point)))
         header = ("e", "gamma", "rho", "delta",
                   "energy_plus_re", "energy_plus_im", "energy_minus_re", "energy_minus_im", "unbroken")
         lines.append(",".join(header))
-        if args.family == "pt2":
-            operator = make_diagonal_parity(1, 1)
-            kind = SymmetryKind.PT
-            build = catalog2x2.pt2_grid
-        else:
-            operator = make_diagonal_parity(1, 1, InvolutionKind.HERMITIAN_INVOLUTION)
-            kind = SymmetryKind.PSEUDO
-            build = catalog2x2.pseudo2_grid
-        table = classify_spectra(build(*axes), tol, symmetry=(kind, operator))
+        kind, operator, build = _SWEEP_FAMILIES[args.family]
+        # entries past the float range come out non-finite, and the first
+        # point that gives one is named below; numpy's warnings would only repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = build(*axes)
+        try:
+            table = classify_spectra(stack, tol, symmetry=(kind, operator))
+        except ContractError:
+            bad = ~np.isfinite(stack).all(axis=(1, 2))
+            if not bad.any():
+                raise
+            point = np.unravel_index(np.argmax(bad), sizes)
+            coordinates = ", ".join(f"{name} = {_fmt17(axis[i])}" for name, axis, i in zip(_PT2_GRID_KEYS, axes, point))
+            raise ContractError(f"the {args.family} matrix at {coordinates} has NaN or Inf entries") from None
         lines += _sweep_rows(axes, table)
     elif args.family == "degeneration":
         _reject_unknown(grid, _DEGENERATION_GRID_KEYS, "grid")

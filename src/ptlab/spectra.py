@@ -27,6 +27,8 @@ clustered once.
 from __future__ import annotations
 
 import enum
+import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -41,6 +43,7 @@ from .numerics import (
     ToleranceConfig,
     _cluster_cut,
     _eigenpairs,
+    _read_only,
     _reality_cut,
     as_square_matrix,
     eigen_decompose,
@@ -88,11 +91,20 @@ def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, cluster_rad
     Rank cutoffs inflate with the cluster radius because a radius-delta
     eigenvalue error perturbs the zero singular values of the k-th power by
     about k * delta * s^(k-1).
+
+    Where s^multiplicity leaves the float range the powers would overflow,
+    so M, s and delta are first scaled by one power of two to s below 1:
+    that scales the singular values of M^k and both terms of its cutoff by
+    the same exact factor, and leaves the ranks as they are.
     """
     n = A.shape[0]
     M = A - lam * np.eye(n)
-    power, sings = M, [np.linalg.svd(M, compute_uv=False)]  # the singular values of M^k, k = 1, 2, ...
-    s_norm = max(float(sings[0][0]), 1.0)
+    sing = np.linalg.svd(M, compute_uv=False)
+    s_norm = max(float(sing[0]), 1.0)
+    if multiplicity * math.log2(s_norm) > 1000.0:
+        c = math.ldexp(1.0, -math.frexp(s_norm)[1])
+        M, sing, s_norm, cluster_radius = c * M, c * sing, c * s_norm, c * cluster_radius
+    power, sings = M, [sing]  # the singular values of M^k, k = 1, 2, ...
     delta = max(cluster_radius, 4.0 * MACHINE_EPS * s_norm)
     for inflate in (1.0, 8.0, 64.0):
         nullities = [0]
@@ -159,6 +171,15 @@ def _cluster_path(A: np.ndarray, clusters: Clusters, tol: ToleranceConfig):
 
 
 _REALITY_CLASSES = tuple(RealityClass)
+
+
+@functools.cache
+def _pairs(n: int):
+    """The pairs i < j of n indices, row by row, as the index arrays (i, j),
+    and the boolean (pairs, n) incidence of pair and index; read-only."""
+    lo, hi = np.triu_indices(n, 1)
+    incident = (lo[:, None] == np.arange(n)) | (hi[:, None] == np.arange(n))
+    return _read_only(lo), _read_only(hi), _read_only(incident)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,7 +257,8 @@ def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -
     that matrix alone.
 
     symmetry, when given, is a (SymmetryKind, operator) pair; the operator is
-    checked once per call and the intertwining identity once per matrix.
+    checked once per call, and the intertwining identity is taken for the
+    whole stack in two BLAS products (symmetry._intertwining).
     """
     return _classify_stack(as_square_matrix(stack, "H", stack=True), tol, symmetry)
 
@@ -260,23 +282,27 @@ def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTa
         # a stable complex sort is the lexicographic (Re, Im) order of lexsort
         values = np.sort(lone.values[None] if lone else np.linalg.eigvals(S), axis=-1, kind="stable")
         cluster_cut, reality_cut = _cluster_cut(tol, scales, n), _reality_cut(tol, scales)
-        pair_cut = np.maximum(2 * reality_cut, cluster_cut)
-        # gap[k, i, j] = |v_j - v_i| and conj_gap[k, i, j] = |v_j - conj(v_i)|, infinite for j = i
-        dist = np.abs(values[:, None, :] - np.array((values, values.conj()))[:, :, :, None])
-        dist.reshape(-1, n * n)[:, :: n + 1] = np.inf
-        gap, conj_gap = dist
-        min_gap = gap.min(axis=(1, 2))
+        partner_cut = 2 * reality_cut
+        pair_cut = np.maximum(partner_cut, cluster_cut)
+        # gap[k, p] = |v_j - v_i| and conj_gap[k, p] = |v_j - conj(v_i)| over
+        # the pairs p = (i, j), i < j, of _pairs: both are symmetric in i and
+        # j bit for bit, so no pair is taken twice
+        lo, hi, incident = _pairs(n)
+        first = values[:, lo]
+        gap, conj_gap = np.abs(values[:, hi] - np.array((first, first.conj())))
+        min_gap = gap.min(axis=1, initial=np.inf)
         real = np.abs(values.imag) <= reality_cut[:, None]
         # eigenvalue j within two reality cuts of conj(eigenvalue i): where the
         # gaps exceed twice the pairing cut, a conjugate distance within that cut
         # joins two non-real eigenvalues, and each has at most one partner.  The
         # cluster discs decide a distance between two reality cuts and the
         # pairing cut, so such a point takes the cluster path
-        partner = conj_gap <= 2 * reality_cut[:, None, None]
-        unsure = ((conj_gap <= pair_cut[:, None, None]) > partner).any(axis=(1, 2))
+        partner = conj_gap <= partner_cut[:, None]
+        unsure = ((conj_gap <= pair_cut[:, None]) > partner).any(axis=1)
         simple = (min_gap >= 10.0 * cluster_cut) & (min_gap > 2.0 * pair_cut) & ~unsure
-        paired = (real | partner.any(axis=2)).all(axis=1)
-    all_real, any_real = real.all(axis=1), real.any(axis=1)
+        paired = (real | partner @ incident).all(axis=1)  # a boolean product: any pair that holds the index
+    real_count = real.sum(axis=1)
+    all_real, any_real = real_count == n, real_count > 0
     ambiguous, defective = np.zeros((2, K), dtype=bool)
 
     # the points left take one stacked eig and one stacked SVD of its vectors,

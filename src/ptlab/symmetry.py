@@ -59,11 +59,17 @@ class SymmetryReport:
 def _intertwining(kind: SymmetryKind, O, A: np.ndarray, scale, tol: ToleranceConfig):
     """(holds, gap norm, operator check) of kind's intertwining identity.
 
-    A is one n x n matrix or an (..., n, n) stack and scale its Frobenius
+    A is one n x n matrix or a (K, n, n) stack and scale its Frobenius
     norm (one per matrix); holds and the gap norm then carry one entry per
     matrix.  The operator O is checked against the kind's family once,
     whatever the size of the stack, and from its record when it carries one
-    (see ptlab.involutions).
+    (see ptlab.involutions).  A stack of K > 1 matrices takes each product
+    of the identity as one BLAS call: P times the n x Kn panel [A_1 ... A_K]
+    (or of their conjugates), and the Kn x n panel of the conjugates or
+    adjoints of the A_k times P.  For a diagonal or permutation P of +-1
+    entries every product entry is one exact term, so each gap equals that
+    of the plain per-matrix product bit for bit; a dense P may differ from
+    it by rounding.
     """
     P = operator_matrix(O)
     if P.shape != A.shape[-2:]:
@@ -73,12 +79,20 @@ def _intertwining(kind: SymmetryKind, O, A: np.ndarray, scale, tol: ToleranceCon
         raise ContractError(
             f"{kind.value} needs a {_REQUIRED_OPERATOR_KIND[kind].value} operator; residuals {op_check.residuals}"
         )
+    # the identity P L = R P with L and R read off A
     if kind is SymmetryKind.PT:
-        gap = P @ A - A.conj() @ P
+        L, R = A, A.conj()
     elif kind is SymmetryKind.PSEUDO:
-        gap = P @ A - A.conj().swapaxes(-1, -2) @ P
+        L, R = A, A.conj().swapaxes(-1, -2)
     else:
-        gap = P @ A.conj() - A @ P
+        L, R = A.conj(), A
+    if A.ndim == 2 or len(A) == 1:
+        gap = P @ L - R @ P
+    else:
+        K, n = A.shape[:2]
+        left = P @ L.swapaxes(0, 1).reshape(n, K * n)  # P [L_1 ... L_K]
+        right = R.reshape(K * n, n) @ P  # [R_1; ...; R_K] P
+        gap = left.reshape(n, K, n).swapaxes(0, 1) - right.reshape(K, n, n)
     raw = frobenius_norms(gap)
     return raw <= np.maximum(tol.abs_tol, tol.rel_tol * scale), raw, op_check
 

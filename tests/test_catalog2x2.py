@@ -4,6 +4,7 @@ import cmath
 import itertools
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -141,6 +142,23 @@ class TestPt2Family:
         assert fam.metric is None and "u*gamma" in fam.metric_reason
         with pytest.raises(ConstraintError):
             cat.pt2_metric(cat.Pt2Params(gamma=1.0, u=-1.0))
+
+    @pytest.mark.parametrize("family", [cat.pt2_family, cat.pseudo2_family])
+    @pytest.mark.parametrize("name, value", [("gamma", 1e200), ("rho", -1e155), ("v", 2e154)])
+    def test_parameter_whose_square_overflows_is_a_contract_error(self, family, name, value):
+        # before any closed form is evaluated: no OverflowError and no numpy
+        # warning (an error under this suite's warning filter)
+        p = cat.Pt2Params(**{name: value})
+        message = f"parameter {name} = {value:g} is too large: its square overflows"
+        with pytest.raises(ContractError, match=re.escape(message)):
+            p.metric_reason()
+        with pytest.raises(ContractError, match="its square overflows"):
+            family(p)
+
+    def test_squares_within_the_float_range_keep_their_verdict(self):
+        p = cat.Pt2Params(gamma=1e154, rho=-1e154, v=1e150)
+        assert p.metric_reason() == "v^2 < gamma^2 - rho^2 violated (v^2 = 1e+300, gamma^2 - rho^2 = 0)"
+        assert cat.Pt2Params(gamma=1e154, rho=1e153).metric_reason() is None
 
 
 class TestPt2Charts:

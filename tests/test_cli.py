@@ -324,6 +324,29 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--family", "pt2", "--grid", '{"rho":1e308,"gamma":1e308}')
         assert (code, out, err) == (3, "", "error: Frobenius norm exceeds the float range\n")
 
+    # finite axes whose matrix entries overflow: numpy's overflow warning (an
+    # error under this suite's warning filter) must not reach stderr, and the
+    # error names the first such point in loop order
+    @pytest.mark.parametrize("family, grid, point", [
+        ("pt2", '{"e":1e308,"gamma":1e308}', "e = 1e+308, gamma = 1e+308, rho = 0, delta = 0"),
+        ("pseudo2", '{"e":1e308,"gamma":{"start":1,"stop":1e308,"num":3},"rho":2}',
+         "e = 1e+308, gamma = 1e+308, rho = 2, delta = 0"),
+    ])
+    def test_entries_beyond_the_float_range_name_the_point(self, capsys, family, grid, point):
+        code, out, err = run(capsys, "sweep", "--family", family, "--grid", grid)
+        assert (code, out, err) == (3, "", f"error: the {family} matrix at {point} has NaN or Inf entries\n")
+
+    def test_degeneration_parameter_whose_square_overflows_exits_4(self, capsys):
+        code, out, err = run(capsys, "sweep", "--family", "degeneration", "--grid", '{"u":1e308,"gamma":1e308}')
+        assert (code, out, err) == (4, "", "error: parameter gamma = 1e+308 is too large: its square overflows\n")
+
+    def test_exceptional_point_beyond_1e154_takes_the_staircase_without_overflow(self, capsys):
+        # the rank staircase squares the 1e200 matrix; its powers are taken
+        # scaled by a power of two, so no overflow warning is raised
+        code, out, err = run(capsys, "sweep", "--family", "pseudo2", "--grid", '{"rho":1e200,"gamma":1e200}')
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1].endswith(",1")
+
     @pytest.mark.parametrize("family, grid, golden", [
         ("pt2", '{"gamma":{"start":0,"stop":2,"num":21},"rho":1}', "sweep_pt2_readme.csv"),
         # |gamma| = rho exactly at four of the 49 points

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ptlab import spectra
 from ptlab.catalog2x2 import (
+    Chart,
     Pt2Params,
     pseudo2_family,
     pseudo2_hamiltonian,
@@ -13,11 +14,12 @@ from ptlab.catalog2x2 import (
     pt2_family,
     pt2_hamiltonian,
     pt2_jordan_chain,
+    pt2_transformed,
 )
 from ptlab.errors import ContractError, DimensionError
 from ptlab.intertwine import eigen_clusters
-from ptlab.involutions import InvolutionKind, InvolutionOperator, make_diagonal_parity
-from ptlab.numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig, frobenius_norms
+from ptlab.involutions import InvolutionKind, InvolutionOperator, make_diagonal_parity, make_sip
+from ptlab.numerics import DEFAULT_TOL, MACHINE_EPS, ToleranceConfig, frobenius, frobenius_norms
 from ptlab.spectra import (
     RealityClass,
     _segre_staircase,
@@ -84,6 +86,19 @@ class TestClassifySpectrum:
         report = classify_spectrum(np.array([[0.0, 1e200], [-1e200, 0.0]]))
         assert report.reality_class is RealityClass.CONJUGATE_PAIRS
         np.testing.assert_allclose(np.sort(report.eigenvalues.imag), [-1e200, 1e200], rtol=1e-12)
+
+    @pytest.mark.parametrize("H, sizes", [
+        # the pseudo2 exceptional point at rho = gamma = 1e200
+        (pseudo2_hamiltonian(Pt2Params(gamma=1e200, rho=1e200)), [2]),
+        (jordan_block(0.0, 3) * 1e200, [3]),
+        (jordan_block(1.0, 3) * 1e120, [3]),  # its cube is past the float range
+    ])
+    def test_staircase_powers_stay_in_range(self, H, sizes):
+        # the powers of the rank staircase once overflowed (a numpy warning,
+        # an error under this suite's warning filter)
+        report = classify_spectrum(H)
+        assert list(report.segre.values()) == [sizes] and not report.ambiguous
+        assert report.reality_class is RealityClass.ALL_REAL_DEFECTIVE
 
     def test_jordan_block_segre(self):
         report = classify_spectrum(jordan_block(5.0, 3))
@@ -558,6 +573,50 @@ class TestClassifySpectra:
             report = check_symmetry(kind, operator, H)
             assert (bool(holds[k]), float(raw[k] / scale[k])) == (report.holds, report.residual)
         assert holds.tolist() == [True] * 4 + [False] * 4
+
+    @staticmethod
+    def _half_symmetric_stack(rng, kind, P, K):
+        """K random n x n matrices, the even ones made to satisfy kind's
+        identity with the real involution or core P."""
+        n = P.shape[0]
+        X = rng.normal(size=(K, n, n)) + 1j * rng.normal(size=(K, n, n))
+        mirror = P @ (X.conj().swapaxes(-1, -2) if kind is SymmetryKind.PSEUDO else X.conj()) @ P
+        X[::2] = 0.5 * (X[::2] + mirror[::2])
+        return X
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("kind", list(SymmetryKind))
+    @pytest.mark.parametrize("shape", ["diagonal", "sip"])
+    def test_one_product_per_stack_is_bit_equal_for_signed_permutations(self, n, kind, shape):
+        # the sweep's shape (K = 100): P times the panel of all matrices is one
+        # product, and so is the panel of their conjugates or adjoints times P
+        family = {SymmetryKind.PT: InvolutionKind.REAL_INVOLUTION,
+                  SymmetryKind.PSEUDO: InvolutionKind.HERMITIAN_INVOLUTION,
+                  SymmetryKind.GEN_PT: InvolutionKind.ANTILINEAR_CORE}[kind]
+        operator = make_diagonal_parity(1, n - 1, family) if shape == "diagonal" else make_sip(n, family)
+        stack = self._half_symmetric_stack(np.random.default_rng(n), kind, operator.matrix, 100)
+        scale = frobenius_norms(stack)
+        holds, raw, _ = _intertwining(kind, operator, stack, scale, DEFAULT_TOL)
+        for k, H in enumerate(stack):
+            report = check_symmetry(kind, operator, H)
+            assert raw[k] == _intertwining(kind, operator, H, scale[k], DEFAULT_TOL)[1]
+            assert (bool(holds[k]), float(raw[k] / scale[k])) == (report.holds, report.residual)
+        assert holds.tolist() == [True, False] * 50
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_one_product_per_stack_rounds_like_the_plain_product_for_a_dense_parity(self, n):
+        # a chart parity is a dense real involution: the stacked products may
+        # round differently from the per-matrix ones, in the last bits only
+        chart = pt2_transformed(Chart.BOOST, Pt2Params(gamma=1.3, rho=0.4, theta=0.9, phi=0.6))
+        P = np.kron(np.eye(n // 2), chart.parity)
+        stack = self._half_symmetric_stack(np.random.default_rng(7 + n), SymmetryKind.PT, P, 100)
+        scale = frobenius_norms(stack)
+        holds, raw, _ = _intertwining(SymmetryKind.PT, P, stack, scale, DEFAULT_TOL)
+        for k, H in enumerate(stack):
+            report = check_symmetry(SymmetryKind.PT, P, H)
+            assert bool(holds[k]) == report.holds
+            assert abs(raw[k] / scale[k] - report.residual) <= 64 * MACHINE_EPS * frobenius(P)
+        assert holds.tolist() == [True, False] * 50
 
     def test_operator_checked_once_per_call(self):
         stack = np.array([jordan_block(1.0, 2)] * 3)
