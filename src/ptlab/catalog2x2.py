@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass, fields
 
@@ -50,17 +51,16 @@ def _grid_axes(e, gamma, rho, delta):
     return [np.asarray(a, dtype=float).reshape(shape) for a, shape in zip((e, gamma, rho, delta), shapes)]
 
 
-def _pointwise(fn, *axes, nout=1, dtype=complex):
+def _pointwise(fn, *axes):
     """fn at every point of the subgrid spanned by some grid axes (given in
-    grid order), one Python call per point, as a dtype array; an fn with nout
-    results gives a tuple of nout such arrays.
+    grid order), one Python call per point.
 
     Products with complex numbers go through here: numpy's complex multiply
     may fuse a multiply and an add, which rounds an underflowing product to
     a zero of another sign than Python's scalar arithmetic does.
     """
-    values = np.frompyfunc(fn, len(axes), nout)(*axes)
-    return values.astype(dtype) if nout == 1 else tuple(v.astype(dtype) for v in values)
+    values = [fn(*point) for point in itertools.product(*(a.reshape(-1).tolist() for a in axes))]
+    return np.array(values).reshape(np.broadcast_shapes(*(a.shape for a in axes)))
 
 
 def _require_finite(params):
@@ -68,6 +68,24 @@ def _require_finite(params):
     for f in fields(params):
         if not math.isfinite(float(getattr(params, f.name))):
             raise ContractError(f"parameter {f.name} must be finite")
+
+
+def _square_overflow(p) -> str | None:
+    """The violation when v, gamma or rho (|x| beyond about 1.3e154) has a
+    square past the float range, else None.  The closed forms of the 2x2
+    families square these parameters."""
+    for name in ("v", "gamma", "rho"):
+        x = float(getattr(p, name))
+        if not math.isfinite(x * x):
+            return f"parameter {name} = {x:g} is too large: its square overflows"
+    return None
+
+
+def _require_squares(p):
+    """ConstraintError when a square of the closed forms overflows."""
+    overflow = _square_overflow(p)
+    if overflow is not None:
+        raise ConstraintError(overflow)
 
 
 @dataclass(frozen=True)
@@ -90,16 +108,13 @@ class Pt2Params:
         """None when the positive-metric constraints hold, else the violation.
 
         The constraint v^2 < gamma^2 - rho^2 is taken on the squares, so it
-        is a ContractError when one of them is past the float range
-        (|v|, |gamma| or |rho| beyond about 1.3e154); the closed forms of
-        the families, which square the same parameters, need them finite too.
+        fails, naming the parameter, when one of them is past the float range.
         """
-        for name in ("v", "gamma", "rho"):
-            x = float(getattr(self, name))
-            if not math.isfinite(x * x):
-                raise ContractError(f"parameter {name} = {x:g} is too large: its square overflows")
         if self.u * self.gamma <= 0:
             return f"u*gamma > 0 violated (u*gamma = {self.u * self.gamma:g})"
+        overflow = _square_overflow(self)
+        if overflow is not None:
+            return overflow
         if self.v ** 2 >= self.gamma ** 2 - self.rho ** 2:
             return (
                 f"v^2 < gamma^2 - rho^2 violated "
@@ -132,8 +147,10 @@ def pt2_grid(e, gamma, rho, delta) -> np.ndarray:
     """(K, 2, 2) stack of the PT-family matrix at every point of the grid
     e x gamma x rho x delta, in loop order e -> gamma -> rho -> delta."""
     e, gamma, rho, delta = _grid_axes(e, gamma, rho, delta)
-    sin, cos = _pointwise(lambda d: (math.sin(d), math.cos(d)), delta, nout=2, dtype=float)
-    return pauli_combination((_pointwise(lambda r: 1j * r, rho), gamma * sin, gamma * cos), e).reshape(-1, 2, 2)
+    coeffs = (_pointwise(lambda r: 1j * r, rho),
+              gamma * _pointwise(math.sin, delta),
+              gamma * _pointwise(math.cos, delta))
+    return pauli_combination(coeffs, e).reshape(-1, 2, 2)
 
 
 def pt2_hamiltonian(p: Pt2Params) -> np.ndarray:
@@ -157,9 +174,10 @@ def pt2_family(p: Pt2Params, normalization=(1.0, 1.0)) -> Pt2Family:
     rho = +-gamma sin(delta); normalization holds the two free constants
     (default 1, which is what the printed weighted-norm formulas assume).
     The four metric fields are None, with metric_reason set, whenever the
-    positivity constraints fail.
+    positivity constraints fail.  A v, gamma or rho whose square overflows
+    is a ConstraintError.
     """
-    reason = p.metric_reason()
+    _require_squares(p)
     g, r, d = p.gamma, p.rho, p.delta
     root = cmath.sqrt(complex(g * g - r * r))
     e_plus, e_minus = p.e + root, p.e - root
@@ -168,6 +186,7 @@ def pt2_family(p: Pt2Params, normalization=(1.0, 1.0)) -> Pt2Family:
     vec_plus = n_plus * np.array([phase - 1j * r + root, phase + 1j * r - root])
     vec_minus = n_minus * np.array([phase - 1j * r - root, phase + 1j * r + root])
 
+    reason = p.metric_reason()
     metric = omega_plus = omega_minus = norm_plus = norm_minus = None
     if reason is None:
         metric = pt2_metric(p)
@@ -292,8 +311,9 @@ def pseudo2_grid(e, gamma, rho, delta) -> np.ndarray:
     e, gamma, rho, delta = _grid_axes(e, gamma, rho, delta)
     out = np.empty((e.size, gamma.size, rho.size, delta.size, 2, 2), dtype=complex)
     out[..., 0, 0] = e + gamma
-    out[..., 0, 1], out[..., 1, 0] = _pointwise(lambda r, d: (r * cmath.exp(1j * d), -r * cmath.exp(-1j * d)),
-                                                rho, delta, nout=2)
+    up, down = _pointwise(lambda d: cmath.exp(1j * d), delta), _pointwise(lambda d: cmath.exp(-1j * d), delta)
+    out[..., 0, 1] = _pointwise(lambda r, z: r * z, rho, up)
+    out[..., 1, 0] = _pointwise(lambda r, z: -r * z, rho, down)
     out[..., 1, 1] = e - gamma
     return out.reshape(-1, 2, 2)
 
@@ -315,15 +335,17 @@ def pseudo2_family(p: Pt2Params, normalization=(1.0, 1.0)) -> Pseudo2Family:
 
     The transported parity is the unit-vector Pauli combination n . sigma, and
     the transported matrix/metric are given in the spherical frame
-    (n, n_theta, n_phi) exactly as closed forms.
+    (n, n_theta, n_phi) exactly as closed forms.  A v, gamma or rho whose
+    square overflows is a ConstraintError.
     """
-    reason = p.metric_reason()
+    _require_squares(p)
     e, g, r, d = p.e, p.gamma, p.rho, p.delta
     root = cmath.sqrt(complex(g * g - r * r))
     n_plus, n_minus = normalization
     vec_plus = n_plus * np.array([g + root, -r * cmath.exp(-1j * d)])
     vec_minus = n_minus * np.array([g - root, -r * cmath.exp(-1j * d)])
 
+    reason = p.metric_reason()
     metric = omega_plus = omega_minus = norm_plus = norm_minus = rotated_metric = None
     if reason is None:
         metric = pseudo2_metric(p)

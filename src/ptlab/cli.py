@@ -11,8 +11,9 @@ read.
 
 Exit codes: 0 ok, 2 parse error, 3 dimension/kind mismatch (including a
 sweep grid point whose matrix entries overflow), 4 constraint violation
-(including an empty sweep grid, and a degeneration gamma whose square
-overflows), 5 count mismatch.
+(including an empty sweep grid, and a v, gamma or rho of a pt2/pseudo2
+construction or a degeneration scan whose square overflows), 5 count
+mismatch.
 """
 
 from __future__ import annotations
@@ -483,14 +484,14 @@ def cmd_sweep(args) -> int:
     if args.family in ("pt2", "pseudo2"):
         _reject_unknown(grid, _PT2_GRID_KEYS, "grid")
         axes = [_grid_axis(grid.get(name, 0.0), name) for name in _PT2_GRID_KEYS]
-        sizes = [axis.size for axis in axes]
-        if math.prod(sizes) == 0:
+        if math.prod(axis.size for axis in axes) == 0:
             raise CliError(EXIT_CONSTRAINT, "sweep grid is empty")
-        if not np.isfinite(np.concatenate(axes)).all():
+        finite = [np.isfinite(axis) for axis in axes]
+        if not all(f.all() for f in finite):
             # the first point in loop order with a non-finite coordinate raises
             # the same error a parameter record built there raises
-            finite = [np.isfinite(axis) for axis in axes]
-            point = np.unravel_index(np.argmin(functools.reduce(np.logical_and.outer, finite)), sizes)
+            point = np.unravel_index(np.argmin(functools.reduce(np.logical_and.outer, finite)),
+                                     [axis.size for axis in axes])
             catalog2x2.Pt2Params(*(float(axis[i]) for axis, i in zip(axes, point)))
         header = ("e", "gamma", "rho", "delta",
                   "energy_plus_re", "energy_plus_im", "energy_minus_re", "energy_minus_im", "unbroken")
@@ -506,7 +507,7 @@ def cmd_sweep(args) -> int:
             bad = ~np.isfinite(stack).all(axis=(1, 2))
             if not bad.any():
                 raise
-            point = np.unravel_index(np.argmax(bad), sizes)
+            point = np.unravel_index(np.argmax(bad), [axis.size for axis in axes])
             coordinates = ", ".join(f"{name} = {_fmt17(axis[i])}" for name, axis, i in zip(_PT2_GRID_KEYS, axes, point))
             raise ContractError(f"the {args.family} matrix at {coordinates} has NaN or Inf entries") from None
         lines += _sweep_rows(axes, table)

@@ -33,7 +33,6 @@ All matrices in scope are small (desk scale, <= 64x64); no sparse paths.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -66,7 +65,7 @@ class ToleranceConfig:
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol", "rank_tol_factor"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
+            if not np.isfinite(value) or value < 0:
                 raise ContractError(f"{name} must be a nonnegative finite real, got {value!r}")
 
     def rank_cutoff(self, sigma_max: float) -> float:

@@ -27,7 +27,6 @@ clustered once.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -43,7 +42,6 @@ from .numerics import (
     ToleranceConfig,
     _cluster_cut,
     _eigenpairs,
-    _read_only,
     _reality_cut,
     as_square_matrix,
     eigen_decompose,
@@ -173,15 +171,6 @@ def _cluster_path(A: np.ndarray, clusters: Clusters, tol: ToleranceConfig):
 _REALITY_CLASSES = tuple(RealityClass)
 
 
-@functools.cache
-def _pairs(n: int):
-    """The pairs i < j of n indices, row by row, as the index arrays (i, j),
-    and the boolean (pairs, n) incidence of pair and index; read-only."""
-    lo, hi = np.triu_indices(n, 1)
-    incident = (lo[:, None] == np.arange(n)) | (hi[:, None] == np.arange(n))
-    return _read_only(lo), _read_only(hi), _read_only(incident)
-
-
 @dataclass(frozen=True, eq=False)
 class SpectrumTable(Sequence):
     """Verdicts for a (K, n, n) stack, one column per field.
@@ -282,27 +271,23 @@ def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTa
         # a stable complex sort is the lexicographic (Re, Im) order of lexsort
         values = np.sort(lone.values[None] if lone else np.linalg.eigvals(S), axis=-1, kind="stable")
         cluster_cut, reality_cut = _cluster_cut(tol, scales, n), _reality_cut(tol, scales)
-        partner_cut = 2 * reality_cut
-        pair_cut = np.maximum(partner_cut, cluster_cut)
-        # gap[k, p] = |v_j - v_i| and conj_gap[k, p] = |v_j - conj(v_i)| over
-        # the pairs p = (i, j), i < j, of _pairs: both are symmetric in i and
-        # j bit for bit, so no pair is taken twice
-        lo, hi, incident = _pairs(n)
-        first = values[:, lo]
-        gap, conj_gap = np.abs(values[:, hi] - np.array((first, first.conj())))
-        min_gap = gap.min(axis=1, initial=np.inf)
+        pair_cut = np.maximum(2 * reality_cut, cluster_cut)
+        # gap[k, i, j] = |v_j - v_i| and conj_gap[k, i, j] = |v_j - conj(v_i)|, infinite for j = i
+        dist = np.abs(values[:, None, :] - np.array((values, values.conj()))[:, :, :, None])
+        dist.reshape(-1, n * n)[:, :: n + 1] = np.inf
+        gap, conj_gap = dist
+        min_gap = gap.min(axis=(1, 2))
         real = np.abs(values.imag) <= reality_cut[:, None]
         # eigenvalue j within two reality cuts of conj(eigenvalue i): where the
         # gaps exceed twice the pairing cut, a conjugate distance within that cut
         # joins two non-real eigenvalues, and each has at most one partner.  The
         # cluster discs decide a distance between two reality cuts and the
         # pairing cut, so such a point takes the cluster path
-        partner = conj_gap <= partner_cut[:, None]
-        unsure = ((conj_gap <= pair_cut[:, None]) > partner).any(axis=1)
+        partner = conj_gap <= 2 * reality_cut[:, None, None]
+        unsure = ((conj_gap <= pair_cut[:, None, None]) > partner).any(axis=(1, 2))
         simple = (min_gap >= 10.0 * cluster_cut) & (min_gap > 2.0 * pair_cut) & ~unsure
-        paired = (real | partner @ incident).all(axis=1)  # a boolean product: any pair that holds the index
-    real_count = real.sum(axis=1)
-    all_real, any_real = real_count == n, real_count > 0
+        paired = (real | partner.any(axis=2)).all(axis=1)
+    all_real, any_real = real.all(axis=1), real.any(axis=1)
     ambiguous, defective = np.zeros((2, K), dtype=bool)
 
     # the points left take one stacked eig and one stacked SVD of its vectors,

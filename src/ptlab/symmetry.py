@@ -63,13 +63,13 @@ def _intertwining(kind: SymmetryKind, O, A: np.ndarray, scale, tol: ToleranceCon
     norm (one per matrix); holds and the gap norm then carry one entry per
     matrix.  The operator O is checked against the kind's family once,
     whatever the size of the stack, and from its record when it carries one
-    (see ptlab.involutions).  A stack of K > 1 matrices takes each product
-    of the identity as one BLAS call: P times the n x Kn panel [A_1 ... A_K]
-    (or of their conjugates), and the Kn x n panel of the conjugates or
-    adjoints of the A_k times P.  For a diagonal or permutation P of +-1
-    entries every product entry is one exact term, so each gap equals that
-    of the plain per-matrix product bit for bit; a dense P may differ from
-    it by rounding.
+    (see ptlab.involutions).  Each product of the identity is one BLAS call
+    for the whole stack: P times the n x Kn panel [A_1 ... A_K] (or of their
+    conjugates), and the Kn x n panel of the conjugates or adjoints of the
+    A_k times P; for one matrix these are the plain products.  For a
+    diagonal or permutation P of +-1 entries every product entry is one
+    exact term, so each gap of a stack equals that of its matrix alone bit
+    for bit; a dense P may differ from it by rounding.
     """
     P = operator_matrix(O)
     if P.shape != A.shape[-2:]:
@@ -86,13 +86,10 @@ def _intertwining(kind: SymmetryKind, O, A: np.ndarray, scale, tol: ToleranceCon
         L, R = A, A.conj().swapaxes(-1, -2)
     else:
         L, R = A.conj(), A
-    if A.ndim == 2 or len(A) == 1:
-        gap = P @ L - R @ P
-    else:
-        K, n = A.shape[:2]
-        left = P @ L.swapaxes(0, 1).reshape(n, K * n)  # P [L_1 ... L_K]
-        right = R.reshape(K * n, n) @ P  # [R_1; ...; R_K] P
-        gap = left.reshape(n, K, n).swapaxes(0, 1) - right.reshape(K, n, n)
+    n = len(P)
+    left = P @ L.swapaxes(0, -2).reshape(n, -1)  # P [L_1 ... L_K]
+    right = R.reshape(-1, n) @ P  # [R_1; ...; R_K] P
+    gap = left.reshape(n, -1, n).swapaxes(0, 1).reshape(A.shape) - right.reshape(A.shape)
     raw = frobenius_norms(gap)
     return raw <= np.maximum(tol.abs_tol, tol.rel_tol * scale), raw, op_check
 

@@ -145,15 +145,19 @@ class TestPt2Family:
 
     @pytest.mark.parametrize("family", [cat.pt2_family, cat.pseudo2_family])
     @pytest.mark.parametrize("name, value", [("gamma", 1e200), ("rho", -1e155), ("v", 2e154)])
-    def test_parameter_whose_square_overflows_is_a_contract_error(self, family, name, value):
+    def test_parameter_whose_square_overflows_is_a_constraint_error(self, family, name, value):
         # before any closed form is evaluated: no OverflowError and no numpy
         # warning (an error under this suite's warning filter)
         p = cat.Pt2Params(**{name: value})
         message = f"parameter {name} = {value:g} is too large: its square overflows"
-        with pytest.raises(ContractError, match=re.escape(message)):
-            p.metric_reason()
-        with pytest.raises(ContractError, match="its square overflows"):
+        assert p.metric_reason() == message
+        with pytest.raises(ConstraintError, match=re.escape(message)):
+            p.require_metric()
+        with pytest.raises(ConstraintError, match=re.escape(message)):
             family(p)
+
+    def test_sign_of_u_gamma_is_decided_before_the_squares(self):
+        assert cat.Pt2Params(gamma=-1e200).metric_reason() == "u*gamma > 0 violated (u*gamma = -1e+200)"
 
     def test_squares_within_the_float_range_keep_their_verdict(self):
         p = cat.Pt2Params(gamma=1e154, rho=-1e154, v=1e150)

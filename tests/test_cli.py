@@ -336,9 +336,16 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--family", family, "--grid", grid)
         assert (code, out, err) == (3, "", f"error: the {family} matrix at {point} has NaN or Inf entries\n")
 
-    def test_degeneration_parameter_whose_square_overflows_exits_4(self, capsys):
-        code, out, err = run(capsys, "sweep", "--family", "degeneration", "--grid", '{"u":1e308,"gamma":1e308}')
-        assert (code, out, err) == (4, "", "error: parameter gamma = 1e+308 is too large: its square overflows\n")
+    # every command that takes the 2x2 closed forms gives one exit code and message
+    @pytest.mark.parametrize("argv, value", [
+        (["sweep", "--family", "degeneration", "--grid", '{"u":1e308,"gamma":1e308}'], "1e+308"),
+        (["construct", "--family", "pt2", "--params", '{"gamma":1e200}'], "1e+200"),
+        (["construct", "--family", "pseudo2", "--params", '{"gamma":-1e200,"u":1}'], "-1e+200"),
+    ])
+    def test_parameter_whose_square_overflows_exits_4(self, capsys, argv, value):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (4, "", f"constraint violated: parameter gamma = {value} is too large: "
+                                           "its square overflows\n")
 
     def test_exceptional_point_beyond_1e154_takes_the_staircase_without_overflow(self, capsys):
         # the rank staircase squares the 1e200 matrix; its powers are taken
