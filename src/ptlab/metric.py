@@ -113,7 +113,7 @@ def _metric_attempt(A, values, norm, tol):
         labels, radii, U, single, blocks, final = frame
         if final and blocks:  # one cluster in the identity frame: the dense system, orthonormal already
             return hermitian_solutions(blocks[0][1], tol, norm), set()
-        centres, spans = cluster_discs(values, radii, labels)
+        centres, spans = cluster_discs(values, radii, labels) if blocks else (values, radii)
         near = np.abs(centres[:, None] - centres.conj()[None, :]) <= spans[:, None] + spans[None, :]
         rows, cols = np.nonzero(near & single[:, None] & single[None, :] if blocks else near)
         upper = rows <= cols

@@ -21,7 +21,11 @@ first entry of the table of a stack of one.  A lone matrix takes its
 eigenpairs, and on the cluster path its clusters and conjugate pairs, from
 its shared eigen record (numerics._eigenpairs, intertwine.spectrum_clusters),
 which find_gen_pt_operator and align_pt_phases read too: each spectrum is
-clustered once.
+clustered once.  Its screen takes the smallest gap first and sends a
+spectrum that fails the gap cuts straight to the cluster path; a spectrum
+that passes keeps the verdict on the record (intertwine.keep_screen), and
+its clusters are built from it, never clustered.  Where every cluster is a
+single eigenvalue, the cluster path reads the Segre dict off the arrays.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
-from .intertwine import Clusters, sorted_clusters, spectrum_clusters
+from .errors import ConstraintError, ContractError, DimensionError
+from .intertwine import Clusters, keep_screen, sorted_clusters, spectrum_clusters
 from .involutions import operator_matrix
 from .numerics import (
     DEFAULT_TOL,
@@ -42,6 +46,7 @@ from .numerics import (
     ToleranceConfig,
     _cluster_cut,
     _eigenpairs,
+    _read_only,
     _reality_cut,
     as_square_matrix,
     eigen_decompose,
@@ -141,18 +146,24 @@ def _cluster_path(A: np.ndarray, clusters: Clusters, tol: ToleranceConfig):
     values, _, _, labels, centres, spans, real, pairs = clusters
     n = values.size
     heads = np.flatnonzero(labels == np.arange(n))
-    c, s = centres[heads], spans[heads]
+    simple = heads.size == n
+    c, s = (centres, spans) if simple else (centres[heads], spans[heads])
     near = np.abs(c[:, None] - c) < 10.0 * (s[:, None] + s)
     np.fill_diagonal(near, False)
     ambiguous = bool(near.any())
+    mirrors = [pair for pair in pairs or () if real[pair[0]]]
+    segre, defective = {}, False
+    if simple and not mirrors:  # every eigenvalue alone: each keys Segre [1]
+        for key in np.where(real, values.real, values).tolist():
+            segre.setdefault(key, []).append(1)  # real eigenvalues with one real part share an entry
+        return segre, ambiguous, bool(real.all()), bool(real.any()), pairs is not None, defective
     labels = labels.copy()  # the clusters are shared; the mirror merges below are this report's
-    for a, b in (pair for pair in pairs or () if real[pair[0]]):  # mirrors make one real cluster
+    for a, b in mirrors:  # mirrors make one real cluster
         labels[(labels == a) | (labels == b)] = min(a, b)
         heads = heads[heads != max(a, b)]
 
     # a lone eigenvalue keys its Segre entry, a larger cluster the mean of its members
     keys = np.where(real[heads], values.real[heads], values[heads]).tolist()
-    segre, defective = {}, False
     for key, head, size in zip(keys, heads.tolist(), np.bincount(labels)[heads].tolist()):
         sizes = [1]
         if size > 1:
@@ -236,7 +247,11 @@ def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -
     (numerics._eigenpairs) instead, for the screen and the cluster path
     alike, and the clusters kept on it (intertwine.spectrum_clusters); its
     eig values are bit-equal to those of eigvals, and
-    find_gen_pt_operator reads the same record and clusters.  At sizes n where no
+    find_gen_pt_operator reads the same record and clusters.  Its screen
+    (_screen_lone) stops at the smallest gap when that fails the gap cuts,
+    before any conjugate gap is taken, and a passing verdict (the sorting
+    order, the reality mask and the conjugate partners) stays on the record,
+    where spectrum_clusters builds the singleton clusters from it.  At sizes n where no
     n eigenvalues within the matrix norm can lie 10 cluster cuts apart (n >=
     10 at the default tolerances) the screen is skipped and every point
     takes the cluster path.
@@ -250,6 +265,32 @@ def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -
     whole stack in two BLAS products (symmetry._intertwining).
     """
     return _classify_stack(as_square_matrix(stack, "H", stack=True), tol, symmetry)
+
+
+def _screen_lone(record, norm: float, tol: ToleranceConfig):
+    """The screen of _classify_stack for a stack of one, on the matrix's
+    shared eigen record: (values, real, simple, paired), shaped as for a
+    stack.  The smallest gap comes first, and a spectrum that fails the gap
+    cuts takes the cluster path with no conjugate gap taken; a passing
+    verdict stays on the record (intertwine.keep_screen)."""
+    n = record.values.size
+    scale = max(norm, 1.0)
+    cluster_cut, reality_cut = _cluster_cut(tol, scale, n), _reality_cut(tol, scale)
+    pair_cut = max(2 * reality_cut, cluster_cut)
+    order = np.argsort(record.values, kind="stable")  # the (Re, Im) order of np.sort
+    values = record.values[order]
+    gap = np.abs(values[:, None] - values)
+    np.fill_diagonal(gap, np.inf)
+    min_gap = gap.min()
+    if min_gap >= 10.0 * cluster_cut and min_gap > 2.0 * pair_cut:
+        conj_gap = np.abs(values - values.conj()[:, None])  # conj_gap[i, j] = |v_j - conj(v_i)|
+        np.fill_diagonal(conj_gap, np.inf)
+        partner = conj_gap <= 2 * reality_cut
+        if not ((conj_gap <= pair_cut) > partner).any():
+            real = _read_only(np.abs(values.imag) <= reality_cut)
+            keep_screen(record, norm, tol, order, real, partner)
+            return values[None], real[None], np.ones(1, dtype=bool), (real | partner.any(axis=1)).all(keepdims=True)
+    return np.empty((1, n), dtype=complex), np.zeros((1, n), dtype=bool), *np.zeros((2, 1), dtype=bool)
 
 
 def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTable:
@@ -267,9 +308,11 @@ def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTa
     if 10.0 * _cluster_cut(tol, 1.0, n) * (n ** 0.5 - 1.0) > 2.0:
         values, real = np.empty((K, n), dtype=complex), np.zeros((K, n), dtype=bool)
         simple, paired = np.zeros((2, K), dtype=bool)
+    elif lone:
+        values, real, simple, paired = _screen_lone(lone, float(norms[0]), tol)
     else:
         # a stable complex sort is the lexicographic (Re, Im) order of lexsort
-        values = np.sort(lone.values[None] if lone else np.linalg.eigvals(S), axis=-1, kind="stable")
+        values = np.sort(np.linalg.eigvals(S), axis=-1, kind="stable")
         cluster_cut, reality_cut = _cluster_cut(tol, scales, n), _reality_cut(tol, scales)
         pair_cut = np.maximum(2 * reality_cut, cluster_cut)
         # gap[k, i, j] = |v_j - v_i| and conj_gap[k, i, j] = |v_j - conj(v_i)|, infinite for j = i
@@ -459,7 +502,8 @@ class DegenerationScan:
 
 def _loglog_fit(x, y):
     slope, intercept = np.polyfit(np.log(x), np.log(np.abs(y)), 1)
-    return float(slope), float(np.exp(intercept))
+    with np.errstate(over="ignore"):  # degeneration_scan refuses a prefactor past the float range
+        return float(slope), float(np.exp(intercept))
 
 
 def degeneration_scan(u: float, gamma: float, epsilons, family: str = "pt2") -> DegenerationScan:
@@ -469,7 +513,9 @@ def degeneration_scan(u: float, gamma: float, epsilons, family: str = "pt2") -> 
     exceptional point from the side where the metric stays positive (v is
     pinned to 0 to avoid a double limit).  Expected leading behavior:
     omega_small ~ u gamma eps / 2, omega_large -> 2 u gamma, and both
-    eigenvector norms shrink linearly in eps.
+    eigenvector norms shrink linearly in eps.  A metric, eigenvalue of it,
+    eigenvector norm or fitted prefactor past the float range is a
+    ConstraintError naming u.
     """
     if family not in ("pt2", "pseudo2"):
         raise ContractError(f"family must be 'pt2' or 'pseudo2', got {family!r}")
@@ -483,16 +529,22 @@ def degeneration_scan(u: float, gamma: float, epsilons, family: str = "pt2") -> 
     if u * gamma <= 0:
         raise ContractError("need u * gamma > 0 for a positive metric family")
 
+    overflow = f"parameter u = {u:g} is too large: the metric or an eigenvector norm leaves the float range"
     omega_small, omega_large, norm_plus, norm_minus = np.empty((4, eps.size))
-    for k, e_k in enumerate(eps):
-        rho = abs(gamma) * np.sqrt(1.0 - e_k)
-        params = catalog2x2.Pt2Params(e=0.0, gamma=gamma, rho=rho, delta=0.0, u=u, v=0.0)
-        fam = catalog2x2.pt2_family(params) if family == "pt2" else catalog2x2.pseudo2_family(params)
-        w_eigs = np.linalg.eigvalsh(fam.metric)
-        omega_small[k] = w_eigs.min()
-        omega_large[k] = w_eigs.max()
-        norm_plus[k] = np.real(fam.vec_plus.conj() @ fam.metric @ fam.vec_plus)
-        norm_minus[k] = np.real(fam.vec_minus.conj() @ fam.metric @ fam.vec_minus)
+    with np.errstate(over="ignore", invalid="ignore"):  # a family past the float range is refused below
+        for k, e_k in enumerate(eps):
+            rho = abs(gamma) * np.sqrt(1.0 - e_k)
+            params = catalog2x2.Pt2Params(e=0.0, gamma=gamma, rho=rho, delta=0.0, u=u, v=0.0)
+            fam = catalog2x2.pt2_family(params) if family == "pt2" else catalog2x2.pseudo2_family(params)
+            if not np.isfinite(fam.metric).all():  # eigvalsh may return finite values for a NaN entry
+                raise ConstraintError(overflow)
+            w_eigs = np.linalg.eigvalsh(fam.metric)
+            omega_small[k] = w_eigs.min()
+            omega_large[k] = w_eigs.max()
+            norm_plus[k] = np.real(fam.vec_plus.conj() @ fam.metric @ fam.vec_plus)
+            norm_minus[k] = np.real(fam.vec_minus.conj() @ fam.metric @ fam.vec_minus)
+    if not np.isfinite((omega_small, omega_large, norm_plus, norm_minus)).all():
+        raise ConstraintError(overflow)
 
     exponents, prefactors = {}, {}
     if eps.size >= 2:
@@ -500,6 +552,8 @@ def degeneration_scan(u: float, gamma: float, epsilons, family: str = "pt2") -> 
             slope, pref = _loglog_fit(eps, series)
             exponents[name] = slope
             prefactors[name] = pref
+    if not np.isfinite(list(prefactors.values())).all():
+        raise ConstraintError(overflow)
     return DegenerationScan(
         family=family,
         u=float(u),

@@ -347,6 +347,18 @@ class TestSweep:
         assert (code, out, err) == (4, "", f"constraint violated: parameter gamma = {value} is too large: "
                                            "its square overflows\n")
 
+    # the scan's metric or eigenvector norms past the float range: one exit
+    # code and message naming u, and no numpy warning from the scan or its fit
+    @pytest.mark.parametrize("grid, value", [
+        ('{"u":1e308,"gamma":1}', "1e+308"),
+        ('{"u":1e308,"gamma":1,"family":"pseudo2"}', "1e+308"),
+        ('{"u":1e300,"gamma":1e10}', "1e+300"),
+    ])
+    def test_degeneration_scan_beyond_the_float_range_exits_4(self, capsys, grid, value):
+        code, out, err = run(capsys, "sweep", "--family", "degeneration", "--grid", grid)
+        assert (code, out, err) == (4, "", f"constraint violated: parameter u = {value} is too large: "
+                                           "the metric or an eigenvector norm leaves the float range\n")
+
     def test_exceptional_point_beyond_1e154_takes_the_staircase_without_overflow(self, capsys):
         # the rank staircase squares the 1e200 matrix; its powers are taken
         # scaled by a power of two, so no overflow warning is raised

@@ -251,3 +251,77 @@ def test_evicted_records_are_freed_by_reference_counting():
         assert all(record() is None for record in records)
     finally:
         gc.enable()
+
+
+def _screen_draw(seed):
+    """A lone matrix of 1 to 6 rows, generic complex or PT-symmetric under
+    Diag(1_m, -1_(n-m)) (real blocks, imaginary couplings, so its spectrum is
+    closed under conjugation), at scale 1e-3, 1 or 1e3."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    if rng.random() < 0.5:
+        H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    else:
+        d = np.where(np.arange(n) < (n + 1) // 2, 1.0, -1.0)
+        H = rng.normal(size=(n, n)) * np.where(np.outer(d, d) > 0, 1.0, 1j)
+    return H * rng.choice([1e-3, 1.0, 1e3])
+
+
+def test_screened_clusters_are_bit_equal_to_sorted_clusters():
+    """A spectrum that classify_spectrum's screen passes keeps the verdict on
+    its record, and spectrum_clusters builds its singleton clusters from it:
+    every array, byte for byte and read-only, and the pairs equal those of
+    sorted_clusters on the same record."""
+    screened = 0
+    for seed in range(1200):
+        H = _screen_draw(seed)
+        numerics._eig_record.cache_clear()
+        classify_spectrum(H)
+        record, norm = numerics._eigenpairs(H), frobenius(H)
+        if ("screen", norm, DEFAULT_TOL) not in record.memo:
+            continue
+        screened += 1
+        got = intertwine.spectrum_clusters(record, norm, DEFAULT_TOL)
+        want = intertwine.sorted_clusters(record.values, record.vectors, record.sigma, norm, DEFAULT_TOL)
+        for a, b in zip(got[:-1], want[:-1]):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            assert not a.flags.writeable
+        assert got.pairs == want.pairs
+        assert all(type(k) is int for pair in got.pairs or () for k in pair)
+    assert screened >= 500
+
+
+def test_screened_spectrum_is_not_clustered_again(monkeypatch):
+    """After a screened classify_spectrum, find_gen_pt_operator on the same
+    matrix builds its core from the kept verdict, with neither
+    eigen_clusters nor conjugate_pairs."""
+    d = np.array([1.0, 1.0, -1.0, -1.0])
+    H = np.array([[0.5, 2.0, 0.3, -0.7], [-1.5, 0.2, 0.4, 0.9], [0.8, -0.6, 1.1, 1.7], [0.1, 0.5, -2.2, -0.4]])
+    H = H * np.where(np.outer(d, d) > 0, 1.0, 1j)  # PT-symmetric under Diag(1, 1, -1, -1)
+    numerics._eig_record.cache_clear()
+    report = classify_spectrum(H)
+    assert report.reality_class.value == "conjugate_pairs" and not report.ambiguous
+    assert ("screen", frobenius(H), DEFAULT_TOL) in numerics._eigenpairs(H).memo
+
+    def refuse(*args):
+        raise AssertionError("the screened spectrum was clustered again")
+
+    monkeypatch.setattr(intertwine, "eigen_clusters", refuse)
+    monkeypatch.setattr(intertwine, "conjugate_pairs", refuse)
+    assert find_gen_pt_operator(H) is not None
+
+
+def test_singleton_frame_is_the_eigenvector_frame():
+    """Where every eigenvalue of adj(H) is alone, cluster_frame is the frame
+    of the general construction with no label bookkeeping: U is the
+    record's eigenvectors, every eigenvalue single, no blocks, and the frame
+    final only at n = 1."""
+    for seed in range(40):
+        H = _screen_draw(seed)
+        n = H.shape[0]
+        record, norm = numerics._eigenpairs(H, adjoint=True), frobenius(H)
+        frame = intertwine.cluster_frame(record, norm, DEFAULT_TOL)
+        radii, labels = intertwine.eigen_clusters(record.values, record.vectors, record.sigma, norm, DEFAULT_TOL)
+        assert np.array_equal(frame.labels, np.arange(n)) and np.array_equal(frame.radii, radii)
+        assert frame.U is record.vectors and frame.single.dtype == bool and frame.single.all()
+        assert frame.blocks == {} and frame.final is (n == 1)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptlab import spectra
+from ptlab import numerics, spectra
 from ptlab.catalog2x2 import (
     Chart,
     Pt2Params,
@@ -92,6 +92,10 @@ class TestClassifySpectrum:
         (pseudo2_hamiltonian(Pt2Params(gamma=1e200, rho=1e200)), [2]),
         (jordan_block(0.0, 3) * 1e200, [3]),
         (jordan_block(1.0, 3) * 1e120, [3]),  # its cube is past the float range
+        # the disc radius rank_cutoff(||H||) / sigma_min of their parallel
+        # eigenvectors once overflowed
+        (jordan_block(1.0, 3) * 1e300, [3]),
+        (jordan_block(1.0, 3) * 1e307, [3]),
     ])
     def test_staircase_powers_stay_in_range(self, H, sizes):
         # the powers of the rank staircase once overflowed (a numpy warning,
@@ -513,9 +517,9 @@ SHAPES = ("generic", "pairs", "symmetric", "exceptional", "jordan", "near")
 
 
 @st.composite
-def _stacks(draw):
-    n = draw(st.integers(1, 6))
-    shapes = draw(st.lists(st.sampled_from(SHAPES), min_size=1, max_size=6))
+def _stacks(draw, sizes=(1, 6), members=6):
+    n = draw(st.integers(*sizes))
+    shapes = draw(st.lists(st.sampled_from(SHAPES), min_size=1, max_size=members))
     symmetry = _symmetry(draw(st.sampled_from(["none", "pt", "pseudo", "genpt"])), n)
     tol = draw(st.sampled_from([DEFAULT_TOL, ToleranceConfig(abs_tol=1e-3)]))
     scale = draw(st.sampled_from([1e-6, 1.0, 1e3]))
@@ -533,7 +537,17 @@ class TestClassifySpectra:
     @settings(max_examples=250, deadline=None, derandomize=True, database=None)
     @given(_stacks())
     def test_batch_equals_scalar(self, case):
-        stack, tol, symmetry = case
+        self._check_batch_equals_scalar(*case)
+
+    # lone matrices at n = 7..9: the screen runs, and most spectra fail its
+    # gap cuts and take the cluster path from the smallest gap alone
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(_stacks(sizes=(7, 9), members=1))
+    def test_lone_matrix_equals_scalar_where_the_screen_fails_fast(self, case):
+        self._check_batch_equals_scalar(*case)
+
+    @staticmethod
+    def _check_batch_equals_scalar(stack, tol, symmetry):
         reports = classify_spectra(stack, tol, symmetry)
         assert len(reports) == stack.shape[0]
         for H, report in zip(stack, reports):
@@ -559,6 +573,11 @@ class TestClassifySpectra:
         for H, report in zip(stack, classify_spectra(stack, tol)):
             expected = reference_classify_spectrum(H, tol)
             assert (report.reality_class, report.segre, report.ambiguous) == expected[1:4]
+
+        # a lone matrix takes the screen on its record, with the same cuts
+        for H in stack:
+            report = classify_spectrum(H, tol)
+            assert (report.reality_class, report.segre, report.ambiguous) == reference_classify_spectrum(H, tol)[1:4]
 
     @pytest.mark.parametrize("kind", list(SymmetryKind))
     def test_stacked_residuals_match_check_symmetry(self, kind):
@@ -658,6 +677,19 @@ class TestClassifySpectra:
         # conjugate distance of 1e-6 lies between two reality cuts and the
         # pairing cut); the others build theirs on access
         assert list(table.segre) == [3, 4]
+
+    def test_lone_screen_sends_the_stacked_screens_points_to_the_cluster_path(self):
+        # the draw above, one matrix at a time: the lone screen keeps its
+        # verdict on the record of each point it decides, and sends the
+        # Jordan and the near-degenerate matrix on, as the stacked screen does
+        rng = np.random.default_rng(8)
+        symmetry = _symmetry("pt", 3)
+        stack = np.array([_stack_member(rng, 3, shape, symmetry) for shape in SHAPES if shape != "exceptional"])
+        screened = []
+        for H in stack:
+            classify_spectrum(H, symmetry=symmetry)
+            screened.append(("screen", frobenius(H), DEFAULT_TOL) in numerics._eigenpairs(H).memo)
+        assert screened == [True, True, True, False, False]
 
     def test_no_screen_at_sizes_no_spectrum_can_pass(self, monkeypatch):
         # ten eigenvalues 10 cluster cuts (40 eps^(1/10) ||H||_F) apart do not
