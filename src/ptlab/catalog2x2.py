@@ -18,6 +18,7 @@ import cmath
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -70,22 +71,23 @@ def _require_finite(params):
             raise ContractError(f"parameter {f.name} must be finite")
 
 
-def _square_overflow(p) -> str | None:
-    """The violation when v, gamma or rho (|x| beyond about 1.3e154) has a
-    square past the float range, else None.  The closed forms of the 2x2
-    families square these parameters."""
+def _square_out_of_range(p) -> str | None:
+    """The violation when v, gamma or rho has a square that overflows (|x|
+    beyond about 1.3e154) or, x nonzero, underflows below the normal floats
+    (|x| below about 1.5e-154), else None: the 2x2 closed forms square them."""
     for name in ("v", "gamma", "rho"):
         x = float(getattr(p, name))
         if not math.isfinite(x * x):
             return f"parameter {name} = {x:g} is too large: its square overflows"
+        if x and abs(x * x) < sys.float_info.min:
+            return f"parameter {name} = {x:g} is too small: its square underflows"
     return None
 
 
 def _require_squares(p):
-    """ConstraintError when a square of the closed forms overflows."""
-    overflow = _square_overflow(p)
-    if overflow is not None:
-        raise ConstraintError(overflow)
+    """ConstraintError when a square of the closed forms overflows or underflows."""
+    if (violation := _square_out_of_range(p)) is not None:
+        raise ConstraintError(violation)
 
 
 @dataclass(frozen=True)
@@ -107,14 +109,16 @@ class Pt2Params:
     def metric_reason(self) -> str | None:
         """None when the positive-metric constraints hold, else the violation.
 
-        The constraint v^2 < gamma^2 - rho^2 is taken on the squares, so it
-        fails, naming the parameter, when one of them is past the float range.
+        u*gamma > 0 is decided by the signs, and an underflowing product
+        fails naming u and gamma; v^2 < gamma^2 - rho^2 is taken on the
+        squares, so it fails, naming the parameter, when one leaves the range.
         """
-        if self.u * self.gamma <= 0:
+        if not (self.u > 0 < self.gamma or self.u < 0 > self.gamma):
             return f"u*gamma > 0 violated (u*gamma = {self.u * self.gamma:g})"
-        overflow = _square_overflow(self)
-        if overflow is not None:
-            return overflow
+        if abs(self.u * self.gamma) < sys.float_info.min:
+            return f"u*gamma is too small: the product of u = {self.u:g} and gamma = {self.gamma:g} underflows"
+        if (violation := _square_out_of_range(self)) is not None:
+            return violation
         if self.v ** 2 >= self.gamma ** 2 - self.rho ** 2:
             return (
                 f"v^2 < gamma^2 - rho^2 violated "
@@ -175,7 +179,7 @@ def pt2_family(p: Pt2Params, normalization=(1.0, 1.0)) -> Pt2Family:
     (default 1, which is what the printed weighted-norm formulas assume).
     The four metric fields are None, with metric_reason set, whenever the
     positivity constraints fail.  A v, gamma or rho whose square overflows
-    is a ConstraintError.
+    or underflows is a ConstraintError.
     """
     _require_squares(p)
     g, r, d = p.gamma, p.rho, p.delta
@@ -336,7 +340,7 @@ def pseudo2_family(p: Pt2Params, normalization=(1.0, 1.0)) -> Pseudo2Family:
     The transported parity is the unit-vector Pauli combination n . sigma, and
     the transported matrix/metric are given in the spherical frame
     (n, n_theta, n_phi) exactly as closed forms.  A v, gamma or rho whose
-    square overflows is a ConstraintError.
+    square overflows or underflows is a ConstraintError.
     """
     _require_squares(p)
     e, g, r, d = p.e, p.gamma, p.rho, p.delta

@@ -11,9 +11,9 @@ read.
 
 Exit codes: 0 ok, 2 parse error, 3 dimension/kind mismatch (including a
 sweep grid point whose matrix entries overflow), 4 constraint violation
-(including an empty sweep grid, and a v, gamma or rho of a pt2/pseudo2
-construction or a degeneration scan whose square overflows, and a
-degeneration scan whose metric or eigenvector norms overflow), 5 count
+(including an empty sweep grid, a v, gamma or rho of a pt2/pseudo2
+construction or a degeneration scan whose square overflows or underflows,
+and a degeneration scan whose metric or eigenvector norms do), 5 count
 mismatch.
 """
 

@@ -31,22 +31,20 @@ cluster holding all of R: the full equation in the identity frame, whose
 result is returned whatever the check says.
 
 Clusters and frames live on the shared eigen record of their matrix
-(numerics._eigenpairs), once per matrix norm and tolerance.  On the H side,
-spectrum_clusters keeps the clusters of the spectrum sorted by (Re, Im),
-with their conjugate pairing, for ptlab.spectra and ptlab.symmetry; a
-spectrum that the screen of ptlab.spectra passed (every eigenvalue alone,
-the pairs decided) gets them from the screen's verdict kept on the record
-(keep_screen), with no clustering.  On the
+(numerics._eigenpairs), once per matrix norm and tolerance, and only this
+module reads or writes the record's memo.  On the H side, spectrum_clusters
+keeps the sorted_clusters of the spectrum, sorted by (Re, Im) with their
+conjugate pairing, for ptlab.spectra and ptlab.symmetry; sorted_clusters is
+the one builder of Clusters, for lone matrices and stacks alike.  On the
 adjoint side, R = adj(H), cluster_frame keeps the frame of the first
 clustering and the Schur form of R, read by the metric solver and both
 witness solvers; the witness solvers conjugate the frame themselves, as
 transpose(H) = conj(adj(H)) and conjugation is exact.  Where every
-eigenvalue is alone the frame is the eigenvectors themselves, built with
-no label bookkeeping.  A merge builds the
-frame of its own labels, from the kept Schur form, for the solve that
-asked for it, and does not keep it.  The LAPACK Schur routines (zgees,
-ztrsen) come from scipy.linalg, imported on first use
-(numerics._scipy_linalg).
+eigenvalue is alone the frame is the eigenvectors themselves, built with no
+label bookkeeping.  A merge builds the frame of its own labels, from the
+kept Schur form, for the solve that asked for it, and does not keep it.
+The LAPACK Schur routines (zgees, ztrsen) come from scipy.linalg, imported
+on first use (numerics._scipy_linalg).
 """
 
 from __future__ import annotations
@@ -72,17 +70,6 @@ def _components(adjacent: np.ndarray) -> np.ndarray:
         labels = passed
 
 
-def _coarse_radius(sigma: np.ndarray, norm: float, tol: ToleranceConfig, n: int):
-    """(cap, bound) of eigen_clusters: half the cluster cut, and the disc
-    radius tol.rank_cutoff(norm) / sigma_min within that cap.  The quotient
-    is taken in Python floats, which overflow to inf without a warning, so
-    an eigenvector matrix near singular at a norm near the float range takes
-    the cap."""
-    cap = 0.5 * _cluster_cut(tol, max(norm, 1.0), n)
-    low = float(sigma[-1])
-    return cap, min(float(tol.rank_cutoff(norm)) / low, cap) if low > 0 else cap
-
-
 def eigen_clusters(values: np.ndarray, vectors: np.ndarray, sigma: np.ndarray, norm: float, tol: ToleranceConfig):
     """(radii, labels): each eigenvalue's disc radius and its cluster, named
     by the smallest index among the cluster's members; sigma holds the
@@ -100,7 +87,9 @@ def eigen_clusters(values: np.ndarray, vectors: np.ndarray, sigma: np.ndarray, n
     linkage at that cut."""
     n = values.size
     gaps = np.abs(values[:, None] - values)
-    cap, bound = _coarse_radius(sigma, norm, tol, n)
+    cap, low = 0.5 * _cluster_cut(tol, max(norm, 1.0), n), float(sigma[-1])
+    # a Python float quotient overflows to inf with no warning, and takes the cap
+    bound = min(float(tol.rank_cutoff(norm)) / low, cap) if low > 0 else cap
     if np.count_nonzero(gaps <= 2 * bound) == n:
         return np.full(n, bound), np.arange(n)
     try:
@@ -196,46 +185,13 @@ def sorted_clusters(values: np.ndarray, vectors: np.ndarray, sigma: np.ndarray, 
     return Clusters(*arrays, None if pairs is None else tuple(pairs))
 
 
-def keep_screen(record: _Eigenpairs, norm: float, tol: ToleranceConfig, order, real, partner) -> None:
-    """Keep on a shared eigen record the verdict of a spectrum screen of
-    ptlab.spectra that passed it, for spectrum_clusters: the stable argsort
-    of its values, their reality mask, and the partner matrix of the
-    non-real eigenvalues within two reality cuts of each other's conjugate
-    (each with at most one partner, none real)."""
-    record.memo[("screen", norm, tol)] = order, real, partner
-
-
-def _screened_clusters(record: _Eigenpairs, norm: float, tol: ToleranceConfig, order, real, partner) -> Clusters:
-    """sorted_clusters of a record whose spectrum passed the screen
-    (keep_screen), built from the verdict.  The screen's gaps of at least 10
-    cluster cuts are more than twice the radius cap, so every eigenvalue is
-    alone within the coarse radius of eigen_clusters, each disc is its own
-    cluster disc, and no two real eigenvalues mirror each other; the
-    partners are then the greedy pairs of conjugate_pairs, each oriented
-    with Im > 0 first."""
-    n = order.size
-    radius = _coarse_radius(record.sigma, norm, tol, n)[1]
-    values, vectors, radii, labels = (_read_only(a) for a in (
-        record.values[order], record.vectors[:, order], np.full(n, radius), np.arange(n)))
-    pairs = None
-    first, second = np.nonzero(np.triu(partner))
-    if 2 * first.size + np.count_nonzero(real) == n:  # every non-real eigenvalue paired
-        up = values.imag[first] > 0
-        pairs = tuple(zip(np.where(up, first, second).tolist(), np.where(up, second, first).tolist()))
-    return Clusters(values, vectors, radii, labels, values, radii, _read_only(real), pairs)
-
-
 def spectrum_clusters(record: _Eigenpairs, norm: float, tol: ToleranceConfig) -> Clusters:
     """sorted_clusters of a shared eigen record (numerics._eigenpairs) of a
-    matrix of Frobenius norm `norm`, computed once and kept in its memo.  A
-    spectrum whose screen verdict the record keeps (keep_screen) gets its
-    singleton clusters from that verdict, bit-equal to sorted_clusters and
-    without eigen_clusters or conjugate_pairs."""
+    matrix of Frobenius norm `norm`, computed once and kept in its memo for
+    classify_spectrum, find_gen_pt_operator and align_pt_phases alike."""
     key = ("spectrum", norm, tol)
     if key not in record.memo:
-        screened = record.memo.get(("screen", norm, tol))
-        record.memo[key] = (_screened_clusters(record, norm, tol, *screened) if screened else
-                            sorted_clusters(record.values, record.vectors, record.sigma, norm, tol))
+        record.memo[key] = sorted_clusters(record.values, record.vectors, record.sigma, norm, tol)
     return record.memo[key]
 
 

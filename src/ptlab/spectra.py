@@ -21,11 +21,10 @@ first entry of the table of a stack of one.  A lone matrix takes its
 eigenpairs, and on the cluster path its clusters and conjugate pairs, from
 its shared eigen record (numerics._eigenpairs, intertwine.spectrum_clusters),
 which find_gen_pt_operator and align_pt_phases read too: each spectrum is
-clustered once.  Its screen takes the smallest gap first and sends a
-spectrum that fails the gap cuts straight to the cluster path; a spectrum
-that passes keeps the verdict on the record (intertwine.keep_screen), and
-its clusters are built from it, never clustered.  Where every cluster is a
-single eigenvalue, the cluster path reads the Segre dict off the arrays.
+clustered at most once, by its first reader.  Its screen takes the smallest
+gap first and sends a spectrum that fails the gap cuts straight to the
+cluster path.  Where every cluster is a single eigenvalue, the cluster path
+reads the Segre dict off the arrays.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstraintError, ContractError, DimensionError
-from .intertwine import Clusters, keep_screen, sorted_clusters, spectrum_clusters
+from .intertwine import Clusters, sorted_clusters, spectrum_clusters
 from .involutions import operator_matrix
 from .numerics import (
     DEFAULT_TOL,
@@ -46,7 +45,6 @@ from .numerics import (
     ToleranceConfig,
     _cluster_cut,
     _eigenpairs,
-    _read_only,
     _reality_cut,
     as_square_matrix,
     eigen_decompose,
@@ -249,12 +247,10 @@ def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -
     eig values are bit-equal to those of eigvals, and
     find_gen_pt_operator reads the same record and clusters.  Its screen
     (_screen_lone) stops at the smallest gap when that fails the gap cuts,
-    before any conjugate gap is taken, and a passing verdict (the sorting
-    order, the reality mask and the conjugate partners) stays on the record,
-    where spectrum_clusters builds the singleton clusters from it.  At sizes n where no
-    n eigenvalues within the matrix norm can lie 10 cluster cuts apart (n >=
-    10 at the default tolerances) the screen is skipped and every point
-    takes the cluster path.
+    before any conjugate gap is taken.  At sizes n where no n eigenvalues
+    within the matrix norm can lie 10 cluster cuts apart (n >= 10 at the
+    default tolerances) the screen is skipped: every point takes the
+    cluster path.
 
     The verdicts come back as one SpectrumTable of columns; indexing or
     iterating it gives, per matrix, the report classify_spectrum gives for
@@ -268,17 +264,16 @@ def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -
 
 
 def _screen_lone(record, norm: float, tol: ToleranceConfig):
-    """The screen of _classify_stack for a stack of one, on the matrix's
-    shared eigen record: (values, real, simple, paired), shaped as for a
-    stack.  The smallest gap comes first, and a spectrum that fails the gap
-    cuts takes the cluster path with no conjugate gap taken; a passing
-    verdict stays on the record (intertwine.keep_screen)."""
+    """The screen of _classify_stack for a stack of one, on the values of the
+    matrix's shared eigen record, which it leaves as it is: (values, real,
+    simple, paired), shaped as for a stack.  The smallest gap comes first,
+    and a spectrum that fails the gap cuts takes the cluster path with no
+    conjugate gap taken."""
     n = record.values.size
     scale = max(norm, 1.0)
     cluster_cut, reality_cut = _cluster_cut(tol, scale, n), _reality_cut(tol, scale)
     pair_cut = max(2 * reality_cut, cluster_cut)
-    order = np.argsort(record.values, kind="stable")  # the (Re, Im) order of np.sort
-    values = record.values[order]
+    values = np.sort(record.values, kind="stable")  # a stable complex sort is the (Re, Im) order
     gap = np.abs(values[:, None] - values)
     np.fill_diagonal(gap, np.inf)
     min_gap = gap.min()
@@ -287,8 +282,7 @@ def _screen_lone(record, norm: float, tol: ToleranceConfig):
         np.fill_diagonal(conj_gap, np.inf)
         partner = conj_gap <= 2 * reality_cut
         if not ((conj_gap <= pair_cut) > partner).any():
-            real = _read_only(np.abs(values.imag) <= reality_cut)
-            keep_screen(record, norm, tol, order, real, partner)
+            real = np.abs(values.imag) <= reality_cut
             return values[None], real[None], np.ones(1, dtype=bool), (real | partner.any(axis=1)).all(keepdims=True)
     return np.empty((1, n), dtype=complex), np.zeros((1, n), dtype=bool), *np.zeros((2, 1), dtype=bool)
 
@@ -515,7 +509,7 @@ def degeneration_scan(u: float, gamma: float, epsilons, family: str = "pt2") -> 
     omega_small ~ u gamma eps / 2, omega_large -> 2 u gamma, and both
     eigenvector norms shrink linearly in eps.  A metric, eigenvalue of it,
     eigenvector norm or fitted prefactor past the float range is a
-    ConstraintError naming u.
+    ConstraintError naming u, and one that underflows names u and gamma.
     """
     if family not in ("pt2", "pseudo2"):
         raise ContractError(f"family must be 'pt2' or 'pseudo2', got {family!r}")
@@ -526,16 +520,18 @@ def degeneration_scan(u: float, gamma: float, epsilons, family: str = "pt2") -> 
         raise ContractError("epsilons must lie strictly inside (0, 1)")
     if eps.size > 1 and not np.all(np.diff(eps) < 0):
         raise ContractError("epsilons must be strictly decreasing")
-    if u * gamma <= 0:
+    if not (u > 0 < gamma or u < 0 > gamma):  # by signs: a product that underflows keeps them
         raise ContractError("need u * gamma > 0 for a positive metric family")
 
     overflow = f"parameter u = {u:g} is too large: the metric or an eigenvector norm leaves the float range"
-    omega_small, omega_large, norm_plus, norm_minus = np.empty((4, eps.size))
+    omega_small, omega_large, norm_plus, norm_minus = series = np.empty((4, eps.size))
     with np.errstate(over="ignore", invalid="ignore"):  # a family past the float range is refused below
         for k, e_k in enumerate(eps):
             rho = abs(gamma) * np.sqrt(1.0 - e_k)
             params = catalog2x2.Pt2Params(e=0.0, gamma=gamma, rho=rho, delta=0.0, u=u, v=0.0)
             fam = catalog2x2.pt2_family(params) if family == "pt2" else catalog2x2.pseudo2_family(params)
+            if fam.metric is None:  # a square or product out of range, or rho rounded to gamma
+                raise ConstraintError(fam.metric_reason)
             if not np.isfinite(fam.metric).all():  # eigvalsh may return finite values for a NaN entry
                 raise ConstraintError(overflow)
             w_eigs = np.linalg.eigvalsh(fam.metric)
@@ -543,8 +539,11 @@ def degeneration_scan(u: float, gamma: float, epsilons, family: str = "pt2") -> 
             omega_large[k] = w_eigs.max()
             norm_plus[k] = np.real(fam.vec_plus.conj() @ fam.metric @ fam.vec_plus)
             norm_minus[k] = np.real(fam.vec_minus.conj() @ fam.metric @ fam.vec_minus)
-    if not np.isfinite((omega_small, omega_large, norm_plus, norm_minus)).all():
+    if not np.isfinite(series).all():
         raise ConstraintError(overflow)
+    if (np.abs(series) < np.finfo(float).tiny).any():  # the fit takes their logarithms
+        raise ConstraintError(f"parameters u = {u:g} and gamma = {gamma:g} are too small: "
+                              "the metric or an eigenvector norm underflows")
 
     exponents, prefactors = {}, {}
     if eps.size >= 2:

@@ -156,8 +156,24 @@ class TestPt2Family:
         with pytest.raises(ConstraintError, match=re.escape(message)):
             family(p)
 
+    @pytest.mark.parametrize("family", [cat.pt2_family, cat.pseudo2_family])
+    @pytest.mark.parametrize("name, value", [("gamma", 1e-170), ("rho", -1e-160), ("v", 1e-155)])
+    def test_parameter_whose_square_underflows_is_a_constraint_error(self, family, name, value):
+        p = cat.Pt2Params(**{name: value})
+        message = f"parameter {name} = {value:g} is too small: its square underflows"
+        assert p.metric_reason() == message
+        with pytest.raises(ConstraintError, match=re.escape(message)):
+            family(p)
+
     def test_sign_of_u_gamma_is_decided_before_the_squares(self):
         assert cat.Pt2Params(gamma=-1e200).metric_reason() == "u*gamma > 0 violated (u*gamma = -1e+200)"
+
+    def test_sign_of_u_gamma_is_decided_by_signs_where_the_product_underflows(self):
+        p = cat.Pt2Params(u=1e-200, gamma=1e-150)
+        assert p.metric_reason() == "u*gamma is too small: the product of u = 1e-200 and gamma = 1e-150 underflows"
+        fam = cat.pt2_family(p)  # u is not in the matrix: the metric alone is refused
+        assert fam.metric is None and fam.metric_reason == p.metric_reason()
+        assert cat.Pt2Params(u=-1e-200, gamma=1e-150).metric_reason() == "u*gamma > 0 violated (u*gamma = -0)"
 
     def test_squares_within_the_float_range_keep_their_verdict(self):
         p = cat.Pt2Params(gamma=1e154, rho=-1e154, v=1e150)

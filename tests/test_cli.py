@@ -359,6 +359,21 @@ class TestSweep:
         assert (code, out, err) == (4, "", f"constraint violated: parameter u = {value} is too large: "
                                            "the metric or an eigenvector norm leaves the float range\n")
 
+    # parameters so small that a square, a product or the scan's norms
+    # underflow: one exit code and a message naming them, with no traceback
+    # and no numpy warning
+    @pytest.mark.parametrize("grid, message", [
+        ('{"u":1,"gamma":1e-170}', "parameter gamma = 1e-170 is too small: its square underflows"),
+        ('{"u":1,"gamma":1e-150}', "parameters u = 1 and gamma = 1e-150 are too small: "
+                                   "the metric or an eigenvector norm underflows"),
+        ('{"u":1,"gamma":1e-150,"family":"pseudo2"}', "parameters u = 1 and gamma = 1e-150 are too small: "
+                                                      "the metric or an eigenvector norm underflows"),
+        ('{"u":1e-200,"gamma":1e-150}', "u*gamma is too small: the product of u = 1e-200 and gamma = 1e-150 underflows"),
+    ])
+    def test_degeneration_scan_below_the_float_range_exits_4(self, capsys, grid, message):
+        code, out, err = run(capsys, "sweep", "--family", "degeneration", "--grid", grid)
+        assert (code, out, err) == (4, "", f"constraint violated: {message}\n")
+
     def test_exceptional_point_beyond_1e154_takes_the_staircase_without_overflow(self, capsys):
         # the rank staircase squares the 1e200 matrix; its powers are taken
         # scaled by a power of two, so no overflow warning is raised

@@ -8,12 +8,14 @@ import weakref
 
 import numpy as np
 
-from ptlab import convert, intertwine, numerics
+import pytest
+
+from ptlab import convert, intertwine, numerics, spectra
 from ptlab.convert import transpose_matrix, witness_space
-from ptlab.errors import IndeterminateStructureError
+from ptlab.errors import ContractError, IndeterminateStructureError
 from ptlab.metric import solve_metric_space
 from ptlab.numerics import DEFAULT_TOL, frobenius
-from ptlab.spectra import classify_spectrum
+from ptlab.spectra import align_pt_phases, classify_spectrum
 from ptlab.symmetry import find_gen_pt_operator
 
 
@@ -267,48 +269,65 @@ def _screen_draw(seed):
     return H * rng.choice([1e-3, 1.0, 1e3])
 
 
-def test_screened_clusters_are_bit_equal_to_sorted_clusters():
-    """A spectrum that classify_spectrum's screen passes keeps the verdict on
-    its record, and spectrum_clusters builds its singleton clusters from it:
-    every array, byte for byte and read-only, and the pairs equal those of
-    sorted_clusters on the same record."""
+def test_screen_and_clusters_agree():
+    """Wherever the lone screen of classify_spectrum decides a spectrum,
+    spectrum_clusters on the same record agrees with it: every eigenvalue
+    alone, the same sorted values and reality mask byte for byte, and
+    conjugate pairs exactly where the screen finds every non-real
+    eigenvalue paired."""
     screened = 0
     for seed in range(1200):
         H = _screen_draw(seed)
-        numerics._eig_record.cache_clear()
-        classify_spectrum(H)
         record, norm = numerics._eigenpairs(H), frobenius(H)
-        if ("screen", norm, DEFAULT_TOL) not in record.memo:
+        values, real, simple, paired = spectra._screen_lone(record, norm, DEFAULT_TOL)
+        if not simple[0]:
             continue
         screened += 1
-        got = intertwine.spectrum_clusters(record, norm, DEFAULT_TOL)
-        want = intertwine.sorted_clusters(record.values, record.vectors, record.sigma, norm, DEFAULT_TOL)
-        for a, b in zip(got[:-1], want[:-1]):
+        clusters = intertwine.spectrum_clusters(record, norm, DEFAULT_TOL)
+        assert np.array_equal(clusters.labels, np.arange(H.shape[0]))
+        for a, b in ((clusters.values, values[0]), (clusters.real, real[0])):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-            assert not a.flags.writeable
-        assert got.pairs == want.pairs
-        assert all(type(k) is int for pair in got.pairs or () for k in pair)
+        assert (clusters.pairs is not None) == paired[0]
+        assert all(type(k) is int for pair in clusters.pairs or () for k in pair)
     assert screened >= 500
 
 
-def test_screened_spectrum_is_not_clustered_again(monkeypatch):
-    """After a screened classify_spectrum, find_gen_pt_operator on the same
-    matrix builds its core from the kept verdict, with neither
-    eigen_clusters nor conjugate_pairs."""
+def test_screened_spectrum_is_clustered_once(monkeypatch):
+    """A spectrum that the screen of classify_spectrum decides is clustered
+    once, by the first reader of its clusters: classify_spectrum,
+    find_gen_pt_operator and align_pt_phases, each called twice, run
+    eigen_clusters and conjugate_pairs once between them, for a broken and
+    an unbroken PT-symmetric matrix alike."""
     d = np.array([1.0, 1.0, -1.0, -1.0])
-    H = np.array([[0.5, 2.0, 0.3, -0.7], [-1.5, 0.2, 0.4, 0.9], [0.8, -0.6, 1.1, 1.7], [0.1, 0.5, -2.2, -0.4]])
-    H = H * np.where(np.outer(d, d) > 0, 1.0, 1j)  # PT-symmetric under Diag(1, 1, -1, -1)
-    numerics._eig_record.cache_clear()
-    report = classify_spectrum(H)
-    assert report.reality_class.value == "conjugate_pairs" and not report.ambiguous
-    assert ("screen", frobenius(H), DEFAULT_TOL) in numerics._eigenpairs(H).memo
+    P, couple = np.diag(d), np.where(np.outer(d, d) > 0, 1.0, 1j)  # PT-symmetric under Diag(1, 1, -1, -1)
+    broken = np.array([[0.5, 2.0, 0.3, -0.7], [-1.5, 0.2, 0.4, 0.9], [0.8, -0.6, 1.1, 1.7], [0.1, 0.5, -2.2, -0.4]])
+    unbroken = np.array([[3.0, 1.0, 0.03, -0.07], [0.5, 1.0, 0.04, 0.09], [0.08, -0.06, -1.0, 0.4], [0.01, 0.05, 1.0, -3.0]])
+    calls = []
 
-    def refuse(*args):
-        raise AssertionError("the screened spectrum was clustered again")
+    def spy(name):
+        run = getattr(intertwine, name)
 
-    monkeypatch.setattr(intertwine, "eigen_clusters", refuse)
-    monkeypatch.setattr(intertwine, "conjugate_pairs", refuse)
-    assert find_gen_pt_operator(H) is not None
+        def counted(*args):
+            calls.append(name)
+            return run(*args)
+        monkeypatch.setattr(intertwine, name, counted)
+
+    spy("eigen_clusters")
+    spy("conjugate_pairs")
+    for H, reality in ((broken * couple, "conjugate_pairs"), (unbroken * couple, "all_real_diagonalizable")):
+        numerics._eig_record.cache_clear()
+        assert spectra._screen_lone(numerics._eigenpairs(H), frobenius(H), DEFAULT_TOL)[2].all()
+        calls.clear()
+        for _ in range(2):
+            report = classify_spectrum(H)
+            assert report.reality_class.value == reality and not report.ambiguous
+            assert find_gen_pt_operator(H) is not None
+            if reality == "conjugate_pairs":
+                with pytest.raises(ContractError, match="symmetry is broken"):
+                    align_pt_phases(P, H)
+            else:
+                align_pt_phases(P, H)
+        assert sorted(calls) == ["conjugate_pairs", "eigen_clusters"]
 
 
 def test_singleton_frame_is_the_eigenvector_frame():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ptlab import numerics, spectra
+from ptlab import spectra
 from ptlab.catalog2x2 import (
     Chart,
     Pt2Params,
@@ -333,6 +333,8 @@ class TestDegenerationScan:
             degeneration_scan(1.0, 1.0, [1.5], family="pt2")  # outside (0, 1)
         with pytest.raises(ContractError):
             degeneration_scan(1.0, -1.0, [0.1], family="pt2")  # u * gamma < 0
+        with pytest.raises(ContractError, match=r"need u \* gamma > 0"):
+            degeneration_scan(-1e-200, 1e-150, [0.1], family="pt2")  # u * gamma < 0, underflowing to -0
         with pytest.raises(ContractError):
             degeneration_scan(1.0, 1.0, [0.1], family="bogus")
 
@@ -678,17 +680,25 @@ class TestClassifySpectra:
         # pairing cut); the others build theirs on access
         assert list(table.segre) == [3, 4]
 
-    def test_lone_screen_sends_the_stacked_screens_points_to_the_cluster_path(self):
-        # the draw above, one matrix at a time: the lone screen keeps its
-        # verdict on the record of each point it decides, and sends the
-        # Jordan and the near-degenerate matrix on, as the stacked screen does
+    def test_lone_screen_sends_the_stacked_screens_points_to_the_cluster_path(self, monkeypatch):
+        # the draw above, one matrix at a time: the lone screen decides the
+        # points the stacked screen decides, and sends the Jordan and the
+        # near-degenerate matrix on to the cluster path, as the stacked screen does
         rng = np.random.default_rng(8)
         symmetry = _symmetry("pt", 3)
         stack = np.array([_stack_member(rng, 3, shape, symmetry) for shape in SHAPES if shape != "exceptional"])
+        cluster_path, taken = spectra._cluster_path, []
+
+        def spy(*args):
+            taken.append(True)
+            return cluster_path(*args)
+
+        monkeypatch.setattr(spectra, "_cluster_path", spy)
         screened = []
         for H in stack:
+            taken.clear()
             classify_spectrum(H, symmetry=symmetry)
-            screened.append(("screen", frobenius(H), DEFAULT_TOL) in numerics._eigenpairs(H).memo)
+            screened.append(not taken)
         assert screened == [True, True, True, False, False]
 
     def test_no_screen_at_sizes_no_spectrum_can_pass(self, monkeypatch):
