@@ -114,7 +114,7 @@ class Pt2Params:
         squares, so it fails, naming the parameter, when one leaves the range.
         """
         if not (self.u > 0 < self.gamma or self.u < 0 > self.gamma):
-            return f"u*gamma > 0 violated (u*gamma = {self.u * self.gamma:g})"
+            return f"u*gamma > 0 violated (u = {self.u:g}, gamma = {self.gamma:g})"
         if abs(self.u * self.gamma) < sys.float_info.min:
             return f"u*gamma is too small: the product of u = {self.u:g} and gamma = {self.gamma:g} underflows"
         if (violation := _square_out_of_range(self)) is not None:

@@ -10,7 +10,7 @@ eigenpairs of transpose(B) = conj(adj(B)) are the conjugates of those in
 the shared eigen record of adj(B) (numerics._eigenpairs), which
 solve_metric_space reads too; conjugation is exact.  Both witness solvers
 conjugate the cluster frame of adj(B) kept on that record
-(intertwine.cluster_frame), built once for all three solvers.  The
+(intertwine.cluster_frame), built once from H's one clustering.  The
 conversions take the whole witness space from witness_space, on the same
 cluster frame (_frame_space).  They judge the caller's operator from its
 verification record when it carries one, and measure each Q they return or
@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NumericalError
-from .intertwine import _conditioning_floor, cluster_frame, conjugate_pairs, pair_solutions, solve_clustered
+from .intertwine import _conditioning_floor, cluster_frame, conjugate_map, pair_solutions, solve_clustered
 from .involutions import InvolutionKind, InvolutionOperator, _measure, _recorded, make_sip, operator_matrix
 from .metric import _residual_bound
 from .numerics import (
@@ -83,7 +83,6 @@ from .numerics import (
     MACHINE_EPS,
     ToleranceConfig,
     _eigenpairs,
-    _reality_cut,
     _scipy_linalg,
     as_square_matrix,
     frobenius,
@@ -530,8 +529,8 @@ def _closed_form_involution(M: np.ndarray, norm: float, tol: ToleranceConfig):
     candidate goes to the caller to certify.  The gate: every eigenvalue
     alone in the cluster frame of adj(M) (intertwine.cluster_frame, the
     frame witness_space solves on), U past that frame's conditioning gate
-    (intertwine._conditioning_floor), and conjugate_pairs must pair every
-    non-real eigenvalue of the frame's discs and mirror no real ones;
+    (intertwine._conditioning_floor), and H's clusters (conjugate_map) must
+    pair every non-real eigenvalue and mirror no real ones;
     repeated, defective, ill-conditioned or unpaired spectra give None.
     """
     n = M.shape[0]
@@ -540,16 +539,15 @@ def _closed_form_involution(M: np.ndarray, norm: float, tol: ToleranceConfig):
     s, values = record.sigma, record.values
     if not frame.single.all() or s[-1] < _conditioning_floor(s, norm, tol):
         return None, False
-    # every eigenvalue alone: its disc is its cluster's
-    real, pairs = conjugate_pairs(values, frame.radii, frame.labels, _reality_cut(tol, max(norm, 1.0)))
-    if pairs is None or any(real[a] for a, _ in pairs):
+    clusters, nearest = conjugate_map(record, norm, tol)
+    if clusters.pairs is None or any(clusters.real[a] for a, _ in clusters.pairs):
         return None, False
     gap = np.sort(np.abs(values[:, None] - values), axis=None)[n] if n > 1 else np.inf  # past the n zeros
     cut = 1e-2
     rounding = 1e3 * MACHINE_EPS * (n + norm * s[0] / s[-1] / gap) * (1.0 + s[-1] ** -2) * (1.0 + n / cut)
-    p = list(range(n))
-    for a, b in pairs:
-        p[a], p[b] = b, a
+    p, slot = list(range(n)), np.argsort(nearest).tolist()  # every eigenvalue alone: nearest is a permutation
+    for a, b in clusters.pairs:
+        p[slot[a]], p[slot[b]] = slot[b], slot[a]
     q = np.array(p)
     U = record.vectors
     G = U.conj().T @ U

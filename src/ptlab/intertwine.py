@@ -10,18 +10,22 @@ has nonzero solutions only when the spectra of M_a and of M_b* meet
 (Bartels & Stewart, CACM 15, 1972; Golub & Van Loan, Matrix Computations,
 section 7.6).
 
-The blocks come from one eigendecomposition R = V diag(mu) inv(V).
-Eigenvalue mu_i gets the disc of radius tol.rank_cutoff(kappa_i ||R||_F),
-with kappa_i = ||x_i|| ||y_i|| / |y_i x_i| its condition number (x_i the
-eigenvector, y_i the matching row of inv(V)), capped at half the cluster
-cut numerics._cluster_cut; a cluster is a connected component of
-overlapping discs.  The same clusters decide Jordan structure and conjugate
-pairing in ptlab.spectra and ptlab.symmetry (conjugate_pairs).  The kappa_i
-are computed only when the discs of their common bound 1 / sigma_min(V)
-overlap.  A single eigenvalue keeps its eigenvector column; the members of
-a larger cluster get the leading columns of the complex Schur form of R
-reordered to put them first (LAPACK trsen), and M_a is the leading block of
-that form.
+Each matrix H is clustered once, on the H side: H = V diag(lam) inv(V),
+and lam_i gets the disc of radius tol.rank_cutoff(kappa_i ||H||_F), kappa_i
+= ||x_i|| ||y_i|| / |y_i x_i| its condition number (x_i the eigenvector,
+y_i the matching row of inv(V)), capped at half the cluster cut
+numerics._cluster_cut; a cluster is a connected component of overlapping
+discs, and the kappa_i are computed only when the discs of their common
+bound 1 / sigma_min(V) overlap.  The clusters carry their conjugate pairing
+(conjugate_pairs) and the one Jordan verdict of the matrix (_jordan, a
+rank staircase per cluster of more than one eigenvalue), which every
+reader of reality, pairing or defectiveness takes.  On R = adj(H) each
+eigenvalue mu joins the cluster of the H eigenvalue nearest conj(mu)
+(conjugate_map): the two eigendecompositions round apart by far less than
+a disc radius.  A single eigenvalue keeps its eigenvector column of R; the
+members of a larger cluster get the leading columns of the complex Schur
+form of R reordered to put them first (LAPACK trsen), and M_a is the
+leading block of that form.
 
 solve_clustered drives a caller's attempt on this frame.  When the attempt
 reports clusters whose solutions fail its check, or the frame's columns are
@@ -30,32 +34,29 @@ when only one is named, and the attempt runs again.  The last frame is one
 cluster holding all of R: the full equation in the identity frame, whose
 result is returned whatever the check says.
 
-Clusters and frames live on the shared eigen record of their matrix
+Clusters and frames live on the shared eigen records of their matrix
 (numerics._eigenpairs), once per matrix norm and tolerance, and only this
-module reads or writes the record's memo.  On the H side, spectrum_clusters
-keeps the sorted_clusters of the spectrum, sorted by (Re, Im) with their
-conjugate pairing, for ptlab.spectra and ptlab.symmetry; sorted_clusters is
-the one builder of Clusters, for lone matrices and stacks alike.  On the
-adjoint side, R = adj(H), cluster_frame keeps the frame of the first
-clustering and the Schur form of R, read by the metric solver and both
-witness solvers; the witness solvers conjugate the frame themselves, as
-transpose(H) = conj(adj(H)) and conjugation is exact.  Where every
-eigenvalue is alone the frame is the eigenvectors themselves, built with no
-label bookkeeping.  A merge builds the frame of its own labels, from the
-kept Schur form, for the solve that asked for it, and does not keep it.
+module reads or writes the records' memo: on the H side the
+sorted_clusters of the spectrum (spectrum_clusters; sorted_clusters builds
+Clusters for lone matrices and stacks alike), on the adjoint side their
+map onto adj(H), the frame of that partition and the Schur form of R
+(cluster_frame), read by the metric solver and both witness solvers, which
+conjugate it, as transpose(H) = conj(adj(H)).  A merge builds the frame of
+its own labels, from the kept Schur form, for its solve alone.
 The LAPACK Schur routines (zgees, ztrsen) come from scipy.linalg, imported
 on first use (numerics._scipy_linalg).
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError
-from .numerics import (ToleranceConfig, _cluster_cut, _Eigenpairs, _read_only, _reality_cut, _scipy_linalg,
-                       hermitian_basis, nullspace_complex, rank_and_nullspace, vectorize)
+from .numerics import (MACHINE_EPS, ToleranceConfig, _cluster_cut, _Eigenpairs, _eigenpairs, _read_only, _reality_cut,
+                       _scipy_linalg, hermitian_basis, nullspace_complex, rank_and_nullspace, vectorize)
 
 
 def _components(adjacent: np.ndarray) -> np.ndarray:
@@ -152,15 +153,80 @@ def conjugate_pairs(centres: np.ndarray, spans: np.ndarray, labels: np.ndarray, 
             pairs.append((a, b) if c[a].imag > 0 else (b, a))
         elif not r[a]:
             return real, None
-    return real, pairs
+    return real, tuple(pairs)
+
+
+def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, cluster_radius: float, tol: ToleranceConfig):
+    """Jordan block sizes at lam from ranks of (A - lam)^k, or None.
+
+    Rank cutoffs inflate with the cluster radius because a radius-delta
+    eigenvalue error perturbs the zero singular values of the k-th power by
+    about k * delta * s^(k-1); a cutoff that reaches s^k / 2 leaves no evidence.
+
+    Where s^multiplicity leaves the float range the powers would overflow,
+    so M, s and delta are first scaled by one power of two to s below 1:
+    that scales the singular values of M^k and both terms of its cutoff by
+    the same exact factor, and leaves the ranks as they are.
+    """
+    n = A.shape[0]
+    M = A - lam * np.eye(n)
+    sing = np.linalg.svd(M, compute_uv=False)
+    s_norm = max(float(sing[0]), 1.0)
+    if multiplicity * math.log2(s_norm) > 1000.0:
+        c = math.ldexp(1.0, -math.frexp(s_norm)[1])
+        M, sing, s_norm, cluster_radius = c * M, c * sing, c * s_norm, c * cluster_radius
+    power, sings = M, [sing]  # the singular values of M^k, k = 1, 2, ...
+    delta = max(cluster_radius, 4.0 * MACHINE_EPS * s_norm)
+    for inflate in (1.0, 8.0, 64.0):
+        nullities = [0]
+        for k in range(1, multiplicity + 1):
+            floor = inflate * 8.0 * k * delta * s_norm ** (k - 1)
+            if floor >= 0.5 * s_norm ** k:  # the other term of the cutoff, 64 eps ||M^k||, stays far below
+                return None
+            if k > len(sings):
+                power = power @ M
+                sings.append(np.linalg.svd(power, compute_uv=False))
+            sing = sings[k - 1]
+            rank = int(np.sum(sing > max(tol.rank_cutoff(sing[0]), floor)))
+            nullities.append(n - rank)
+            if nullities[-1] >= multiplicity:
+                break
+        if nullities[-1] < multiplicity:
+            continue
+        nullities[-1] = multiplicity  # the staircase saturates at the cluster size
+        # blocks of size >= k appear nullities[k] - nullities[k-1] times
+        at_least = [max(b - a, 0) for a, b in zip(nullities, nullities[1:])] + [0]
+        sizes = [k for k in range(1, len(at_least)) for _ in range(at_least[k - 1] - at_least[k])]
+        if sum(sizes) == multiplicity:
+            return sizes
+    return None
+
+
+def _jordan(A: np.ndarray, values: np.ndarray, labels: np.ndarray, real: np.ndarray, pairs, tol: ToleranceConfig):
+    """(jordan, defective, undecided): jordan maps the head of each cluster
+    of more than one eigenvalue (mirrored real clusters made one) to (key,
+    sizes): the mean of its members (on the axis for a real one), and the
+    staircase's Jordan blocks of A there, all 1 where it fails (undecided)."""
+    labels = labels.copy()
+    for a, b in (pair for pair in pairs or () if real[pair[0]]):
+        labels[(labels == a) | (labels == b)] = min(a, b)
+    jordan, undecided = {}, False
+    for head in np.flatnonzero(np.bincount(labels, minlength=values.size) > 1).tolist():
+        members = values[labels == head]
+        centre = complex(np.mean(members))
+        key = complex(centre.real, 0.0) if real[head] else centre
+        sizes = _segre_staircase(A, key, members.size, float(np.abs(members - centre).max()), tol)
+        undecided |= sizes is None
+        jordan[head] = key, sizes or [1] * members.size
+    return jordan, any(max(sizes) > 1 for _, sizes in jordan.values()), undecided
 
 
 class Clusters(NamedTuple):
     """The clusters of one spectrum sorted by (Re, Im), all arrays read-only:
     values and vectors in that order, each eigenvalue's disc radius and
     cluster label (eigen_clusters), the disc of its cluster (cluster_discs),
-    and real and pairs of conjugate_pairs at the reality cut of the matrix
-    norm, pairs as a tuple."""
+    real and pairs of conjugate_pairs at the reality cut of the matrix norm,
+    and the Jordan verdict (_jordan)."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -170,28 +236,45 @@ class Clusters(NamedTuple):
     spans: np.ndarray
     real: np.ndarray
     pairs: tuple | None
+    jordan: dict
+    defective: bool
+    undecided: bool
 
 
-def sorted_clusters(values: np.ndarray, vectors: np.ndarray, sigma: np.ndarray, norm: float,
+def sorted_clusters(A: np.ndarray, values: np.ndarray, vectors: np.ndarray, sigma: np.ndarray, norm: float,
                     tol: ToleranceConfig) -> Clusters:
     """Clusters of the eigenpairs (values, vectors; sigma the singular values
-    of vectors) of a matrix of Frobenius norm `norm`, sorted by (Re, Im)."""
+    of vectors) of the matrix A of Frobenius norm `norm`, sorted by (Re,
+    Im), with their Jordan verdict."""
     order = np.argsort(values, kind="stable")  # a stable complex sort is the lexicographic (Re, Im) order
     values, vectors = values[order], vectors[:, order]
     radii, labels = eigen_clusters(values, vectors, sigma, norm, tol)
     centres, spans = cluster_discs(values, radii, labels)
     real, pairs = conjugate_pairs(centres, spans, labels, _reality_cut(tol, max(norm, 1.0)))
     arrays = (_read_only(a) for a in (values, vectors, radii, labels, centres, spans, real))
-    return Clusters(*arrays, None if pairs is None else tuple(pairs))
+    return Clusters(*arrays, pairs, *_jordan(A, values, labels, real, pairs, tol))
 
 
 def spectrum_clusters(record: _Eigenpairs, norm: float, tol: ToleranceConfig) -> Clusters:
-    """sorted_clusters of a shared eigen record (numerics._eigenpairs) of a
-    matrix of Frobenius norm `norm`, computed once and kept in its memo for
-    classify_spectrum, find_gen_pt_operator and align_pt_phases alike."""
+    """sorted_clusters of the H-side shared eigen record
+    (numerics._eigenpairs) of a matrix of Frobenius norm `norm`, computed
+    once and kept in its memo for every reader."""
     key = ("spectrum", norm, tol)
     if key not in record.memo:
-        record.memo[key] = sorted_clusters(record.values, record.vectors, record.sigma, norm, tol)
+        record.memo[key] = sorted_clusters(record.matrix, record.values, record.vectors, record.sigma, norm, tol)
+    return record.memo[key]
+
+
+def conjugate_map(record: _Eigenpairs, norm: float, tol: ToleranceConfig):
+    """(clusters, nearest) for the adjoint-side shared eigen record of a
+    matrix H of Frobenius norm `norm`: H's spectrum_clusters, and for each
+    eigenvalue mu of adj(H) the index of the sorted H eigenvalue nearest
+    conj(mu); kept in the record's memo."""
+    key = ("map", norm, tol)
+    if key not in record.memo:
+        clusters = spectrum_clusters(_eigenpairs(record.matrix.conj().T), norm, tol)
+        nearest = np.abs(record.values.conj()[:, None] - clusters.values).argmin(axis=1)
+        record.memo[key] = clusters, _read_only(nearest)
     return record.memo[key]
 
 
@@ -301,15 +384,17 @@ def _frame(record: _Eigenpairs, radii: np.ndarray, labels: np.ndarray) -> Frame:
 
 
 def cluster_frame(record: _Eigenpairs, norm: float, tol: ToleranceConfig) -> Frame:
-    """The Frame of the clusters of eigen_clusters of a shared eigen record
-    (numerics._eigenpairs) of a matrix of Frobenius norm `norm`, built once
-    and kept read-only in its memo: the metric solver and both witness
-    solvers start from it, and the closed form of ptlab.convert reads
-    it."""
+    """The Frame of H's clusters on the adjoint-side shared eigen record
+    (numerics._eigenpairs) of a matrix H of Frobenius norm `norm`, built
+    once and kept read-only in its memo for the metric solver, both witness
+    solvers and the closed form of ptlab.convert: each eigenvalue of adj(H)
+    takes the cluster and disc radius of its H eigenvalue (conjugate_map)."""
     key = ("frame", norm, tol)
     if key not in record.memo:
-        radii, labels = eigen_clusters(record.values, record.vectors, record.sigma, norm, tol)
-        frame = _frame(record, _read_only(radii), _read_only(labels))
+        clusters, nearest = conjugate_map(record, norm, tol)
+        first = {}  # each H cluster is named by its smallest adjoint index
+        labels = np.array([first.setdefault(head, k) for k, head in enumerate(clusters.labels[nearest].tolist())])
+        frame = _frame(record, _read_only(clusters.radii[nearest]), _read_only(labels))
         for array in [a for block in frame.blocks.values() for a in block] + [frame.U, frame.single]:
             _read_only(array)
         record.memo[key] = frame

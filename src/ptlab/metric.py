@@ -4,9 +4,9 @@ The Hermitian solutions W form a real linear space; when H is diagonalizable
 with an all-real spectrum the space contains positive-definite elements and H
 is self-adjoint in the weighted inner product <psi| W |phi>.  With indefinite
 W the same pairing is a finite-dimensional Krein (Pontrjagin) product.  The
-space is solved cluster by cluster on the eigenvalue clusters of adj(H)
-(ptlab.intertwine), so a defective input costs the small systems of its
-clusters, not the dense 2n^2 x n^2 one.  The QR of each attempt's
+space is solved cluster by cluster on H's one clustering (ptlab.intertwine),
+so a defective input costs the small systems of its clusters, not the
+dense 2n^2 x n^2 one.  The QR of each attempt's
 solutions comes from scipy.linalg's LAPACK, imported on first use
 (numerics._scipy_linalg).
 """
@@ -23,7 +23,6 @@ from .numerics import (
     MACHINE_EPS,
     ToleranceConfig,
     _eigenpairs,
-    _reality_cut,
     _scipy_linalg,
     as_square_matrix,
     frobenius,
@@ -31,7 +30,7 @@ from .numerics import (
     solve_or_raise,
     vectorize,
 )
-from .intertwine import cluster_discs, hermitian_solutions, pair_solutions, solve_clustered
+from .intertwine import cluster_discs, conjugate_map, hermitian_solutions, pair_solutions, solve_clustered
 
 
 @dataclass(frozen=True)
@@ -177,40 +176,32 @@ def solve_metric_space(H, tol: ToleranceConfig = DEFAULT_TOL) -> MetricSolution:
     cluster, the only O(n^6) case.  The basis is Frobenius-orthonormal.  The positive representative
     is the classic biorthogonal sum of left-eigenvector dyads, which lands in
     the solution space exactly when the spectrum is real and H is
-    diagonalizable.
+    diagonalizable, both read off H's clusters as classify_spectrum reads them.
     """
     A = as_square_matrix(H, "H")
     n = A.shape[0]
     norm = frobenius(A)
     scale = max(norm, 1.0)
     record = _eigenpairs(A, adjoint=True)
-    values, vectors, cond = record.values, record.vectors, record.sigma
-    solutions = solve_clustered(record, norm, tol, _metric_attempt(A, values, norm, tol))
+    solutions = solve_clustered(record, norm, tol, _metric_attempt(A, record.values, norm, tol))
+    clusters, _ = conjugate_map(record, norm, tol)
 
     positive, status, note = None, "absent", None
-    reality = np.max(np.abs(values.imag)) if values.size else 0.0
-    if reality <= _reality_cut(tol, scale):
-        if cond[-1] > 1e-8 * cond[0]:
-            vecs = vectors / np.linalg.norm(vectors, axis=0, keepdims=True)
-            W = vecs @ vecs.conj().T
-            W = 0.5 * (W + W.conj().T)
-            raw_residual = frobenius(W @ A - A.conj().T @ W)
-            if raw_residual <= _residual_bound(tol, scale, n):
-                eigs = np.linalg.eigvalsh(W)
-                cutoff = tol.rank_cutoff(float(eigs[-1]))
-                if eigs[0] > cutoff:
-                    positive, status = W, "found"
-                else:
-                    status = "indeterminate"
-                    note = "smallest metric eigenvalue sits inside the rank cutoff; expect it to scale linearly in the distance to the exceptional point"
-            else:
-                status = "indeterminate"
-                note = "left-eigenvector dyad sum does not solve the self-adjointness equation to tolerance"
-        else:
-            status = "absent"
-            note = "no eigenvector basis (defective); a positive metric does not exist"
-    elif values.size:
+    if not clusters.real.all():
         note = "spectrum has a complex pair; only indefinite Hermitian solutions exist"
+    elif clusters.defective:
+        note = "no eigenvector basis (defective); a positive metric does not exist"
+    else:
+        vecs = record.vectors / np.linalg.norm(record.vectors, axis=0, keepdims=True)
+        W = vecs @ vecs.conj().T
+        W = 0.5 * (W + W.conj().T)
+        if frobenius(W @ A - A.conj().T @ W) > _residual_bound(tol, scale, n):
+            status, note = "indeterminate", "left-eigenvector dyad sum does not solve the self-adjointness equation to tolerance"
+        elif (eigs := np.linalg.eigvalsh(W))[0] > tol.rank_cutoff(float(eigs[-1])):
+            positive, status = W, "found"
+        else:
+            status, note = "indeterminate", ("smallest metric eigenvalue sits inside the rank cutoff; expect it to "
+                                             "scale linearly in the distance to the exceptional point")
 
     return MetricSolution(
         hermitian_basis=solutions,

@@ -15,11 +15,10 @@ the adjoint side, and the transpose witnesses its conjugate (transpose(H) =
 conj(adj(H)), and conjugation is exact), so one matrix taken through every
 analysis costs two eigendecompositions.  What ptlab.intertwine derives from
 a record lives on it too (_Eigenpairs.memo): the clusters of the sorted H
-spectrum, read by classify_spectrum, find_gen_pt_operator and
-align_pt_phases, and the first cluster frame and the Schur form of adj(H),
-read by the metric solver, both witness solvers (conjugated) and the
-closed form of the conversions.  So each side is clustered once, and adj(H)
-takes one Schur decomposition.
+spectrum with their pairing and Jordan verdict, which every solver reads,
+and on the adjoint side their map onto adj(H), the first cluster frame and
+the Schur form of adj(H).  So each matrix is clustered once, on the H
+side, and adj(H) takes one Schur decomposition.
 
 scipy.linalg is imported on first use, through _scipy_linalg, by the few
 routines that need it: the QRs of the metric and witness solvers, the Schur

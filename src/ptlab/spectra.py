@@ -17,20 +17,17 @@ stack, deciding well-separated spectra with array operations and sending
 only the rest through the cluster and staircase code.  It returns a
 SpectrumTable, one array per verdict field, which builds a point's
 SpectrumReport only when that point is indexed; classify_spectrum is the
-first entry of the table of a stack of one.  A lone matrix takes its
-eigenpairs, and on the cluster path its clusters and conjugate pairs, from
-its shared eigen record (numerics._eigenpairs, intertwine.spectrum_clusters),
-which find_gen_pt_operator and align_pt_phases read too: each spectrum is
-clustered at most once, by its first reader.  Its screen takes the smallest
-gap first and sends a spectrum that fails the gap cuts straight to the
-cluster path.  Where every cluster is a single eigenvalue, the cluster path
-reads the Segre dict off the arrays.
+first entry of the table of a stack of one.  Each matrix is clustered
+once: the cluster path reads the clusters and Jordan verdict of
+intertwine.sorted_clusters, a lone matrix those kept on its shared eigen
+record (intertwine.spectrum_clusters), which every other solver reads too.
+Its screen takes the smallest gap first and sends a spectrum that fails
+the gap cuts straight to the cluster path.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -41,13 +38,11 @@ from .intertwine import Clusters, sorted_clusters, spectrum_clusters
 from .involutions import operator_matrix
 from .numerics import (
     DEFAULT_TOL,
-    MACHINE_EPS,
     ToleranceConfig,
     _cluster_cut,
     _eigenpairs,
     _reality_cut,
     as_square_matrix,
-    eigen_decompose,
     frobenius,
     frobenius_norms,
 )
@@ -86,95 +81,29 @@ def jordan_block(lam, n: int) -> np.ndarray:
     return lam * np.eye(n, dtype=complex) + np.diag(np.ones(n - 1), 1)
 
 
-def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, cluster_radius: float, tol: ToleranceConfig):
-    """Jordan block sizes at lam from ranks of (A - lam)^k.
-
-    Rank cutoffs inflate with the cluster radius because a radius-delta
-    eigenvalue error perturbs the zero singular values of the k-th power by
-    about k * delta * s^(k-1).
-
-    Where s^multiplicity leaves the float range the powers would overflow,
-    so M, s and delta are first scaled by one power of two to s below 1:
-    that scales the singular values of M^k and both terms of its cutoff by
-    the same exact factor, and leaves the ranks as they are.
-    """
-    n = A.shape[0]
-    M = A - lam * np.eye(n)
-    sing = np.linalg.svd(M, compute_uv=False)
-    s_norm = max(float(sing[0]), 1.0)
-    if multiplicity * math.log2(s_norm) > 1000.0:
-        c = math.ldexp(1.0, -math.frexp(s_norm)[1])
-        M, sing, s_norm, cluster_radius = c * M, c * sing, c * s_norm, c * cluster_radius
-    power, sings = M, [sing]  # the singular values of M^k, k = 1, 2, ...
-    delta = max(cluster_radius, 4.0 * MACHINE_EPS * s_norm)
-    for inflate in (1.0, 8.0, 64.0):
-        nullities = [0]
-        for k in range(1, multiplicity + 1):
-            if k > len(sings):
-                power = power @ M
-                sings.append(np.linalg.svd(power, compute_uv=False))
-            sing = sings[k - 1]
-            cutoff = max(tol.rank_cutoff(sing[0]), inflate * 8.0 * k * delta * s_norm ** (k - 1))
-            rank = int(np.sum(sing > cutoff))
-            nullities.append(n - rank)
-            if nullities[-1] >= multiplicity:
-                break
-        if nullities[-1] < multiplicity:
-            continue
-        nullities[-1] = multiplicity  # the staircase saturates at the cluster size
-        # blocks of size >= k appear nullities[k] - nullities[k-1] times
-        at_least = [max(b - a, 0) for a, b in zip(nullities, nullities[1:])] + [0]
-        sizes = [k for k in range(1, len(at_least)) for _ in range(at_least[k - 1] - at_least[k])]
-        if sum(sizes) == multiplicity:
-            return sizes
-    return None
-
-
-def _cluster_path(A: np.ndarray, clusters: Clusters, tol: ToleranceConfig):
+def _cluster_path(clusters: Clusters):
     """Segre characteristics and conjugate pairing for one matrix from its
-    clusters (intertwine.sorted_clusters), where two real clusters that
-    conjugate_pairs mirrors across the axis are one.  A lone eigenvalue has
-    Segre [1], a larger cluster the rank staircase at its centre; real
-    clusters with one projection on the real axis join their block lists.
-    The point is ambiguous when two cluster discs come within 10x of
-    touching, or a staircase fails.
+    clusters and their Jordan verdict (intertwine.sorted_clusters): a lone
+    eigenvalue has Segre [1], a larger cluster (two real clusters that
+    conjugate_pairs mirrors across the axis are one) the block sizes of the
+    verdict; real clusters with one projection on the real axis join their
+    block lists.  The point is ambiguous when two cluster discs come within
+    10x of touching, or the verdict is undecided.
 
     Returns (segre, ambiguous, all_real, any_real, paired, defective).
     """
-    values, _, _, labels, centres, spans, real, pairs = clusters
-    n = values.size
-    heads = np.flatnonzero(labels == np.arange(n))
-    simple = heads.size == n
-    c, s = (centres, spans) if simple else (centres[heads], spans[heads])
-    near = np.abs(c[:, None] - c) < 10.0 * (s[:, None] + s)
+    values, _, _, labels, centres, spans, real, pairs, jordan, defective, undecided = clusters
+    heads = np.flatnonzero(labels == np.arange(values.size))
+    near = np.abs(centres[heads, None] - centres[heads]) < 10.0 * (spans[heads, None] + spans[heads])
     np.fill_diagonal(near, False)
-    ambiguous = bool(near.any())
-    mirrors = [pair for pair in pairs or () if real[pair[0]]]
-    segre, defective = {}, False
-    if simple and not mirrors:  # every eigenvalue alone: each keys Segre [1]
-        for key in np.where(real, values.real, values).tolist():
-            segre.setdefault(key, []).append(1)  # real eigenvalues with one real part share an entry
-        return segre, ambiguous, bool(real.all()), bool(real.any()), pairs is not None, defective
-    labels = labels.copy()  # the clusters are shared; the mirror merges below are this report's
-    for a, b in mirrors:  # mirrors make one real cluster
-        labels[(labels == a) | (labels == b)] = min(a, b)
-        heads = heads[heads != max(a, b)]
-
-    # a lone eigenvalue keys its Segre entry, a larger cluster the mean of its members
-    keys = np.where(real[heads], values.real[heads], values[heads]).tolist()
-    for key, head, size in zip(keys, heads.tolist(), np.bincount(labels)[heads].tolist()):
-        sizes = [1]
-        if size > 1:
-            members = values[labels == head]
-            centre = complex(np.mean(members))
-            key = complex(centre.real, 0.0) if real[head] else centre
-            sizes = _segre_staircase(A, key, size, float(np.abs(members - centre).max()), tol)
-            if sizes is None:
-                ambiguous = True
-                sizes = [1] * size
-            defective |= max(sizes) > 1
-        segre[key] = sorted(segre[key] + sizes) if key in segre else sizes
-    return segre, ambiguous, bool(real.all()), bool(real.any()), pairs is not None, defective
+    mirrored = {max(pair) for pair in pairs or () if real[pair[0]]}
+    segre = {}
+    # a lone eigenvalue keys its Segre entry (real ones with one real part share it), a larger cluster its verdict's
+    for key, head in zip(np.where(real[heads], values.real[heads], values[heads]).tolist(), heads.tolist()):
+        if head not in mirrored:
+            key, sizes = jordan.get(head, (key, [1]))
+            segre[key] = sorted(segre[key] + sizes) if key in segre else sizes
+    return segre, bool(near.any()) or undecided, bool(real.all()), bool(real.any()), pairs is not None, defective
 
 
 _REALITY_CLASSES = tuple(RealityClass)
@@ -336,9 +265,9 @@ def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTa
         sigma = np.linalg.svd(vectors, compute_uv=False)
     for i, k in enumerate(rest.tolist()):
         norm = float(norms[k])
-        clusters = spectrum_clusters(lone, norm, tol) if lone else sorted_clusters(w[i], vectors[i], sigma[i], norm, tol)
+        clusters = spectrum_clusters(lone, norm, tol) if lone else sorted_clusters(S[k], w[i], vectors[i], sigma[i], norm, tol)
         values[k] = clusters.values
-        segre[k], ambiguous[k], all_real[k], any_real[k], paired[k], defective[k] = _cluster_path(S[k], clusters, tol)
+        segre[k], ambiguous[k], all_real[k], any_real[k], paired[k], defective[k] = _cluster_path(clusters)
     # codes in RealityClass order: conjugate pairs (paired with no real
     # eigenvalue) or mixed, then all real (diagonalizable or defective)
     reality = 3 - (paired > any_real)
@@ -375,14 +304,12 @@ def align_pt_phases(O, H, tol: ToleranceConfig = DEFAULT_TOL):
     report = check_symmetry(SymmetryKind.PT, P, A, tol)
     if not report.holds:
         raise ContractError(f"H is not symmetric under the given parity (residual {report.residual:.3e})")
-    norm = frobenius(A)
-    values, vectors = eigen_decompose(A, tol)
-    broken = values[np.abs(values.imag) > _reality_cut(tol, max(norm, 1.0))]
-    if broken.size:
-        raise ContractError(f"symmetry is broken: eigenvalue {broken[0]} is complex")
-    labels = spectrum_clusters(_eigenpairs(A), norm, tol).labels
-    if np.any(labels != np.arange(values.size)):
+    clusters = spectrum_clusters(_eigenpairs(A), frobenius(A), tol)
+    if not clusters.real.all():
+        raise ContractError(f"symmetry is broken: eigenvalue {clusters.values[~clusters.real][0]} is complex")
+    if np.any(clusters.labels != np.arange(clusters.labels.size)):
         raise ContractError("phase alignment needs a simple spectrum")
+    values, vectors = clusters.values.copy(), clusters.vectors
     # rotating each vector by the half phase of its antilinear eigenvalue makes it a fixed point
     lam_pt = np.vecdot(vectors, P @ vectors.conj(), axis=0) / np.vecdot(vectors, vectors, axis=0)
     aligned = np.sqrt(lam_pt) * vectors
@@ -518,6 +445,8 @@ def degeneration_scan(u: float, gamma: float, epsilons, family: str = "pt2") -> 
         raise ContractError("need at least one epsilon")
     if np.any(eps <= 0.0) or np.any(eps >= 1.0):
         raise ContractError("epsilons must lie strictly inside (0, 1)")
+    if (rounded := eps[1.0 - eps == 1.0]).size:  # rho would round to |gamma|: the exceptional point itself
+        raise ContractError(f"epsilon = {rounded[0]:g} is too small: 1 - epsilon rounds to 1")
     if eps.size > 1 and not np.all(np.diff(eps) < 0):
         raise ContractError("epsilons must be strictly decreasing")
     if not (u > 0 < gamma or u < 0 > gamma):  # by signs: a product that underflows keeps them

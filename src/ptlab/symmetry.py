@@ -9,9 +9,9 @@ intertwines it the right way:
 
 Constructors build the canonical block/diagonal-frame representative for each
 class; check_symmetry reports the intertwining residual for any pair.
-find_gen_pt_operator pairs the eigenvalue clusters of H that classify_spectrum
-reads, kept on H's shared eigen record (intertwine.spectrum_clusters), so it
-clusters nothing of its own.
+find_gen_pt_operator takes pairing and defectiveness from H's one
+clustering, kept on its shared eigen record (intertwine.spectrum_clusters),
+as classify_spectrum does, so it decides nothing of its own.
 """
 
 from __future__ import annotations
@@ -339,12 +339,12 @@ def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
     (intertwine.spectrum_clusters), with the eigenvectors in the (Re, Im)
     order of the sorted spectrum.  A defective real cluster is one real
     unit, and two real clusters that mirror each other across the axis are
-    one pair.  Defective inputs are handled only via a small battery of
-    exact candidates (identity and diagonal sign patterns, which cover this
-    package's own Jordan constructions); anything beyond that raises
-    IndeterminateStructureError rather than guessing.  The core carries the
-    record of the check it passed (exact for the identity and the battery),
-    so symmetry checks with it do not verify it again.
+    one pair.  Defective inputs (by the clusters' verdict) go only to a
+    battery of exact candidates (identity and diagonal sign patterns, which
+    cover this package's own Jordan constructions); anything beyond that
+    raises IndeterminateStructureError rather than guessing.  The core
+    carries the record of the check it passed (exact for the identity and
+    the battery), so symmetry checks with it do not verify it again.
     """
     A = as_square_matrix(H, "H")
     N = A.shape[0]
@@ -353,17 +353,14 @@ def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
     if frobenius(A - A.conj()) <= tol.abs_tol * scale:
         return _exact(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=np.eye(N, dtype=complex)))
 
-    record = _eigenpairs(A)
-    clusters = spectrum_clusters(record, norm, tol)
+    clusters = spectrum_clusters(_eigenpairs(A), norm, tol)
     if clusters.pairs is None:
         return None
-    sigma = record.sigma
 
-    # Defectiveness shows up as an ill-conditioned eigenvector matrix; the
-    # eigenvector route is then meaningless and only exact candidates remain.
-    miss = "spectrum is conjugation-closed but H appears defective; Jordan-level realification is not certified here"
-    if sigma[-1] > 1e-7 * sigma[0]:
-        columns = _realifying_columns(clusters.vectors, clusters.real, clusters.pairs, clusters.labels)  # cond < sqrt(2) 1e7: safe to invert
+    # on a defective spectrum the eigenvector route is meaningless and only exact candidates remain
+    miss = "spectrum is conjugation-closed but H is defective; Jordan-level realification is not certified here"
+    if not clusters.defective:
+        columns = _realifying_columns(clusters.vectors, clusters.real, clusters.pairs, clusters.labels)
         core = columns @ np.linalg.inv(columns.conj())
         intertwine = frobenius(core @ A.conj() - A @ core)
         record = _measure(core, InvolutionKind.ANTILINEAR_CORE, tol)

@@ -166,14 +166,14 @@ class TestPt2Family:
             family(p)
 
     def test_sign_of_u_gamma_is_decided_before_the_squares(self):
-        assert cat.Pt2Params(gamma=-1e200).metric_reason() == "u*gamma > 0 violated (u*gamma = -1e+200)"
+        assert cat.Pt2Params(gamma=-1e200).metric_reason() == "u*gamma > 0 violated (u = 1, gamma = -1e+200)"
 
     def test_sign_of_u_gamma_is_decided_by_signs_where_the_product_underflows(self):
         p = cat.Pt2Params(u=1e-200, gamma=1e-150)
         assert p.metric_reason() == "u*gamma is too small: the product of u = 1e-200 and gamma = 1e-150 underflows"
         fam = cat.pt2_family(p)  # u is not in the matrix: the metric alone is refused
         assert fam.metric is None and fam.metric_reason == p.metric_reason()
-        assert cat.Pt2Params(u=-1e-200, gamma=1e-150).metric_reason() == "u*gamma > 0 violated (u*gamma = -0)"
+        assert cat.Pt2Params(u=-1e-200, gamma=1e-150).metric_reason() == "u*gamma > 0 violated (u = -1e-200, gamma = 1e-150)"
 
     def test_squares_within_the_float_range_keep_their_verdict(self):
         p = cat.Pt2Params(gamma=1e154, rho=-1e154, v=1e150)

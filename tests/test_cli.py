@@ -374,6 +374,13 @@ class TestSweep:
         code, out, err = run(capsys, "sweep", "--family", "degeneration", "--grid", grid)
         assert (code, out, err) == (4, "", f"constraint violated: {message}\n")
 
+    def test_epsilon_whose_complement_rounds_to_one_exits_4(self, capsys):
+        # below about 1.1e-16, 1 - epsilon rounds to 1 and rho to |gamma|: the
+        # scan would sit on the exceptional point, so epsilon itself is refused
+        grid = '{"epsilon":{"start":1e-2,"stop":1e-17,"num":2,"scale":"log"}}'
+        code, out, err = run(capsys, "sweep", "--family", "degeneration", "--grid", grid)
+        assert (code, out, err) == (4, "", "error: epsilon = 1e-17 is too small: 1 - epsilon rounds to 1\n")
+
     def test_exceptional_point_beyond_1e154_takes_the_staircase_without_overflow(self, capsys):
         # the rank staircase squares the 1e200 matrix; its powers are taken
         # scaled by a power of two, so no overflow warning is raised

@@ -121,13 +121,13 @@ def test_defective_copies_outside_their_discs_are_merged(monkeypatch):
         assert witness.residual < 1e-10 and s[-1] > 1e-8 * s[0]
 
 
-def test_one_clustering_per_side_and_one_schur_form(monkeypatch):
+def test_one_clustering_per_matrix_and_one_schur_form(monkeypatch):
     """One matrix through classify_spectrum, solve_metric_space,
     transpose_matrix, witness_space, find_gen_pt_operator and PT -> pseudo's
-    closed form, in either order: each side's spectrum is
-    clustered once (H's sorted by (Re, Im), adj(H)'s in LAPACK order),
-    conjugate pairs are found once, and adj(H) takes one Schur form, as
-    every solver reads what the shared eigen records keep.  The Jordan
+    closed form, in either order: the matrix is clustered once, on its H
+    spectrum sorted by (Re, Im), conjugate pairs are found once, and adj(H)
+    takes one Schur form, as every solver reads what the shared eigen
+    records keep and the adjoint side takes H's partition.  The Jordan
     input takes every path: the cluster path of classify_spectrum and the
     Schur frames of both witness solvers."""
     calls = {name: [] for name in ("eigen_clusters", "conjugate_pairs", "zgees")}
@@ -138,7 +138,7 @@ def test_one_clustering_per_side_and_one_schur_form(monkeypatch):
         monkeypatch.setattr(owner, name, lambda *args, _run=original, _log=log: _log.append(args) or _run(*args))
     analyses = [classify_spectrum, solve_metric_space, transpose_matrix, witness_space, find_gen_pt_operator,
                 lambda H: convert._closed_form_involution(H, frobenius(H), DEFAULT_TOL)]
-    for H in (two_jordan_blocks(1) + np.diag(np.arange(6.0)), two_jordan_blocks(0)):
+    for H, schur in ((two_jordan_blocks(1) + np.diag(np.arange(6.0)), 0), (two_jordan_blocks(0), 1)):
         for order in (analyses, analyses[::-1]):
             numerics._eig_record.cache_clear()
             for log in calls.values():
@@ -148,13 +148,9 @@ def test_one_clustering_per_side_and_one_schur_form(monkeypatch):
                     analysis(H)
                 except IndeterminateStructureError:
                     pass
-            sides = {"H": np.sort(numerics._eigenpairs(H).values, kind="stable"),
-                     "adjoint": numerics._eigenpairs(H, adjoint=True).values}
-            clustered = [name for args in calls["eigen_clusters"] for name, values in sides.items()
-                         if np.array_equal(args[0], values)]
-            assert len(clustered) == len(calls["eigen_clusters"]) == len(set(clustered)) <= 2
-            assert len(calls["conjugate_pairs"]) <= 1 and len(calls["zgees"]) <= 1
-    assert sorted(clustered) == ["H", "adjoint"] and len(calls["zgees"]) == 1  # the Jordan input
+            values = np.sort(numerics._eigenpairs(H).values, kind="stable")
+            assert [np.array_equal(args[0], values) for args in calls["eigen_clusters"]] == [True]
+            assert len(calls["conjugate_pairs"]) == 1 and len(calls["zgees"]) == schur
 
 
 def test_transpose_witness_merges_the_clusters_of_a_missed_draw(monkeypatch):
@@ -331,16 +327,18 @@ def test_screened_spectrum_is_clustered_once(monkeypatch):
 
 
 def test_singleton_frame_is_the_eigenvector_frame():
-    """Where every eigenvalue of adj(H) is alone, cluster_frame is the frame
-    of the general construction with no label bookkeeping: U is the
-    record's eigenvectors, every eigenvalue single, no blocks, and the frame
-    final only at n = 1."""
+    """Where every eigenvalue of adj(H) is alone, cluster_frame is the
+    eigenvector frame: each adjoint eigenvalue has the disc radius of the H
+    eigenvalue nearest its conjugate, U is the record's eigenvectors, every
+    eigenvalue single, no blocks, and the frame final only at n = 1."""
     for seed in range(40):
         H = _screen_draw(seed)
         n = H.shape[0]
         record, norm = numerics._eigenpairs(H, adjoint=True), frobenius(H)
         frame = intertwine.cluster_frame(record, norm, DEFAULT_TOL)
-        radii, labels = intertwine.eigen_clusters(record.values, record.vectors, record.sigma, norm, DEFAULT_TOL)
-        assert np.array_equal(frame.labels, np.arange(n)) and np.array_equal(frame.radii, radii)
+        clusters = intertwine.spectrum_clusters(numerics._eigenpairs(H), norm, DEFAULT_TOL)
+        nearest = np.abs(record.values.conj()[:, None] - clusters.values).argmin(axis=1)
+        assert sorted(nearest.tolist()) == list(range(n))  # one H eigenvalue for each adjoint one
+        assert np.array_equal(frame.labels, np.arange(n)) and np.array_equal(frame.radii, clusters.radii[nearest])
         assert frame.U is record.vectors and frame.single.dtype == bool and frame.single.all()
         assert frame.blocks == {} and frame.final is (n == 1)

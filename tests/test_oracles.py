@@ -10,7 +10,10 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
+from ptlab import intertwine, numerics
+from ptlab.errors import IndeterminateStructureError
 from ptlab.metric import solve_metric_space
+from ptlab.numerics import DEFAULT_TOL, frobenius
 from ptlab.spectra import RealityClass, classify_spectrum, jordan_block
 from ptlab.symmetry import find_gen_pt_operator
 
@@ -89,8 +92,9 @@ def _sympy_segre(H) -> dict:
     return {lam: sorted(sizes) for lam, sizes in segre.items()}
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_segre_matches_sympy_jordan_form_of_unimodular_conjugates(seed):
+def _unimodular_conjugate(seed):
+    """(H, blocks): _integer_jordan's J conjugated by an integer U with an
+    integer inverse."""
     rng = np.random.default_rng(seed)
     J, blocks = _integer_jordan(rng)
     n = len(J)
@@ -98,7 +102,12 @@ def test_segre_matches_sympy_jordan_form_of_unimodular_conjugates(seed):
     U = (np.tril(rng.integers(-1, 2, (n, n)), -1) + np.eye(n, dtype=int)) @ (
         np.triu(rng.integers(-1, 2, (n, n)), 1) + np.eye(n, dtype=int))
     U_inv = np.array(sympy.Matrix(U.tolist()).inv().tolist(), dtype=int)
-    H = U @ J @ U_inv
+    return U @ J @ U_inv, blocks
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_segre_matches_sympy_jordan_form_of_unimodular_conjugates(seed):
+    H, blocks = _unimodular_conjugate(seed)
     exact = _sympy_segre(H)
     assert exact == segre_of(blocks)  # the oracle sees the structure that was built
     report = classify_spectrum(H.astype(complex))
@@ -168,3 +177,79 @@ def test_metric_dimension_and_gen_pt_core_agree_with_the_segre_table(case):
     if all(sizes == [1] for sizes in segre.values()):
         closed = {lam for lam, _ in pairs} == set(segre)
         assert (find_gen_pt_operator(H) is not None) == closed
+
+
+# ---------------------------------------------------------------- one verdict per matrix
+
+def jordan_sums(ks=range(4, 17)):
+    """J_k(1) + J_k(2) for each k in ks, in a real orthogonal frame and in a
+    complex frame of condition number 3 (rng seed 5)."""
+    rng = np.random.default_rng(5)
+    for k in ks:
+        J = np.zeros((2 * k, 2 * k), dtype=complex)
+        J[:k, :k], J[k:, k:] = jordan_block(1.0, k), jordan_block(2.0, k)
+        orthogonal, _ = np.linalg.qr(rng.normal(size=(2 * k, 2 * k)))
+        left, _ = np.linalg.qr(rng.normal(size=(2 * k, 2 * k)) + 1j * rng.normal(size=(2 * k, 2 * k)))
+        right, _ = np.linalg.qr(rng.normal(size=(2 * k, 2 * k)) + 1j * rng.normal(size=(2 * k, 2 * k)))
+        framed = left @ np.diag(np.linspace(1.0, 3.0, 2 * k)) @ right
+        for V in (orthogonal, framed):
+            yield k, V @ J @ np.linalg.inv(V)
+
+
+@pytest.mark.parametrize("k, H", list(jordan_sums()))
+def test_jordan_sums_are_defective_or_ambiguous(k, H):
+    """Two k-blocks at 1 and 2 smear their eigenvalues by eps^(1/k); once a
+    staircase cutoff reaches s^k / 2 the ranks are no evidence, so the
+    verdict is undecided, never an unambiguous wrong class."""
+    report = classify_spectrum(H)
+    assert report.reality_class is RealityClass.ALL_REAL_DEFECTIVE or report.ambiguous
+    if not report.ambiguous:
+        assert_segre(report, [(1.0, k), (2.0, k)], 1e-6 * np.linalg.norm(H))
+
+
+COMPLEX_PAIR = "spectrum has a complex pair; only indefinite Hermitian solutions exist"
+DEFECTIVE = "no eigenvector basis (defective); a positive metric does not exist"
+
+
+def assert_one_verdict(H):
+    """Every reader of H's one clustering agrees with it: the metric's
+    status and note with classify_spectrum's class, find_gen_pt_operator
+    (None exactly when the clusters do not pair), and the adjoint side,
+    each of whose eigenvalues lies in the cluster disc of the H eigenvalue
+    nearest its conjugate, with cluster sizes equal on both sides."""
+    norm = frobenius(H)
+    report, metric = classify_spectrum(H), solve_metric_space(H)
+    if report.reality_class in (RealityClass.CONJUGATE_PAIRS, RealityClass.MIXED):
+        assert (metric.positive_status, metric.note) == ("absent", COMPLEX_PAIR)
+    elif report.reality_class is RealityClass.ALL_REAL_DEFECTIVE:
+        assert (metric.positive_status, metric.note) == ("absent", DEFECTIVE)
+    else:
+        assert metric.positive_status in ("found", "indeterminate")
+    clusters = intertwine.spectrum_clusters(numerics._eigenpairs(H), norm, DEFAULT_TOL)
+    try:
+        core = find_gen_pt_operator(H)
+    except IndeterminateStructureError:
+        core = "undecided"
+    assert (core is None) == (clusters.pairs is None)
+    record = numerics._eigenpairs(H, adjoint=True)
+    frame = intertwine.cluster_frame(record, norm, DEFAULT_TOL)
+    nearest = np.abs(record.values.conj()[:, None] - clusters.values).argmin(axis=1)
+    assert np.all(np.abs(record.values.conj() - clusters.centres[nearest]) <= clusters.spans[nearest])
+    assert sorted(np.bincount(frame.labels)[np.unique(frame.labels)]) == sorted(
+        np.bincount(clusters.labels)[np.unique(clusters.labels)])
+
+
+@_SETTINGS
+@given(direct_sums())
+def test_one_verdict_on_direct_sums(case):
+    assert_one_verdict(case[0])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_verdict_on_unimodular_conjugates(seed):
+    assert_one_verdict(_unimodular_conjugate(seed)[0].astype(complex))
+
+
+@pytest.mark.parametrize("k, H", list(jordan_sums((4, 5, 6, 8, 12, 16))))
+def test_one_verdict_on_jordan_sums(k, H):
+    assert_one_verdict(H)
