@@ -73,13 +73,16 @@ def _require_finite(params):
 
 def _square_out_of_range(p) -> str | None:
     """The violation when v, gamma or rho has a square that overflows (|x|
-    beyond about 1.3e154) or, x nonzero, underflows below the normal floats
-    (|x| below about 1.5e-154), else None: the 2x2 closed forms square them."""
-    for name in ("v", "gamma", "rho"):
-        x = float(getattr(p, name))
+    beyond about 1.3e154) or, x nonzero and at least sqrt(eps) times the
+    largest of |v|, |gamma|, |rho|, underflows below the normal floats (|x|
+    below about 1.5e-154), else None: the 2x2 closed forms square them, and
+    a square below eps times the largest one is lost in every sum it joins."""
+    values = {name: float(getattr(p, name)) for name in ("v", "gamma", "rho")}
+    negligible = math.sqrt(sys.float_info.epsilon) * max(map(abs, values.values()))
+    for name, x in values.items():
         if not math.isfinite(x * x):
             return f"parameter {name} = {x:g} is too large: its square overflows"
-        if x and abs(x * x) < sys.float_info.min:
+        if x and abs(x * x) < sys.float_info.min and abs(x) >= negligible:
             return f"parameter {name} = {x:g} is too small: its square underflows"
     return None
 

@@ -183,10 +183,9 @@ def _complex_pair(z) -> list:
 
 def _tolerances(args) -> ToleranceConfig:
     try:
-        return ToleranceConfig(abs_tol=args.tol_abs, rel_tol=args.tol_rel)
-    except ContractError as exc:  # the message starts with the field's name
-        flag = "--tol-abs" if str(exc).startswith("abs_tol") else "--tol-rel"
-        raise CliError(EXIT_PARSE, f"{flag}: {exc}")
+        return ToleranceConfig(rel_tol=args.tol_rel)
+    except ContractError as exc:
+        raise CliError(EXIT_PARSE, f"--tol-rel: {exc}")
 
 
 # ---------------------------------------------------------------- classify
@@ -647,8 +646,8 @@ def cmd_jordan(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The ptlab argument parser, built once per process (parse_args leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-abs", type=float, default=1e-10, help="absolute tolerance (default 1e-10)")
-    common.add_argument("--tol-rel", type=float, default=1e-9, help="relative tolerance (default 1e-9)")
+    common.add_argument("--tol-rel", type=float, default=1e-10,
+                        help="relative tolerance, a multiple of the matrix norm (default 1e-10)")
     common.add_argument("--seed", type=int, default=None, help="accepted and ignored: no command draws random numbers")
     common.add_argument("--format", choices=("json", "csv"), default="json", help="output format where supported")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")

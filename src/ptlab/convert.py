@@ -83,6 +83,7 @@ from .numerics import (
     MACHINE_EPS,
     ToleranceConfig,
     _eigenpairs,
+    _scale,
     _scipy_linalg,
     as_square_matrix,
     frobenius,
@@ -118,7 +119,7 @@ def witness_space(B, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """
     M = as_square_matrix(B, "B")
     norm = frobenius(M)
-    bound = _residual_bound(tol, max(norm, 1.0), M.shape[0])
+    bound = _residual_bound(tol, norm, M.shape[0])
 
     def attempt(frame):
         _, space, elements, owners = _frame_space(frame, tol, norm)
@@ -202,7 +203,7 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
     like the m x m identity.  Later draws take seeded
     random elements of the frame's witness space, isotropic in the Frobenius
     product.  Draws stop at the first A with sigma_min / sigma_max > 1e-3
-    whose similarity residual is within max(abs_tol, 1e-10); after
+    whose similarity residual (relative to ||B||_F) is within 1e-10; after
     DEFAULT_BUDGET draws the best one is returned if it is above 1e-8.  A
     residual that misses the cut names the clusters whose elements leave the
     largest intertwining gaps, and the frame is merged and solved again; the
@@ -213,8 +214,7 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
     """
     M = as_square_matrix(B, "B")
     norm = frobenius(M)
-    scale = max(norm, 1.0)
-    cut = max(tol.abs_tol, 1e-10)
+    scale, cut = _scale(norm), 1e-10
     record = _eigenpairs(M, adjoint=True)
     vectors = record.vectors.conj()
     A = vectors @ vectors.T
@@ -304,7 +304,6 @@ def _convert(H, P, target_kind: SymmetryKind, tol) -> ConversionResult:
     M = as_square_matrix(H, "H")
     n = M.shape[0]
     norm = frobenius(M)
-    scale = max(norm, 1.0)
     eye = np.eye(n)
 
     if target_kind is SymmetryKind.PSEUDO:
@@ -341,10 +340,10 @@ def _convert(H, P, target_kind: SymmetryKind, tol) -> ConversionResult:
             target_kind, _recorded(InvolutionOperator(op_kind, Q), record), M, tol).holds
         return ConversionResult(
             Q=Q,
-            hermitian=bool(herm_res <= max(tol.abs_tol, 1e-9)),
-            involutory=bool(inv_res <= max(tol.abs_tol, 1e-8)),
+            hermitian=bool(herm_res <= 1e-9),
+            involutory=bool(inv_res <= 1e-8),
             target_kind_satisfied=target_ok,
-            residuals=(float(struct_res), float(inv_res), float(frobenius(intertwine_gap(Q)) / scale)),
+            residuals=(float(struct_res), float(inv_res), float(frobenius(intertwine_gap(Q)) / _scale(norm))),
             degenerate=False,
             witness=A,
         )
@@ -397,7 +396,7 @@ def _convert(H, P, target_kind: SymmetryKind, tol) -> ConversionResult:
 
     # the first row whose Q, scaled to Q^2 = 1, meets every cut is the hit;
     # a Q^2 = c 1 with c <= 1e-12 (vanishing or negative) marks the miss degenerate
-    intertwine_cut = max(tol.abs_tol * scale, 1e-10 * scale)
+    intertwine_cut = 1e-10 * norm
     saw_degenerate = False
     for z in rows():
         Q = (z @ q_family).reshape(n, n)

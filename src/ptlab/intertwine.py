@@ -56,7 +56,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .numerics import (MACHINE_EPS, ToleranceConfig, _cluster_cut, _Eigenpairs, _eigenpairs, _read_only, _reality_cut,
-                       _scipy_linalg, hermitian_basis, nullspace_complex, rank_and_nullspace, vectorize)
+                       _scale, _scipy_linalg, hermitian_basis, nullspace_complex, rank_and_nullspace, vectorize)
 
 
 def _components(adjacent: np.ndarray) -> np.ndarray:
@@ -88,7 +88,7 @@ def eigen_clusters(values: np.ndarray, vectors: np.ndarray, sigma: np.ndarray, n
     linkage at that cut."""
     n = values.size
     gaps = np.abs(values[:, None] - values)
-    cap, low = 0.5 * _cluster_cut(tol, max(norm, 1.0), n), float(sigma[-1])
+    cap, low = 0.5 * _cluster_cut(tol, norm, n), float(sigma[-1])
     # a Python float quotient overflows to inf with no warning, and takes the cap
     bound = min(float(tol.rank_cutoff(norm)) / low, cap) if low > 0 else cap
     if np.count_nonzero(gaps <= 2 * bound) == n:
@@ -156,27 +156,32 @@ def conjugate_pairs(centres: np.ndarray, spans: np.ndarray, labels: np.ndarray, 
     return real, tuple(pairs)
 
 
-def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, cluster_radius: float, tol: ToleranceConfig):
-    """Jordan block sizes at lam from ranks of (A - lam)^k, or None.
+def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, radius: float, norm: float, tol: ToleranceConfig):
+    """Jordan block sizes at lam from ranks of (A - lam)^k, or None; norm is ||A||_F.
 
     Rank cutoffs inflate with the cluster radius because a radius-delta
     eigenvalue error perturbs the zero singular values of the k-th power by
     about k * delta * s^(k-1); a cutoff that reaches s^k / 2 leaves no evidence.
-
-    Where s^multiplicity leaves the float range the powers would overflow,
-    so M, s and delta are first scaled by one power of two to s below 1:
-    that scales the singular values of M^k and both terms of its cutoff by
-    the same exact factor, and leaves the ranks as they are.
+    With s = ||M||_2 and delta at least the rounding 4 eps norm of A, H and
+    c H get the same blocks; where the first cutoff reaches s / 2 with delta
+    inside the reality cut (mirrored pairs lam +- i eps, H = 0), M is zero
+    and every block has size 1.
+    Where s^multiplicity leaves the float range the powers would overflow or
+    underflow, so M, s and delta are first scaled by one power of two to s
+    in [1/2, 1): that scales the singular values of M^k and both terms of
+    its cutoff by the same exact factor, and leaves the ranks as they are.
     """
     n = A.shape[0]
     M = A - lam * np.eye(n)
     sing = np.linalg.svd(M, compute_uv=False)
-    s_norm = max(float(sing[0]), 1.0)
-    if multiplicity * math.log2(s_norm) > 1000.0:
-        c = math.ldexp(1.0, -math.frexp(s_norm)[1])
-        M, sing, s_norm, cluster_radius = c * M, c * sing, c * s_norm, c * cluster_radius
+    s_norm, delta = float(sing[0]), max(radius, 4.0 * MACHINE_EPS * norm)
+    if s_norm <= 16.0 * delta:
+        return [1] * multiplicity if delta <= _reality_cut(tol, norm) else None
+    if multiplicity * abs(math.log2(s_norm)) > 1000.0:
+        e = -math.frexp(s_norm)[1]
+        c, d = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)  # two factors, as 2^e itself may overflow
+        M, sing, s_norm, delta = d * (c * M), d * (c * sing), d * (c * s_norm), d * (c * delta)
     power, sings = M, [sing]  # the singular values of M^k, k = 1, 2, ...
-    delta = max(cluster_radius, 4.0 * MACHINE_EPS * s_norm)
     for inflate in (1.0, 8.0, 64.0):
         nullities = [0]
         for k in range(1, multiplicity + 1):
@@ -202,8 +207,9 @@ def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, cluster_rad
     return None
 
 
-def _jordan(A: np.ndarray, values: np.ndarray, labels: np.ndarray, real: np.ndarray, pairs, tol: ToleranceConfig):
-    """(jordan, defective, undecided): jordan maps the head of each cluster
+def _jordan(A: np.ndarray, values: np.ndarray, labels: np.ndarray, real: np.ndarray, pairs, norm: float,
+            tol: ToleranceConfig):
+    """(jordan, defective, undecided) of A, of Frobenius norm `norm`: jordan maps the head of each cluster
     of more than one eigenvalue (mirrored real clusters made one) to (key,
     sizes): the mean of its members (on the axis for a real one), and the
     staircase's Jordan blocks of A there, all 1 where it fails (undecided)."""
@@ -215,7 +221,7 @@ def _jordan(A: np.ndarray, values: np.ndarray, labels: np.ndarray, real: np.ndar
         members = values[labels == head]
         centre = complex(np.mean(members))
         key = complex(centre.real, 0.0) if real[head] else centre
-        sizes = _segre_staircase(A, key, members.size, float(np.abs(members - centre).max()), tol)
+        sizes = _segre_staircase(A, key, members.size, float(np.abs(members - centre).max()), norm, tol)
         undecided |= sizes is None
         jordan[head] = key, sizes or [1] * members.size
     return jordan, any(max(sizes) > 1 for _, sizes in jordan.values()), undecided
@@ -250,9 +256,9 @@ def sorted_clusters(A: np.ndarray, values: np.ndarray, vectors: np.ndarray, sigm
     values, vectors = values[order], vectors[:, order]
     radii, labels = eigen_clusters(values, vectors, sigma, norm, tol)
     centres, spans = cluster_discs(values, radii, labels)
-    real, pairs = conjugate_pairs(centres, spans, labels, _reality_cut(tol, max(norm, 1.0)))
+    real, pairs = conjugate_pairs(centres, spans, labels, _reality_cut(tol, norm))
     arrays = (_read_only(a) for a in (values, vectors, radii, labels, centres, spans, real))
-    return Clusters(*arrays, pairs, *_jordan(A, values, labels, real, pairs, tol))
+    return Clusters(*arrays, pairs, *_jordan(A, values, labels, real, pairs, norm, tol))
 
 
 def spectrum_clusters(record: _Eigenpairs, norm: float, tol: ToleranceConfig) -> Clusters:
@@ -333,7 +339,7 @@ def _conditioning_floor(s: np.ndarray, norm: float, tol: ToleranceConfig) -> flo
     """Smallest s[-1] with which columns of singular values s (descending)
     count as well conditioned for a matrix R of Frobenius norm `norm`:
     tol.rank_cutoff(cond ||R||_F) must stay within the reality cut."""
-    return tol.rank_cutoff(s[0] * norm) / _reality_cut(tol, max(norm, 1.0))
+    return tol.rank_cutoff(s[0] * norm) / _reality_cut(tol, _scale(norm))
 
 
 def _entangled(record: _Eigenpairs, frame: Frame, norm: float, tol: ToleranceConfig) -> list:

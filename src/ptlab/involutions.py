@@ -63,7 +63,7 @@ class InvolutionCheck:
 
 
 def _identity_threshold(tol: ToleranceConfig, n: int, scale: float) -> float:
-    return max(tol.abs_tol * scale, 16.0 * n * MACHINE_EPS * scale * scale)
+    return max(tol.rel_tol * scale, 16.0 * n * MACHINE_EPS * scale * scale)
 
 
 class VerificationRecord(NamedTuple):
@@ -89,7 +89,7 @@ class VerificationRecord(NamedTuple):
         if ok and self.kind is not InvolutionKind.ANTILINEAR_CORE:
             signature = self.signature
             residuals["trace"] = self.trace_gap
-            ok = self.trace_gap <= max(tol.abs_tol * self.scale, 1e-6)
+            ok = self.trace_gap <= max(tol.rel_tol * self.scale, 1e-6)
         return InvolutionCheck(kind=self.kind, ok=bool(ok), residuals=residuals, signature=signature)
 
 
@@ -227,11 +227,11 @@ def transport(op: InvolutionOperator, T, tol: ToleranceConfig = DEFAULT_TOL) -> 
         raise ContractError(f"input operator fails its own {op.kind.value} invariants: {check.residuals}")
     scale = max(1.0, frobenius(A))
     if op.kind is InvolutionKind.REAL_INVOLUTION:
-        if frobenius(A - A.conj()) > tol.abs_tol * scale:
+        if frobenius(A - A.conj()) > tol.rel_tol * scale:
             raise ContractError("real involutions transport along real transformations only")
         out = A @ op.matrix @ solve_or_raise(A)
     elif op.kind is InvolutionKind.HERMITIAN_INVOLUTION:
-        if frobenius(A @ A.conj().T - np.eye(op.dim)) > tol.abs_tol * scale:
+        if frobenius(A @ A.conj().T - np.eye(op.dim)) > tol.rel_tol * scale:
             raise ContractError("Hermitian involutions transport along unitary transformations only")
         out = A @ op.matrix @ A.conj().T
     else:

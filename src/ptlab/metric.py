@@ -85,7 +85,7 @@ def transform_metric(W0, T) -> np.ndarray:
 def _residual_bound(tol: ToleranceConfig, scale: float, n: int) -> float:
     """Largest ||W H - adj(H) W||_F that a W built from computed eigenvectors
     (a unit-norm basis element, or the dyad sum) may leave as a solution."""
-    return max(tol.abs_tol * scale, 1e3 * n * MACHINE_EPS * scale)
+    return max(tol.rel_tol, 1e3 * n * MACHINE_EPS) * scale
 
 
 def _metric_attempt(A, values, norm, tol):
@@ -106,7 +106,6 @@ def _metric_attempt(A, values, norm, tol):
     solve of the whole equation.
     """
     n = A.shape[0]
-    scale = max(norm, 1.0)
 
     def attempt(frame):
         labels, radii, U, single, blocks, final = frame
@@ -145,7 +144,7 @@ def _metric_attempt(A, values, norm, tol):
         q, *_ = lapack.dorgqr(qr[:, :tau.size], tau, overwrite_a=True)
         Q = np.ascontiguousarray(q.T).view(complex).reshape(-1, n, n)
         Q = 0.5 * (Q + Q.conj().swapaxes(-1, -2))
-        bound = _residual_bound(tol, scale, n)
+        bound = _residual_bound(tol, norm, n)
         if final or not np.any(frobenius_norms(Q @ A - A.conj().T @ Q) > bound):
             return Q, set()
         W = W / frobenius_norms(W)[:, None, None]
@@ -181,7 +180,6 @@ def solve_metric_space(H, tol: ToleranceConfig = DEFAULT_TOL) -> MetricSolution:
     A = as_square_matrix(H, "H")
     n = A.shape[0]
     norm = frobenius(A)
-    scale = max(norm, 1.0)
     record = _eigenpairs(A, adjoint=True)
     solutions = solve_clustered(record, norm, tol, _metric_attempt(A, record.values, norm, tol))
     clusters, _ = conjugate_map(record, norm, tol)
@@ -195,7 +193,7 @@ def solve_metric_space(H, tol: ToleranceConfig = DEFAULT_TOL) -> MetricSolution:
         vecs = record.vectors / np.linalg.norm(record.vectors, axis=0, keepdims=True)
         W = vecs @ vecs.conj().T
         W = 0.5 * (W + W.conj().T)
-        if frobenius(W @ A - A.conj().T @ W) > _residual_bound(tol, scale, n):
+        if frobenius(W @ A - A.conj().T @ W) > _residual_bound(tol, norm, n):
             status, note = "indeterminate", "left-eigenvector dyad sum does not solve the self-adjointness equation to tolerance"
         elif (eigs := np.linalg.eigvalsh(W))[0] > tol.rank_cutoff(float(eigs[-1])):
             positive, status = W, "found"

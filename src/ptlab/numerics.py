@@ -52,17 +52,16 @@ _TINY_NORM_SCALE = 2.0 ** 600
 class ToleranceConfig:
     """Shared tolerance knobs.
 
-    rank_tol_factor multiplies (largest singular value * machine epsilon)
-    for every numerical rank decision, so all parameter counts hang off a
-    single audited cutoff.
+    rel_tol is the one tolerance of the cuts, each a multiple of the norm of
+    the matrix it judges; rank_tol_factor multiplies (largest singular value
+    * machine epsilon) for every numerical rank decision.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
+    rel_tol: float = 1e-10
     rank_tol_factor: float = 64.0
 
     def __post_init__(self):
-        for name in ("abs_tol", "rel_tol", "rank_tol_factor"):
+        for name in ("rel_tol", "rank_tol_factor"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
                 raise ContractError(f"{name} must be a nonnegative finite real, got {value!r}")
@@ -85,12 +84,14 @@ def _scipy_linalg():
     return scipy.linalg
 
 
+def _scale(norm: float) -> float:
+    """A cut's unit where it divides by a matrix norm or must not be 0: the norm, or 1.0 for H = 0."""
+    return norm if norm > 0 else 1.0
+
+
 def _reality_cut(tol: ToleranceConfig, scale):
-    """Largest |Im| of an eigenvalue still counted as real, at matrix norm scale
-    (a float, or an array of scales giving an array of cuts).  For scale >= 0,
-    max(a, b) * scale is bit-equal to max(a * scale, b * scale): rounding is
-    monotone."""
-    return np.maximum(tol.abs_tol, max(tol.rel_tol, _FOUR_SQRT_EPS) * scale)
+    """Largest |Im| of an eigenvalue still counted as real at matrix norm scale (a float, or an array)."""
+    return max(tol.rel_tol, _FOUR_SQRT_EPS) * scale
 
 
 def _cluster_cut(tol: ToleranceConfig, scale, n: int):
@@ -259,7 +260,7 @@ def eigen_decompose(M, tol: ToleranceConfig = DEFAULT_TOL):
     vectors = record.vectors[:, order]
     scale = frobenius(A)
     residual = np.linalg.norm(A @ vectors - vectors * values[np.newaxis, :], axis=0)
-    bound = max(tol.rel_tol * max(scale, 1.0), 64.0 * MACHINE_EPS)
+    bound = max(tol.rel_tol, 64.0 * MACHINE_EPS) * scale
     if np.any(residual > bound):  # pragma: no cover - defensive
         raise NumericalError(f"eigenpair residual {residual.max():.3e} exceeds {bound:.3e}")
     return values, vectors

@@ -66,8 +66,14 @@ class SpectrumReport:
     symmetry_holds: bool | None = None
     ambiguous: bool = False
 
-    def block_sizes(self, eigenvalue, atol=1e-8):
-        """Segre characteristic of the cluster nearest eigenvalue, if within atol."""
+    def block_sizes(self, eigenvalue, atol=None):
+        """Segre characteristic of the cluster nearest eigenvalue, if within
+        atol.  By default atol is 1e-8 times the largest |eigenvalue|, or the
+        largest distance of an eigenvalue from its nearest Segre key when
+        that is wider, so it scales with H: a zero spectrum matches exactly."""
+        if atol is None:
+            spread = max(min(abs(key - v) for key in self.segre) for v in self.eigenvalues.tolist())
+            atol = max(1e-8 * float(np.abs(self.eigenvalues).max()), spread)
         lam = min(self.segre, key=lambda key: abs(key - eigenvalue))
         if abs(lam - eigenvalue) > atol:
             raise KeyError(f"no cluster near {eigenvalue}")
@@ -154,7 +160,7 @@ class SpectrumTable(Sequence):
 def classify_spectra(stack, tol: ToleranceConfig = DEFAULT_TOL, symmetry=None) -> SpectrumTable:
     """classify_spectrum for every matrix of a (K, n, n) stack, in one pass.
 
-    The stack is validated, its Frobenius scales and eigenvalues are computed
+    The stack is validated, its Frobenius norms and eigenvalues are computed
     (one stacked eigvals, each row sorted by (Re, Im)), and the reality and
     cluster cuts are taken once, as arrays.  A point whose eigenvalues are
     all at least 10 cluster cuts apart, whose smallest gap exceeds twice the
@@ -199,8 +205,7 @@ def _screen_lone(record, norm: float, tol: ToleranceConfig):
     and a spectrum that fails the gap cuts takes the cluster path with no
     conjugate gap taken."""
     n = record.values.size
-    scale = max(norm, 1.0)
-    cluster_cut, reality_cut = _cluster_cut(tol, scale, n), _reality_cut(tol, scale)
+    cluster_cut, reality_cut = _cluster_cut(tol, norm, n), _reality_cut(tol, norm)
     pair_cut = max(2 * reality_cut, cluster_cut)
     values = np.sort(record.values, kind="stable")  # a stable complex sort is the (Re, Im) order
     gap = np.abs(values[:, None] - values)
@@ -223,10 +228,9 @@ def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTa
     # cluster path alike: its eig values are bit-equal to eigvals
     lone = _eigenpairs(S[0]) if K == 1 else None
     norms = frobenius_norms(S)
-    scales = np.maximum(norms, 1.0)
-    # n eigenvalues pairwise g apart inside |z| <= ||H||_2 <= scale have
-    # g <= 2 scale / (sqrt(n) - 1) (their discs of radius g/2 are disjoint
-    # inside the disc of radius scale + g/2), so once 10 cluster cuts exceed
+    # n eigenvalues pairwise g apart inside |z| <= ||H||_2 <= ||H||_F have
+    # g <= 2 ||H||_F / (sqrt(n) - 1) (their discs of radius g/2 are disjoint
+    # inside the disc of radius ||H||_F + g/2), so once 10 cluster cuts exceed
     # that bound the screen decides nothing and is skipped
     if 10.0 * _cluster_cut(tol, 1.0, n) * (n ** 0.5 - 1.0) > 2.0:
         values, real = np.empty((K, n), dtype=complex), np.zeros((K, n), dtype=bool)
@@ -236,7 +240,7 @@ def _classify_stack(S: np.ndarray, tol: ToleranceConfig, symmetry) -> SpectrumTa
     else:
         # a stable complex sort is the lexicographic (Re, Im) order of lexsort
         values = np.sort(np.linalg.eigvals(S), axis=-1, kind="stable")
-        cluster_cut, reality_cut = _cluster_cut(tol, scales, n), _reality_cut(tol, scales)
+        cluster_cut, reality_cut = _cluster_cut(tol, norms, n), _reality_cut(tol, norms)
         pair_cut = np.maximum(2 * reality_cut, cluster_cut)
         # gap[k, i, j] = |v_j - v_i| and conj_gap[k, i, j] = |v_j - conj(v_i)|, infinite for j = i
         dist = np.abs(values[:, None, :] - np.array((values, values.conj()))[:, :, :, None])
@@ -317,7 +321,7 @@ def align_pt_phases(O, H, tol: ToleranceConfig = DEFAULT_TOL):
     for k in range(values.size):
         if abs(abs(lam_pt[k]) - 1.0) > 1e-6:
             raise ContractError(f"eigenvector {k} is not an eigenvector of the antilinear symmetry (|lambda| = {abs(lam_pt[k]):.6f})")
-        if residual[k] > max(tol.abs_tol, 1e-8) * max(1.0, np.linalg.norm(aligned[:, k])):
+        if residual[k] > 1e-8 * max(1.0, np.linalg.norm(aligned[:, k])):
             raise ContractError(f"phase alignment failed for eigenvector {k} (residual {residual[k]:.3e})")
     return values, aligned
 
@@ -349,7 +353,7 @@ def jordan_chain(H, lam, tol: ToleranceConfig = DEFAULT_TOL) -> JordanChain:
     """
     A = as_square_matrix(H, "H")
     n = A.shape[0]
-    scale = max(frobenius(A), 1.0)
+    scale = frobenius(A)
     report = classify_spectrum(A, tol)
     try:
         sizes = report.block_sizes(lam, atol=_cluster_cut(tol, scale, n))
@@ -370,7 +374,7 @@ def jordan_chain(H, lam, tol: ToleranceConfig = DEFAULT_TOL) -> JordanChain:
     for _ in range(depth - 1):
         nxt, *_ = np.linalg.lstsq(M, vectors[-1], rcond=None)
         residual = np.linalg.norm(M @ nxt - vectors[-1])
-        if residual > max(tol.abs_tol * scale, 1e-6 * np.linalg.norm(vectors[-1])):
+        if residual > max(tol.rel_tol * scale, 1e-6 * np.linalg.norm(vectors[-1])):
             raise ContractError(f"chain relation unsolvable at depth {len(vectors)} (residual {residual:.3e})")
         # strip the eigenvector component so alpha = 0 is well defined
         nxt = nxt - (v0.conj() @ nxt) / (v0.conj() @ v0) * v0

@@ -91,7 +91,7 @@ def _intertwining(kind: SymmetryKind, O, A: np.ndarray, scale, tol: ToleranceCon
     right = R.reshape(-1, n) @ P  # [R_1; ...; R_K] P
     gap = left.reshape(n, -1, n).swapaxes(0, 1).reshape(A.shape) - right.reshape(A.shape)
     raw = frobenius_norms(gap)
-    return raw <= np.maximum(tol.abs_tol, tol.rel_tol * scale), raw, op_check
+    return raw <= tol.rel_tol * scale, raw, op_check
 
 
 def check_symmetry(kind: SymmetryKind, O, H, tol: ToleranceConfig = DEFAULT_TOL) -> SymmetryReport:
@@ -163,7 +163,7 @@ class PseudoBlockParams:
 
     def validate_hermitian(self, tol: ToleranceConfig = DEFAULT_TOL):
         for name, block in (("A", self.A), ("D", self.D)):
-            if block.size and frobenius(block - block.conj().T) > tol.abs_tol * max(1.0, frobenius(block)):
+            if block.size and frobenius(block - block.conj().T) > tol.rel_tol * frobenius(block):
                 raise ContractError(f"block {name} must be Hermitian")
 
 
@@ -349,28 +349,29 @@ def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
     A = as_square_matrix(H, "H")
     N = A.shape[0]
     norm = frobenius(A)
-    scale = max(norm, 1.0)
-    if frobenius(A - A.conj()) <= tol.abs_tol * scale:
+    if frobenius(A - A.conj()) <= tol.rel_tol * norm:
         return _exact(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=np.eye(N, dtype=complex)))
 
     clusters = spectrum_clusters(_eigenpairs(A), norm, tol)
     if clusters.pairs is None:
         return None
 
-    # on a defective spectrum the eigenvector route is meaningless and only exact candidates remain
-    miss = "spectrum is conjugation-closed but H is defective; Jordan-level realification is not certified here"
-    if not clusters.defective:
+    # on a defective spectrum, or one whose Jordan verdict is undecided, the eigenvector route is meaningless
+    # (nearly parallel eigenvectors do not invert) and only exact candidates remain
+    miss = ("the rank staircase of a cluster is undecided" if clusters.undecided else
+            "spectrum is conjugation-closed but H is defective") + "; Jordan-level realification is not certified here"
+    if not (clusters.defective or clusters.undecided):
         columns = _realifying_columns(clusters.vectors, clusters.real, clusters.pairs, clusters.labels)
         core = columns @ np.linalg.inv(columns.conj())
         intertwine = frobenius(core @ A.conj() - A @ core)
         record = _measure(core, InvolutionKind.ANTILINEAR_CORE, tol)
         core_check = record.check(tol)
-        if core_check.ok and intertwine <= max(tol.abs_tol, tol.rel_tol * scale):
+        if core_check.ok and intertwine <= tol.rel_tol * norm:
             return _recorded(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=core), record)
         miss = f"constructed operator misses its invariants (intertwining {intertwine:.3e}, core {core_check.residuals})"
     # the battery: the identity, then Diag(1_m, -1_(N-m)) for m = 0..N, all checked as one stack
     signs = np.vstack([np.ones(N), np.where(np.arange(N) < np.arange(N + 1)[:, None], 1.0, -1.0)])
-    hits = np.flatnonzero(frobenius_norms(signs[:, :, None] * A.conj() - A * signs[:, None, :]) <= tol.abs_tol * scale)
+    hits = np.flatnonzero(frobenius_norms(signs[:, :, None] * A.conj() - A * signs[:, None, :]) <= tol.rel_tol * norm)
     if hits.size:  # the first exact core D, with D conj(A) = A D
         return _exact(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=np.diag(signs[hits[0]]).astype(complex)))
     raise IndeterminateStructureError(miss)

@@ -157,13 +157,31 @@ class TestPt2Family:
             family(p)
 
     @pytest.mark.parametrize("family", [cat.pt2_family, cat.pseudo2_family])
-    @pytest.mark.parametrize("name, value", [("gamma", 1e-170), ("rho", -1e-160), ("v", 1e-155)])
-    def test_parameter_whose_square_underflows_is_a_constraint_error(self, family, name, value):
-        p = cat.Pt2Params(**{name: value})
-        message = f"parameter {name} = {value:g} is too small: its square underflows"
+    @pytest.mark.parametrize("params, name", [({"gamma": 1e-170}, "gamma"), ({"gamma": 1e-160, "rho": 1e-160}, "gamma")])
+    def test_parameter_whose_square_underflows_is_a_constraint_error(self, family, params, name):
+        # the square is lost, yet the parameter is not negligible beside the others
+        p = cat.Pt2Params(**params)
+        message = f"parameter {name} = {params[name]:g} is too small: its square underflows"
         assert p.metric_reason() == message
         with pytest.raises(ConstraintError, match=re.escape(message)):
             family(p)
+
+    @pytest.mark.parametrize("family", [cat.pt2_family, cat.pseudo2_family])
+    @pytest.mark.parametrize("name, value", [("rho", -1e-160), ("v", 1e-155)])
+    def test_negligible_parameter_whose_square_underflows_is_accepted(self, family, name, value):
+        """Below sqrt(eps) times gamma = 1 a square is lost in gamma^2 anyway:
+        the family is the one at zero up to the parameter itself."""
+        p = cat.Pt2Params(**{name: value})
+        assert p.metric_reason() is None
+        fam, at_zero = family(p), family(cat.Pt2Params())
+        assert np.abs(fam.hamiltonian - at_zero.hamiltonian).max() <= abs(value)
+        assert np.abs(fam.metric - at_zero.metric).max() <= abs(value)
+
+    def test_negligible_parameter_whose_square_underflows_constructs_from_the_cli(self, capsys):
+        from ptlab.cli import main
+        assert main(["construct", "--family", "pt2", "--params", '{"rho":1e-160}']) == 0
+        H = json.loads(capsys.readouterr().out)["matrices"]["hamiltonian"]["data"]
+        assert H == [[[1.0, 0.0], [0.0, 1e-160]], [[0.0, 1e-160], [-1.0, 0.0]]]
 
     def test_sign_of_u_gamma_is_decided_before_the_squares(self):
         assert cat.Pt2Params(gamma=-1e200).metric_reason() == "u*gamma > 0 violated (u = 1, gamma = -1e+200)"

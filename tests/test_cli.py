@@ -107,10 +107,10 @@ class TestClassify:
         (["--eigenvalue", "1,nan"], "--eigenvalue"),
         (["--eigenvalue", "1", "--alpha", "nan"], "--alpha"),
         (["--eigenvalue", "1", "--alpha", "inf"], "--alpha"),
-        (["--eigenvalue", "1", "--tol-abs", "nan"], "--tol-abs"),
-        (["--eigenvalue", "1", "--tol-abs=-1e-10"], "--tol-abs"),
+        (["--eigenvalue", "1", "--tol-rel", "nan"], "--tol-rel"),
+        (["--eigenvalue", "1", "--tol-rel=-1e-10"], "--tol-rel"),
         (["--eigenvalue", "1", "--tol-rel", "inf"], "--tol-rel"),
-    ], ids=["nan-eigenvalue", "nan-imaginary-part", "nan-alpha", "inf-alpha", "nan-tol-abs", "negative-tol-abs",
+    ], ids=["nan-eigenvalue", "nan-imaginary-part", "nan-alpha", "inf-alpha", "nan-tol-rel", "negative-tol-rel",
             "inf-tol-rel"])
     def test_non_finite_flag_exits_2_naming_the_flag(self, tmp_path, capsys, flags, flag):
         """Checked on the J2 document [[1, 1], [0, 1]], where every flag but
@@ -118,6 +118,15 @@ class TestClassify:
         H = write_matrix(tmp_path, "h.json", [[1.0, 1.0], [0.0, 1.0]])
         code, out, err = run(capsys, "jordan", "--matrix", H, *flags)
         assert (code, out) == (2, "") and err.startswith(f"error: {flag}")
+
+    def test_absolute_tolerance_flag_is_gone(self, tmp_path, capsys):
+        """Every cut is relative to the norm of the matrix it judges, so
+        there is no absolute tolerance to set: argparse refuses the flag."""
+        H = write_matrix(tmp_path, "h.json", np.eye(2))
+        with pytest.raises(SystemExit) as exit_info:
+            main(["classify", "--matrix", H, "--tol-abs", "1e-10"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --tol-abs" in capsys.readouterr().err
 
     def test_integral_float_size_is_read_as_an_integer(self, tmp_path, capsys):
         doc = tmp_path / "h.json"

@@ -48,7 +48,8 @@ def reference_convert(H, P, to_pseudo, tol=DEFAULT_TOL):
     M = np.asarray(H, dtype=complex)
     P = operator_matrix(P)
     n = M.shape[0]
-    scale = max(frobenius(M), 1.0)
+    norm_m = frobenius(M)
+    scale = norm_m if norm_m > 0 else 1.0
     eye = np.eye(n)
 
     if to_pseudo:
@@ -104,7 +105,7 @@ def reference_convert(H, P, to_pseudo, tol=DEFAULT_TOL):
     if fdim > 1:
         candidates.append(np.linalg.eigh(C)[1][:, -1])
 
-    intertwine_cut = max(tol.abs_tol * scale, 1e-10 * scale)
+    intertwine_cut = 1e-10 * norm_m
 
     def hunt():
         saw_degenerate = False
@@ -148,8 +149,8 @@ def reference_convert(H, P, to_pseudo, tol=DEFAULT_TOL):
     target_ok = bool(qualifies and check_symmetry(target_kind, Qn, M, tol).holds)
     return ConversionResult(
         Q=Qn,
-        hermitian=bool(herm_res <= max(tol.abs_tol, 1e-9)),
-        involutory=bool(inv_res <= max(tol.abs_tol, 1e-8)),
+        hermitian=bool(herm_res <= 1e-9),
+        involutory=bool(inv_res <= 1e-8),
         target_kind_satisfied=target_ok,
         residuals=(float(struct_res), float(inv_res), float(int_res)),
         degenerate=False,

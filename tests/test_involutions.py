@@ -106,7 +106,7 @@ class TestVerifyInvolution:
 
 
 REAL, HERMITIAN, CORE = InvolutionKind
-STRICT_TOL = ToleranceConfig(abs_tol=0.0, rel_tol=1e-15)
+STRICT_TOL = ToleranceConfig(rel_tol=1e-15)
 SYMMETRY_OF = {REAL: SymmetryKind.PT, HERMITIAN: SymmetryKind.PSEUDO, CORE: SymmetryKind.GEN_PT}
 
 

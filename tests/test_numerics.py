@@ -1,5 +1,7 @@
 """Kernel checks: eigendecomposition ordering, rank cutoffs, expm, vectorization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -308,13 +310,13 @@ class TestVectorization:
 
 class TestToleranceConfig:
     def test_defaults(self):
-        assert DEFAULT_TOL.abs_tol == 1e-10
-        assert DEFAULT_TOL.rel_tol == 1e-9
+        assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["rel_tol", "rank_tol_factor"]
+        assert DEFAULT_TOL.rel_tol == 1e-10
         assert DEFAULT_TOL.rank_tol_factor == 64.0
 
     def test_rejects_negative(self):
         with pytest.raises(ContractError):
-            ToleranceConfig(abs_tol=-1.0)
+            ToleranceConfig(rel_tol=-1.0)
 
 
 class TestNeedsSignFlip:

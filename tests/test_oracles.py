@@ -1,7 +1,8 @@
 """Jordan structure and conjugate pairing beyond 2x2, against independent
 oracles: sympy's exact Jordan forms of integer matrices, direct sums of
-Jordan blocks built with a known Segre characteristic, and the agreement of
-classify_spectrum with solve_metric_space and find_gen_pt_operator."""
+Jordan blocks built with a known Segre characteristic, the agreement of
+classify_spectrum with solve_metric_space and find_gen_pt_operator, and
+verdicts that do not change with the units of H."""
 
 from collections import Counter
 
@@ -11,11 +12,14 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from ptlab import intertwine, numerics
+from ptlab.convert import pseudo_to_pt, pt_to_pseudo
 from ptlab.errors import IndeterminateStructureError
+from ptlab.involutions import make_diagonal_parity
 from ptlab.metric import solve_metric_space
 from ptlab.numerics import DEFAULT_TOL, frobenius
 from ptlab.spectra import RealityClass, classify_spectrum, jordan_block
-from ptlab.symmetry import find_gen_pt_operator
+from ptlab.symmetry import SymmetryKind, find_gen_pt_operator
+from test_convert import SCREEN_CASES, random_draws, screen_draws
 
 
 def expected_class(blocks) -> RealityClass:
@@ -253,3 +257,73 @@ def test_one_verdict_on_unimodular_conjugates(seed):
 @pytest.mark.parametrize("k, H", list(jordan_sums((4, 5, 6, 8, 12, 16))))
 def test_one_verdict_on_jordan_sums(k, H):
     assert_one_verdict(H)
+
+
+@pytest.mark.parametrize("k, H", list(jordan_sums()))
+def test_gen_pt_core_of_jordan_sums_takes_no_undecided_eigenvectors(monkeypatch, k, H):
+    """A real frame keeps its identity core.  In a complex frame a defective
+    or undecided Jordan verdict sends the search to the exact battery alone:
+    the nearly parallel eigenvectors are never inverted, and the error names
+    the verdict (the undecided staircase, where there is one)."""
+    from ptlab import symmetry
+    clusters = intertwine.spectrum_clusters(numerics._eigenpairs(H), frobenius(H), DEFAULT_TOL)
+    if not H.imag.any():
+        np.testing.assert_array_equal(find_gen_pt_operator(H).matrix, np.eye(2 * k))
+        return
+    assert clusters.defective or clusters.undecided
+    monkeypatch.setattr(symmetry, "_realifying_columns", lambda *args: pytest.fail("eigenvectors realified"))
+    reason = "rank staircase of a cluster is undecided" if clusters.undecided else "H is defective"
+    with pytest.raises(IndeterminateStructureError, match=reason):
+        find_gen_pt_operator(H)
+
+
+# ---------------------------------------------------------------- units
+
+def verdicts(H, P=None, to_pseudo=False):
+    """The fields of H's analysis that the paper's identities, homogeneous in
+    H, fix for every c H with c > 0: reality class, sorted Segre sizes and
+    ambiguity, metric dimension and status, whether a core is found (or the
+    search is undecided), and with a source operator P (a parity when
+    to_pseudo, else a Hermitian involution) the symmetry verdicts and the
+    conversion's outcome."""
+    report, metric = classify_spectrum(H), solve_metric_space(H)
+    try:
+        core = find_gen_pt_operator(H) is not None
+    except IndeterminateStructureError:
+        core = "undecided"
+    out = [report.reality_class, sorted(map(sorted, report.segre.values())), report.ambiguous,
+           metric.dimension, metric.positive_status, core]
+    if P is not None:
+        symmetric = classify_spectrum(H, symmetry=(SymmetryKind.PT if to_pseudo else SymmetryKind.PSEUDO, P))
+        result = (pt_to_pseudo if to_pseudo else pseudo_to_pt)(P, H)
+        out += [symmetric.symmetry_holds, symmetric.unbroken, result.target_kind_satisfied, result.note]
+    return out
+
+
+UNIT_CASES = ([(H, None, False) for H in random_draws()]
+              + [draw for kind, n in SCREEN_CASES for draw in screen_draws(kind, n, 1, seed=7000 + 10 * n + len(kind))]
+              + [(H, None, False) for _, H in jordan_sums((4, 5, 6, 7, 8))])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(UNIT_CASES), st.integers(-60, 60))
+def test_verdicts_are_unit_free(case, j):
+    """H and 2^k H, k = 2j in [-120, 120], get the same verdicts: scaling by
+    a power of two is exact, and every cut is a multiple of the norm of the
+    matrix it judges.  k is even because LAPACK's eig is bit-equivariant
+    under scaling by 4^j but not by every odd power of two (J_7(1) + J_7(2)
+    in a complex frame splits its undecided cluster differently at 2H)."""
+    H, P, to_pseudo = case
+    assert verdicts(4.0 ** j * H, P, to_pseudo) == verdicts(H, P, to_pseudo)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_matrix_verdicts(n):
+    """H = 0: every cut is 0 and every residual exactly 0, so the verdicts
+    are those of c H for any H with c -> 0: one real semisimple eigenvalue,
+    every Hermitian matrix a metric (the identity positive), the identity
+    core, and the parity and the identity Q."""
+    H, P = np.zeros((n, n), dtype=complex), make_diagonal_parity((n + 1) // 2, n // 2)
+    assert verdicts(H, P, True) == [RealityClass.ALL_REAL_DIAGONALIZABLE, [[1] * n], False, n * n, "found", True,
+                                    True, True, True, None]
+    np.testing.assert_array_equal(find_gen_pt_operator(H).matrix, np.eye(n))
