@@ -499,7 +499,7 @@ def genpt2_operator(p: GenPt2Params) -> np.ndarray:
 
 def _require_exceptional(p: Pt2Params):
     # the printed chain formulas assume rho = gamma != 0 exactly
-    if p.gamma == 0.0 or abs(p.rho - p.gamma) > 1e-12 * max(1.0, abs(p.gamma)):
+    if p.gamma == 0.0 or abs(p.rho - p.gamma) > 1e-12 * abs(p.gamma):
         raise ContractError("the chain formulas hold at rho = gamma != 0 only")
 
 

@@ -4,7 +4,7 @@ Every square matrix B is similar to its transpose; an invertible A with
 A B inv(A) = transpose(B) is a transpose witness.  transpose_matrix first
 tries V transpose(V) over the eigenvectors V of transpose(B), and otherwise
 builds one on the eigenvalue clusters of transpose(B) (ptlab.intertwine)
-from a seeded combination of each cluster's small-system solutions, with a
+from a random combination of each cluster's small-system solutions, with a
 closed-form fallback assembled from a known Jordan similarity.  The
 eigenpairs of transpose(B) = conj(adj(B)) are the conjugates of those in
 the shared eigen record of adj(B) (numerics._eigenpairs), which
@@ -64,7 +64,7 @@ outcomes, in this order:
 pseudo -> PT always takes the screen.  No conversion draws random numbers.
 The QR of the witness solutions comes from scipy.linalg, imported on first
 use (numerics._scipy_linalg); nothing here loads scipy at import.
-transpose_matrix's draws are deterministic for a fixed seed.
+transpose_matrix draws from one fixed stream (_SEED): a call is deterministic.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ from .numerics import (
 )
 from .symmetry import SymmetryKind, check_symmetry
 
-DEFAULT_SEED = 42
+_SEED = 42  # the fixed stream of transpose_matrix's draws
 DEFAULT_BUDGET = 256
 
 
@@ -122,7 +122,7 @@ def witness_space(B, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     bound = _residual_bound(tol, norm, M.shape[0])
 
     def attempt(frame):
-        _, space, elements, owners = _frame_space(frame, tol, norm)
+        _, space, elements, owners = _frame_space(frame, norm)
         if frame.final or not np.any(_witness_gaps(space, M) > bound):
             return space, set()
         return space, set(owners[_witness_gaps(elements, M) > bound].tolist()) or set(frame.labels.tolist())
@@ -154,7 +154,7 @@ def _similarity_residual(A: np.ndarray, M: np.ndarray, scale: float) -> float:
     return float(frobenius(A @ M @ np.linalg.inv(A) - M.T) / scale)
 
 
-def _frame_space(frame, tol: ToleranceConfig, norm: float):
+def _frame_space(frame, norm: float):
     """(clusters, space, elements, owners) on a cluster frame adj(B) =
     U M inv(U), read as the frame transpose(B) = conj(U) T inv(conj(U)),
     T = conj(M) (conjugation is exact): (Ua, Y) per larger cluster, its
@@ -165,7 +165,7 @@ def _frame_space(frame, tol: ToleranceConfig, norm: float):
     one QR (the one cluster's Y are already)."""
     labels, _, U, single, blocks, final = frame
     U = U.conj()
-    clusters = [(U[:, members], pair_solutions(Ma.conj(), Ma.conj(), False, tol, norm))
+    clusters = [(U[:, members], pair_solutions(Ma.conj(), Ma.conj(), False, norm))
                 for members, Ma in blocks.values()]
     if final and blocks:  # one cluster in the identity frame: its solutions as they stand
         Y = clusters[0][1]
@@ -185,8 +185,7 @@ def _witness_gaps(A: np.ndarray, M: np.ndarray) -> np.ndarray:
     return frobenius_norms(A @ M - M.T @ A) / frobenius_norms(A)
 
 
-def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_SEED,
-                     jordan_witness=None) -> TransposeWitness:
+def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, *, jordan_witness=None) -> TransposeWitness:
     """Invertible A with A B inv(A) = transpose(B), normalized to unit
     Frobenius norm.
 
@@ -198,16 +197,17 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
     transpose(U) on the cluster frame of adj(B) (intertwine.cluster_frame),
     conjugated: transpose(B) = U M inv(U), over the Y with M Y =
     Y transpose(M) (_frame_space).  The first draw gives a lone eigenvalue
-    the block 1 (U has unit columns) and each larger cluster a seeded random
+    the block 1 (U has unit columns) and each larger cluster a random
     combination of its small system's solutions, of Frobenius norm sqrt(m)
-    like the m x m identity.  Later draws take seeded
-    random elements of the frame's witness space, isotropic in the Frobenius
-    product.  Draws stop at the first A with sigma_min / sigma_max > 1e-3
-    whose similarity residual (relative to ||B||_F) is within 1e-10; after
-    DEFAULT_BUDGET draws the best one is returned if it is above 1e-8.  A
-    residual that misses the cut names the clusters whose elements leave the
-    largest intertwining gaps, and the frame is merged and solved again; the
-    last frame is the full equation, one cluster holding every eigenvalue.
+    like the m x m identity.  Later draws take random elements of the
+    frame's witness space, isotropic in the Frobenius product; all come from
+    one fixed stream (_SEED).  Draws stop at the first A with
+    sigma_min / sigma_max > 1e-3 whose similarity residual (relative to
+    ||B||_F) is within 1e-10; after DEFAULT_BUDGET draws the best one is
+    returned if it is above 1e-8.  A residual that misses the cut names the
+    clusters whose elements leave the largest intertwining gaps, and the
+    frame is merged and solved again; the last frame is the full equation,
+    one cluster holding every eigenvalue.
     When even that finds nothing above 1e-8, jordan_witness = (F,
     block_sizes), available for this package's own constructions, gives the
     closed form (which would be a bug, and is raised as such otherwise).  The method is reported as NULLSPACE_SEARCH.
@@ -225,9 +225,9 @@ def transpose_matrix(B, tol: ToleranceConfig = DEFAULT_TOL, seed: int = DEFAULT_
             return TransposeWitness(A, WitnessMethod.NULLSPACE_SEARCH, residual)
 
     def attempt(frame):
-        clusters, space, elements, owners = _frame_space(frame, tol, norm)
+        clusters, space, elements, owners = _frame_space(frame, norm)
         lone = frame.U[:, frame.single].conj()
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_SEED)
         best, best_q = None, 0.0
         for draw in range(DEFAULT_BUDGET):
             if draw == 0:  # lone eigenvalues weighted 1, each cluster a random element of norm sqrt(m)
@@ -360,7 +360,7 @@ def _convert(H, P, target_kind: SymmetryKind, tol) -> ConversionResult:
     basis = witness_space(M, tol)
     directions = np.stack([basis, 1j * basis], 1).reshape(-1, n, n)  # real span of the witnesses
     q_dirs = build_q(directions)
-    _, coeff_basis = rank_and_nullspace(vectorize(structure_gap(q_dirs)).T, tol)
+    _, coeff_basis = rank_and_nullspace(vectorize(structure_gap(q_dirs)).T)
     fdim = coeff_basis.shape[1]
     # the constrained family, one flattened element per coefficient direction
     q_family = coeff_basis.T @ q_dirs.reshape(-1, n * n)
@@ -384,7 +384,7 @@ def _convert(H, P, target_kind: SymmetryKind, tol) -> ConversionResult:
         traces = np.trace(q_family.reshape(fdim, n, n), axis1=1, axis2=2).real
         tnull = np.zeros((fdim, 0))
         if np.any(np.abs(traces) > 1e-14):
-            _, tnull = rank_and_nullspace(traces.reshape(1, -1), tol)
+            _, tnull = rank_and_nullspace(traces.reshape(1, -1))
         yield from tnull.T
         if fdim > 1:
             # C_ij = Re tr(F_i F_j) / n: on a Clifford family Q(z)^2 = (z^T C z) 1,

@@ -20,12 +20,14 @@ a linear space: its dimension is 2 N^2 minus the rank of the exact derivative
 of the imaginary-coefficient map (from the adjugate coefficients of Faddeev
 and LeVerrier) where that rank is N, the implicit-function condition.  The
 rank cut follows the larger of sigma_max and max(||H||_F, 1)^(N-1), the size
-of the last adjugate coefficient and so of its rounding.  The base point is
-diag(d) at the N Chebyshev nodes cos(pi (k + 1/2) / N): real and distinct, so
-the polynomial is real, and only the N imaginary diagonal directions move it,
-through a block of determinant +- the Vandermonde of d.  The table builds these
-blocks for all its dimensions in one adjugate pass on zero-padded diagonals and
-ranks them in one more stacked SVD.
+of the last adjugate coefficient and so of its rounding; the variety is a
+cone, so a given base point is first scaled, exactly, by the power of two
+nearest 1 / ||H||_F.  The default base point is diag(d) at the N Chebyshev
+nodes cos(pi (k + 1/2) / N): real and distinct, so the polynomial is real,
+and only the N imaginary diagonal directions move it, through a block of
+determinant +- the Vandermonde of d.  The table builds these blocks for all
+its dimensions in one adjugate pass on zero-padded diagonals and ranks them in
+one more stacked SVD.
 
 Expected closed forms, dimension N split as m + n where applicable:
 
@@ -39,12 +41,13 @@ Expected closed forms, dimension N split as m + n where applicable:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, IndeterminateStructureError
-from .numerics import DEFAULT_TOL, ToleranceConfig, as_square_matrix, frobenius, vectorize
+from .numerics import as_square_matrix, frobenius, rank_cutoff, vectorize
 
 
 class FamilyKind(enum.Enum):
@@ -145,7 +148,7 @@ def _block_singular_values(blocks) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)
 
 
-def _map_dims(blocks, tol: ToleranceConfig) -> np.ndarray:
+def _map_dims(blocks) -> np.ndarray:
     """(6, S) dimensions, in _MAPS order, at each of the S members of a block set as
     _parity_blocks returns it: the nullspace of each family condition, then the rank
     of each orbit commutator.  Each distinct block is factored once, and each member
@@ -153,19 +156,19 @@ def _map_dims(blocks, tol: ToleranceConfig) -> np.ndarray:
     them."""
     counts = np.concatenate([c for _, c in blocks], axis=1)
     sigma = _block_singular_values(blocks)
-    cut = tol.rank_cutoff(np.max((counts > 0) * sigma[:, None, :, 0], axis=-1))
+    cut = rank_cutoff(np.max((counts > 0) * sigma[:, None, :, 0], axis=-1))
     rank = np.sum(counts * np.sum(sigma[:, None] > cut[..., None, None], axis=-1), axis=-1)
     columns = sum(c.sum(axis=1) * len(basis) for (_, c), basis in zip(blocks, _REAL_UNITS))  # 2 N^2
     return np.concatenate([columns - rank[:len(FamilyKind)], rank[len(FamilyKind):]])
 
 
-def count_matrix_family(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+def count_matrix_family(kind: FamilyKind, m: int, n: int) -> int:
     """Nullspace dimension of the family's defining linear conditions over
     the 2 N^2 real coordinates of a complex N x N matrix."""
-    return int(_map_dims(_parity_blocks(m, n), tol)[list(FamilyKind).index(kind), 0])
+    return int(_map_dims(_parity_blocks(m, n))[list(FamilyKind).index(kind), 0])
 
 
-def count_operator_orbit(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+def count_operator_orbit(kind: FamilyKind, m: int, n: int) -> int:
     """Orbit dimension of the base operator under its transformation group.
 
     Real similarities for the parity (stabilizer: block-diagonal real
@@ -173,7 +176,7 @@ def count_operator_orbit(kind: FamilyKind, m: int, n: int, tol: ToleranceConfig 
     unitaries); both equal the rank of X -> [X, P0] over the group's Lie
     algebra and come out 2 m n.
     """
-    dims = _map_dims(_parity_blocks(m, n), tol)[len(FamilyKind):, 0]
+    dims = _map_dims(_parity_blocks(m, n))[len(FamilyKind):, 0]
     return int(dict(zip(_LIE_ALGEBRAS, dims)).get(kind, 0))
 
 
@@ -209,7 +212,7 @@ def _imag_coefficient_jacobian(H: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return vectorize(-1j * B.conj().swapaxes(-1, -2))
 
 
-def _variety_dims(jacobians: np.ndarray, sizes, scales, tol: ToleranceConfig) -> np.ndarray:
+def _variety_dims(jacobians: np.ndarray, sizes, scales) -> np.ndarray:
     """2 N^2 minus the rank of each derivative of the imaginary-coefficient map in a
     zero-padded (S, M, w) stack, N the array sizes[s], ranked in one stacked SVD under their
     own cuts.  A cut follows the larger of sigma_max and scales[s] = max(||H||_F, 1)^(N-1),
@@ -217,13 +220,13 @@ def _variety_dims(jacobians: np.ndarray, sizes, scales, tol: ToleranceConfig) ->
     sigma_max much smaller.  Below rank N (a derogatory base point) the dimension is
     undecided."""
     sigma = np.linalg.svd(jacobians, compute_uv=False)
-    rank = np.sum(sigma > tol.rank_cutoff(np.maximum(sigma[:, :1], scales[:, None])), axis=1)
+    rank = np.sum(sigma > rank_cutoff(np.maximum(sigma[:, :1], scales[:, None])), axis=1)
     if np.any(rank < sizes):
         raise IndeterminateStructureError("derivative of the imaginary-coefficient map is rank-deficient")
     return 2 * sizes * sizes - rank
 
 
-def _chebyshev_variety_dims(sizes, tol: ToleranceConfig) -> np.ndarray:
+def _chebyshev_variety_dims(sizes) -> np.ndarray:
     """Variety dimension for each size N at diag(d), d the N Chebyshev nodes, from
     the derivative's imaginary diagonal columns (its only nonzero ones there), in one
     adjugate pass on diagonals zero-padded to the largest size M: a padded base is
@@ -235,33 +238,38 @@ def _chebyshev_variety_dims(sizes, tol: ToleranceConfig) -> np.ndarray:
     jacobians = _imag_coefficient_jacobian(d[:, :, None] * np.eye(M), _charpoly_coefficients(d))
     scales = np.maximum(np.linalg.norm(d, axis=1), 1.0) ** (sizes[:, 0] - 1)
     return _variety_dims(jacobians[..., 1::2][..., ::M + 1] * (inside[:, :, None] & inside[:, None, :]), sizes[:, 0],
-                         scales, tol)
+                         scales)
 
 
-def count_real_charpoly_variety(N: int, base_point=None, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+def count_real_charpoly_variety(N: int, base_point=None) -> int:
     """Dimension of {H : characteristic polynomial real} near a base point,
     by default diag of the N Chebyshev nodes: 2 N^2 minus the rank of the exact
-    derivative of H -> Im(charpoly coefficients) there.  A given base point
-    must have a real characteristic polynomial (else a ContractError); below
-    rank N the dimension is an IndeterminateStructureError.
+    derivative of H -> Im(charpoly coefficients) there, the same at c H for
+    every c > 0.  A given base point must have a real characteristic
+    polynomial (else a ContractError); below rank N the dimension is an
+    IndeterminateStructureError.
     """
     if N < 1:
         raise ContractError("need N >= 1")
     if base_point is None:
-        return int(_chebyshev_variety_dims([N], tol)[0])
+        return int(_chebyshev_variety_dims([N])[0])
     base = as_square_matrix(base_point, "base_point")
     if base.shape != (N, N):
         raise DimensionError(f"base_point must be {N}x{N}, got shape {base.shape}")
+    norm = frobenius(base)
+    if norm > 0:  # the variety is a cone: B / 2^round(log2 ||B||), of norm about 1, in two exact factors
+        e = -round(math.log2(norm))  # (2^e alone overflows for a subnormal B)
+        base = base * 2.0 ** (e // 2) * 2.0 ** (e - e // 2)
     scale = max(frobenius(base), 1.0)
     coeffs = _charpoly_coefficients(np.linalg.eigvals(base))
     # c_k is a sum of k-fold eigenvalue products, so |c_k| <= C(N, k) scale^k
     if (np.abs(coeffs[1:].imag) > 1e-8 * scale ** np.arange(1, N + 1)).any():
         raise ContractError("base_point must have a real characteristic polynomial")
     return int(_variety_dims(_imag_coefficient_jacobian(base, coeffs)[None], np.array([N]),
-                             np.array([scale ** (N - 1)]), tol)[0])
+                             np.array([scale ** (N - 1)]))[0])
 
 
-def table1_report(max_dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:
+def table1_report(max_dim: int) -> list:
     """Measured vs expected parameter counts for dimensions 2..max_dim.
 
     The merged family row is computed twice (parity route and metric route)
@@ -274,8 +282,8 @@ def table1_report(max_dim: int, tol: ToleranceConfig = DEFAULT_TOL) -> list:
     if max_dim < 2:
         raise ContractError("need max_dim >= 2")
     dims, ms, ns = zip(*[(dim, dim - n, n) for dim in range(2, max_dim + 1) for n in range(dim // 2 + 1)])
-    maps = _map_dims(_parity_blocks(ms, ns), tol).tolist()  # _MAPS order: PT, pseudo, Hermitian, symmetric, 2 orbits
-    variety = _chebyshev_variety_dims(range(2, max_dim + 1), tol).tolist()
+    maps = _map_dims(_parity_blocks(ms, ns)).tolist()  # _MAPS order: PT, pseudo, Hermitian, symmetric, 2 orbits
+    variety = _chebyshev_variety_dims(range(2, max_dim + 1)).tolist()
     reports = []
     for N, m, n, pt, pseudo, hermitian, symmetric, pt_orbit, pseudo_orbit in zip(dims, ms, ns, *maps):
         if n == 0:  # these ignore the base operator: once per dimension

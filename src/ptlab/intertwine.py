@@ -11,7 +11,7 @@ has nonzero solutions only when the spectra of M_a and of M_b* meet
 section 7.6).
 
 Each matrix H is clustered once, on the H side: H = V diag(lam) inv(V),
-and lam_i gets the disc of radius tol.rank_cutoff(kappa_i ||H||_F), kappa_i
+and lam_i gets the disc of radius rank_cutoff(kappa_i ||H||_F), kappa_i
 = ||x_i|| ||y_i|| / |y_i x_i| its condition number (x_i the eigenvector,
 y_i the matching row of inv(V)), capped at half the cluster cut
 numerics._cluster_cut; a cluster is a connected component of overlapping
@@ -56,7 +56,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .numerics import (MACHINE_EPS, ToleranceConfig, _cluster_cut, _Eigenpairs, _eigenpairs, _read_only, _reality_cut,
-                       _scale, _scipy_linalg, hermitian_basis, nullspace_complex, rank_and_nullspace, vectorize)
+                       _scale, _scipy_linalg, hermitian_basis, nullspace_complex, rank_and_nullspace, rank_cutoff,
+                       vectorize)
 
 
 def _components(adjacent: np.ndarray) -> np.ndarray:
@@ -90,7 +91,7 @@ def eigen_clusters(values: np.ndarray, vectors: np.ndarray, sigma: np.ndarray, n
     gaps = np.abs(values[:, None] - values)
     cap, low = 0.5 * _cluster_cut(tol, norm, n), float(sigma[-1])
     # a Python float quotient overflows to inf with no warning, and takes the cap
-    bound = min(float(tol.rank_cutoff(norm)) / low, cap) if low > 0 else cap
+    bound = min(float(rank_cutoff(norm)) / low, cap) if low > 0 else cap
     if np.count_nonzero(gaps <= 2 * bound) == n:
         return np.full(n, bound), np.arange(n)
     try:
@@ -99,7 +100,7 @@ def eigen_clusters(values: np.ndarray, vectors: np.ndarray, sigma: np.ndarray, n
         radii = np.full(n, cap)
     else:
         with np.errstate(over="ignore"):  # an overflowing ||y_i|| takes the cap
-            radii = np.fmin(cap, tol.rank_cutoff(norm) * np.sqrt(np.vecdot(left, left).real))
+            radii = np.fmin(cap, rank_cutoff(norm) * np.sqrt(np.vecdot(left, left).real))
     adjacent = gaps <= radii[:, None] + radii
     return radii, np.zeros(n, dtype=int) if adjacent.all() else _components(adjacent)
 
@@ -192,7 +193,7 @@ def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, radius: flo
                 power = power @ M
                 sings.append(np.linalg.svd(power, compute_uv=False))
             sing = sings[k - 1]
-            rank = int(np.sum(sing > max(tol.rank_cutoff(sing[0]), floor)))
+            rank = int(np.sum(sing > max(rank_cutoff(sing[0]), floor)))
             nullities.append(n - rank)
             if nullities[-1] >= multiplicity:
                 break
@@ -338,8 +339,8 @@ def _schur_bases(values, vectors, labels, multi, schur):
 def _conditioning_floor(s: np.ndarray, norm: float, tol: ToleranceConfig) -> float:
     """Smallest s[-1] with which columns of singular values s (descending)
     count as well conditioned for a matrix R of Frobenius norm `norm`:
-    tol.rank_cutoff(cond ||R||_F) must stay within the reality cut."""
-    return tol.rank_cutoff(s[0] * norm) / _reality_cut(tol, _scale(norm))
+    rank_cutoff(cond ||R||_F) must stay within the reality cut."""
+    return rank_cutoff(s[0] * norm) / _reality_cut(tol, _scale(norm))
 
 
 def _entangled(record: _Eigenpairs, frame: Frame, norm: float, tol: ToleranceConfig) -> list:
@@ -431,7 +432,7 @@ def solve_clustered(record: _Eigenpairs, norm: float, tol: ToleranceConfig, atte
         frame = _frame(record, frame.radii, _merged(record.values, frame.labels, groups))
 
 
-def pair_solutions(Ma: np.ndarray, Mb: np.ndarray, adjoint: bool, tol: ToleranceConfig, scale: float):
+def pair_solutions(Ma: np.ndarray, Mb: np.ndarray, adjoint: bool, scale: float):
     """Complex basis, a (k, ma, mb) stack, of the Z with Ma Z = Z Mb*, where
     Mb* is adj(Mb) or transpose(Mb); the rank cut is relative to scale.
     In row-major coordinates vec(Ma Z) = kron(Ma, 1) vec(Z) and
@@ -440,16 +441,16 @@ def pair_solutions(Ma: np.ndarray, Mb: np.ndarray, adjoint: bool, tol: Tolerance
     right = Mb.conj() if adjoint else Mb
     system = (Ma[:, None, :, None] * np.eye(mb)[None, :, None, :]
               - np.eye(ma)[:, None, :, None] * right[None, :, None, :]).reshape(ma * mb, ma * mb)
-    return nullspace_complex(system, tol, scale=scale).T.reshape(-1, ma, mb)
+    return nullspace_complex(system, scale=scale).T.reshape(-1, ma, mb)
 
 
-def hermitian_solutions(Ma: np.ndarray, tol: ToleranceConfig, scale: float) -> np.ndarray:
+def hermitian_solutions(Ma: np.ndarray, scale: float) -> np.ndarray:
     """Real basis, a (k, m, m) stack, of the Hermitian Z with Ma Z = Z adj(Ma):
     the SVD nullspace of the 2m^2 x m^2 real system on the Hermitian basis,
     with the rank cut relative to scale."""
     m = Ma.shape[0]
     basis = hermitian_basis(m)
     system = vectorize(Ma @ basis - basis @ Ma.conj().T).T
-    _, coeffs = rank_and_nullspace(system, tol, scale=scale)
+    _, coeffs = rank_and_nullspace(system, scale=scale)
     Z = (coeffs.T @ basis.reshape(m * m, -1)).reshape(-1, m, m)
     return 0.5 * (Z + Z.conj().swapaxes(-1, -2))  # exact Hermitizing of roundoff

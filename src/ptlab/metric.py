@@ -27,6 +27,7 @@ from .numerics import (
     as_square_matrix,
     frobenius,
     frobenius_norms,
+    rank_cutoff,
     solve_or_raise,
     vectorize,
 )
@@ -110,7 +111,7 @@ def _metric_attempt(A, values, norm, tol):
     def attempt(frame):
         labels, radii, U, single, blocks, final = frame
         if final and blocks:  # one cluster in the identity frame: the dense system, orthonormal already
-            return hermitian_solutions(blocks[0][1], tol, norm), set()
+            return hermitian_solutions(blocks[0][1], norm), set()
         centres, spans = cluster_discs(values, radii, labels) if blocks else (values, radii)
         near = np.abs(centres[:, None] - centres.conj()[None, :]) <= spans[:, None] + spans[None, :]
         rows, cols = np.nonzero(near & single[:, None] & single[None, :] if blocks else near)
@@ -125,9 +126,9 @@ def _metric_attempt(A, values, norm, tol):
             Ua = U[:, members]
             for b in np.unique(labels[near[members[0]]]):
                 if b == a:  # X + adj(X) = Ua Z adj(Ua)
-                    X = 0.5 * Ua @ hermitian_solutions(Ma, tol, norm) @ Ua.conj().T
+                    X = 0.5 * Ua @ hermitian_solutions(Ma, norm) @ Ua.conj().T
                 elif b not in blocks or b > a:  # two larger clusters meet once
-                    Z = pair_solutions(Ma, blocks[b][1] if b in blocks else values[[b], None], True, tol, norm)
+                    Z = pair_solutions(Ma, blocks[b][1] if b in blocks else values[[b], None], True, norm)
                     X = Ua @ np.concatenate([Z, 1j * Z]) @ U[:, labels == b].conj().T
                 else:
                     continue
@@ -195,7 +196,7 @@ def solve_metric_space(H, tol: ToleranceConfig = DEFAULT_TOL) -> MetricSolution:
         W = 0.5 * (W + W.conj().T)
         if frobenius(W @ A - A.conj().T @ W) > _residual_bound(tol, norm, n):
             status, note = "indeterminate", "left-eigenvector dyad sum does not solve the self-adjointness equation to tolerance"
-        elif (eigs := np.linalg.eigvalsh(W))[0] > tol.rank_cutoff(float(eigs[-1])):
+        elif (eigs := np.linalg.eigvalsh(W))[0] > rank_cutoff(float(eigs[-1])):
             positive, status = W, "found"
         else:
             status, note = "indeterminate", ("smallest metric eigenvalue sits inside the rank cutoff; expect it to "

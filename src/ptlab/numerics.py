@@ -50,27 +50,24 @@ _TINY_NORM_SCALE = 2.0 ** 600
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Shared tolerance knobs.
-
-    rel_tol is the one tolerance of the cuts, each a multiple of the norm of
-    the matrix it judges; rank_tol_factor multiplies (largest singular value
-    * machine epsilon) for every numerical rank decision.
-    """
+    """The one tolerance of the cuts, rel_tol: each cut is a multiple of the
+    norm of the matrix it judges.  Numerical rank decisions take no
+    tolerance: they all cut at rank_cutoff."""
 
     rel_tol: float = 1e-10
-    rank_tol_factor: float = 64.0
 
     def __post_init__(self):
-        for name in ("rel_tol", "rank_tol_factor"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
-                raise ContractError(f"{name} must be a nonnegative finite real, got {value!r}")
-
-    def rank_cutoff(self, sigma_max: float) -> float:
-        return self.rank_tol_factor * sigma_max * MACHINE_EPS
+        if not np.isfinite(self.rel_tol) or self.rel_tol < 0:
+            raise ContractError(f"rel_tol must be a nonnegative finite real, got {self.rel_tol!r}")
 
 
 DEFAULT_TOL = ToleranceConfig()
+
+
+def rank_cutoff(sigma_max):
+    """The rank cut of every numerical rank decision: 64 sigma_max eps,
+    sigma_max the largest singular value (a float, or an array of them)."""
+    return 64.0 * sigma_max * MACHINE_EPS
 
 
 @lru_cache(maxsize=1)
@@ -275,7 +272,7 @@ def _finite_real_matrix(L, name: str) -> np.ndarray:
     return A
 
 
-def numerical_rank(L, tol: ToleranceConfig = DEFAULT_TOL) -> int:
+def numerical_rank(L) -> int:
     """Numerical rank of a real matrix, from its singular values alone.
 
     The rank cut is relative to the largest singular value; the zero matrix
@@ -284,10 +281,10 @@ def numerical_rank(L, tol: ToleranceConfig = DEFAULT_TOL) -> int:
     A = _finite_real_matrix(L, "numerical_rank")
     if A.size == 0 or not np.any(A):
         return 0
-    return _numerical_rank(np.linalg.svd(A, compute_uv=False), tol, None)
+    return _numerical_rank(np.linalg.svd(A, compute_uv=False), None)
 
 
-def rank_and_nullspace(L, tol: ToleranceConfig = DEFAULT_TOL, scale: float | None = None):
+def rank_and_nullspace(L, scale: float | None = None):
     """Numerical rank and an orthonormal nullspace basis of a real matrix.
 
     Returns (rank, basis) where basis has one column per nullspace direction.
@@ -299,25 +296,25 @@ def rank_and_nullspace(L, tol: ToleranceConfig = DEFAULT_TOL, scale: float | Non
     if A.size == 0 or not np.any(A):
         return 0, np.eye(A.shape[1])
     _, s, vt = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])  # vt square either way; U unread
-    rank = _numerical_rank(s, tol, scale)
+    rank = _numerical_rank(s, scale)
     return rank, vt[rank:].T.copy()
 
 
-def _numerical_rank(s: np.ndarray, tol: ToleranceConfig, scale: float | None) -> int:
+def _numerical_rank(s: np.ndarray, scale: float | None) -> int:
     """Count of the singular values s (descending) above the shared rank cut."""
     if not s.size:
         return 0
-    return int(np.sum(s > tol.rank_cutoff(s[0] if scale is None else scale)))
+    return int(np.sum(s > rank_cutoff(s[0] if scale is None else scale)))
 
 
-def nullspace_complex(L, tol: ToleranceConfig = DEFAULT_TOL, scale: float | None = None) -> np.ndarray:
+def nullspace_complex(L, scale: float | None = None) -> np.ndarray:
     """Orthonormal nullspace basis (columns) of a complex matrix; the rank
     cut is taken as in rank_and_nullspace."""
     A = np.asarray(L, dtype=complex)
     if A.size == 0 or not np.any(A):
         return np.eye(A.shape[1], dtype=complex)
     _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])  # vh square either way; U unread
-    rank = _numerical_rank(s, tol, scale)
+    rank = _numerical_rank(s, scale)
     return vh[rank:].conj().T.copy()
 
 

@@ -340,9 +340,10 @@ def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
     order of the sorted spectrum.  A defective real cluster is one real
     unit, and two real clusters that mirror each other across the axis are
     one pair.  Defective inputs (by the clusters' verdict) go only to a
-    battery of exact candidates (identity and diagonal sign patterns, which
-    cover this package's own Jordan constructions); anything beyond that
-    raises IndeterminateStructureError rather than guessing.  The core
+    battery of exact candidates (the sign patterns Diag(1_m, -1_(N-m)),
+    0 < m < N, which with the identity of a real H cover this package's own
+    Jordan constructions); anything beyond that raises
+    IndeterminateStructureError rather than guessing.  The core
     carries the record of the check it passed (exact for the identity and
     the battery), so symmetry checks with it do not verify it again.
     """
@@ -369,8 +370,9 @@ def find_gen_pt_operator(H, tol: ToleranceConfig = DEFAULT_TOL):
         if core_check.ok and intertwine <= tol.rel_tol * norm:
             return _recorded(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=core), record)
         miss = f"constructed operator misses its invariants (intertwining {intertwine:.3e}, core {core_check.residuals})"
-    # the battery: the identity, then Diag(1_m, -1_(N-m)) for m = 0..N, all checked as one stack
-    signs = np.vstack([np.ones(N), np.where(np.arange(N) < np.arange(N + 1)[:, None], 1.0, -1.0)])
+    # the battery: Diag(1_m, -1_(N-m)) for m = 1..N-1, all checked as one stack; the cores +-1 would
+    # need a real A, which the first check refuted
+    signs = np.where(np.arange(N) < np.arange(1, N)[:, None], 1.0, -1.0)
     hits = np.flatnonzero(frobenius_norms(signs[:, :, None] * A.conj() - A * signs[:, None, :]) <= tol.rel_tol * norm)
     if hits.size:  # the first exact core D, with D conj(A) = A D
         return _exact(InvolutionOperator(kind=InvolutionKind.ANTILINEAR_CORE, matrix=np.diag(signs[hits[0]]).astype(complex)))

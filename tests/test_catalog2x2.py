@@ -478,6 +478,20 @@ class TestJordanChainFormulas:
         with pytest.raises(ContractError):
             cat.pt2_jordan_chain(cat.Pt2Params(gamma=1.0, rho=0.5))
 
+    @pytest.mark.parametrize("hamiltonian, chain", [(cat.pt2_hamiltonian, cat.pt2_jordan_chain),
+                                                    (cat.pseudo2_hamiltonian, cat.pseudo2_jordan_chain)])
+    @pytest.mark.parametrize("gamma", [1e-14, 1.0, 1e14])
+    def test_exceptional_point_cut_is_relative_to_gamma(self, hamiltonian, chain, gamma):
+        """rho = 2 gamma is refused at every scale (at gamma = 1e-14 a cut of
+        1e-12 would pass it, with eigenvalues +-1.7e-14 i that v0 misses);
+        at rho = gamma, v0 is an eigenvector of H, here at e = 0."""
+        with pytest.raises(ContractError):
+            chain(cat.Pt2Params(gamma=gamma, rho=2 * gamma, delta=0.3))
+        p = cat.Pt2Params(gamma=gamma, rho=gamma, delta=0.3)
+        v0, _ = chain(p)
+        H = hamiltonian(p)
+        assert np.linalg.norm(H @ v0) <= 1e-13 * np.linalg.norm(H) * np.linalg.norm(v0)
+
     def test_chain_singular_at_cos_delta_zero(self):
         with pytest.raises(SingularCaseError):
             cat.pt2_jordan_chain(cat.Pt2Params(gamma=1.0, rho=1.0, delta=np.pi / 2))

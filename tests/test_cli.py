@@ -477,7 +477,7 @@ class TestCount:
         real = table1_report(2)
         broken = [dataclasses.replace(r, total=r.total + 1, match=False)
                   if r.kind is TableRow.HERMITIAN else r for r in real]
-        monkeypatch.setattr(cli_mod, "table1_report", lambda max_dim, tol: broken)
+        monkeypatch.setattr(cli_mod, "table1_report", lambda max_dim: broken)
         code, out, err = run(capsys, "count", "--max-dim", "2")
         assert code == 5
         assert "mismatch" in err and "hermitian" in err

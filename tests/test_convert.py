@@ -72,7 +72,7 @@ def reference_convert(H, P, to_pseudo, tol=DEFAULT_TOL):
     basis = convert.witness_space(M, tol)
     directions = np.stack([basis, 1j * basis], 1).reshape(-1, n, n)
     q_dirs = build_q(directions)
-    _, coeff_basis = rank_and_nullspace(vectorize(structure_gap(q_dirs)).T, tol)
+    _, coeff_basis = rank_and_nullspace(vectorize(structure_gap(q_dirs)).T)
     fdim = coeff_basis.shape[1]
     q_family = coeff_basis.T @ q_dirs.reshape(-1, n * n)
     a_family = coeff_basis.T @ directions.reshape(-1, n * n)
@@ -96,7 +96,7 @@ def reference_convert(H, P, to_pseudo, tol=DEFAULT_TOL):
     traces = np.trace(q_family.reshape(fdim, n, n), axis1=1, axis2=2).real
     tnull = np.zeros((fdim, 0))
     if np.any(np.abs(traces) > 1e-14):
-        _, tnull = rank_and_nullspace(traces.reshape(1, -1), tol)
+        _, tnull = rank_and_nullspace(traces.reshape(1, -1))
         candidates += list(tnull.T)
     # the top eigenvectors of C_ij = Re tr(F_i F_j) / n on the traceless slice and the family
     C = (q_family @ q_family.reshape(fdim, n, n).swapaxes(1, 2).reshape(fdim, n * n).T).real / n
@@ -170,13 +170,13 @@ def assert_bytes_equal(result, reference):
 
 
 def kron_witness_space(B, tol=DEFAULT_TOL):
-    """The oracle for witness_space: the SVD nullspace of the whole equation's
-    n^2 x n^2 system, built by two np.kron calls, with the rank cut relative
-    to ||B||_F."""
+    """The oracle for witness_space, whose signature it keeps to stand in for
+    it: the SVD nullspace of the whole equation's n^2 x n^2 system, built by
+    two np.kron calls, with the rank cut relative to ||B||_F."""
     M = np.asarray(B, dtype=complex)
     n = M.shape[0]
     eye = np.eye(n)
-    return nullspace_complex(np.kron(eye, M.T) - np.kron(M.T, eye), tol, scale=frobenius(M)).T.reshape(-1, n, n)
+    return nullspace_complex(np.kron(eye, M.T) - np.kron(M.T, eye), scale=frobenius(M)).T.reshape(-1, n, n)
 
 
 def witness_residual(A, B):
@@ -285,8 +285,8 @@ def test_witness_space_merges_a_cluster_whose_solutions_miss(monkeypatch):
     sizes = []
     solve = convert.pair_solutions
 
-    def spoiled(Ma, Mb, adjoint, tol, scale):
-        Y = solve(Ma, Mb, adjoint, tol, scale)
+    def spoiled(Ma, Mb, adjoint, scale):
+        Y = solve(Ma, Mb, adjoint, scale)
         sizes.append(len(Ma))
         if len(sizes) == 1:
             Y[0, -1, -1] += 1.0
@@ -945,7 +945,7 @@ class TestScreenAgainstScalarHunt:
         systems = []
         rank_and_nullspace = convert.rank_and_nullspace
         monkeypatch.setattr(convert, "rank_and_nullspace",
-                            lambda A, tol: systems.append(A.shape) or rank_and_nullspace(A, tol))
+                            lambda A: systems.append(A.shape) or rank_and_nullspace(A))
         np.testing.assert_allclose(pseudo_to_pt(np.eye(2), 0.5 * SIGMA3).Q, np.eye(2), rtol=0, atol=1e-15)
         assert len(systems) == 1
         systems.clear()

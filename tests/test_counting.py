@@ -6,6 +6,7 @@ and so is the search for the distinct blocks of any stack of diagonal base
 operators that the closed-form parity blocks replaced.
 """
 
+import math
 import sys
 import warnings
 
@@ -27,7 +28,7 @@ from ptlab.counting import (
     _imag_coefficient_jacobian,
 )
 from ptlab.errors import ContractError, DimensionError, IndeterminateStructureError
-from ptlab.numerics import DEFAULT_TOL, devectorize, frobenius, hermitian_basis, numerical_rank, vectorize
+from ptlab.numerics import devectorize, frobenius, hermitian_basis, numerical_rank, rank_cutoff, vectorize
 from ptlab.symmetry import DiagMetricSelfAdjointParams, construct_self_adjoint_from_diag_metric
 
 
@@ -127,7 +128,7 @@ def pair_block_ranks_against_dense(P0s, blocks=None):
     the oracle's search over P0s."""
     blocks = pair_blocks(P0s) if blocks is None else blocks
     sigma = counting._block_singular_values(blocks)
-    dims = counting._map_dims(blocks, DEFAULT_TOL)
+    dims = counting._map_dims(blocks)
     systems = [(dense_family_system, kind) for kind in FamilyKind]
     systems += [(dense_orbit_system, kind) for kind in (FamilyKind.PT, FamilyKind.PSEUDO)]
     assert sigma.shape == (len(systems), sum(len(rows) for rows, _ in blocks), 4)
@@ -438,7 +439,14 @@ class TestExactJacobian:
 def _variety_cut(H, sing):
     """The variety rank cut at base H, sing the Jacobian's singular values: the
     shared rank cutoff of max(sigma_max, max(||H||_F, 1)^(N-1))."""
-    return DEFAULT_TOL.rank_cutoff(max(sing[0], max(frobenius(H), 1.0) ** (len(H) - 1)))
+    return rank_cutoff(max(sing[0], max(frobenius(H), 1.0) ** (len(H) - 1)))
+
+
+def _unit_base(H):
+    """H as count_real_charpoly_variety ranks a given base point: scaled by the
+    power of two nearest 1 / ||H||_F (H = 0 as it is)."""
+    norm = frobenius(H)
+    return H * 2.0 ** -round(math.log2(norm)) if norm else H
 
 
 class TestSharedCutoffMargin:
@@ -461,16 +469,17 @@ class TestSharedCutoffMargin:
 
     @pytest.mark.parametrize("N", range(2, 9))
     def test_first_base_succeeds_at_100_seeds(self, N):
-        """Random self-adjoint base points, one per seed, given as base_point:
-        sigma_min / sigma_max falls about 10x per N (7.8e-6 at worst over
-        these bases at N = 8), and each base counts with the 1e6 margin over
-        the cut of sigma_max.  The variety cut, which ||H||_F^(N-1) sets here,
-        leaves less: 2.3e5 at worst at N = 8."""
+        """Random self-adjoint base points, one per seed, given as base_point
+        and ranked at _unit_base: sigma_min / sigma_max falls about 10x per N
+        (4.6e-7 at worst over these bases at N = 8), and each base counts with
+        the 1e6 margin over the cut of sigma_max (3.2e7 at worst), which also
+        sets the variety cut at norm about 1."""
         for seed in range(100):
             base = _random_self_adjoint(N, np.random.default_rng(seed))
             assert count_real_charpoly_variety(N, base_point=base) == 2 * N * N - N
+            base = _unit_base(base)
             sing = np.linalg.svd(_exact_jacobian(base), compute_uv=False)
-            assert sing[-1] > 1e6 * DEFAULT_TOL.rank_cutoff(sing[0])
+            assert sing[-1] > 1e6 * rank_cutoff(sing[0])
             assert sing[-1] > 1e5 * _variety_cut(base, sing)
 
 
@@ -491,12 +500,12 @@ def _skewed_frame_pair(rng):
 class TestSkewedDerogatoryBases:
     def test_cut_follows_the_adjugate_scale(self):
         """A skewed frame makes sigma_max of the Jacobian much smaller than the
-        ||H||^(N-1) rounding in B_{N-1}: under a cut from sigma_max alone, 4
-        derogatory bases of these 500 counted 2 N^2 - N (sigma_N up to 5.4x
-        that cut).  Under the variety cut every derogatory base is indeterminate,
-        its sigma_N below 0.1x the cut (0.012x at most), and every
-        non-derogatory twin counts, its sigma_N above 1e3x the cut (1.9e4x at
-        least)."""
+        ||H||^(N-1) rounding in B_{N-1}: at the scale given, under a cut from
+        sigma_max alone, 4 derogatory bases of these 500 counted 2 N^2 - N
+        (sigma_N up to 5.4x that cut).  Ranked at _unit_base under the variety
+        cut, every derogatory base is indeterminate, its sigma_N below 0.1x the
+        cut (0.017x at most), and every non-derogatory twin counts, its sigma_N
+        above 1e3x the cut (9.5e7x at least)."""
         rng = np.random.default_rng(5)
         for _ in range(500):
             H, derogatory = _skewed_frame_pair(rng)
@@ -504,6 +513,7 @@ class TestSkewedDerogatoryBases:
             assert count_real_charpoly_variety(N, base_point=H) == 2 * N * N - N
             with pytest.raises(IndeterminateStructureError):
                 count_real_charpoly_variety(N, base_point=derogatory)
+            H, derogatory = _unit_base(H), _unit_base(derogatory)
             sing = np.linalg.svd(_exact_jacobian(H), compute_uv=False)
             assert sing[N - 1] > 1e3 * _variety_cut(H, sing)
             sing = np.linalg.svd(_exact_jacobian(derogatory), compute_uv=False)
@@ -580,6 +590,18 @@ class TestBasePointContract:
         assert numerical_rank(_exact_jacobian(H.astype(complex))) == degree
         if degree == N:
             assert count_real_charpoly_variety(N, base_point=H) == 2 * N * N - N
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_jordan_in_complex_frame(block_sizes=(1, 2, 3)), st.integers(-40, 40))
+    def test_same_count_at_every_scale(self, H, j):
+        """The variety is a cone: 4^j H counts as H does, also where the
+        Jacobian's rows, which grow as ||H||^(k-1), fall far below a cut of
+        fixed size; and a base whose polynomial is not real is refused at
+        every scale."""
+        N, c = len(H), 4.0 ** j
+        assert count_real_charpoly_variety(N, base_point=c * H) == 2 * N * N - N
+        with pytest.raises(ContractError):
+            count_real_charpoly_variety(N, base_point=c * (H + 1e-4j * np.eye(N)))
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(_integer_jordan_bases(derogatory=True))

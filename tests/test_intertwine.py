@@ -169,8 +169,8 @@ def test_transpose_witness_merges_the_clusters_of_a_missed_draw(monkeypatch):
     sizes, solved = [], []
     solve, frame_space = convert.pair_solutions, convert._frame_space
 
-    def spoiled(Ma, Mb, adjoint, tol, scale):
-        Y = solve(Ma, Mb, adjoint, tol, scale)
+    def spoiled(Ma, Mb, adjoint, scale):
+        Y = solve(Ma, Mb, adjoint, scale)
         sizes.append(len(Ma))
         if len(sizes) == 1:
             Y[0, -1, -1] += 1.0

@@ -1,13 +1,14 @@
 """Kernel checks: eigendecomposition ordering, rank cutoffs, expm, vectorization."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
 import ptlab
-from ptlab import intertwine, numerics
-from ptlab.convert import witness_space
+from ptlab import counting, intertwine, numerics
+from ptlab.convert import transpose_matrix, witness_space
 from ptlab.errors import ContractError, DimensionError, IndeterminateStructureError
 from ptlab.involutions import make_diagonal_parity
 from ptlab.numerics import (
@@ -20,8 +21,10 @@ from ptlab.numerics import (
     frobenius_norms,
     matrix_exponential,
     needs_sign_flip,
+    nullspace_complex,
     numerical_rank,
     rank_and_nullspace,
+    rank_cutoff,
     vectorize,
 )
 
@@ -310,9 +313,19 @@ class TestVectorization:
 
 class TestToleranceConfig:
     def test_defaults(self):
-        assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["rel_tol", "rank_tol_factor"]
+        assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["rel_tol"]
         assert DEFAULT_TOL.rel_tol == 1e-10
-        assert DEFAULT_TOL.rank_tol_factor == 64.0
+        assert rank_cutoff(1.0) == 64.0 * numerics.MACHINE_EPS
+
+    def test_rank_decisions_and_witness_draws_take_no_setting(self):
+        """Every rank decision cuts at rank_cutoff and transpose_matrix draws
+        from one fixed stream: the rank kernels and the counts take no tol,
+        and transpose_matrix takes no seed."""
+        fixed = (numerical_rank, rank_and_nullspace, nullspace_complex, counting.count_matrix_family,
+                 counting.count_operator_orbit, counting.count_real_charpoly_variety, counting.table1_report)
+        for fn in fixed:
+            assert "tol" not in inspect.signature(fn).parameters, fn.__name__
+        assert "seed" not in inspect.signature(transpose_matrix).parameters
 
     def test_rejects_negative(self):
         with pytest.raises(ContractError):
