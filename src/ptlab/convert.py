@@ -62,8 +62,10 @@ outcomes, in this order:
    the closed form cannot decide, when the screen misses too.
 
 pseudo -> PT always takes the screen.  No conversion draws random numbers.
-The QR of the witness solutions comes from scipy.linalg, imported on first
-use (numerics._scipy_linalg); nothing here loads scipy at import.
+The QR of the witness solutions comes from numpy's own LAPACK
+(numerics._orthonormal_columns); scipy.linalg loads only for a Schur frame
+(ptlab.intertwine), so a conversion on any other spectrum runs on numpy
+alone.
 transpose_matrix draws from one fixed stream (_SEED): a call is deterministic.
 """
 
@@ -83,8 +85,8 @@ from .numerics import (
     MACHINE_EPS,
     ToleranceConfig,
     _eigenpairs,
+    _orthonormal_columns,
     _scale,
-    _scipy_linalg,
     as_square_matrix,
     frobenius,
     frobenius_norms,
@@ -173,10 +175,7 @@ def _frame_space(frame, norm: float):
     lone = U[:, single]
     elements = np.concatenate([lone.T[:, :, None] * lone.T[:, None, :]] + [Ua @ Y @ Ua.T for Ua, Y in clusters])
     owners = np.concatenate([labels[single]] + [np.full(len(Y), a) for a, (_, Y) in zip(blocks, clusters)])
-    # LAPACK directly: at n <= 6 the set-up of np.linalg.qr costs more than the factorization
-    lapack = _scipy_linalg().lapack
-    qr, tau, *_ = lapack.zgeqrf(elements.reshape(len(elements), -1).T)
-    q, *_ = lapack.zungqr(qr, tau, overwrite_a=True)
+    q = _orthonormal_columns(elements.reshape(len(elements), -1).T)
     return clusters, q.T.reshape(elements.shape), elements, owners
 
 

@@ -44,7 +44,8 @@ map onto adj(H), the frame of that partition and the Schur form of R
 conjugate it, as transpose(H) = conj(adj(H)).  A merge builds the frame of
 its own labels, from the kept Schur form, for its solve alone.
 The LAPACK Schur routines (zgees, ztrsen) come from scipy.linalg, imported
-on first use (numerics._scipy_linalg).
+on first use (numerics._scipy_linalg) by the first frame with a cluster of
+more than one eigenvalue beside others: the only frames that need them.
 """
 
 from __future__ import annotations

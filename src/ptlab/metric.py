@@ -7,8 +7,8 @@ W the same pairing is a finite-dimensional Krein (Pontrjagin) product.  The
 space is solved cluster by cluster on H's one clustering (ptlab.intertwine),
 so a defective input costs the small systems of its clusters, not the
 dense 2n^2 x n^2 one.  The QR of each attempt's
-solutions comes from scipy.linalg's LAPACK, imported on first use
-(numerics._scipy_linalg).
+solutions comes from numpy's own LAPACK (numerics._orthonormal_columns);
+scipy.linalg loads only for a Schur frame (ptlab.intertwine).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .numerics import (
     MACHINE_EPS,
     ToleranceConfig,
     _eigenpairs,
-    _scipy_linalg,
+    _orthonormal_columns,
     as_square_matrix,
     frobenius,
     frobenius_norms,
@@ -138,12 +138,8 @@ def _metric_attempt(A, values, norm, tol):
         W = X + X.conj().swapaxes(-1, -2)
         if not len(W):
             return W, set()
-        # Frobenius-orthonormal, same real span; LAPACK directly, as the set-up
-        # of np.linalg.qr costs as much as the factorization at these sizes
-        lapack = _scipy_linalg().lapack
-        qr, tau, *_ = lapack.dgeqrf(vectorize(W).T)
-        q, *_ = lapack.dorgqr(qr[:, :tau.size], tau, overwrite_a=True)
-        Q = np.ascontiguousarray(q.T).view(complex).reshape(-1, n, n)
+        # Frobenius-orthonormal, same real span
+        Q = _orthonormal_columns(vectorize(W).T).T.view(complex).reshape(-1, n, n)
         Q = 0.5 * (Q + Q.conj().swapaxes(-1, -2))
         bound = _residual_bound(tol, norm, n)
         if final or not np.any(frobenius_norms(Q @ A - A.conj().T @ Q) > bound):

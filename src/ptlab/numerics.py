@@ -20,12 +20,15 @@ and on the adjoint side their map onto adj(H), the first cluster frame and
 the Schur form of adj(H).  So each matrix is clustered once, on the H
 side, and adj(H) takes one Schur decomposition.
 
-scipy.linalg is imported on first use, through _scipy_linalg, by the few
-routines that need it: the QRs of the metric and witness solvers, the Schur
-form and its reordering in ptlab.intertwine, and matrix_exponential.  Every
-other path runs on numpy alone, so `ptlab sweep`, `count`, `construct` and
-`jordan` never load scipy; `python -X importtime -c "import ptlab.cli"`
-shows what an import costs.
+scipy.linalg is imported on first use, through _scipy_linalg, by the two
+routines that need it: the Schur form and its reordering in
+ptlab.intertwine, taken only for a frame with a cluster of more than one
+eigenvalue beside others, and matrix_exponential.  The QRs of the metric
+and witness solvers come from numpy's own LAPACK (_orthonormal_columns).
+Every other path runs on numpy alone, so `ptlab sweep`, `count`,
+`construct` and `jordan` never load scipy, nor do `classify` and `convert`
+on any other spectrum; `python -X importtime -c "import ptlab.cli"` shows
+what an import costs.
 
 All matrices in scope are small (desk scale, <= 64x64); no sparse paths.
 """
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.linalg import lapack_lite
 
 from .errors import ContractError, DimensionError, NumericalError
 
@@ -79,6 +83,29 @@ def _scipy_linalg():
     import scipy.linalg
 
     return scipy.linalg
+
+
+def _orthonormal_columns(A: np.ndarray) -> np.ndarray:
+    """The thin Householder Q of an (m, k) array, m >= k: LAPACK's geqrf and
+    orgqr (ungqr for complex A) from numpy's own lapack_lite, at
+    scipy.linalg.lapack's default workspace max(3k, 1), so Q is bit for bit
+    the one scipy returns.  (Past k = 128, under more than one BLAS thread,
+    a complex Q may differ in its last bits: the two libraries' OpenBLAS
+    builds split the threaded products of LAPACK's blocked path apart.)
+    np.linalg.qr is no substitute: its optimal workspace takes wider blocks,
+    which give another Q at large k, and its set-up costs more than the
+    factorization at these sizes."""
+    m, k = A.shape
+    if np.iscomplexobj(A):
+        geqrf, orgqr, dtype = lapack_lite.zgeqrf, lapack_lite.zungqr, complex
+    else:
+        geqrf, orgqr, dtype = lapack_lite.dgeqrf, lapack_lite.dorgqr, float
+    q = np.array(A.T, dtype=dtype, order="C")  # column-major (m, k), factored in place
+    lwork = max(3 * k, 1)
+    tau, work = np.empty(k, dtype), np.empty(lwork, dtype)
+    geqrf(m, k, q, m, tau, work, lwork, 0)
+    orgqr(m, k, k, q, m, tau, work, lwork, 0)
+    return q.T
 
 
 def _scale(norm: float) -> float:

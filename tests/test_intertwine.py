@@ -29,41 +29,70 @@ def test_import_loads_neither_sparse_nor_optimize():
 GUARD = """
 import contextlib, io, json, sys
 import numpy as np
+from ptlab import convert, metric
 from ptlab.cli import main, matrix_to_document
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 loaded = {"import ptlab.cli": scipy_modules()}
-path = sys.argv[1]
-with open(path, "w", encoding="utf-8") as fh:
-    json.dump(matrix_to_document(np.array([[0.0, 1j], [0.0, 0.0]])), fh)
+qrs = {"metric": 0, "convert": 0}
+for name, module in (("metric", metric), ("convert", convert)):
+    def counted(A, _qr=module._orthonormal_columns, _name=name):
+        qrs[_name] += 1
+        return _qr(A)
+    module._orthonormal_columns = counted
+paths = dict(zip(("jordan", "simple", "parity"), sys.argv[1:]))
+H = np.array([[1 + 0.5j, 2, 0], [2, 3, 2], [0, 2, 1 - 0.5j]])  # eigenvalues near 4.98, 0.93, -0.91
+for key, M in (("jordan", np.array([[0.0, 1j], [0.0, 0.0]])), ("simple", H), ("parity", np.eye(3)[::-1])):
+    with open(paths[key], "w", encoding="utf-8") as fh:
+        json.dump(matrix_to_document(M), fh)
 for argv in (["sweep", "--family", "pt2", "--grid", '{"gamma": {"start": 0, "stop": 2, "num": 5}, "rho": 1}'],
              ["sweep", "--family", "pseudo2", "--grid", '{"gamma": 1, "rho": {"start": 0, "stop": 2, "num": 4}}'],
              ["sweep", "--family", "degeneration", "--grid", '{"gamma": 2}'],
              ["count", "--max-dim", "8"], ["count", "--max-dim", "8", "--format", "csv"],
              ["construct", "--family", "pt2", "--params", '{"gamma": 1.5, "rho": 0.4, "delta": 0.3, "u": 1}'],
              ["construct", "--family", "pt-jordan", "--params", '{"m": 2, "n": 1, "lambda": 3}'],
-             ["jordan", "--matrix", path, "--eigenvalue", "0"]):
+             ["jordan", "--matrix", paths["jordan"], "--eigenvalue", "0"],
+             ["classify", "--matrix", paths["simple"]],
+             ["convert", "--direction", "pt-to-pseudo", "--operator", paths["parity"], "--matrix", paths["simple"]]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(argv) == 0, argv
     loaded[" ".join(argv)] = scipy_modules()
+from ptlab.convert import pt_to_pseudo, transpose_matrix, witness_space
 from ptlab.metric import solve_metric_space
-solve_metric_space(np.array([[1.0, 0.5], [0.0, 2.0]]))
-print(json.dumps({"numpy alone": loaded, "metric loads scipy.linalg": "scipy.linalg" in sys.modules}))
+from ptlab.spectra import build_pt_jordan
+J, _ = build_pt_jordan(1, 1, 0.5)  # one cluster: the identity frame
+for step, run in (("witness_space simple", lambda: witness_space(H)),
+                  ("solve_metric_space one cluster", lambda: solve_metric_space(J)),
+                  ("transpose_matrix one cluster", lambda: transpose_matrix(J)),
+                  ("witness_space one cluster", lambda: witness_space(J)),
+                  ("pt_to_pseudo one cluster", lambda: pt_to_pseudo(np.diag([1.0, -1.0]), J))):
+    run()
+    loaded[step] = scipy_modules()
+qr_counts = dict(qrs)
+D = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 3.0]])  # J_2(1) + (3): a cluster beside another
+V = np.random.default_rng(0).normal(size=(3, 3, 2)) @ [1.0, 1j]
+solve_metric_space(V @ D @ np.linalg.inv(V))
+print(json.dumps({"numpy alone": loaded, "numpy QRs": qr_counts,
+                  "Schur frame loads scipy.linalg": "scipy.linalg" in sys.modules}))
 """
 
 
 def test_numpy_alone_runs_sweep_count_construct_and_jordan(tmp_path):
-    """Importing ptlab.cli and running sweep, count, construct and jordan
-    load no scipy module; scipy.linalg comes with the first routine that
-    needs it, here the QR of a metric solve on a simple 2x2 spectrum (one
-    cluster per eigenvalue: a single Jordan block would solve without it)."""
-    out = subprocess.run([sys.executable, "-c", GUARD, str(tmp_path / "jordan.json")],
-                         capture_output=True, text=True, check=True)
+    """Importing ptlab.cli and running sweep, count, construct and jordan,
+    classify and convert on a simple spectrum, and the metric and witness
+    solvers and PT -> pseudo on one Jordan cluster, load no scipy module:
+    the solvers' QRs, run here on numpy's own LAPACK, take none.
+    scipy.linalg comes with the first Schur frame, a cluster of more than
+    one eigenvalue beside others: J_2(1) + (3) in a complex frame."""
+    paths = [str(tmp_path / f"{name}.json") for name in ("jordan", "simple", "parity")]
+    out = subprocess.run([sys.executable, "-c", GUARD, *paths], capture_output=True, text=True, check=True)
     report = json.loads(out.stdout)
     assert report["numpy alone"] == {step: [] for step in report["numpy alone"]}
-    assert len(report["numpy alone"]) == 9 and report["metric loads scipy.linalg"]
+    assert len(report["numpy alone"]) == 16
+    assert report["numpy QRs"]["metric"] > 0 and report["numpy QRs"]["convert"] > 0
+    assert report["Schur frame loads scipy.linalg"]
 
 
 def test_components_close_chains():

@@ -206,6 +206,66 @@ class TestEigenRecord:
         assert gaps.min(axis=0).max() < 1e-12 and gaps.min(axis=1).max() < 1e-12
 
 
+def scipy_orthonormal_columns(A):
+    """The thin Q of scipy.linalg.lapack's geqrf and orgqr/ungqr at their default workspaces."""
+    lapack = numerics._scipy_linalg().lapack
+    if np.iscomplexobj(A):
+        qr, tau, *_ = lapack.zgeqrf(A)
+        return lapack.zungqr(qr, tau)[0]
+    qr, tau, *_ = lapack.dgeqrf(A)
+    return lapack.dorgqr(qr, tau)[0]
+
+
+class TestOrthonormalColumns:
+    """The solvers' QR runs on numpy's lapack_lite; its Q must stay bit for
+    bit the one scipy's LAPACK gives, though each library ships its own
+    OpenBLAS build.  One exception: past k = 128 (LAPACK's blocked path),
+    under more than one BLAS thread, the two builds round the complex
+    path's threaded products differently (measured: up to 7e-15 at
+    (256, 256) under two threads), so there the complex Q is held within
+    64 eps.  Either library's complex Q at such sizes already depends on
+    the thread count."""
+
+    @staticmethod
+    def assert_matches_scipy(A):
+        q, ref = numerics._orthonormal_columns(A), scipy_orthonormal_columns(A)
+        assert q.shape == ref.shape == A.shape and q.dtype == ref.dtype
+        if np.iscomplexobj(A) and A.shape[1] > 128:
+            assert np.abs(q - ref).max() <= 64 * numerics.MACHINE_EPS
+        else:
+            assert np.ascontiguousarray(q).tobytes() == np.ascontiguousarray(ref).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_solver_shapes(self, n):
+        """(2n^2, k) real as in the metric solver and (n^2, k) complex as in
+        the witness solver, up to the largest space that takes the QR: a
+        derogatory cluster of n - 1 beside one eigenvalue, (n - 1)^2 + 1
+        elements (k > 128 from n = 13 on)."""
+        rng = np.random.default_rng(n)
+        for k in sorted({1, n, (n - 1) ** 2 + 1}):
+            self.assert_matches_scipy(rng.normal(size=(2 * n * n, k)))
+            self.assert_matches_scipy(rng.normal(size=(n * n, k)) + 1j * rng.normal(size=(n * n, k)))
+
+    def test_square_and_blocked_shapes(self):
+        rng = np.random.default_rng(0)
+        for m, k in ((1, 1), (5, 5), (64, 64), (128, 128), (130, 130), (300, 129), (1024, 300)):
+            self.assert_matches_scipy(rng.normal(size=(m, k)))
+            self.assert_matches_scipy(rng.normal(size=(m, k)) + 1j * rng.normal(size=(m, k)))
+
+    @pytest.mark.parametrize("j", range(-60, 61, 8))
+    def test_scaled_family(self, j):
+        rng = np.random.default_rng(7)
+        for A in (rng.normal(size=(32, 10)), rng.normal(size=(25, 5)) + 1j * rng.normal(size=(25, 5))):
+            self.assert_matches_scipy(4.0 ** j * A)
+
+    def test_columns_are_orthonormal_and_span_the_input(self):
+        rng = np.random.default_rng(3)
+        A = rng.normal(size=(18, 6)) + 1j * rng.normal(size=(18, 6))
+        q = numerics._orthonormal_columns(A)
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(6), atol=1e-14)
+        np.testing.assert_allclose(q @ (q.conj().T @ A), A, atol=1e-13)
+
+
 class TestRankAndNullspace:
     def test_zero_matrix(self):
         rank, null = rank_and_nullspace(np.zeros((3, 3)))
