@@ -174,12 +174,12 @@ def pt2_metric(p: Pt2Params) -> np.ndarray:
     )
 
 
-def pt2_family(p: Pt2Params, normalization=(1.0, 1.0)) -> Pt2Family:
+def pt2_family(p: Pt2Params) -> Pt2Family:
     """Base-frame family: matrix, spectrum, eigenvectors, metric data.
 
     The eigenvector choice dodges the accidental degeneracy at
-    rho = +-gamma sin(delta); normalization holds the two free constants
-    (default 1, which is what the printed weighted-norm formulas assume).
+    rho = +-gamma sin(delta); both free normalization constants are 1, as
+    the printed weighted-norm formulas assume.
     The four metric fields are None, with metric_reason set, whenever the
     positivity constraints fail.  A v, gamma or rho whose square overflows
     or underflows is a ConstraintError.
@@ -189,9 +189,8 @@ def pt2_family(p: Pt2Params, normalization=(1.0, 1.0)) -> Pt2Family:
     root = cmath.sqrt(complex(g * g - r * r))
     e_plus, e_minus = p.e + root, p.e - root
     phase = g * cmath.exp(1j * d)
-    n_plus, n_minus = normalization
-    vec_plus = n_plus * np.array([phase - 1j * r + root, phase + 1j * r - root])
-    vec_minus = n_minus * np.array([phase - 1j * r - root, phase + 1j * r + root])
+    vec_plus = np.array([phase - 1j * r + root, phase + 1j * r - root])
+    vec_minus = np.array([phase - 1j * r - root, phase + 1j * r + root])
 
     reason = p.metric_reason()
     metric = omega_plus = omega_minus = norm_plus = norm_minus = None
@@ -201,8 +200,8 @@ def pt2_family(p: Pt2Params, normalization=(1.0, 1.0)) -> Pt2Family:
         omega_plus = p.u * (g + spread)
         omega_minus = p.u * (g - spread)
         gap = math.sqrt(g * g - r * r)
-        norm_plus = 4.0 * abs(n_plus) ** 2 * p.u * g * gap * (gap + p.v)
-        norm_minus = 4.0 * abs(n_minus) ** 2 * p.u * g * gap * (gap - p.v)
+        norm_plus = 4.0 * p.u * g * gap * (gap + p.v)
+        norm_minus = 4.0 * p.u * g * gap * (gap - p.v)
     return Pt2Family(
         hamiltonian=pt2_hamiltonian(p),
         energy_plus=e_plus,
@@ -337,20 +336,20 @@ def pseudo2_metric(p: Pt2Params) -> np.ndarray:
     ])
 
 
-def pseudo2_family(p: Pt2Params, normalization=(1.0, 1.0)) -> Pseudo2Family:
+def pseudo2_family(p: Pt2Params) -> Pseudo2Family:
     """Diag-metric family plus its unitary transport along the (theta, phi) coset.
 
-    The transported parity is the unit-vector Pauli combination n . sigma, and
-    the transported matrix/metric are given in the spherical frame
-    (n, n_theta, n_phi) exactly as closed forms.  A v, gamma or rho whose
-    square overflows or underflows is a ConstraintError.
+    Both free eigenvector normalization constants are 1, as the printed
+    weighted-norm formulas assume.  The transported parity is the unit-vector
+    Pauli combination n . sigma, and the transported matrix/metric are given
+    in the spherical frame (n, n_theta, n_phi) exactly as closed forms.  A v,
+    gamma or rho whose square overflows or underflows is a ConstraintError.
     """
     _require_squares(p)
     e, g, r, d = p.e, p.gamma, p.rho, p.delta
     root = cmath.sqrt(complex(g * g - r * r))
-    n_plus, n_minus = normalization
-    vec_plus = n_plus * np.array([g + root, -r * cmath.exp(-1j * d)])
-    vec_minus = n_minus * np.array([g - root, -r * cmath.exp(-1j * d)])
+    vec_plus = np.array([g + root, -r * cmath.exp(-1j * d)])
+    vec_minus = np.array([g - root, -r * cmath.exp(-1j * d)])
 
     reason = p.metric_reason()
     metric = omega_plus = omega_minus = norm_plus = norm_minus = rotated_metric = None
@@ -360,8 +359,8 @@ def pseudo2_family(p: Pt2Params, normalization=(1.0, 1.0)) -> Pseudo2Family:
         omega_plus = p.u * (g + spread)
         omega_minus = p.u * (g - spread)
         gap = math.sqrt(g * g - r * r)
-        norm_plus = 2.0 * abs(n_plus) ** 2 * p.u * gap * (g + gap) * (gap + p.v)
-        norm_minus = 2.0 * abs(n_minus) ** 2 * p.u * gap * (g - gap) * (gap - p.v)
+        norm_plus = 2.0 * p.u * gap * (g + gap) * (gap + p.v)
+        norm_minus = 2.0 * p.u * gap * (g - gap) * (gap - p.v)
 
     half_phi = np.diag([cmath.exp(-1j * p.phi / 2.0), cmath.exp(1j * p.phi / 2.0)])
     half_theta = np.array([[math.cos(p.theta / 2.0), -math.sin(p.theta / 2.0)],

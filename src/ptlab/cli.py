@@ -5,9 +5,10 @@ Matrices travel as JSON documents
     {"rows": R, "cols": C, "data": [[[re, im], ...], ...]}
 
 with [re, im] float pairs, row-major, UTF-8.  CSV floats are printed with 17
-significant digits so outputs are byte-stable golden files.  No command
-draws random numbers: --seed is accepted and ignored, and PTLAB_SEED is not
-read.
+significant digits so outputs are byte-stable golden files.  Every command
+takes --out and --seed, which is accepted and ignored (no command draws
+random numbers, and PTLAB_SEED is not read); every one but count takes
+--tol-rel, and only count, which reads no tolerance, takes --format.
 
 Exit codes: 0 ok, 2 parse error, 3 dimension/kind mismatch (including a
 sweep grid point whose matrix entries overflow), 4 constraint violation
@@ -539,7 +540,6 @@ _COUNT_CSV_ROW = ",".join(["%s"] + ["%d"] * (len(CSV_COLUMNS) - 1))
 
 
 def cmd_count(args) -> int:
-    _tolerances(args)  # a bad --tol-rel still exits 2, though the count reads no tolerance
     if not (2 <= args.max_dim <= 8):
         raise CliError(EXIT_PARSE, f"--max-dim must lie in [2, 8], got {args.max_dim}")
     reports = table1_report(args.max_dim)
@@ -634,43 +634,44 @@ def cmd_jordan(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The ptlab argument parser, built once per process (parse_args leaves it unchanged)."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol-rel", type=float, default=1e-10,
-                        help="relative tolerance, a multiple of the matrix norm (default 1e-10)")
     common.add_argument("--seed", type=int, default=None, help="accepted and ignored: no command draws random numbers")
-    common.add_argument("--format", choices=("json", "csv"), default="json", help="output format where supported")
     common.add_argument("--out", default=None, help="write output to this path instead of stdout")
+    tolerant = argparse.ArgumentParser(add_help=False, parents=[common])
+    tolerant.add_argument("--tol-rel", type=float, default=1e-10,
+                          help="relative tolerance, a multiple of the matrix norm (default 1e-10)")
 
     parser = argparse.ArgumentParser(prog="ptlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="symmetry verdicts, spectrum report, metric existence")
+    p = sub.add_parser("classify", parents=[tolerant], help="symmetry verdicts, spectrum report, metric existence")
     p.add_argument("--matrix", required=True, help="matrix document (JSON)")
     p.add_argument("--operator", default=None, help="optional symmetry operator document")
     p.add_argument("--kind", choices=sorted(_KIND_NAMES), default=None, help="symmetry kind for --operator")
     p.set_defaults(fn=cmd_classify)
 
-    p = sub.add_parser("construct", parents=[common], help="build a catalog or canonical-family matrix")
+    p = sub.add_parser("construct", parents=[tolerant], help="build a catalog or canonical-family matrix")
     p.add_argument("--family", required=True, choices=tuple(_FAMILIES))
     p.add_argument("--params", required=True, help="JSON object or @file")
     p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("sweep", parents=[common], help="CSV parameter sweeps")
+    p = sub.add_parser("sweep", parents=[tolerant], help="CSV parameter sweeps")
     p.add_argument("--family", required=True, choices=("pt2", "pseudo2", "degeneration"))
     p.add_argument("--grid", required=True, help="JSON grid spec or @file")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("count", parents=[common], help="reproduce the parameter-count table")
     p.add_argument("--max-dim", type=int, required=True)
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
     p.set_defaults(fn=cmd_count)
 
-    p = sub.add_parser("convert", parents=[common], help="convert between symmetry pictures")
+    p = sub.add_parser("convert", parents=[tolerant], help="convert between symmetry pictures")
     p.add_argument("--direction", required=True, choices=("pt-to-pseudo", "pseudo-to-pt", "genpt-to-pseudo"))
     p.add_argument("--operator", required=True)
     p.add_argument("--matrix", required=True)
     p.set_defaults(fn=cmd_convert)
 
-    p = sub.add_parser("jordan", parents=[common], help="extract a Jordan chain at an eigenvalue")
+    p = sub.add_parser("jordan", parents=[tolerant], help="extract a Jordan chain at an eigenvalue")
     p.add_argument("--matrix", required=True)
     p.add_argument("--eigenvalue", required=True, help="'re' or 're,im'")
     p.add_argument("--alpha", type=float, default=0.0, help="free additive constant in the second link")

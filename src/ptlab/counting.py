@@ -19,13 +19,13 @@ The family of matrices with a real characteristic polynomial is a variety, not
 a linear space: its dimension is 2 N^2 minus the rank of the exact derivative
 of the imaginary-coefficient map (from the adjugate coefficients of Faddeev
 and LeVerrier) where that rank is N, the implicit-function condition.  The
-rank cut follows the larger of sigma_max and max(||H||_F, 1)^(N-1), the size
-of the last adjugate coefficient and so of its rounding; the variety is a
-cone, so a given base point is first scaled, exactly, by the power of two
-nearest 1 / ||H||_F.  The default base point is diag(d) at the N Chebyshev
-nodes cos(pi (k + 1/2) / N): real and distinct, so the polynomial is real,
-and only the N imaginary diagonal directions move it, through a block of
-determinant +- the Vandermonde of d.  The table builds these blocks for all
+rank cut is the shared rank_cutoff of sigma_max, as for every other rank
+here.  The variety is a cone, so a given base point is first scaled,
+exactly, by the power of two nearest 1 / ||H||_F, which brings the last
+adjugate coefficient near 1 and its rounding near eps.  The default base
+point is diag(d) at the N Chebyshev nodes cos(pi (k + 1/2) / N): real and
+distinct, so the polynomial is real, and only the N imaginary diagonal
+directions move it, through a block of determinant +- the Vandermonde of d.  The table builds these blocks for all
 its dimensions in one adjugate pass on zero-padded diagonals and ranks them in
 one more stacked SVD.
 
@@ -212,15 +212,13 @@ def _imag_coefficient_jacobian(H: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return vectorize(-1j * B.conj().swapaxes(-1, -2))
 
 
-def _variety_dims(jacobians: np.ndarray, sizes, scales) -> np.ndarray:
+def _variety_dims(jacobians: np.ndarray, sizes) -> np.ndarray:
     """2 N^2 minus the rank of each derivative of the imaginary-coefficient map in a
-    zero-padded (S, M, w) stack, N the array sizes[s], ranked in one stacked SVD under their
-    own cuts.  A cut follows the larger of sigma_max and scales[s] = max(||H||_F, 1)^(N-1),
-    the size of the entries of B_{N-1} and so of their rounding: a skewed frame can make
-    sigma_max much smaller.  Below rank N (a derogatory base point) the dimension is
-    undecided."""
+    zero-padded (S, M, w) stack, N the array sizes[s], ranked in one stacked SVD, each
+    under the rank_cutoff of its own sigma_max.  Below rank N (a derogatory base point)
+    the dimension is undecided."""
     sigma = np.linalg.svd(jacobians, compute_uv=False)
-    rank = np.sum(sigma > rank_cutoff(np.maximum(sigma[:, :1], scales[:, None])), axis=1)
+    rank = np.sum(sigma > rank_cutoff(sigma[:, :1]), axis=1)
     if np.any(rank < sizes):
         raise IndeterminateStructureError("derivative of the imaginary-coefficient map is rank-deficient")
     return 2 * sizes * sizes - rank
@@ -236,9 +234,7 @@ def _chebyshev_variety_dims(sizes) -> np.ndarray:
     inside = np.arange(M) < sizes
     d = np.where(inside, np.cos(np.pi * (np.arange(M) + 0.5) / sizes), 0.0)
     jacobians = _imag_coefficient_jacobian(d[:, :, None] * np.eye(M), _charpoly_coefficients(d))
-    scales = np.maximum(np.linalg.norm(d, axis=1), 1.0) ** (sizes[:, 0] - 1)
-    return _variety_dims(jacobians[..., 1::2][..., ::M + 1] * (inside[:, :, None] & inside[:, None, :]), sizes[:, 0],
-                         scales)
+    return _variety_dims(jacobians[..., 1::2][..., ::M + 1] * (inside[:, :, None] & inside[:, None, :]), sizes[:, 0])
 
 
 def count_real_charpoly_variety(N: int, base_point=None) -> int:
@@ -265,8 +261,7 @@ def count_real_charpoly_variety(N: int, base_point=None) -> int:
     # c_k is a sum of k-fold eigenvalue products, so |c_k| <= C(N, k) scale^k
     if (np.abs(coeffs[1:].imag) > 1e-8 * scale ** np.arange(1, N + 1)).any():
         raise ContractError("base_point must have a real characteristic polynomial")
-    return int(_variety_dims(_imag_coefficient_jacobian(base, coeffs)[None], np.array([N]),
-                             np.array([scale ** (N - 1)]))[0])
+    return int(_variety_dims(_imag_coefficient_jacobian(base, coeffs)[None], np.array([N]))[0])
 
 
 def table1_report(max_dim: int) -> list:

@@ -279,7 +279,7 @@ def eigen_decompose(M, tol: ToleranceConfig = DEFAULT_TOL):
     """
     A = as_square_matrix(M)
     record = _eigenpairs(A)
-    order = np.lexsort((record.values.imag, record.values.real))
+    order = np.argsort(record.values, kind="stable")
     values = record.values[order]
     vectors = record.vectors[:, order]
     scale = frobenius(A)
@@ -354,15 +354,14 @@ def matrix_exponential(A) -> np.ndarray:
     return np.asarray(_scipy_linalg().expm(M), dtype=complex)
 
 
-def solve_or_raise(T, B=None):
-    """T^{-1} B (or T^{-1}), raising NumericalError when T is singular."""
+def solve_or_raise(T):
+    """T^{-1}, raising NumericalError when T is singular."""
     A = as_square_matrix(T, "transformation")
     n = A.shape[0]
     sigma = np.linalg.svd(A, compute_uv=False)
     if sigma[-1] <= 64.0 * n * MACHINE_EPS * sigma[0]:
         raise NumericalError(f"transformation is singular to working precision (cond ~ {sigma[0] / max(sigma[-1], 1e-300):.2e})")
-    rhs = np.eye(n, dtype=complex) if B is None else np.asarray(B, dtype=complex)
-    return np.linalg.solve(A, rhs)
+    return np.linalg.solve(A, np.eye(n, dtype=complex))
 
 
 def needs_sign_flip(Q: np.ndarray) -> bool:

@@ -11,6 +11,7 @@ import pytest
 
 from ptlab import spectra
 from ptlab.cli import build_parser, document_to_matrix, main, matrix_to_document
+from ptlab.involutions import sip_similarity
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -128,6 +129,29 @@ class TestClassify:
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --tol-abs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["classify", "--matrix", "h.json", "--format", "csv"], "--format"),
+        (["count", "--max-dim", "4", "--tol-rel", "1e-6"], "--tol-rel"),
+    ], ids=["classify-format", "count-tol-rel"])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, argv, flag):
+        """Only count reads --format, and count reads no tolerance: argparse
+        refuses either flag where it would change nothing."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_flags_of_each_command(self):
+        """Every command takes --seed and --out, every one but count takes
+        --tol-rel, and only count takes --format: 18 flag slots."""
+        commands = build_parser()._subparsers._group_actions[0].choices
+        shared = {"--tol-rel", "--seed", "--format", "--out"}
+        flags = {name: shared & set(p._option_string_actions) for name, p in commands.items()}
+        tolerant = {"--tol-rel", "--seed", "--out"}
+        assert flags == {"classify": tolerant, "construct": tolerant, "sweep": tolerant,
+                         "count": {"--seed", "--format", "--out"}, "convert": tolerant, "jordan": tolerant}
+        assert sum(map(len, flags.values())) == 18
+
     def test_integral_float_size_is_read_as_an_integer(self, tmp_path, capsys):
         doc = tmp_path / "h.json"
         doc.write_text(json.dumps({"rows": 1.0, "cols": 1, "data": [[[1, 0]]]}), encoding="utf-8")
@@ -204,6 +228,22 @@ class TestConstructRoundTrips:
     def test_non_numeric_parameters_exit_2(self, capsys, family, params):
         code, _, err = run(capsys, "construct", "--family", family, "--params", params)
         assert code == 2 and err.startswith("error: ")
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_sip_similarity_family(self, capsys, n):
+        """q and q_inverse are sip_similarity(n) bit for bit, and q carries the
+        diagonal parity to the SIP within rounding."""
+        code, out, _ = run(capsys, "construct", "--family", "sip-similarity", "--params", f'{{"n":{n}}}')
+        assert code == 0
+        payload = json.loads(out)
+        for name, expected in zip(("q", "q_inverse"), sip_similarity(n)):
+            got = document_to_matrix(payload["matrices"][name])
+            assert got.tobytes() == np.asarray(expected, dtype=complex).tobytes(), name
+        assert payload["self_check"]["similarity_residual"] <= 1e-15
+
+    def test_sip_similarity_of_size_0_exits_3(self, capsys):
+        code, out, err = run(capsys, "construct", "--family", "sip-similarity", "--params", '{"n":0}')
+        assert (code, out) == (3, "") and "n_total >= 1" in err
 
     def test_genpt2_identity(self, capsys):
         code, out, _ = run(capsys, "construct", "--family", "genpt2",

@@ -26,7 +26,7 @@ from ptlab.convert import (
     transpose_matrix,
     witness_space,
 )
-from ptlab.errors import ContractError
+from ptlab.errors import ContractError, NumericalError
 from ptlab.involutions import (InvolutionKind, InvolutionOperator, make_diagonal_parity, make_sip,
                                operator_matrix, verify_involution)
 from ptlab.numerics import (DEFAULT_TOL, frobenius, matrix_exponential, needs_sign_flip, nullspace_complex,
@@ -239,6 +239,16 @@ class TestTransposeWitness:
     def test_jordan_recipe_validates_sizes(self):
         with pytest.raises(ContractError):
             transpose_from_jordan(np.eye(3), [2, 2])
+
+    def test_jordan_recipe_when_every_draw_is_singular(self, monkeypatch):
+        """With no candidate invertible on any frame, the closed form of a
+        given Jordan frame is returned, and without one the search raises."""
+        monkeypatch.setattr(convert, "_invertibility", lambda A: 0.0)
+        H, T = build_pt_jordan(2, 1, 0.5)
+        result = transpose_matrix(H, jordan_witness=(T, [3]))
+        assert result.method is WitnessMethod.JORDAN_RECIPE and result.residual <= 1e-10
+        with pytest.raises(NumericalError, match="no invertible transpose witness"):
+            transpose_matrix(H)
 
 
 def assert_witness_basis(basis, reference, B):

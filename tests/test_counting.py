@@ -436,10 +436,10 @@ class TestExactJacobian:
             assert np.all(np.linalg.norm(fd - exact, axis=1) <= 1e-8 * rows)
 
 
-def _variety_cut(H, sing):
-    """The variety rank cut at base H, sing the Jacobian's singular values: the
-    shared rank cutoff of max(sigma_max, max(||H||_F, 1)^(N-1))."""
-    return rank_cutoff(max(sing[0], max(frobenius(H), 1.0) ** (len(H) - 1)))
+def _variety_cut(sing):
+    """The variety rank cut, sing the Jacobian's singular values: the shared
+    rank cutoff of sigma_max."""
+    return rank_cutoff(sing[0])
 
 
 def _unit_base(H):
@@ -456,15 +456,15 @@ class TestSharedCutoffMargin:
     @pytest.mark.parametrize("N", range(1, 9))
     def test_margin_at_chebyshev_base(self, N):
         """The default base diag(d): only the imaginary diagonal columns of the
-        Jacobian are nonzero, and sigma_min / sigma_max falls about 2x per N.
-        The margin holds against the variety cut, which ||H||_F^(N-1) sets from
-        N = 4 on (128 against sigma_max 5.5 at N = 8)."""
+        Jacobian are nonzero, and sigma_min / sigma_max falls about 2x per N,
+        so the margin over the variety cut falls from 7.0e13 at N = 1 to
+        3.8e11 at N = 8."""
         base = _chebyshev_base(N)
         jacobian = _exact_jacobian(base)
         imag_diagonal = 2 * (N + 1) * np.arange(N) + 1
         assert not np.delete(jacobian, imag_diagonal, axis=1).any()
         sing = np.linalg.svd(jacobian, compute_uv=False)
-        assert sing[-1] > 1e6 * _variety_cut(base, sing)
+        assert sing[-1] > 1e6 * _variety_cut(sing)
         assert count_real_charpoly_variety(N) == 2 * N * N - N
 
     @pytest.mark.parametrize("N", range(2, 9))
@@ -472,15 +472,13 @@ class TestSharedCutoffMargin:
         """Random self-adjoint base points, one per seed, given as base_point
         and ranked at _unit_base: sigma_min / sigma_max falls about 10x per N
         (4.6e-7 at worst over these bases at N = 8), and each base counts with
-        the 1e6 margin over the cut of sigma_max (3.2e7 at worst), which also
-        sets the variety cut at norm about 1."""
+        the 1e6 margin over the variety cut (3.2e7 at worst)."""
         for seed in range(100):
             base = _random_self_adjoint(N, np.random.default_rng(seed))
             assert count_real_charpoly_variety(N, base_point=base) == 2 * N * N - N
             base = _unit_base(base)
             sing = np.linalg.svd(_exact_jacobian(base), compute_uv=False)
-            assert sing[-1] > 1e6 * rank_cutoff(sing[0])
-            assert sing[-1] > 1e5 * _variety_cut(base, sing)
+            assert sing[-1] > 1e6 * _variety_cut(sing)
 
 
 def _skewed_frame_pair(rng):
@@ -500,12 +498,13 @@ def _skewed_frame_pair(rng):
 class TestSkewedDerogatoryBases:
     def test_cut_follows_the_adjugate_scale(self):
         """A skewed frame makes sigma_max of the Jacobian much smaller than the
-        ||H||^(N-1) rounding in B_{N-1}: at the scale given, under a cut from
-        sigma_max alone, 4 derogatory bases of these 500 counted 2 N^2 - N
-        (sigma_N up to 5.4x that cut).  Ranked at _unit_base under the variety
-        cut, every derogatory base is indeterminate, its sigma_N below 0.1x the
-        cut (0.017x at most), and every non-derogatory twin counts, its sigma_N
-        above 1e3x the cut (9.5e7x at least)."""
+        ||H||^(N-1) rounding in B_{N-1}: ranked at the scale given, 4 derogatory
+        bases of these 500 would count 2 N^2 - N (sigma_N up to 5.4x the
+        variety cut).  Ranked at _unit_base, as the count ranks every given
+        base, that rounding is about eps: every derogatory base is
+        indeterminate, its sigma_N below 0.1x the cut (0.017x at most), and
+        every non-derogatory twin counts, its sigma_N above 1e3x the cut
+        (9.5e7x at least)."""
         rng = np.random.default_rng(5)
         for _ in range(500):
             H, derogatory = _skewed_frame_pair(rng)
@@ -515,9 +514,9 @@ class TestSkewedDerogatoryBases:
                 count_real_charpoly_variety(N, base_point=derogatory)
             H, derogatory = _unit_base(H), _unit_base(derogatory)
             sing = np.linalg.svd(_exact_jacobian(H), compute_uv=False)
-            assert sing[N - 1] > 1e3 * _variety_cut(H, sing)
+            assert sing[N - 1] > 1e3 * _variety_cut(sing)
             sing = np.linalg.svd(_exact_jacobian(derogatory), compute_uv=False)
-            assert sing[N - 1] < 0.1 * _variety_cut(derogatory, sing)
+            assert sing[N - 1] < 0.1 * _variety_cut(sing)
 
 
 @st.composite

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptlab import metric
 from ptlab.catalog2x2 import Pt2Params, pseudo2_family, pt2_family
 from ptlab.errors import DimensionError
 from ptlab.metric import (
@@ -77,6 +78,33 @@ class TestSolveMetricSpace:
             assert self_adjointness_residual(W, H) < 1e-10
             found += 1
         assert found > 100
+
+    def test_merges_a_cluster_whose_solutions_miss(self, monkeypatch):
+        """J_2(0.5) + diag(2, -1) in a complex frame, with the Jordan cluster's
+        first Hermitian small-system solve pushed off its equation (E_11 added
+        to one solution): that element misses the residual bound, its cluster
+        is named and merged with its nearest neighbour, and the merged frame
+        gives the space of the unspoiled solve."""
+        rng = np.random.default_rng(31)
+        T = np.eye(4) + 0.3 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        H = T @ (np.diag([0.5, 0.5, 2.0, -1.0]) + np.diag([1.0, 0.0, 0.0], k=1)) @ np.linalg.inv(T)
+        expected = solve_metric_space(H).hermitian_basis
+        sizes = []
+        solve = metric.hermitian_solutions
+
+        def spoiled(Ma, scale):
+            Z = solve(Ma, scale)
+            sizes.append(len(Ma))
+            if len(sizes) == 1:
+                Z[0, 0, 0] += 1.0
+            return Z
+
+        monkeypatch.setattr(metric, "hermitian_solutions", spoiled)
+        basis = solve_metric_space(H).hermitian_basis
+        assert sizes == [2, 3]
+        V, R = (np.reshape(B, (len(B), -1)).T for B in (basis, expected))
+        assert V.shape == R.shape
+        np.testing.assert_allclose(V @ V.conj().T, R @ R.conj().T, rtol=0, atol=1e-10)
 
     def test_no_positive_solution_with_complex_pair(self):
         rng = np.random.default_rng(7)
