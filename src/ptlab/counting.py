@@ -1,33 +1,31 @@
-"""Real-parameter counts of the matrix families, measured numerically.
+"""Real-parameter counts of the matrix families, measured as ranks.
 
 Each family size is a nullspace dimension of the real-linearized defining
 conditions; each operator-orbit size is the rank of a commutator map (group
-dimension minus stabilizer dimension).  Only singular values are computed:
-the counts need ranks, not bases.  At a diagonal base operator diag(p), each
-of these maps sends a matrix supported on an entry pair {(a, b), (b, a)} to
-one supported on the same pair, acting there as on the 2 x 2 principal block
+dimension minus stabilizer dimension).  At a diagonal base operator diag(p),
+each of these maps sends a matrix supported on an entry pair {(a, b), (b, a)}
+to one supported on the same pair, acting there as on the 2 x 2 principal block
 with base diag(p_a, p_b) (a diagonal entry: the 1 x 1 block p_a).  So the real
-system is block diagonal up to a permutation; it is ranked on blocks of at
-most 8 x 4.  Every base operator here is a parity diag(1_m, -1_n), whose blocks
-are five, with multiplicities in closed form: C(m, 2) pairs (1, 1), m n pairs
-(1, -1), C(n, 2) pairs (-1, -1), m entries 1 and n entries -1.  The real
-systems of all six maps (four family conditions, two orbit commutators) on the
-blocks that some split of the table holds are factored in one stacked SVD, and
-each split counts, per map, its blocks' singular values, times their
-multiplicities, above the cut set by the largest among the blocks it holds.
+system is block diagonal up to a permutation, and its rank is a sum of block
+ranks.  Every base operator here is a parity diag(1_m, -1_n), whose blocks are
+five, with multiplicities in closed form: C(m, 2) pairs (1, 1), m n pairs
+(1, -1), C(n, 2) pairs (-1, -1), m entries 1 and n entries -1.  The six maps
+(four family conditions, two orbit commutators) have integer real systems on
+these blocks, ranked exactly, once per process, by fraction-free elimination:
+every family or orbit count is the multiplicities times that 6 x 5 table.
 The family of matrices with a real characteristic polynomial is a variety, not
 a linear space: its dimension is 2 N^2 minus the rank of the exact derivative
 of the imaginary-coefficient map (from the adjugate coefficients of Faddeev
-and LeVerrier) where that rank is N, the implicit-function condition.  The
-rank cut is the shared rank_cutoff of sigma_max, as for every other rank
-here.  The variety is a cone, so a given base point is first scaled,
-exactly, by the power of two nearest 1 / ||H||_F, which brings the last
-adjugate coefficient near 1 and its rounding near eps.  The default base
-point is diag(d) at the N Chebyshev nodes cos(pi (k + 1/2) / N): real and
-distinct, so the polynomial is real, and only the N imaginary diagonal
-directions move it, through a block of determinant +- the Vandermonde of d.  The table builds these blocks for all
-its dimensions in one adjugate pass on zero-padded diagonals and ranks them in
-one more stacked SVD.
+and LeVerrier) where that rank is N, the implicit-function condition.  A base
+point may be any float matrix, so that rank is cut at rank_cutoff(sigma_max).
+The variety is a cone, so a given base point is first scaled, exactly, by the
+power of two nearest 1 / ||H||_F, which brings the last adjugate coefficient
+near 1 and its rounding near eps.  The default base point is diag(d) at the N
+Chebyshev nodes cos(pi (k + 1/2) / N): real and distinct, so the polynomial is
+real, and only the N imaginary diagonal directions move it, through a block of
+determinant +- the Vandermonde of d.  The table builds these blocks for all its
+dimensions in one adjugate pass on zero-padded diagonals and ranks them in one
+stacked SVD.
 
 Expected closed forms, dimension N split as m + n where applicable:
 
@@ -41,6 +39,7 @@ Expected closed forms, dimension N split as m + n where applicable:
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -85,80 +84,78 @@ _CONDITIONS = {
     FamilyKind.HERMITIAN: lambda c, r, H: H - H.conj().swapaxes(-1, -2),
     FamilyKind.REAL_SYMMETRIC: lambda c, r, H: np.concatenate([H - H.conj(), H - H.swapaxes(-1, -2)], axis=-2),
 }
-# (pair, diagonal) bases, on the entries (0, 1), (1, 0) of a 2 x 2 block and on a 1 x 1 block
+# (pair, diagonal) bases, on the entries (0, 1), (1, 0) of a 2 x 2 block and on a 1 x 1 block;
+# the u(N) basis of the pseudo orbit is left unnormalized, so that every block system is integer
 _REAL_UNITS = (np.array([[[0, 1], [0, 0]], [[0, 1j], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [1j, 0]]]),
                np.array([[[1]], [[1j]]]))
 _LIE_ALGEBRAS = {
     FamilyKind.PT: (_REAL_UNITS[0][[0, 2]], _REAL_UNITS[1][:1]),
-    FamilyKind.PSEUDO: (np.array([[[0, 1j], [1j, 0]], [[0, -1], [1, 0]]]) / np.sqrt(2.0), _REAL_UNITS[1][1:]),
+    FamilyKind.PSEUDO: (np.array([[[0, 1j], [1j, 0]], [[0, -1], [1, 0]]]), _REAL_UNITS[1][1:]),
 }
-_SUPPORTS = (~np.eye(2, dtype=bool), np.ones((1, 1), dtype=bool))
+
+# The six maps, the rows of the rank table: the four family conditions, then the two orbit commutators.
+_MAPS = tuple((_CONDITIONS[kind], _REAL_UNITS) for kind in FamilyKind) + tuple(
+    (lambda c, r, X: X * r - c * X, _LIE_ALGEBRAS[kind]) for kind in _LIE_ALGEBRAS)
+# The five blocks of a parity diag(1_m, -1_n): pair diagonals (p_a, p_b), a < b, then entries p_a.
+_PARITY_BLOCKS = (np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]), np.array([[1.0], [-1.0]]))
 
 
-# The distinct blocks of a parity diag(1_m, -1_n): pair diagonals (p_a, p_b), a < b, then entries p_a.
-_PARITY_PAIRS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
-_PARITY_ENTRIES = np.array([[1.0], [-1.0]])
-
-
-def _parity_blocks(ms, ns) -> tuple:
-    """((pair diagonals, their (S, U) counts), (entries, their (S, V) counts)) of the
-    parities diag(1_m, -1_n), one member per (m, n) of ms, ns: C(m, 2) pairs (1, 1),
-    m n pairs (1, -1) and C(n, 2) pairs (-1, -1); m entries 1 and n entries -1.  Only
-    the blocks some member holds are kept."""
+def _parity_blocks(ms, ns) -> np.ndarray:
+    """(S, 5) multiplicities of the five parity blocks in diag(1_m, -1_n), one row
+    per (m, n) of ms, ns: C(m, 2) pairs (1, 1), m n pairs (1, -1), C(n, 2) pairs
+    (-1, -1), m entries 1 and n entries -1."""
     m, n = np.broadcast_arrays(ms, ns)
     counts = np.array([m * (m - 1) // 2, m * n, n * (n - 1) // 2, m, n]).reshape(5, -1).T
     if counts.min() < 0 or (m + n < 1).any():  # C(m, 2) >= 0 for every integer m
         raise ContractError("need m, n >= 0 and m + n >= 1")
-    held = counts.any(axis=0)
-    return ((_PARITY_PAIRS[held[:3]], counts[:, :3][:, held[:3]]),
-            (_PARITY_ENTRIES[held[3:]], counts[:, 3:][:, held[3:]]))
+    return counts
 
 
-def _commutator(c, r, X):
-    return X * r - c * X
+def _block_system(image, basis, p) -> list:
+    """Rows of Python ints: the real system of X -> image(diag(p), X) on a block,
+    one row per basis matrix X, its image in vectorize coordinates.  The diagonal
+    entries of a pair block's image are exact zeros, which leave the rank as it is."""
+    system = vectorize(image(p[:, None], p[None, :], basis))
+    integers = system.astype(int)
+    if not np.array_equal(integers, system):
+        raise ArithmeticError("a parity block system must have integer entries")
+    return integers.tolist()
 
 
-# The six maps in kernel order: the four family conditions, then the two orbit commutators.
-_MAPS = tuple((_CONDITIONS[kind], _REAL_UNITS) for kind in FamilyKind) + tuple(
-    (_commutator, _LIE_ALGEBRAS[kind]) for kind in _LIE_ALGEBRAS)
-# Per map and block kind, the block's supported entries in every block-sized slab of the
-# map's output (the real-symmetric condition stacks two slabs); the output shape depends
-# on the block kind only, so a unit base gives it.
-_MASKS = tuple(tuple(np.tile(support, (image(1.0, 1.0, basis).shape[-2] // len(support), 1))
-                     for basis, support in zip(bases, _SUPPORTS)) for image, bases in _MAPS)
+def _exact_rank(rows) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination: every
+    division is exact, so no cut decides it."""
+    rows, rank, previous = [list(row) for row in rows], 0, 1
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        head = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            rows[i] = [(head[col] * x - rows[i][col] * y) // previous for x, y in zip(rows[i], head)]
+        previous, rank = head[col], rank + 1
+    return rank
 
 
-def _block_singular_values(blocks) -> np.ndarray:
-    """(6, U, 4) singular values of the real system of X -> image(diag(p), X) over the
-    block's basis, for each map of _MAPS on each of the U distinct pair, then diagonal,
-    blocks p of a block set as _parity_blocks returns it: its supported entries
-    (_MASKS), real parts then imaginary parts, zero-padded to 8 x 4 and factored in
-    one stacked SVD.  No block is wide: the padding adds exact zeros."""
-    stack = np.zeros((len(_MAPS), sum(len(p) for p, _ in blocks), 8, 4))
-    start = 0
-    for kind, (p, _) in enumerate(blocks):
-        c, r, stop = p[:, None, :, None], p[:, None, None, :], start + len(p)
-        for m, (image, bases) in enumerate(_MAPS):
-            images = image(c, r, bases[kind])  # (U, basis, rows, cols), or without U if image ignores the base
-            entries = images[..., _MASKS[m][kind]].swapaxes(-1, -2)
-            k, w = entries.shape[-2:]
-            stack[m, start:stop, :k, :w] = entries.real
-            stack[m, start:stop, k:2 * k, :w] = entries.imag
-        start = stop
-    return np.linalg.svd(stack, compute_uv=False)
+@functools.cache
+def _rank_table() -> np.ndarray:
+    """(6, 5) exact ranks of the maps of _MAPS on the five parity blocks, built on the
+    first count of the process and read-only, as every count shares it."""
+    table = np.array([[_exact_rank(_block_system(image, basis, p))
+                       for basis, blocks in zip(bases, _PARITY_BLOCKS) for p in blocks]
+                      for image, bases in _MAPS])
+    table.flags.writeable = False
+    return table
 
 
-def _map_dims(blocks) -> np.ndarray:
-    """(6, S) dimensions, in _MAPS order, at each of the S members of a block set as
-    _parity_blocks returns it: the nullspace of each family condition, then the rank
-    of each orbit commutator.  Each distinct block is factored once, and each member
-    counts, per map, its blocks' singular values above the cut of the largest among
-    them."""
-    counts = np.concatenate([c for _, c in blocks], axis=1)
-    sigma = _block_singular_values(blocks)
-    cut = rank_cutoff(np.max((counts > 0) * sigma[:, None, :, 0], axis=-1))
-    rank = np.sum(counts * np.sum(sigma[:, None] > cut[..., None, None], axis=-1), axis=-1)
-    columns = sum(c.sum(axis=1) * len(basis) for (_, c), basis in zip(blocks, _REAL_UNITS))  # 2 N^2
+def _map_dims(counts) -> np.ndarray:
+    """(6, S) dimensions, in _MAPS order, at each of the S parities whose block
+    multiplicities _parity_blocks returns: the nullspace of each family condition,
+    then the rank of each orbit commutator.  Each is a sum of block ranks times
+    their multiplicities."""
+    rank = _rank_table() @ counts.T
+    columns = 2 * counts[:, 3:].sum(axis=1) ** 2  # 2 N^2, N = m + n entries
     return np.concatenate([columns - rank[:len(FamilyKind)], rank[len(FamilyKind):]])
 
 
@@ -269,10 +266,10 @@ def table1_report(max_dim: int) -> list:
 
     The merged family row is computed twice (parity route and metric route)
     and reported once; a disagreement between the two routes clears the match
-    flag.  All (m, n) splits of each dimension are covered, and all are ranked
-    together: the six maps on the five parity blocks take one stacked SVD.  The
-    variety row of every dimension is ranked at its Chebyshev diagonal base, all
-    in one adjugate pass and one more stacked SVD.
+    flag.  All (m, n) splits of each dimension are covered, and all are counted
+    together, as their parity-block multiplicities times the exact rank table.
+    The variety row of every dimension is ranked at its Chebyshev diagonal base,
+    all in one adjugate pass and one stacked SVD: one SVD call per report.
     """
     if max_dim < 2:
         raise ContractError("need max_dim >= 2")

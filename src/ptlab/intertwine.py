@@ -184,7 +184,7 @@ def _segre_staircase(A: np.ndarray, lam: complex, multiplicity: int, radius: flo
         c, d = math.ldexp(1.0, e // 2), math.ldexp(1.0, e - e // 2)  # two factors, as 2^e itself may overflow
         M, sing, s_norm, delta = d * (c * M), d * (c * sing), d * (c * s_norm), d * (c * delta)
     power, sings = M, [sing]  # the singular values of M^k, k = 1, 2, ...
-    for inflate in (1.0, 8.0, 64.0):
+    for inflate in (1.0, 64.0):
         nullities = [0]
         for k in range(1, multiplicity + 1):
             floor = inflate * 8.0 * k * delta * s_norm ** (k - 1)

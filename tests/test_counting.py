@@ -1,9 +1,10 @@
 """Parameter counts: nullspace dimensions, orbit ranks, variety dimension.
 
-The dense route the pair blocks replaced (the real matrix of each map over
-all 2 N^2 real coordinates, and its full SVD) is kept here as their oracle,
-and so is the search for the distinct blocks of any stack of diagonal base
-operators that the closed-form parity blocks replaced.
+The dense route the parity blocks replaced (the real matrix of each map over
+all 2 N^2 real coordinates, and its full SVD) is kept here as the oracle of
+their exact rank table, sympy's exact rank as the oracle of its elimination,
+and the search for the distinct blocks of any stack of diagonal base
+operators as the oracle of their closed-form multiplicities.
 """
 
 import math
@@ -113,39 +114,22 @@ def pair_blocks(P0s: np.ndarray, sizes=None) -> tuple:
 
 
 def block_table(blocks) -> dict:
-    """{block as a tuple: its column of counts} of a block set, in no order (a real
-    and a complex block of equal values compare and hash equal)."""
+    """{block as a tuple: its column of counts} of the oracle's block set, in no order
+    (a real and a complex block of equal values compare and hash equal)."""
     return {tuple(row.tolist()): counts.tolist() for rows, c in blocks for row, counts in zip(rows, c.T)}
 
 
-def pair_block_ranks_against_dense(P0s, blocks=None):
-    """Yield (dense system function, kind, index, pair-block rank, dense
-    system) for the four families and both orbits at each base operator of
-    a stack of diagonal ones, after checking that the kernel's singular values
-    of the blocks it holds (each distinct block as often as it holds it, each
-    read on its map's columns, the zero padding beyond them), sorted, are
-    those of the dense system within 1e-12 sigma_max.  The blocks default to
-    the oracle's search over P0s."""
-    blocks = pair_blocks(P0s) if blocks is None else blocks
-    sigma = counting._block_singular_values(blocks)
-    dims = counting._map_dims(blocks)
-    systems = [(dense_family_system, kind) for kind in FamilyKind]
-    systems += [(dense_orbit_system, kind) for kind in (FamilyKind.PT, FamilyKind.PSEUDO)]
-    assert sigma.shape == (len(systems), sum(len(rows) for rows, _ in blocks), 4)
-    for m, (dense_system, kind) in enumerate(systems):
-        per_block_kind = np.split(sigma[m], [len(blocks[0][0])])
-        widths = [len(basis) for basis in counting._MAPS[m][1]]
-        for s, width in zip(per_block_kind, widths):
-            assert not s[:, width:].any()
-        for index, P0 in enumerate(P0s):
-            dense = dense_system(kind, P0)
-            expected = np.linalg.svd(dense, compute_uv=False)
-            held = np.concatenate([np.repeat(s[:, :width], counts[index], axis=0).ravel()
-                                   for (_, counts), s, width in zip(blocks, per_block_kind, widths)])
-            assert held.shape == expected.shape == (dense.shape[1],)
-            np.testing.assert_allclose(np.sort(held), np.sort(expected), rtol=0, atol=1e-12 * expected[0])
-            rank = dims[m, index] if dense_system is dense_orbit_system else dense.shape[1] - dims[m, index]
-            yield dense_system, kind, index, rank, dense
+PARITY_BLOCKS = [((1, 1), 0), ((1, -1), 0), ((-1, -1), 0), ((1,), 1), ((-1,), 1)]  # (block, basis index)
+
+
+def parity_block_table(counts) -> dict:
+    """block_table of the (S, 5) multiplicities of counting._parity_blocks: the
+    blocks that some member holds."""
+    return {block: column.tolist() for (block, _), column in zip(PARITY_BLOCKS, counts.T) if column.any()}
+
+
+DENSE_SYSTEMS = [(dense_family_system, kind) for kind in FamilyKind] + [
+    (dense_orbit_system, kind) for kind in (FamilyKind.PT, FamilyKind.PSEUDO)]  # in the order of counting._MAPS
 
 
 class TestDenseOracle:
@@ -161,37 +145,51 @@ class TestDenseOracle:
             return P @ H - H.conj().swapaxes(-1, -2) @ P
         assert np.array_equal(real_matrix_of_map(fn, 3, 3), reference_real_matrix_of_map(fn, 3, 3))
 
-    @pytest.mark.parametrize("N", range(1, 7))
+    @pytest.mark.parametrize("N", range(1, 9))
     def test_pair_blocks_match_dense_systems(self, N):
         """Every split (m, n) of N at once, n = 0 (definite) to N, for the four
-        families and both orbits: the closed-form parity blocks' singular values
-        are the dense system's within 1e-12 sigma_max, and the counts are the
-        dense counts."""
+        families and both orbits, at every N that count prints: the exact
+        block-rank sums are the ranks of the dense 2 N^2-column systems, and the
+        public counts are the dense counts."""
         ns = np.arange(N + 1)
-        blocks = counting._parity_blocks(N - ns, ns)
-        for dense_system, kind, n, rank, dense in pair_block_ranks_against_dense(diag_parities(N, ns), blocks):
-            dense_rank = numerical_rank(dense)
-            assert rank == dense_rank
-            if dense_system is dense_family_system:
-                assert count_matrix_family(kind, N - n, n) == dense.shape[1] - dense_rank
-            else:
-                assert count_operator_orbit(kind, N - n, n) == dense_rank
+        dims = counting._map_dims(counting._parity_blocks(N - ns, ns))
+        for (dense_system, kind), map_dims in zip(DENSE_SYSTEMS, dims, strict=True):
+            for n, P0 in enumerate(diag_parities(N, ns)):
+                dense = dense_system(kind, P0)
+                dense_rank = numerical_rank(dense)
+                assert dense.shape[1] == (2 * N * N if dense_system is dense_family_system else N * N)
+                if dense_system is dense_family_system:
+                    assert map_dims[n] == count_matrix_family(kind, N - n, n) == dense.shape[1] - dense_rank
+                else:
+                    assert map_dims[n] == count_operator_orbit(kind, N - n, n) == dense_rank
 
-    def test_general_diagonal_bases_match_dense_systems(self):
-        """The block argument needs only a diagonal base operator.  Random
-        complex diagonals that share entries, so that the stack factors their
-        common blocks once: member 1 shares the block (p_0, p_1) with member 0,
-        member 2 is member 1 scaled by 1e-15, and member 3 holds blocks of
-        members 0 and 2 both.  Each is ranked under the cut of the largest
-        singular value among the blocks it holds, as the dense system is."""
-        p = np.random.default_rng(7).normal(size=(4, 4, 2)).view(complex)[..., 0]
-        p[1, :2] = p[0, :2]
-        p[2] = 1e-15 * p[1]
-        p[3] = np.concatenate([p[0, :2], p[2, 2:]])
-        blocks = pair_blocks(p[:, :, None] * np.eye(4))
-        assert [len(rows) for rows, _ in blocks] == [6 + 5 + 6 + 4, 4 + 2 + 4 + 0]  # shared blocks once
-        for *_, rank, dense in pair_block_ranks_against_dense(p[:, :, None] * np.eye(4)):
-            assert rank == numerical_rank(dense)
+    def test_rank_table_is_sympy_rank_of_each_block_system(self):
+        """Each of the 30 entries of the exact table is sympy's exact rank of the
+        same integer system: each map of counting._MAPS on each parity block.
+        Every count shares the table, so it is read-only."""
+        table = counting._rank_table()
+        assert table.shape == (len(DENSE_SYSTEMS), len(PARITY_BLOCKS)) and not table.flags.writeable
+        for (image, bases), ranks in zip(counting._MAPS, table, strict=True):
+            for (block, kind), rank in zip(PARITY_BLOCKS, ranks, strict=True):
+                system = counting._block_system(image, bases[kind], np.array(block, dtype=float))
+                assert all(type(x) is int for row in system for x in row)
+                assert rank == sympy.Matrix(system).rank()
+
+    def test_block_system_refuses_non_integer_entries(self):
+        """The u(2) basis normalized by 1 / sqrt(2) gives no integer system."""
+        commutator, (pair_basis, _) = counting._MAPS[-1]
+        with pytest.raises(ArithmeticError):
+            counting._block_system(commutator, pair_basis / np.sqrt(2.0), np.array([1.0, -1.0]))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6), st.integers(0, 2 ** 32 - 1))
+    def test_exact_rank_is_sympy_rank(self, rows, cols, inner, seed):
+        """Fraction-free elimination on products A B of small integer matrices, of
+        rank at most inner and with zero columns where B has them, against sympy."""
+        rng = np.random.default_rng(seed)
+        B = rng.integers(-3, 4, size=(inner, cols)) * (rng.random(cols) < 0.8)
+        system = (rng.integers(-3, 4, size=(rows, inner)) @ B).tolist()
+        assert counting._exact_rank(system) == sympy.Matrix(rows, cols, sum(system, [])).rank()
 
     def test_non_diagonal_base_operator_is_rejected(self):
         """The oracle's search must not read blocks off a base it does not cover."""
@@ -204,12 +202,13 @@ class TestDenseOracle:
     def test_parity_blocks_are_the_distinct_blocks(self, N):
         """The closed-form multiplicities are the oracle's distinct blocks and
         counts at every split (m, n) of N, alone and with the splits of all
-        dimensions up to N stacked as the table stacks them: no block nobody
-        holds, so (-1, -1) only where some n >= 2."""
+        dimensions up to N stacked as the table stacks them: a block is held
+        where the oracle finds it, so (-1, -1) only where some n >= 2."""
         for n in range(N + 1):
-            assert block_table(counting._parity_blocks(N - n, n)) == block_table(pair_blocks(diag_parities(N, [n])))
+            assert parity_block_table(counting._parity_blocks(N - n, n)) == block_table(
+                pair_blocks(diag_parities(N, [n])))
         dims, ns = np.array([(dim, n) for dim in range(1, N + 1) for n in range(dim + 1)]).T
-        assert block_table(counting._parity_blocks(dims - ns, ns)) == block_table(
+        assert parity_block_table(counting._parity_blocks(dims - ns, ns)) == block_table(
             pair_blocks(diag_parities(dims, ns), dims))
 
     @pytest.mark.parametrize("kind", list(FamilyKind))
@@ -635,50 +634,71 @@ class TestWorkCount:
                 expected[:N, :N] = _chebyshev_base(N)
                 np.testing.assert_array_equal(H, expected)
 
-    def test_table_svds_are_pair_blocks(self, monkeypatch):
-        """table1_report takes two stacked SVDs whatever max_dim.  One factors the
-        real systems of the six maps on the distinct blocks of its parities only,
-        zero-padded to 8 x 4: the pair diagonals (1, 1), (1, -1) and, from N = 4
-        on, (-1, -1), then the entries 1 and -1.  The other factors the
-        zero-padded N x N Jacobian blocks of the variety rows, N = 2..max_dim."""
-        shapes, factored = [], []
+    def test_table_takes_one_svd_the_variety_rows(self, monkeypatch):
+        """table1_report takes one stacked SVD whatever max_dim: the zero-padded
+        N x N Jacobian blocks of the variety rows, N = 2..max_dim.  The family and
+        orbit rows read the exact rank table, and no count cuts a rank but the
+        variety's."""
+        shapes, cuts = [], []
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
-        singular_values = counting._block_singular_values
-        monkeypatch.setattr(counting, "_block_singular_values",
-                            lambda blocks: factored.append(blocks) or singular_values(blocks))
+        monkeypatch.setattr(counting, "rank_cutoff", lambda s, _f=rank_cutoff: cuts.append(np.shape(s)) or _f(s))
         for max_dim in range(2, 9):
             shapes.clear()
-            factored.clear()
+            cuts.clear()
             assert all(r.match for r in table1_report(max_dim))
-            assert len(shapes) == 2 and len(factored) == 1
-            (pair_rows, _), (entry_rows, _) = factored[0]
-            pairs = {(1.0, 1.0), (1.0, -1.0)} | ({(-1.0, -1.0)} if max_dim >= 4 else set())
-            assert not pair_rows.imag.any() and not entry_rows.imag.any()
-            assert sorted(map(tuple, pair_rows.real.tolist())) == sorted(pairs)
-            assert sorted(entry_rows.real.ravel().tolist()) == [-1.0, 1.0]
-            assert sorted(shapes) == sorted([(6, len(pairs) + 2, 8, 4), (max_dim - 1, max_dim, max_dim)])
+            assert shapes == [(max_dim - 1, max_dim, max_dim)] and cuts == [(max_dim - 1, 1)]
+
+    def test_family_and_orbit_counts_take_no_svd(self, monkeypatch):
+        """count_matrix_family and count_operator_orbit take no SVD and no rank cut,
+        also on the first count of a process, which builds the table: 30 exact
+        eliminations, one per map and parity block."""
+        shapes, cuts, eliminated = [], [], []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+        monkeypatch.setattr(counting, "rank_cutoff", lambda s, _f=rank_cutoff: cuts.append(np.shape(s)) or _f(s))
+        monkeypatch.setattr(counting, "_exact_rank",
+                            lambda rows, _f=counting._exact_rank: eliminated.append(1) or _f(rows))
+        counting._rank_table.cache_clear()
+        for N in range(1, 9):
+            for n in range(N + 1):
+                for kind in FamilyKind:
+                    count_matrix_family(kind, N - n, n)
+                    count_operator_orbit(kind, N - n, n)
+        assert shapes == [] and cuts == [] and len(eliminated) == 30
+
+    def test_second_report_builds_no_table(self, monkeypatch):
+        """The table is built once per process, on the first count: a second
+        report builds no block system and runs no elimination."""
+        built = []
+        for name in ("_block_system", "_exact_rank"):
+            monkeypatch.setattr(counting, name,
+                                lambda *a, _f=getattr(counting, name), _n=name: built.append(_n) or _f(*a))
+        counting._rank_table.cache_clear()
+        first = table1_report(8)
+        assert sorted(built) == ["_block_system"] * 30 + ["_exact_rank"] * 30
+        built.clear()
+        assert table1_report(8) == first and built == []
 
     def test_table_reads_parity_blocks_in_closed_form(self, monkeypatch):
         """No block search and no parity stack: table1_report calls no np.unique
         and no np.diagonal, and its one np.eye lifts the Chebyshev diagonals (the
         old route built an (S, M, M) stack of parities from another).  One
-        _parity_blocks call takes the (m, n) of every split, and the SVD kernel
-        factors exactly what it returns."""
-        called, parities, factored = {"unique": [], "diagonal": [], "eye": []}, [], []
+        _parity_blocks call takes the (m, n) of every split, and _map_dims counts
+        exactly what it returns."""
+        called, parities, counted = {"unique": [], "diagonal": [], "eye": []}, [], []
         for name, calls in called.items():
             monkeypatch.setattr(np, name, lambda *a, _f=getattr(np, name), _c=calls, **k: _c.append(a) or _f(*a, **k))
         parity_blocks = counting._parity_blocks
         monkeypatch.setattr(counting, "_parity_blocks",
                             lambda ms, ns: parities.append(((ms, ns), parity_blocks(ms, ns))) or parities[-1][1])
-        singular_values = counting._block_singular_values
-        monkeypatch.setattr(counting, "_block_singular_values",
-                            lambda blocks: factored.append(blocks) or singular_values(blocks))
+        map_dims = counting._map_dims
+        monkeypatch.setattr(counting, "_map_dims", lambda counts: counted.append(counts) or map_dims(counts))
         for max_dim in range(2, 9):
-            for calls in (*called.values(), parities, factored):
+            for calls in (*called.values(), parities, counted):
                 calls.clear()
             assert all(r.match for r in table1_report(max_dim))
             assert called == {"unique": [], "diagonal": [], "eye": [(max_dim,)]}
             splits = [(dim - n, n) for dim in range(2, max_dim + 1) for n in range(dim // 2 + 1)]
             assert len(parities) == 1 and list(zip(*parities[0][0])) == splits
-            assert len(factored) == 1 and factored[0] is parities[0][1]
+            assert len(counted) == 1 and counted[0] is parities[0][1]
